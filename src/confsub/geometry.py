@@ -83,13 +83,6 @@ class VectorFieldSpec:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class JetResult:
-    value: float
-    first: tuple
-    second: tuple | None  # symmetric matrix over direction pairs
-
-
 @dataclass
 class Frame:
     """Orthonormal vectors at a common point with their cached Gram
@@ -142,31 +135,6 @@ class ChartManifold:
 # ---------------------------------------------------------------------
 # jet-calculus entry points
 # ---------------------------------------------------------------------
-
-def eval_with_derivatives(f, p, dirs, order=2, coord_names=None):
-    """Value plus exact first (and second) directional derivatives of an
-    expression at a point along the given directions."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    names = coord_names or [f"x{i + 1}" for i in range(p.dim)]
-    space = JetSpace(len(dirs), order)
-    direction_rows = [list(d.components) for d in dirs]
-    xs = space.seed(list(p.coords), direction_rows)
-    result = eval_expr(f, dict(zip(names, xs)))
-    if not hasattr(result, "grad"):  # constant expression
-        k = len(dirs)
-        first = tuple(0.0 for _ in range(k))
-        second = tuple(tuple(0.0 for _ in range(k)) for _ in range(k)) if order == 2 else None
-        return JetResult(float(result), first, second)
-    first = tuple(primal(g) for g in result.grad)
-    second = None
-    if order == 2:
-        raw = [[primal(h) for h in row] for row in result.hess]
-        # mixed partials commute for analytic inputs; store symmetrically
-        second = tuple(tuple(0.5 * (raw[i][j] + raw[j][i])
-                             for j in range(len(dirs))) for i in range(len(dirs)))
-    return JetResult(primal(result), first, second)
-
 
 def _coordinate_jets(xs, order=1):
     """Seed every coordinate direction at once."""
@@ -318,21 +286,6 @@ def curvature_tensor_at(chart, xs):
     return riem
 
 
-def riemann_apply(riem, xc, yc, zc):
-    m = len(riem)
-    out = []
-    for l in range(m):
-        acc = 0.0
-        for i in range(m):
-            if xc[i] == 0.0 and isinstance(xc[i], float):
-                continue
-            for j in range(m):
-                for k in range(m):
-                    acc = acc + riem[l][k][i][j] * xc[i] * yc[j] * zc[k]
-        out.append(acc)
-    return out
-
-
 def ricci_at(chart, xs, xc, yc, riem=None):
     """Ric(X, Y) = trace(Z -> R(Z, X)Y) at the point."""
     if riem is None:
@@ -457,30 +410,6 @@ def christoffel_symbols(chart, p):
             for j in range(m):
                 out[k, i, j] = primal(gamma[k][i][j])
     return out
-
-
-def covariant_derivative(chart, x_spec, y_spec, p):
-    xs = list(p.coords)
-    xv = [primal(v) for v in field_values_at(chart, x_spec, xs)]
-    comps = cov_deriv_along_at(chart, xs, xv, field_fn(chart, y_spec))
-    return TangentVector(tuple(primal(c) for c in comps), p)
-
-
-def riemann_tensor(chart, x_spec, y_spec, z_spec, p):
-    xs = list(p.coords)
-    riem = curvature_tensor_at(chart, xs)
-    xc = [primal(v) for v in field_values_at(chart, x_spec, xs)]
-    yc = [primal(v) for v in field_values_at(chart, y_spec, xs)]
-    zc = [primal(v) for v in field_values_at(chart, z_spec, xs)]
-    comps = riemann_apply(riem, xc, yc, zc)
-    return TangentVector(tuple(primal(c) for c in comps), p)
-
-
-def ricci(chart, x_spec, y_spec, p):
-    xs = list(p.coords)
-    xc = [primal(v) for v in field_values_at(chart, x_spec, xs)]
-    yc = [primal(v) for v in field_values_at(chart, y_spec, xs)]
-    return primal(ricci_at(chart, xs, xc, yc))
 
 
 def scalar_curvature(chart, p):

@@ -5,11 +5,24 @@ Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
 right-hand side is assembled from the submersion machinery (projectors,
 T, A, dilation calculus).  The two sides share no intermediate values,
-so a closed residual is evidence, not bookkeeping.
+so a closed residual is evidence, not bookkeeping.  In terms of the
+arrays an ``IdentityContext`` holds for its point:
+
+- left side: ``riem`` (Riemann tensor of the total metric) and its
+  contraction ``ric_matrix``; T3.4 adds the total scalar curvature;
+- right side: the O'Neill tensors ``t_tensor`` and ``a_tensor``, their
+  covariant derivatives (``dT``, ``dA``), f = 1/lambda^2 with
+  ``grad_f`` and ``hess_f``, the mean curvatures ``h_vec`` and
+  ``hp_vec`` with their covariant derivatives (``grad_h``,
+  ``grad_hprime``), and curvature computed on other charts: the fiber's
+  own slice chart (``fiber_curvature_intrinsic``,
+  ``fiber_ricci_intrinsic``) and the base chart (``base_R``,
+  ``base_ric``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +30,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .jets import primal
+from .jets import primal, primal_array
 
 CURVATURE_CHECKS = ("G2.12", "G2.13", "G2.14", "G2.15", "G2.16")
 LEMMA31_CHECKS = tuple(f"L3.1.{k}" for k in ("i", "ii", "iii", "iv", "v", "vi"))
@@ -92,8 +105,26 @@ def make_report(identity_id, point, lhs, rhs, hypotheses, tol,
 # per-point evaluation context
 # ---------------------------------------------------------------------
 
+def _once(method):
+    """Memoize a no-argument context method: a hypothesis is measured
+    once per point however many checks list it."""
+    key = "_once_" + method.__name__
+
+    @functools.wraps(method)
+    def wrapper(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = method(self)
+        return self.__dict__[key]
+    return wrapper
+
+
 class IdentityContext:
-    """Caches the frame, curvature and dilation calculus at one point."""
+    """The frame, curvature, O'Neill tensors and dilation calculus at one
+    point, built once and shared by every check there.  Arrays are over
+    the coordinate basis: ``riem[l, k, i, j]`` is component l of
+    R(e_i, e_j) e_k, ``t_tensor[k, a, b]`` component k of T_{e_a} e_b
+    (likewise ``a_tensor``), and the covariant derivatives carry the
+    differentiating direction first."""
 
     def __init__(self, setup, p, hyp_tol=1e-8):
         self.setup = setup
@@ -105,40 +136,72 @@ class IdentityContext:
         self.g = geo.metric_matrix(setup.total, p)
         self.vframe = setup.vertical_frame(p)       # m-n vectors
         self.hframe = setup.horizontal_frame(p)     # n vectors
-        self.riem = geo.curvature_tensor_at(setup.total, self.xs)
+        self.riem = primal_array(geo.curvature_tensor_at(setup.total, self.xs))
+        self.ric_matrix = np.einsum("ikij->jk", self.riem)
         self.lam_sq = primal(setup.lambda_sq_at(self.xs))
         self.jac = setup.jacobian(p)
         self.base_point = setup.map_point(p)
         self.h_base = geo.metric_matrix(setup.base, self.base_point)
-        self._ric_matrix = None
-        self._dT_cache = {}
-        self._dA_cache = {}
-        self._base_ric = None
-        self._base_riem = None
         pv, ph = setup.projectors_at(self.xs)
-        self.pv = np.array([[primal(v) for v in row] for row in pv])
-        self.ph = np.array([[primal(v) for v in row] for row in ph])
+        self.pv = primal_array(pv)
+        self.ph = primal_array(ph)
         # dilation calculus: f = 1 / lambda^2
         self.f_fn = setup.inv_lambda_sq_fn()
         grad = geo.gradient_at(setup.total, self.f_fn, self.xs)
-        self.grad_f = np.array([primal(c) for c in grad])
+        self.grad_f = primal_array(grad)
         self.vgrad_f = self.pv @ self.grad_f
         self.hgrad_f = self.ph @ self.grad_f
         hess = geo.hessian_matrix_at(setup.total, self.f_fn, self.xs)
-        self.hess_f = np.array([[primal(v) for v in row] for row in hess])
+        self.hess_f = primal_array(hess)
         # covector df for directional derivatives
         self.df = self.g @ self.grad_f
-        self.h_vec = np.array(
-            [primal(c) for c in sub.mean_curvature_at(setup, self.xs)])
-        self.hp_fn = lambda zs: sub.horizontal_mean_curvature_formula_at(setup, zs)
-        self.hp_vec = np.array([primal(c) for c in self.hp_fn(self.xs)])
+        t, a = sub.oneill_tensors_at(setup, self.xs)
+        self.t_tensor = primal_array(t)
+        self.a_tensor = primal_array(a)
+        self.h_vec = primal_array(sub.mean_curvature_at(setup, self.xs, t))
+        self.hp_vec = primal_array(
+            sub.horizontal_mean_curvature_formula_at(setup, self.xs))
         self._fiber_chart = None
         self._fiber_chart_tried = False
+
+    @functools.cached_property
+    def _nabla(self):
+        """(nabla T, nabla A, nabla H, nabla H') from one nested seeding
+        of the tensor bundle, indexed [l, k, a, b] and [l, k] with l the
+        differentiating direction.  T and A are tensors, so these equal
+        the per-field cov_deriv_T_at / cov_deriv_A_at."""
+        setup, m = self.setup, self.m
+
+        def fields(zs):
+            t, a = sub.oneill_tensors_at(setup, zs)
+            return [*t.flat, *a.flat, *sub.mean_curvature_at(setup, zs, t),
+                    *sub.horizontal_mean_curvature_formula_at(setup, zs)]
+
+        _, partials = geo.field_partials(fields, self.xs)
+        d = primal_array(partials)
+        gam = primal_array(geo.christoffels_at(setup.total, self.xs))
+        cut = np.cumsum([m ** 3, m ** 3, m])
+        dt, da, dh, dhp = np.split(d, cut, axis=1)
+
+        def tensor(partial, x):
+            return (partial.reshape(m, m, m, m)
+                    + np.einsum("klj,jab->lkab", gam, x)
+                    - np.einsum("jla,kjb->lkab", gam, x)
+                    - np.einsum("jlb,kaj->lkab", gam, x))
+
+        def vector(partial, x):
+            return partial + np.einsum("klj,j->lk", gam, x)
+
+        return (tensor(dt, self.t_tensor), tensor(da, self.a_tensor),
+                vector(dh, self.h_vec), vector(dhp, self.hp_vec))
 
     # -- inner products -------------------------------------------------
 
     def inner(self, u, v):
         return float(np.asarray(u) @ self.g @ np.asarray(v))
+
+    def norm(self, v):
+        return math.sqrt(max(0.0, self.inner(v, v)))
 
     def base_inner(self, w, z):
         return float(np.asarray(w) @ self.h_base @ np.asarray(z))
@@ -153,12 +216,10 @@ class IdentityContext:
     # -- tensors as float vectors ----------------------------------------
 
     def T(self, u, v):
-        return np.array([primal(c) for c in
-                         sub.oneill_T_vectors(self.setup, self.xs, list(u), list(v))])
+        return self.t_tensor @ np.asarray(v) @ np.asarray(u)
 
     def A(self, x, y):
-        return np.array([primal(c) for c in
-                         sub.oneill_A_vectors(self.setup, self.xs, list(x), list(y))])
+        return self.a_tensor @ np.asarray(y) @ np.asarray(x)
 
     def nu_bracket(self, x, y):
         """v[X, Y] for horizontal fields through A_X Y - A_Y X (the
@@ -167,54 +228,41 @@ class IdentityContext:
         return self.A(x, y) - self.A(y, x)
 
     def dT(self, e, u, v):
-        # memoized: the frame vectors are fixed per context and the same
-        # derivative shows up in several identity enumerations
-        key = (tuple(e), tuple(u), tuple(v))
-        if key not in self._dT_cache:
-            comps = sub.cov_deriv_T_at(
-                self.setup, self.xs, list(e),
-                sub._const_fn(list(u)), sub._const_fn(list(v)))
-            self._dT_cache[key] = np.array([primal(c) for c in comps])
-        return self._dT_cache[key]
+        """(nabla_E T)_U V."""
+        return np.asarray(e) @ (self._nabla[0] @ np.asarray(v) @ np.asarray(u))
 
     def dA(self, e, x, y):
-        key = (tuple(e), tuple(x), tuple(y))
-        if key not in self._dA_cache:
-            comps = sub.cov_deriv_A_at(
-                self.setup, self.xs, list(e),
-                sub._const_fn(list(x)), sub._const_fn(list(y)))
-            self._dA_cache[key] = np.array([primal(c) for c in comps])
-        return self._dA_cache[key]
+        """(nabla_E A)_X Y."""
+        return np.asarray(e) @ (self._nabla[1] @ np.asarray(y) @ np.asarray(x))
+
+    def grad_h(self, v):
+        """nabla_v H with H differentiated as a field."""
+        return np.asarray(v) @ self._nabla[2]
 
     def R(self, x, y, z):
-        comps = geo.riemann_apply(self.riem, list(x), list(y), list(z))
-        return np.array([primal(c) for c in comps])
+        return self.riem @ np.asarray(y) @ np.asarray(x) @ np.asarray(z)
 
     def ric(self, x, y):
-        if self._ric_matrix is None:
-            mat = geo.ricci_matrix_at(self.setup.total, self.xs)
-            self._ric_matrix = np.array([[primal(v) for v in row] for row in mat])
-        return float(np.asarray(x) @ self._ric_matrix.T @ np.asarray(y))
+        return float(np.asarray(x) @ self.ric_matrix.T @ np.asarray(y))
 
     def cov_deriv_along(self, v, field_fn):
         comps = geo.cov_deriv_along_at(self.setup.total, self.xs,
                                        list(v), field_fn)
-        return np.array([primal(c) for c in comps])
+        return primal_array(comps)
 
     # -- base curvature ---------------------------------------------------
 
+    @functools.cached_property
+    def _base_riem(self):
+        return primal_array(geo.curvature_tensor_at(
+            self.setup.base, list(self.base_point.coords)))
+
     def base_R(self, wx, wy, wz):
-        if self._base_riem is None:
-            self._base_riem = geo.curvature_tensor_at(
-                self.setup.base, list(self.base_point.coords))
-        comps = geo.riemann_apply(self._base_riem, list(wx), list(wy), list(wz))
-        return np.array([primal(c) for c in comps])
+        return self._base_riem @ np.asarray(wy) @ np.asarray(wx) @ np.asarray(wz)
 
     def base_ric(self, wx, wy):
-        if self._base_ric is None:
-            mat = geo.ricci_matrix_at(self.setup.base, list(self.base_point.coords))
-            self._base_ric = np.array([[primal(v) for v in row] for row in mat])
-        return float(np.asarray(wx) @ self._base_ric.T @ np.asarray(wy))
+        ric = np.einsum("ikij->jk", self._base_riem)
+        return float(np.asarray(wx) @ ric.T @ np.asarray(wy))
 
     # -- fiber intrinsic curvature ----------------------------------------
 
@@ -224,92 +272,74 @@ class IdentityContext:
             self._fiber_chart = sub.fiber_slice_chart(self.setup, self.p)
         return self._fiber_chart
 
+    @functools.cached_property
+    def _fiber_curvature(self):
+        """(vertical indices, fiber metric, fiber Riem) on the fiber chart."""
+        chart = self.fiber_chart()
+        if chart is None:
+            raise sub.NotASubmersionError("fiber chart unavailable")
+        fcoords = chart.fiber_coords(self.p)
+        return (chart.vertical_indices, primal_array(chart.metric_at(fcoords)),
+                primal_array(geo.curvature_tensor_at(chart, fcoords)))
+
     def fiber_ricci_intrinsic(self, u, v):
         """Ric^v(U, V) from the fiber's own chart (independent of the
         ambient curvature); 0 for 1-dimensional fibers."""
         if self.m - self.n == 1:
             return 0.0
-        chart = self.fiber_chart()
-        if chart is None:
-            raise sub.NotASubmersionError("fiber chart unavailable")
-        idx = chart.vertical_indices
-        fcoords = chart.fiber_coords(self.p)
-        mat = geo.ricci_matrix_at(chart, fcoords)
-        uf = [u[i] for i in idx]
-        vf = [v[i] for i in idx]
-        k = len(idx)
-        return float(sum(primal(mat[a][b]) * uf[a] * vf[b]
-                         for a in range(k) for b in range(k)))
+        idx, _, riem = self._fiber_curvature
+        ric = np.einsum("ikij->jk", riem)
+        return float(np.asarray(u)[idx] @ ric @ np.asarray(v)[idx])
 
     def fiber_curvature_intrinsic(self, u, v, w, s):
         """g(R^v(U, V)W, S) on the fiber chart."""
         if self.m - self.n == 1:
             return 0.0
-        chart = self.fiber_chart()
-        if chart is None:
-            raise sub.NotASubmersionError("fiber chart unavailable")
-        idx = chart.vertical_indices
-        fcoords = chart.fiber_coords(self.p)
-        riem = geo.curvature_tensor_at(chart, fcoords)
-        gf = chart.metric_at(fcoords)
-        uf = [u[i] for i in idx]
-        vf = [v[i] for i in idx]
-        wf = [w[i] for i in idx]
-        sf = [s[i] for i in idx]
-        comps = geo.riemann_apply(riem, uf, vf, wf)
-        k = len(idx)
-        return float(sum(primal(gf[a][b]) * primal(comps[a]) * sf[b]
-                         for a in range(k) for b in range(k)))
+        idx, gf, riem = self._fiber_curvature
+        u, v, w, s = (np.asarray(c)[idx] for c in (u, v, w, s))
+        return float((riem @ v @ u @ w) @ gf @ s)
 
     def fiber_scalar_intrinsic(self):
         return sub.intrinsic_fiber_scalar_curvature(self.setup, self.p)
 
     # -- structural hypotheses at this point ------------------------------
 
+    @_once
     def hyp_conformal(self):
         aniso = sub.dilation(self.setup, self.p).anisotropy
         return Hypothesis("conformal", aniso <= max(self.hyp_tol, 1e-8), aniso)
 
+    @_once
     def hyp_fiber_chart(self):
         ok = self.m - self.n == 1 or self.fiber_chart() is not None
         return Hypothesis("fiber-chart-available", ok, 0.0 if ok else 1.0)
 
-    def _sup_T(self):
-        worst = 0.0
-        for i, ui in enumerate(self.vframe):
-            for uj in self.vframe[i:]:
-                t = self.T(ui, uj)
-                worst = max(worst, math.sqrt(max(0.0, self.inner(t, t))))
-        return worst
-
-    def _sup_A(self):
-        worst = 0.0
-        for xi in self.hframe:
-            for xj in self.hframe:
-                a = self.A(xi, xj)
-                worst = max(worst, math.sqrt(max(0.0, self.inner(a, a))))
-        return worst
-
+    @_once
     def hyp_fibers_tg(self):
-        v = self._sup_T()
+        v = max((self.norm(self.T(ui, uj))
+                 for i, ui in enumerate(self.vframe)
+                 for uj in self.vframe[i:]), default=0.0)
         return Hypothesis("fibers-totally-geodesic", v <= self.hyp_tol, v)
 
+    @_once
     def hyp_horizontal_tg(self):
-        v = self._sup_A()
+        v = max((self.norm(self.A(xi, xj))
+                 for xi in self.hframe for xj in self.hframe), default=0.0)
         return Hypothesis("horizontal-totally-geodesic", v <= self.hyp_tol, v)
 
+    @_once
     def hyp_horizontal_integrable(self):
-        worst = 0.0
-        for i, xi in enumerate(self.hframe):
-            for xj in self.hframe[i + 1:]:
-                br = self.nu_bracket(xi, xj)
-                worst = max(worst, math.sqrt(max(0.0, self.inner(br, br))))
+        worst = max((self.norm(self.nu_bracket(xi, xj))
+                     for i, xi in enumerate(self.hframe)
+                     for xj in self.hframe[i + 1:]), default=0.0)
         return Hypothesis("horizontal-integrable", worst <= self.hyp_tol, worst)
 
+    @_once
     def hyp_homothetic(self):
-        v = math.sqrt(max(0.0, self.inner(self.hgrad_f, self.hgrad_f)))
+        v = self.norm(self.hgrad_f)
         return Hypothesis("homothetic", v <= self.hyp_tol, v)
 
+    @_once
     def hyp_map_tg(self):
         v = max(self.hyp_fibers_tg().violation,
                 self.hyp_horizontal_tg().violation,
@@ -320,7 +350,7 @@ class IdentityContext:
 
     def grad_hprime(self, v):
         """nabla_v H' with H' differentiated as a field."""
-        return self.cov_deriv_along(v, self.hp_fn)
+        return np.asarray(v) @ self._nabla[3]
 
     def div_hprime(self):
         """Divergence of H' along the fiber, sum_i g(nabla_{U_i} H', U_i).
@@ -329,12 +359,7 @@ class IdentityContext:
         close numerically only under the fiber reading, not the full
         m-dimensional divergence.
         """
-        return sum(self.inner(self.cov_deriv_along(u, self.hp_fn), u)
-                   for u in self.vframe)
-
-    def div_h(self):
-        h_fn = lambda zs: sub.mean_curvature_at(self.setup, zs)
-        return primal(geo.divergence_at(self.setup.total, h_fn, self.xs))
+        return sum(self.inner(self.grad_hprime(u), u) for u in self.vframe)
 
     def horizontal_laplacian_f(self):
         return sum(float(np.asarray(xj) @ self.hess_f @ np.asarray(xj))
@@ -506,37 +531,30 @@ def _g216(ctx, tol):
 # Prop 3.1, Eq. (3.3), Lemma 3.1
 # ---------------------------------------------------------------------
 
-def verify_A_formula(setup, p, tol=1e-6, ctx=None):
-    """A_X Y = (1/2){v[X,Y] - lam^2 g(X,Y) grad_v f} and the derived
-    relation A_Y X + A_X Y + lam^2 g(X,Y) grad_v f = 0."""
+def verify_A_formula(identity_id, setup, p, tol=1e-6, ctx=None):
+    """P3.1: A_X Y = (1/2){v[X,Y] - lam^2 g(X,Y) grad_v f}; E3.3: the
+    derived relation A_Y X + A_X Y + lam^2 g(X,Y) grad_v f = 0."""
     ctx = ctx or IdentityContext(setup, p)
     hyps = [ctx.hyp_conformal()]
     out = []
     for a, x in enumerate(ctx.hframe):
         for b, y in enumerate(ctx.hframe):
             axy = ctx.A(x, y)
-            closed = 0.5 * (ctx.nu_bracket(x, y)
-                            - ctx.lam_sq * ctx.inner(x, y) * ctx.vgrad_f)
-            diff = axy - closed
-            res = math.sqrt(max(0.0, ctx.inner(diff, diff)))
-            scale = 1.0 + math.sqrt(max(0.0, ctx.inner(axy, axy)))
+            scale = 1.0 + ctx.norm(axy)
+            grad_term = ctx.lam_sq * ctx.inner(x, y) * ctx.vgrad_f
+            if identity_id == "P3.1":
+                closed = 0.5 * (ctx.nu_bracket(x, y) - grad_term)
+                res = ctx.norm(axy - closed)
+                lhs, rhs = ctx.norm(axy), ctx.norm(closed)
+            else:
+                res = ctx.norm(ctx.A(y, x) + axy + grad_term)
+                lhs, rhs = res, 0.0
             rep = ResidualReport(
-                identity_id="P3.1", point=ctx.p,
-                lhs=math.sqrt(max(0.0, ctx.inner(axy, axy))),
-                rhs=math.sqrt(max(0.0, ctx.inner(closed, closed))),
+                identity_id=identity_id, point=ctx.p, lhs=lhs, rhs=rhs,
                 abs_residual=res, rel_residual=res / scale,
                 hypotheses=list(hyps), verdict="",
                 label=f"X{a+1} Y{b+1}")
             out.append(_finish(rep, tol))
-            ayx = ctx.A(y, x)
-            rel = ayx + axy + ctx.lam_sq * ctx.inner(x, y) * ctx.vgrad_f
-            res2 = math.sqrt(max(0.0, ctx.inner(rel, rel)))
-            rep2 = ResidualReport(
-                identity_id="E3.3", point=ctx.p, lhs=res2, rhs=0.0,
-                abs_residual=res2, rel_residual=res2 / scale,
-                hypotheses=list(hyps), verdict="",
-                label=f"X{a+1} Y{b+1}")
-            out.append(_finish(rep2, tol))
     return out
 
 
@@ -623,10 +641,8 @@ def _ric_vertical_rhs(ctx, u, v):
 
 def _ric_mixed_rhs(ctx, u, x):
     m, n = ctx.m, ctx.n
-    h_fn = lambda zs: sub.mean_curvature_at(ctx.setup, zs)
     terms = {
-        "(m-n) g(nabla_U H, X)": (m - n) * ctx.inner(
-            ctx.cov_deriv_along(u, h_fn), x),
+        "(m-n) g(nabla_U H, X)": (m - n) * ctx.inner(ctx.grad_h(u), x),
         "-sum (nabla_Ui T)_U Ui . X": -sum(
             ctx.inner(ctx.dT(ui, u, ui), x) for ui in ctx.vframe),
         "sum (nabla_X A)_Xj Xj . U": sum(
@@ -863,8 +879,7 @@ def run_check(check_id, setup, p, tol=1e-6, ctx=None, base_fields=None,
     if check_id in CURVATURE_CHECKS:
         return verify_curvature_identity(check_id, setup, p, tol=tol, ctx=ctx)
     if check_id in ("P3.1", "E3.3"):
-        reports = verify_A_formula(setup, p, tol=tol, ctx=ctx)
-        return [r for r in reports if r.identity_id == check_id]
+        return verify_A_formula(check_id, setup, p, tol=tol, ctx=ctx)
     if check_id in LEMMA31_CHECKS:
         return verify_lemma_3_1(check_id.split(".")[-1], setup, p, tol=tol, ctx=ctx)
     if check_id in RICCI_CHECKS:

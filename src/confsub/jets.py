@@ -20,6 +20,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 _LEVELS = itertools.count(1)
 
 
@@ -164,6 +166,12 @@ def primal(x):
     while isinstance(x, Jet):
         x = x.val
     return float(x)
+
+
+def primal_array(values):
+    """Float array of the primals of a (nested) sequence of scalars."""
+    arr = np.asarray(values, dtype=object)
+    return np.array([primal(x) for x in arr.flat]).reshape(arr.shape)
 
 
 def _check_finite(x, what):

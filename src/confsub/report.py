@@ -127,7 +127,7 @@ def _skipped(check_id, reason):
     }
 
 
-def _run_soliton_checks(job, checks, records):
+def _run_soliton_checks(job, checks, records, contexts):
     setup, points, tol = job.setup, job.points, job.tolerance
     needs_xi = [c for c in checks if c != "structure-flags"]
     if "structure-flags" in checks:
@@ -169,22 +169,26 @@ def _run_soliton_checks(job, checks, records):
     if "fiber-soliton" in checks:
         records.append(_soliton_record(
             "fiber-soliton",
-            sol.fiber_soliton_report(setup, xi, points, mu=mu, tol=tol)))
+            sol.fiber_soliton_report(setup, xi, points, mu=mu, tol=tol,
+                                     contexts=contexts)))
     if "base-soliton" in checks:
         xi_base = next((spec for target, spec in job.fields.values()
                         if target == "base"), None)
         records.append(_soliton_record(
             "base-soliton",
             sol.base_soliton_report(setup, xi, mu, points,
-                                    xi_base=xi_base, tol=tol)))
+                                    xi_base=xi_base, tol=tol,
+                                    contexts=contexts)))
     if "scalar-mu" in checks:
         records.append(residual_record(
-            sol.scalar_mu_consistency(setup, xi, mu, points, tol=tol),
+            sol.scalar_mu_consistency(setup, xi, mu, points, tol=tol,
+                                      contexts=contexts),
             kind="soliton"))
     if "harmonicity" in checks:
         records.append(_soliton_record(
             "harmonicity",
-            sol.harmonicity_report(setup, xi, mu, points, tol=tol)))
+            sol.harmonicity_report(setup, xi, mu, points, tol=tol,
+                                   contexts=contexts)))
 
 
 def count_verdicts(records):
@@ -202,17 +206,21 @@ def run_job(job):
     identity_ids = [c for c in job.checks if c in ALL_CHECK_IDS]
     soliton_ids = [c for c in job.checks if c in SOLITON_CHECKS]
     records = []
+    lam = []
+    contexts = []  # kept only for the soliton reports, which reuse them
     for p in job.points:
         ctx = IdentityContext(setup, p)
+        lam.append(ctx.lam_sq)
+        if soliton_ids:
+            contexts.append(ctx)
         for check_id in identity_ids:
             for rep in run_check(check_id, setup, p, tol=job.tolerance,
                                  ctx=ctx):
                 records.append(residual_record(rep))
-    _run_soliton_checks(job, soliton_ids, records)
+    _run_soliton_checks(job, soliton_ids, records, contexts)
     counts = count_verdicts(records)
     flagged = sum(1 for r in records
                   if r["verdict"] == "fail" and r["convention_sensitive"])
-    lam = [sub.dilation(setup, p).lambda_sq for p in job.points]
     job_info = {
         "total_dim": setup.m,
         "base_dim": setup.n,

@@ -142,9 +142,7 @@ def conformal_field_fit(chart, xi, points, tol=1e-9):
 
 def _horizontal_div_h(ctx):
     """div(H) as the horizontal trace sum_j g(nabla_{X_j} H, X_j)."""
-    h_fn = lambda zs: sub.mean_curvature_at(ctx.setup, zs)
-    return sum(ctx.inner(ctx.cov_deriv_along(x, h_fn), x)
-               for x in ctx.hframe)
+    return sum(ctx.inner(ctx.grad_h(x), x) for x in ctx.hframe)
 
 
 def _norm_sq_h(ctx):
@@ -158,17 +156,18 @@ def _fiber_formula_value(ctx, xi_h, mu):
     return base - ctx.inner(ctx.h_vec, xi_h)
 
 
-def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6):
+def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
+                         contexts=None):
     """Fibers as (almost) Ricci solitons: residual of
     (1/2){g(nabla_U xi_v, V) + g(nabla_V xi_v, U)} + Ric^v(U,V) + f g(U,V)
-    with f evaluated from its closed form per point."""
+    with f evaluated from its closed form per point.  ``contexts`` are
+    the points' IdentityContexts when the caller already built them."""
     xi_fn = xi if callable(xi) else geo.field_fn(setup.total, xi)
     xi_v_fn = setup.vertical_project_fn(xi_fn)
     per_point = []
     worst = 0.0
     hyp_sets = []
-    for p in points:
-        ctx = IdentityContext(setup, p)
+    for p, ctx in zip(points, _contexts(setup, points, contexts)):
         hyp_sets.append([ctx.hyp_conformal(),
                          _umbilical_hyp(ctx),
                          ctx.hyp_horizontal_tg()])
@@ -196,7 +195,8 @@ def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6):
     return _verdict(report, tol)
 
 
-def base_soliton_report(setup, xi, mu, points, xi_base=None, tol=1e-6):
+def base_soliton_report(setup, xi, mu, points, xi_base=None, tol=1e-6,
+                        contexts=None):
     """Base as an (almost) Ricci soliton: residual of
     (1/2)(L h)(Xt,Yt) + Ric^N(Xt,Yt) + f h(Xt,Yt) with f from f3/f4.
 
@@ -212,8 +212,7 @@ def base_soliton_report(setup, xi, mu, points, xi_base=None, tol=1e-6):
     per_point = []
     worst = 0.0
     hyp_sets = []
-    for p in points:
-        ctx = IdentityContext(setup, p)
+    for p, ctx in zip(points, _contexts(setup, points, contexts)):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
                          ctx.hyp_fibers_tg(), ctx.hyp_horizontal_integrable()])
         lform = _soliton_form(setup.base, xi_base_fn, ctx.base_point)
@@ -253,7 +252,7 @@ def _base_formula_value(ctx, xi_fn, mu):
     return f3 + (lam_sq / 2.0) * ctx.inner(ctx.vgrad_f, xi_v)
 
 
-def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6):
+def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6, contexts=None):
     """s(p) = -mu*m for a totally geodesic map; also reports the spread
     of s over the points (constancy check)."""
     values = [geo.scalar_curvature(setup.total, p) for p in points]
@@ -263,7 +262,8 @@ def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6):
     rhs = -mu * m
     terms = {f"s@{i}": v for i, v in enumerate(values)}
     terms["spread"] = max(values) - min(values)
-    ctx = IdentityContext(setup, points[worst_idx])
+    ctx = (contexts[worst_idx] if contexts is not None
+           else IdentityContext(setup, points[worst_idx]))
     hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg()]
     abs_res = abs(lhs - rhs)
     scale = 1.0 + max(abs(lhs), abs(rhs))
@@ -275,7 +275,7 @@ def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6):
     return _finish(rep, tol)
 
 
-def harmonicity_report(setup, xi, mu, points, tol=1e-6):
+def harmonicity_report(setup, xi, mu, points, tol=1e-6, contexts=None):
     """F harmonic iff s^{KerF*} = -mu(m-n): both sides evaluated
     independently, with the trace identity
     s^{Ker} + (m-n)mu - (m-n)^2 |H|^2 + (m-n) div(H) = 0 itemized."""
@@ -285,8 +285,7 @@ def harmonicity_report(setup, xi, mu, points, tol=1e-6):
     worst_scalar = 0.0
     worst_trace = 0.0
     hyp_sets = []
-    for p in points:
-        ctx = IdentityContext(setup, p)
+    for p, ctx in zip(points, _contexts(setup, points, contexts)):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
                          _umbilical_hyp(ctx), ctx.hyp_horizontal_tg()])
         tau = sub.tension_field(setup, p)
@@ -337,6 +336,13 @@ def _umbilical_hyp(ctx):
             d = ctx.T(u, v) - ctx.inner(u, v) * ctx.h_vec
             worst = max(worst, math.sqrt(max(0.0, ctx.inner(d, d))))
     return Hypothesis("umbilical-fibers", worst <= ctx.hyp_tol, worst)
+
+
+def _contexts(setup, points, contexts):
+    """The caller's per-point contexts, or new ones built one at a time."""
+    if contexts is not None:
+        return contexts
+    return (IdentityContext(setup, p) for p in points)
 
 
 def _merge_hypotheses(hyp_sets):

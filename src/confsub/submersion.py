@@ -20,9 +20,9 @@ from .expr import eval_expr, parse_expression
 from .geometry import (Point, TangentVector, VectorFieldSpec,
                        cov_deriv_along_at, field_fn, gradient_at,
                        jacobian_at, orthonormalize_components)
-from .jets import primal
-from .linalg import (SingularMatrixError, identity, mat_inverse, mat_mul,
-                     mat_vec, null_space_basis, transpose)
+from .jets import primal, primal_array
+from .linalg import (SingularMatrixError, mat_inverse, mat_mul, mat_vec,
+                     null_space_basis, transpose)
 
 
 class NotASubmersionError(ValueError):
@@ -218,13 +218,25 @@ def _const_fn(comps):
     return lambda xs: vals
 
 
-def oneill_T_vectors(setup, xs, u_comps, v_comps):
-    """T with pointwise arguments (constant extensions; T is a tensor)."""
-    return oneill_T_at(setup, xs, _const_fn(u_comps), _const_fn(v_comps))
-
-
-def oneill_A_vectors(setup, xs, x_comps, y_comps):
-    return oneill_A_at(setup, xs, _const_fn(x_comps), _const_fn(y_comps))
+def oneill_tensors_at(setup, xs):
+    """(T, A) over the coordinate basis as object arrays: T[k, a, b] is
+    component k of T_{e_a} e_b, likewise A.  Both are tensors, so the
+    constant extensions of e_a, e_b serve, and every entry comes from one
+    order-1 seeding of P_v and one Christoffel evaluation:
+    with N^k_ib = (nabla_i (P_v e_b))^k and M = P_h N + P_v (Gamma - N),
+    T^k_ab = (P_v)^i_a M^k_ib and A^k_ab = (P_h)^i_a M^k_ib."""
+    m = setup.m
+    flat, dflat = geo.field_partials(
+        lambda zs: [c for row in setup.projectors_at(zs)[0] for c in row], xs)
+    pv = np.array(flat, dtype=object).reshape(m, m)
+    ph = np.eye(m, dtype=object) - pv
+    dpv = np.array(dflat, dtype=object).reshape(m, m, m)  # [i, k, b]
+    gamma = np.array(geo.christoffels_at(setup.total, xs), dtype=object)
+    nv = dpv.transpose(1, 0, 2) + np.einsum("kij,jb->kib", gamma, pv)
+    mix = (np.einsum("kl,lib->kib", ph, nv)
+           + np.einsum("kl,lib->kib", pv, gamma - nv))
+    return (np.einsum("ia,kib->kab", pv, mix),
+            np.einsum("ia,kib->kab", ph, mix))
 
 
 def cov_deriv_T_at(setup, xs, e_comps, u_fn, ep_fn):
@@ -257,53 +269,24 @@ def cov_deriv_A_at(setup, xs, e_comps, x_fn, ep_fn):
 
 
 # ---------------------------------------------------------------------
-# traces over the distributions
+# mean curvatures
 # ---------------------------------------------------------------------
 
-def _distribution_weight(setup, xs, vertical):
-    """Sum over a g-orthonormal basis of the distribution of U_i U_i^T,
-    which equals (projector) * g^{-1}."""
-    g = setup.total.metric_at(xs)
-    ginv = mat_inverse(g)
-    pv, ph = setup.projectors_at(xs)
-    proj = pv if vertical else ph
-    return mat_mul(proj, ginv)
+def vertical_trace_T_at(setup, xs, t=None):
+    """Sum of T(U_i, U_i) over an orthonormal vertical frame: T contracted
+    with sum_i U_i U_i^T = P_v g^{-1}.  ``t`` is T from
+    ``oneill_tensors_at`` at the same xs when the caller holds it."""
+    if t is None:
+        t, _ = oneill_tensors_at(setup, xs)
+    pv, _ = setup.projectors_at(xs)
+    w = mat_mul(pv, mat_inverse(setup.total.metric_at(xs)))
+    return list(np.einsum("kab,ab->k", t, np.array(w, dtype=object)))
 
 
-def vertical_trace_T_at(setup, xs):
-    """Sum of T(U_i, U_i) over an orthonormal vertical frame."""
-    m = setup.m
-    w = _distribution_weight(setup, xs, vertical=True)
-    basis = identity(m)
-    out = [0.0] * m
-    for a in range(m):
-        for b in range(m):
-            if isinstance(w[a][b], float) and w[a][b] == 0.0:
-                continue
-            t = oneill_T_vectors(setup, xs, basis[a], basis[b])
-            out = [o + w[a][b] * c for o, c in zip(out, t)]
-    return out
-
-
-def horizontal_trace_A_at(setup, xs):
-    """Sum of A(X_j, X_j) over an orthonormal horizontal frame."""
-    m = setup.m
-    w = _distribution_weight(setup, xs, vertical=False)
-    basis = identity(m)
-    out = [0.0] * m
-    for a in range(m):
-        for b in range(m):
-            if isinstance(w[a][b], float) and w[a][b] == 0.0:
-                continue
-            t = oneill_A_vectors(setup, xs, basis[a], basis[b])
-            out = [o + w[a][b] * c for o, c in zip(out, t)]
-    return out
-
-
-def mean_curvature_at(setup, xs):
+def mean_curvature_at(setup, xs, t=None):
     """Fiber mean curvature H with the umbilical normalization
     T_U V = g(U, V) H, i.e. H = trace_v(T) / (m - n)."""
-    trace = vertical_trace_T_at(setup, xs)
+    trace = vertical_trace_T_at(setup, xs, t)
     return [c / (setup.m - setup.n) for c in trace]
 
 
@@ -316,22 +299,9 @@ def horizontal_mean_curvature_formula_at(setup, xs):
     return [-0.5 * lam_sq * c for c in vgrad]
 
 
-def horizontal_mean_curvature_via_A_at(setup, xs):
-    trace = horizontal_trace_A_at(setup, xs)
-    return [c / setup.n for c in trace]
-
-
 # ---------------------------------------------------------------------
 # pointwise wrappers
 # ---------------------------------------------------------------------
-
-def vertical_horizontal_split(setup, p, v):
-    xs = list(p.coords)
-    pv, ph = setup.projectors_at(xs)
-    vert = [primal(c) for c in mat_vec(pv, list(v.components))]
-    horiz = [primal(c) for c in mat_vec(ph, list(v.components))]
-    return (TangentVector(tuple(vert), p), TangentVector(tuple(horiz), p))
-
 
 def dilation(setup, p):
     xs = list(p.coords)
@@ -370,56 +340,9 @@ def oneill_A(setup, p, e_spec, ep_spec):
     return TangentVector(tuple(primal(c) for c in comps), p)
 
 
-def cov_deriv_T(setup, p, e_spec, u_spec, ep_spec):
-    xs = list(p.coords)
-    e_comps = [primal(v) for v in geo.field_values_at(setup.total, e_spec, xs)]
-    comps = cov_deriv_T_at(setup, xs, e_comps,
-                           field_fn(setup.total, u_spec),
-                           field_fn(setup.total, ep_spec))
-    return TangentVector(tuple(primal(c) for c in comps), p)
-
-
-def cov_deriv_A(setup, p, e_spec, x_spec, ep_spec):
-    xs = list(p.coords)
-    e_comps = [primal(v) for v in geo.field_values_at(setup.total, e_spec, xs)]
-    comps = cov_deriv_A_at(setup, xs, e_comps,
-                           field_fn(setup.total, x_spec),
-                           field_fn(setup.total, ep_spec))
-    return TangentVector(tuple(primal(c) for c in comps), p)
-
-
 def mean_curvature(setup, p):
     comps = mean_curvature_at(setup, list(p.coords))
     return TangentVector(tuple(primal(c) for c in comps), p)
-
-
-def vertical_trace_T(setup, p):
-    """Unnormalized vertical trace of T, exposed alongside H."""
-    comps = vertical_trace_T_at(setup, list(p.coords))
-    return TangentVector(tuple(primal(c) for c in comps), p)
-
-
-@dataclass(frozen=True)
-class HorizontalMeanCurvature:
-    via_A: TangentVector
-    via_formula: TangentVector
-    residual: float
-    horizontal_integrable: bool
-
-
-def horizontal_mean_curvature(setup, p, integrability_tol=1e-8):
-    xs = list(p.coords)
-    via_a = [primal(c) for c in horizontal_mean_curvature_via_A_at(setup, xs)]
-    via_f = [primal(c) for c in horizontal_mean_curvature_formula_at(setup, xs)]
-    g = geo.metric_matrix(setup.total, p)
-    diff = np.array(via_a) - np.array(via_f)
-    residual = math.sqrt(max(0.0, float(diff @ g @ diff)))
-    integ = _horizontal_integrability_violation(setup, p) <= integrability_tol
-    return HorizontalMeanCurvature(
-        via_A=TangentVector(tuple(via_a), p),
-        via_formula=TangentVector(tuple(via_f), p),
-        residual=residual,
-        horizontal_integrable=integ)
 
 
 def second_fundamental_form(setup, xt_spec, yt_spec, p):
@@ -457,36 +380,6 @@ def tension_field(setup, p):
     second = (setup.m - setup.n) * (jac @ np.array(h_vec))
     q = setup.map_point(p)
     return TangentVector(tuple(float(a - b) for a, b in zip(first, second)), q)
-
-
-def fiber_ricci(setup, u_spec, v_spec, p):
-    """Intrinsic fiber Ricci extracted from the ambient curvature and T
-    via the Gauss relation."""
-    xs = list(p.coords)
-    uc = [primal(v) for v in geo.field_values_at(setup.total, u_spec, xs)]
-    vc = [primal(v) for v in geo.field_values_at(setup.total, v_spec, xs)]
-    return fiber_ricci_vectors(setup, p, uc, vc)
-
-
-def fiber_ricci_vectors(setup, p, uc, vc):
-    xs = list(p.coords)
-    frame = setup.vertical_frame(p)
-    if len(frame) <= 1:
-        return 0.0
-    g = geo.metric_matrix(setup.total, p)
-    riem = geo.curvature_tensor_at(setup.total, xs)
-    acc = 0.0
-    t_u_v = np.array([primal(c) for c in oneill_T_vectors(setup, xs, uc, vc)])
-    for ui in frame:
-        r = geo.riemann_apply(riem, list(ui), list(uc), list(vc))
-        rvec = np.array([primal(c) for c in r])
-        t_ui_v = np.array([primal(c) for c in oneill_T_vectors(setup, xs, list(ui), vc)])
-        t_u_ui = np.array([primal(c) for c in oneill_T_vectors(setup, xs, uc, list(ui))])
-        t_ui_ui = np.array([primal(c) for c in oneill_T_vectors(setup, xs, list(ui), list(ui))])
-        acc += float(rvec @ g @ ui)
-        acc -= float(t_ui_v @ g @ t_u_ui)
-        acc += float(t_u_v @ g @ t_ui_ui)
-    return acc
 
 
 # ---------------------------------------------------------------------
@@ -601,19 +494,18 @@ def structure_flags(setup, points, tol=1e-8):
         g = geo.metric_matrix(setup.total, p)
         vframe = setup.vertical_frame(p)
         hframe = setup.horizontal_frame(p)
-        h_vec = [primal(c) for c in mean_curvature_at(setup, xs)]
+        t_jet, a_jet = oneill_tensors_at(setup, xs)
+        t_ten, a_ten = primal_array(t_jet), primal_array(a_jet)
+        h_vec = primal_array(mean_curvature_at(setup, xs, t_jet))
         for i, ui in enumerate(vframe):
-            for j, uj in enumerate(vframe):
-                if j < i:
-                    continue
-                t = [primal(c) for c in oneill_T_vectors(setup, xs, list(ui), list(uj))]
+            for uj in vframe[i:]:
+                t = np.einsum("kab,a,b->k", t_ten, ui, uj)
                 sup_t = max(sup_t, _gnorm(g, t))
-                guv = float(np.array(ui) @ g @ np.array(uj))
-                umb = [a - guv * b for a, b in zip(t, h_vec)]
+                umb = t - float(ui @ g @ uj) * h_vec
                 sup_umb = max(sup_umb, _gnorm(g, umb))
         for xi in hframe:
             for xj in hframe:
-                a = [primal(c) for c in oneill_A_vectors(setup, xs, list(xi), list(xj))]
+                a = np.einsum("kab,a,b->k", a_ten, xi, xj)
                 sup_a = max(sup_a, _gnorm(g, a))
         sup_integrable = max(sup_integrable, _horizontal_integrability_violation(setup, p))
         lam_sq = primal(setup.lambda_sq_at(xs))

@@ -1,8 +1,13 @@
 """Report assembly: counts, flagged failures, verdict bookkeeping."""
 
+from collections import Counter
+
 import pytest
 
-from confsub import report
+from confsub import catalog, report
+from confsub import submersion as sub
+from confsub.identities import IdentityContext
+from confsub.jets import Jet
 from confsub.manifest import parse_manifest
 
 BASE = """
@@ -67,3 +72,41 @@ def test_json_and_text_render():
     assert '"records"' in payload
     # wall time must not leak into the canonical JSON
     assert "wall_time" not in payload
+
+
+def test_one_context_and_one_oneill_bundle_per_point(monkeypatch):
+    # checks = all on one 5.3 point: every identity and soliton report
+    # shares the point's context, whose T/A bundle is built once and
+    # differentiated once
+    counts = Counter()
+    real_init = IdentityContext.__init__
+    real_bundle = sub.oneill_tensors_at
+    real_projectors = sub.SubmersionSetup.projectors_at
+
+    def counting_init(self, *args, **kwargs):
+        counts["contexts"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_bundle(setup, xs):
+        counts["jet" if isinstance(xs[0], Jet) else "float"] += 1
+        return real_bundle(setup, xs)
+
+    def counting_projectors(self, xs):
+        counts["projectors"] += 1
+        return real_projectors(self, xs)
+
+    monkeypatch.setattr(IdentityContext, "__init__", counting_init)
+    monkeypatch.setattr(sub, "oneill_tensors_at", counting_bundle)
+    monkeypatch.setattr(sub.SubmersionSetup, "projectors_at",
+                        counting_projectors)
+    job = catalog.load_job("5.3")
+    job.points = job.points[:1]
+    assert "harmonicity" in job.checks
+    rep = report.run_job(job)
+    assert rep.records
+    assert counts["contexts"] == 1
+    # one derivative build in the context; float builds: the context's,
+    # then one each in structure_flags and the tension field
+    assert counts["jet"] == 1
+    assert counts["float"] <= 3
+    assert counts["projectors"] <= 100

@@ -7,6 +7,8 @@ from confsub import catalog
 from confsub import geometry as geo
 from confsub import submersion as sub
 from confsub.geometry import Point, VectorFieldSpec
+from confsub.identities import IdentityContext
+from confsub.jets import primal_array
 from conftest import chart, flat_chart, make_setup, sample
 
 
@@ -211,3 +213,65 @@ def test_horizontal_lift_pushes_forward():
     lift = sub.horizontal_lift(setup, VectorFieldSpec.constant((1.0, 0.0)), p)
     push = setup.jacobian(p) @ np.asarray(lift.components)
     assert push == pytest.approx((1.0, 0.0), abs=1e-12)
+
+
+# -- the per-point O'Neill bundle against the per-field reference path ----
+
+WARPED_4TO2 = make_setup(
+    chart("x1 x2 x3 x4",
+          ["1, 0, 0, 0", "0, 1, 0, 0", "0, 0, (2.5 + sin(x1))^2, 0",
+           "0, 0, 0, (2.5 + sin(x1))^2*(2.5 + cos(x3))^2"]),
+    chart("y1 y2", ["1, 0", "0, 1"]), ["x1", "x2"])
+
+
+def _assert_close(got, ref, what):
+    got, ref = np.asarray(got, float), np.asarray(ref, float)
+    assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), (
+        what, got, ref)
+
+
+def _catalog_case(eid):
+    job = catalog.load_job(eid)
+    return eid, job.setup, job.points[:2]
+
+
+BUNDLE_CASES = [_catalog_case(eid) for eid in catalog.EXAMPLE_IDS] + [
+    ("warped-4to2", WARPED_4TO2,
+     [Point((0.2, -0.4, 0.5, 1.1)), Point((-0.7, 0.3, 2.0, -0.6))])]
+
+
+@pytest.mark.parametrize("name,setup,points", BUNDLE_CASES,
+                         ids=[case[0] for case in BUNDLE_CASES])
+def test_oneill_bundle_matches_per_field_path(name, setup, points):
+    rng = np.random.default_rng(20261017)
+    const = sub._const_fn
+    m, n = setup.m, setup.n
+    e = basis(m)
+    for p in points:
+        xs = list(p.coords)
+        ctx = IdentityContext(setup, p)
+        t_ref = {}
+        for a in range(m):
+            for b in range(m):
+                t_ref[a, b] = primal_array(sub.oneill_T_at(
+                    setup, xs, const(e[a]), const(e[b])))
+                a_ref = primal_array(sub.oneill_A_at(
+                    setup, xs, const(e[a]), const(e[b])))
+                _assert_close(ctx.T(e[a], e[b]), t_ref[a, b], (name, "T"))
+                _assert_close(ctx.A(e[a], e[b]), a_ref, (name, "A"))
+        # H as the trace of T against P_v g^{-1}, summed pair by pair
+        pv, _ = setup.projectors_at(xs)
+        w = (np.asarray(pv, float)
+             @ np.linalg.inv(geo.metric_matrix(setup.total, p)))
+        h_ref = sum(w[a, b] * t_ref[a, b] for a in range(m) for b in range(m))
+        _assert_close(ctx.h_vec, h_ref / (m - n), (name, "H"))
+        # nabla T and nabla A are multilinear: random arguments cover
+        # every component
+        for _ in range(2):
+            d, u, v = rng.standard_normal((3, m))
+            dt_ref = primal_array(sub.cov_deriv_T_at(
+                setup, xs, list(d), const(u), const(v)))
+            da_ref = primal_array(sub.cov_deriv_A_at(
+                setup, xs, list(d), const(u), const(v)))
+            _assert_close(ctx.dT(d, u, v), dt_ref, (name, "dT"))
+            _assert_close(ctx.dA(d, u, v), da_ref, (name, "dA"))
