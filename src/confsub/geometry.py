@@ -10,6 +10,17 @@ Most functions here come in two layers: a generic layer that maps
 coordinate scalars (floats or jets) to scalars, so results can be fed
 back through the jet pipeline, and thin wrappers with Point /
 TangentVector signatures for callers that work pointwise.
+
+Every derivative is taken by one helper, ``coordinate_partials``: it
+seeds all coordinate directions at a fresh jet level, evaluates a
+function returning a scalar or a nested list of scalars, and unpacks the
+values with their first (and, at order 2, second) partials, giving zero
+partials to components that do not carry the new level.  Field
+partials (Lie brackets, divergences, covariant derivatives, the O'Neill
+bundle) call it directly; the Jacobian, the metric and Christoffel
+partials, gradients and Hessians are short calls to it.  Because the
+helper only adds a level, it also works inside an enclosing seeding:
+given jet coordinates it returns jets of the enclosing level.
 """
 
 from __future__ import annotations
@@ -21,8 +32,8 @@ import numpy as np
 
 from . import expr as expr_mod
 from .expr import eval_expr, parse_expression, parse_predicate
-from .jets import EvaluationError, JetSpace, primal
-from .linalg import mat_inverse
+from .jets import EvaluationError, Jet, JetSpace, primal
+from .linalg import mat_inverse, transpose
 
 
 class DegenerateMetricError(ValueError):
@@ -59,9 +70,6 @@ class TangentVector:
             raise ValueError("component count does not match base dimension")
         if not all(math.isfinite(c) for c in self.components):
             raise ValueError("vector components must be finite")
-
-    def norm_inf(self):
-        return max(abs(c) for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -136,26 +144,56 @@ class ChartManifold:
 # jet-calculus entry points
 # ---------------------------------------------------------------------
 
-def _coordinate_jets(xs, order=1):
-    """Seed every coordinate direction at once."""
+def coordinate_partials(fn, xs, order=1):
+    """Values and coordinate partials of ``fn`` at ``xs`` from one
+    seeding of every coordinate direction.  ``fn`` maps a list of
+    coordinate scalars to a scalar or a nested list of scalars; the
+    result is (values, d) at order 1 and (values, d, dd) at order 2, as
+    nested lists with the differentiating indices first:
+    d[i][...] = d_i values[...] and dd[i][j][...] = d_i d_j values[...].
+    Components that do not carry the new level (constants, or jets of an
+    enclosing seeding) get zero partials."""
     m = len(xs)
     space = JetSpace(m, order)
-    dirs = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    return space.seed(list(xs), dirs)
+    out = fn(space.seed(list(xs), [[1.0 if i == j else 0.0 for j in range(m)]
+                                   for i in range(m)]))
+    shape, flat = [], [out]
+    while flat and isinstance(flat[0], (list, tuple, np.ndarray)):
+        shape.append(len(flat[0]))
+        flat = [c for row in flat for c in row]
+    # partials are laid out direction-major: entry idx of the flat output
+    # has its d_i at i * k + idx, so each jet's gradient is one strided
+    # slice assignment; components not carrying the level keep zeros
+    k = len(flat)
+    values, d = list(flat), [0.0] * (m * k)
+    dd = [0.0] * (m * m * k) if order == 2 else None
+    for idx, c in enumerate(flat):
+        if isinstance(c, Jet) and c.space is space:
+            values[idx] = c.val
+            d[idx::k] = c.grad
+            if dd is not None:
+                dd[idx::k] = [x for row in c.hess for x in row]
+    values, d = _nest(values, shape), _nest(d, [m] + shape)
+    if dd is None:
+        return values, d
+    return values, d, _nest(dd, [m, m] + shape)
+
+
+def _nest(flat, shape):
+    """Regroup a flat list into nested lists of the given shape."""
+    for n in reversed(shape[1:]):
+        flat = [flat[k:k + n] for k in range(0, len(flat), n)]
+    return flat if shape else flat[0]
 
 
 def jacobian_at(map_exprs, coord_names, xs):
     """Rows are map components, columns coordinate partials."""
-    jet_xs = _coordinate_jets(xs, order=1)
-    env = dict(zip(coord_names, jet_xs))
-    rows = []
-    for comp in map_exprs:
-        value = eval_expr(comp, env)
-        if hasattr(value, "grad"):
-            rows.append(list(value.grad))
-        else:
-            rows.append([0.0] * len(xs))
-    return rows
+    def components(zs):
+        env = dict(zip(coord_names, zs))
+        return [eval_expr(c, env) for c in map_exprs]
+
+    _, d = coordinate_partials(components, xs)
+    return transpose(d)
 
 
 def field_values_at(chart, spec, xs):
@@ -167,28 +205,15 @@ def field_fn(chart, spec):
     return lambda xs: field_values_at(chart, spec, xs)
 
 
-def field_partials(fn, xs):
-    """(values, partials) of a component function; partials[i][k] is the
-    i-th coordinate derivative of component k."""
-    jet_xs = _coordinate_jets(xs, order=1)
-    comps = fn(jet_xs)
-    m = len(xs)
-    values, partials = [], [[None] * len(comps) for _ in range(m)]
-    for k, c in enumerate(comps):
-        if hasattr(c, "grad") and c.space is jet_xs[0].space:
-            values.append(c.val)
-            for i in range(m):
-                partials[i][k] = c.grad[i]
-        else:
-            values.append(c)
-            for i in range(m):
-                partials[i][k] = 0.0
-    return values, partials
+def scalar_fn(chart, f):
+    """Coordinate function of a scalar given as an expression or
+    already as a function of the coordinates."""
+    return f if callable(f) else (lambda xs: eval_expr(f, chart.env(xs)))
 
 
 def lie_bracket_at(x_fn, y_fn, xs):
-    xv, dx = field_partials(x_fn, xs)
-    yv, dy = field_partials(y_fn, xs)
+    xv, dx = coordinate_partials(x_fn, xs)
+    yv, dy = coordinate_partials(y_fn, xs)
     m = len(xs)
     return [sum(xv[i] * dy[i][k] - yv[i] * dx[i][k] for i in range(m))
             for k in range(m)]
@@ -210,24 +235,7 @@ def inverse_metric_at(chart, xs):
 
 def metric_partials_at(chart, xs):
     """(g, dg) with dg[l][i][j] the l-th coordinate partial of g_ij."""
-    jet_xs = _coordinate_jets(xs, order=1)
-    gjets = chart.metric_at(jet_xs)
-    m = chart.dim
-    space = jet_xs[0].space
-    g = [[None] * m for _ in range(m)]
-    dg = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            e = gjets[i][j]
-            if hasattr(e, "grad") and e.space is space:
-                g[i][j] = e.val
-                for l in range(m):
-                    dg[l][i][j] = e.grad[l]
-            else:
-                g[i][j] = e
-                for l in range(m):
-                    dg[l][i][j] = 0.0
-    return g, dg
+    return coordinate_partials(chart.metric_at, xs)
 
 
 def christoffels_at(chart, xs):
@@ -248,25 +256,7 @@ def christoffels_at(chart, xs):
 
 def christoffel_partials_at(chart, xs):
     """(Gamma, dGamma) with dGamma[l][k][i][j] = d_l Gamma^k_ij."""
-    jet_xs = _coordinate_jets(xs, order=1)
-    space = jet_xs[0].space
-    gam_jets = christoffels_at(chart, jet_xs)
-    m = chart.dim
-    gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
-    dgamma = [[[[None] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                e = gam_jets[k][i][j]
-                if hasattr(e, "grad") and e.space is space:
-                    gamma[k][i][j] = e.val
-                    for l in range(m):
-                        dgamma[l][k][i][j] = e.grad[l]
-                else:
-                    gamma[k][i][j] = e
-                    for l in range(m):
-                        dgamma[l][k][i][j] = 0.0
-    return gamma, dgamma
+    return coordinate_partials(lambda zs: christoffels_at(chart, zs), xs)
 
 
 def curvature_tensor_at(chart, xs):
@@ -322,7 +312,7 @@ def cov_deriv_along_at(chart, xs, x_comps, w_fn, gamma=None):
     """(nabla_X W)^k with X given pointwise and W a component function."""
     if gamma is None:
         gamma = christoffels_at(chart, xs)
-    wv, dw = field_partials(w_fn, xs)
+    wv, dw = coordinate_partials(w_fn, xs)
     m = chart.dim
     return [sum(x_comps[i] * dw[i][k] for i in range(m))
             + sum(gamma[k][i][j] * x_comps[i] * wv[j]
@@ -330,42 +320,35 @@ def cov_deriv_along_at(chart, xs, x_comps, w_fn, gamma=None):
             for k in range(m)]
 
 
-def gradient_at(chart, f_fn, xs):
-    jet_xs = _coordinate_jets(xs, order=1)
-    value = f_fn(jet_xs)
-    m = chart.dim
-    if hasattr(value, "grad") and value.space is jet_xs[0].space:
-        df = list(value.grad)
-    else:
-        df = [0.0] * m
-    ginv = inverse_metric_at(chart, xs)
+def raise_index(ginv, df):
+    """The vector g^{-1} df of a covector's components."""
+    m = len(df)
     return [sum(ginv[k][j] * df[j] for j in range(m)) for k in range(m)]
+
+
+def covariant_hessian(gamma, df, d2f):
+    """Hess f in coordinates: d_i d_j f - Gamma^k_ij d_k f."""
+    m = len(df)
+    return [[d2f[i][j] - sum(gamma[k][i][j] * df[k] for k in range(m))
+             for j in range(m)] for i in range(m)]
+
+
+def gradient_at(chart, f_fn, xs):
+    _, df = coordinate_partials(f_fn, xs)
+    return raise_index(inverse_metric_at(chart, xs), df)
 
 
 def divergence_at(chart, x_fn, xs):
     gamma = christoffels_at(chart, xs)
-    xv, dx = field_partials(x_fn, xs)
+    xv, dx = coordinate_partials(x_fn, xs)
     m = chart.dim
     return (sum(dx[i][i] for i in range(m))
             + sum(gamma[i][i][k] * xv[k] for i in range(m) for k in range(m)))
 
 
 def hessian_matrix_at(chart, f_fn, xs):
-    """Hess f in coordinates: d_i d_j f - Gamma^k_ij d_k f."""
-    m = chart.dim
-    space = JetSpace(m, order=2)
-    dirs = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    jet_xs = space.seed(list(xs), dirs)
-    value = f_fn(jet_xs)
-    if hasattr(value, "grad") and value.space is space:
-        df = list(value.grad)
-        d2f = [[value.hess[i][j] for j in range(m)] for i in range(m)]
-    else:
-        df = [0.0] * m
-        d2f = [[0.0] * m for _ in range(m)]
-    gamma = christoffels_at(chart, xs)
-    return [[d2f[i][j] - sum(gamma[k][i][j] * df[k] for k in range(m))
-             for j in range(m)] for i in range(m)]
+    _, df, d2f = coordinate_partials(f_fn, xs, order=2)
+    return covariant_hessian(christoffels_at(chart, xs), df, d2f)
 
 
 def laplacian_at(chart, f_fn, xs):
@@ -417,8 +400,7 @@ def scalar_curvature(chart, p):
 
 
 def gradient(chart, f, p):
-    f_fn = (lambda xs: eval_expr(f, chart.env(xs))) if not callable(f) else f
-    comps = gradient_at(chart, f_fn, list(p.coords))
+    comps = gradient_at(chart, scalar_fn(chart, f), list(p.coords))
     return TangentVector(tuple(primal(c) for c in comps), p)
 
 
@@ -427,9 +409,8 @@ def divergence(chart, x_spec, p):
 
 
 def hessian(chart, f, x_spec, y_spec, p):
-    f_fn = (lambda xs: eval_expr(f, chart.env(xs))) if not callable(f) else f
     xs = list(p.coords)
-    hess = hessian_matrix_at(chart, f_fn, xs)
+    hess = hessian_matrix_at(chart, scalar_fn(chart, f), xs)
     xc = [primal(v) for v in field_values_at(chart, x_spec, xs)]
     yc = [primal(v) for v in field_values_at(chart, y_spec, xs)]
     m = chart.dim
@@ -438,8 +419,7 @@ def hessian(chart, f, x_spec, y_spec, p):
 
 
 def laplacian(chart, f, p):
-    f_fn = (lambda xs: eval_expr(f, chart.env(xs))) if not callable(f) else f
-    return primal(laplacian_at(chart, f_fn, list(p.coords)))
+    return primal(laplacian_at(chart, scalar_fn(chart, f), list(p.coords)))
 
 
 def lie_derivative_metric(chart, xi_spec, x_spec, y_spec, p):

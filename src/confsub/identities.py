@@ -31,6 +31,7 @@ import numpy as np
 from . import geometry as geo
 from . import submersion as sub
 from .jets import primal, primal_array
+from .linalg import mat_inverse
 
 CURVATURE_CHECKS = ("G2.12", "G2.13", "G2.14", "G2.15", "G2.16")
 LEMMA31_CHECKS = tuple(f"L3.1.{k}" for k in ("i", "ii", "iii", "iv", "v", "vi"))
@@ -68,13 +69,6 @@ class ResidualReport:
     label: str = ""
     convention_sensitive: bool = False
     note: str = ""
-
-
-@dataclass(frozen=True)
-class FrameSelection:
-    vertical_seed: tuple = None
-    horizontal_seed: tuple = None
-    seed: int = 0
 
 
 def _finish(report, tol):
@@ -134,33 +128,33 @@ class IdentityContext:
         self.m = setup.m
         self.n = setup.n
         self.g = geo.metric_matrix(setup.total, p)
-        self.vframe = setup.vertical_frame(p)       # m-n vectors
-        self.hframe = setup.horizontal_frame(p)     # n vectors
+        self.jac = setup.jacobian(p)
+        self.vframe = setup.vertical_frame(p, self.g, self.jac)  # m-n vectors
+        self.hframe = setup.horizontal_frame(p, self.g)          # n vectors
         self.riem = primal_array(geo.curvature_tensor_at(setup.total, self.xs))
         self.ric_matrix = np.einsum("ikij->jk", self.riem)
         self.lam_sq = primal(setup.lambda_sq_at(self.xs))
-        self.jac = setup.jacobian(p)
         self.base_point = setup.map_point(p)
         self.h_base = geo.metric_matrix(setup.base, self.base_point)
         pv, ph = setup.projectors_at(self.xs)
         self.pv = primal_array(pv)
         self.ph = primal_array(ph)
-        # dilation calculus: f = 1 / lambda^2
-        self.f_fn = setup.inv_lambda_sq_fn()
-        grad = geo.gradient_at(setup.total, self.f_fn, self.xs)
-        self.grad_f = primal_array(grad)
+        gamma = geo.christoffels_at(setup.total, self.xs)
+        self.gamma = primal_array(gamma)
+        # dilation calculus: f = 1 / lambda^2, from one order-2 seeding
+        _, df, d2f = geo.coordinate_partials(setup.inv_lambda_sq_fn(),
+                                             self.xs, order=2)
+        self.grad_f = primal_array(
+            geo.raise_index(mat_inverse(self.g.tolist()), df))
         self.vgrad_f = self.pv @ self.grad_f
         self.hgrad_f = self.ph @ self.grad_f
-        hess = geo.hessian_matrix_at(setup.total, self.f_fn, self.xs)
-        self.hess_f = primal_array(hess)
-        # covector df for directional derivatives
-        self.df = self.g @ self.grad_f
+        self.hess_f = primal_array(geo.covariant_hessian(gamma, df, d2f))
         t, a = sub.oneill_tensors_at(setup, self.xs)
         self.t_tensor = primal_array(t)
         self.a_tensor = primal_array(a)
         self.h_vec = primal_array(sub.mean_curvature_at(setup, self.xs, t))
-        self.hp_vec = primal_array(
-            sub.horizontal_mean_curvature_formula_at(setup, self.xs))
+        # H' = -(lambda^2 / 2) v grad f, as horizontal_mean_curvature_formula_at
+        self.hp_vec = -0.5 * self.lam_sq * self.vgrad_f
         self._fiber_chart = None
         self._fiber_chart_tried = False
 
@@ -177,9 +171,9 @@ class IdentityContext:
             return [*t.flat, *a.flat, *sub.mean_curvature_at(setup, zs, t),
                     *sub.horizontal_mean_curvature_formula_at(setup, zs)]
 
-        _, partials = geo.field_partials(fields, self.xs)
+        _, partials = geo.coordinate_partials(fields, self.xs)
         d = primal_array(partials)
-        gam = primal_array(geo.christoffels_at(setup.total, self.xs))
+        gam = self.gamma
         cut = np.cumsum([m ** 3, m ** 3, m])
         dt, da, dh, dhp = np.split(d, cut, axis=1)
 
@@ -306,7 +300,8 @@ class IdentityContext:
 
     @_once
     def hyp_conformal(self):
-        aniso = sub.dilation(self.setup, self.p).anisotropy
+        aniso = sub.conformal_anisotropy(self.jac, self.h_base, self.hframe,
+                                         self.lam_sq)
         return Hypothesis("conformal", aniso <= max(self.hyp_tol, 1e-8), aniso)
 
     @_once
@@ -856,9 +851,8 @@ def verify_lemma_2_1(setup, xt_spec, yt_spec, p, tol=1e-6, ctx=None):
 
 
 def verify_hessian_symmetry(chart, f, p, tol=1e-9):
-    f_fn = (lambda xs: __import__("confsub.expr", fromlist=["eval_expr"])
-            .eval_expr(f, chart.env(xs))) if not callable(f) else f
-    hess = geo.hessian_matrix_at(chart, f_fn, list(p.coords))
+    hess = geo.hessian_matrix_at(chart, geo.scalar_fn(chart, f),
+                                 list(p.coords))
     m = chart.dim
     worst = max(abs(primal(hess[i][j]) - primal(hess[j][i]))
                 for i in range(m) for j in range(m))

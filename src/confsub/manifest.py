@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .expr import ExprError
-from .geometry import ChartManifold, Point, VectorFieldSpec
+from .geometry import ChartManifold, Point
 from .identities import ALL_CHECK_IDS
 from .submersion import SubmersionSetup
 

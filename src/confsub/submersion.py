@@ -29,11 +29,6 @@ class NotASubmersionError(ValueError):
     pass
 
 
-class NotBasicFieldError(ValueError):
-    """Raised when an operation needing the base connection is handed a
-    horizontal field that is not the lift of a declared base field."""
-
-
 @dataclass(frozen=True)
 class DilationResult:
     lambda_sq: float
@@ -110,7 +105,7 @@ class SubmersionSetup:
         return np.array([[primal(v) for v in row] for row in jac])
 
     def _core_matrices_at(self, xs):
-        """(g, ginv, J, K_inv, lift_matrix) with K = J ginv J^T."""
+        """(g, ginv, J, K, lift_matrix) with K = J ginv J^T."""
         g = self.total.metric_at(xs)
         ginv = mat_inverse(g)
         jac = self.jacobian_at(xs)
@@ -122,7 +117,7 @@ class SubmersionSetup:
             raise NotASubmersionError(
                 f"map is rank deficient at {tuple(primal(x) for x in xs)}") from None
         lift = mat_mul(ginv, mat_mul(jt, k_inv))  # m x n
-        return g, ginv, jac, k_inv, lift
+        return g, ginv, jac, k, lift
 
     def projectors_at(self, xs):
         """(vertical, horizontal) projector matrices."""
@@ -135,8 +130,7 @@ class SubmersionSetup:
 
     def lambda_sq_at(self, xs):
         """Squared dilation as the frame-averaged conformality ratio."""
-        _, ginv, jac, _, _ = self._core_matrices_at(xs)
-        k = mat_mul(jac, mat_mul(ginv, transpose(jac)))
+        _, _, _, k, _ = self._core_matrices_at(xs)
         h = self.base.metric_at(self.map_point_at(xs))
         n = self.n
         return sum(h[a][b] * k[a][b] for a in range(n) for b in range(n)) / n
@@ -171,19 +165,22 @@ class SubmersionSetup:
 
     # -- frames (numeric) ----------------------------------------------
 
-    def vertical_frame(self, p):
-        jac = self.jacobian(p)
+    def vertical_frame(self, p, g=None, jac=None):
+        """Orthonormal vertical frame at p; ``g`` (the total metric
+        matrix) and ``jac`` (the Jacobian) are the caller's values at p
+        when it already holds them, likewise in horizontal_frame."""
+        jac = self.jacobian(p) if jac is None else jac
         basis = null_space_basis(jac.tolist())
         if len(basis) != self.m - self.n:
             raise NotASubmersionError(f"map is rank deficient at {p.coords}")
-        g = geo.metric_matrix(self.total, p)
+        g = geo.metric_matrix(self.total, p) if g is None else g
         return orthonormalize_components(g, basis)
 
-    def horizontal_frame(self, p):
+    def horizontal_frame(self, p, g=None):
         xs = list(p.coords)
         _, _, _, _, lift = self._core_matrices_at(xs)
         cols = [[primal(lift[i][a]) for i in range(self.m)] for a in range(self.n)]
-        g = geo.metric_matrix(self.total, p)
+        g = geo.metric_matrix(self.total, p) if g is None else g
         return orthonormalize_components(g, cols)
 
 
@@ -226,7 +223,7 @@ def oneill_tensors_at(setup, xs):
     with N^k_ib = (nabla_i (P_v e_b))^k and M = P_h N + P_v (Gamma - N),
     T^k_ab = (P_v)^i_a M^k_ib and A^k_ab = (P_h)^i_a M^k_ib."""
     m = setup.m
-    flat, dflat = geo.field_partials(
+    flat, dflat = geo.coordinate_partials(
         lambda zs: [c for row in setup.projectors_at(zs)[0] for c in row], xs)
     pv = np.array(flat, dtype=object).reshape(m, m)
     ph = np.eye(m, dtype=object) - pv
@@ -303,18 +300,24 @@ def horizontal_mean_curvature_formula_at(setup, xs):
 # pointwise wrappers
 # ---------------------------------------------------------------------
 
-def dilation(setup, p):
-    xs = list(p.coords)
-    lam_sq = primal(setup.lambda_sq_at(xs))
-    frame = setup.horizontal_frame(p)
-    jac = setup.jacobian(p)
-    h = geo.metric_matrix(setup.base, setup.map_point(p))
+def conformal_anisotropy(jac, h, hframe, lam_sq):
+    """sup |h(F_* X_i, F_* X_j) - lam^2 delta_ij| over an orthonormal
+    horizontal frame: 0 exactly when F is horizontally conformal."""
     aniso = 0.0
-    for i, xi in enumerate(frame):
-        for j, xj in enumerate(frame):
+    for i, xi in enumerate(hframe):
+        for j, xj in enumerate(hframe):
             push = float((jac @ xi) @ h @ (jac @ xj))
             expect = lam_sq if i == j else 0.0
             aniso = max(aniso, abs(push - expect))
+    return aniso
+
+
+def dilation(setup, p):
+    lam_sq = primal(setup.lambda_sq_at(list(p.coords)))
+    frame = setup.horizontal_frame(p)
+    jac = setup.jacobian(p)
+    h = geo.metric_matrix(setup.base, setup.map_point(p))
+    aniso = conformal_anisotropy(jac, h, frame, lam_sq)
     return DilationResult(lambda_sq=lam_sq, anisotropy=aniso)
 
 
@@ -492,8 +495,8 @@ def structure_flags(setup, points, tol=1e-8):
     for p in points:
         xs = list(p.coords)
         g = geo.metric_matrix(setup.total, p)
-        vframe = setup.vertical_frame(p)
-        hframe = setup.horizontal_frame(p)
+        vframe = setup.vertical_frame(p, g)
+        hframe = setup.horizontal_frame(p, g)
         t_jet, a_jet = oneill_tensors_at(setup, xs)
         t_ten, a_ten = primal_array(t_jet), primal_array(a_jet)
         h_vec = primal_array(mean_curvature_at(setup, xs, t_jet))

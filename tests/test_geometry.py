@@ -12,6 +12,7 @@ import pytest
 
 from confsub import geometry as geo
 from confsub.geometry import ChartManifold, Point
+from confsub.jets import Jet, JetSpace, sexp
 from conftest import chart, flat_chart, sample
 
 # -- reference metrics -------------------------------------------------
@@ -251,3 +252,51 @@ def test_lie_bracket_coordinate_fields_commute():
     y = CURVED.field("0", "1", "0")
     b = geo.lie_bracket(CURVED, x, y, Point((0.1, 0.2, 0.3)))
     assert np.max(np.abs(np.asarray(b.components))) == 0.0
+
+
+# -- the one seeding helper --------------------------------------------
+
+def test_coordinate_partials_order_two_first_partials_match_order_one():
+    # the gradient part of the jet arithmetic does not depend on the
+    # order, so both orders must agree bit for bit, here on the nested
+    # Christoffel evaluation (divisions, powers, an inner seeding)
+    for chart_, xs in ((H3, [0.3, -0.2, 1.7]), (SPHERE_PATCH, [0.9, 0.4]),
+                       (CURVED, [0.1, 0.6, -0.5])):
+        fn = lambda zs: geo.christoffels_at(chart_, zs)
+        vals1, d1 = geo.coordinate_partials(fn, xs, order=1)
+        vals2, d2, _ = geo.coordinate_partials(fn, xs, order=2)
+        assert vals1 == vals2
+        assert d1 == d2
+
+
+def test_coordinate_partials_zero_for_constants_and_enclosing_jets():
+    outer = JetSpace(1, 1).seed([0.5], [[1.0]])[0]
+    vals, d, dd = geo.coordinate_partials(
+        lambda zs: [[zs[0] * zs[1], 3.0], [outer, sexp(zs[1])]],
+        [2.0, -1.0], order=2)
+    assert vals[0][0] == -2.0 and vals[0][1] == 3.0 and vals[1][0] is outer
+    assert [d[i][0][1] for i in range(2)] == [0.0, 0.0]
+    assert [d[i][1][0] for i in range(2)] == [0.0, 0.0]
+    assert [d[i][0][0] for i in range(2)] == [-1.0, 2.0]
+    assert dd[0][1][0][0] == dd[1][0][0][0] == 1.0
+    assert dd[1][1][1][1] == math.exp(-1.0)
+    assert all(dd[i][j][r][c] == 0.0 for i in range(2) for j in range(2)
+               for r, c in ((0, 1), (1, 0)))
+    # a scalar function gives a scalar value and a flat gradient
+    val, grad = geo.coordinate_partials(lambda zs: zs[0] * zs[0], [3.0])
+    assert val == 9.0 and grad == [6.0]
+
+
+def test_coordinate_partials_inside_an_enclosing_seeding():
+    # with jet coordinates the results are jets of the enclosing level:
+    # along x = t, y = 2t: d/dt of d_x (x^2 y) = d/dt (4t^2) = 8t and
+    # d/dt of d_y (x^2 y) = d/dt (t^2) = 2t
+    outer = JetSpace(1, 1)
+    t = outer.seed([1.5], [[1.0]])[0]
+    vals, d = geo.coordinate_partials(lambda zs: zs[0] * zs[0] * zs[1],
+                                      [t, 2.0 * t])
+    for x in (vals, d[0], d[1]):
+        assert isinstance(x, Jet) and x.space is outer
+    assert d[0].val == pytest.approx(2 * 1.5 * 3.0)
+    assert d[0].grad[0] == pytest.approx(8 * 1.5)
+    assert d[1].grad[0] == pytest.approx(2 * 1.5)

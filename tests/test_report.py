@@ -6,8 +6,9 @@ import pytest
 
 from confsub import catalog, report
 from confsub import submersion as sub
+from confsub.geometry import ChartManifold
 from confsub.identities import IdentityContext
-from confsub.jets import Jet
+from confsub.jets import Jet, JetSpace
 from confsub.manifest import parse_manifest
 
 BASE = """
@@ -110,3 +111,42 @@ def test_one_context_and_one_oneill_bundle_per_point(monkeypatch):
     assert counts["jet"] == 1
     assert counts["float"] <= 3
     assert counts["projectors"] <= 100
+
+
+FLAT_SWEEP = """
+total.dim    = 2
+total.coords = x1 x2
+total.metric = exp(0.7*x2), 0 ; 0, 1
+base.dim     = 1
+base.coords  = y1
+base.metric  = 1
+map.components = x1
+checks = G2.12
+points.list = (0.3, -0.4)
+"""
+
+
+def test_context_evaluates_each_ingredient_once(monkeypatch):
+    # one point of a cheap 2-D job: the context evaluates g once, takes
+    # grad f and Hess f of f = 1/lambda^2 from one order-2 seeding and
+    # reads H' and the conformality from values it already holds
+    counts = Counter()
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((IdentityContext, "__init__"), (JetSpace, "seed"),
+                        (ChartManifold, "metric_at"),
+                        (sub.SubmersionSetup, "lambda_sq_at")):
+        counting(owner, name)
+    rep = report.run_job(parse_manifest(FLAT_SWEEP))
+    assert [r["verdict"] for r in rep.records] == ["pass"]
+    assert counts["__init__"] == 1
+    assert counts["seed"] <= 14
+    assert counts["metric_at"] <= 15
+    assert counts["lambda_sq_at"] <= 2
