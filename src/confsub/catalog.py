@@ -205,11 +205,6 @@ _EXPECTED = {
 # comparison machinery
 # ---------------------------------------------------------------------
 
-def _eval_text(text, chart, p):
-    node = parse_expression(text, set(chart.coord_names))
-    return primal(eval_expr(node, chart.env(list(p.coords))))
-
-
 def _compare(name, provenance, samples, tol):
     """Aggregate per-point (expected, computed) samples into one row."""
     worst = max(samples, key=lambda s: abs(s[1] - s[2]))
@@ -234,6 +229,15 @@ def _umbilical_product(setup, p, u):
     return guu * np.asarray(h.components)
 
 
+def _oneill_value(setup, p, kind, args):
+    """Components of the O'Neill value a catalog row names, at p."""
+    if kind == "umbilical-product":  # g(U,U)H
+        return _umbilical_product(setup, p, args[0])
+    tensor = sub.oneill_T if kind == "T" else sub.oneill_A
+    return tensor(setup, p, geo.VectorFieldSpec.constant(args[0]),
+                  geo.VectorFieldSpec.constant(args[1])).components
+
+
 def run_example(example_id, tol=1e-6, points=None):
     setup, expected = load_example(example_id)
     if points is None:
@@ -242,60 +246,43 @@ def run_example(example_id, tol=1e-6, points=None):
     m = setup.m
     rows = []
 
+    def compare(name, provenance, text, computed):
+        """One row: the expected text, parsed once, against the value
+        computed at each point."""
+        node = parse_expression(text, set(total.coord_names))
+        samples = [(p, primal(eval_expr(node, total.env(list(p.coords)))),
+                    float(c)) for p, c in zip(points, computed)]
+        rows.append(_compare(name, provenance, samples, tol))
+
     # Christoffel symbols, every index triple (sparse expected, default 0)
+    gammas = [geo.christoffel_symbols(total, p) for p in points]
     for k in range(1, m + 1):
         for i in range(1, m + 1):
             for j in range(i, m + 1):
                 text = expected.christoffels.get((k, i, j),
                                                  expected.christoffels.get((k, j, i), "0"))
-                samples = []
-                for p in points:
-                    gam = geo.christoffel_symbols(total, p)
-                    samples.append((p, _eval_text(text, total, p),
-                                    float(gam[k - 1, i - 1, j - 1])))
-                rows.append(_compare(f"Gamma^{k}_{i}{j}", "paper-printed",
-                                     samples, tol))
+                compare(f"Gamma^{k}_{i}{j}", "paper-printed", text,
+                        [gam[k - 1, i - 1, j - 1] for gam in gammas])
 
     # dilation
-    samples = [(p, _eval_text(expected.dilation, total, p),
-                sub.dilation(setup, p).lambda_sq) for p in points]
-    rows.append(_compare("lambda^2", "paper-printed", samples, tol))
+    compare("lambda^2", "paper-printed", expected.dilation,
+            [primal(setup.lambda_sq_at(list(p.coords))) for p in points])
 
     # O'Neill tensor values
     for name, kind, args, comp_texts, provenance in expected.oneill_values:
+        vecs = [_oneill_value(setup, p, kind, args) for p in points]
         for axis, text in enumerate(comp_texts):
-            samples = []
-            for p in points:
-                if kind == "T":
-                    vec = sub.oneill_T(setup, p,
-                                       geo.VectorFieldSpec.constant(args[0]),
-                                       geo.VectorFieldSpec.constant(args[1]))
-                    val = vec.components[axis]
-                elif kind == "A":
-                    vec = sub.oneill_A(setup, p,
-                                       geo.VectorFieldSpec.constant(args[0]),
-                                       geo.VectorFieldSpec.constant(args[1]))
-                    val = vec.components[axis]
-                else:  # umbilical-product g(U,U)H
-                    val = _umbilical_product(setup, p, args[0])[axis]
-                samples.append((p, _eval_text(text, total, p), float(val)))
-            rows.append(_compare(f"{name} [{axis + 1}]", provenance,
-                                 samples, tol))
+            compare(f"{name} [{axis + 1}]", provenance, text,
+                    [vec[axis] for vec in vecs])
 
     # Ricci entries: printed value vs intrinsic coordinate computation,
     # oracle value vs the same (transcription and truth tracked separately)
+    rics = ([geo.ricci_matrix_at(total, list(p.coords)) for p in points]
+            if expected.ricci_values else [])
     for (i, j), (printed, oracle) in expected.ricci_values.items():
-        ric_samples = []
-        oracle_samples = []
-        for p in points:
-            mat = geo.ricci_matrix_at(total, list(p.coords))
-            val = float(primal(mat[i - 1][j - 1]))
-            ric_samples.append((p, _eval_text(printed, total, p), val))
-            oracle_samples.append((p, _eval_text(oracle, total, p), val))
-        rows.append(_compare(f"Ric(e{i},e{j}) printed", "paper-printed",
-                             ric_samples, tol))
-        rows.append(_compare(f"Ric(e{i},e{j}) oracle", "derived-oracle",
-                             oracle_samples, tol))
+        vals = [primal(ric[i - 1][j - 1]) for ric in rics]
+        compare(f"Ric(e{i},e{j}) printed", "paper-printed", printed, vals)
+        compare(f"Ric(e{i},e{j}) oracle", "derived-oracle", oracle, vals)
 
     # structure flags vs prose claims
     flags = sub.structure_flags(setup, points).as_dict()

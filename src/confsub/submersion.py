@@ -17,9 +17,8 @@ import numpy as np
 
 from . import geometry as geo
 from .expr import eval_expr, parse_expression
-from .geometry import (Point, TangentVector, VectorFieldSpec,
-                       cov_deriv_along_at, field_fn, gradient_at,
-                       jacobian_at, orthonormalize_components)
+from .geometry import (Point, TangentVector, cov_deriv_along_at, field_fn,
+                       gradient_at, jacobian_at, orthonormalize_components)
 from .jets import primal, primal_array
 from .linalg import (SingularMatrixError, mat_inverse, mat_mul, mat_vec,
                      null_space_basis, transpose)
@@ -348,28 +347,6 @@ def mean_curvature(setup, p):
     return TangentVector(tuple(primal(c) for c in comps), p)
 
 
-def second_fundamental_form(setup, xt_spec, yt_spec, p):
-    """(nabla F_*)(X, Y) for X, Y the horizontal lifts of base fields."""
-    xs = list(p.coords)
-    ys = [primal(c) for c in setup.map_point_at(xs)]
-    q = Point(tuple(ys))
-    if not setup.base.contains(q):
-        raise ValueError(f"image point {q.coords} outside base chart domain")
-    # base-side connection term
-    xt_vals = [primal(v) for v in geo.field_values_at(setup.base, xt_spec, ys)]
-    nabla_n = cov_deriv_along_at(setup.base, ys, xt_vals,
-                                 field_fn(setup.base, yt_spec))
-    # total-side term pushed forward
-    x_fn = setup.basic_field_fn(xt_spec)
-    y_fn = setup.basic_field_fn(yt_spec)
-    x_vals = [primal(v) for v in x_fn(xs)]
-    nabla_m = cov_deriv_along_at(setup.total, xs, x_vals, y_fn)
-    jac = setup.jacobian(p)
-    pushed = jac @ np.array([primal(c) for c in nabla_m])
-    comps = [primal(a) - float(b) for a, b in zip(nabla_n, pushed)]
-    return TangentVector(tuple(comps), q)
-
-
 def tension_field(setup, p):
     """(n-2)(lambda^2/2) F_*(H grad(1/lambda^2)) - (m-n) F_*(H)."""
     xs = list(p.coords)
@@ -462,23 +439,40 @@ def _gnorm(g, v):
     return math.sqrt(max(0.0, float(arr @ g @ arr)))
 
 
-def _horizontal_integrability_violation(setup, p):
-    """sup |v[X_a, X_b]| over lifted base coordinate fields, normalized
-    to unit horizontal vectors."""
+def _basic_field_violations(setup, p, g, jac, pv):
+    """(integrability, second fundamental form) violations at p over the
+    horizontal lifts X_a of the base coordinate fields: sup |v[X_a, X_b]|
+    normalized to unit horizontal vectors, and sup |(nabla F_*)(X_a, X_b)|
+    with (nabla F_*)(X_a, X_b) = Gamma^N_ab - F_*(nabla_{X_a} X_b).  The
+    X_a are the columns of the lift matrix, X_a^i = lift[i][a], so one
+    seeding of it gives every bracket and every nabla_{X_a} X_b."""
     xs = list(p.coords)
-    g = geo.metric_matrix(setup.total, p)
-    n = setup.n
-    worst = 0.0
-    lifts = [setup.basic_field_fn(VectorFieldSpec.constant(
-        [1.0 if b == a else 0.0 for b in range(n)])) for a in range(n)]
+    q = setup.map_point(p)
+    h_base = geo.metric_matrix(setup.base, q)
+    base_gamma = geo.christoffels_at(setup.base, list(q.coords))
+    gamma = geo.christoffels_at(setup.total, xs)
+    lift, dlift = geo.coordinate_partials(
+        lambda zs: setup._core_matrices_at(zs)[4], xs)
+    m, n = setup.m, setup.n
+    norms = [_gnorm(g, [lift[i][a] for i in range(m)]) for a in range(n)]
+    sup_bracket = sup_sff = 0.0
     for a in range(n):
-        for b in range(a + 1, n):
-            bracket = geo.lie_bracket_at(lifts[a], lifts[b], xs)
-            pv, _ = setup.projectors_at(xs)
-            vert = mat_vec(pv, bracket)
-            scale = max(_gnorm(g, lifts[a](xs)) * _gnorm(g, lifts[b](xs)), 1e-30)
-            worst = max(worst, _gnorm(g, vert) / scale)
-    return worst
+        for b in range(n):
+            if b > a:
+                bracket = [sum(lift[i][a] * dlift[i][k][b]
+                               - lift[i][b] * dlift[i][k][a]
+                               for i in range(m)) for k in range(m)]
+                scale = max(norms[a] * norms[b], 1e-30)
+                sup_bracket = max(sup_bracket,
+                                  _gnorm(g, mat_vec(pv, bracket)) / scale)
+            nabla = [sum(lift[i][a] * dlift[i][k][b] for i in range(m))
+                     + sum(gamma[k][i][j] * lift[i][a] * lift[j][b]
+                           for i in range(m) for j in range(m))
+                     for k in range(m)]
+            pushed = jac @ np.array(nabla)
+            sff = [base_gamma[k][a][b] - float(pushed[k]) for k in range(n)]
+            sup_sff = max(sup_sff, _gnorm(h_base, sff))
+    return sup_bracket, sup_sff
 
 
 def structure_flags(setup, points, tol=1e-8):
@@ -489,13 +483,11 @@ def structure_flags(setup, points, tol=1e-8):
     sup_hgrad = 0.0
     sup_vgrad = 0.0
     sup_sff = 0.0
-    n = setup.n
-    base_coord_fields = [VectorFieldSpec.constant(
-        [1.0 if b == a else 0.0 for b in range(n)]) for a in range(n)]
     for p in points:
         xs = list(p.coords)
         g = geo.metric_matrix(setup.total, p)
-        vframe = setup.vertical_frame(p, g)
+        jac = setup.jacobian(p)
+        vframe = setup.vertical_frame(p, g, jac)
         hframe = setup.horizontal_frame(p, g)
         t_jet, a_jet = oneill_tensors_at(setup, xs)
         t_ten, a_ten = primal_array(t_jet), primal_array(a_jet)
@@ -510,22 +502,19 @@ def structure_flags(setup, points, tol=1e-8):
             for xj in hframe:
                 a = np.einsum("kab,a,b->k", a_ten, xi, xj)
                 sup_a = max(sup_a, _gnorm(g, a))
-        sup_integrable = max(sup_integrable, _horizontal_integrability_violation(setup, p))
+        pv, ph = setup.projectors_at(xs)
+        integrable, sff = _basic_field_violations(setup, p, g, jac, pv)
+        sup_integrable = max(sup_integrable, integrable)
+        sup_sff = max(sup_sff, sff)
         lam_sq = primal(setup.lambda_sq_at(xs))
         grad_inv = gradient_at(setup.total, setup.inv_lambda_sq_fn(), xs)
         # grad(lambda) = -(lambda^3 / 2) grad(1/lambda^2)
         lam = math.sqrt(lam_sq)
         grad_lam = [-0.5 * lam ** 3 * primal(c) for c in grad_inv]
-        pv, ph = setup.projectors_at(xs)
         sup_hgrad = max(sup_hgrad, _gnorm(g, mat_vec(
             [[primal(v) for v in row] for row in ph], grad_lam)))
         sup_vgrad = max(sup_vgrad, _gnorm(g, mat_vec(
             [[primal(v) for v in row] for row in pv], grad_lam)))
-        hbase = geo.metric_matrix(setup.base, setup.map_point(p))
-        for xt in base_coord_fields:
-            for yt in base_coord_fields:
-                sff = second_fundamental_form(setup, xt, yt, p)
-                sup_sff = max(sup_sff, _gnorm(hbase, list(sff.components)))
     def check(v):
         return PropertyCheck(holds=v <= tol, max_violation=v)
     return StructureFlags(

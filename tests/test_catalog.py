@@ -1,8 +1,13 @@
 """Example catalog: published values versus the computation."""
 
+from collections import Counter
+
 import pytest
 
 from confsub import catalog
+from confsub import geometry as geo
+from confsub import submersion as sub
+from confsub.jets import JetSpace
 
 EXPECTED_DIVERGENCES = {
     "5.1": {"Ric(e1,e1) printed", "Ric(e2,e2) printed"},
@@ -70,3 +75,31 @@ def test_unknown_example_rejected():
         catalog.run_example("5.9")
     with pytest.raises(catalog.UnknownExampleError):
         catalog.default_points("nope")
+
+
+def test_run_example_evaluates_each_ingredient_once(monkeypatch):
+    # each per-point ingredient is computed once, outside the per-row
+    # loops: one Gamma and one Ricci matrix per point, one T/A vector per
+    # (row, point) read on every axis
+    counts = Counter()
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((geo, "christoffel_symbols"), (geo, "ricci_matrix_at"),
+                        (sub, "oneill_T_at"), (sub, "oneill_A_at"),
+                        (JetSpace, "seed")):
+        counting(owner, name)
+    rep = catalog.run_example("5.3")
+    assert rep.counts["fail"] == 0
+    assert counts["christoffel_symbols"] == 12
+    assert counts["oneill_T_at"] + counts["oneill_A_at"] <= 48
+    assert counts["seed"] <= 560
+    counts.clear()
+    catalog.run_example("5.1")
+    assert counts["ricci_matrix_at"] == 10

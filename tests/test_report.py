@@ -147,6 +147,6 @@ def test_context_evaluates_each_ingredient_once(monkeypatch):
     rep = report.run_job(parse_manifest(FLAT_SWEEP))
     assert [r["verdict"] for r in rep.records] == ["pass"]
     assert counts["__init__"] == 1
-    assert counts["seed"] <= 14
-    assert counts["metric_at"] <= 15
+    assert counts["seed"] <= 13
+    assert counts["metric_at"] <= 14
     assert counts["lambda_sq_at"] <= 2

@@ -9,7 +9,8 @@ from confsub import submersion as sub
 from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext
 from confsub.jets import primal_array
-from conftest import chart, flat_chart, make_setup, sample
+from conftest import (chart, flat_chart, make_setup, riemannian_corpus,
+                      sample)
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +276,64 @@ def test_oneill_bundle_matches_per_field_path(name, setup, points):
                 setup, xs, list(d), const(u), const(v)))
             _assert_close(ctx.dT(d, u, v), dt_ref, (name, "dT"))
             _assert_close(ctx.dA(d, u, v), da_ref, (name, "dA"))
+
+
+# -- structure flags' basic-field violations against the per-pair path ---
+
+def _gnorm(g, v):
+    return float(np.sqrt(max(0.0, v @ g @ v)))
+
+
+def _per_pair_violations(setup, p):
+    """sup |v[X_a, X_b]| / (|X_a| |X_b|) and sup |(nabla F_*)(X_a, X_b)|
+    over the lifted base coordinate fields, one seeding per bracket and
+    per nabla_{X_a} X_b."""
+    xs = list(p.coords)
+    q = setup.map_point(p)
+    ys = list(q.coords)
+    g = geo.metric_matrix(setup.total, p)
+    h_base = geo.metric_matrix(setup.base, q)
+    pv = np.asarray(setup.projectors_at(xs)[0], float)
+    jac = setup.jacobian(p)
+    e = basis(setup.n)
+    lifts = [setup.basic_field_fn(VectorFieldSpec.constant(ea)) for ea in e]
+    worst_bracket = worst_sff = 0.0
+    for a in range(setup.n):
+        xa = primal_array(lifts[a](xs))
+        for b in range(setup.n):
+            xb = primal_array(lifts[b](xs))
+            if b > a:
+                vert = pv @ primal_array(
+                    geo.lie_bracket_at(lifts[a], lifts[b], xs))
+                worst_bracket = max(worst_bracket, _gnorm(g, vert) / (
+                    _gnorm(g, xa) * _gnorm(g, xb)))
+            nabla_n = primal_array(geo.cov_deriv_along_at(
+                setup.base, ys, e[a], lambda zs, eb=e[b]: list(eb)))
+            nabla_m = primal_array(geo.cov_deriv_along_at(
+                setup.total, xs, list(xa), lifts[b]))
+            worst_sff = max(worst_sff, _gnorm(h_base, nabla_n - jac @ nabla_m))
+    return worst_bracket, worst_sff
+
+
+_TWISTED = next(case for case in riemannian_corpus()
+                if case[0] == "twisted-3to2")
+FLAG_CASES = BUNDLE_CASES + [
+    (_TWISTED[0], _TWISTED[1], sample(_TWISTED[2], 2, seed=21))]
+
+
+@pytest.mark.parametrize("name,setup,points", FLAG_CASES,
+                         ids=[case[0] for case in FLAG_CASES])
+def test_structure_flags_match_per_pair_path(name, setup, points):
+    # one seeding of the lift matrix gives every bracket and every
+    # nabla_{X_a} X_b; the per-pair path seeds each pair on its own
+    for p in points:
+        xs = list(p.coords)
+        g = geo.metric_matrix(setup.total, p)
+        pv, _ = setup.projectors_at(xs)
+        got = sub._basic_field_violations(setup, p, g, setup.jacobian(p), pv)
+        ref = _per_pair_violations(setup, p)
+        _assert_close(got, ref, (name, "integrability, sff"))
+        flags = sub.structure_flags(setup, [p])
+        _assert_close(flags.horizontal_integrable.max_violation, ref[0],
+                      (name, "integrable flag"))
+        assert flags.map_totally_geodesic.max_violation >= got[1]
