@@ -261,8 +261,13 @@ def christoffel_partials_at(chart, xs):
 
 def curvature_tensor_at(chart, xs):
     """Riem[l][k][i][j]: component l of R(e_i, e_j) e_k."""
-    gamma, dgamma = christoffel_partials_at(chart, xs)
-    m = chart.dim
+    return riemann_from_christoffels(*christoffel_partials_at(chart, xs))
+
+
+def riemann_from_christoffels(gamma, dgamma):
+    """Riem from (Gamma, dGamma) as ``christoffel_partials_at`` returns
+    them, indexed as in ``curvature_tensor_at``."""
+    m = len(gamma)
     riem = [[[[None] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
     for l in range(m):
         for k in range(m):

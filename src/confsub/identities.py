@@ -4,9 +4,11 @@ decompositions and their corollaries for a conformal submersion.
 Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
 right-hand side is assembled from the submersion machinery (projectors,
-T, A, dilation calculus).  The two sides share no intermediate values,
-so a closed residual is evidence, not bookkeeping.  In terms of the
-arrays an ``IdentityContext`` holds for its point:
+T, A, dilation calculus).  The two sides share no intermediate values
+but the Christoffel symbols of the total metric, which Riem and the
+right side's covariant derivatives read from one evaluation, so a closed
+residual is evidence, not bookkeeping.  In terms of the arrays an
+``IdentityContext`` holds for its point:
 
 - left side: ``riem`` (Riemann tensor of the total metric) and its
   contraction ``ric_matrix``; T3.4 adds the total scalar curvature;
@@ -18,6 +20,15 @@ arrays an ``IdentityContext`` holds for its point:
   own slice chart (``fiber_curvature_intrinsic``,
   ``fiber_ricci_intrinsic``) and the base chart (``base_R``,
   ``base_ric``).
+
+The context's constructor evaluates only the float core that every check
+reads: the total metric ``g``, the Jacobian ``jac``, the frames
+``vframe`` and ``hframe``, the projectors ``pv`` and ``ph``, ``lam_sq``,
+``base_point`` and the base metric ``h_base``.  Everything else above
+(``riem``, ``ric_matrix``, ``gamma``, ``grad_f``, ``hess_f``,
+``vgrad_f``, ``hgrad_f``, ``t_tensor``, ``a_tensor``, ``h_vec``,
+``hp_vec``, the covariant derivatives, base and fiber curvature) is built
+on first read, once per context.
 """
 
 from __future__ import annotations
@@ -114,11 +125,18 @@ def _once(method):
 
 class IdentityContext:
     """The frame, curvature, O'Neill tensors and dilation calculus at one
-    point, built once and shared by every check there.  Arrays are over
-    the coordinate basis: ``riem[l, k, i, j]`` is component l of
-    R(e_i, e_j) e_k, ``t_tensor[k, a, b]`` component k of T_{e_a} e_b
-    (likewise ``a_tensor``), and the covariant derivatives carry the
-    differentiating direction first."""
+    point, shared by every check there.  Arrays are over the coordinate
+    basis: ``riem[l, k, i, j]`` is component l of R(e_i, e_j) e_k,
+    ``t_tensor[k, a, b]`` component k of T_{e_a} e_b (likewise
+    ``a_tensor``), and the covariant derivatives carry the differentiating
+    direction first.
+
+    The constructor holds only the float core of ``setup.float_core``:
+    ``g``, ``jac``, ``vframe``, ``hframe``, ``pv``, ``ph``, ``lam_sq``,
+    ``base_point`` and ``h_base``.  Every other array is a cached property
+    built on first read, so a check pays only for what it reads, and an
+    ingredient that cannot be evaluated at the point fails only the checks
+    that read it."""
 
     def __init__(self, setup, p, hyp_tol=1e-8):
         self.setup = setup
@@ -127,36 +145,82 @@ class IdentityContext:
         self.xs = list(p.coords)
         self.m = setup.m
         self.n = setup.n
-        self.g = geo.metric_matrix(setup.total, p)
-        self.jac = setup.jacobian(p)
-        self.vframe = setup.vertical_frame(p, self.g, self.jac)  # m-n vectors
-        self.hframe = setup.horizontal_frame(p, self.g)          # n vectors
-        self.riem = primal_array(geo.curvature_tensor_at(setup.total, self.xs))
-        self.ric_matrix = np.einsum("ikij->jk", self.riem)
-        self.lam_sq = primal(setup.lambda_sq_at(self.xs))
-        self.base_point = setup.map_point(p)
-        self.h_base = geo.metric_matrix(setup.base, self.base_point)
-        pv, ph = setup.projectors_at(self.xs)
-        self.pv = primal_array(pv)
-        self.ph = primal_array(ph)
-        gamma = geo.christoffels_at(setup.total, self.xs)
-        self.gamma = primal_array(gamma)
-        # dilation calculus: f = 1 / lambda^2, from one order-2 seeding
-        _, df, d2f = geo.coordinate_partials(setup.inv_lambda_sq_fn(),
+        core = setup.float_core(p)
+        self.g, self.jac = core.g, core.jac
+        self.vframe, self.hframe = core.vframe, core.hframe  # m-n, n vectors
+        self.pv, self.ph = core.pv, core.ph
+        self.lam_sq = core.lam_sq
+        self.base_point, self.h_base = core.base_point, core.h_base
+
+    # -- ingredients built on first read ----------------------------------
+
+    @functools.cached_property
+    def _christoffel_partials(self):
+        """(Gamma, dGamma) of the total metric from one seeding: Riem,
+        ``gamma`` and Hess f all read this Gamma."""
+        return geo.christoffel_partials_at(self.setup.total, self.xs)
+
+    @functools.cached_property
+    def gamma(self):
+        return primal_array(self._christoffel_partials[0])
+
+    @functools.cached_property
+    def riem(self):
+        return primal_array(
+            geo.riemann_from_christoffels(*self._christoffel_partials))
+
+    @functools.cached_property
+    def ric_matrix(self):
+        return np.einsum("ikij->jk", self.riem)
+
+    @functools.cached_property
+    def _f_partials(self):
+        """(df, d2f) of the dilation function f = 1 / lambda^2 from one
+        order-2 seeding."""
+        _, df, d2f = geo.coordinate_partials(self.setup.inv_lambda_sq_fn(),
                                              self.xs, order=2)
-        self.grad_f = primal_array(
-            geo.raise_index(mat_inverse(self.g.tolist()), df))
-        self.vgrad_f = self.pv @ self.grad_f
-        self.hgrad_f = self.ph @ self.grad_f
-        self.hess_f = primal_array(geo.covariant_hessian(gamma, df, d2f))
-        t, a = sub.oneill_tensors_at(setup, self.xs)
-        self.t_tensor = primal_array(t)
-        self.a_tensor = primal_array(a)
-        self.h_vec = primal_array(sub.mean_curvature_at(setup, self.xs, t))
+        return df, d2f
+
+    @functools.cached_property
+    def grad_f(self):
+        return primal_array(geo.raise_index(mat_inverse(self.g.tolist()),
+                                            self._f_partials[0]))
+
+    @functools.cached_property
+    def vgrad_f(self):
+        return self.pv @ self.grad_f
+
+    @functools.cached_property
+    def hgrad_f(self):
+        return self.ph @ self.grad_f
+
+    @functools.cached_property
+    def hess_f(self):
+        return primal_array(geo.covariant_hessian(
+            self._christoffel_partials[0], *self._f_partials))
+
+    @functools.cached_property
+    def hp_vec(self):
         # H' = -(lambda^2 / 2) v grad f, as horizontal_mean_curvature_formula_at
-        self.hp_vec = -0.5 * self.lam_sq * self.vgrad_f
-        self._fiber_chart = None
-        self._fiber_chart_tried = False
+        return -0.5 * self.lam_sq * self.vgrad_f
+
+    @functools.cached_property
+    def _oneill(self):
+        """(T, A) as ``oneill_tensors_at`` returns them."""
+        return sub.oneill_tensors_at(self.setup, self.xs)
+
+    @functools.cached_property
+    def t_tensor(self):
+        return primal_array(self._oneill[0])
+
+    @functools.cached_property
+    def a_tensor(self):
+        return primal_array(self._oneill[1])
+
+    @functools.cached_property
+    def h_vec(self):
+        return primal_array(
+            sub.mean_curvature_at(self.setup, self.xs, self._oneill[0]))
 
     @functools.cached_property
     def _nabla(self):
@@ -260,16 +324,15 @@ class IdentityContext:
 
     # -- fiber intrinsic curvature ----------------------------------------
 
+    @functools.cached_property
     def fiber_chart(self):
-        if not self._fiber_chart_tried:
-            self._fiber_chart_tried = True
-            self._fiber_chart = sub.fiber_slice_chart(self.setup, self.p)
-        return self._fiber_chart
+        """The fiber's slice chart through p, or None."""
+        return sub.fiber_slice_chart(self.setup, self.p)
 
     @functools.cached_property
     def _fiber_curvature(self):
         """(vertical indices, fiber metric, fiber Riem) on the fiber chart."""
-        chart = self.fiber_chart()
+        chart = self.fiber_chart
         if chart is None:
             raise sub.NotASubmersionError("fiber chart unavailable")
         fcoords = chart.fiber_coords(self.p)
@@ -306,7 +369,7 @@ class IdentityContext:
 
     @_once
     def hyp_fiber_chart(self):
-        ok = self.m - self.n == 1 or self.fiber_chart() is not None
+        ok = self.m - self.n == 1 or self.fiber_chart is not None
         return Hypothesis("fiber-chart-available", ok, 0.0 if ok else 1.0)
 
     @_once

@@ -39,6 +39,22 @@ class DilationResult:
 
 
 @dataclass(frozen=True)
+class FloatCore:
+    """Float values of a submersion at one point, all from one
+    ``_core_matrices_at`` build (see ``SubmersionSetup.float_core``)."""
+
+    g: np.ndarray          # total metric
+    jac: np.ndarray        # Jacobian of F
+    vframe: list           # orthonormal vertical frame, m - n vectors
+    hframe: list           # orthonormal horizontal frame, n vectors
+    pv: np.ndarray         # vertical projector
+    ph: np.ndarray         # horizontal projector
+    lam_sq: float          # squared dilation
+    base_point: Point      # F(p)
+    h_base: np.ndarray     # base metric at F(p)
+
+
+@dataclass(frozen=True)
 class PropertyCheck:
     holds: bool
     max_violation: float
@@ -118,21 +134,27 @@ class SubmersionSetup:
         lift = mat_mul(ginv, mat_mul(jt, k_inv))  # m x n
         return g, ginv, jac, k, lift
 
-    def projectors_at(self, xs):
-        """(vertical, horizontal) projector matrices."""
-        _, _, jac, _, lift = self._core_matrices_at(xs)
+    def _projectors(self, jac, lift):
         ph = mat_mul(lift, jac)
         m = self.m
         pv = [[(1.0 if i == j else 0.0) - ph[i][j] for j in range(m)]
               for i in range(m)]
         return pv, ph
 
+    def projectors_at(self, xs):
+        """(vertical, horizontal) projector matrices."""
+        _, _, jac, _, lift = self._core_matrices_at(xs)
+        return self._projectors(jac, lift)
+
+    def _conformality_ratio(self, h, k):
+        n = self.n
+        return sum(h[a][b] * k[a][b] for a in range(n) for b in range(n)) / n
+
     def lambda_sq_at(self, xs):
         """Squared dilation as the frame-averaged conformality ratio."""
         _, _, _, k, _ = self._core_matrices_at(xs)
-        h = self.base.metric_at(self.map_point_at(xs))
-        n = self.n
-        return sum(h[a][b] * k[a][b] for a in range(n) for b in range(n)) / n
+        return self._conformality_ratio(
+            self.base.metric_at(self.map_point_at(xs)), k)
 
     def inv_lambda_sq_fn(self):
         return lambda xs: 1.0 / self.lambda_sq_at(xs)
@@ -162,25 +184,38 @@ class SubmersionSetup:
             return mat_vec(ph, fn(xs))
         return proj
 
-    # -- frames (numeric) ----------------------------------------------
+    # -- numeric values at a point ---------------------------------------
 
-    def vertical_frame(self, p, g=None, jac=None):
-        """Orthonormal vertical frame at p; ``g`` (the total metric
-        matrix) and ``jac`` (the Jacobian) are the caller's values at p
-        when it already holds them, likewise in horizontal_frame."""
-        jac = self.jacobian(p) if jac is None else jac
-        basis = null_space_basis(jac.tolist())
+    def float_core(self, p):
+        """The frames, projectors and dilation at p as floats, from one
+        ``_core_matrices_at`` build; P_v, P_h and lambda^2 take the
+        arithmetic of ``projectors_at`` and ``lambda_sq_at``.  Raises
+        where p is outside either chart's domain, either metric is not
+        positive definite there, or the map is rank deficient."""
+        g = geo.metric_matrix(self.total, p)
+        _, _, jac, k, lift = self._core_matrices_at(list(p.coords))
+        jac_f = np.array([[primal(v) for v in row] for row in jac])
+        basis = null_space_basis(jac_f.tolist())
         if len(basis) != self.m - self.n:
             raise NotASubmersionError(f"map is rank deficient at {p.coords}")
-        g = geo.metric_matrix(self.total, p) if g is None else g
-        return orthonormalize_components(g, basis)
-
-    def horizontal_frame(self, p, g=None):
-        xs = list(p.coords)
-        _, _, _, _, lift = self._core_matrices_at(xs)
         cols = [[primal(lift[i][a]) for i in range(self.m)] for a in range(self.n)]
-        g = geo.metric_matrix(self.total, p) if g is None else g
-        return orthonormalize_components(g, cols)
+        pv, ph = self._projectors(jac, lift)
+        base_point = self.map_point(p)
+        h_base = geo.metric_matrix(self.base, base_point)
+        return FloatCore(
+            g=g, jac=jac_f, vframe=orthonormalize_components(g, basis),
+            hframe=orthonormalize_components(g, cols),
+            pv=primal_array(pv), ph=primal_array(ph),
+            lam_sq=primal(self._conformality_ratio(h_base.tolist(), k)),
+            base_point=base_point, h_base=h_base)
+
+    def vertical_frame(self, p):
+        """Orthonormal vertical frame at p."""
+        return self.float_core(p).vframe
+
+    def horizontal_frame(self, p):
+        """Orthonormal horizontal frame at p."""
+        return self.float_core(p).hframe
 
 
 # ---------------------------------------------------------------------
@@ -312,12 +347,10 @@ def conformal_anisotropy(jac, h, hframe, lam_sq):
 
 
 def dilation(setup, p):
-    lam_sq = primal(setup.lambda_sq_at(list(p.coords)))
-    frame = setup.horizontal_frame(p)
-    jac = setup.jacobian(p)
-    h = geo.metric_matrix(setup.base, setup.map_point(p))
-    aniso = conformal_anisotropy(jac, h, frame, lam_sq)
-    return DilationResult(lambda_sq=lam_sq, anisotropy=aniso)
+    core = setup.float_core(p)
+    aniso = conformal_anisotropy(core.jac, core.h_base, core.hframe,
+                                 core.lam_sq)
+    return DilationResult(lambda_sq=core.lam_sq, anisotropy=aniso)
 
 
 def horizontal_lift(setup, base_spec, p):
@@ -439,17 +472,17 @@ def _gnorm(g, v):
     return math.sqrt(max(0.0, float(arr @ g @ arr)))
 
 
-def _basic_field_violations(setup, p, g, jac, pv):
+def _basic_field_violations(setup, p, core):
     """(integrability, second fundamental form) violations at p over the
     horizontal lifts X_a of the base coordinate fields: sup |v[X_a, X_b]|
     normalized to unit horizontal vectors, and sup |(nabla F_*)(X_a, X_b)|
     with (nabla F_*)(X_a, X_b) = Gamma^N_ab - F_*(nabla_{X_a} X_b).  The
     X_a are the columns of the lift matrix, X_a^i = lift[i][a], so one
-    seeding of it gives every bracket and every nabla_{X_a} X_b."""
+    seeding of it gives every bracket and every nabla_{X_a} X_b; ``core``
+    is ``setup.float_core(p)``."""
     xs = list(p.coords)
-    q = setup.map_point(p)
-    h_base = geo.metric_matrix(setup.base, q)
-    base_gamma = geo.christoffels_at(setup.base, list(q.coords))
+    g, jac, pv, h_base = core.g, core.jac, core.pv, core.h_base
+    base_gamma = geo.christoffels_at(setup.base, list(core.base_point.coords))
     gamma = geo.christoffels_at(setup.total, xs)
     lift, dlift = geo.coordinate_partials(
         lambda zs: setup._core_matrices_at(zs)[4], xs)
@@ -485,36 +518,30 @@ def structure_flags(setup, points, tol=1e-8):
     sup_sff = 0.0
     for p in points:
         xs = list(p.coords)
-        g = geo.metric_matrix(setup.total, p)
-        jac = setup.jacobian(p)
-        vframe = setup.vertical_frame(p, g, jac)
-        hframe = setup.horizontal_frame(p, g)
+        core = setup.float_core(p)
+        g = core.g
         t_jet, a_jet = oneill_tensors_at(setup, xs)
         t_ten, a_ten = primal_array(t_jet), primal_array(a_jet)
         h_vec = primal_array(mean_curvature_at(setup, xs, t_jet))
-        for i, ui in enumerate(vframe):
-            for uj in vframe[i:]:
+        for i, ui in enumerate(core.vframe):
+            for uj in core.vframe[i:]:
                 t = np.einsum("kab,a,b->k", t_ten, ui, uj)
                 sup_t = max(sup_t, _gnorm(g, t))
                 umb = t - float(ui @ g @ uj) * h_vec
                 sup_umb = max(sup_umb, _gnorm(g, umb))
-        for xi in hframe:
-            for xj in hframe:
+        for xi in core.hframe:
+            for xj in core.hframe:
                 a = np.einsum("kab,a,b->k", a_ten, xi, xj)
                 sup_a = max(sup_a, _gnorm(g, a))
-        pv, ph = setup.projectors_at(xs)
-        integrable, sff = _basic_field_violations(setup, p, g, jac, pv)
+        integrable, sff = _basic_field_violations(setup, p, core)
         sup_integrable = max(sup_integrable, integrable)
         sup_sff = max(sup_sff, sff)
-        lam_sq = primal(setup.lambda_sq_at(xs))
         grad_inv = gradient_at(setup.total, setup.inv_lambda_sq_fn(), xs)
         # grad(lambda) = -(lambda^3 / 2) grad(1/lambda^2)
-        lam = math.sqrt(lam_sq)
+        lam = math.sqrt(core.lam_sq)
         grad_lam = [-0.5 * lam ** 3 * primal(c) for c in grad_inv]
-        sup_hgrad = max(sup_hgrad, _gnorm(g, mat_vec(
-            [[primal(v) for v in row] for row in ph], grad_lam)))
-        sup_vgrad = max(sup_vgrad, _gnorm(g, mat_vec(
-            [[primal(v) for v in row] for row in pv], grad_lam)))
+        sup_hgrad = max(sup_hgrad, _gnorm(g, mat_vec(core.ph, grad_lam)))
+        sup_vgrad = max(sup_vgrad, _gnorm(g, mat_vec(core.pv, grad_lam)))
     def check(v):
         return PropertyCheck(holds=v <= tol, max_violation=v)
     return StructureFlags(

@@ -38,6 +38,16 @@ def sample(box, count, seed=7, predicate=None):
     return sample_box(box, count, seed, predicate=predicate)
 
 
+def warped_4to2():
+    """Warped product of the plane with a curved 2-D torus: the corpus's
+    only setup with two-dimensional fibers over a two-dimensional base."""
+    return make_setup(
+        chart("x1 x2 x3 x4",
+              ["1, 0, 0, 0", "0, 1, 0, 0", "0, 0, (2.5 + sin(x1))^2, 0",
+               "0, 0, 0, (2.5 + sin(x1))^2*(2.5 + cos(x3))^2"]),
+        chart("y1 y2", ["1, 0", "0, 1"]), ["x1", "x2"])
+
+
 def riemannian_corpus():
     """Five analytic Riemannian-submersion setups (dilation identically
     one) with per-setup sampling boxes; coefficients are seeded-random."""

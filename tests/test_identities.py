@@ -1,12 +1,17 @@
 """Identity verification engine: closure, flags, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
+from confsub import catalog
 from confsub.geometry import Point
 from confsub.identities import (ALL_CHECK_IDS, CONVENTION_SENSITIVE_IDS,
                                 IdentityContext, run_check)
-from conftest import chart, make_setup, sample
+from confsub.report import residual_record
+from conftest import (chart, conformal_corpus, make_setup, sample,
+                      warped_4to2)
 
 FUNDAMENTAL = ("G2.12", "G2.13", "G2.14", "G2.15")
 
@@ -161,3 +166,44 @@ def test_m4_spot_check():
     for check_id in FUNDAMENTAL:
         for rep in run_check(check_id, setup, p, ctx=ctx):
             assert rep.abs_residual <= 1e-9, (check_id, rep.label)
+
+
+# every array of the context that is built on first read
+LAZY_ARRAYS = ("riem", "ric_matrix", "gamma", "grad_f", "vgrad_f", "hgrad_f",
+               "hess_f", "t_tensor", "a_tensor", "h_vec", "hp_vec", "_nabla")
+
+
+def _bits(value):
+    """Shape and bytes of an array or of a tuple of arrays."""
+    arrays = value if isinstance(value, tuple) else (value,)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _records(ctx, check_ids):
+    return [json.dumps(residual_record(rep), sort_keys=True)
+            for check_id in check_ids
+            for rep in run_check(check_id, ctx.setup, ctx.p, ctx=ctx)]
+
+
+# the cone's dilation varies along its fibers, unlike 5.3 and the warped
+# product (whose grad_v f, hp_vec and their consumers vanish)
+_CONE, _CONE_POINTS = conformal_corpus()[-1][1:]
+
+
+@pytest.mark.parametrize("setup,p", [
+    (catalog.load_job("5.3").setup, Point((0.3, 2.0, 1.5))),
+    (warped_4to2(), Point((0.2, -0.4, 0.5, 1.1))),
+    (_CONE, _CONE_POINTS[0])], ids=["5.3", "warped-4to2", "cone"])
+def test_context_independent_of_read_order(setup, p):
+    # two fresh contexts read in opposite orders hold the same bits, and
+    # contexts whose checks trigger every build, in either order, give
+    # the same records
+    forward, backward = IdentityContext(setup, p), IdentityContext(setup, p)
+    got = {name: _bits(getattr(forward, name)) for name in LAZY_ARRAYS}
+    for name in reversed(LAZY_ARRAYS):
+        assert _bits(getattr(backward, name)) == got[name], name
+    records = _records(forward, ALL_CHECK_IDS)
+    assert _records(backward, ALL_CHECK_IDS) == records
+    assert _records(IdentityContext(setup, p), ALL_CHECK_IDS) == records
+    reverse = _records(IdentityContext(setup, p), ALL_CHECK_IDS[::-1])
+    assert sorted(reverse) == sorted(records)

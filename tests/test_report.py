@@ -5,10 +5,12 @@ from collections import Counter
 import pytest
 
 from confsub import catalog, report
+from confsub import geometry as geo
 from confsub import submersion as sub
+from confsub.cli import EXIT_USAGE, main
 from confsub.geometry import ChartManifold
 from confsub.identities import IdentityContext
-from confsub.jets import Jet, JetSpace
+from confsub.jets import EvaluationError, Jet, JetSpace
 from confsub.manifest import parse_manifest
 
 BASE = """
@@ -126,27 +128,83 @@ points.list = (0.3, -0.4)
 """
 
 
-def test_context_evaluates_each_ingredient_once(monkeypatch):
-    # one point of a cheap 2-D job: the context evaluates g once, takes
-    # grad f and Hess f of f = 1/lambda^2 from one order-2 seeding and
-    # reads H' and the conformality from values it already holds
-    counts = Counter()
-
-    def counting(owner, name):
-        real = getattr(owner, name)
-
+def _count_calls(monkeypatch, counts, targets):
+    """Count the calls of each (owner, name) under ``name`` in counts."""
+    def counted(name, real):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
+        return wrapper
 
-    for owner, name in ((IdentityContext, "__init__"), (JetSpace, "seed"),
-                        (ChartManifold, "metric_at"),
-                        (sub.SubmersionSetup, "lambda_sq_at")):
-        counting(owner, name)
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+
+
+def test_context_evaluates_each_ingredient_once(monkeypatch):
+    # one point of a cheap 2-D job: the context's float core evaluates
+    # the total metric twice (checked matrix and core matrices) and the
+    # base metric once, seeds only the Jacobian and takes lambda^2 from
+    # the core matrices it already holds
+    counts = Counter()
+    _count_calls(monkeypatch, counts, (
+        (IdentityContext, "__init__"), (JetSpace, "seed"),
+        (ChartManifold, "metric_at"), (sub.SubmersionSetup, "lambda_sq_at")))
     rep = report.run_job(parse_manifest(FLAT_SWEEP))
     assert [r["verdict"] for r in rep.records] == ["pass"]
     assert counts["__init__"] == 1
-    assert counts["seed"] <= 13
-    assert counts["metric_at"] <= 14
-    assert counts["lambda_sq_at"] <= 2
+    assert counts["seed"] <= 1
+    assert counts["metric_at"] <= 4
+    assert counts["lambda_sq_at"] == 0
+
+
+def test_flat_sweep_builds_no_curvature(monkeypatch):
+    # G2.12 on one-dimensional fibers reads the frames, lambda^2 and the
+    # conformality hypothesis only, so no curvature, Christoffel symbols or
+    # O'Neill tensors are built at the point
+    counts = Counter()
+    _count_calls(monkeypatch, counts, (
+        (geo, "curvature_tensor_at"), (geo, "christoffels_at"),
+        (sub, "oneill_tensors_at"), (JetSpace, "seed")))
+    rep = report.run_job(parse_manifest(FLAT_SWEEP))
+    assert [r["verdict"] for r in rep.records] == ["pass"]
+    assert counts["curvature_tensor_at"] == 0
+    assert counts["christoffels_at"] == 0
+    assert counts["oneill_tensors_at"] == 0
+    assert counts["seed"] <= 1
+
+
+# Gamma of this metric is not finite on x2 = 0, where d/dx2 x2^(1/3) is
+# not; the metric itself is finite and positive definite there
+CUSP = """
+total.dim    = 2
+total.coords = x1 x2
+total.metric = 1, 0 ; 0, 1 + x2^(1/3)
+base.dim     = 1
+base.coords  = y1
+base.metric  = 1
+map.components = x1
+checks = {checks}
+points.list = (0.3, 0.5) ; (0.3, 0)
+"""
+
+
+@pytest.mark.parametrize("checks", ["R3.11", "G2.14", "L3.1.vi, P3.1"])
+def test_failing_ingredient_fails_the_checks_that_read_it(checks, tmp_path,
+                                                          capsys):
+    # Ricci, Riem and the O'Neill tensors need Gamma: the run raises the
+    # evaluation error, and the command line reports it as exit 2
+    with pytest.raises(EvaluationError,
+                       match=r"zero raised to a negative power in 'x2\^\(1/3\)'"):
+        report.run_job(parse_manifest(CUSP.format(checks=checks)))
+    path = tmp_path / "cusp.cfsm"
+    path.write_text(CUSP.format(checks=checks))
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    assert "zero raised to a negative power" in capsys.readouterr().err
+
+
+def test_failing_ingredient_no_check_reads_does_not_abort():
+    # G2.12 on one-dimensional fibers reads no Gamma, so the point where
+    # Gamma fails is verified like any other
+    rep = report.run_job(parse_manifest(CUSP.format(checks="G2.12")))
+    assert [r["verdict"] for r in rep.records] == ["pass", "pass"]
+    assert rep.exit_code == 0
