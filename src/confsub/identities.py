@@ -5,9 +5,10 @@ Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
 right-hand side is assembled from the submersion machinery (projectors,
 T, A, dilation calculus).  The two sides share no intermediate values
-but the Christoffel symbols of the total metric, which Riem and the
-right side's covariant derivatives read from one evaluation, so a closed
-residual is evidence, not bookkeeping.  In terms of the arrays an
+but the Christoffel symbols of the total metric and their partials,
+which Riem and the right side's covariant derivatives read from one
+seeding and contract in different ways, so a closed residual is
+evidence, not bookkeeping.  In terms of the arrays an
 ``IdentityContext`` holds for its point:
 
 - left side: ``riem`` (Riemann tensor of the total metric) and its
@@ -29,6 +30,19 @@ reads: the total metric ``g``, the Jacobian ``jac``, the frames
 ``vgrad_f``, ``hgrad_f``, ``t_tensor``, ``a_tensor``, ``h_vec``,
 ``hp_vec``, the covariant derivatives, base and fiber curvature) is built
 on first read, once per context.
+
+Every derivative comes from one of three seedings, each at most two jet
+levels deep (the inner level is the metric or Jacobian seeding): Gamma
+with dGamma (order 1), f with df and d2f (order 2), and P_v with dP_v
+and d2P_v (order 2).  The rest is float arithmetic on these arrays.
+``submersion.oneill_contraction`` gives T and A from (P_v, dP_v,
+Gamma); H = trace_v(T) / (m - n), the trace taken against
+W = P_v g^{-1}; H' = -(lambda^2 / 2) P_v grad f.  The covariant
+derivatives follow by the product rule (``IdentityContext._nabla``),
+with d_l g_ij = g_iq Gamma^q_lj + g_jq Gamma^q_li,
+d g^{-1} = -g^{-1} (d g) g^{-1}, d P_h = -d P_v and
+d lambda^2 = -lambda^4 df, plus the Gamma terms that make a partial
+derivative covariant.
 """
 
 from __future__ import annotations
@@ -182,9 +196,12 @@ class IdentityContext:
         return df, d2f
 
     @functools.cached_property
+    def ginv(self):
+        return np.array(mat_inverse(self.g.tolist()))
+
+    @functools.cached_property
     def grad_f(self):
-        return primal_array(geo.raise_index(mat_inverse(self.g.tolist()),
-                                            self._f_partials[0]))
+        return primal_array(geo.raise_index(self.ginv, self._f_partials[0]))
 
     @functools.cached_property
     def vgrad_f(self):
@@ -201,48 +218,88 @@ class IdentityContext:
 
     @functools.cached_property
     def hp_vec(self):
-        # H' = -(lambda^2 / 2) v grad f, as horizontal_mean_curvature_formula_at
+        # H' = -(lambda^2 / 2) v grad f
         return -0.5 * self.lam_sq * self.vgrad_f
 
     @functools.cached_property
-    def _oneill(self):
-        """(T, A) as ``oneill_tensors_at`` returns them."""
-        return sub.oneill_tensors_at(self.setup, self.xs)
+    def _pv_partials(self):
+        """(P_v, dP_v, d2P_v) as float arrays from one order-2 seeding,
+        with dP_v[l, i, b] = d_l (P_v)^i_b and d2P_v[l, j, i, b] =
+        d_l d_j (P_v)^i_b."""
+        setup = self.setup
+        return tuple(primal_array(a) for a in geo.coordinate_partials(
+            lambda zs: setup.projectors_at(zs)[0], self.xs, order=2))
+
+    @functools.cached_property
+    def _oneill_bundle(self):
+        """(T, A, N, M) of ``sub.oneill_contraction`` as float arrays."""
+        pv, dpv, _ = self._pv_partials
+        return sub.oneill_contraction(pv, dpv, self.gamma)
 
     @functools.cached_property
     def t_tensor(self):
-        return primal_array(self._oneill[0])
+        return self._oneill_bundle[0]
 
     @functools.cached_property
     def a_tensor(self):
-        return primal_array(self._oneill[1])
+        return self._oneill_bundle[1]
+
+    @functools.cached_property
+    def _vtrace_form(self):
+        """(W, dW) with W = P_v g^{-1}, which is sum_i U_i U_i^T over an
+        orthonormal vertical frame, and dW[l] = d_l W.  The partials of g
+        come from Gamma, d_l g_ij = g_iq Gamma^q_lj + g_jq Gamma^q_li, and
+        d_l g^{-1} = -g^{-1} (d_l g) g^{-1}."""
+        pv, dpv, _ = self._pv_partials
+        g, ginv, gam = self.g, self.ginv, self.gamma
+        dg = np.einsum("iq,qlj->lij", g, gam)
+        dg = dg + dg.transpose(0, 2, 1)
+        dginv = -np.einsum("ia,lab,bj->lij", ginv, dg, ginv)
+        return pv @ ginv, dpv @ ginv + np.einsum("ik,lkj->lij", pv, dginv)
 
     @functools.cached_property
     def h_vec(self):
-        return primal_array(
-            sub.mean_curvature_at(self.setup, self.xs, self._oneill[0]))
+        # H = trace_v(T) / (m - n), the trace taken against W = P_v g^{-1}
+        return (np.einsum("kab,ab->k", self.t_tensor, self._vtrace_form[0])
+                / (self.m - self.n))
 
     @functools.cached_property
     def _nabla(self):
-        """(nabla T, nabla A, nabla H, nabla H') from one nested seeding
-        of the tensor bundle, indexed [l, k, a, b] and [l, k] with l the
-        differentiating direction.  T and A are tensors, so these equal
-        the per-field cov_deriv_T_at / cov_deriv_A_at."""
-        setup, m = self.setup, self.m
-
-        def fields(zs):
-            t, a = sub.oneill_tensors_at(setup, zs)
-            return [*t.flat, *a.flat, *sub.mean_curvature_at(setup, zs, t),
-                    *sub.horizontal_mean_curvature_formula_at(setup, zs)]
-
-        _, partials = geo.coordinate_partials(fields, self.xs)
-        d = primal_array(partials)
-        gam = self.gamma
-        cut = np.cumsum([m ** 3, m ** 3, m])
-        dt, da, dh, dhp = np.split(d, cut, axis=1)
+        """(nabla T, nabla A, nabla H, nabla H') indexed [l, k, a, b] and
+        [l, k] with l the differentiating direction.  The partials follow
+        from (P_v, dP_v, d2P_v), (Gamma, dGamma), (df, d2f) and g by the
+        product rule, with dP_h = -dP_v:
+        dN = d2P_v + dGamma P_v + Gamma dP_v,
+        dM = dP_v (Gamma - 2 N) + P_h dN + P_v (dGamma - dN),
+        dT = dP_v M + P_v dM, dA = -dP_v M + P_h dM,
+        dH = (dT W + T dW) / (m - n) and, with d lambda^2 = -lambda^4 df,
+        dH' = -(d lambda^2 W df + lambda^2 (dW df + W d2f)) / 2;
+        the Gamma terms then make them covariant.  T and A are tensors,
+        so these equal the per-field cov_deriv_T_at / cov_deriv_A_at."""
+        m, gam = self.m, self.gamma
+        dgam = primal_array(self._christoffel_partials[1])
+        pv, dpv, d2pv = self._pv_partials
+        ph = self.ph
+        t, a, nv, mix = self._oneill_bundle
+        dnv = (d2pv.transpose(0, 2, 1, 3)
+               + np.einsum("lkij,jb->lkib", dgam, pv)
+               + np.einsum("kij,ljb->lkib", gam, dpv))
+        dmix = (np.einsum("lkq,qib->lkib", dpv, gam - 2.0 * nv)
+                + np.einsum("kq,lqib->lkib", ph, dnv)
+                + np.einsum("kq,lqib->lkib", pv, dgam - dnv))
+        dm_term = np.einsum("lia,kib->lkab", dpv, mix)
+        dt = dm_term + np.einsum("ia,lkib->lkab", pv, dmix)
+        da = -dm_term + np.einsum("ia,lkib->lkab", ph, dmix)
+        w, dw = self._vtrace_form
+        dh = (np.einsum("lkab,ab->lk", dt, w)
+              + np.einsum("kab,lab->lk", t, dw)) / (m - self.n)
+        df, d2f = (np.asarray(x, float) for x in self._f_partials)
+        dlam_sq = -self.lam_sq ** 2 * df
+        dhp = -0.5 * (np.outer(dlam_sq, w @ df)
+                      + self.lam_sq * (dw @ df + d2f @ w.T))
 
         def tensor(partial, x):
-            return (partial.reshape(m, m, m, m)
+            return (partial
                     + np.einsum("klj,jab->lkab", gam, x)
                     - np.einsum("jla,kjb->lkab", gam, x)
                     - np.einsum("jlb,kaj->lkab", gam, x))
@@ -250,7 +307,7 @@ class IdentityContext:
         def vector(partial, x):
             return partial + np.einsum("klj,j->lk", gam, x)
 
-        return (tensor(dt, self.t_tensor), tensor(da, self.a_tensor),
+        return (tensor(dt, t), tensor(da, a),
                 vector(dh, self.h_vec), vector(dhp, self.hp_vec))
 
     # -- inner products -------------------------------------------------

@@ -249,25 +249,35 @@ def _const_fn(comps):
     return lambda xs: vals
 
 
-def oneill_tensors_at(setup, xs):
-    """(T, A) over the coordinate basis as object arrays: T[k, a, b] is
-    component k of T_{e_a} e_b, likewise A.  Both are tensors, so the
-    constant extensions of e_a, e_b serve, and every entry comes from one
-    order-1 seeding of P_v and one Christoffel evaluation:
+def oneill_contraction(pv, dpv, gamma):
+    """(T, A, N, M) over the coordinate basis from P_v[i, b], its partials
+    dpv[l, i, b] = d_l (P_v)^i_b and Gamma[k, i, j], as arrays of floats
+    or of jets.  T[k, a, b] is component k of T_{e_a} e_b, likewise A;
+    both are tensors, so the constant extensions of e_a, e_b serve:
     with N^k_ib = (nabla_i (P_v e_b))^k and M = P_h N + P_v (Gamma - N),
-    T^k_ab = (P_v)^i_a M^k_ib and A^k_ab = (P_h)^i_a M^k_ib."""
-    m = setup.m
-    flat, dflat = geo.coordinate_partials(
-        lambda zs: [c for row in setup.projectors_at(zs)[0] for c in row], xs)
-    pv = np.array(flat, dtype=object).reshape(m, m)
-    ph = np.eye(m, dtype=object) - pv
-    dpv = np.array(dflat, dtype=object).reshape(m, m, m)  # [i, k, b]
-    gamma = np.array(geo.christoffels_at(setup.total, xs), dtype=object)
+    T^k_ab = (P_v)^i_a M^k_ib and A^k_ab = (P_h)^i_a M^k_ib.  N and M
+    are returned for callers that differentiate T and A."""
+    ph = np.eye(len(pv), dtype=pv.dtype) - pv
     nv = dpv.transpose(1, 0, 2) + np.einsum("kij,jb->kib", gamma, pv)
     mix = (np.einsum("kl,lib->kib", ph, nv)
            + np.einsum("kl,lib->kib", pv, gamma - nv))
     return (np.einsum("ia,kib->kab", pv, mix),
-            np.einsum("ia,kib->kab", ph, mix))
+            np.einsum("ia,kib->kab", ph, mix), nv, mix)
+
+
+def oneill_tensors_at(setup, xs, gamma=None):
+    """(T, A) over the coordinate basis as object arrays, from one
+    order-1 seeding of P_v and one Christoffel evaluation through
+    ``oneill_contraction``.  ``gamma`` is ``christoffels_at`` of the total
+    chart at the same xs when the caller holds it."""
+    pv, dpv = geo.coordinate_partials(lambda zs: setup.projectors_at(zs)[0],
+                                      xs)
+    if gamma is None:
+        gamma = geo.christoffels_at(setup.total, xs)
+    t, a, _, _ = oneill_contraction(np.array(pv, dtype=object),
+                                    np.array(dpv, dtype=object),
+                                    np.array(gamma, dtype=object))
+    return t, a
 
 
 def cov_deriv_T_at(setup, xs, e_comps, u_fn, ep_fn):
@@ -319,15 +329,6 @@ def mean_curvature_at(setup, xs, t=None):
     T_U V = g(U, V) H, i.e. H = trace_v(T) / (m - n)."""
     trace = vertical_trace_T_at(setup, xs, t)
     return [c / (setup.m - setup.n) for c in trace]
-
-
-def horizontal_mean_curvature_formula_at(setup, xs):
-    """H' from the dilation: -(lambda^2 / 2) v grad(1 / lambda^2)."""
-    grad = gradient_at(setup.total, setup.inv_lambda_sq_fn(), xs)
-    pv, _ = setup.projectors_at(xs)
-    vgrad = mat_vec(pv, grad)
-    lam_sq = setup.lambda_sq_at(xs)
-    return [-0.5 * lam_sq * c for c in vgrad]
 
 
 # ---------------------------------------------------------------------
@@ -472,18 +473,18 @@ def _gnorm(g, v):
     return math.sqrt(max(0.0, float(arr @ g @ arr)))
 
 
-def _basic_field_violations(setup, p, core):
+def _basic_field_violations(setup, p, core, gamma):
     """(integrability, second fundamental form) violations at p over the
     horizontal lifts X_a of the base coordinate fields: sup |v[X_a, X_b]|
     normalized to unit horizontal vectors, and sup |(nabla F_*)(X_a, X_b)|
     with (nabla F_*)(X_a, X_b) = Gamma^N_ab - F_*(nabla_{X_a} X_b).  The
     X_a are the columns of the lift matrix, X_a^i = lift[i][a], so one
     seeding of it gives every bracket and every nabla_{X_a} X_b; ``core``
-    is ``setup.float_core(p)``."""
+    is ``setup.float_core(p)`` and ``gamma`` the total ``christoffels_at``
+    at p."""
     xs = list(p.coords)
     g, jac, pv, h_base = core.g, core.jac, core.pv, core.h_base
     base_gamma = geo.christoffels_at(setup.base, list(core.base_point.coords))
-    gamma = geo.christoffels_at(setup.total, xs)
     lift, dlift = geo.coordinate_partials(
         lambda zs: setup._core_matrices_at(zs)[4], xs)
     m, n = setup.m, setup.n
@@ -520,7 +521,8 @@ def structure_flags(setup, points, tol=1e-8):
         xs = list(p.coords)
         core = setup.float_core(p)
         g = core.g
-        t_jet, a_jet = oneill_tensors_at(setup, xs)
+        gamma = geo.christoffels_at(setup.total, xs)
+        t_jet, a_jet = oneill_tensors_at(setup, xs, gamma)
         t_ten, a_ten = primal_array(t_jet), primal_array(a_jet)
         h_vec = primal_array(mean_curvature_at(setup, xs, t_jet))
         for i, ui in enumerate(core.vframe):
@@ -533,7 +535,7 @@ def structure_flags(setup, points, tol=1e-8):
             for xj in core.hframe:
                 a = np.einsum("kab,a,b->k", a_ten, xi, xj)
                 sup_a = max(sup_a, _gnorm(g, a))
-        integrable, sff = _basic_field_violations(setup, p, core)
+        integrable, sff = _basic_field_violations(setup, p, core, gamma)
         sup_integrable = max(sup_integrable, integrable)
         sup_sff = max(sup_sff, sff)
         grad_inv = gradient_at(setup.total, setup.inv_lambda_sq_fn(), xs)

@@ -1,5 +1,7 @@
 """Submersion machinery: projectors, dilation, O'Neill tensors, fibers."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from confsub import geometry as geo
 from confsub import submersion as sub
 from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext
-from confsub.jets import primal_array
-from conftest import (flat_chart, make_setup, riemannian_corpus, sample,
-                      warped_4to2)
+from confsub.jets import JetSpace, primal_array
+from confsub.linalg import mat_vec
+from conftest import (conformal_corpus, flat_chart, make_setup,
+                      riemannian_corpus, sample, warped_4to2)
 
 
 @pytest.fixture(scope="module")
@@ -232,9 +235,23 @@ def _catalog_case(eid):
     return eid, job.setup, job.points[:2]
 
 
+# on 5.3 and the warped product grad_v f vanishes; on the cone it does
+# not, so the cone is the case that exercises the derivative of H'
+_CONE = next(case for case in conformal_corpus() if case[0] == "cone")
 BUNDLE_CASES = [_catalog_case(eid) for eid in catalog.EXAMPLE_IDS] + [
     ("warped-4to2", WARPED_4TO2,
-     [Point((0.2, -0.4, 0.5, 1.1)), Point((-0.7, 0.3, 2.0, -0.6))])]
+     [Point((0.2, -0.4, 0.5, 1.1)), Point((-0.7, 0.3, 2.0, -0.6))]),
+    (_CONE[0], _CONE[1], _CONE[2][:2])]
+
+
+def _hprime_fn(setup):
+    """H' = -(lambda^2 / 2) v grad(1 / lambda^2) as a component function."""
+    def fn(zs):
+        grad = geo.gradient_at(setup.total, setup.inv_lambda_sq_fn(), zs)
+        pv, _ = setup.projectors_at(zs)
+        lam_sq = setup.lambda_sq_at(zs)
+        return [-0.5 * lam_sq * c for c in mat_vec(pv, grad)]
+    return fn
 
 
 @pytest.mark.parametrize("name,setup,points", BUNDLE_CASES,
@@ -262,8 +279,10 @@ def test_oneill_bundle_matches_per_field_path(name, setup, points):
              @ np.linalg.inv(geo.metric_matrix(setup.total, p)))
         h_ref = sum(w[a, b] * t_ref[a, b] for a in range(m) for b in range(m))
         _assert_close(ctx.h_vec, h_ref / (m - n), (name, "H"))
+        _assert_close(ctx.hp_vec, primal_array(_hprime_fn(setup)(xs)),
+                      (name, "H'"))
         # nabla T and nabla A are multilinear: random arguments cover
-        # every component
+        # every component; H and H' are differentiated as fields
         for _ in range(2):
             d, u, v = rng.standard_normal((3, m))
             dt_ref = primal_array(sub.cov_deriv_T_at(
@@ -272,6 +291,49 @@ def test_oneill_bundle_matches_per_field_path(name, setup, points):
                 setup, xs, list(d), const(u), const(v)))
             _assert_close(ctx.dT(d, u, v), dt_ref, (name, "dT"))
             _assert_close(ctx.dA(d, u, v), da_ref, (name, "dA"))
+            dh_ref = primal_array(geo.cov_deriv_along_at(
+                setup.total, xs, list(d),
+                lambda zs: sub.mean_curvature_at(setup, zs)))
+            dhp_ref = primal_array(geo.cov_deriv_along_at(
+                setup.total, xs, list(d), _hprime_fn(setup)))
+            _assert_close(ctx.grad_h(d), dh_ref, (name, "dH"))
+            _assert_close(ctx.grad_hprime(d), dhp_ref, (name, "dH'"))
+
+
+@pytest.mark.parametrize("name,setup,point", [
+    ("5.3", catalog.load_job("5.3").setup, Point((0.2, 1.8, 2.0))),
+    ("warped-4to2", WARPED_4TO2, Point((0.2, -0.4, 0.5, 1.1)))])
+def test_context_seeds_at_most_two_levels_deep(monkeypatch, name, setup,
+                                               point):
+    # Riem, Gamma, Hess f, T, A, H, H' and every covariant derivative come
+    # from three order-1 or order-2 seedings (Gamma, f = 1/lambda^2, P_v),
+    # each holding at most one inner seeding (the metric or Jacobian
+    # partials), plus the Jacobian seeding of the float core
+    depth = Counter()
+    real_partials = geo.coordinate_partials
+    real_seed = JetSpace.seed
+
+    def tracked(*args, **kwargs):
+        depth["now"] += 1
+        depth["max"] = max(depth["max"], depth["now"])
+        try:
+            return real_partials(*args, **kwargs)
+        finally:
+            depth["now"] -= 1
+
+    def counted_seed(self, *args, **kwargs):
+        depth["seeds"] += 1
+        return real_seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(geo, "coordinate_partials", tracked)
+    monkeypatch.setattr(JetSpace, "seed", counted_seed)
+    ctx = IdentityContext(setup, point)
+    for attr in ("riem", "gamma", "hess_f", "t_tensor", "a_tensor", "h_vec",
+                 "hp_vec", "_nabla"):
+        getattr(ctx, attr)
+    assert depth["max"] == 2, name
+    if name == "5.3":
+        assert depth["seeds"] <= 7
 
 
 # -- structure flags' basic-field violations against the per-pair path ---
@@ -323,7 +385,9 @@ def test_structure_flags_match_per_pair_path(name, setup, points):
     # one seeding of the lift matrix gives every bracket and every
     # nabla_{X_a} X_b; the per-pair path seeds each pair on its own
     for p in points:
-        got = sub._basic_field_violations(setup, p, setup.float_core(p))
+        got = sub._basic_field_violations(
+            setup, p, setup.float_core(p),
+            geo.christoffels_at(setup.total, list(p.coords)))
         ref = _per_pair_violations(setup, p)
         _assert_close(got, ref, (name, "integrability, sff"))
         flags = sub.structure_flags(setup, [p])
