@@ -222,22 +222,6 @@ def _compare(name, provenance, samples, tol):
                          verdict=verdict, point=tuple(point.coords))
 
 
-def _umbilical_product(setup, p, u):
-    g = geo.metric_matrix(setup.total, p)
-    h = sub.mean_curvature(setup, p)
-    guu = float(np.asarray(u) @ g @ np.asarray(u))
-    return guu * np.asarray(h.components)
-
-
-def _oneill_value(setup, p, kind, args):
-    """Components of the O'Neill value a catalog row names, at p."""
-    if kind == "umbilical-product":  # g(U,U)H
-        return _umbilical_product(setup, p, args[0])
-    tensor = sub.oneill_T if kind == "T" else sub.oneill_A
-    return tensor(setup, p, geo.VectorFieldSpec.constant(args[0]),
-                  geo.VectorFieldSpec.constant(args[1])).components
-
-
 def run_example(example_id, tol=1e-6, points=None):
     setup, expected = load_example(example_id)
     if points is None:
@@ -254,23 +238,30 @@ def run_example(example_id, tol=1e-6, points=None):
                     float(c)) for p, c in zip(points, computed)]
         rows.append(_compare(name, provenance, samples, tol))
 
+    # every row at a point reads the point's one O'Neill bundle
+    bundles = [sub.oneill_bundle(setup, p) for p in points]
+
     # Christoffel symbols, every index triple (sparse expected, default 0)
-    gammas = [geo.christoffel_symbols(total, p) for p in points]
     for k in range(1, m + 1):
         for i in range(1, m + 1):
             for j in range(i, m + 1):
                 text = expected.christoffels.get((k, i, j),
                                                  expected.christoffels.get((k, j, i), "0"))
                 compare(f"Gamma^{k}_{i}{j}", "paper-printed", text,
-                        [gam[k - 1, i - 1, j - 1] for gam in gammas])
+                        [b.gamma[k - 1, i - 1, j - 1] for b in bundles])
 
     # dilation
     compare("lambda^2", "paper-printed", expected.dilation,
-            [primal(setup.lambda_sq_at(list(p.coords))) for p in points])
+            [b.core.lam_sq for b in bundles])
 
-    # O'Neill tensor values
+    # O'Neill tensor values: T_U V, A_X Y or g(U,U)H
     for name, kind, args, comp_texts, provenance in expected.oneill_values:
-        vecs = [_oneill_value(setup, p, kind, args) for p in points]
+        if kind == "umbilical-product":
+            u = np.asarray(args[0])
+            vecs = [float(u @ b.core.g @ u) * b.h for b in bundles]
+        else:
+            u, v = (np.asarray(x) for x in args)
+            vecs = [(b.t if kind == "T" else b.a) @ v @ u for b in bundles]
         for axis, text in enumerate(comp_texts):
             compare(f"{name} [{axis + 1}]", provenance, text,
                     [vec[axis] for vec in vecs])
@@ -285,7 +276,7 @@ def run_example(example_id, tol=1e-6, points=None):
         compare(f"Ric(e{i},e{j}) oracle", "derived-oracle", oracle, vals)
 
     # structure flags vs prose claims
-    flags = sub.structure_flags(setup, points).as_dict()
+    flags = sub.structure_flags(setup, points, bundles=bundles).as_dict()
     for flag_name, want in expected.structure.items():
         got = flags[flag_name].holds
         rows.append(ComparisonRow(

@@ -21,11 +21,19 @@ from . import catalog, report
 from .expr import ExprError
 from .geometry import DegenerateMetricError
 from .jets import EvaluationError
-from .manifest import KNOWN_CHECKS, ManifestError, load_manifest
+from .manifest import (KNOWN_CHECKS, ManifestError, load_manifest,
+                       parse_tolerance)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+def _tolerance(text):
+    try:
+        return parse_tolerance(text)
+    except ManifestError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser():
@@ -51,7 +59,7 @@ def _build_parser():
         "example", help="compare a built-in example against its "
                         "published values")
     example.add_argument("example_id", choices=catalog.EXAMPLE_IDS)
-    example.add_argument("--tol", type=float, default=1e-6)
+    example.add_argument("--tol", type=_tolerance, default=1e-6)
     example.add_argument("--format", choices=("text", "json"),
                          default="text")
 

@@ -259,9 +259,8 @@ class IdentityContext:
 
     @functools.cached_property
     def h_vec(self):
-        # H = trace_v(T) / (m - n), the trace taken against W = P_v g^{-1}
-        return (np.einsum("kab,ab->k", self.t_tensor, self._vtrace_form[0])
-                / (self.m - self.n))
+        return sub.mean_curvature_from(self.t_tensor, self._vtrace_form[0],
+                                       self.m - self.n)
 
     @functools.cached_property
     def _nabla(self):

@@ -20,7 +20,7 @@ comment and blank lines are ignored.  Keys (case-sensitive)::
     points.box      = -1 1 ; 1.2 3 ; 1.5 4     # per-coordinate lo hi
     points.count    = 20                       # with points.box
     points.seed     = 42
-    tolerance       = 1e-6
+    tolerance       = 1e-6                     # finite, >= 0
 
 Box points are drawn by the splitmix64 counter-based generator so a
 (seed, box) pair reproduces bit-identical points on every platform.
@@ -28,6 +28,7 @@ Box points are drawn by the splitmix64 counter-based generator so a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .expr import ExprError
@@ -177,6 +178,18 @@ def _parse_box(text, dim):
     return box
 
 
+def parse_tolerance(text):
+    """A relative tolerance: a finite, non-negative number."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise ManifestError(f"tolerance {text!r} is not a number") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ManifestError(
+            f"tolerance must be finite and non-negative, got {text!r}")
+    return tol
+
+
 def parse_manifest(document, overrides=None):
     """Parse and fully validate a manifest document into a job.
 
@@ -251,7 +264,7 @@ def parse_manifest(document, overrides=None):
     seen = set()
     checks = tuple(c for c in checks if not (c in seen or seen.add(c)))
 
-    tolerance = float(keys.get("tolerance", "1e-6"))
+    tolerance = parse_tolerance(keys.get("tolerance", "1e-6"))
     seed = int(keys.get("points.seed", "42"))
 
     def in_domains(p):

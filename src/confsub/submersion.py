@@ -55,6 +55,18 @@ class FloatCore:
 
 
 @dataclass(frozen=True)
+class OneillBundle:
+    """Float O'Neill values of a submersion at one point (see
+    ``oneill_bundle``); arrays are over the coordinate basis."""
+
+    core: FloatCore
+    gamma: np.ndarray      # total Christoffel symbols, gamma[k, i, j]
+    t: np.ndarray          # t[k, a, b]: component k of T_{e_a} e_b
+    a: np.ndarray          # likewise A
+    h: np.ndarray          # fiber mean curvature H
+
+
+@dataclass(frozen=True)
 class PropertyCheck:
     holds: bool
     max_violation: float
@@ -309,25 +321,42 @@ def cov_deriv_A_at(setup, xs, e_comps, x_fn, ep_fn):
     return [a - b - c for a, b, c in zip(term1, term2, term3)]
 
 
+def oneill_bundle(setup, p):
+    """The float core, total Gamma, T, A and H at p, each built once:
+    Gamma from one ``christoffels_at``, T and A from one order-1
+    ``oneill_tensors_at`` reading it, H from T and the core's P_v and g."""
+    xs = list(p.coords)
+    core = setup.float_core(p)
+    gamma = geo.christoffels_at(setup.total, xs)
+    t, a = (primal_array(x) for x in oneill_tensors_at(setup, xs, gamma))
+    w = core.pv @ np.array(mat_inverse(core.g.tolist()))
+    return OneillBundle(core=core, gamma=primal_array(gamma), t=t, a=a,
+                        h=mean_curvature_from(t, w, setup.m - setup.n))
+
+
 # ---------------------------------------------------------------------
 # mean curvatures
 # ---------------------------------------------------------------------
 
-def vertical_trace_T_at(setup, xs, t=None):
+def mean_curvature_from(t, w, fiber_dim):
+    """H = trace_v(T) / (m - n) from float T and W = P_v g^{-1}, which is
+    sum_i U_i U_i^T over an orthonormal vertical frame."""
+    return np.einsum("kab,ab->k", t, w) / fiber_dim
+
+
+def vertical_trace_T_at(setup, xs):
     """Sum of T(U_i, U_i) over an orthonormal vertical frame: T contracted
-    with sum_i U_i U_i^T = P_v g^{-1}.  ``t`` is T from
-    ``oneill_tensors_at`` at the same xs when the caller holds it."""
-    if t is None:
-        t, _ = oneill_tensors_at(setup, xs)
+    with sum_i U_i U_i^T = P_v g^{-1}."""
+    t, _ = oneill_tensors_at(setup, xs)
     pv, _ = setup.projectors_at(xs)
     w = mat_mul(pv, mat_inverse(setup.total.metric_at(xs)))
     return list(np.einsum("kab,ab->k", t, np.array(w, dtype=object)))
 
 
-def mean_curvature_at(setup, xs, t=None):
+def mean_curvature_at(setup, xs):
     """Fiber mean curvature H with the umbilical normalization
     T_U V = g(U, V) H, i.e. H = trace_v(T) / (m - n)."""
-    trace = vertical_trace_T_at(setup, xs, t)
+    trace = vertical_trace_T_at(setup, xs)
     return [c / (setup.m - setup.n) for c in trace]
 
 
@@ -509,7 +538,12 @@ def _basic_field_violations(setup, p, core, gamma):
     return sup_bracket, sup_sff
 
 
-def structure_flags(setup, points, tol=1e-8):
+def structure_flags(setup, points, tol=1e-8, bundles=None):
+    """Which structural properties hold at every point, each with its
+    largest violation.  ``bundles`` are ``oneill_bundle`` of the points
+    when the caller holds them."""
+    if bundles is None:
+        bundles = [oneill_bundle(setup, p) for p in points]
     sup_t = 0.0
     sup_umb = 0.0
     sup_integrable = 0.0
@@ -517,25 +551,22 @@ def structure_flags(setup, points, tol=1e-8):
     sup_hgrad = 0.0
     sup_vgrad = 0.0
     sup_sff = 0.0
-    for p in points:
+    for p, bundle in zip(points, bundles):
         xs = list(p.coords)
-        core = setup.float_core(p)
+        core = bundle.core
         g = core.g
-        gamma = geo.christoffels_at(setup.total, xs)
-        t_jet, a_jet = oneill_tensors_at(setup, xs, gamma)
-        t_ten, a_ten = primal_array(t_jet), primal_array(a_jet)
-        h_vec = primal_array(mean_curvature_at(setup, xs, t_jet))
         for i, ui in enumerate(core.vframe):
             for uj in core.vframe[i:]:
-                t = np.einsum("kab,a,b->k", t_ten, ui, uj)
+                t = np.einsum("kab,a,b->k", bundle.t, ui, uj)
                 sup_t = max(sup_t, _gnorm(g, t))
-                umb = t - float(ui @ g @ uj) * h_vec
+                umb = t - float(ui @ g @ uj) * bundle.h
                 sup_umb = max(sup_umb, _gnorm(g, umb))
         for xi in core.hframe:
             for xj in core.hframe:
-                a = np.einsum("kab,a,b->k", a_ten, xi, xj)
+                a = np.einsum("kab,a,b->k", bundle.a, xi, xj)
                 sup_a = max(sup_a, _gnorm(g, a))
-        integrable, sff = _basic_field_violations(setup, p, core, gamma)
+        integrable, sff = _basic_field_violations(setup, p, core,
+                                                  bundle.gamma)
         sup_integrable = max(sup_integrable, integrable)
         sup_sff = max(sup_sff, sff)
         grad_inv = gradient_at(setup.total, setup.inv_lambda_sq_fn(), xs)

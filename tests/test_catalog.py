@@ -79,8 +79,9 @@ def test_unknown_example_rejected():
 
 def test_run_example_evaluates_each_ingredient_once(monkeypatch):
     # each per-point ingredient is computed once, outside the per-row
-    # loops: one Gamma and one Ricci matrix per point, one T/A vector per
-    # (row, point) read on every axis
+    # loops: one O'Neill bundle (Gamma, lambda^2, T, A, H) and one Ricci
+    # matrix per point, shared by every row and by the structure flags;
+    # the per-field T/A path is never taken
     counts = Counter()
 
     def counting(owner, name):
@@ -91,15 +92,15 @@ def test_run_example_evaluates_each_ingredient_once(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((geo, "christoffel_symbols"), (geo, "ricci_matrix_at"),
+    for owner, name in ((sub, "oneill_bundle"), (geo, "ricci_matrix_at"),
                         (sub, "oneill_T_at"), (sub, "oneill_A_at"),
                         (JetSpace, "seed")):
         counting(owner, name)
     rep = catalog.run_example("5.3")
     assert rep.counts["fail"] == 0
-    assert counts["christoffel_symbols"] == 12
-    assert counts["oneill_T_at"] + counts["oneill_A_at"] <= 48
-    assert counts["seed"] <= 560
+    assert counts["oneill_bundle"] == 12
+    assert counts["oneill_T_at"] + counts["oneill_A_at"] == 0
+    assert counts["seed"] <= 108
     counts.clear()
     catalog.run_example("5.1")
     assert counts["ricci_matrix_at"] == 10

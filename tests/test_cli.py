@@ -101,6 +101,22 @@ def test_tol_override_loosens(small_manifest):
     assert main(["verify", small_manifest, "--tol", "1"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_invalid_tol_is_usage_error(small_manifest, tol, capsys):
+    assert main(["verify", small_manifest, "--tol", tol]) == EXIT_USAGE
+    assert "tolerance" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "5.4", "--tol", tol])
+    assert exc.value.code == EXIT_USAGE
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_zero_tol_is_valid(small_manifest, capsys):
+    assert main(["verify", small_manifest, "--tol", "0",
+                 "--checks", "structure-flags"]) == EXIT_OK
+    assert main(["example", "5.4", "--tol", "0"]) == EXIT_OK
+
+
 def test_example_command(capsys):
     assert main(["example", "5.4"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -86,6 +86,20 @@ def test_overrides():
     assert set(job.checks) == set(KNOWN_CHECKS)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "tight"])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    # a NaN tolerance would fail every comparison and an infinite one
+    # pass every comparison, so neither is a usable bound
+    with pytest.raises(ManifestError, match="tolerance"):
+        parse_manifest(replace("tolerance", tol))
+    with pytest.raises(ManifestError, match="tolerance"):
+        parse_manifest(GOOD, overrides={"tolerance": tol})
+
+
+def test_zero_tolerance_is_valid():
+    assert parse_manifest(replace("tolerance", "0")).tolerance == 0.0
+
+
 def test_box_sampling_deterministic():
     box = [(-1.0, 1.0), (0.5, 2.0)]
     a = sample_box(box, 10, seed=42)

@@ -264,6 +264,7 @@ def test_oneill_bundle_matches_per_field_path(name, setup, points):
     for p in points:
         xs = list(p.coords)
         ctx = IdentityContext(setup, p)
+        bundle = sub.oneill_bundle(setup, p)
         t_ref = {}
         for a in range(m):
             for b in range(m):
@@ -273,6 +274,11 @@ def test_oneill_bundle_matches_per_field_path(name, setup, points):
                     setup, xs, const(e[a]), const(e[b])))
                 _assert_close(ctx.T(e[a], e[b]), t_ref[a, b], (name, "T"))
                 _assert_close(ctx.A(e[a], e[b]), a_ref, (name, "A"))
+                _assert_close(bundle.t[:, a, b], t_ref[a, b],
+                              (name, "bundle T"))
+                _assert_close(bundle.a[:, a, b], a_ref, (name, "bundle A"))
+        _assert_close(bundle.h, primal_array(sub.mean_curvature_at(setup, xs)),
+                      (name, "bundle H"))
         # H as the trace of T against P_v g^{-1}, summed pair by pair
         pv, _ = setup.projectors_at(xs)
         w = (np.asarray(pv, float)
