@@ -32,7 +32,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .expr import eval_expr, parse_expression, parse_predicate
-from .jets import EvaluationError, Jet, JetSpace, primal
+from .jets import EvaluationError, Jet, JetSpace, primal, primal_array
 from .linalg import mat_inverse, transpose
 
 
@@ -281,17 +281,11 @@ def riemann_from_christoffels(gamma, dgamma):
     return riem
 
 
-def ricci_at(chart, xs, xc, yc, riem=None):
+def ricci_at(chart, xs, xc, yc):
     """Ric(X, Y) = trace(Z -> R(Z, X)Y) at the point."""
-    if riem is None:
-        riem = curvature_tensor_at(chart, xs)
+    ric = ricci_matrix_at(chart, xs)
     m = chart.dim
-    acc = 0.0
-    for j in range(m):
-        for k in range(m):
-            coeff = sum(riem[i][k][i][j] for i in range(m))
-            acc = acc + coeff * xc[j] * yc[k]
-    return acc
+    return sum(ric[j][k] * xc[j] * yc[k] for j in range(m) for k in range(m))
 
 
 def ricci_matrix_at(chart, xs):
@@ -306,11 +300,6 @@ def scalar_curvature_at(chart, xs):
     ginv = inverse_metric_at(chart, xs)
     m = chart.dim
     return sum(ginv[j][k] * ric[j][k] for j in range(m) for k in range(m))
-
-
-def inner_at(g, u, v):
-    m = len(g)
-    return sum(g[i][j] * u[i] * v[j] for i in range(m) for j in range(m))
 
 
 def cov_deriv_along_at(chart, xs, x_comps, w_fn, gamma=None):
@@ -363,13 +352,15 @@ def laplacian_at(chart, f_fn, xs):
     return sum(ginv[i][j] * hess[i][j] for i in range(m) for j in range(m))
 
 
-def lie_derivative_metric_at(chart, xi_fn, xc, yc, xs):
-    """(L_xi g)(X, Y) = g(nabla_X xi, Y) + g(nabla_Y xi, X)."""
-    g = chart.metric_at(xs)
-    gamma = christoffels_at(chart, xs)
-    dx_xi = cov_deriv_along_at(chart, xs, xc, xi_fn, gamma)
-    dy_xi = cov_deriv_along_at(chart, xs, yc, xi_fn, gamma)
-    return inner_at(g, dx_xi, yc) + inner_at(g, dy_xi, xc)
+def lie_derivative_matrix(g, gamma, xi_fn, xs):
+    """(L_xi g)_ij over the coordinate basis at xs as a float matrix, from
+    one seeding of xi and the float metric g and Christoffel symbols
+    gamma at xs: L = g N + (g N)^T with N^k_i = d_i xi^k + Gamma^k_il xi^l
+    the components of nabla xi, since (L_xi g)(X, Y) = g(nabla_X xi, Y)
+    + g(nabla_Y xi, X)."""
+    xi, dxi = (primal_array(v) for v in coordinate_partials(xi_fn, xs))
+    gn = g @ (dxi.T + np.einsum("kil,l->ki", gamma, xi))
+    return gn + gn.T
 
 
 # ---------------------------------------------------------------------
@@ -390,14 +381,7 @@ def metric_matrix(chart, p):
 
 def christoffel_symbols(chart, p):
     metric_matrix(chart, p)
-    gamma = christoffels_at(chart, p.coords)
-    m = chart.dim
-    out = np.empty((m, m, m))
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                out[k, i, j] = primal(gamma[k][i][j])
-    return out
+    return primal_array(christoffels_at(chart, p.coords))
 
 
 def scalar_curvature(chart, p):
@@ -429,10 +413,12 @@ def laplacian(chart, f, p):
 
 def lie_derivative_metric(chart, xi_spec, x_spec, y_spec, p):
     xs = list(p.coords)
-    xc = [primal(v) for v in field_values_at(chart, x_spec, xs)]
-    yc = [primal(v) for v in field_values_at(chart, y_spec, xs)]
-    return primal(lie_derivative_metric_at(chart, field_fn(chart, xi_spec),
-                                           xc, yc, xs))
+    xc = primal_array(field_values_at(chart, x_spec, xs))
+    yc = primal_array(field_values_at(chart, y_spec, xs))
+    lie = lie_derivative_matrix(primal_array(chart.metric_at(xs)),
+                                primal_array(christoffels_at(chart, xs)),
+                                field_fn(chart, xi_spec), xs)
+    return float(xc @ lie @ yc)
 
 
 def orthonormalize_components(gmat, vectors, tol=1e-10):

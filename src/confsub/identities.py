@@ -11,38 +11,37 @@ seeding and contract in different ways, so a closed residual is
 evidence, not bookkeeping.  In terms of the arrays an
 ``IdentityContext`` holds for its point:
 
-- left side: ``riem`` (Riemann tensor of the total metric) and its
-  contraction ``ric_matrix``; T3.4 adds the total scalar curvature;
+- left side: ``riem`` (Riemann tensor of the total metric), its
+  contraction ``ric_matrix`` and, for T3.4, ``scalar_curvature``;
 - right side: the O'Neill tensors ``t_tensor`` and ``a_tensor``, their
   covariant derivatives (``dT``, ``dA``), f = 1/lambda^2 with
   ``grad_f`` and ``hess_f``, the mean curvatures ``h_vec`` and
   ``hp_vec`` with their covariant derivatives (``grad_h``,
-  ``grad_hprime``), and curvature computed on other charts: the fiber's
-  own slice chart (``fiber_curvature_intrinsic``,
-  ``fiber_ricci_intrinsic``) and the base chart (``base_R``,
-  ``base_ric``).
+  ``grad_hprime``), the lifts X_a of the base coordinate fields with
+  every nabla_{X_a} X_b (``basic_fields``), and curvature computed on
+  other charts: the fiber's own slice chart (``fiber_curvature_intrinsic``,
+  ``fiber_ricci_intrinsic``, ``fiber_scalar_intrinsic``) and the base
+  chart (``base_curvature``: Gamma^N, Riem^N, Ric^N; with
+  ``base_scalar_curvature``).
 
-The context's constructor evaluates only the float core that every check
-reads: the total metric ``g``, the Jacobian ``jac``, the frames
-``vframe`` and ``hframe``, the projectors ``pv`` and ``ph``, ``lam_sq``,
-``base_point`` and the base metric ``h_base``.  Everything else above
-(``riem``, ``ric_matrix``, ``gamma``, ``grad_f``, ``hess_f``,
-``vgrad_f``, ``hgrad_f``, ``t_tensor``, ``a_tensor``, ``h_vec``,
-``hp_vec``, the covariant derivatives, base and fiber curvature) is built
-on first read, once per context.
+The constructor evaluates only the float core every check reads: ``g``,
+``jac``, the frames ``vframe`` and ``hframe``, the projectors ``pv`` and
+``ph``, ``lam_sq``, ``base_point`` and the base metric ``h_base``.  Every
+other array is built on first read, once per context.
 
-Every derivative comes from one of three seedings, each at most two jet
-levels deep (the inner level is the metric or Jacobian seeding): Gamma
-with dGamma (order 1), f with df and d2f (order 2), and P_v with dP_v
-and d2P_v (order 2).  The rest is float arithmetic on these arrays.
-``submersion.oneill_contraction`` gives T and A from (P_v, dP_v,
-Gamma); H = trace_v(T) / (m - n), the trace taken against
-W = P_v g^{-1}; H' = -(lambda^2 / 2) P_v grad f.  The covariant
+Each derivative comes from one seeding, at most two jet levels deep (the
+inner level is the metric or Jacobian seeding): total Gamma with dGamma
+(order 1), f with df and d2f (order 2), P_v with dP_v and d2P_v (order
+2), the lift matrix (order 1), base Gamma^N with dGamma^N (order 1) and
+the fiber chart's Gamma with dGamma (order 1).  The rest is float
+arithmetic on these arrays.  ``submersion.oneill_contraction`` gives T and
+A from (P_v, dP_v, Gamma); H = trace_v(T) / (m - n), the trace taken
+against W = P_v g^{-1}; H' = -(lambda^2 / 2) P_v grad f.  The covariant
 derivatives follow by the product rule (``IdentityContext._nabla``),
 with d_l g_ij = g_iq Gamma^q_lj + g_jq Gamma^q_li,
 d g^{-1} = -g^{-1} (d g) g^{-1}, d P_h = -d P_v and
 d lambda^2 = -lambda^4 df, plus the Gamma terms that make a partial
-derivative covariant.
+derivative covariant.  Scalar curvatures are traces tr(g^{-1} Ric).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .jets import primal, primal_array
+from .jets import primal_array
 from .linalg import mat_inverse
 
 CURVATURE_CHECKS = ("G2.12", "G2.13", "G2.14", "G2.15", "G2.16")
@@ -123,6 +122,12 @@ def make_report(identity_id, point, lhs, rhs, hypotheses, tol,
 # ---------------------------------------------------------------------
 # per-point evaluation context
 # ---------------------------------------------------------------------
+
+def _trace(ginv, ric):
+    """Scalar curvature tr(g^{-1} Ric) from an inverse metric and its
+    Ricci matrix."""
+    return float(np.einsum("jk,jk->", ginv, ric))
+
 
 def _once(method):
     """Memoize a no-argument context method: a hypothesis is measured
@@ -359,23 +364,41 @@ class IdentityContext:
     def ric(self, x, y):
         return float(np.asarray(x) @ self.ric_matrix.T @ np.asarray(y))
 
-    def cov_deriv_along(self, v, field_fn):
-        comps = geo.cov_deriv_along_at(self.setup.total, self.xs,
-                                       list(v), field_fn)
-        return primal_array(comps)
+    @functools.cached_property
+    def scalar_curvature(self):
+        """s = tr(g^{-1} Ric) of the total metric."""
+        return _trace(self.ginv, self.ric_matrix)
+
+    @functools.cached_property
+    def basic_fields(self):
+        """(X, D, nabla) of ``sub.basic_field_derivatives``: the lifts X_a
+        of the base coordinate fields and every nabla_{X_a} X_b."""
+        return sub.basic_field_derivatives(self.setup, self.xs, self.gamma)
 
     # -- base curvature ---------------------------------------------------
 
     @functools.cached_property
-    def _base_riem(self):
-        return primal_array(geo.curvature_tensor_at(
-            self.setup.base, list(self.base_point.coords)))
+    def base_curvature(self):
+        """(Gamma^N, Riem^N, Ric^N) of the base metric at F(p), indexed
+        like ``gamma``, ``riem`` and ``ric_matrix``, from one seeding of
+        (Gamma^N, dGamma^N)."""
+        gamma, dgamma = geo.christoffel_partials_at(
+            self.setup.base, list(self.base_point.coords))
+        riem = primal_array(geo.riemann_from_christoffels(gamma, dgamma))
+        return primal_array(gamma), riem, np.einsum("ikij->jk", riem)
+
+    @functools.cached_property
+    def base_scalar_curvature(self):
+        """s^N = tr(h^{-1} Ric^N) at F(p)."""
+        return _trace(np.array(mat_inverse(self.h_base.tolist())),
+                      self.base_curvature[2])
 
     def base_R(self, wx, wy, wz):
-        return self._base_riem @ np.asarray(wy) @ np.asarray(wx) @ np.asarray(wz)
+        return (self.base_curvature[1] @ np.asarray(wy) @ np.asarray(wx)
+                @ np.asarray(wz))
 
     def base_ric(self, wx, wy):
-        ric = np.einsum("ikij->jk", self._base_riem)
+        ric = self.base_curvature[2]
         return float(np.asarray(wx) @ ric.T @ np.asarray(wy))
 
     # -- fiber intrinsic curvature ----------------------------------------
@@ -387,33 +410,40 @@ class IdentityContext:
 
     @functools.cached_property
     def _fiber_curvature(self):
-        """(vertical indices, fiber metric, fiber Riem) on the fiber chart."""
+        """(vertical indices, fiber metric, fiber Riem, fiber Ric) on the
+        fiber chart."""
         chart = self.fiber_chart
         if chart is None:
             raise sub.NotASubmersionError("fiber chart unavailable")
         fcoords = chart.fiber_coords(self.p)
+        riem = primal_array(geo.curvature_tensor_at(chart, fcoords))
         return (chart.vertical_indices, primal_array(chart.metric_at(fcoords)),
-                primal_array(geo.curvature_tensor_at(chart, fcoords)))
+                riem, np.einsum("ikij->jk", riem))
 
     def fiber_ricci_intrinsic(self, u, v):
         """Ric^v(U, V) from the fiber's own chart (independent of the
         ambient curvature); 0 for 1-dimensional fibers."""
         if self.m - self.n == 1:
             return 0.0
-        idx, _, riem = self._fiber_curvature
-        ric = np.einsum("ikij->jk", riem)
+        idx, _, _, ric = self._fiber_curvature
         return float(np.asarray(u)[idx] @ ric @ np.asarray(v)[idx])
 
     def fiber_curvature_intrinsic(self, u, v, w, s):
         """g(R^v(U, V)W, S) on the fiber chart."""
         if self.m - self.n == 1:
             return 0.0
-        idx, gf, riem = self._fiber_curvature
+        idx, gf, riem, _ = self._fiber_curvature
         u, v, w, s = (np.asarray(c)[idx] for c in (u, v, w, s))
         return float((riem @ v @ u @ w) @ gf @ s)
 
+    @_once
     def fiber_scalar_intrinsic(self):
-        return sub.intrinsic_fiber_scalar_curvature(self.setup, self.p)
+        """s^v = tr(g_v^{-1} Ric^v) on the fiber chart; 0 for
+        1-dimensional fibers."""
+        if self.m - self.n == 1:
+            return 0.0
+        _, gf, _, ric = self._fiber_curvature
+        return _trace(np.array(mat_inverse(gf.tolist())), ric)
 
     # -- structural hypotheses at this point ------------------------------
 
@@ -922,11 +952,10 @@ def verify_scalar_split(setup, p, tol=1e-6, ctx=None):
     """s = s^{KerF_*} + s^N / lam^2 for a totally geodesic map."""
     ctx = ctx or IdentityContext(setup, p)
     hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg(), ctx.hyp_fiber_chart()]
-    s_total = geo.scalar_curvature(setup.total, p)
     s_fiber = ctx.fiber_scalar_intrinsic()
-    s_base = geo.scalar_curvature(setup.base, ctx.base_point)
+    s_base = ctx.base_scalar_curvature
     rhs = s_fiber + s_base / ctx.lam_sq
-    return make_report("T3.4", p, s_total, rhs, hyps, tol,
+    return make_report("T3.4", p, ctx.scalar_curvature, rhs, hyps, tol,
                        terms={"s_fiber": s_fiber, "s_base/lam^2": s_base / ctx.lam_sq})
 
 
@@ -934,47 +963,36 @@ def verify_scalar_split(setup, p, tol=1e-6, ctx=None):
 # Lemma 2.1 and Lemma 2.2
 # ---------------------------------------------------------------------
 
-def verify_lemma_2_1(setup, xt_spec, yt_spec, p, tol=1e-6, ctx=None):
+def verify_lemma_2_1(setup, p, tol=1e-6, ctx=None):
+    """L2.1 for every pair of lifts X_a, X_b of the base coordinate
+    fields e_a, e_b: F_*(h nabla_{X_a} X_b) = nabla^N_{e_a} e_b
+    + (lam^2/2){X_a(f) F_*X_b + X_b(f) F_*X_a - g(X_a, X_b) F_*(h grad f)},
+    with nabla^N_{e_a} e_b = Gamma^N_ab."""
     ctx = ctx or IdentityContext(setup, p)
     hyps = [ctx.hyp_conformal()]
-    xs = ctx.xs
-    x_fn = setup.basic_field_fn(xt_spec)
-    y_fn = setup.basic_field_fn(yt_spec)
-    x_vals = [primal(v) for v in x_fn(xs)]
-    nabla_m = ctx.cov_deriv_along(np.array(x_vals), y_fn)
-    h_nabla = ctx.ph @ nabla_m
-    lhs_vec = ctx.push(h_nabla)
-    ys = list(ctx.base_point.coords)
-    xt_vals = [primal(v) for v in geo.field_values_at(setup.base, xt_spec, ys)]
-    nabla_n = np.array([primal(c) for c in geo.cov_deriv_along_at(
-        setup.base, ys, xt_vals, geo.field_fn(setup.base, yt_spec))])
-    y_vals = np.array([primal(v) for v in y_fn(xs)])
-    xf = ctx.direction_f(np.array(x_vals))
-    yf = ctx.direction_f(y_vals)
-    push_x, push_y = ctx.push(np.array(x_vals)), ctx.push(y_vals)
-    gxy = ctx.inner(np.array(x_vals), y_vals)
+    lift, _, nabla = ctx.basic_fields
+    lhs = np.einsum("ik,kab->iab", ctx.jac @ ctx.ph, nabla)
+    push = ctx.jac @ lift
+    xf = lift.T @ ctx.g @ ctx.grad_f
+    gxy = lift.T @ ctx.g @ lift
     correction = 0.5 * ctx.lam_sq * (
-        xf * push_y + yf * push_x - gxy * ctx.push(ctx.hgrad_f))
-    rhs_vec = nabla_n + correction
-    diff = lhs_vec - rhs_vec
-    res = math.sqrt(max(0.0, ctx.base_inner(diff, diff)))
-    scale = 1.0 + max(math.sqrt(max(0.0, ctx.base_inner(lhs_vec, lhs_vec))),
-                      math.sqrt(max(0.0, ctx.base_inner(rhs_vec, rhs_vec))))
-    rep = ResidualReport(
-        identity_id="L2.1", point=p,
-        lhs=math.sqrt(max(0.0, ctx.base_inner(lhs_vec, lhs_vec))),
-        rhs=math.sqrt(max(0.0, ctx.base_inner(rhs_vec, rhs_vec))),
-        abs_residual=res, rel_residual=res / scale,
-        hypotheses=list(hyps), verdict="")
-    return _finish(rep, tol)
+        np.einsum("a,ib->iab", xf, push) + np.einsum("b,ia->iab", xf, push)
+        - np.einsum("ab,i->iab", gxy, ctx.push(ctx.hgrad_f)))
+    rhs = ctx.base_curvature[0] + correction
+    lhs_n, rhs_n, res = (sub.pair_norms(ctx.h_base, w)
+                         for w in (lhs, rhs, lhs - rhs))
+    return [_finish(ResidualReport(
+        identity_id="L2.1", point=p, lhs=lhs_n[a, b], rhs=rhs_n[a, b],
+        abs_residual=res[a, b],
+        rel_residual=res[a, b] / (1.0 + max(lhs_n[a, b], rhs_n[a, b])),
+        hypotheses=list(hyps), verdict=""), tol)
+        for a in range(ctx.n) for b in range(ctx.n)]
 
 
-def verify_hessian_symmetry(chart, f, p, tol=1e-9):
-    hess = geo.hessian_matrix_at(chart, geo.scalar_fn(chart, f),
-                                 list(p.coords))
-    m = chart.dim
-    worst = max(abs(primal(hess[i][j]) - primal(hess[j][i]))
-                for i in range(m) for j in range(m))
+def verify_hessian_symmetry(setup, p, tol=1e-9, ctx=None):
+    """L2.2: the Hessian of f = 1/lambda^2 is symmetric."""
+    ctx = ctx or IdentityContext(setup, p)
+    worst = float(np.max(np.abs(ctx.hess_f - ctx.hess_f.T)))
     rep = ResidualReport(
         identity_id="L2.2", point=p, lhs=worst, rhs=0.0,
         abs_residual=worst, rel_residual=worst, hypotheses=[], verdict="")
@@ -985,8 +1003,7 @@ def verify_hessian_symmetry(chart, f, p, tol=1e-9):
 # dispatcher
 # ---------------------------------------------------------------------
 
-def run_check(check_id, setup, p, tol=1e-6, ctx=None, base_fields=None,
-              scalar_field=None):
+def run_check(check_id, setup, p, tol=1e-6, ctx=None):
     """Run one check id at one point; returns a list of ResidualReport."""
     ctx = ctx or IdentityContext(setup, p)
     if check_id in CURVATURE_CHECKS:
@@ -1002,17 +1019,7 @@ def run_check(check_id, setup, p, tol=1e-6, ctx=None, base_fields=None,
     if check_id == "T3.4":
         return [verify_scalar_split(setup, p, tol=tol, ctx=ctx)]
     if check_id == "L2.1":
-        fields = base_fields
-        if fields is None:
-            fields = [geo.VectorFieldSpec.constant(
-                [1.0 if b == a else 0.0 for b in range(setup.n)])
-                for a in range(setup.n)]
-        out = []
-        for xt in fields:
-            for yt in fields:
-                out.append(verify_lemma_2_1(setup, xt, yt, p, tol=tol, ctx=ctx))
-        return out
+        return verify_lemma_2_1(setup, p, tol=tol, ctx=ctx)
     if check_id == "L2.2":
-        f_fn = scalar_field if scalar_field is not None else setup.inv_lambda_sq_fn()
-        return [verify_hessian_symmetry(setup.total, f_fn, p, tol=max(tol, 1e-9))]
+        return [verify_hessian_symmetry(setup, p, tol=max(tol, 1e-9), ctx=ctx)]
     raise ValueError(f"unknown check id {check_id!r}")

@@ -78,8 +78,7 @@ _CONVENTION_SENSITIVE_SOLITON = ("base-soliton",)
 
 
 def _soliton_record(check_id, sr):
-    worst = max(sr.per_point, key=lambda d: d.get("residual", 0.0),
-                default=None)
+    worst = max(sr.per_point, key=lambda d: d[sr.worst_key], default=None)
     point = list(worst["point"].coords) if worst else []
     terms = {}
     if worst:
@@ -146,15 +145,18 @@ def _run_soliton_checks(job, checks, records, contexts):
             records.append(_skipped(
                 check_id, "manifest declares no soliton.xi field"))
         return
-    fit = sol.fit_mu(setup.total, xi, points)
-    mu = job.mu if job.mu is not None else fit.mu
+    mu = job.mu
+    # every check but conformal-fit reads mu, fitted when none is declared
+    if "fit-mu" in checks or (
+            mu is None and any(c != "conformal-fit" for c in needs_xi)):
+        fit = sol.fit_mu(setup.total, xi, points)
+        mu = fit.mu if mu is None else mu
     if "fit-mu" in checks:
-        declared = job.mu if job.mu is not None else fit.mu
-        residual = max(fit.max_residual, abs(fit.mu - declared))
+        residual = max(fit.max_residual, abs(fit.mu - mu))
         verdict = "pass" if residual <= tol else "fail"
         worst = max(fit.per_point, key=lambda pr: pr[1])
         records.append(_fit_record(
-            "fit-mu", worst[0].coords, fit.mu, declared, residual, verdict,
+            "fit-mu", worst[0].coords, fit.mu, mu, residual, verdict,
             {"fitted_mu": fit.mu, "equation_residual": fit.max_residual},
             note=f"soliton constant fit: {fit.classification}"))
     if "conformal-fit" in checks:
@@ -259,9 +261,11 @@ def _record_lines(records):
     for rec in records:
         by_id.setdefault(rec["id"], []).append(rec)
     for check_id, recs in by_id.items():
-        worst = max(recs, key=lambda r: r["rel_residual"])
+        # a failing record outranks any other, however large its residual
+        fails = [r for r in recs if r["verdict"] == "fail"]
+        worst = max(fails or recs, key=lambda r: r["rel_residual"])
         tag = _VERDICT_TAG[worst["verdict"]]
-        n_fail = sum(r["verdict"] == "fail" for r in recs)
+        n_fail = len(fails)
         extra = ""
         if n_fail and worst["convention_sensitive"]:
             extra = "  [convention-sensitive: flagged, not counted as failure]"

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry as geo
 from . import submersion as sub
 from .identities import Hypothesis, IdentityContext, ResidualReport, _finish
-from .jets import primal
+from .jets import primal, primal_array
 
 
 @dataclass
@@ -44,6 +44,9 @@ class SolitonReport:
     fitted_constant: float = None
     verdict: str = ""
     note: str = ""
+    # the per-point entry whose largest value sets max_residual; the
+    # point with that value is the report's worst point
+    worst_key: str = "residual"
 
 
 def _classify(mu, tol):
@@ -54,52 +57,49 @@ def _classify(mu, tol):
     return "steady"
 
 
-def _chart_frame(chart, p):
-    g = [[primal(v) for v in row] for row in chart.metric_at(list(p.coords))]
-    basis = [[1.0 if j == i else 0.0 for j in range(chart.dim)]
-             for i in range(chart.dim)]
-    vecs = geo.orthonormalize_components(g, basis)
-    return np.array(g), [np.asarray(v) for v in vecs]
+def _frame(g):
+    """Orthonormal frame from the coordinate basis, one vector per row."""
+    return np.array(geo.orthonormalize_components(g, np.eye(len(g))))
 
 
-def _soliton_form(chart, xi_fn, p, frame=None):
-    """Matrix of (1/2)(L_xi g) + Ric over an orthonormal frame, plus the
-    frame Gram matrix (identity) for the fit."""
-    xs = list(p.coords)
-    gmat, vecs = _chart_frame(chart, p) if frame is None else frame
-    ric = geo.ricci_matrix_at(chart, xs)
-    ric = np.array([[primal(v) for v in row] for row in ric])
-    k = len(vecs)
-    out = np.empty((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            lie = primal(geo.lie_derivative_metric_at(
-                chart, xi_fn, list(vecs[a]), list(vecs[b]), xs))
-            val = 0.5 * lie + float(vecs[a] @ ric.T @ vecs[b])
-            out[a, b] = out[b, a] = val
-    return out
+def _chart_curvature(chart, xs):
+    """(g, Gamma, Ric) of a chart at xs as float arrays, Gamma and Ric
+    from one seeding of the Christoffel symbols."""
+    gamma, dgamma = geo.christoffel_partials_at(chart, xs)
+    ric = np.einsum("ikij->jk",
+                    primal_array(geo.riemann_from_christoffels(gamma, dgamma)))
+    return primal_array(chart.metric_at(xs)), primal_array(gamma), ric
+
+
+def _soliton_form(g, gamma, ric, xi_fn, xs):
+    """Matrix of (1/2)(L_xi g) + Ric over the orthonormal frame of g
+    (whose Gram matrix is the identity, for the fit)."""
+    frame = _frame(g)
+    lie = geo.lie_derivative_matrix(g, gamma, xi_fn, xs)
+    return frame @ (0.5 * lie + ric.T) @ frame.T
+
+
+def _field_fn(chart, xi):
+    return xi if callable(xi) else geo.field_fn(chart, xi)
 
 
 def soliton_residual(chart, xi, mu, p, x, y):
     """(1/2)(L_xi g)(X,Y) + Ric(X,Y) + mu g(X,Y) at p."""
     xs = list(p.coords)
-    xi_fn = xi if callable(xi) else geo.field_fn(chart, xi)
-    xc = list(x.components) if isinstance(x, geo.TangentVector) else list(x)
-    yc = list(y.components) if isinstance(y, geo.TangentVector) else list(y)
-    lie = primal(geo.lie_derivative_metric_at(chart, xi_fn, xc, yc, xs))
-    ric = primal(geo.ricci_at(chart, xs, xc, yc))
-    g = chart.metric_at(xs)
-    gxy = primal(sum(g[i][j] * xc[i] * yc[j]
-                     for i in range(chart.dim) for j in range(chart.dim)))
-    return 0.5 * lie + ric + mu * gxy
+    g, gamma, ric = _chart_curvature(chart, xs)
+    lie = geo.lie_derivative_matrix(g, gamma, _field_fn(chart, xi), xs)
+    xc, yc = (np.asarray(v.components if isinstance(v, geo.TangentVector)
+                         else v, dtype=float) for v in (x, y))
+    return float(xc @ (0.5 * lie + ric + mu * g) @ yc)
 
 
 def fit_mu(chart, xi, points, tol=1e-9):
     """Least-squares mu over all orthonormal frame pairs and points."""
     if not points:
         raise ValueError("fit_mu needs at least one point")
-    xi_fn = xi if callable(xi) else geo.field_fn(chart, xi)
-    forms = [_soliton_form(chart, xi_fn, p) for p in points]
+    xi_fn = _field_fn(chart, xi)
+    forms = [_soliton_form(*_chart_curvature(chart, list(p.coords)), xi_fn,
+                           list(p.coords)) for p in points]
     # minimizing sum (l_ab + mu*delta_ab)^2 gives mu = -mean of traces
     num = sum(np.trace(f) for f in forms)
     den = chart.dim * len(points)
@@ -116,18 +116,16 @@ def fit_mu(chart, xi, points, tol=1e-9):
 
 def conformal_field_fit(chart, xi, points, tol=1e-9):
     """Fit (L_xi g) = 2 f g pointwise; f from the trace."""
-    xi_fn = xi if callable(xi) else geo.field_fn(chart, xi)
+    xi_fn = _field_fn(chart, xi)
     f_values = []
     worst = 0.0
     for p in points:
         xs = list(p.coords)
-        gmat, vecs = _chart_frame(chart, p)
-        k = len(vecs)
-        lie = np.empty((k, k))
-        for a in range(k):
-            for b in range(a, k):
-                lie[a, b] = lie[b, a] = primal(geo.lie_derivative_metric_at(
-                    chart, xi_fn, list(vecs[a]), list(vecs[b]), xs))
+        g = primal_array(chart.metric_at(xs))
+        gamma = primal_array(geo.christoffels_at(chart, xs))
+        frame = _frame(g)
+        lie = frame @ geo.lie_derivative_matrix(g, gamma, xi_fn, xs) @ frame.T
+        k = len(frame)
         f = float(np.trace(lie)) / (2.0 * k)
         worst = max(worst, float(np.max(np.abs(lie - 2.0 * f * np.eye(k)))))
         f_values.append((p, f))
@@ -162,7 +160,7 @@ def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
     (1/2){g(nabla_U xi_v, V) + g(nabla_V xi_v, U)} + Ric^v(U,V) + f g(U,V)
     with f evaluated from its closed form per point.  ``contexts`` are
     the points' IdentityContexts when the caller already built them."""
-    xi_fn = xi if callable(xi) else geo.field_fn(setup.total, xi)
+    xi_fn = _field_fn(setup.total, xi)
     xi_v_fn = setup.vertical_project_fn(xi_fn)
     per_point = []
     worst = 0.0
@@ -172,14 +170,11 @@ def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
                          _umbilical_hyp(ctx),
                          ctx.hyp_horizontal_tg()])
         k = ctx.m - ctx.n
-        lform = np.empty((k, k))
-        for i in range(k):
-            for j in range(i, k):
-                u, v = ctx.vframe[i], ctx.vframe[j]
-                lie = (ctx.inner(ctx.cov_deriv_along(u, xi_v_fn), v)
-                       + ctx.inner(ctx.cov_deriv_along(v, xi_v_fn), u))
-                lform[i, j] = lform[j, i] = (
-                    0.5 * lie + ctx.fiber_ricci_intrinsic(u, v))
+        vframe = np.array(ctx.vframe)
+        lie = geo.lie_derivative_matrix(ctx.g, ctx.gamma, xi_v_fn, ctx.xs)
+        lform = 0.5 * (vframe @ lie @ vframe.T) + np.array(
+            [[ctx.fiber_ricci_intrinsic(u, v) for v in vframe]
+             for u in vframe])
         fitted = -float(np.trace(lform)) / k
         xi_vals = np.array([primal(c) for c in xi_fn(ctx.xs)])
         xi_h = ctx.ph @ xi_vals
@@ -204,18 +199,19 @@ def base_soliton_report(setup, xi, mu, points, xi_base=None, tol=1e-6,
     defaults to zero.  A per-point projection residual compares it with
     the actual pushforward of the horizontal part of ``xi``.
     """
-    xi_fn = xi if callable(xi) else geo.field_fn(setup.total, xi)
+    xi_fn = _field_fn(setup.total, xi)
     if xi_base is None:
         xi_base = geo.VectorFieldSpec.constant([0.0] * setup.n)
-    xi_base_fn = (xi_base if callable(xi_base)
-                  else geo.field_fn(setup.base, xi_base))
+    xi_base_fn = _field_fn(setup.base, xi_base)
     per_point = []
     worst = 0.0
     hyp_sets = []
     for p, ctx in zip(points, _contexts(setup, points, contexts)):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
                          ctx.hyp_fibers_tg(), ctx.hyp_horizontal_integrable()])
-        lform = _soliton_form(setup.base, xi_base_fn, ctx.base_point)
+        base_gamma, _, base_ric = ctx.base_curvature
+        lform = _soliton_form(ctx.h_base, base_gamma, base_ric, xi_base_fn,
+                              list(ctx.base_point.coords))
         fitted = -float(np.trace(lform)) / setup.n
         formula = _base_formula_value(ctx, xi_fn, mu)
         res = float(np.max(np.abs(lform + formula * np.eye(setup.n))))
@@ -255,15 +251,15 @@ def _base_formula_value(ctx, xi_fn, mu):
 def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6, contexts=None):
     """s(p) = -mu*m for a totally geodesic map; also reports the spread
     of s over the points (constancy check)."""
-    values = [geo.scalar_curvature(setup.total, p) for p in points]
+    ctxs = list(_contexts(setup, points, contexts))
+    values = [ctx.scalar_curvature for ctx in ctxs]
     m = setup.m
     worst_idx = max(range(len(points)), key=lambda i: abs(values[i] + mu * m))
     lhs = values[worst_idx]
     rhs = -mu * m
     terms = {f"s@{i}": v for i, v in enumerate(values)}
     terms["spread"] = max(values) - min(values)
-    ctx = (contexts[worst_idx] if contexts is not None
-           else IdentityContext(setup, points[worst_idx]))
+    ctx = ctxs[worst_idx]
     hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg()]
     abs_res = abs(lhs - rhs)
     scale = 1.0 + max(abs(lhs), abs(rhs))
@@ -314,6 +310,8 @@ def harmonicity_report(setup, xi, mu, points, tol=1e-6, contexts=None):
         target="total", hypotheses=hyps, per_point=per_point,
         max_residual=max(worst_tension if scalar_matches else 0.0,
                          worst_scalar if harmonic else 0.0),
+        worst_key=("scalar_gap" if harmonic and not scalar_matches
+                   else "tension_norm"),
         note=(f"harmonic={harmonic} scalar-side={scalar_matches}; "
               "equivalence " + ("holds" if harmonic == scalar_matches
                                 else "VIOLATED")))

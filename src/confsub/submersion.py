@@ -502,40 +502,40 @@ def _gnorm(g, v):
     return math.sqrt(max(0.0, float(arr @ g @ arr)))
 
 
+def basic_field_derivatives(setup, xs, gamma):
+    """(X, D, nabla) for the horizontal lifts X_a of the base coordinate
+    fields at xs, as float arrays from one order-1 seeding of the lift
+    matrix: X[i, a] = X_a^i, D[k, a, b] = X_a(X_b^k) and
+    nabla[k, a, b] = (nabla_{X_a} X_b)^k = D[k, a, b]
+    + Gamma^k_ij X_a^i X_b^j, with ``gamma`` the total Christoffel
+    symbols at xs.  The bracket [X_a, X_b] is D[:, a, b] - D[:, b, a]."""
+    lift, dlift = (primal_array(v) for v in geo.coordinate_partials(
+        lambda zs: setup._core_matrices_at(zs)[4], xs))
+    d = np.einsum("la,lkb->kab", lift, dlift)
+    return lift, d, d + np.einsum("kij,ia,jb->kab", gamma, lift, lift)
+
+
+def pair_norms(g, vecs):
+    """|vecs[:, a, b]| in the metric g for every pair (a, b)."""
+    return np.sqrt(np.maximum(0.0, np.einsum("kab,kl,lab->ab", vecs, g,
+                                             vecs)))
+
+
 def _basic_field_violations(setup, p, core, gamma):
     """(integrability, second fundamental form) violations at p over the
-    horizontal lifts X_a of the base coordinate fields: sup |v[X_a, X_b]|
-    normalized to unit horizontal vectors, and sup |(nabla F_*)(X_a, X_b)|
-    with (nabla F_*)(X_a, X_b) = Gamma^N_ab - F_*(nabla_{X_a} X_b).  The
-    X_a are the columns of the lift matrix, X_a^i = lift[i][a], so one
-    seeding of it gives every bracket and every nabla_{X_a} X_b; ``core``
-    is ``setup.float_core(p)`` and ``gamma`` the total ``christoffels_at``
-    at p."""
-    xs = list(p.coords)
-    g, jac, pv, h_base = core.g, core.jac, core.pv, core.h_base
-    base_gamma = geo.christoffels_at(setup.base, list(core.base_point.coords))
-    lift, dlift = geo.coordinate_partials(
-        lambda zs: setup._core_matrices_at(zs)[4], xs)
-    m, n = setup.m, setup.n
-    norms = [_gnorm(g, [lift[i][a] for i in range(m)]) for a in range(n)]
-    sup_bracket = sup_sff = 0.0
-    for a in range(n):
-        for b in range(n):
-            if b > a:
-                bracket = [sum(lift[i][a] * dlift[i][k][b]
-                               - lift[i][b] * dlift[i][k][a]
-                               for i in range(m)) for k in range(m)]
-                scale = max(norms[a] * norms[b], 1e-30)
-                sup_bracket = max(sup_bracket,
-                                  _gnorm(g, mat_vec(pv, bracket)) / scale)
-            nabla = [sum(lift[i][a] * dlift[i][k][b] for i in range(m))
-                     + sum(gamma[k][i][j] * lift[i][a] * lift[j][b]
-                           for i in range(m) for j in range(m))
-                     for k in range(m)]
-            pushed = jac @ np.array(nabla)
-            sff = [base_gamma[k][a][b] - float(pushed[k]) for k in range(n)]
-            sup_sff = max(sup_sff, _gnorm(h_base, sff))
-    return sup_bracket, sup_sff
+    lifts X_a of ``basic_field_derivatives``: sup |v[X_a, X_b]| normalized
+    to unit vectors, and sup |Gamma^N_ab - F_*(nabla_{X_a} X_b)|; ``core``
+    is ``setup.float_core(p)`` and ``gamma`` the total Gamma at p."""
+    lift, d, nabla = basic_field_derivatives(setup, list(p.coords), gamma)
+    g = core.g
+    base_gamma = primal_array(geo.christoffels_at(
+        setup.base, list(core.base_point.coords)))
+    norms = np.sqrt(np.maximum(0.0, np.einsum("ia,ij,ja->a", lift, g, lift)))
+    vert = np.einsum("ki,iab->kab", core.pv, d - d.transpose(0, 2, 1))
+    brackets = pair_norms(g, vert) / np.maximum(np.outer(norms, norms), 1e-30)
+    sff = base_gamma - np.einsum("ik,kab->iab", core.jac, nabla)
+    return (float(np.max(np.triu(brackets, 1), initial=0.0)),
+            float(np.max(pair_norms(core.h_base, sff))))
 
 
 def structure_flags(setup, points, tol=1e-8, bundles=None):

@@ -218,6 +218,38 @@ def test_lie_derivative_of_metric_flat_killing():
         assert abs(val) <= 1e-12
 
 
+# non-Killing fields with their partials dxi[i][k] = d_i xi^k by hand
+LIE_CASES = [
+    (HYPERBOLIC, ("x1*x2", "x2^2/2"),
+     lambda x: [[x[1], 0.0], [x[0], x[1]]], HYP_POINTS[:4]),
+    (CURVED, ("x2*x3", "x1^2", "sin(x1)"),
+     lambda x: [[0.0, 2 * x[0], math.cos(x[0])], [x[2], 0.0, 0.0],
+                [x[1], 0.0, 0.0]],
+     sample([(-1.0, 1.0)] * 3, 4, seed=5))]
+
+
+@pytest.mark.parametrize("chart_,texts,dxi,points", LIE_CASES,
+                         ids=["hyperbolic", "curved-3d"])
+def test_lie_derivative_matrix_matches_coordinate_form(chart_, texts, dxi,
+                                                       points):
+    # (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k, with the
+    # metric partials from their own seeding and no Christoffel symbols
+    spec = chart_.field(*texts)
+    for p in points:
+        xs = list(p.coords)
+        g, dg = (np.array(a, float)
+                 for a in geo.metric_partials_at(chart_, xs))
+        xi = np.array(geo.field_values_at(chart_, spec, xs), float)
+        d = np.array(dxi(xs))
+        ref = (np.einsum("k,kij->ij", xi, dg) + np.einsum("kj,ik->ij", g, d)
+               + np.einsum("ik,jk->ij", g, d))
+        got = geo.lie_derivative_matrix(
+            g, np.array(geo.christoffels_at(chart_, xs), float),
+            geo.field_fn(chart_, spec), xs)
+        assert np.abs(ref).max() > 0.1  # not a Killing field
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
 def test_hessian_is_symmetric():
     f = HYPERBOLIC.scalar("x1*x1*x2 + exp(x2)")
     p = Point((0.4, 0.9))

@@ -208,3 +208,73 @@ def test_failing_ingredient_no_check_reads_does_not_abort():
     rep = report.run_job(parse_manifest(CUSP.format(checks="G2.12")))
     assert [r["verdict"] for r in rep.records] == ["pass", "pass"]
     assert rep.exit_code == 0
+
+
+def test_seedings_per_point_with_every_check(monkeypatch):
+    # checks = all on the shipped 5.3 manifest: every identity and soliton
+    # report contracts per-point arrays, so the seedings per point are the
+    # context's ingredients, the lift matrix, one xi seeding per Lie
+    # matrix, the tension field and structure_flags
+    counts = Counter()
+    _count_calls(monkeypatch, counts, ((JetSpace, "seed"),))
+    job = catalog.load_job("5.3")
+    assert "harmonicity" in job.checks and "L2.1" in job.checks
+    report.run_job(job)
+    assert counts["seed"] / len(job.points) <= 50
+
+
+def test_harmonicity_record_shows_worst_point():
+    # neither side of the equivalence holds on 5.3, so the record shows
+    # the point of the largest tension, here the second one
+    job = catalog.load_job("5.3")
+    job.points = [geo.Point((0.0, 1.5, 1.5)), geo.Point((0.0, 1.5, 3.0))]
+    job.checks = ["harmonicity"]
+    rec, = report.run_job(job).records
+    assert rec["point"] == [0.0, 1.5, 3.0]
+    assert rec["terms"]["tension_norm"] == pytest.approx(3.0, rel=1e-12)
+
+
+def _synthetic(verdict, point, rel, lhs=0.0, rhs=0.0):
+    return {"kind": "identity", "id": "R3.11", "label": "",
+            "point": list(point), "lhs": lhs, "rhs": rhs,
+            "abs_residual": rel, "rel_residual": rel,
+            "hypotheses": [{"name": "conformal", "satisfied":
+                            verdict != "hypothesis-not-met",
+                            "violation": 0.0}],
+            "verdict": verdict, "convention_sensitive": False,
+            "terms": {}, "note": ""}
+
+
+def test_text_worst_line_comes_from_failing_records():
+    # a hypothesis-not-met record with a larger residual must not hide
+    # the hard fail
+    records = [_synthetic("fail", (1.0, 2.0), 0.5, lhs=1.25, rhs=0.75),
+               _synthetic("hypothesis-not-met", (9.0, 9.0), 7.0),
+               _synthetic("pass", (3.0, 3.0), 0.0)]
+    rep = report.Report(
+        job={"total_dim": 2, "base_dim": 1, "total_coords": ["x1", "x2"],
+             "base_coords": ["y1"], "lambda_sq_range": [1.0, 1.0],
+             "n_points": 3, "checks": ["R3.11"]},
+        records=records, counts=report.count_verdicts(records),
+        meta={"tolerance": 1e-6})
+    text = report.to_text(rep)
+    assert "[FAIL] R3.11" in text
+    assert "worst failing point (1.0, 2.0): lhs=1.25 rhs=0.75" in text
+    assert "(9.0, 9.0)" not in text and "[SKIP]" not in text
+
+
+@pytest.mark.parametrize("checks,mu,fits", [
+    ("fiber-soliton", "soliton.mu = 2", 0),
+    ("fiber-soliton, conformal-fit, harmonicity", "soliton.mu = 2", 0),
+    ("fit-mu, fiber-soliton", "soliton.mu = 2", 1),
+    ("conformal-fit", "", 0),
+    ("conformal-fit, scalar-mu", "", 1)])
+def test_fit_mu_runs_only_when_needed(monkeypatch, checks, mu, fits):
+    # mu is fitted for the fit-mu record, or when the manifest declares
+    # none and a check reads it
+    counts = Counter()
+    _count_calls(monkeypatch, counts, ((report.sol, "fit_mu"),))
+    extra = "fields.xi  = total : 0, 0\nsoliton.xi = xi\n" + mu
+    rep = report.run_job(make_job(checks, extra=extra))
+    assert len(rep.records) == len(checks.split(","))
+    assert counts["fit_mu"] == fits

@@ -379,6 +379,49 @@ def _per_pair_violations(setup, p):
     return worst_bracket, worst_sff
 
 
+def test_basic_field_derivatives_match_per_pair_path(riemannian_setups):
+    # L2.1 reads every nabla_{X_a} X_b of the lifted base coordinate
+    # fields from one seeding of the lift matrix, through the context;
+    # the per-pair path seeds each lifted field on its own
+    for name, setup, box in riemannian_setups:
+        e = basis(setup.n)
+        lifts = [setup.basic_field_fn(VectorFieldSpec.constant(ea))
+                 for ea in e]
+        for p in sample(box, 2, seed=23):
+            xs = list(p.coords)
+            lift, d, nabla = IdentityContext(setup, p).basic_fields
+            for a in range(setup.n):
+                xa = primal_array(lifts[a](xs))
+                _assert_close(lift[:, a], xa, (name, "X", a))
+                for b in range(setup.n):
+                    ref = primal_array(geo.cov_deriv_along_at(
+                        setup.total, xs, list(xa), lifts[b]))
+                    _assert_close(nabla[:, a, b], ref, (name, "nabla", a, b))
+                    bracket = primal_array(
+                        geo.lie_bracket_at(lifts[a], lifts[b], xs))
+                    _assert_close(d[:, a, b] - d[:, b, a], bracket,
+                                  (name, "bracket", a, b))
+
+
+def test_context_scalar_curvatures_match_reference(riemannian_setups):
+    # T3.4 and scalar-mu contract the context's Ricci matrices; the
+    # reference paths seed the total, base and fiber curvature on their own
+    cases = [(name, setup, sample(box, 2, seed=24))
+             for name, setup, box in riemannian_setups]
+    cases.append(("warped-4to2", WARPED_4TO2, [Point((0.2, -0.4, 0.5, 1.1))]))
+    for name, setup, points in cases:
+        for p in points:
+            ctx = IdentityContext(setup, p)
+            _assert_close(ctx.scalar_curvature,
+                          geo.scalar_curvature(setup.total, p), (name, "s"))
+            _assert_close(ctx.base_scalar_curvature,
+                          geo.scalar_curvature(setup.base, ctx.base_point),
+                          (name, "s^N"))
+            _assert_close(ctx.fiber_scalar_intrinsic(),
+                          sub.intrinsic_fiber_scalar_curvature(setup, p),
+                          (name, "s^fiber"))
+
+
 _TWISTED = next(case for case in riemannian_corpus()
                 if case[0] == "twisted-3to2")
 FLAG_CASES = BUNDLE_CASES + [
