@@ -20,9 +20,7 @@ from . import geometry as geo
 from . import submersion as sub
 from .expr import eval_expr, parse_expression
 from .jets import primal
-from .manifest import parse_manifest
-
-EXAMPLE_IDS = ("5.1", "5.2", "5.3", "5.4")
+from .manifest import EXAMPLE_IDS, parse_manifest
 
 _MANIFEST_FILES = {
     "5.1": "example_5_1.cfsm",
@@ -239,7 +237,8 @@ def run_example(example_id, tol=1e-6, points=None):
         rows.append(_compare(name, provenance, samples, tol))
 
     # every row at a point reads the point's one O'Neill bundle
-    bundles = [sub.oneill_bundle(setup, p) for p in points]
+    bundles = [sub.oneill_bundle(setup, p, core=core)
+               for p, core in zip(points, setup.float_cores(points))]
 
     # Christoffel symbols, every index triple (sparse expected, default 0)
     for k in range(1, m + 1):

@@ -311,7 +311,9 @@ def parse_predicate(text, coords=None):
 
 def eval_expr(node, env):
     """Evaluate an AST against ``env`` mapping coordinate names to
-    scalars (floats or jets)."""
+    scalars (floats or jets) or to float arrays over a point axis, which
+    evaluates the AST at every point at once; a subexpression free of
+    coordinates stays a float."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Coord):
@@ -331,7 +333,7 @@ def eval_expr(node, env):
                 return left - right
             if node.op == "*":
                 return left * right
-            return left / right
+            return jets.sdiv(left, right)
         except jets.EvaluationError as exc:
             raise jets.EvaluationError(f"{exc} in {to_text(node)!r}") from None
         except ZeroDivisionError:
@@ -356,7 +358,7 @@ def eval_expr(node, env):
     if isinstance(node, BoolOp):
         left = eval_expr(node.left, env)
         right = eval_expr(node.right, env)
-        return (left and right) if node.op == "and" else (left or right)
+        return (left & right) if node.op == "and" else (left | right)
     raise TypeError(f"not an expression node: {node!r}")
 
 

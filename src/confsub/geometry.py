@@ -368,14 +368,50 @@ def lie_derivative_matrix(g, gamma, xi_fn, xs):
 # ---------------------------------------------------------------------
 
 def metric_matrix(chart, p):
-    if not chart.contains(p):
-        raise EvaluationError(f"point {p.coords} outside chart domain")
-    g = np.array([[primal(v) for v in row] for row in chart.metric_at(p.coords)])
+    """The metric at p as a float matrix; raises outside the chart's
+    domain and where it is not positive definite."""
+    return metric_matrices(chart, batch_coordinates([p.coords]), 1)[0]
+
+
+def batch_coordinates(rows):
+    """Coordinate values of a batch of points for ``eval_expr``: one float
+    array over the points per coordinate, or the coordinates of a single
+    point as floats, which take the scalar functions' float branches and
+    raise exactly what they raise."""
+    if len(rows) == 1:
+        return [float(c) for c in rows[0]]
+    return list(np.array(rows, dtype=float).T)
+
+
+def stack_points(values, count):
+    """(count, *shape) float array of a nested list whose entries are
+    float arrays over a point axis or floats shared by every point."""
+    shape, flat = [count], [values]
+    while isinstance(flat[0], (list, tuple)):
+        shape.append(len(flat[0]))
+        flat = [c for row in flat for c in row]
+    out = np.empty((count, len(flat)))
+    for i, v in enumerate(flat):
+        out[:, i] = v
+    return out.reshape(shape)
+
+
+def metric_matrices(chart, xs, count):
+    """``metric_matrix`` at ``count`` points from one evaluation of the
+    metric: ``xs`` holds one float array over the points per coordinate,
+    or the coordinates of the one point as floats.  Returns a
+    (count, dim, dim) array and raises what ``metric_matrix`` raises,
+    naming the point when there is one."""
+    where = tuple(map(float, xs)) if count == 1 else f"one of {count} points"
+    if chart.domain is not None and not np.all(
+            eval_expr(chart.domain, chart.env(xs))):
+        raise EvaluationError(f"point {where} outside chart domain")
+    g = stack_points(chart.metric_at(xs), count)
     try:
-        np.linalg.cholesky(0.5 * (g + g.T))
+        np.linalg.cholesky(0.5 * (g + g.transpose(0, 2, 1)))
     except np.linalg.LinAlgError:
         raise DegenerateMetricError(
-            f"metric is not positive definite at {p.coords}") from None
+            f"metric is not positive definite at {where}") from None
     return g
 
 
@@ -423,19 +459,34 @@ def lie_derivative_metric(chart, xi_spec, x_spec, y_spec, p):
 
 def orthonormalize_components(gmat, vectors, tol=1e-10):
     """Stabilized Gram-Schmidt against the metric inner product, columns
-    processed in input order for determinism."""
+    processed in input order for determinism (``orthonormal_frames`` at
+    one point)."""
     g = np.asarray(gmat, dtype=float)
-    out = []
-    for v in vectors:
-        w = np.array(v, dtype=float)
+    vecs = np.asarray(vectors, dtype=float).reshape(1, -1, len(g))
+    return list(orthonormal_frames(g[None], vecs, tol)[0])
+
+
+def orthonormal_frames(g, vectors, tol=1e-10):
+    """Gram-Schmidt at every point of a stack: ``g`` is (P, m, m) and
+    ``vectors`` (P, k, m); returns the (P, k, m) orthonormalized vectors,
+    each processed in input order with a re-orthogonalization pass."""
+    limit = tol * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+    out = np.empty(vectors.shape)
+    for a in range(vectors.shape[1]):
+        w = vectors[:, a]
         for _ in range(2):  # re-orthogonalization pass for stability
-            for u in out:
-                w = w - (u @ g @ w) * u
-        norm_sq = w @ g @ w
-        if norm_sq <= tol * max(1.0, float(np.max(np.abs(g)))):
+            for b in range(a):
+                u = out[:, b]
+                w = w - _inner(u, g, w)[:, None] * u
+        norm_sq = _inner(w, g, w)
+        if (norm_sq <= limit).any():
             raise DependentVectorsError("input vectors are linearly dependent")
-        out.append(w / math.sqrt(norm_sq))
+        out[:, a] = w / np.sqrt(norm_sq)[:, None]
     return out
+
+
+def _inner(u, g, w):
+    return np.einsum("pi,pij,pj->p", u, g, w)
 
 
 def orthonormalize(chart, p, vectors):

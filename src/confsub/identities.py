@@ -24,10 +24,10 @@ evidence, not bookkeeping.  In terms of the arrays an
   chart (``base_curvature``: Gamma^N, Riem^N, Ric^N; with
   ``base_scalar_curvature``).
 
-The constructor evaluates only the float core every check reads: ``g``,
-``jac``, the frames ``vframe`` and ``hframe``, the projectors ``pv`` and
-``ph``, ``lam_sq``, ``base_point`` and the base metric ``h_base``.  Every
-other array is built on first read, once per context.
+The constructor holds only the float core every check reads: ``g``,
+``ginv``, ``jac``, the frames ``vframe`` and ``hframe``, the projectors
+``pv`` and ``ph``, ``lam_sq``, ``base_point`` and the base metric
+``h_base``.  Every other array is built on first read, once per context.
 
 Each derivative comes from one seeding, at most two jet levels deep (the
 inner level is the metric or Jacobian seeding): total Gamma with dGamma
@@ -150,22 +150,26 @@ class IdentityContext:
     ``a_tensor``), and the covariant derivatives carry the differentiating
     direction first.
 
-    The constructor holds only the float core of ``setup.float_core``:
-    ``g``, ``jac``, ``vframe``, ``hframe``, ``pv``, ``ph``, ``lam_sq``,
-    ``base_point`` and ``h_base``.  Every other array is a cached property
+    The constructor holds only the float core, ``core`` when the caller
+    holds it (from ``setup.float_cores`` over a run's points) and
+    ``setup.float_core(p)`` otherwise: ``g``, ``ginv``, ``jac``,
+    ``vframe``, ``hframe``, ``pv``, ``ph``, ``lam_sq``, ``base_point``
+    and ``h_base``.  Every other array is a cached property
     built on first read, so a check pays only for what it reads, and an
     ingredient that cannot be evaluated at the point fails only the checks
     that read it."""
 
-    def __init__(self, setup, p, hyp_tol=1e-8):
+    def __init__(self, setup, p, hyp_tol=1e-8, core=None):
         self.setup = setup
         self.p = p
         self.hyp_tol = hyp_tol
         self.xs = list(p.coords)
         self.m = setup.m
         self.n = setup.n
-        core = setup.float_core(p)
-        self.g, self.jac = core.g, core.jac
+        if core is None:
+            core = setup.float_core(p)
+        self.core = core
+        self.g, self.ginv, self.jac = core.g, core.ginv, core.jac
         self.vframe, self.hframe = core.vframe, core.hframe  # m-n, n vectors
         self.pv, self.ph = core.pv, core.ph
         self.lam_sq = core.lam_sq
@@ -199,10 +203,6 @@ class IdentityContext:
         _, df, d2f = geo.coordinate_partials(self.setup.inv_lambda_sq_fn(),
                                              self.xs, order=2)
         return df, d2f
-
-    @functools.cached_property
-    def ginv(self):
-        return np.array(mat_inverse(self.g.tolist()))
 
     @functools.cached_property
     def grad_f(self):

@@ -12,6 +12,13 @@ Level bookkeeping follows the usual forward-mode trick: every seeding
 context gets a fresh, monotonically increasing level; in a binary
 operation the jet with the higher level treats the other operand as a
 constant coefficient.
+
+Values may also be float arrays over a leading point axis, seeded as
+such, so one evaluation serves a batch of points.  The scalar functions
+then raise the error of their float branch when any element raises it;
+callers evaluating arrays switch NumPy's floating-point warnings off
+(``np.errstate``) and check what the arithmetic operators leave
+non-finite.
 """
 
 from __future__ import annotations
@@ -162,10 +169,11 @@ class Jet:
 
 
 def primal(x):
-    """Strip all jet structure down to the underlying float."""
+    """Strip all jet structure down to the underlying float, or float
+    array for jets seeded with arrays."""
     while isinstance(x, Jet):
         x = x.val
-    return float(x)
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def primal_array(values):
@@ -175,7 +183,10 @@ def primal_array(values):
 
 
 def _check_finite(x, what):
-    if not math.isfinite(x):
+    if isinstance(x, np.ndarray):
+        if not np.isfinite(x).all():
+            raise EvaluationError(f"non-finite value in {what}")
+    elif not math.isfinite(x):
         raise EvaluationError(f"non-finite value in {what}")
     return x
 
@@ -188,9 +199,22 @@ def _reciprocal(x):
         if x.space.order == 2:
             f2 = 2.0 * f0 * f0 * f0
         return x.chain(f0, f1, f2)
+    if isinstance(x, np.ndarray):
+        if (x == 0).any():
+            raise EvaluationError("division by zero")
+        return _check_finite(1.0 / x, "division")
     if x == 0:
         raise EvaluationError("division by zero")
     return _check_finite(1.0 / x, "division")
+
+
+def sdiv(x, y):
+    """x / y; with a float array operand it raises where float division
+    raises, on a zero divisor."""
+    if (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)) and np.any(
+            y == 0):
+        raise EvaluationError("division by zero")
+    return x / y
 
 
 # -- scalar functions, generic over nesting depth ----------------------
@@ -199,6 +223,8 @@ def sexp(x):
     if isinstance(x, Jet):
         e = sexp(x.val)
         return x.chain(e, e, e if x.space.order == 2 else None)
+    if isinstance(x, np.ndarray):
+        return _check_finite(np.exp(x), "exp")
     return _check_finite(math.exp(x), "exp")
 
 
@@ -208,6 +234,10 @@ def slog(x):
         f1 = _reciprocal(x.val)
         f2 = -(f1 * f1) if x.space.order == 2 else None
         return x.chain(f0, f1, f2)
+    if isinstance(x, np.ndarray):
+        if (x <= 0).any():
+            raise EvaluationError("log of a non-positive value")
+        return np.log(x)
     if x <= 0:
         raise EvaluationError("log of a non-positive value")
     return math.log(x)
@@ -217,14 +247,14 @@ def ssin(x):
     if isinstance(x, Jet):
         s, c = ssin(x.val), scos(x.val)
         return x.chain(s, c, -s if x.space.order == 2 else None)
-    return math.sin(x)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def scos(x):
     if isinstance(x, Jet):
         s, c = ssin(x.val), scos(x.val)
         return x.chain(c, -s, -c if x.space.order == 2 else None)
-    return math.cos(x)
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def ssqrt(x):
@@ -235,6 +265,10 @@ def ssqrt(x):
         if x.space.order == 2:
             f2 = -0.5 * f1 * _reciprocal(x.val)
         return x.chain(f0, f1, f2)
+    if isinstance(x, np.ndarray):
+        if (x < 0).any():
+            raise EvaluationError("sqrt of a negative value")
+        return np.sqrt(x)
     if x < 0:
         raise EvaluationError("sqrt of a negative value")
     return math.sqrt(x)
@@ -264,6 +298,8 @@ def _float_exp(r):
 
 
 def _pow_number(x, r):
+    if isinstance(x, np.ndarray):
+        return _pow_array(x, r)
     if isinstance(r, int):
         if x == 0 and r < 0:
             raise EvaluationError("zero raised to a negative power")
@@ -278,3 +314,22 @@ def _pow_number(x, r):
     if x == 0 and p < 0:
         raise EvaluationError("zero raised to a negative power")
     return _check_finite(x ** (p / q), "power")
+
+
+def _pow_array(x, r):
+    """``_pow_number`` over a float array, raising its error where any
+    element raises it."""
+    if isinstance(r, int):
+        if r < 0 and (x == 0).any():
+            raise EvaluationError("zero raised to a negative power")
+        return _check_finite(np.power(x, float(r)), "power")
+    p, q = r.numerator, r.denominator
+    negative = x < 0
+    if q % 2 == 0 and negative.any():
+        raise EvaluationError("negative base with even-root exponent")
+    if p < 0 and (x == 0).any():
+        raise EvaluationError("zero raised to a negative power")
+    out = np.power(np.abs(x), p / q)
+    if p % 2:
+        out = np.where(negative, -out, out)
+    return _check_finite(out, "power")

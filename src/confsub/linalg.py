@@ -6,6 +6,8 @@ deterministic and identical whether or not derivatives are being carried.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .jets import primal
 
 
@@ -60,40 +62,47 @@ def _carries_derivatives(x):
     return not isinstance(x, (int, float))
 
 
-def null_space_basis(mat, tol=1e-10):
-    """Basis of the kernel of a float matrix via reduced row echelon form.
+def null_space_bases(mats, nullity, tol=1e-10):
+    """Kernel bases of a stack of float matrices (P, r, c) via reduced row
+    echelon form, as a (P, nullity, c) array.
 
-    Deterministic: columns are processed left to right, pivot rows by
-    largest magnitude.  Returns a list of basis vectors (lists).
-    """
-    if not mat:
-        return identity(0)
-    rows = [list(map(float, r)) for r in mat]
-    nrows, ncols = len(rows), len(rows[0])
-    scale = max((abs(x) for r in rows for x in r), default=1.0) or 1.0
-    pivots = []
-    r = 0
+    Deterministic, and at each point the arithmetic of that matrix alone:
+    columns are processed left to right, pivot rows by largest magnitude,
+    and the basis vectors follow the free columns in order.  Raises
+    SingularMatrixError when a kernel does not have dimension
+    ``nullity``."""
+    rows = np.array(mats, dtype=float)
+    count, nrows, ncols = rows.shape
+    scale = np.abs(rows).max(axis=(1, 2), initial=0.0)
+    scale[scale == 0.0] = 1.0
+    at = np.arange(count)
+    r = np.zeros(count, dtype=int)  # next pivot row of each point
+    is_pivot = np.zeros((count, ncols), dtype=bool)
     for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot = max(range(r, nrows), key=lambda i: abs(rows[i][c]))
-        if abs(rows[pivot][c]) <= tol * scale:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0.0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [0.0] * ncols
-        v[c] = 1.0
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][c]
-        basis.append(v)
+        col = np.abs(rows[:, :, c])
+        col[np.arange(nrows) < r[:, None]] = -1.0  # rows already pivoted
+        pivot = col.argmax(axis=1)
+        ok = col[at, pivot] > tol * scale
+        idx, top, pivot = at[ok], r[ok], pivot[ok]
+        swapped = rows[idx, pivot]
+        rows[idx, pivot] = rows[idx, top]
+        rows[idx, top] = swapped / swapped[:, c, None]
+        factor = rows[idx, :, c]
+        factor[np.arange(len(idx)), top] = 0.0
+        lead = rows[idx, top][:, None, :]
+        rows[idx] = np.where(factor[:, :, None] != 0.0,
+                             rows[idx] - factor[:, :, None] * lead, rows[idx])
+        is_pivot[idx, c] = True
+        r[idx] += 1
+    if (ncols - r != nullity).any():
+        raise SingularMatrixError("kernel dimension differs from nullity")
+    free = np.nonzero(~is_pivot)[1].reshape(count, nullity)
+    pivots = np.nonzero(is_pivot)[1].reshape(count, ncols - nullity)
+    basis = np.zeros((count, nullity, ncols))
+    point, slot = at[:, None, None], np.arange(nullity)[None, :, None]
+    basis[point, slot, free[:, :, None]] = 1.0
+    # pivot i sits in row i: v[pivots[i]] = -rows[i][free column]
+    row = np.arange(ncols - nullity)[None, None, :]
+    basis[point, slot, pivots[:, None, :]] = -rows[point, row,
+                                                   free[:, :, None]]
     return basis

@@ -40,6 +40,10 @@ SOLITON_CHECKS = ("fit-mu", "fiber-soliton", "base-soliton",
                   "conformal-fit", "scalar-mu", "harmonicity",
                   "structure-flags")
 KNOWN_CHECKS = ALL_CHECK_IDS + SOLITON_CHECKS
+# ids of the catalog examples (``confsub.catalog``), whose manifests ship
+# in confsub/manifests; here so the command line can offer them without
+# importing the catalog
+EXAMPLE_IDS = ("5.1", "5.2", "5.3", "5.4")
 
 
 class ManifestError(ValueError):

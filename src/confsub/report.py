@@ -12,7 +12,7 @@ only in the text rendering).
 
 from __future__ import annotations
 
-import json
+import json.encoder
 import time
 from dataclasses import dataclass, field
 
@@ -130,7 +130,9 @@ def _run_soliton_checks(job, checks, records, contexts):
     setup, points, tol = job.setup, job.points, job.tolerance
     needs_xi = [c for c in checks if c != "structure-flags"]
     if "structure-flags" in checks:
-        flags = sub.structure_flags(setup, points).as_dict()
+        bundles = [sub.oneill_bundle(setup, ctx.p, core=ctx.core,
+                                     gamma=ctx.gamma) for ctx in contexts]
+        flags = sub.structure_flags(setup, points, bundles=bundles).as_dict()
         for name, check in flags.items():
             records.append(_fit_record(
                 "structure-flags", [], float(check.holds), float(check.holds),
@@ -149,7 +151,7 @@ def _run_soliton_checks(job, checks, records, contexts):
     # every check but conformal-fit reads mu, fitted when none is declared
     if "fit-mu" in checks or (
             mu is None and any(c != "conformal-fit" for c in needs_xi)):
-        fit = sol.fit_mu(setup.total, xi, points)
+        fit = sol.fit_mu(setup.total, xi, points, contexts=contexts)
         mu = fit.mu if mu is None else mu
     if "fit-mu" in checks:
         residual = max(fit.max_residual, abs(fit.mu - mu))
@@ -160,7 +162,8 @@ def _run_soliton_checks(job, checks, records, contexts):
             {"fitted_mu": fit.mu, "equation_residual": fit.max_residual},
             note=f"soliton constant fit: {fit.classification}"))
     if "conformal-fit" in checks:
-        conf = sol.conformal_field_fit(setup.total, xi, points)
+        conf = sol.conformal_field_fit(setup.total, xi, points,
+                                       contexts=contexts)
         worst_p, worst_f = max(conf.f_values, key=lambda pf: abs(pf[1]))
         records.append(_fit_record(
             "conformal-fit", worst_p.coords, worst_f, 0.0,
@@ -210,8 +213,17 @@ def run_job(job):
     records = []
     lam = []
     contexts = []  # kept only for the soliton reports, which reuse them
-    for p in job.points:
-        ctx = IdentityContext(setup, p)
+    try:
+        cores = setup.float_cores(job.points)
+    except (ArithmeticError, ValueError):
+        # some point fails its core: each context then builds its own, so
+        # the checks of the points before that one still run first
+        cores = [None] * len(job.points)
+    for i, p in enumerate(job.points):
+        # a context holds its core as long as it is kept, so a run without
+        # soliton reports holds the per-point arrays of one point at a time
+        ctx = IdentityContext(setup, p, core=cores[i])
+        cores[i] = None
         lam.append(ctx.lam_sq)
         if soliton_ids:
             contexts.append(ctx)
@@ -243,12 +255,90 @@ def run_job(job):
 # rendering
 # ---------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_INF = float("inf")
+
+
+def _scalar_text(value):
+    """JSON text of a value that is not a container, as ``json.dumps``
+    writes it."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_repr(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return _float_repr(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(value, newline, out):
+    """Append the text of ``value`` to ``out``, nested under ``newline``
+    (a newline and the current indent); as in ``json.dumps``, a scalar
+    entry is one piece with its separator and key."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            _write_entry(sep + _encode_str(key) + ": ", value[key], inner,
+                         out)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            _write_entry(sep, item, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    else:
+        out.append(_scalar_text(value))
+
+
+def _write_entry(head, value, inner, out):
+    if isinstance(value, (dict, list, tuple)):
+        out.append(head)
+        _write_json(value, inner, out)
+    else:
+        out.append(head + _scalar_text(value))
+
+
+def json_text(payload):
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2)`` for a
+    payload of dicts with string keys, lists, tuples, strings, ints,
+    floats (NumPy's included), bools and None, written without the
+    pure-Python encoder ``json.dumps`` falls back to under ``indent``."""
+    out = []
+    _write_json(payload, "\n", out)
+    return "".join(out)
+
+
 def to_json(report):
     """Canonical JSON: sorted keys, no wall time, deterministic bytes."""
     payload = {"job": report.job, "records": report.records,
                "counts": report.counts,
                "flagged_fails": report.flagged_fails, "meta": report.meta}
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json_text(payload)
 
 
 _VERDICT_TAG = {"pass": "PASS", "fail": "FAIL",
@@ -351,4 +441,4 @@ def example_report_to_json(rep):
                "counts": rep.counts,
                "discrepancies": [r.name for r in rep.discrepancies],
                "note": rep.note}
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json_text(payload)

@@ -93,13 +93,20 @@ def soliton_residual(chart, xi, mu, p, x, y):
     return float(xc @ (0.5 * lie + ric + mu * g) @ yc)
 
 
-def fit_mu(chart, xi, points, tol=1e-9):
-    """Least-squares mu over all orthonormal frame pairs and points."""
+def fit_mu(chart, xi, points, tol=1e-9, contexts=None):
+    """Least-squares mu over all orthonormal frame pairs and points.
+    ``contexts`` are the points' IdentityContexts of a submersion whose
+    total chart is ``chart``, when the caller holds them; g, Gamma and Ric
+    are then read from them."""
     if not points:
         raise ValueError("fit_mu needs at least one point")
     xi_fn = _field_fn(chart, xi)
-    forms = [_soliton_form(*_chart_curvature(chart, list(p.coords)), xi_fn,
-                           list(p.coords)) for p in points]
+    if contexts is None:
+        curvatures = (_chart_curvature(chart, list(p.coords)) for p in points)
+    else:
+        curvatures = ((ctx.g, ctx.gamma, ctx.ric_matrix) for ctx in contexts)
+    forms = [_soliton_form(g, gamma, ric, xi_fn, list(p.coords))
+             for p, (g, gamma, ric) in zip(points, curvatures)]
     # minimizing sum (l_ab + mu*delta_ab)^2 gives mu = -mean of traces
     num = sum(np.trace(f) for f in forms)
     den = chart.dim * len(points)
@@ -114,15 +121,20 @@ def fit_mu(chart, xi, points, tol=1e-9):
                  classification=_classify(mu, tol), per_point=per_point)
 
 
-def conformal_field_fit(chart, xi, points, tol=1e-9):
-    """Fit (L_xi g) = 2 f g pointwise; f from the trace."""
+def conformal_field_fit(chart, xi, points, tol=1e-9, contexts=None):
+    """Fit (L_xi g) = 2 f g pointwise; f from the trace.  ``contexts`` as
+    for ``fit_mu``: g and Gamma are then read from them."""
     xi_fn = _field_fn(chart, xi)
+    if contexts is None:
+        metrics = ((primal_array(chart.metric_at(list(p.coords))),
+                    primal_array(geo.christoffels_at(chart, list(p.coords))))
+                   for p in points)
+    else:
+        metrics = ((ctx.g, ctx.gamma) for ctx in contexts)
     f_values = []
     worst = 0.0
-    for p in points:
+    for p, (g, gamma) in zip(points, metrics):
         xs = list(p.coords)
-        g = primal_array(chart.metric_at(xs))
-        gamma = primal_array(geo.christoffels_at(chart, xs))
         frame = _frame(g)
         lie = frame @ geo.lie_derivative_matrix(g, gamma, xi_fn, xs) @ frame.T
         k = len(frame)
@@ -337,10 +349,12 @@ def _umbilical_hyp(ctx):
 
 
 def _contexts(setup, points, contexts):
-    """The caller's per-point contexts, or new ones built one at a time."""
+    """The caller's per-point contexts, or new ones over the points'
+    float cores."""
     if contexts is not None:
         return contexts
-    return (IdentityContext(setup, p) for p in points)
+    return [IdentityContext(setup, p, core=core)
+            for p, core in zip(points, setup.float_cores(points))]
 
 
 def _merge_hypotheses(hyp_sets):

@@ -18,10 +18,10 @@ import numpy as np
 from . import geometry as geo
 from .expr import eval_expr, parse_expression
 from .geometry import (Point, TangentVector, cov_deriv_along_at, field_fn,
-                       gradient_at, jacobian_at, orthonormalize_components)
-from .jets import primal, primal_array
+                       gradient_at, jacobian_at)
+from .jets import EvaluationError, primal, primal_array
 from .linalg import (SingularMatrixError, mat_inverse, mat_mul, mat_vec,
-                     null_space_basis, transpose)
+                     null_space_bases, transpose)
 
 
 class NotASubmersionError(ValueError):
@@ -40,10 +40,11 @@ class DilationResult:
 
 @dataclass(frozen=True)
 class FloatCore:
-    """Float values of a submersion at one point, all from one
-    ``_core_matrices_at`` build (see ``SubmersionSetup.float_core``)."""
+    """Float values of a submersion at one point (see
+    ``SubmersionSetup.float_cores``)."""
 
     g: np.ndarray          # total metric
+    ginv: np.ndarray       # its inverse
     jac: np.ndarray        # Jacobian of F
     vframe: list           # orthonormal vertical frame, m - n vectors
     hframe: list           # orthonormal horizontal frame, n vectors
@@ -199,27 +200,70 @@ class SubmersionSetup:
     # -- numeric values at a point ---------------------------------------
 
     def float_core(self, p):
-        """The frames, projectors and dilation at p as floats, from one
-        ``_core_matrices_at`` build; P_v, P_h and lambda^2 take the
-        arithmetic of ``projectors_at`` and ``lambda_sq_at``.  Raises
-        where p is outside either chart's domain, either metric is not
-        positive definite there, or the map is rank deficient."""
-        g = geo.metric_matrix(self.total, p)
-        _, _, jac, k, lift = self._core_matrices_at(list(p.coords))
-        jac_f = np.array([[primal(v) for v in row] for row in jac])
-        basis = null_space_basis(jac_f.tolist())
-        if len(basis) != self.m - self.n:
-            raise NotASubmersionError(f"map is rank deficient at {p.coords}")
-        cols = [[primal(lift[i][a]) for i in range(self.m)] for a in range(self.n)]
-        pv, ph = self._projectors(jac, lift)
-        base_point = self.map_point(p)
-        h_base = geo.metric_matrix(self.base, base_point)
-        return FloatCore(
-            g=g, jac=jac_f, vframe=orthonormalize_components(g, basis),
-            hframe=orthonormalize_components(g, cols),
-            pv=primal_array(pv), ph=primal_array(ph),
-            lam_sq=primal(self._conformality_ratio(h_base.tolist(), k)),
-            base_point=base_point, h_base=h_base)
+        """The ``FloatCore`` at p."""
+        return self.float_cores([p])[0]
+
+    def float_cores(self, points):
+        """The frames, projectors and dilation at every point as floats,
+        in one pass over a leading point axis: the total metric, the map
+        with its Jacobian (one seeding) and the base metric at F(p) are
+        each evaluated once for all points, and the linear algebra runs
+        stacked.  P_v, P_h and lambda^2 take the formulas of
+        ``projectors_at`` and ``lambda_sq_at``; the vertical frame is the
+        reduced-row-echelon kernel basis of the Jacobian, orthonormalized.
+
+        Raises where a point is outside either chart's domain, either
+        metric is not positive definite there, or the map is rank
+        deficient.  A batch in which any point fails is evaluated again
+        one point at a time, so the error raised is that of the first
+        failing point, as that point alone raises it."""
+        points = list(points)
+        with np.errstate(all="ignore"):
+            if len(points) > 1:
+                try:
+                    return self._float_cores(points)
+                except (ArithmeticError, ValueError):
+                    pass
+            return [self._float_cores([p])[0] for p in points]
+
+    def _float_cores(self, points):
+        """``float_cores`` without the rerun; one point is evaluated from
+        its float coordinates, so it raises what the scalar functions
+        raise there."""
+        count, m, n = len(points), self.m, self.n
+        xs = geo.batch_coordinates([p.coords for p in points])
+        g = geo.metric_matrices(self.total, xs, count)
+        fvals, d = geo.coordinate_partials(self.map_point_at, xs)
+        fvals = geo.stack_points(fvals, count)
+        jac = geo.stack_points(d, count).transpose(0, 2, 1)
+        ginv = np.linalg.inv(g)
+        jt = jac.transpose(0, 2, 1)
+        k = jac @ (ginv @ jt)
+        where = points[0].coords if count == 1 else f"one of {count} points"
+        try:
+            k_inv = np.linalg.inv(k)
+            vbasis = null_space_bases(jac, m - n)
+        except (np.linalg.LinAlgError, SingularMatrixError):
+            raise NotASubmersionError(
+                f"map is rank deficient at {where}") from None
+        lift = ginv @ (jt @ k_inv)  # m x n at each point
+        ph = lift @ jac
+        base_points = [Point(tuple(row)) for row in fvals]
+        h_base = geo.metric_matrices(
+            self.base, geo.batch_coordinates([q.coords for q in base_points]),
+            count)
+        lam_sq = np.einsum("pab,pab->p", h_base, k) / n
+        if count > 1 and not all(np.isfinite(a).all()
+                                 for a in (g, jac, h_base, lam_sq)):
+            raise EvaluationError("non-finite value in the float core")
+        vframe = geo.orthonormal_frames(g, vbasis)
+        hframe = geo.orthonormal_frames(g, lift.transpose(0, 2, 1))
+        pv = np.eye(m) - ph
+        return [FloatCore(g=g[i], ginv=ginv[i], jac=jac[i],
+                          vframe=list(vframe[i]), hframe=list(hframe[i]),
+                          pv=pv[i], ph=ph[i], lam_sq=float(lam_sq[i]),
+                          base_point=base_points[i], h_base=h_base[i])
+                for i in range(count)]
 
     def vertical_frame(self, p):
         """Orthonormal vertical frame at p."""
@@ -321,17 +365,21 @@ def cov_deriv_A_at(setup, xs, e_comps, x_fn, ep_fn):
     return [a - b - c for a, b, c in zip(term1, term2, term3)]
 
 
-def oneill_bundle(setup, p):
+def oneill_bundle(setup, p, core=None, gamma=None):
     """The float core, total Gamma, T, A and H at p, each built once:
     Gamma from one ``christoffels_at``, T and A from one order-1
-    ``oneill_tensors_at`` reading it, H from T and the core's P_v and g."""
+    ``oneill_tensors_at`` reading it, H from T and the core's P_v and g.
+    ``core`` and ``gamma`` (float Gamma) are the point's when the caller
+    holds them."""
     xs = list(p.coords)
-    core = setup.float_core(p)
-    gamma = geo.christoffels_at(setup.total, xs)
+    if core is None:
+        core = setup.float_core(p)
+    if gamma is None:
+        gamma = primal_array(geo.christoffels_at(setup.total, xs))
     t, a = (primal_array(x) for x in oneill_tensors_at(setup, xs, gamma))
-    w = core.pv @ np.array(mat_inverse(core.g.tolist()))
-    return OneillBundle(core=core, gamma=primal_array(gamma), t=t, a=a,
-                        h=mean_curvature_from(t, w, setup.m - setup.n))
+    return OneillBundle(core=core, gamma=gamma, t=t, a=a,
+                        h=mean_curvature_from(t, core.pv @ core.ginv,
+                                              setup.m - setup.n))
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,3 +150,24 @@ def test_shipped_manifest_54_verifies_clean(capsys):
                  "G2.12,R3.13,T3.4,fit-mu,harmonicity"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "fail=0" in out
+
+
+def test_verify_does_not_import_the_catalog():
+    # only `example` reads the catalog, so importing the command line
+    # leaves it (and importlib.resources with it) unloaded
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; import confsub.cli; "
+            "print('confsub.catalog' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_example_rejects_an_unknown_id(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "5.9"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        "confsub example: error: argument example_id: invalid choice: "
+        "'5.9' (choose from '5.1', '5.2', '5.3', '5.4')\n")

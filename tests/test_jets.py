@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confsub.expr import eval_expr, parse_expression
 from confsub.jets import (EvaluationError, Jet, JetSpace, primal, scos, sexp,
                           slog, spow, ssin, ssqrt)
 
@@ -125,3 +126,46 @@ def test_quotient_chain_property(x):
     out = slog(jet) / jet
     expected = (1 - math.log(x)) / x ** 2
     assert out.grad[0] == pytest.approx(expected, rel=1e-10)
+
+
+# -- values over a point axis -------------------------------------------
+
+_BATCH = np.array([-2.5, -0.3, 0.7, 1.9])
+
+
+@pytest.mark.parametrize("text", [
+    "x^(1/3)", "x^(2/3)", "x^(-1/3)", "x^(5/3)", "x^-2", "x^3", "exp(x)",
+    "log(x^2 + 1)", "sin(x)*cos(x)", "sqrt(x^2)", "1/x", "x/(x^2 + 1)"])
+def test_array_values_and_jets_match_each_point(text):
+    # one evaluation over a point axis gives every point's value and
+    # first and second derivatives as the float evaluation of that point
+    node = parse_expression(text, {"x"})
+    with np.errstate(all="raise"):
+        got = eval_expr(node, {"x": _BATCH})
+        space = JetSpace(1, 2)
+        jet = eval_expr(node, {"x": space.seed([_BATCH], [[1.0]])[0]})
+    for i, x in enumerate(_BATCH):
+        ref = eval_expr(node, {"x": float(x)})
+        ref_jet = eval_expr(node, {"x": one_var_jet(float(x))[0]})
+        assert got[i] == pytest.approx(ref, rel=1e-14, abs=1e-300)
+        assert jet.val[i] == pytest.approx(ref_jet.val, rel=1e-14)
+        assert np.asarray(jet.grad[0])[i] == pytest.approx(
+            ref_jet.grad[0], rel=1e-14)
+        assert np.asarray(jet.hess[0][0])[i] == pytest.approx(
+            ref_jet.hess[0][0], rel=1e-14)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("log(x)", "log of a non-positive value in 'log(x)'"),
+    ("sqrt(x)", "sqrt of a negative value in 'sqrt(x)'"),
+    ("x^(1/2)", "negative base with even-root exponent in 'x^(1/2)'"),
+    ("1/(x + 0.3)", "division by zero in '1 / (x + 0.3)'"),
+    ("(x + 0.3)^-1", "zero raised to a negative power in '(x + 0.3)^-1'"),
+    ("exp(1000*x)", "non-finite value in exp in 'exp(1000 * x)'")])
+def test_array_domain_errors_are_loud(text, message):
+    # an element out of the domain raises the float branch's error
+    node = parse_expression(text, {"x"})
+    with np.errstate(all="ignore"):
+        with pytest.raises(EvaluationError) as exc:
+            eval_expr(node, {"x": _BATCH})
+    assert str(exc.value) == message

@@ -1,8 +1,15 @@
 """Report assembly: counts, flagged failures, verdict bookkeeping."""
 
+import importlib.util
+import json
+import math
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confsub import catalog, report
 from confsub import geometry as geo
@@ -64,6 +71,21 @@ def test_structure_flags_records_informational():
     assert all(r["verdict"] == "pass" for r in rep.records)
     names = {r["note"].split(":")[0] for r in rep.records}
     assert "homothetic" in names
+
+
+def test_structure_flags_read_the_run_contexts():
+    # under verify the flags read each point's float core and Gamma from
+    # its context; the records agree with the library form
+    job = catalog.load_job("5.3")
+    job.checks = ["structure-flags"]
+    records = report.run_job(job).records
+    flags = sub.structure_flags(job.setup, job.points).as_dict()
+    assert len(records) == len(flags)
+    for rec, (name, check) in zip(records, flags.items()):
+        assert rec["note"].startswith(f"{name}: ")
+        assert rec["lhs"] == float(check.holds)
+        assert rec["terms"]["max_violation"] == pytest.approx(
+            check.max_violation, rel=1e-12, abs=1e-15)
 
 
 def test_json_and_text_render():
@@ -140,18 +162,25 @@ def _count_calls(monkeypatch, counts, targets):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
 
 
-def test_context_evaluates_each_ingredient_once(monkeypatch):
-    # one point of a cheap 2-D job: the context's float core evaluates
-    # the total metric twice (checked matrix and core matrices) and the
-    # base metric once, seeds only the Jacobian and takes lambda^2 from
-    # the core matrices it already holds
+FLAT_SWEEP_1000 = FLAT_SWEEP.replace(
+    "points.list = (0.3, -0.4)",
+    "points.box = -1.5 1.5 ; -1.5 1.5\npoints.count = 1000\npoints.seed = 3")
+
+
+@pytest.mark.parametrize("document", [FLAT_SWEEP, FLAT_SWEEP_1000],
+                         ids=["1-point", "1000-points"])
+def test_context_evaluates_each_ingredient_once(monkeypatch, document):
+    # a cheap 2-D job: the float cores of all its points evaluate the
+    # total metric and the base metric once each, seed only the Jacobian,
+    # once, and take lambda^2 from the matrices they already hold
     counts = Counter()
     _count_calls(monkeypatch, counts, (
         (IdentityContext, "__init__"), (JetSpace, "seed"),
         (ChartManifold, "metric_at"), (sub.SubmersionSetup, "lambda_sq_at")))
-    rep = report.run_job(parse_manifest(FLAT_SWEEP))
-    assert [r["verdict"] for r in rep.records] == ["pass"]
-    assert counts["__init__"] == 1
+    job = parse_manifest(document)
+    rep = report.run_job(job)
+    assert [r["verdict"] for r in rep.records] == ["pass"] * len(job.points)
+    assert counts["__init__"] == len(job.points)
     assert counts["seed"] <= 1
     assert counts["metric_at"] <= 4
     assert counts["lambda_sq_at"] == 0
@@ -212,15 +241,17 @@ def test_failing_ingredient_no_check_reads_does_not_abort():
 
 def test_seedings_per_point_with_every_check(monkeypatch):
     # checks = all on the shipped 5.3 manifest: every identity and soliton
-    # report contracts per-point arrays, so the seedings per point are the
-    # context's ingredients, the lift matrix, one xi seeding per Lie
-    # matrix, the tension field and structure_flags
+    # report contracts per-point arrays and reads g, Gamma and Ric from the
+    # run's contexts, so the seedings per point are the context's
+    # ingredients, the lift matrix, one xi seeding per Lie matrix, the
+    # tension field and the P_v, lift and lambda^2 seedings of
+    # structure_flags; the float cores of all points seed once
     counts = Counter()
     _count_calls(monkeypatch, counts, ((JetSpace, "seed"),))
     job = catalog.load_job("5.3")
     assert "harmonicity" in job.checks and "L2.1" in job.checks
     report.run_job(job)
-    assert counts["seed"] / len(job.points) <= 50
+    assert counts["seed"] / len(job.points) <= 32
 
 
 def test_harmonicity_record_shows_worst_point():
@@ -278,3 +309,136 @@ def test_fit_mu_runs_only_when_needed(monkeypatch, checks, mu, fits):
     rep = report.run_job(make_job(checks, extra=extra))
     assert len(rep.records) == len(checks.split(","))
     assert counts["fit_mu"] == fits
+
+
+CORE_FAILS = """
+total.dim    = 2
+total.coords = x1 x2
+total.metric = {metric}
+base.dim     = 1
+base.coords  = y1
+base.metric  = 1
+map.components = {map}
+checks = {checks}
+points.list = {points}
+"""
+
+
+@pytest.mark.parametrize("metric,map_text,checks,points,error,message", [
+    ("1, 0 ; 0, x2", "x1^3", "G2.12", "(1, 1) ; (0, 1) ; (1, -1)",
+     sub.NotASubmersionError, "map is rank deficient at (0.0, 1.0)"),
+    ("1, 0 ; 0, x2", "x1^3", "G2.12", "(1, 1) ; (1, -1) ; (0, 1)",
+     geo.DegenerateMetricError,
+     "metric is not positive definite at (1.0, -1.0)"),
+    ("1, 0 ; 0, log(x2)", "x1", "G2.12", "(1, 2) ; (1, -1) ; (1, 0.5)",
+     EvaluationError, "log of a non-positive value in 'log(x2)'"),
+    ("1, 0 ; 0, log(x2)", "x1", "G2.12", "(1, 2) ; (1, 0.5) ; (1, -1)",
+     geo.DegenerateMetricError,
+     "metric is not positive definite at (1.0, 0.5)"),
+    ("1, 0 ; 0, exp(x2)", "x1", "G2.12", "(1, 2) ; (1, 800) ; (1, 0.5)",
+     OverflowError, "math range error"),
+    ("1, 0 ; 0, 1/x2", "x1", "G2.12", "(1, 2) ; (1, 0) ; (1, -0.5)",
+     EvaluationError, "division by zero in '1 / x2'"),
+    # Gamma fails at the first point, the metric at the second: the first
+    # point's check raises before the second point's core
+    ("1, 0 ; 0, 1 + x2^(1/3)", "x1", "R3.11", "(0.3, 0) ; (0.3, -8)",
+     EvaluationError, "zero raised to a negative power in 'x2^(1/3)'")],
+    ids=["rank-first", "metric-first", "log-first", "metric-not-pd",
+         "overflow", "division", "check-before-core"])
+def test_failing_core_raises_for_the_first_failing_point(
+        metric, map_text, checks, points, error, message):
+    # the run raises what evaluating the points one at a time raises
+    # first, in point order, worded as for that point alone
+    job = parse_manifest(CORE_FAILS.format(metric=metric, map=map_text,
+                                           checks=checks, points=points))
+    with pytest.raises(error) as exc:
+        report.run_job(job)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("points,message", [
+    ("(1, 1) ; (0, 1) ; (1, -1)", "map is rank deficient at (0.0, 1.0)"),
+    ("(1, 1) ; (1, -1) ; (0, 1)",
+     "metric is not positive definite at (1.0, -1.0)")])
+def test_float_cores_raise_for_the_first_failing_point(points, message):
+    job = parse_manifest(CORE_FAILS.format(
+        metric="1, 0 ; 0, x2", map="x1^3", checks="G2.12", points=points))
+    with pytest.raises(ValueError) as exc:
+        job.setup.float_cores(job.points)
+    assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------
+# JSON writer: json.dumps(sort_keys=True, indent=2) is the oracle
+# ---------------------------------------------------------------------
+
+def _workloads():
+    """The benchmark's workload generators, loaded from the source tree."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    if not path.exists():
+        pytest.skip("perfbench/ is not in this tree")
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _capture_payloads(monkeypatch):
+    payloads = []
+    real = report.json_text
+
+    def capture(payload):
+        payloads.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(report, "json_text", capture)
+    return payloads
+
+
+def _oracle(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", catalog.EXAMPLE_IDS
+                         + ("curved-all", "flat-sweep", "fiber-2d"))
+def test_verify_json_equals_json_dumps(monkeypatch, name):
+    if name in catalog.EXAMPLE_IDS:
+        job = catalog.load_job(name)
+    else:
+        job = parse_manifest(_workloads().manifest_text(name, 1))
+    payloads = _capture_payloads(monkeypatch)
+    text = report.to_json(report.run_job(job))
+    assert len(payloads) == 1
+    assert text == _oracle(payloads[0])
+
+
+def test_example_json_equals_json_dumps(monkeypatch, example_reports):
+    payloads = _capture_payloads(monkeypatch)
+    for eid, rep in example_reports.items():
+        text = report.example_report_to_json(rep)
+        assert text == _oracle(payloads[-1]), eid
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.floats().map(np.float64) | st.text()
+                | st.sampled_from([-0.0, 1e300, -1e300, 5e-324, math.nan,
+                                   math.inf, -math.inf, "", "\x00\x1f\u00e9",
+                                   "\u2028\ud83d\ude00"]))
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(_JSON_PAYLOADS)
+def test_json_text_equals_json_dumps(payload):
+    assert report.json_text(payload) == _oracle(payload)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), object(),
+                                   {1: 2.0}])
+def test_json_text_rejects_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        report.json_text({"value": value})

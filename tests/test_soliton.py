@@ -5,6 +5,7 @@ import pytest
 
 from confsub import catalog
 from confsub import soliton as sol
+from confsub.identities import IdentityContext
 from confsub.geometry import ChartManifold, Point, VectorFieldSpec
 from conftest import chart, flat_chart, sample
 
@@ -130,3 +131,26 @@ def test_classification_sign_convention():
     assert sol._classify(-1.0, 1e-9) == "shrinking"
     assert sol._classify(0.0, 1e-9) == "steady"
     assert sol._classify(2.0, 1e-9) == "expanding"
+
+
+@pytest.mark.parametrize("eid", ["5.3", "5.4"])
+def test_fits_read_the_contexts_like_the_chart(eid):
+    # with the run's contexts, fit_mu and conformal_field_fit read g, Gamma
+    # and Ric from them instead of seeding the chart again; the values
+    # agree with the (chart, xi, points) form to rounding
+    job = catalog.load_job(eid)
+    points = job.points[:4]
+    contexts = [IdentityContext(job.setup, p) for p in points]
+    total = job.setup.total
+    fit = sol.fit_mu(total, job.xi, points)
+    fit_ctx = sol.fit_mu(total, job.xi, points, contexts=contexts)
+    assert fit_ctx.mu == pytest.approx(fit.mu, rel=1e-12, abs=1e-12)
+    assert [r for _, r in fit_ctx.per_point] == pytest.approx(
+        [r for _, r in fit.per_point], rel=1e-12, abs=1e-12)
+    conf = sol.conformal_field_fit(total, job.xi, points)
+    conf_ctx = sol.conformal_field_fit(total, job.xi, points,
+                                       contexts=contexts)
+    assert [f for _, f in conf_ctx.f_values] == pytest.approx(
+        [f for _, f in conf.f_values], rel=1e-12, abs=1e-12)
+    assert conf_ctx.max_residual == pytest.approx(conf.max_residual,
+                                                  rel=1e-12, abs=1e-12)

@@ -10,8 +10,8 @@ from confsub import geometry as geo
 from confsub import submersion as sub
 from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext
-from confsub.jets import JetSpace, primal_array
-from confsub.linalg import mat_vec
+from confsub.jets import JetSpace, primal, primal_array
+from confsub.linalg import mat_inverse, mat_vec
 from conftest import (conformal_corpus, flat_chart, make_setup,
                       riemannian_corpus, sample, warped_4to2)
 
@@ -443,3 +443,126 @@ def test_structure_flags_match_per_pair_path(name, setup, points):
         _assert_close(flags.horizontal_integrable.max_violation, ref[0],
                       (name, "integrable flag"))
         assert flags.map_totally_geodesic.max_violation >= got[1]
+
+
+# ---------------------------------------------------------------------
+# batched float core
+# ---------------------------------------------------------------------
+
+def _rref_kernel(mat, tol=1e-10):
+    """Kernel basis of one float matrix, the loop reference for
+    ``linalg.null_space_bases``: reduced row echelon form with columns
+    left to right, pivot rows by largest magnitude, one basis vector per
+    free column in order."""
+    rows = [list(map(float, r)) for r in mat]
+    nrows, ncols = len(rows), len(rows[0])
+    scale = max((abs(x) for r in rows for x in r), default=1.0) or 1.0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot = max(range(r, nrows), key=lambda i: abs(rows[i][c]))
+        if abs(rows[pivot][c]) <= tol * scale:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0.0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for c in (c for c in range(ncols) if c not in pivots):
+        v = [0.0] * ncols
+        v[c] = 1.0
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][c]
+        basis.append(v)
+    return basis
+
+
+def _gram_schmidt(g, vectors):
+    """Loop reference for ``geo.orthonormal_frames`` at one point."""
+    out = []
+    for v in vectors:
+        w = np.array(v, dtype=float)
+        for _ in range(2):
+            for u in out:
+                w = w - (u @ g @ w) * u
+        out.append(w / np.sqrt(w @ g @ w))
+    return np.array(out)
+
+
+def _flat_sweep_setup():
+    total = geo.ChartManifold.from_strings(
+        ["x1", "x2"], [["exp(0.7*x2)", "0"], ["0", "1"]])
+    return make_setup(total, flat_chart(1, "y"), ["x1"])
+
+
+def _fiber_2d_setup():
+    warp = "(2.2 + sin(x1))^2"
+    total = geo.ChartManifold.from_strings(
+        ["x1", "x2", "x3", "x4"],
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", warp, "0"],
+         ["0", "0", "0", f"{warp}*(2.8 + cos(x3))^2"]])
+    return make_setup(total, flat_chart(2, "y"), ["x1", "x2"])
+
+
+def _mixed_pivot_setup():
+    # dJ's first column vanishes on x1 = 0 and its first row's pivot
+    # moves to the second row where x2 != 0, so points of one batch take
+    # different pivot rows and free columns
+    return make_setup(flat_chart(3), flat_chart(2, "y"),
+                      ["x2 + x1^2", "x3 + x1*x2"])
+
+
+_BOX4 = [(-1.0, 1.0)] * 4
+FLOAT_CORE_CASES = conformal_corpus() + [
+    ("flat-sweep", _flat_sweep_setup(), sample([(-1.5, 1.5)] * 2, 40)),
+    ("fiber-2d", _fiber_2d_setup(), sample(_BOX4, 20)),
+    ("warped-4to2", WARPED_4TO2, sample(_BOX4, 20, seed=5)),
+    ("mixed-pivots", _mixed_pivot_setup(),
+     [Point(c) for c in ((0.0, 0.0, 0.3), (0.0, 0.5, -0.2), (0.4, 0.2, 0.1),
+                         (-0.7, 0.0, 0.9), (0.0, -1.5, 0.0))])]
+
+
+@pytest.mark.parametrize("name,setup,points", FLOAT_CORE_CASES,
+                         ids=[case[0] for case in FLOAT_CORE_CASES])
+def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
+    # the batch seeds the Jacobian once for every point; each core, and the
+    # core of the point alone, matches the generic layer, frames compared
+    # as vectors so their signs and order count
+    counts = Counter()
+    real_seed = JetSpace.seed
+
+    def counting_seed(self, *args):
+        counts["seed"] += 1
+        return real_seed(self, *args)
+
+    monkeypatch.setattr(JetSpace, "seed", counting_seed)
+    cores = setup.float_cores(points)
+    assert counts["seed"] == 1
+    assert len(cores) == len(points)
+    for p, core in zip(points, cores):
+        xs = list(p.coords)
+        g = geo.metric_matrix(setup.total, p)
+        jac = setup.jacobian(p)
+        pv, ph = (primal_array(a) for a in setup.projectors_at(xs))
+        lift = primal_array(setup._core_matrices_at(xs)[4])
+        base_point = setup.map_point(p)
+        ref = {"g": g, "ginv": np.array(mat_inverse(g.tolist())),
+               "jac": jac, "pv": pv, "ph": ph,
+               "lam_sq": primal(setup.lambda_sq_at(xs)),
+               "base_point": base_point.coords,
+               "h_base": geo.metric_matrix(setup.base, base_point),
+               "vframe": _gram_schmidt(g, _rref_kernel(jac)),
+               "hframe": _gram_schmidt(g, lift.T)}
+        for got in (core, setup.float_core(p)):
+            for key, value in ref.items():
+                field = getattr(got, key)
+                if key == "base_point":
+                    field = field.coords
+                _assert_close(field, value, (name, p.coords, key))
