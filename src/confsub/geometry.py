@@ -255,30 +255,41 @@ def christoffels_at(chart, xs):
 
 
 def christoffel_partials_at(chart, xs):
-    """(Gamma, dGamma) with dGamma[l][k][i][j] = d_l Gamma^k_ij."""
-    return coordinate_partials(lambda zs: christoffels_at(chart, zs), xs)
+    """(Gamma, dGamma) as float arrays at float coordinates, with
+    dGamma[l, k, i, j] = d_l Gamma^k_ij, from one order-2 seeding of the
+    metric through ``christoffels_from_metric``."""
+    return christoffels_from_metric(*(np.array(a, dtype=float) for a in
+                                      coordinate_partials(chart.metric_at, xs,
+                                                          order=2)))
+
+
+def christoffels_from_metric(g, dg, ddg):
+    """(Gamma, dGamma) from the float metric with its partials,
+    dg[l] = d_l g and ddg[l, j] = d_l d_j g: Gamma = g^{-1} C / 2 with
+    C_lij = d_i g_jl + d_j g_il - d_l g_ij, and differentiating
+    g Gamma = C / 2 gives d_p Gamma = g^{-1} (d_p C / 2 - d_p g Gamma)."""
+    ginv = np.linalg.inv(g)
+    c = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
+    dc = np.einsum("pijl->plij", ddg) + np.einsum("pjil->plij", ddg) - ddg
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, c)
+    dgamma = np.einsum("kl,plij->pkij", ginv,
+                       0.5 * dc - np.einsum("plq,qij->plij", dg, gamma))
+    return gamma, dgamma
 
 
 def curvature_tensor_at(chart, xs):
-    """Riem[l][k][i][j]: component l of R(e_i, e_j) e_k."""
+    """Riem[l, k, i, j]: component l of R(e_i, e_j) e_k, at float
+    coordinates."""
     return riemann_from_christoffels(*christoffel_partials_at(chart, xs))
 
 
 def riemann_from_christoffels(gamma, dgamma):
-    """Riem from (Gamma, dGamma) as ``christoffel_partials_at`` returns
-    them, indexed as in ``curvature_tensor_at``."""
-    m = len(gamma)
-    riem = [[[[None] * m for _ in range(m)] for _ in range(m)] for _ in range(m)]
-    for l in range(m):
-        for k in range(m):
-            for i in range(m):
-                for j in range(m):
-                    val = dgamma[i][l][j][k] - dgamma[j][l][i][k]
-                    val = val + sum(gamma[l][i][t] * gamma[t][j][k]
-                                    - gamma[l][j][t] * gamma[t][i][k]
-                                    for t in range(m))
-                    riem[l][k][i][j] = val
-    return riem
+    """Riem from float (Gamma, dGamma) as ``christoffel_partials_at``
+    returns them, indexed as in ``curvature_tensor_at``:
+    R^l_kij = d_i Gamma^l_jk + Gamma^l_it Gamma^t_jk - (i <-> j)."""
+    half = (np.einsum("iljk->lkij", dgamma)
+            + np.einsum("lit,tjk->lkij", gamma, gamma))
+    return half - half.transpose(0, 1, 3, 2)
 
 
 def ricci_at(chart, xs, xc, yc):
@@ -289,10 +300,8 @@ def ricci_at(chart, xs, xc, yc):
 
 
 def ricci_matrix_at(chart, xs):
-    riem = curvature_tensor_at(chart, xs)
-    m = chart.dim
-    return [[sum(riem[i][k][i][j] for i in range(m)) for k in range(m)]
-            for j in range(m)]
+    """Ric[j, k] = Ric(e_j, e_k) at float coordinates."""
+    return np.einsum("ikij->jk", curvature_tensor_at(chart, xs))
 
 
 def scalar_curvature_at(chart, xs):
@@ -352,13 +361,18 @@ def laplacian_at(chart, f_fn, xs):
     return sum(ginv[i][j] * hess[i][j] for i in range(m) for j in range(m))
 
 
-def lie_derivative_matrix(g, gamma, xi_fn, xs):
-    """(L_xi g)_ij over the coordinate basis at xs as a float matrix, from
-    one seeding of xi and the float metric g and Christoffel symbols
-    gamma at xs: L = g N + (g N)^T with N^k_i = d_i xi^k + Gamma^k_il xi^l
-    the components of nabla xi, since (L_xi g)(X, Y) = g(nabla_X xi, Y)
-    + g(nabla_Y xi, X)."""
-    xi, dxi = (primal_array(v) for v in coordinate_partials(xi_fn, xs))
+def vector_partials(fn, xs):
+    """(v, dv) of a component function at float coordinates as float
+    arrays, dv[i, k] = d_i v^k, from one seeding."""
+    return tuple(np.array(a, dtype=float) for a in coordinate_partials(fn, xs))
+
+
+def lie_derivative_matrix(g, gamma, xi, dxi):
+    """(L_xi g)_ij over the coordinate basis at a point as a float matrix,
+    from the float metric g, Christoffel symbols gamma and ``xi`` with its
+    partials dxi[i, k] = d_i xi^k there: L = g N + (g N)^T with
+    N^k_i = d_i xi^k + Gamma^k_il xi^l the components of nabla xi, since
+    (L_xi g)(X, Y) = g(nabla_X xi, Y) + g(nabla_Y xi, X)."""
     gn = g @ (dxi.T + np.einsum("kil,l->ki", gamma, xi))
     return gn + gn.T
 
@@ -453,7 +467,7 @@ def lie_derivative_metric(chart, xi_spec, x_spec, y_spec, p):
     yc = primal_array(field_values_at(chart, y_spec, xs))
     lie = lie_derivative_matrix(primal_array(chart.metric_at(xs)),
                                 primal_array(christoffels_at(chart, xs)),
-                                field_fn(chart, xi_spec), xs)
+                                *vector_partials(field_fn(chart, xi_spec), xs))
     return float(xc @ lie @ yc)
 
 

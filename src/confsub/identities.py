@@ -5,9 +5,11 @@ Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
 right-hand side is assembled from the submersion machinery (projectors,
 T, A, dilation calculus).  The two sides share no intermediate values
-but the Christoffel symbols of the total metric and their partials,
-which Riem and the right side's covariant derivatives read from one
-seeding and contract in different ways, so a closed residual is
+but the one seeding of the total metric with its first and second
+partials: the left side reads only the Christoffel symbols and their
+partials derived from it, which the right side's covariant derivatives
+also read and contract in different ways, and the right side also
+inverts the metric for its projectors, so a closed residual is
 evidence, not bookkeeping.  In terms of the arrays an
 ``IdentityContext`` holds for its point:
 
@@ -29,19 +31,26 @@ The constructor holds only the float core every check reads: ``g``,
 ``pv`` and ``ph``, ``lam_sq``, ``base_point`` and the base metric
 ``h_base``.  Every other array is built on first read, once per context.
 
-Each derivative comes from one seeding, at most two jet levels deep (the
-inner level is the metric or Jacobian seeding): total Gamma with dGamma
-(order 1), f with df and d2f (order 2), P_v with dP_v and d2P_v (order
-2), the lift matrix (order 1), base Gamma^N with dGamma^N (order 1) and
-the fiber chart's Gamma with dGamma (order 1).  The rest is float
-arithmetic on these arrays.  ``submersion.oneill_contraction`` gives T and
-A from (P_v, dP_v, Gamma); H = trace_v(T) / (m - n), the trace taken
-against W = P_v g^{-1}; H' = -(lambda^2 / 2) P_v grad f.  The covariant
-derivatives follow by the product rule (``IdentityContext._nabla``),
-with d_l g_ij = g_iq Gamma^q_lj + g_jq Gamma^q_li,
-d g^{-1} = -g^{-1} (d g) g^{-1}, d P_h = -d P_v and
-d lambda^2 = -lambda^4 df, plus the Gamma terms that make a partial
-derivative covariant.  Scalar curvatures are traces tr(g^{-1} Ric).
+Every partial of the total side comes from the point's
+``submersion.CorePartials``, which seeds three leaves at order 2 on first
+read: the total metric g, the Jacobian J (two jet levels, through
+``jacobian_at``) and h o F.  From the metric seeding alone come Gamma
+and dGamma (``geometry.christoffels_from_metric``), so Riem and Hess f
+read no projector; from the three leaves the matrix product rule on
+float triples (X, dX, d2X) (``linalg.taylor_mul``,
+``linalg.taylor_inverse``) gives K = J g^{-1} J^T, the lift matrix
+g^{-1} J^T K^{-1} with its first partials, P_v with dP_v and d2P_v, and
+f = 1 / lambda^2 with df and d2f.  The base curvature and the fiber
+chart's curvature each take one order-2 metric seeding on their own
+chart, and a soliton field xi one order-1 seeding (``vector_field``).
+The rest is float arithmetic on these arrays.
+``submersion.oneill_contraction`` gives T and A from (P_v, dP_v, Gamma);
+H = trace_v(T) / (m - n), the trace taken against W = P_v g^{-1};
+H' = -(lambda^2 / 2) P_v grad f.  The covariant derivatives follow by
+the product rule (``IdentityContext._nabla``), with dW from the triples
+of P_v and g^{-1}, d P_h = -d P_v and d lambda^2 = -lambda^4 df, plus
+the Gamma terms that make a partial derivative covariant.  Scalar
+curvatures are traces tr(g^{-1} Ric).
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import numpy as np
 from . import geometry as geo
 from . import submersion as sub
 from .jets import primal_array
-from .linalg import mat_inverse
+from .linalg import mat_inverse, taylor_mul
 
 CURVATURE_CHECKS = ("G2.12", "G2.13", "G2.14", "G2.15", "G2.16")
 LEMMA31_CHECKS = tuple(f"L3.1.{k}" for k in ("i", "ii", "iii", "iv", "v", "vi"))
@@ -174,39 +183,34 @@ class IdentityContext:
         self.pv, self.ph = core.pv, core.ph
         self.lam_sq = core.lam_sq
         self.base_point, self.h_base = core.base_point, core.h_base
+        self._fields = {}  # of ``vector_field``
 
     # -- ingredients built on first read ----------------------------------
 
     @functools.cached_property
-    def _christoffel_partials(self):
-        """(Gamma, dGamma) of the total metric from one seeding: Riem,
-        ``gamma`` and Hess f all read this Gamma."""
-        return geo.christoffel_partials_at(self.setup.total, self.xs)
+    def partials(self):
+        """The point's ``sub.CorePartials``: every partial below comes from
+        its three seedings, each made on first read.  Riem, ``gamma`` and
+        Hess f read its Gamma, from the metric seeding alone."""
+        return sub.CorePartials(self.setup, self.xs)
 
     @functools.cached_property
     def gamma(self):
-        return primal_array(self._christoffel_partials[0])
+        return self.partials.christoffels[0]
 
     @functools.cached_property
     def riem(self):
-        return primal_array(
-            geo.riemann_from_christoffels(*self._christoffel_partials))
+        return geo.riemann_from_christoffels(*self.partials.christoffels)
 
     @functools.cached_property
     def ric_matrix(self):
         return np.einsum("ikij->jk", self.riem)
 
     @functools.cached_property
-    def _f_partials(self):
-        """(df, d2f) of the dilation function f = 1 / lambda^2 from one
-        order-2 seeding."""
-        _, df, d2f = geo.coordinate_partials(self.setup.inv_lambda_sq_fn(),
-                                             self.xs, order=2)
-        return df, d2f
-
-    @functools.cached_property
     def grad_f(self):
-        return primal_array(geo.raise_index(self.ginv, self._f_partials[0]))
+        """grad f of the dilation function f = 1 / lambda^2."""
+        return np.array(geo.raise_index(self.ginv,
+                                        self.partials.inv_lambda_sq[1]))
 
     @functools.cached_property
     def vgrad_f(self):
@@ -218,8 +222,8 @@ class IdentityContext:
 
     @functools.cached_property
     def hess_f(self):
-        return primal_array(geo.covariant_hessian(
-            self._christoffel_partials[0], *self._f_partials))
+        return np.array(geo.covariant_hessian(
+            self.gamma, *self.partials.inv_lambda_sq[1:]))
 
     @functools.cached_property
     def hp_vec(self):
@@ -227,40 +231,20 @@ class IdentityContext:
         return -0.5 * self.lam_sq * self.vgrad_f
 
     @functools.cached_property
-    def _pv_partials(self):
-        """(P_v, dP_v, d2P_v) as float arrays from one order-2 seeding,
-        with dP_v[l, i, b] = d_l (P_v)^i_b and d2P_v[l, j, i, b] =
-        d_l d_j (P_v)^i_b."""
-        setup = self.setup
-        return tuple(primal_array(a) for a in geo.coordinate_partials(
-            lambda zs: setup.projectors_at(zs)[0], self.xs, order=2))
-
-    @functools.cached_property
-    def _oneill_bundle(self):
-        """(T, A, N, M) of ``sub.oneill_contraction`` as float arrays."""
-        pv, dpv, _ = self._pv_partials
-        return sub.oneill_contraction(pv, dpv, self.gamma)
-
-    @functools.cached_property
     def t_tensor(self):
-        return self._oneill_bundle[0]
+        return self.partials.oneill[0]
 
     @functools.cached_property
     def a_tensor(self):
-        return self._oneill_bundle[1]
+        return self.partials.oneill[1]
 
     @functools.cached_property
     def _vtrace_form(self):
         """(W, dW) with W = P_v g^{-1}, which is sum_i U_i U_i^T over an
-        orthonormal vertical frame, and dW[l] = d_l W.  The partials of g
-        come from Gamma, d_l g_ij = g_iq Gamma^q_lj + g_jq Gamma^q_li, and
-        d_l g^{-1} = -g^{-1} (d_l g) g^{-1}."""
-        pv, dpv, _ = self._pv_partials
-        g, ginv, gam = self.g, self.ginv, self.gamma
-        dg = np.einsum("iq,qlj->lij", g, gam)
-        dg = dg + dg.transpose(0, 2, 1)
-        dginv = -np.einsum("ia,lab,bj->lij", ginv, dg, ginv)
-        return pv @ ginv, dpv @ ginv + np.einsum("ik,lkj->lij", pv, dginv)
+        orthonormal vertical frame, and dW[l] = d_l W, by the product
+        rule on the triples of P_v and g^{-1}."""
+        partials = self.partials
+        return taylor_mul(partials.pv, partials.ginv)[:2]
 
     @functools.cached_property
     def h_vec(self):
@@ -281,10 +265,10 @@ class IdentityContext:
         the Gamma terms then make them covariant.  T and A are tensors,
         so these equal the per-field cov_deriv_T_at / cov_deriv_A_at."""
         m, gam = self.m, self.gamma
-        dgam = primal_array(self._christoffel_partials[1])
-        pv, dpv, d2pv = self._pv_partials
+        dgam = self.partials.christoffels[1]
+        pv, dpv, d2pv = self.partials.pv
         ph = self.ph
-        t, a, nv, mix = self._oneill_bundle
+        t, a, nv, mix = self.partials.oneill
         dnv = (d2pv.transpose(0, 2, 1, 3)
                + np.einsum("lkij,jb->lkib", dgam, pv)
                + np.einsum("kij,ljb->lkib", gam, dpv))
@@ -297,7 +281,7 @@ class IdentityContext:
         w, dw = self._vtrace_form
         dh = (np.einsum("lkab,ab->lk", dt, w)
               + np.einsum("kab,lab->lk", t, dw)) / (m - self.n)
-        df, d2f = (np.asarray(x, float) for x in self._f_partials)
+        _, df, d2f = self.partials.inv_lambda_sq
         dlam_sq = -self.lam_sq ** 2 * df
         dhp = -0.5 * (np.outer(dlam_sq, w @ df)
                       + self.lam_sq * (dw @ df + d2f @ w.T))
@@ -373,7 +357,20 @@ class IdentityContext:
     def basic_fields(self):
         """(X, D, nabla) of ``sub.basic_field_derivatives``: the lifts X_a
         of the base coordinate fields and every nabla_{X_a} X_b."""
-        return sub.basic_field_derivatives(self.setup, self.xs, self.gamma)
+        return sub.basic_field_derivatives(*self.partials.lift[:2],
+                                           self.gamma)
+
+    def vector_field(self, xi):
+        """(xi, dxi, L_xi g) of a total-chart field at p as float arrays,
+        dxi[i, k] = d_i xi^k, from one seeding per field, kept for every
+        soliton fit and report that reads the field.  ``xi`` is a
+        ``VectorFieldSpec`` or a component function."""
+        if xi not in self._fields:
+            fn = xi if callable(xi) else geo.field_fn(self.setup.total, xi)
+            v, dv = geo.vector_partials(fn, self.xs)
+            self._fields[xi] = (v, dv, geo.lie_derivative_matrix(
+                self.g, self.gamma, v, dv))
+        return self._fields[xi]
 
     # -- base curvature ---------------------------------------------------
 
@@ -384,8 +381,8 @@ class IdentityContext:
         (Gamma^N, dGamma^N)."""
         gamma, dgamma = geo.christoffel_partials_at(
             self.setup.base, list(self.base_point.coords))
-        riem = primal_array(geo.riemann_from_christoffels(gamma, dgamma))
-        return primal_array(gamma), riem, np.einsum("ikij->jk", riem)
+        riem = geo.riemann_from_christoffels(gamma, dgamma)
+        return gamma, riem, np.einsum("ikij->jk", riem)
 
     @functools.cached_property
     def base_scalar_curvature(self):
@@ -416,7 +413,7 @@ class IdentityContext:
         if chart is None:
             raise sub.NotASubmersionError("fiber chart unavailable")
         fcoords = chart.fiber_coords(self.p)
-        riem = primal_array(geo.curvature_tensor_at(chart, fcoords))
+        riem = geo.curvature_tensor_at(chart, fcoords)
         return (chart.vertical_indices, primal_array(chart.metric_at(fcoords)),
                 riem, np.einsum("ikij->jk", riem))
 

@@ -64,18 +64,21 @@ def _frame(g):
 
 def _chart_curvature(chart, xs):
     """(g, Gamma, Ric) of a chart at xs as float arrays, Gamma and Ric
-    from one seeding of the Christoffel symbols."""
+    from one order-2 seeding of the metric."""
     gamma, dgamma = geo.christoffel_partials_at(chart, xs)
-    ric = np.einsum("ikij->jk",
-                    primal_array(geo.riemann_from_christoffels(gamma, dgamma)))
-    return primal_array(chart.metric_at(xs)), primal_array(gamma), ric
+    ric = np.einsum("ikij->jk", geo.riemann_from_christoffels(gamma, dgamma))
+    return primal_array(chart.metric_at(xs)), gamma, ric
 
 
-def _soliton_form(g, gamma, ric, xi_fn, xs):
+def _lie_matrix(g, gamma, xi_fn, xs):
+    """L_xi g at xs from one seeding of xi."""
+    return geo.lie_derivative_matrix(g, gamma, *geo.vector_partials(xi_fn, xs))
+
+
+def _soliton_form(g, lie, ric):
     """Matrix of (1/2)(L_xi g) + Ric over the orthonormal frame of g
     (whose Gram matrix is the identity, for the fit)."""
     frame = _frame(g)
-    lie = geo.lie_derivative_matrix(g, gamma, xi_fn, xs)
     return frame @ (0.5 * lie + ric.T) @ frame.T
 
 
@@ -87,7 +90,7 @@ def soliton_residual(chart, xi, mu, p, x, y):
     """(1/2)(L_xi g)(X,Y) + Ric(X,Y) + mu g(X,Y) at p."""
     xs = list(p.coords)
     g, gamma, ric = _chart_curvature(chart, xs)
-    lie = geo.lie_derivative_matrix(g, gamma, _field_fn(chart, xi), xs)
+    lie = _lie_matrix(g, gamma, _field_fn(chart, xi), xs)
     xc, yc = (np.asarray(v.components if isinstance(v, geo.TangentVector)
                          else v, dtype=float) for v in (x, y))
     return float(xc @ (0.5 * lie + ric + mu * g) @ yc)
@@ -96,17 +99,21 @@ def soliton_residual(chart, xi, mu, p, x, y):
 def fit_mu(chart, xi, points, tol=1e-9, contexts=None):
     """Least-squares mu over all orthonormal frame pairs and points.
     ``contexts`` are the points' IdentityContexts of a submersion whose
-    total chart is ``chart``, when the caller holds them; g, Gamma and Ric
-    are then read from them."""
+    total chart is ``chart``, when the caller holds them; g, Ric and
+    L_xi g are then read from them."""
     if not points:
         raise ValueError("fit_mu needs at least one point")
-    xi_fn = _field_fn(chart, xi)
     if contexts is None:
-        curvatures = (_chart_curvature(chart, list(p.coords)) for p in points)
+        xi_fn = _field_fn(chart, xi)
+        forms = []
+        for p in points:
+            xs = list(p.coords)
+            g, gamma, ric = _chart_curvature(chart, xs)
+            forms.append(_soliton_form(g, _lie_matrix(g, gamma, xi_fn, xs),
+                                       ric))
     else:
-        curvatures = ((ctx.g, ctx.gamma, ctx.ric_matrix) for ctx in contexts)
-    forms = [_soliton_form(g, gamma, ric, xi_fn, list(p.coords))
-             for p, (g, gamma, ric) in zip(points, curvatures)]
+        forms = [_soliton_form(ctx.g, ctx.vector_field(xi)[2], ctx.ric_matrix)
+                 for ctx in contexts]
     # minimizing sum (l_ab + mu*delta_ab)^2 gives mu = -mean of traces
     num = sum(np.trace(f) for f in forms)
     den = chart.dim * len(points)
@@ -123,20 +130,22 @@ def fit_mu(chart, xi, points, tol=1e-9, contexts=None):
 
 def conformal_field_fit(chart, xi, points, tol=1e-9, contexts=None):
     """Fit (L_xi g) = 2 f g pointwise; f from the trace.  ``contexts`` as
-    for ``fit_mu``: g and Gamma are then read from them."""
-    xi_fn = _field_fn(chart, xi)
+    for ``fit_mu``: g and L_xi g are then read from them."""
     if contexts is None:
-        metrics = ((primal_array(chart.metric_at(list(p.coords))),
-                    primal_array(geo.christoffels_at(chart, list(p.coords))))
-                   for p in points)
+        xi_fn = _field_fn(chart, xi)
+        metrics = []
+        for p in points:
+            xs = list(p.coords)
+            g = primal_array(chart.metric_at(xs))
+            gamma = primal_array(geo.christoffels_at(chart, xs))
+            metrics.append((g, _lie_matrix(g, gamma, xi_fn, xs)))
     else:
-        metrics = ((ctx.g, ctx.gamma) for ctx in contexts)
+        metrics = [(ctx.g, ctx.vector_field(xi)[2]) for ctx in contexts]
     f_values = []
     worst = 0.0
-    for p, (g, gamma) in zip(points, metrics):
-        xs = list(p.coords)
+    for p, (g, lie) in zip(points, metrics):
         frame = _frame(g)
-        lie = frame @ geo.lie_derivative_matrix(g, gamma, xi_fn, xs) @ frame.T
+        lie = frame @ lie @ frame.T
         k = len(frame)
         f = float(np.trace(lie)) / (2.0 * k)
         worst = max(worst, float(np.max(np.abs(lie - 2.0 * f * np.eye(k)))))
@@ -172,8 +181,6 @@ def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
     (1/2){g(nabla_U xi_v, V) + g(nabla_V xi_v, U)} + Ric^v(U,V) + f g(U,V)
     with f evaluated from its closed form per point.  ``contexts`` are
     the points' IdentityContexts when the caller already built them."""
-    xi_fn = _field_fn(setup.total, xi)
-    xi_v_fn = setup.vertical_project_fn(xi_fn)
     per_point = []
     worst = 0.0
     hyp_sets = []
@@ -183,12 +190,15 @@ def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
                          ctx.hyp_horizontal_tg()])
         k = ctx.m - ctx.n
         vframe = np.array(ctx.vframe)
-        lie = geo.lie_derivative_matrix(ctx.g, ctx.gamma, xi_v_fn, ctx.xs)
+        # xi_v = P_v xi with d_l xi_v = d_l P_v xi + P_v d_l xi
+        xi_vals, dxi, _ = ctx.vector_field(xi)
+        pv, dpv, _ = ctx.partials.pv
+        lie = geo.lie_derivative_matrix(ctx.g, ctx.gamma, pv @ xi_vals,
+                                        dpv @ xi_vals + dxi @ pv.T)
         lform = 0.5 * (vframe @ lie @ vframe.T) + np.array(
             [[ctx.fiber_ricci_intrinsic(u, v) for v in vframe]
              for u in vframe])
         fitted = -float(np.trace(lform)) / k
-        xi_vals = np.array([primal(c) for c in xi_fn(ctx.xs)])
         xi_h = ctx.ph @ xi_vals
         formula = _fiber_formula_value(ctx, xi_h, mu)
         res = float(np.max(np.abs(lform + formula * np.eye(k))))
@@ -222,8 +232,9 @@ def base_soliton_report(setup, xi, mu, points, xi_base=None, tol=1e-6,
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
                          ctx.hyp_fibers_tg(), ctx.hyp_horizontal_integrable()])
         base_gamma, _, base_ric = ctx.base_curvature
-        lform = _soliton_form(ctx.h_base, base_gamma, base_ric, xi_base_fn,
-                              list(ctx.base_point.coords))
+        lform = _soliton_form(
+            ctx.h_base, _lie_matrix(ctx.h_base, base_gamma, xi_base_fn,
+                                    list(ctx.base_point.coords)), base_ric)
         fitted = -float(np.trace(lform)) / setup.n
         formula = _base_formula_value(ctx, xi_fn, mu)
         res = float(np.max(np.abs(lform + formula * np.eye(setup.n))))

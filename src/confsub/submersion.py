@@ -10,6 +10,7 @@ pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,10 +19,10 @@ import numpy as np
 from . import geometry as geo
 from .expr import eval_expr, parse_expression
 from .geometry import (Point, TangentVector, cov_deriv_along_at, field_fn,
-                       gradient_at, jacobian_at)
+                       jacobian_at)
 from .jets import EvaluationError, primal, primal_array
 from .linalg import (SingularMatrixError, mat_inverse, mat_mul, mat_vec,
-                     null_space_bases, transpose)
+                     null_space_bases, taylor_inverse, taylor_mul, transpose)
 
 
 class NotASubmersionError(ValueError):
@@ -65,6 +66,9 @@ class OneillBundle:
     t: np.ndarray          # t[k, a, b]: component k of T_{e_a} e_b
     a: np.ndarray          # likewise A
     h: np.ndarray          # fiber mean curvature H
+    basic_fields: tuple    # (X, D, nabla) of ``basic_field_derivatives``
+    base_gamma: np.ndarray  # base Christoffel symbols at F(p)
+    grad_f: np.ndarray     # gradient of f = 1 / lambda^2
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,6 @@ class SubmersionSetup:
         return self._conformality_ratio(
             self.base.metric_at(self.map_point_at(xs)), k)
 
-    def inv_lambda_sq_fn(self):
-        return lambda xs: 1.0 / self.lambda_sq_at(xs)
-
     def horizontal_lift_at(self, xs, base_comps):
         _, _, _, _, lift = self._core_matrices_at(xs)
         return mat_vec(lift, base_comps)
@@ -274,6 +275,96 @@ class SubmersionSetup:
         return self.float_core(p).hframe
 
 
+class CorePartials:
+    """The submersion's core matrices at one point with their first and
+    second coordinate partials, as float triples (X, dX, ddX) of
+    ``linalg.taylor_mul`` (dX[l] = d_l X, ddX[l, j] = d_l d_j X), each
+    built on first read.  Three shallow seedings at order 2 are the
+    leaves: the total metric g (``metric``, which also gives Gamma and
+    dGamma), the Jacobian J (through the nested ``jacobian_at``) and
+    h o F.  The rest is the matrix product rule on them:
+    K = J g^{-1} J^T, lift = g^{-1} J^T K^{-1}, P_h = lift J,
+    P_v = I - P_h, lambda^2 = tr(h K^T) / n and f = 1 / lambda^2, the
+    formulas of ``SubmersionSetup._core_matrices_at`` and its callers,
+    which stay the generic (jet) layer."""
+
+    def __init__(self, setup, xs):
+        self.setup = setup
+        self.xs = [float(x) for x in xs]
+
+    def _leaf(self, fn):
+        return tuple(np.array(a, dtype=float) for a in
+                     geo.coordinate_partials(fn, self.xs, order=2))
+
+    @functools.cached_property
+    def metric(self):
+        return self._leaf(self.setup.total.metric_at)
+
+    @functools.cached_property
+    def christoffels(self):
+        """(Gamma, dGamma) of the total metric, dGamma[l] = d_l Gamma."""
+        return geo.christoffels_from_metric(*self.metric)
+
+    @functools.cached_property
+    def jac(self):
+        return self._leaf(self.setup.jacobian_at)
+
+    @functools.cached_property
+    def ginv(self):
+        return taylor_inverse(self.metric)
+
+    @functools.cached_property
+    def k(self):
+        """K = J g^{-1} J^T."""
+        return taylor_mul(self.jac, taylor_mul(self.ginv, _transposed(self.jac)))
+
+    @functools.cached_property
+    def lift(self):
+        """The lift matrix g^{-1} J^T K^{-1} (m x n): column a is the lift
+        of e_a."""
+        try:
+            k_inv = taylor_inverse(self.k)
+        except np.linalg.LinAlgError:
+            raise NotASubmersionError(
+                f"map is rank deficient at {tuple(self.xs)}") from None
+        return taylor_mul(self.ginv, taylor_mul(_transposed(self.jac), k_inv))
+
+    @functools.cached_property
+    def ph(self):
+        return taylor_mul(self.lift, self.jac)
+
+    @functools.cached_property
+    def pv(self):
+        ph = self.ph
+        return (np.eye(self.setup.m) - ph[0], -ph[1], -ph[2])
+
+    @functools.cached_property
+    def lam_sq(self):
+        """lambda^2 = tr(h K^T) / n with h the base metric at F."""
+        setup = self.setup
+        h = self._leaf(lambda zs: setup.base.metric_at(setup.map_point_at(zs)))
+        return tuple(np.trace(x, axis1=-2, axis2=-1) / setup.n
+                     for x in taylor_mul(h, _transposed(self.k)))
+
+    @functools.cached_property
+    def inv_lambda_sq(self):
+        """(f, df, ddf) of f = 1 / lambda^2."""
+        s, ds, dds = self.lam_sq
+        return (1.0 / s, -ds / s ** 2,
+                2.0 * np.outer(ds, ds) / s ** 3 - dds / s ** 2)
+
+    @functools.cached_property
+    def oneill(self):
+        """(T, A, N, M) of ``oneill_contraction`` over (P_v, dP_v, Gamma)."""
+        pv, dpv, _ = self.pv
+        return oneill_contraction(pv, dpv, self.christoffels[0])
+
+
+def _transposed(a):
+    """The triple of A^T."""
+    return tuple(x.swapaxes(-1, -2) for x in a)
+
+
 # ---------------------------------------------------------------------
 # fundamental tensors
 # ---------------------------------------------------------------------
@@ -321,15 +412,13 @@ def oneill_contraction(pv, dpv, gamma):
             np.einsum("ia,kib->kab", ph, mix), nv, mix)
 
 
-def oneill_tensors_at(setup, xs, gamma=None):
+def oneill_tensors_at(setup, xs):
     """(T, A) over the coordinate basis as object arrays, from one
     order-1 seeding of P_v and one Christoffel evaluation through
-    ``oneill_contraction``.  ``gamma`` is ``christoffels_at`` of the total
-    chart at the same xs when the caller holds it."""
+    ``oneill_contraction``."""
     pv, dpv = geo.coordinate_partials(lambda zs: setup.projectors_at(zs)[0],
                                       xs)
-    if gamma is None:
-        gamma = geo.christoffels_at(setup.total, xs)
+    gamma = geo.christoffels_at(setup.total, xs)
     t, a, _, _ = oneill_contraction(np.array(pv, dtype=object),
                                     np.array(dpv, dtype=object),
                                     np.array(gamma, dtype=object))
@@ -365,21 +454,23 @@ def cov_deriv_A_at(setup, xs, e_comps, x_fn, ep_fn):
     return [a - b - c for a, b, c in zip(term1, term2, term3)]
 
 
-def oneill_bundle(setup, p, core=None, gamma=None):
-    """The float core, total Gamma, T, A and H at p, each built once:
-    Gamma from one ``christoffels_at``, T and A from one order-1
-    ``oneill_tensors_at`` reading it, H from T and the core's P_v and g.
-    ``core`` and ``gamma`` (float Gamma) are the point's when the caller
-    holds them."""
-    xs = list(p.coords)
+def oneill_bundle(setup, p, core=None):
+    """The ``OneillBundle`` at p from one ``CorePartials``: Gamma, T, A,
+    the basic fields and grad f from its seedings, H from T and the float
+    core's P_v and g, and the base Gamma^N from one ``christoffels_at``.
+    ``core`` is the point's float core when the caller holds it."""
     if core is None:
         core = setup.float_core(p)
-    if gamma is None:
-        gamma = primal_array(geo.christoffels_at(setup.total, xs))
-    t, a = (primal_array(x) for x in oneill_tensors_at(setup, xs, gamma))
-    return OneillBundle(core=core, gamma=gamma, t=t, a=a,
-                        h=mean_curvature_from(t, core.pv @ core.ginv,
-                                              setup.m - setup.n))
+    partials = CorePartials(setup, p.coords)
+    gamma = partials.christoffels[0]
+    t, a, _, _ = partials.oneill
+    return OneillBundle(
+        core=core, gamma=gamma, t=t, a=a,
+        h=mean_curvature_from(t, core.pv @ core.ginv, setup.m - setup.n),
+        basic_fields=basic_field_derivatives(*partials.lift[:2], gamma),
+        base_gamma=primal_array(geo.christoffels_at(
+            setup.base, list(core.base_point.coords))),
+        grad_f=core.ginv @ partials.inv_lambda_sq[1])
 
 
 # ---------------------------------------------------------------------
@@ -459,16 +550,16 @@ def mean_curvature(setup, p):
 
 
 def tension_field(setup, p):
-    """(n-2)(lambda^2/2) F_*(H grad(1/lambda^2)) - (m-n) F_*(H)."""
-    xs = list(p.coords)
-    lam_sq = primal(setup.lambda_sq_at(xs))
-    grad = gradient_at(setup.total, setup.inv_lambda_sq_fn(), xs)
-    _, ph = setup.projectors_at(xs)
-    hgrad = [primal(c) for c in mat_vec(ph, grad)]
-    h_vec = [primal(c) for c in mean_curvature_at(setup, xs)]
-    jac = setup.jacobian(p)
-    first = (setup.n - 2) * 0.5 * lam_sq * (jac @ np.array(hgrad))
-    second = (setup.m - setup.n) * (jac @ np.array(h_vec))
+    """(n-2)(lambda^2/2) F_*(H grad(1/lambda^2)) - (m-n) F_*(H), from one
+    ``CorePartials`` of its own."""
+    partials = CorePartials(setup, p.coords)
+    ginv = partials.ginv[0]
+    hgrad = partials.ph[0] @ (ginv @ partials.inv_lambda_sq[1])
+    h_vec = mean_curvature_from(partials.oneill[0], partials.pv[0] @ ginv,
+                                setup.m - setup.n)
+    jac = partials.jac[0]
+    first = (setup.n - 2) * 0.5 * partials.lam_sq[0] * (jac @ hgrad)
+    second = (setup.m - setup.n) * (jac @ h_vec)
     q = setup.map_point(p)
     return TangentVector(tuple(float(a - b) for a, b in zip(first, second)), q)
 
@@ -550,15 +641,13 @@ def _gnorm(g, v):
     return math.sqrt(max(0.0, float(arr @ g @ arr)))
 
 
-def basic_field_derivatives(setup, xs, gamma):
+def basic_field_derivatives(lift, dlift, gamma):
     """(X, D, nabla) for the horizontal lifts X_a of the base coordinate
-    fields at xs, as float arrays from one order-1 seeding of the lift
-    matrix: X[i, a] = X_a^i, D[k, a, b] = X_a(X_b^k) and
+    fields, as float arrays from the lift matrix with its partials
+    (``CorePartials.lift``): X[i, a] = X_a^i, D[k, a, b] = X_a(X_b^k) and
     nabla[k, a, b] = (nabla_{X_a} X_b)^k = D[k, a, b]
     + Gamma^k_ij X_a^i X_b^j, with ``gamma`` the total Christoffel
-    symbols at xs.  The bracket [X_a, X_b] is D[:, a, b] - D[:, b, a]."""
-    lift, dlift = (primal_array(v) for v in geo.coordinate_partials(
-        lambda zs: setup._core_matrices_at(zs)[4], xs))
+    symbols.  The bracket [X_a, X_b] is D[:, a, b] - D[:, b, a]."""
     d = np.einsum("la,lkb->kab", lift, dlift)
     return lift, d, d + np.einsum("kij,ia,jb->kab", gamma, lift, lift)
 
@@ -569,29 +658,29 @@ def pair_norms(g, vecs):
                                              vecs)))
 
 
-def _basic_field_violations(setup, p, core, gamma):
-    """(integrability, second fundamental form) violations at p over the
-    lifts X_a of ``basic_field_derivatives``: sup |v[X_a, X_b]| normalized
-    to unit vectors, and sup |Gamma^N_ab - F_*(nabla_{X_a} X_b)|; ``core``
-    is ``setup.float_core(p)`` and ``gamma`` the total Gamma at p."""
-    lift, d, nabla = basic_field_derivatives(setup, list(p.coords), gamma)
+def _basic_field_violations(bundle):
+    """(integrability, second fundamental form) violations at the
+    bundle's point over the lifts X_a of its basic fields: sup |v[X_a,
+    X_b]| normalized to unit vectors, and sup |Gamma^N_ab - F_*(nabla_{X_a}
+    X_b)|."""
+    core = bundle.core
+    lift, d, nabla = bundle.basic_fields
     g = core.g
-    base_gamma = primal_array(geo.christoffels_at(
-        setup.base, list(core.base_point.coords)))
     norms = np.sqrt(np.maximum(0.0, np.einsum("ia,ij,ja->a", lift, g, lift)))
     vert = np.einsum("ki,iab->kab", core.pv, d - d.transpose(0, 2, 1))
     brackets = pair_norms(g, vert) / np.maximum(np.outer(norms, norms), 1e-30)
-    sff = base_gamma - np.einsum("ik,kab->iab", core.jac, nabla)
+    sff = bundle.base_gamma - np.einsum("ik,kab->iab", core.jac, nabla)
     return (float(np.max(np.triu(brackets, 1), initial=0.0)),
             float(np.max(pair_norms(core.h_base, sff))))
 
 
 def structure_flags(setup, points, tol=1e-8, bundles=None):
     """Which structural properties hold at every point, each with its
-    largest violation.  ``bundles`` are ``oneill_bundle`` of the points
-    when the caller holds them."""
+    largest violation.  ``bundles`` are ``OneillBundle`` values of the
+    points when the caller holds them."""
     if bundles is None:
-        bundles = [oneill_bundle(setup, p) for p in points]
+        bundles = [oneill_bundle(setup, p, core)
+                   for p, core in zip(points, setup.float_cores(points))]
     sup_t = 0.0
     sup_umb = 0.0
     sup_integrable = 0.0
@@ -599,8 +688,7 @@ def structure_flags(setup, points, tol=1e-8, bundles=None):
     sup_hgrad = 0.0
     sup_vgrad = 0.0
     sup_sff = 0.0
-    for p, bundle in zip(points, bundles):
-        xs = list(p.coords)
+    for bundle in bundles:
         core = bundle.core
         g = core.g
         for i, ui in enumerate(core.vframe):
@@ -613,16 +701,13 @@ def structure_flags(setup, points, tol=1e-8, bundles=None):
             for xj in core.hframe:
                 a = np.einsum("kab,a,b->k", bundle.a, xi, xj)
                 sup_a = max(sup_a, _gnorm(g, a))
-        integrable, sff = _basic_field_violations(setup, p, core,
-                                                  bundle.gamma)
+        integrable, sff = _basic_field_violations(bundle)
         sup_integrable = max(sup_integrable, integrable)
         sup_sff = max(sup_sff, sff)
-        grad_inv = gradient_at(setup.total, setup.inv_lambda_sq_fn(), xs)
         # grad(lambda) = -(lambda^3 / 2) grad(1/lambda^2)
-        lam = math.sqrt(core.lam_sq)
-        grad_lam = [-0.5 * lam ** 3 * primal(c) for c in grad_inv]
-        sup_hgrad = max(sup_hgrad, _gnorm(g, mat_vec(core.ph, grad_lam)))
-        sup_vgrad = max(sup_vgrad, _gnorm(g, mat_vec(core.pv, grad_lam)))
+        grad_lam = -0.5 * math.sqrt(core.lam_sq) ** 3 * bundle.grad_f
+        sup_hgrad = max(sup_hgrad, _gnorm(g, core.ph @ grad_lam))
+        sup_vgrad = max(sup_vgrad, _gnorm(g, core.pv @ grad_lam))
     def check(v):
         return PropertyCheck(holds=v <= tol, max_violation=v)
     return StructureFlags(

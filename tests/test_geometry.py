@@ -185,6 +185,37 @@ def test_curvature_symmetries_and_first_bianchi(chart_, points):
         assert np.max(np.abs(bianchi)) <= 1e-8
 
 
+def _riemann_loops(gamma, dgamma):
+    """The loop form of ``geo.riemann_from_christoffels``, its reference:
+    R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik
+    + sum_t (Gamma^l_it Gamma^t_jk - Gamma^l_jt Gamma^t_ik)."""
+    m = len(gamma)
+    riem = np.empty((m, m, m, m))
+    for l in range(m):
+        for k in range(m):
+            for i in range(m):
+                for j in range(m):
+                    val = dgamma[i][l][j][k] - dgamma[j][l][i][k]
+                    val = val + sum(gamma[l][i][t] * gamma[t][j][k]
+                                    - gamma[l][j][t] * gamma[t][i][k]
+                                    for t in range(m))
+                    riem[l, k, i, j] = val
+    return riem
+
+
+@pytest.mark.parametrize("chart_,points", CHARTS_AND_POINTS + [
+    (H3, H3_POINTS[:3])])
+def test_riemann_einsums_match_loop_form(chart_, points):
+    # the einsums sum the same 2m + 2 products per entry in another
+    # order: a few ulps of the largest term apart
+    for p in points:
+        gamma, dgamma = geo.christoffel_partials_at(chart_, list(p.coords))
+        ref = _riemann_loops(gamma, dgamma)
+        scale = 1.0 + np.abs(dgamma).max() + np.abs(gamma).max() ** 2
+        got = geo.riemann_from_christoffels(gamma, dgamma)
+        assert np.abs(got - ref).max() <= 1e-14 * chart_.dim * scale
+
+
 # -- operators ----------------------------------------------------------
 
 def test_gradient_divergence_laplacian_flat():
@@ -245,7 +276,7 @@ def test_lie_derivative_matrix_matches_coordinate_form(chart_, texts, dxi,
                + np.einsum("ik,jk->ij", g, d))
         got = geo.lie_derivative_matrix(
             g, np.array(geo.christoffels_at(chart_, xs), float),
-            geo.field_fn(chart_, spec), xs)
+            *geo.vector_partials(geo.field_fn(chart_, spec), xs))
         assert np.abs(ref).max() > 0.1  # not a Killing field
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 

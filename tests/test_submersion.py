@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsub import catalog
 from confsub import geometry as geo
@@ -247,7 +249,8 @@ BUNDLE_CASES = [_catalog_case(eid) for eid in catalog.EXAMPLE_IDS] + [
 def _hprime_fn(setup):
     """H' = -(lambda^2 / 2) v grad(1 / lambda^2) as a component function."""
     def fn(zs):
-        grad = geo.gradient_at(setup.total, setup.inv_lambda_sq_fn(), zs)
+        grad = geo.gradient_at(setup.total,
+                               lambda ws: 1.0 / setup.lambda_sq_at(ws), zs)
         pv, _ = setup.projectors_at(zs)
         lam_sq = setup.lambda_sq_at(zs)
         return [-0.5 * lam_sq * c for c in mat_vec(pv, grad)]
@@ -312,9 +315,9 @@ def test_oneill_bundle_matches_per_field_path(name, setup, points):
 def test_context_seeds_at_most_two_levels_deep(monkeypatch, name, setup,
                                                point):
     # Riem, Gamma, Hess f, T, A, H, H' and every covariant derivative come
-    # from three order-1 or order-2 seedings (Gamma, f = 1/lambda^2, P_v),
-    # each holding at most one inner seeding (the metric or Jacobian
-    # partials), plus the Jacobian seeding of the float core
+    # from the three order-2 seedings of CorePartials (the metric, the
+    # Jacobian with its inner seeding, h o F), plus the Jacobian seeding
+    # of the float core
     depth = Counter()
     real_partials = geo.coordinate_partials
     real_seed = JetSpace.seed
@@ -339,7 +342,7 @@ def test_context_seeds_at_most_two_levels_deep(monkeypatch, name, setup,
         getattr(ctx, attr)
     assert depth["max"] == 2, name
     if name == "5.3":
-        assert depth["seeds"] <= 7
+        assert depth["seeds"] <= 5
 
 
 # -- structure flags' basic-field violations against the per-pair path ---
@@ -434,9 +437,7 @@ def test_structure_flags_match_per_pair_path(name, setup, points):
     # one seeding of the lift matrix gives every bracket and every
     # nabla_{X_a} X_b; the per-pair path seeds each pair on its own
     for p in points:
-        got = sub._basic_field_violations(
-            setup, p, setup.float_core(p),
-            geo.christoffels_at(setup.total, list(p.coords)))
+        got = sub._basic_field_violations(sub.oneill_bundle(setup, p))
         ref = _per_pair_violations(setup, p)
         _assert_close(got, ref, (name, "integrability, sff"))
         flags = sub.structure_flags(setup, [p])
@@ -566,3 +567,70 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
                 if key == "base_point":
                     field = field.coords
                 _assert_close(field, value, (name, p.coords, key))
+
+
+# ---------------------------------------------------------------------
+# core partials by the matrix product rule
+# ---------------------------------------------------------------------
+
+def _assert_triples_close(got, ref, what):
+    for order, (g, r) in enumerate(zip(got, ref)):
+        _assert_close(g, primal_array(r), (what, order))
+
+
+def _check_core_partials(setup, p):
+    """CorePartials and christoffel_partials_at against the jet layer:
+    P_v and 1/lambda^2 seeded at order 2, the lift matrix at order 1 and
+    Gamma seeded over the nested christoffels_at."""
+    xs = list(p.coords)
+    got = sub.CorePartials(setup, xs)
+    _assert_triples_close(got.pv, geo.coordinate_partials(
+        lambda zs: setup.projectors_at(zs)[0], xs, order=2), (p, "P_v"))
+    _assert_triples_close(got.inv_lambda_sq, geo.coordinate_partials(
+        lambda zs: 1.0 / setup.lambda_sq_at(zs), xs, order=2), (p, "f"))
+    _assert_triples_close(got.lift[:2], geo.coordinate_partials(
+        lambda zs: setup._core_matrices_at(zs)[4], xs), (p, "lift"))
+    gamma = geo.coordinate_partials(
+        lambda zs: geo.christoffels_at(setup.total, zs), xs)
+    _assert_triples_close(got.christoffels, gamma, (p, "Gamma"))
+    _assert_triples_close(geo.christoffel_partials_at(setup.total, xs),
+                          gamma, (p, "christoffel_partials_at"))
+
+
+CORE_PARTIAL_CASES = BUNDLE_CASES[:5] + [
+    (_TWISTED[0], _TWISTED[1], sample(_TWISTED[2], 2, seed=25)),
+    ("fiber-2d", _fiber_2d_setup(), sample(_BOX4, 2, seed=26)),
+    ("mixed-pivots", _mixed_pivot_setup(),
+     [Point((0.0, 0.5, -0.2)), Point((-0.7, 0.0, 0.9))])]
+
+
+@pytest.mark.parametrize("name,setup,points", CORE_PARTIAL_CASES,
+                         ids=[case[0] for case in CORE_PARTIAL_CASES])
+def test_core_partials_match_jet_layer(name, setup, points):
+    for p in points:
+        _check_core_partials(setup, p)
+
+
+_COEF = st.floats(-0.5, 0.5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.tuples(*[_COEF] * 4), c=st.floats(-0.15, 0.15),
+       e=st.tuples(*[_COEF] * 3),
+       x=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_core_partials_match_jet_layer_on_generated_metrics(a, c, e, x):
+    # exp/polynomial metrics, positive definite on the unit box since the
+    # off-diagonal entry is dominated; the map's first two Jacobian
+    # columns have determinant 1, so it is a submersion everywhere
+    def f(v):
+        return f"{v:.6f}"
+    total = geo.ChartManifold.from_strings(
+        ["x1", "x2", "x3"],
+        [[f"exp({f(a[0])}*x1 + {f(a[1])}*x3)", f"{f(c)}*x1*x3", "0"],
+         [f"{f(c)}*x1*x3", f"1 + {f(a[2])}^2*x2^2", "0"],
+         ["0", "0", f"exp({f(a[3])}*x2) + x1^2"]])
+    base = geo.ChartManifold.from_strings(
+        ["y1", "y2"], [[f"exp({f(e[0])}*y1)", "0"], ["0", "1 + y2^2"]])
+    setup = make_setup(total, base, [f"x1 + {f(e[1])}*x3^2",
+                                     f"x2 + {f(e[2])}*x1*x3"])
+    _check_core_partials(setup, Point(x))
