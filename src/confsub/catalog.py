@@ -19,6 +19,7 @@ import numpy as np
 from . import geometry as geo
 from . import submersion as sub
 from .expr import eval_expr, parse_expression
+from .identities import IdentityContext
 from .jets import primal
 from .manifest import EXAMPLE_IDS, parse_manifest
 
@@ -236,9 +237,9 @@ def run_example(example_id, tol=1e-6, points=None):
                     float(c)) for p, c in zip(points, computed)]
         rows.append(_compare(name, provenance, samples, tol))
 
-    # every row at a point reads the point's one O'Neill bundle
-    bundles = [sub.oneill_bundle(setup, p, core=core)
-               for p, core in zip(points, setup.float_cores(points))]
+    # every row at a point reads the point's one identity context
+    contexts = [IdentityContext(setup, p, core=core)
+                for p, core in zip(points, setup.float_cores(points))]
 
     # Christoffel symbols, every index triple (sparse expected, default 0)
     for k in range(1, m + 1):
@@ -247,35 +248,34 @@ def run_example(example_id, tol=1e-6, points=None):
                 text = expected.christoffels.get((k, i, j),
                                                  expected.christoffels.get((k, j, i), "0"))
                 compare(f"Gamma^{k}_{i}{j}", "paper-printed", text,
-                        [b.gamma[k - 1, i - 1, j - 1] for b in bundles])
+                        [c.gamma[k - 1, i - 1, j - 1] for c in contexts])
 
     # dilation
     compare("lambda^2", "paper-printed", expected.dilation,
-            [b.core.lam_sq for b in bundles])
+            [c.lam_sq for c in contexts])
 
     # O'Neill tensor values: T_U V, A_X Y or g(U,U)H
     for name, kind, args, comp_texts, provenance in expected.oneill_values:
         if kind == "umbilical-product":
             u = np.asarray(args[0])
-            vecs = [float(u @ b.core.g @ u) * b.h for b in bundles]
+            vecs = [float(u @ c.g @ u) * c.h_vec for c in contexts]
         else:
             u, v = (np.asarray(x) for x in args)
-            vecs = [(b.t if kind == "T" else b.a) @ v @ u for b in bundles]
+            vecs = [(c.t_tensor if kind == "T" else c.a_tensor) @ v @ u
+                    for c in contexts]
         for axis, text in enumerate(comp_texts):
             compare(f"{name} [{axis + 1}]", provenance, text,
                     [vec[axis] for vec in vecs])
 
     # Ricci entries: printed value vs intrinsic coordinate computation,
     # oracle value vs the same (transcription and truth tracked separately)
-    rics = ([geo.ricci_matrix_at(total, list(p.coords)) for p in points]
-            if expected.ricci_values else [])
     for (i, j), (printed, oracle) in expected.ricci_values.items():
-        vals = [primal(ric[i - 1][j - 1]) for ric in rics]
+        vals = [c.ric_matrix[i - 1, j - 1] for c in contexts]
         compare(f"Ric(e{i},e{j}) printed", "paper-printed", printed, vals)
         compare(f"Ric(e{i},e{j}) oracle", "derived-oracle", oracle, vals)
 
     # structure flags vs prose claims
-    flags = sub.structure_flags(setup, points, bundles=bundles).as_dict()
+    flags = sub.structure_flags(setup, points, contexts=contexts).as_dict()
     for flag_name, want in expected.structure.items():
         got = flags[flag_name].holds
         rows.append(ComparisonRow(

@@ -130,12 +130,8 @@ def _run_soliton_checks(job, checks, records, contexts):
     setup, points, tol = job.setup, job.points, job.tolerance
     needs_xi = [c for c in checks if c != "structure-flags"]
     if "structure-flags" in checks:
-        bundles = [sub.OneillBundle(
-            core=ctx.core, gamma=ctx.gamma, t=ctx.t_tensor, a=ctx.a_tensor,
-            h=ctx.h_vec, basic_fields=ctx.basic_fields,
-            base_gamma=ctx.base_curvature[0], grad_f=ctx.grad_f)
-            for ctx in contexts]
-        flags = sub.structure_flags(setup, points, bundles=bundles).as_dict()
+        flags = sub.structure_flags(setup, points,
+                                    contexts=contexts).as_dict()
         for name, check in flags.items():
             records.append(_fit_record(
                 "structure-flags", [], float(check.holds), float(check.holds),

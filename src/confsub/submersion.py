@@ -20,7 +20,7 @@ from . import geometry as geo
 from .expr import eval_expr, parse_expression
 from .geometry import (Point, TangentVector, cov_deriv_along_at, field_fn,
                        jacobian_at)
-from .jets import EvaluationError, primal, primal_array
+from .jets import EvaluationError, primal
 from .linalg import (SingularMatrixError, mat_inverse, mat_mul, mat_vec,
                      null_space_bases, taylor_inverse, taylor_mul, transpose)
 
@@ -54,21 +54,6 @@ class FloatCore:
     lam_sq: float          # squared dilation
     base_point: Point      # F(p)
     h_base: np.ndarray     # base metric at F(p)
-
-
-@dataclass(frozen=True)
-class OneillBundle:
-    """Float O'Neill values of a submersion at one point (see
-    ``oneill_bundle``); arrays are over the coordinate basis."""
-
-    core: FloatCore
-    gamma: np.ndarray      # total Christoffel symbols, gamma[k, i, j]
-    t: np.ndarray          # t[k, a, b]: component k of T_{e_a} e_b
-    a: np.ndarray          # likewise A
-    h: np.ndarray          # fiber mean curvature H
-    basic_fields: tuple    # (X, D, nabla) of ``basic_field_derivatives``
-    base_gamma: np.ndarray  # base Christoffel symbols at F(p)
-    grad_f: np.ndarray     # gradient of f = 1 / lambda^2
 
 
 @dataclass(frozen=True)
@@ -454,25 +439,6 @@ def cov_deriv_A_at(setup, xs, e_comps, x_fn, ep_fn):
     return [a - b - c for a, b, c in zip(term1, term2, term3)]
 
 
-def oneill_bundle(setup, p, core=None):
-    """The ``OneillBundle`` at p from one ``CorePartials``: Gamma, T, A,
-    the basic fields and grad f from its seedings, H from T and the float
-    core's P_v and g, and the base Gamma^N from one ``christoffels_at``.
-    ``core`` is the point's float core when the caller holds it."""
-    if core is None:
-        core = setup.float_core(p)
-    partials = CorePartials(setup, p.coords)
-    gamma = partials.christoffels[0]
-    t, a, _, _ = partials.oneill
-    return OneillBundle(
-        core=core, gamma=gamma, t=t, a=a,
-        h=mean_curvature_from(t, core.pv @ core.ginv, setup.m - setup.n),
-        basic_fields=basic_field_derivatives(*partials.lift[:2], gamma),
-        base_gamma=primal_array(geo.christoffels_at(
-            setup.base, list(core.base_point.coords))),
-        grad_f=core.ginv @ partials.inv_lambda_sq[1])
-
-
 # ---------------------------------------------------------------------
 # mean curvatures
 # ---------------------------------------------------------------------
@@ -658,29 +624,30 @@ def pair_norms(g, vecs):
                                              vecs)))
 
 
-def _basic_field_violations(bundle):
-    """(integrability, second fundamental form) violations at the
-    bundle's point over the lifts X_a of its basic fields: sup |v[X_a,
-    X_b]| normalized to unit vectors, and sup |Gamma^N_ab - F_*(nabla_{X_a}
-    X_b)|."""
-    core = bundle.core
-    lift, d, nabla = bundle.basic_fields
-    g = core.g
+def _basic_field_violations(ctx):
+    """(integrability, second fundamental form) violations at the point
+    of ``ctx`` (an ``identities.IdentityContext``) over the lifts X_a of
+    its basic fields: sup |v[X_a, X_b]| normalized to unit vectors, and
+    sup |Gamma^N_ab - F_*(nabla_{X_a} X_b)|."""
+    lift, d, nabla = ctx.basic_fields
+    g = ctx.g
     norms = np.sqrt(np.maximum(0.0, np.einsum("ia,ij,ja->a", lift, g, lift)))
-    vert = np.einsum("ki,iab->kab", core.pv, d - d.transpose(0, 2, 1))
+    vert = np.einsum("ki,iab->kab", ctx.pv, d - d.transpose(0, 2, 1))
     brackets = pair_norms(g, vert) / np.maximum(np.outer(norms, norms), 1e-30)
-    sff = bundle.base_gamma - np.einsum("ik,kab->iab", core.jac, nabla)
+    sff = ctx.base_curvature[0] - np.einsum("ik,kab->iab", ctx.jac, nabla)
     return (float(np.max(np.triu(brackets, 1), initial=0.0)),
-            float(np.max(pair_norms(core.h_base, sff))))
+            float(np.max(pair_norms(ctx.h_base, sff))))
 
 
-def structure_flags(setup, points, tol=1e-8, bundles=None):
+def structure_flags(setup, points, tol=1e-8, contexts=None):
     """Which structural properties hold at every point, each with its
-    largest violation.  ``bundles`` are ``OneillBundle`` values of the
-    points when the caller holds them."""
-    if bundles is None:
-        bundles = [oneill_bundle(setup, p, core)
-                   for p, core in zip(points, setup.float_cores(points))]
+    largest violation, read off the points' ``IdentityContext`` values:
+    ``contexts`` when the caller holds them, else built here."""
+    if contexts is None:
+        # imported here: identities imports this module
+        from .identities import IdentityContext
+        contexts = [IdentityContext(setup, p, core=core)
+                    for p, core in zip(points, setup.float_cores(points))]
     sup_t = 0.0
     sup_umb = 0.0
     sup_integrable = 0.0
@@ -688,26 +655,25 @@ def structure_flags(setup, points, tol=1e-8, bundles=None):
     sup_hgrad = 0.0
     sup_vgrad = 0.0
     sup_sff = 0.0
-    for bundle in bundles:
-        core = bundle.core
-        g = core.g
-        for i, ui in enumerate(core.vframe):
-            for uj in core.vframe[i:]:
-                t = np.einsum("kab,a,b->k", bundle.t, ui, uj)
+    for ctx in contexts:
+        g = ctx.g
+        for i, ui in enumerate(ctx.vframe):
+            for uj in ctx.vframe[i:]:
+                t = np.einsum("kab,a,b->k", ctx.t_tensor, ui, uj)
                 sup_t = max(sup_t, _gnorm(g, t))
-                umb = t - float(ui @ g @ uj) * bundle.h
+                umb = t - float(ui @ g @ uj) * ctx.h_vec
                 sup_umb = max(sup_umb, _gnorm(g, umb))
-        for xi in core.hframe:
-            for xj in core.hframe:
-                a = np.einsum("kab,a,b->k", bundle.a, xi, xj)
+        for xi in ctx.hframe:
+            for xj in ctx.hframe:
+                a = np.einsum("kab,a,b->k", ctx.a_tensor, xi, xj)
                 sup_a = max(sup_a, _gnorm(g, a))
-        integrable, sff = _basic_field_violations(bundle)
+        integrable, sff = _basic_field_violations(ctx)
         sup_integrable = max(sup_integrable, integrable)
         sup_sff = max(sup_sff, sff)
         # grad(lambda) = -(lambda^3 / 2) grad(1/lambda^2)
-        grad_lam = -0.5 * math.sqrt(core.lam_sq) ** 3 * bundle.grad_f
-        sup_hgrad = max(sup_hgrad, _gnorm(g, core.ph @ grad_lam))
-        sup_vgrad = max(sup_vgrad, _gnorm(g, core.pv @ grad_lam))
+        grad_lam = -0.5 * math.sqrt(ctx.lam_sq) ** 3 * ctx.grad_f
+        sup_hgrad = max(sup_hgrad, _gnorm(g, ctx.ph @ grad_lam))
+        sup_vgrad = max(sup_vgrad, _gnorm(g, ctx.pv @ grad_lam))
     def check(v):
         return PropertyCheck(holds=v <= tol, max_violation=v)
     return StructureFlags(

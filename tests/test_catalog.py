@@ -7,6 +7,7 @@ import pytest
 from confsub import catalog
 from confsub import geometry as geo
 from confsub import submersion as sub
+from confsub.identities import IdentityContext
 from confsub.jets import JetSpace
 
 EXPECTED_DIVERGENCES = {
@@ -79,12 +80,12 @@ def test_unknown_example_rejected():
 
 def test_run_example_evaluates_each_ingredient_once(monkeypatch):
     # each per-point ingredient is computed once, outside the per-row
-    # loops: one O'Neill bundle (Gamma, lambda^2, T, A, H) and one Ricci
-    # matrix per point, shared by every row and by the structure flags;
-    # the per-field T/A path is never taken.  A bundle seeds its
-    # CorePartials (the metric, the Jacobian with its inner seeding,
-    # h o F) and the base Gamma: 5 seedings per point, and one for the
-    # float cores of all 12 points
+    # loops: one identity context per point (Gamma, lambda^2, T, A, H,
+    # Ricci) shared by every row and by the structure flags; the per-field
+    # T/A path is never taken.  A context seeds its CorePartials (the
+    # metric, the Jacobian with its inner seeding, h o F) and the base
+    # curvature: 5 seedings per point, and one for the float cores of all
+    # the points; Ricci reads the metric seeding Gamma came from
     counts = Counter()
 
     def counting(owner, name):
@@ -95,15 +96,18 @@ def test_run_example_evaluates_each_ingredient_once(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((sub, "oneill_bundle"), (geo, "ricci_matrix_at"),
+    for owner, name in ((IdentityContext, "__init__"),
+                        (geo, "ricci_matrix_at"),
                         (sub, "oneill_T_at"), (sub, "oneill_A_at"),
                         (JetSpace, "seed")):
         counting(owner, name)
     rep = catalog.run_example("5.3")
     assert rep.counts["fail"] == 0
-    assert counts["oneill_bundle"] == 12
+    assert counts["__init__"] == 12
     assert counts["oneill_T_at"] + counts["oneill_A_at"] == 0
-    assert counts["seed"] <= 5 * 12 + 1
+    assert counts["seed"] == 5 * 12 + 1
     counts.clear()
     catalog.run_example("5.1")
-    assert counts["ricci_matrix_at"] == 10
+    assert counts["__init__"] == 10
+    assert counts["ricci_matrix_at"] == 0
+    assert counts["seed"] == 5 * 10 + 1

@@ -221,7 +221,7 @@ def test_horizontal_lift_pushes_forward():
     assert push == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
-# -- the per-point O'Neill bundle against the per-field reference path ----
+# -- the context's O'Neill values against the per-field reference path ---
 
 WARPED_4TO2 = warped_4to2()
 
@@ -240,7 +240,7 @@ def _catalog_case(eid):
 # on 5.3 and the warped product grad_v f vanishes; on the cone it does
 # not, so the cone is the case that exercises the derivative of H'
 _CONE = next(case for case in conformal_corpus() if case[0] == "cone")
-BUNDLE_CASES = [_catalog_case(eid) for eid in catalog.EXAMPLE_IDS] + [
+ONEILL_CASES = [_catalog_case(eid) for eid in catalog.EXAMPLE_IDS] + [
     ("warped-4to2", WARPED_4TO2,
      [Point((0.2, -0.4, 0.5, 1.1)), Point((-0.7, 0.3, 2.0, -0.6))]),
     (_CONE[0], _CONE[1], _CONE[2][:2])]
@@ -257,9 +257,9 @@ def _hprime_fn(setup):
     return fn
 
 
-@pytest.mark.parametrize("name,setup,points", BUNDLE_CASES,
-                         ids=[case[0] for case in BUNDLE_CASES])
-def test_oneill_bundle_matches_per_field_path(name, setup, points):
+@pytest.mark.parametrize("name,setup,points", ONEILL_CASES,
+                         ids=[case[0] for case in ONEILL_CASES])
+def test_context_oneill_values_match_per_field_path(name, setup, points):
     rng = np.random.default_rng(20261017)
     const = sub._const_fn
     m, n = setup.m, setup.n
@@ -267,7 +267,6 @@ def test_oneill_bundle_matches_per_field_path(name, setup, points):
     for p in points:
         xs = list(p.coords)
         ctx = IdentityContext(setup, p)
-        bundle = sub.oneill_bundle(setup, p)
         t_ref = {}
         for a in range(m):
             for b in range(m):
@@ -277,11 +276,9 @@ def test_oneill_bundle_matches_per_field_path(name, setup, points):
                     setup, xs, const(e[a]), const(e[b])))
                 _assert_close(ctx.T(e[a], e[b]), t_ref[a, b], (name, "T"))
                 _assert_close(ctx.A(e[a], e[b]), a_ref, (name, "A"))
-                _assert_close(bundle.t[:, a, b], t_ref[a, b],
-                              (name, "bundle T"))
-                _assert_close(bundle.a[:, a, b], a_ref, (name, "bundle A"))
-        _assert_close(bundle.h, primal_array(sub.mean_curvature_at(setup, xs)),
-                      (name, "bundle H"))
+        _assert_close(ctx.h_vec,
+                      primal_array(sub.mean_curvature_at(setup, xs)),
+                      (name, "H"))
         # H as the trace of T against P_v g^{-1}, summed pair by pair
         pv, _ = setup.projectors_at(xs)
         w = (np.asarray(pv, float)
@@ -427,7 +424,7 @@ def test_context_scalar_curvatures_match_reference(riemannian_setups):
 
 _TWISTED = next(case for case in riemannian_corpus()
                 if case[0] == "twisted-3to2")
-FLAG_CASES = BUNDLE_CASES + [
+FLAG_CASES = ONEILL_CASES + [
     (_TWISTED[0], _TWISTED[1], sample(_TWISTED[2], 2, seed=21))]
 
 
@@ -437,7 +434,7 @@ def test_structure_flags_match_per_pair_path(name, setup, points):
     # one seeding of the lift matrix gives every bracket and every
     # nabla_{X_a} X_b; the per-pair path seeds each pair on its own
     for p in points:
-        got = sub._basic_field_violations(sub.oneill_bundle(setup, p))
+        got = sub._basic_field_violations(IdentityContext(setup, p))
         ref = _per_pair_violations(setup, p)
         _assert_close(got, ref, (name, "integrability, sff"))
         flags = sub.structure_flags(setup, [p])
@@ -597,7 +594,7 @@ def _check_core_partials(setup, p):
                           gamma, (p, "christoffel_partials_at"))
 
 
-CORE_PARTIAL_CASES = BUNDLE_CASES[:5] + [
+CORE_PARTIAL_CASES = ONEILL_CASES[:5] + [
     (_TWISTED[0], _TWISTED[1], sample(_TWISTED[2], 2, seed=25)),
     ("fiber-2d", _fiber_2d_setup(), sample(_BOX4, 2, seed=26)),
     ("mixed-pivots", _mixed_pivot_setup(),
