@@ -114,6 +114,25 @@ def _finish(report, tol):
     return report
 
 
+# values within WORST_BAND * (1 + |max|) of the largest tie for the worst
+WORST_BAND = 1e-12
+
+
+def worst_of(items, key):
+    """The first of ``items``, in order, whose ``key`` lies within the
+    rounding band ``WORST_BAND * (1 + |max|)`` of the largest key, or None
+    for no items: a reassociated sum that moves tied values by rounding
+    does not move the pick."""
+    items = list(items)
+    if not items:
+        return None
+    values = [key(item) for item in items]
+    top = max(values)
+    floor = top - WORST_BAND * (1.0 + abs(top))
+    return next((item for item, v in zip(items, values) if v >= floor),
+                items[values.index(top)])
+
+
 def make_report(identity_id, point, lhs, rhs, hypotheses, tol,
                 terms=None, label="", note=""):
     terms = terms or {}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from . import soliton as sol
 from . import submersion as sub
-from .identities import ALL_CHECK_IDS, IdentityContext, run_check
+from .identities import ALL_CHECK_IDS, IdentityContext, run_check, worst_of
 from .manifest import SOLITON_CHECKS
 
 
@@ -78,7 +78,7 @@ _CONVENTION_SENSITIVE_SOLITON = ("base-soliton",)
 
 
 def _soliton_record(check_id, sr):
-    worst = max(sr.per_point, key=lambda d: d[sr.worst_key], default=None)
+    worst = worst_of(sr.per_point, lambda d: d[sr.worst_key])
     point = list(worst["point"].coords) if worst else []
     terms = {}
     if worst:
@@ -155,7 +155,7 @@ def _run_soliton_checks(job, checks, records, contexts):
     if "fit-mu" in checks:
         residual = max(fit.max_residual, abs(fit.mu - mu))
         verdict = "pass" if residual <= tol else "fail"
-        worst = max(fit.per_point, key=lambda pr: pr[1])
+        worst = worst_of(fit.per_point, lambda pr: pr[1])
         records.append(_fit_record(
             "fit-mu", worst[0].coords, fit.mu, mu, residual, verdict,
             {"fitted_mu": fit.mu, "equation_residual": fit.max_residual},
@@ -163,7 +163,7 @@ def _run_soliton_checks(job, checks, records, contexts):
     if "conformal-fit" in checks:
         conf = sol.conformal_field_fit(setup.total, xi, points,
                                        contexts=contexts)
-        worst_p, worst_f = max(conf.f_values, key=lambda pf: abs(pf[1]))
+        worst_p, worst_f = worst_of(conf.f_values, lambda pf: abs(pf[1]))
         records.append(_fit_record(
             "conformal-fit", worst_p.coords, worst_f, 0.0,
             conf.max_residual, "pass" if conf.max_residual <= tol else "fail",
@@ -352,7 +352,7 @@ def _record_lines(records):
     for check_id, recs in by_id.items():
         # a failing record outranks any other, however large its residual
         fails = [r for r in recs if r["verdict"] == "fail"]
-        worst = max(fails or recs, key=lambda r: r["rel_residual"])
+        worst = worst_of(fails or recs, lambda r: r["rel_residual"])
         tag = _VERDICT_TAG[worst["verdict"]]
         n_fail = len(fails)
         extra = ""

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .identities import Hypothesis, IdentityContext, ResidualReport, _finish
+from .identities import (Hypothesis, IdentityContext, ResidualReport, _finish,
+                         worst_of)
 from .jets import primal, primal_array
 
 
@@ -277,7 +278,8 @@ def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6, contexts=None):
     ctxs = list(_contexts(setup, points, contexts))
     values = [ctx.scalar_curvature for ctx in ctxs]
     m = setup.m
-    worst_idx = max(range(len(points)), key=lambda i: abs(values[i] + mu * m))
+    worst_idx = worst_of(range(len(points)),
+                         lambda i: abs(values[i] + mu * m))
     lhs = values[worst_idx]
     rhs = -mu * m
     terms = {f"s@{i}": v for i, v in enumerate(values)}

@@ -16,7 +16,7 @@ from confsub import geometry as geo
 from confsub import submersion as sub
 from confsub.cli import EXIT_USAGE, main
 from confsub.geometry import ChartManifold
-from confsub.identities import IdentityContext
+from confsub.identities import IdentityContext, worst_of
 from confsub.jets import EvaluationError, Jet, JetSpace
 from confsub.manifest import parse_manifest
 
@@ -265,6 +265,15 @@ def test_harmonicity_record_shows_worst_point():
     rec, = report.run_job(job).records
     assert rec["point"] == [0.0, 1.5, 3.0]
     assert rec["terms"]["tension_norm"] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_worst_point_is_the_first_within_the_rounding_band():
+    # values that tie up to rounding name the first of them in point
+    # order, whichever of them is larger by a few ulps
+    values = [0.5, 1.0 + 4e-16, 1.0 + 8e-16, 1.0]
+    assert worst_of(range(4), values.__getitem__) == 1
+    assert worst_of(range(4), [0.5, 1.0, 1.0 + 3e-12, 1.0].__getitem__) == 2
+    assert worst_of([], abs) is None
 
 
 def _synthetic(verdict, point, rel, lhs=0.0, rhs=0.0):
