@@ -309,7 +309,7 @@ def harmonicity_report(setup, xi, mu, points, tol=1e-6, contexts=None):
     for p, ctx in zip(points, _contexts(setup, points, contexts)):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
                          _umbilical_hyp(ctx), ctx.hyp_horizontal_tg()])
-        tau = sub.tension_field(setup, p)
+        tau = sub.tension_field(setup, p, ctx.partials)
         tau_norm = math.sqrt(max(0.0, ctx.base_inner(
             np.asarray(tau.components), np.asarray(tau.components))))
         s_fiber = ctx.fiber_scalar_intrinsic()

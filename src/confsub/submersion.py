@@ -515,10 +515,10 @@ def mean_curvature(setup, p):
     return TangentVector(tuple(primal(c) for c in comps), p)
 
 
-def tension_field(setup, p):
-    """(n-2)(lambda^2/2) F_*(H grad(1/lambda^2)) - (m-n) F_*(H), from one
-    ``CorePartials`` of its own."""
-    partials = CorePartials(setup, p.coords)
+def tension_field(setup, p, partials=None):
+    """(n-2)(lambda^2/2) F_*(H grad(1/lambda^2)) - (m-n) F_*(H), from the
+    point's ``CorePartials``: ``partials`` when the caller holds them."""
+    partials = partials or CorePartials(setup, p.coords)
     ginv = partials.ginv[0]
     hgrad = partials.ph[0] @ (ginv @ partials.inv_lambda_sq[1])
     h_vec = mean_curvature_from(partials.oneill[0], partials.pv[0] @ ginv,

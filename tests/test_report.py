@@ -131,7 +131,7 @@ def test_one_context_and_one_oneill_bundle_per_point(monkeypatch):
     assert rep.records
     assert counts["contexts"] == 1
     # structure_flags reads the context's T and A, and the tension field
-    # takes its own from CorePartials: no run path builds them on jets or
+    # the context's CorePartials: no run path builds them on jets or
     # floats through oneill_tensors_at, nor calls the jet projectors
     assert counts["jet"] == 0
     assert counts["float"] == 0
@@ -245,15 +245,15 @@ def test_seedings_per_point_with_every_check(monkeypatch):
     # report contracts per-point arrays and reads g, Gamma, Ric, L_xi g and
     # the O'Neill values from the run's contexts, so a point seeds the
     # context's CorePartials (the metric, the Jacobian with its inner
-    # seeding, h o F), the base metric, xi once, the base field once and
-    # the tension field's own CorePartials: 11 seedings; the float cores
-    # of all points seed once
+    # seeding, h o F), which the tension field reads too, the base
+    # metric, xi once and the base field once: 7 seedings; the float
+    # cores of all points seed once
     counts = Counter()
     _count_calls(monkeypatch, counts, ((JetSpace, "seed"),))
     job = catalog.load_job("5.3")
     assert "harmonicity" in job.checks and "L2.1" in job.checks
     report.run_job(job)
-    assert counts["seed"] <= 11 * len(job.points) + 1
+    assert counts["seed"] <= 7 * len(job.points) + 1
 
 
 def test_harmonicity_record_shows_worst_point():
