@@ -1,6 +1,16 @@
 """Residual verification of the curvature identities, Ricci
 decompositions and their corollaries for a conformal submersion.
 
+Each identity is a fixed contraction over the orthonormal frame
+E = (U_1 .. U_{m-n} | X_1 .. X_n), the vertical frame then the
+horizontal one.  An ``IdentityContext`` holds every tensor the checks
+read over the coordinate basis, as it is built, and over E, as a
+frame-basis array (name ending in ``_e``, index order in the class
+docstring).  A check slices the blocks it needs (``[:m-n]`` vertical,
+``[m-n:]`` horizontal), computes its left side, right side and each
+named term as arrays over its index tuples, one einsum or slice per term,
+and ``_records`` turns the arrays into one report per tuple.
+
 Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
 right-hand side is assembled from the submersion machinery (projectors,
@@ -10,47 +20,30 @@ partials: the left side reads only the Christoffel symbols and their
 partials derived from it, which the right side's covariant derivatives
 also read and contract in different ways, and the right side also
 inverts the metric for its projectors, so a closed residual is
-evidence, not bookkeeping.  In terms of the arrays an
-``IdentityContext`` holds for its point:
+evidence, not bookkeeping.  Both sides read the float core (g and the
+frame).  In terms of the context's arrays:
 
 - left side: ``riem`` (Riemann tensor of the total metric), its
-  contraction ``ric_matrix`` and, for T3.4, ``scalar_curvature``;
+  contraction ``ric_matrix`` and, for T3.4, ``scalar_curvature``; over
+  the frame ``riem_e`` and ``ric_e``;
 - right side: the O'Neill tensors ``t_tensor`` and ``a_tensor``, their
-  covariant derivatives (``dT``, ``dA``), f = 1/lambda^2 with
-  ``grad_f`` and ``hess_f``, the mean curvatures ``h_vec`` and
-  ``hp_vec`` with their covariant derivatives (``grad_h``,
-  ``grad_hprime``), the lifts X_a of the base coordinate fields with
-  every nabla_{X_a} X_b (``basic_fields``), and curvature computed on
-  other charts: the fiber's own slice chart (``fiber_curvature_intrinsic``,
-  ``fiber_ricci_intrinsic``, ``fiber_scalar_intrinsic``) and the base
-  chart (``base_curvature``: Gamma^N, Riem^N, Ric^N; with
-  ``base_scalar_curvature``).
-
-The constructor holds only the float core every check reads: ``g``,
-``ginv``, ``jac``, the frames ``vframe`` and ``hframe``, the projectors
-``pv`` and ``ph``, ``lam_sq``, ``base_point`` and the base metric
-``h_base``.  Every other array is built on first read, once per context.
+  covariant derivatives and those of the mean curvatures ``h_vec`` and
+  ``hp_vec`` (``_nabla``), f = 1/lambda^2 with ``grad_f`` and
+  ``hess_f``, the lifts X_a of the base coordinate fields with every
+  nabla_{X_a} X_b (``basic_fields``), and curvature computed on other
+  charts: the fiber's own slice chart (``_fiber_curvature``) and the
+  base chart (``base_curvature``); over the frame every other ``_e``
+  array.
 
 Every partial of the total side comes from the point's
-``submersion.CorePartials``, which seeds three leaves at order 2 on first
-read: the total metric g, the Jacobian J (two jet levels, through
-``jacobian_at``) and h o F.  From the metric seeding alone come Gamma
-and dGamma (``geometry.christoffels_from_metric``), so Riem and Hess f
-read no projector; from the three leaves the matrix product rule on
-float triples (X, dX, d2X) (``linalg.taylor_mul``,
-``linalg.taylor_inverse``) gives K = J g^{-1} J^T, the lift matrix
-g^{-1} J^T K^{-1} with its first partials, P_v with dP_v and d2P_v, and
-f = 1 / lambda^2 with df and d2f.  The base curvature and the fiber
-chart's curvature each take one order-2 metric seeding on their own
-chart, and a soliton field xi one order-1 seeding (``vector_field``).
-The rest is float arithmetic on these arrays.
-``submersion.oneill_contraction`` gives T and A from (P_v, dP_v, Gamma);
-H = trace_v(T) / (m - n), the trace taken against W = P_v g^{-1};
-H' = -(lambda^2 / 2) P_v grad f.  The covariant derivatives follow by
-the product rule (``IdentityContext._nabla``), with dW from the triples
-of P_v and g^{-1}, d P_h = -d P_v and d lambda^2 = -lambda^4 df, plus
-the Gamma terms that make a partial derivative covariant.  Scalar
-curvatures are traces tr(g^{-1} Ric).
+``submersion.CorePartials`` (three order-2 seedings: g, the Jacobian and
+h o F); Gamma and dGamma come from the metric seeding alone, so Riem and
+Hess f read no projector.  ``submersion.oneill_contraction`` gives T and
+A from (P_v, dP_v, Gamma), H = trace_v(T) / (m - n) with the trace taken
+against W = P_v g^{-1}, H' = -(lambda^2 / 2) P_v grad f, and the
+covariant derivatives follow by the product rule
+(``IdentityContext._nabla``).  Scalar curvatures are traces
+tr(g^{-1} Ric).
 """
 
 from __future__ import annotations
@@ -58,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -67,7 +61,8 @@ from .jets import primal_array
 from .linalg import mat_inverse, taylor_mul
 
 CURVATURE_CHECKS = ("G2.12", "G2.13", "G2.14", "G2.15", "G2.16")
-LEMMA31_CHECKS = tuple(f"L3.1.{k}" for k in ("i", "ii", "iii", "iv", "v", "vi"))
+LEMMA31_CHECKS = tuple(f"L3.1.{k}"
+                       for k in ("i", "ii", "iii", "iv", "v", "vi"))
 RICCI_CHECKS = ("R3.11", "R3.12", "R3.13")
 COROLLARY_CHECKS = ("C3.1", "C3.2", "C3.3")
 ALL_CHECK_IDS = (CURVATURE_CHECKS + ("P3.1", "E3.3") + LEMMA31_CHECKS
@@ -157,6 +152,31 @@ def _trace(ginv, ric):
     return float(np.einsum("jk,jk->", ginv, ric))
 
 
+def _on_frame(x, *mats):
+    """``x`` with ``mats[s]`` contracted into its slot s:
+    out[r, s, ...] = sum x[i, j, ...] mats[0][r, i] mats[1][s, j] ...;
+    each step contracts the first slot and appends the new one last."""
+    for mat in mats:
+        x = (x.reshape(len(x), -1).T @ mat.T).reshape(x.shape[1:]
+                                                       + (len(mat),))
+    return x
+
+
+def _sup_norm(vecs):
+    """The largest Euclidean norm of the frame-component vectors
+    ``vecs[..., c]``, 0 for none."""
+    return math.sqrt(np.max(np.einsum("...c,...c->...", vecs, vecs),
+                            initial=0.0))
+
+
+def _frame_array(source, axes):
+    """A cached property: the context's coordinate array ``source(ctx)``,
+    its slots put in the order ``axes`` (the vector slot last), over the
+    frame (``IdentityContext._vector_slots``)."""
+    return functools.cached_property(
+        lambda ctx: ctx._vector_slots(source(ctx).transpose(axes)))
+
+
 def _once(method):
     """Memoize a no-argument context method: a hypothesis is measured
     once per point however many checks list it."""
@@ -172,20 +192,39 @@ def _once(method):
 
 class IdentityContext:
     """The frame, curvature, O'Neill tensors and dilation calculus at one
-    point, shared by every check there.  Arrays are over the coordinate
-    basis: ``riem[l, k, i, j]`` is component l of R(e_i, e_j) e_k,
-    ``t_tensor[k, a, b]`` component k of T_{e_a} e_b (likewise
-    ``a_tensor``), and the covariant derivatives carry the differentiating
-    direction first.
+    point, shared by every check there.
+
+    Coordinate-basis arrays: ``riem[l, k, i, j]`` is component l of
+    R(e_i, e_j) e_k, ``t_tensor[k, a, b]`` component k of T_{e_a} e_b
+    (likewise ``a_tensor``), and the covariant derivatives in ``_nabla``
+    carry the differentiating direction first.
+
+    Frame-basis arrays (suffix ``_e``) over E = ``frame``, the rows
+    U_1 .. U_{m-n}, X_1 .. X_n; an index is a frame index, vertical ones
+    first, and a vector slot holds the components g(., E_c):
+    ``gram[r, s]`` = g(E_r, E_s); ``riem_e[a, b, c, d]`` =
+    g(R(E_a, E_b) E_c, E_d); ``ric_e[a, b]`` = Ric(E_a, E_b);
+    ``t_e[a, b, c]`` = g(T_{E_a} E_b, E_c), likewise ``a_e``;
+    ``nu_e[a, b, c]`` = g(v[X_a, X_b], E_c) = g(A_{X_a} X_b - A_{X_b} X_a,
+    E_c) over horizontal a, b; ``dt_e[e, a, b, c]`` =
+    g((nabla_{E_e} T)_{E_a} E_b, E_c), likewise ``da_e``;
+    ``dh_e[e, c]`` = g(nabla_{E_e} H, E_c), likewise ``dhp_e`` for H';
+    ``h_e[c]`` = g(H, E_c); ``df_e[c]`` = E_c(f); ``vdf_e[c]`` =
+    g(grad_v f, E_c); ``hess_e[a, b]`` = Hess f(E_a, E_b);
+    ``base_riem_e[a, b, c, d]`` = h(R^N(F_*X_a, F_*X_b) F_*X_c, F_*X_d)
+    and ``base_ric_e[a, b]`` = Ric^N(F_*X_a, F_*X_b) over horizontal
+    indices only; ``fiber_riem_e`` and ``fiber_ric_e`` the fiber's own
+    Riem and Ric over vertical indices only (zero for one-dimensional
+    fibers).
 
     The constructor holds only the float core, ``core`` when the caller
     holds it (from ``setup.float_cores`` over a run's points) and
     ``setup.float_core(p)`` otherwise: ``g``, ``ginv``, ``jac``,
     ``vframe``, ``hframe``, ``pv``, ``ph``, ``lam_sq``, ``base_point``
     and ``h_base``.  Every other array is a cached property
-    built on first read, so a check pays only for what it reads, and an
-    ingredient that cannot be evaluated at the point fails only the checks
-    that read it."""
+    built on first read from only the arrays it needs, so a check pays
+    only for what it reads, and an ingredient that cannot be evaluated
+    at the point fails only the checks that read it."""
 
     def __init__(self, setup, p, hyp_tol=1e-8, core=None):
         self.setup = setup
@@ -317,56 +356,6 @@ class IdentityContext:
         return (tensor(dt, t), tensor(da, a),
                 vector(dh, self.h_vec), vector(dhp, self.hp_vec))
 
-    # -- inner products -------------------------------------------------
-
-    def inner(self, u, v):
-        return float(np.asarray(u) @ self.g @ np.asarray(v))
-
-    def norm(self, v):
-        return math.sqrt(max(0.0, self.inner(v, v)))
-
-    def base_inner(self, w, z):
-        return float(np.asarray(w) @ self.h_base @ np.asarray(z))
-
-    def push(self, v):
-        return self.jac @ np.asarray(v)
-
-    def direction_f(self, v):
-        """v(1/lambda^2) = df(v)."""
-        return float(np.asarray(v) @ self.g @ self.grad_f)
-
-    # -- tensors as float vectors ----------------------------------------
-
-    def T(self, u, v):
-        return self.t_tensor @ np.asarray(v) @ np.asarray(u)
-
-    def A(self, x, y):
-        return self.a_tensor @ np.asarray(y) @ np.asarray(x)
-
-    def nu_bracket(self, x, y):
-        """v[X, Y] for horizontal fields through A_X Y - A_Y X (the
-        bracket is tensorial when restricted to the horizontal
-        distribution)."""
-        return self.A(x, y) - self.A(y, x)
-
-    def dT(self, e, u, v):
-        """(nabla_E T)_U V."""
-        return np.asarray(e) @ (self._nabla[0] @ np.asarray(v) @ np.asarray(u))
-
-    def dA(self, e, x, y):
-        """(nabla_E A)_X Y."""
-        return np.asarray(e) @ (self._nabla[1] @ np.asarray(y) @ np.asarray(x))
-
-    def grad_h(self, v):
-        """nabla_v H with H differentiated as a field."""
-        return np.asarray(v) @ self._nabla[2]
-
-    def R(self, x, y, z):
-        return self.riem @ np.asarray(y) @ np.asarray(x) @ np.asarray(z)
-
-    def ric(self, x, y):
-        return float(np.asarray(x) @ self.ric_matrix.T @ np.asarray(y))
-
     @functools.cached_property
     def scalar_curvature(self):
         """s = tr(g^{-1} Ric) of the total metric."""
@@ -391,8 +380,6 @@ class IdentityContext:
                 self.g, self.gamma, v, dv))
         return self._fields[xi]
 
-    # -- base curvature ---------------------------------------------------
-
     @functools.cached_property
     def base_curvature(self):
         """(Gamma^N, Riem^N, Ric^N) of the base metric at F(p), indexed
@@ -408,16 +395,6 @@ class IdentityContext:
         """s^N = tr(h^{-1} Ric^N) at F(p)."""
         return _trace(np.array(mat_inverse(self.h_base.tolist())),
                       self.base_curvature[2])
-
-    def base_R(self, wx, wy, wz):
-        return (self.base_curvature[1] @ np.asarray(wy) @ np.asarray(wx)
-                @ np.asarray(wz))
-
-    def base_ric(self, wx, wy):
-        ric = self.base_curvature[2]
-        return float(np.asarray(wx) @ ric.T @ np.asarray(wy))
-
-    # -- fiber intrinsic curvature ----------------------------------------
 
     @functools.cached_property
     def fiber_chart(self):
@@ -436,22 +413,6 @@ class IdentityContext:
         return (chart.vertical_indices, primal_array(chart.metric_at(fcoords)),
                 riem, np.einsum("ikij->jk", riem))
 
-    def fiber_ricci_intrinsic(self, u, v):
-        """Ric^v(U, V) from the fiber's own chart (independent of the
-        ambient curvature); 0 for 1-dimensional fibers."""
-        if self.m - self.n == 1:
-            return 0.0
-        idx, _, _, ric = self._fiber_curvature
-        return float(np.asarray(u)[idx] @ ric @ np.asarray(v)[idx])
-
-    def fiber_curvature_intrinsic(self, u, v, w, s):
-        """g(R^v(U, V)W, S) on the fiber chart."""
-        if self.m - self.n == 1:
-            return 0.0
-        idx, gf, riem, _ = self._fiber_curvature
-        u, v, w, s = (np.asarray(c)[idx] for c in (u, v, w, s))
-        return float((riem @ v @ u @ w) @ gf @ s)
-
     @_once
     def fiber_scalar_intrinsic(self):
         """s^v = tr(g_v^{-1} Ric^v) on the fiber chart; 0 for
@@ -460,6 +421,96 @@ class IdentityContext:
             return 0.0
         _, gf, _, ric = self._fiber_curvature
         return _trace(np.array(mat_inverse(gf.tolist())), ric)
+
+    # -- frame-basis arrays -----------------------------------------------
+
+    @functools.cached_property
+    def frame(self):
+        """E: the vertical frame, then the horizontal one, one vector per
+        row."""
+        return np.array(list(self.vframe) + list(self.hframe))
+
+    @functools.cached_property
+    def _lower(self):
+        """g E^T: ``v @ _lower`` holds the frame components g(v, E_c)."""
+        return self.g @ self.frame.T
+
+    def _vector_slots(self, x):
+        """A tensor over the coordinate basis, its last slot a vector,
+        with E on every other slot and the vector lowered onto E."""
+        return _on_frame(x, *[self.frame] * (x.ndim - 1), self._lower.T)
+
+    @functools.cached_property
+    def gram(self):
+        return self.frame @ self._lower
+
+    riem_e = _frame_array(lambda ctx: ctx.riem, (2, 3, 1, 0))
+    t_e = _frame_array(lambda ctx: ctx.t_tensor, (1, 2, 0))
+    a_e = _frame_array(lambda ctx: ctx.a_tensor, (1, 2, 0))
+    dt_e = _frame_array(lambda ctx: ctx._nabla[0], (0, 2, 3, 1))
+    da_e = _frame_array(lambda ctx: ctx._nabla[1], (0, 2, 3, 1))
+    dh_e = _frame_array(lambda ctx: ctx._nabla[2], (0, 1))
+    dhp_e = _frame_array(lambda ctx: ctx._nabla[3], (0, 1))
+    h_e = _frame_array(lambda ctx: ctx.h_vec, (0,))
+    df_e = _frame_array(lambda ctx: ctx.grad_f, (0,))
+    vdf_e = _frame_array(lambda ctx: ctx.vgrad_f, (0,))
+
+    @functools.cached_property
+    def ric_e(self):
+        return self.frame @ self.ric_matrix.T @ self.frame.T
+
+    @functools.cached_property
+    def hess_e(self):
+        return self.frame @ self.hess_f @ self.frame.T
+
+    @functools.cached_property
+    def nu_e(self):
+        a_hh = self.a_e[self.m - self.n:, self.m - self.n:]
+        return a_hh - a_hh.transpose(1, 0, 2)
+
+    @functools.cached_property
+    def div_hprime(self):
+        """Divergence of H' along the fiber, sum_i g(nabla_{U_i} H', U_i).
+
+        H' is a vertical field; the closed forms that mention div(H')
+        close numerically only under the fiber reading, not the full
+        m-dimensional divergence.
+        """
+        nv = self.m - self.n
+        return float(np.trace(self.dhp_e[:nv, :nv]))
+
+    @functools.cached_property
+    def _base_push(self):
+        """F_*X_a, one row per horizontal frame vector."""
+        return np.array(self.hframe) @ self.jac.T
+
+    @functools.cached_property
+    def base_riem_e(self):
+        push = self._base_push
+        return _on_frame(self.base_curvature[1].transpose(2, 3, 1, 0),
+                         push, push, push, push @ self.h_base)
+
+    @functools.cached_property
+    def base_ric_e(self):
+        return self._base_push @ self.base_curvature[2].T @ self._base_push.T
+
+    @functools.cached_property
+    def fiber_riem_e(self):
+        nv = self.m - self.n
+        if nv == 1:
+            return np.zeros((1, 1, 1, 1))
+        idx, gf, riem, _ = self._fiber_curvature
+        ev = self.frame[:nv, idx]
+        return _on_frame(riem.transpose(2, 3, 1, 0), ev, ev, ev, ev @ gf)
+
+    @functools.cached_property
+    def fiber_ric_e(self):
+        nv = self.m - self.n
+        if nv == 1:
+            return np.zeros((1, 1))
+        idx, _, _, ric = self._fiber_curvature
+        ev = self.frame[:nv, idx]
+        return ev @ ric @ ev.T
 
     # -- structural hypotheses at this point ------------------------------
 
@@ -474,72 +525,118 @@ class IdentityContext:
         ok = self.m - self.n == 1 or self.fiber_chart is not None
         return Hypothesis("fiber-chart-available", ok, 0.0 if ok else 1.0)
 
+    def _hypothesis(self, name, violation):
+        return Hypothesis(name, violation <= self.hyp_tol, violation)
+
     @_once
     def hyp_fibers_tg(self):
-        v = max((self.norm(self.T(ui, uj))
-                 for i, ui in enumerate(self.vframe)
-                 for uj in self.vframe[i:]), default=0.0)
-        return Hypothesis("fibers-totally-geodesic", v <= self.hyp_tol, v)
+        """sup |T(U_i, U_j)| over i <= j."""
+        nv = self.m - self.n
+        return self._hypothesis("fibers-totally-geodesic", _sup_norm(
+            self.t_e[:nv, :nv][np.triu_indices(nv)]))
+
+    @_once
+    def hyp_umbilical(self):
+        """sup |T(U_i, U_j) - g(U_i, U_j) H| over i <= j."""
+        nv = self.m - self.n
+        umb = (self.t_e[:nv, :nv]
+               - self.gram[:nv, :nv, None] * self.h_e)
+        return self._hypothesis("umbilical-fibers",
+                                _sup_norm(umb[np.triu_indices(nv)]))
 
     @_once
     def hyp_horizontal_tg(self):
-        v = max((self.norm(self.A(xi, xj))
-                 for xi in self.hframe for xj in self.hframe), default=0.0)
-        return Hypothesis("horizontal-totally-geodesic", v <= self.hyp_tol, v)
+        """sup |A(X_a, X_b)|."""
+        nv = self.m - self.n
+        return self._hypothesis("horizontal-totally-geodesic",
+                                _sup_norm(self.a_e[nv:, nv:]))
 
     @_once
     def hyp_horizontal_integrable(self):
-        worst = max((self.norm(self.nu_bracket(xi, xj))
-                     for i, xi in enumerate(self.hframe)
-                     for xj in self.hframe[i + 1:]), default=0.0)
-        return Hypothesis("horizontal-integrable", worst <= self.hyp_tol, worst)
+        """sup |v[X_a, X_b]| over a < b."""
+        return self._hypothesis("horizontal-integrable", _sup_norm(
+            self.nu_e[np.triu_indices(self.n, 1)]))
 
     @_once
     def hyp_homothetic(self):
-        v = self.norm(self.hgrad_f)
-        return Hypothesis("homothetic", v <= self.hyp_tol, v)
+        return self._hypothesis("homothetic", math.sqrt(max(
+            0.0, float(self.hgrad_f @ self.g @ self.hgrad_f))))
 
     @_once
     def hyp_map_tg(self):
-        v = max(self.hyp_fibers_tg().violation,
-                self.hyp_horizontal_tg().violation,
-                self.hyp_homothetic().violation)
-        return Hypothesis("map-totally-geodesic", v <= self.hyp_tol, v)
+        return self._hypothesis("map-totally-geodesic", max(
+            self.hyp_fibers_tg().violation,
+            self.hyp_horizontal_tg().violation,
+            self.hyp_homothetic().violation))
 
-    # -- derived field derivatives ----------------------------------------
 
-    def grad_hprime(self, v):
-        """nabla_v H' with H' differentiated as a field."""
-        return np.asarray(v) @ self._nabla[3]
+def _g_sq(ctx, v):
+    """g(v, v) of a coordinate vector."""
+    return float(v @ ctx.g @ v)
 
-    def div_hprime(self):
-        """Divergence of H' along the fiber, sum_i g(nabla_{U_i} H', U_i).
 
-        H' is a vertical field; the closed forms that mention div(H')
-        close numerically only under the fiber reading, not the full
-        m-dimensional divergence.
-        """
-        return sum(self.inner(self.grad_hprime(u), u) for u in self.vframe)
+# ---------------------------------------------------------------------
+# records from arrays
+# ---------------------------------------------------------------------
 
-    def horizontal_laplacian_f(self):
-        return sum(float(np.asarray(xj) @ self.hess_f @ np.asarray(xj))
-                   for xj in self.hframe)
+def _pairs(k):
+    """Index pairs i < j below k, in loop order."""
+    return list(combinations(range(k), 2))
 
-    def hess_f_pair(self, x, y):
-        return float(np.asarray(x) @ self.hess_f @ np.asarray(y))
+
+def _upper(k):
+    """Index pairs i <= j below k, in loop order."""
+    return list(combinations_with_replacement(range(k), 2))
+
+
+def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
+             residual=None):
+    """One report per index tuple of ``index``, in order.  ``lhs``,
+    ``rhs`` and each array of the (name, array) ``terms`` are read at
+    the tuple, and ``label`` formats its 1-based block numbers.  The
+    residual is |lhs - rhs| over ``make_report``'s scale, unless
+    ``residual`` gives (residual, scale) arrays."""
+    index = [tuple(idx) for idx in index]
+    at = tuple(np.array(index).T)
+
+    def values(x):
+        return x[at].tolist() if index else []
+
+    lhs, rhs = values(lhs), values(rhs)
+    terms = [(key, values(v)) for key, v in terms]
+    if residual is not None:
+        res, scale = (values(x) for x in residual)
+        rel = [a / b for a, b in zip(res, scale)]
+    out = []
+    for r, idx in enumerate(index):
+        name = label.format(*(i + 1 for i in idx))
+        if residual is None:
+            out.append(make_report(
+                identity_id, ctx.p, lhs[r], rhs[r], hyps, tol,
+                terms={key: v[r] for key, v in terms}, label=name))
+        else:
+            out.append(_finish(ResidualReport(
+                identity_id=identity_id, point=ctx.p, lhs=lhs[r],
+                rhs=rhs[r], abs_residual=res[r], rel_residual=rel[r],
+                hypotheses=list(hyps), verdict="", label=name), tol))
+    return out
+
+
+def _trivial(identity_id, ctx, hyps, tol, note):
+    return [make_report(identity_id, ctx.p, 0.0, 0.0, hyps, tol, note=note)]
+
+
+def _kulkarni_nomizu(h, k):
+    """(h o k)[a, b, c, d] = h_ac k_bd + h_bd k_ac - h_ad k_bc - h_bc k_ad."""
+    return (np.einsum("ac,bd->abcd", h, k) + np.einsum("bd,ac->abcd", h, k)
+            - np.einsum("ad,bc->abcd", h, k) - np.einsum("bc,ad->abcd", h, k))
 
 
 # ---------------------------------------------------------------------
 # curvature identities (2.12)-(2.16)
 # ---------------------------------------------------------------------
 
-def _trivial(identity_id, p, hyps, tol, note):
-    return make_report(identity_id, p, 0.0, 0.0, hyps, tol, note=note)
-
-
-def verify_curvature_identity(identity_id, setup, p, frame=None, tol=1e-6,
-                              ctx=None):
-    ctx = ctx or IdentityContext(setup, p)
+def verify_curvature_identity(identity_id, ctx, tol=1e-6):
     dispatch = {"G2.12": _g212, "G2.13": _g213, "G2.14": _g214,
                 "G2.15": _g215, "G2.16": _g216}
     if identity_id not in dispatch:
@@ -549,443 +646,304 @@ def verify_curvature_identity(identity_id, setup, p, frame=None, tol=1e-6,
 
 def _g212(ctx, tol):
     hyps = [ctx.hyp_conformal(), ctx.hyp_fiber_chart()]
-    out = []
-    nv = len(ctx.vframe)
+    nv = ctx.m - ctx.n
     if nv < 2:
-        return [_trivial("G2.12", ctx.p, hyps, tol, "no distinct vertical pair")]
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            for k in range(nv):
-                for l in range(k + 1, nv):
-                    u, v, w, s = (ctx.vframe[i], ctx.vframe[j],
-                                  ctx.vframe[k], ctx.vframe[l])
-                    lhs = ctx.inner(ctx.R(u, v, w), s)
-                    rnu = ctx.fiber_curvature_intrinsic(u, v, w, s)
-                    t1 = ctx.inner(ctx.T(u, w), ctx.T(v, s))
-                    t2 = ctx.inner(ctx.T(v, w), ctx.T(u, s))
-                    rhs = rnu + t1 - t2
-                    out.append(make_report(
-                        "G2.12", ctx.p, lhs, rhs, hyps, tol,
-                        terms={"R_nu": rnu, "g(T_UW,T_VS)": t1,
-                               "-g(T_VW,T_US)": -t2},
-                        label=f"U{i+1} V{j+1} W{k+1} S{l+1}"))
-    return out
+        return _trivial("G2.12", ctx, hyps, tol, "no distinct vertical pair")
+    t = ctx.t_e[:nv, :nv]
+    t1 = np.einsum("ikc,jlc->ijkl", t, t)  # g(T_{U_i} U_k, T_{U_j} U_l)
+    t2 = t1.transpose(1, 0, 2, 3)
+    rnu = ctx.fiber_riem_e
+    pairs = _pairs(nv)
+    return _records(
+        "G2.12", ctx, tol, hyps, "U{} V{} W{} S{}",
+        [p + q for p in pairs for q in pairs],
+        ctx.riem_e[:nv, :nv, :nv, :nv], rnu + t1 - t2,
+        (("R_nu", rnu), ("g(T_UW,T_VS)", t1), ("-g(T_VW,T_US)", -t2)))
 
 
 def _g213(ctx, tol):
     hyps = [ctx.hyp_conformal()]
-    out = []
-    nv = len(ctx.vframe)
+    nv = ctx.m - ctx.n
     if nv < 2:
-        return [_trivial("G2.13", ctx.p, hyps, tol, "no distinct vertical pair")]
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            for k in range(nv):
-                for a, x in enumerate(ctx.hframe):
-                    u, v, w = ctx.vframe[i], ctx.vframe[j], ctx.vframe[k]
-                    lhs = ctx.inner(ctx.R(u, v, w), x)
-                    t1 = ctx.inner(ctx.dT(u, v, w), x)
-                    t2 = ctx.inner(ctx.dT(v, u, w), x)
-                    out.append(make_report(
-                        "G2.13", ctx.p, lhs, t1 - t2, hyps, tol,
-                        terms={"(nabla_U T)_V W": t1, "-(nabla_V T)_U W": -t2},
-                        label=f"U{i+1} V{j+1} W{k+1} X{a+1}"))
-    return out
+        return _trivial("G2.13", ctx, hyps, tol, "no distinct vertical pair")
+    v, h = slice(nv), slice(nv, None)
+    t1 = ctx.dt_e[v, v, v, h]
+    t2 = t1.transpose(1, 0, 2, 3)
+    return _records(
+        "G2.13", ctx, tol, hyps, "U{} V{} W{} X{}",
+        [p + (k, a) for p in _pairs(nv) for k in range(nv)
+         for a in range(ctx.n)],
+        ctx.riem_e[v, v, v, h], t1 - t2,
+        (("(nabla_U T)_V W", t1), ("-(nabla_V T)_U W", -t2)))
 
 
 def _g214(ctx, tol):
     hyps = [ctx.hyp_conformal()]
-    out = []
-    for i, u in enumerate(ctx.vframe):
-        for a, x in enumerate(ctx.hframe):
-            for b, y in enumerate(ctx.hframe):
-                for j, v in enumerate(ctx.vframe):
-                    lhs = ctx.inner(ctx.R(u, x, y), v)
-                    t1 = ctx.inner(ctx.dA(u, x, y), v)
-                    t2 = ctx.inner(ctx.A(x, u), ctx.A(y, v))
-                    t3 = ctx.inner(ctx.dT(x, u, y), v)
-                    t4 = ctx.inner(ctx.T(v, y), ctx.T(u, x))
-                    t5 = (ctx.lam_sq * ctx.inner(ctx.A(x, y), u)
-                          * ctx.inner(v, ctx.vgrad_f))
-                    rhs = t1 + t2 - t3 - t4 + t5
-                    out.append(make_report(
-                        "G2.14", ctx.p, lhs, rhs, hyps, tol,
-                        terms={"(nabla_U A)_X Y": t1, "g(A_XU,A_YV)": t2,
-                               "-(nabla_X T)_U Y": -t3, "-g(T_VY,T_UX)": -t4,
-                               "lam^2 g(A_XY,U)g(V,grad_v f)": t5},
-                        label=f"U{i+1} X{a+1} Y{b+1} V{j+1}"))
-    return out
+    nv = ctx.m - ctx.n
+    v, h = slice(nv), slice(nv, None)
+    a_hv, t_vh = ctx.a_e[h, v], ctx.t_e[v, h]
+    t1 = ctx.da_e[v, h, h, v]
+    t2 = np.einsum("aic,bjc->iabj", a_hv, a_hv)
+    t3 = ctx.dt_e[h, v, h, v].transpose(1, 0, 2, 3)
+    t4 = np.einsum("jbc,iac->iabj", t_vh, t_vh)
+    t5 = ctx.lam_sq * np.einsum("abi,j->iabj", ctx.a_e[h, h, v],
+                                ctx.vdf_e[v])
+    return _records(
+        "G2.14", ctx, tol, hyps, "U{} X{} Y{} V{}", np.ndindex(t1.shape),
+        ctx.riem_e[v, h, h, v], t1 + t2 - t3 - t4 + t5,
+        (("(nabla_U A)_X Y", t1), ("g(A_XU,A_YV)", t2),
+         ("-(nabla_X T)_U Y", -t3), ("-g(T_VY,T_UX)", -t4),
+         ("lam^2 g(A_XY,U)g(V,grad_v f)", t5)))
 
 
 def _g215(ctx, tol):
     hyps = [ctx.hyp_conformal()]
-    out = []
-    nh = len(ctx.hframe)
-    if nh < 2:
-        return [_trivial("G2.15", ctx.p, hyps, tol, "no distinct horizontal pair")]
-    for a in range(nh):
-        for b in range(a + 1, nh):
-            for c in range(nh):
-                for i, u in enumerate(ctx.vframe):
-                    x, y, z = ctx.hframe[a], ctx.hframe[b], ctx.hframe[c]
-                    lhs = ctx.inner(ctx.R(x, y, z), u)
-                    t1 = ctx.inner(ctx.dA(x, y, z), u)
-                    t2 = ctx.inner(ctx.dA(y, x, z), u)
-                    t3 = ctx.inner(ctx.T(u, z), ctx.nu_bracket(x, y))
-                    rhs = t1 - t2 - t3
-                    out.append(make_report(
-                        "G2.15", ctx.p, lhs, rhs, hyps, tol,
-                        terms={"(nabla_X A)_Y Z": t1, "-(nabla_Y A)_X Z": -t2,
-                               "-g(T_UZ, v[X,Y])": -t3},
-                        label=f"X{a+1} Y{b+1} Z{c+1} U{i+1}"))
-    return out
+    if ctx.n < 2:
+        return _trivial("G2.15", ctx, hyps, tol, "no distinct horizontal pair")
+    nv = ctx.m - ctx.n
+    v, h = slice(nv), slice(nv, None)
+    t1 = ctx.da_e[h, h, h, v]
+    t2 = t1.transpose(1, 0, 2, 3)
+    t3 = np.einsum("icx,abx->abci", ctx.t_e[v, h], ctx.nu_e)
+    return _records(
+        "G2.15", ctx, tol, hyps, "X{} Y{} Z{} U{}",
+        [p + (c, i) for p in _pairs(ctx.n) for c in range(ctx.n)
+         for i in range(nv)],
+        ctx.riem_e[h, h, h, v], t1 - t2 - t3,
+        (("(nabla_X A)_Y Z", t1), ("-(nabla_Y A)_X Z", -t2),
+         ("-g(T_UZ, v[X,Y])", -t3)))
 
 
 def _g216(ctx, tol):
     hyps = [ctx.hyp_conformal()]
-    out = []
-    nh = len(ctx.hframe)
-    if nh < 2:
-        return [_trivial("G2.16", ctx.p, hyps, tol, "no distinct horizontal pair")]
-    lam_sq = ctx.lam_sq
-    gf_norm_sq = ctx.inner(ctx.grad_f, ctx.grad_f)
-    for a in range(nh):
-        for b in range(a + 1, nh):
-            for c in range(nh):
-                for d in range(nh):
-                    x, y = ctx.hframe[a], ctx.hframe[b]
-                    z, l = ctx.hframe[c], ctx.hframe[d]
-                    lhs = ctx.inner(ctx.R(x, y, z), l)
-                    base = ctx.base_inner(
-                        ctx.base_R(ctx.push(x), ctx.push(y), ctx.push(z)),
-                        ctx.push(l)) / lam_sq
-                    brackets = 0.25 * (
-                        ctx.inner(ctx.nu_bracket(x, z), ctx.nu_bracket(y, l))
-                        - ctx.inner(ctx.nu_bracket(y, z), ctx.nu_bracket(x, l))
-                        + 2.0 * ctx.inner(ctx.nu_bracket(x, y), ctx.nu_bracket(z, l)))
-                    hess = 0.5 * lam_sq * (
-                        ctx.inner(x, z) * ctx.hess_f_pair(y, l)
-                        - ctx.inner(y, z) * ctx.hess_f_pair(x, l)
-                        + ctx.inner(y, l) * ctx.hess_f_pair(x, z)
-                        - ctx.inner(x, l) * ctx.hess_f_pair(y, z))
-                    xf, yf = ctx.direction_f(x), ctx.direction_f(y)
-                    zf, lf = ctx.direction_f(z), ctx.direction_f(l)
-                    vec1 = xf * np.asarray(y) - yf * np.asarray(x)
-                    vec2 = lf * np.asarray(z) - zf * np.asarray(l)
-                    quartic = 0.25 * lam_sq ** 2 * (
-                        (ctx.inner(x, l) * ctx.inner(y, z)
-                         - ctx.inner(y, l) * ctx.inner(x, z)) * gf_norm_sq
-                        + ctx.inner(vec1, vec2))
-                    rhs = base + brackets + hess + quartic
-                    out.append(make_report(
-                        "G2.16", ctx.p, lhs, rhs, hyps, tol,
-                        terms={"base-curvature/lam^2": base,
-                               "bracket-terms": brackets,
-                               "hessian-terms": hess,
-                               "gradient-terms": quartic},
-                        label=f"X{a+1} Y{b+1} Z{c+1} L{d+1}"))
-    return out
+    n = ctx.n
+    if n < 2:
+        return _trivial("G2.16", ctx, hyps, tol, "no distinct horizontal pair")
+    h = slice(ctx.m - n, None)
+    lam_sq, gram, nu = ctx.lam_sq, ctx.gram[h, h], ctx.nu_e
+    base = ctx.base_riem_e / lam_sq
+    brackets = 0.25 * (np.einsum("acx,bdx->abcd", nu, nu)
+                       - np.einsum("bcx,adx->abcd", nu, nu)
+                       + 2.0 * np.einsum("abx,cdx->abcd", nu, nu))
+    hess = 0.5 * lam_sq * _kulkarni_nomizu(gram, ctx.hess_e[h, h])
+    df = ctx.df_e[h]
+    quartic = -0.25 * lam_sq ** 2 * _kulkarni_nomizu(
+        0.5 * _g_sq(ctx, ctx.grad_f) * gram + np.outer(df, df), gram)
+    return _records(
+        "G2.16", ctx, tol, hyps, "X{} Y{} Z{} L{}",
+        [p + (c, d) for p in _pairs(n) for c in range(n) for d in range(n)],
+        ctx.riem_e[h, h, h, h], base + brackets + hess + quartic,
+        (("base-curvature/lam^2", base), ("bracket-terms", brackets),
+         ("hessian-terms", hess), ("gradient-terms", quartic)))
 
 
 # ---------------------------------------------------------------------
 # Prop 3.1, Eq. (3.3), Lemma 3.1
 # ---------------------------------------------------------------------
 
-def verify_A_formula(identity_id, setup, p, tol=1e-6, ctx=None):
+def _norms(vecs):
+    return np.sqrt(np.einsum("abc,abc->ab", vecs, vecs))
+
+
+def verify_A_formula(identity_id, ctx, tol=1e-6):
     """P3.1: A_X Y = (1/2){v[X,Y] - lam^2 g(X,Y) grad_v f}; E3.3: the
     derived relation A_Y X + A_X Y + lam^2 g(X,Y) grad_v f = 0."""
-    ctx = ctx or IdentityContext(setup, p)
-    hyps = [ctx.hyp_conformal()]
-    out = []
-    for a, x in enumerate(ctx.hframe):
-        for b, y in enumerate(ctx.hframe):
-            axy = ctx.A(x, y)
-            scale = 1.0 + ctx.norm(axy)
-            grad_term = ctx.lam_sq * ctx.inner(x, y) * ctx.vgrad_f
-            if identity_id == "P3.1":
-                closed = 0.5 * (ctx.nu_bracket(x, y) - grad_term)
-                res = ctx.norm(axy - closed)
-                lhs, rhs = ctx.norm(axy), ctx.norm(closed)
-            else:
-                res = ctx.norm(ctx.A(y, x) + axy + grad_term)
-                lhs, rhs = res, 0.0
-            rep = ResidualReport(
-                identity_id=identity_id, point=ctx.p, lhs=lhs, rhs=rhs,
-                abs_residual=res, rel_residual=res / scale,
-                hypotheses=list(hyps), verdict="",
-                label=f"X{a+1} Y{b+1}")
-            out.append(_finish(rep, tol))
-    return out
+    h = slice(ctx.m - ctx.n, None)
+    axy = ctx.a_e[h, h]
+    grad_term = ctx.lam_sq * ctx.gram[h, h, None] * ctx.vdf_e
+    if identity_id == "P3.1":
+        closed = 0.5 * (ctx.nu_e - grad_term)
+        res = _norms(axy - closed)
+        lhs, rhs = _norms(axy), _norms(closed)
+    else:
+        res = _norms(axy.transpose(1, 0, 2) + axy + grad_term)
+        lhs, rhs = res, np.zeros_like(res)
+    return _records(identity_id, ctx, tol, [ctx.hyp_conformal()], "X{} Y{}",
+                    np.ndindex(res.shape), lhs, rhs,
+                    residual=(res, 1.0 + _norms(axy)))
 
 
-def verify_lemma_3_1(item, setup, p, tol=1e-6, ctx=None):
-    ctx = ctx or IdentityContext(setup, p)
+def verify_lemma_3_1(item, ctx, tol=1e-6):
     hyps = [ctx.hyp_conformal(), ctx.hyp_horizontal_integrable()]
-    n = ctx.n
-    lam4 = ctx.lam_sq ** 2
-    out = []
+    n, nv, lam4 = ctx.n, ctx.m - ctx.n, ctx.lam_sq ** 2
+    v, h = slice(nv), slice(nv, None)
+    gram = ctx.gram[h, h]
+    if item in ("i", "vi"):
+        a_hv = ctx.a_e[h, v]
     if item == "i":
-        for i, u in enumerate(ctx.vframe):
-            for j, v in enumerate(ctx.vframe):
-                lhs = sum(ctx.inner(ctx.A(x, u), ctx.A(x, v))
-                          for x in ctx.hframe)
-                rhs = (n ** 2 * lam4 / 4.0 * ctx.inner(ctx.vgrad_f, u)
-                       * ctx.inner(ctx.vgrad_f, v))
-                out.append(make_report("L3.1.i", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"U{i+1} V{j+1}"))
+        vdf = ctx.vdf_e[v]
+        lhs = np.einsum("aic,ajc->ij", a_hv, a_hv)
+        rhs, label = n ** 2 * lam4 / 4.0 * np.outer(vdf, vdf), "U{} V{}"
     elif item == "ii":
-        for i, u in enumerate(ctx.vframe):
-            for j, v in enumerate(ctx.vframe):
-                lhs = sum(ctx.inner(ctx.dA(u, x, x), v) for x in ctx.hframe)
-                rhs = n * ctx.inner(ctx.grad_hprime(u), v)
-                out.append(make_report("L3.1.ii", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"U{i+1} V{j+1}"))
+        lhs = np.einsum("iaaj->ij", ctx.da_e[v, h, h, v])
+        rhs, label = n * ctx.dhp_e[v, v], "U{} V{}"
     elif item == "iii":
-        for a, x in enumerate(ctx.hframe):
-            for i, u in enumerate(ctx.vframe):
-                lhs = sum(ctx.inner(ctx.dA(x, xj, xj), u) for xj in ctx.hframe)
-                rhs = n * ctx.inner(ctx.grad_hprime(x), u)
-                out.append(make_report("L3.1.iii", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"X{a+1} U{i+1}"))
+        lhs = np.einsum("abbi->ai", ctx.da_e[h, h, h, v])
+        rhs, label = n * ctx.dhp_e[h, v], "X{} U{}"
     elif item == "iv":
-        for a, x in enumerate(ctx.hframe):
-            for i, u in enumerate(ctx.vframe):
-                lhs = sum(ctx.inner(ctx.dA(xj, x, xj), u) for xj in ctx.hframe)
-                rhs = sum(ctx.inner(x, xj) * ctx.inner(ctx.grad_hprime(xj), u)
-                          for xj in ctx.hframe)
-                out.append(make_report("L3.1.iv", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"X{a+1} U{i+1}"))
+        lhs = np.einsum("babi->ai", ctx.da_e[h, h, h, v])
+        rhs, label = gram @ ctx.dhp_e[h, v], "X{} U{}"
     elif item == "v":
-        div_hp = ctx.div_hprime()
-        for a, x in enumerate(ctx.hframe):
-            for b, y in enumerate(ctx.hframe):
-                lhs = sum(ctx.inner(ctx.dA(u, x, y), u) for u in ctx.vframe)
-                rhs = ctx.inner(x, y) * div_hp
-                out.append(make_report("L3.1.v", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"X{a+1} Y{b+1}"))
+        lhs = np.einsum("iabi->ab", ctx.da_e[v, h, h, v])
+        rhs, label = gram * ctx.div_hprime, "X{} Y{}"
     elif item == "vi":
-        vnorm = ctx.inner(ctx.vgrad_f, ctx.vgrad_f)
-        for a, x in enumerate(ctx.hframe):
-            for b, y in enumerate(ctx.hframe):
-                lhs = sum(ctx.inner(ctx.A(x, u), ctx.A(y, u))
-                          for u in ctx.vframe)
-                rhs = ctx.inner(x, y) * ctx.lam_sq ** 2 / 4.0 * vnorm
-                out.append(make_report("L3.1.vi", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"X{a+1} Y{b+1}"))
+        lhs = np.einsum("aic,bic->ab", a_hv, a_hv)
+        rhs = gram * lam4 / 4.0 * _g_sq(ctx, ctx.vgrad_f)
+        label = "X{} Y{}"
     else:
         raise ValueError(f"unknown lemma item {item!r}")
-    return out
+    return _records(f"L3.1.{item}", ctx, tol, hyps, label,
+                    np.ndindex(lhs.shape), lhs, rhs)
 
 
 # ---------------------------------------------------------------------
 # Ricci decompositions (3.11)-(3.13) and corollaries
 # ---------------------------------------------------------------------
 
-def _ric_vertical_rhs(ctx, u, v):
-    m, n = ctx.m, ctx.n
-    rnu = ctx.fiber_ricci_intrinsic(u, v)
-    terms = {
-        "Ric_nu": rnu,
-        "-(m-n)g(T_UV,H)": -(m - n) * ctx.inner(ctx.T(u, v), ctx.h_vec),
-        "sum (nabla_U A)_Xj Xj . V": sum(
-            ctx.inner(ctx.dA(u, x, x), v) for x in ctx.hframe),
-        "sum g(A_Xj U, A_Xj V)": sum(
-            ctx.inner(ctx.A(x, u), ctx.A(x, v)) for x in ctx.hframe),
-        "-sum (nabla_Xj T)_U Xj . V": -sum(
-            ctx.inner(ctx.dT(x, u, x), v) for x in ctx.hframe),
-        "-(lam^4/2) n (Uf)(Vf)": -(ctx.lam_sq ** 2 / 2.0) * n
-            * ctx.inner(u, ctx.vgrad_f) * ctx.inner(v, ctx.vgrad_f),
-    }
-    return sum(terms.values()), terms
-
-
-def _ric_mixed_rhs(ctx, u, x):
-    m, n = ctx.m, ctx.n
-    terms = {
-        "(m-n) g(nabla_U H, X)": (m - n) * ctx.inner(ctx.grad_h(u), x),
-        "-sum (nabla_Ui T)_U Ui . X": -sum(
-            ctx.inner(ctx.dT(ui, u, ui), x) for ui in ctx.vframe),
-        "sum (nabla_X A)_Xj Xj . U": sum(
-            ctx.inner(ctx.dA(x, xj, xj), u) for xj in ctx.hframe),
-        "-sum (nabla_Xj A)_X Xj . U": -sum(
-            ctx.inner(ctx.dA(xj, x, xj), u) for xj in ctx.hframe),
-        "-sum g(T_U Xj, v[X,Xj])": -sum(
-            ctx.inner(ctx.T(u, xj), ctx.nu_bracket(x, xj))
-            for xj in ctx.hframe),
-    }
-    return sum(terms.values()), terms
-
-
-def _ric_horizontal_rhs(ctx, x, y):
-    n = ctx.n
-    lam_sq = ctx.lam_sq
+def _dilation_terms(ctx):
+    """The terms of the horizontal Ricci form (3.13) read off the base
+    Ricci tensor and f = 1/lambda^2, as arrays over horizontal pairs."""
+    n, lam_sq = ctx.n, ctx.lam_sq
     lam4 = lam_sq ** 2
-    xf, yf = ctx.direction_f(x), ctx.direction_f(y)
-    hp_f = float(np.asarray(ctx.hp_vec) @ ctx.g @ ctx.grad_f)  # H'(f)
-    terms = {
-        "sum (nabla_Ui A)_X Y . Ui": sum(
-            ctx.inner(ctx.dA(u, x, y), u) for u in ctx.vframe),
-        "sum g(A_X Ui, A_Y Ui)": sum(
-            ctx.inner(ctx.A(x, u), ctx.A(y, u)) for u in ctx.vframe),
-        "-sum (nabla_X T)_Ui Y . Ui": -sum(
-            ctx.inner(ctx.dT(x, u, y), u) for u in ctx.vframe),
-        "-sum g(T_Ui X, T_Ui Y)": -sum(
-            ctx.inner(ctx.T(u, x), ctx.T(u, y)) for u in ctx.vframe),
-        "lam^2 g(A_XY, grad_v f)": lam_sq * ctx.inner(ctx.A(x, y), ctx.vgrad_f),
-        "Ric_N/lam^2": ctx.base_ric(ctx.push(x), ctx.push(y)) / lam_sq,
-        "(3/4) sum g(v[X,Xj], v[Xj,Y])": 0.75 * sum(
-            ctx.inner(ctx.nu_bracket(x, xj), ctx.nu_bracket(xj, y))
-            for xj in ctx.hframe),
-        "-((n-2)/2) lam^2 Hess f(X,Y)": -((n - 2) / 2.0) * lam_sq
-            * ctx.hess_f_pair(x, y),
-        "-(lam^2/2) g(X,Y){lap_H f - n H'(f)}": -(lam_sq / 2.0)
-            * ctx.inner(x, y) * (ctx.horizontal_laplacian_f() - n * hp_f),
-        "(n lam^4/4) g(X,Y)|grad f|^2": (n * lam4 / 4.0) * ctx.inner(x, y)
-            * ctx.inner(ctx.grad_f, ctx.grad_f),
-        "(lam^4/4)(n-2)(Xf)(Yf)": (lam4 / 4.0) * (n - 2) * xf * yf,
+    h = slice(ctx.m - n, None)
+    gram, hess, df = ctx.gram[h, h], ctx.hess_e[h, h], ctx.df_e[h]
+    hp_f = float(ctx.hp_vec @ ctx.g @ ctx.grad_f)  # H'(f)
+    return {
+        "Ric_N/lam^2": ctx.base_ric_e / lam_sq,
+        "-((n-2)/2) lam^2 Hess f(X,Y)": -((n - 2) / 2.0) * lam_sq * hess,
+        "-(lam^2/2) g(X,Y){lap_H f - n H'(f)}": -(lam_sq / 2.0) * gram
+            * (float(np.trace(hess)) - n * hp_f),
+        "(n lam^4/4) g(X,Y)|grad f|^2": (n * lam4 / 4.0) * gram
+            * _g_sq(ctx, ctx.grad_f),
+        "(lam^4/4)(n-2)(Xf)(Yf)": (lam4 / 4.0) * (n - 2) * np.outer(df, df),
     }
-    return sum(terms.values()), terms
 
 
-def verify_ricci_decomposition(identity_id, setup, p, tol=1e-6, ctx=None):
-    ctx = ctx or IdentityContext(setup, p)
-    out = []
+def _ricci_terms(identity_id, ctx):
+    """(lhs, terms) of a Ricci decomposition over its frame block."""
+    m, n, nv = ctx.m, ctx.n, ctx.m - ctx.n
+    v, h = slice(nv), slice(nv, None)
     if identity_id == "R3.11":
-        hyps = [ctx.hyp_conformal(), ctx.hyp_fiber_chart()]
-        for i, u in enumerate(ctx.vframe):
-            for j in range(i, len(ctx.vframe)):
-                v = ctx.vframe[j]
-                rhs, terms = _ric_vertical_rhs(ctx, u, v)
-                out.append(make_report("R3.11", ctx.p, ctx.ric(u, v), rhs,
-                                       hyps, tol, terms=terms,
-                                       label=f"U{i+1} V{j+1}"))
-    elif identity_id == "R3.12":
-        hyps = [ctx.hyp_conformal()]
-        for i, u in enumerate(ctx.vframe):
-            for a, x in enumerate(ctx.hframe):
-                rhs, terms = _ric_mixed_rhs(ctx, u, x)
-                out.append(make_report("R3.12", ctx.p, ctx.ric(u, x), rhs,
-                                       hyps, tol, terms=terms,
-                                       label=f"U{i+1} X{a+1}"))
-    elif identity_id == "R3.13":
-        hyps = [ctx.hyp_conformal()]
-        for a, x in enumerate(ctx.hframe):
-            for b in range(a, len(ctx.hframe)):
-                y = ctx.hframe[b]
-                rhs, terms = _ric_horizontal_rhs(ctx, x, y)
-                out.append(make_report("R3.13", ctx.p, ctx.ric(x, y), rhs,
-                                       hyps, tol, terms=terms,
-                                       label=f"X{a+1} Y{b+1}"))
-    else:
+        a_hv = ctx.a_e[h, v]
+        vdf = ctx.vdf_e[v]
+        return ctx.ric_e[v, v], {
+            "Ric_nu": ctx.fiber_ric_e,
+            "-(m-n)g(T_UV,H)": -(m - n) * (ctx.t_e[v, v] @ ctx.h_e),
+            "sum (nabla_U A)_Xj Xj . V": np.einsum(
+                "iaaj->ij", ctx.da_e[v, h, h, v]),
+            "sum g(A_Xj U, A_Xj V)": np.einsum("aic,ajc->ij", a_hv, a_hv),
+            "-sum (nabla_Xj T)_U Xj . V": -np.einsum(
+                "aiaj->ij", ctx.dt_e[h, v, h, v]),
+            "-(lam^4/2) n (Uf)(Vf)": -(ctx.lam_sq ** 2 / 2.0) * n
+                * np.outer(vdf, vdf),
+        }
+    if identity_id == "R3.12":
+        da = ctx.da_e[h, h, h, v]
+        return ctx.ric_e[v, h], {
+            "(m-n) g(nabla_U H, X)": (m - n) * ctx.dh_e[v, h],
+            "-sum (nabla_Ui T)_U Ui . X": -np.einsum(
+                "jija->ia", ctx.dt_e[v, v, v, h]),
+            "sum (nabla_X A)_Xj Xj . U": np.einsum("abbi->ia", da),
+            "-sum (nabla_Xj A)_X Xj . U": -np.einsum("babi->ia", da),
+            "-sum g(T_U Xj, v[X,Xj])": -np.einsum(
+                "ibc,abc->ia", ctx.t_e[v, h], ctx.nu_e),
+        }
+    a_hv, t_vh, nu = ctx.a_e[h, v], ctx.t_e[v, h], ctx.nu_e
+    dilation = _dilation_terms(ctx)
+    return ctx.ric_e[h, h], {
+        "sum (nabla_Ui A)_X Y . Ui": np.einsum(
+            "iabi->ab", ctx.da_e[v, h, h, v]),
+        "sum g(A_X Ui, A_Y Ui)": np.einsum("aic,bic->ab", a_hv, a_hv),
+        "-sum (nabla_X T)_Ui Y . Ui": -np.einsum(
+            "aibi->ab", ctx.dt_e[h, v, h, v]),
+        "-sum g(T_Ui X, T_Ui Y)": -np.einsum("iac,ibc->ab", t_vh, t_vh),
+        "lam^2 g(A_XY, grad_v f)": ctx.lam_sq * (ctx.a_e[h, h] @ ctx.vdf_e),
+        "Ric_N/lam^2": dilation.pop("Ric_N/lam^2"),
+        "(3/4) sum g(v[X,Xj], v[Xj,Y])": 0.75 * np.einsum(
+            "adc,dbc->ab", nu, nu),
+        **dilation,
+    }
+
+
+def verify_ricci_decomposition(identity_id, ctx, tol=1e-6):
+    if identity_id not in RICCI_CHECKS:
         raise ValueError(f"unknown decomposition {identity_id!r}")
-    return out
+    hyps = [ctx.hyp_conformal()]
+    if identity_id == "R3.11":
+        hyps.append(ctx.hyp_fiber_chart())
+    lhs, terms = _ricci_terms(identity_id, ctx)
+    nv = ctx.m - ctx.n
+    label, index = {"R3.11": ("U{} V{}", _upper(nv)),
+                    "R3.12": ("U{} X{}", np.ndindex(lhs.shape)),
+                    "R3.13": ("X{} Y{}", _upper(ctx.n))}[identity_id]
+    return _records(identity_id, ctx, tol, hyps, label, index, lhs,
+                    sum(terms.values()), list(terms.items()))
 
 
-def verify_corollary(identity_id, setup, p, tol=1e-6, ctx=None):
-    ctx = ctx or IdentityContext(setup, p)
-    n = ctx.n
-    lam_sq = ctx.lam_sq
-    lam4 = lam_sq ** 2
-    out = []
+def verify_corollary(identity_id, ctx, tol=1e-6):
+    """C3.1-C3.3 over the vertical pairs, the mixed pairs and the
+    horizontal pairs of the frame, in that order, as far as each
+    corollary states them."""
+    n, nv, lam_sq = ctx.n, ctx.m - ctx.n, ctx.lam_sq
+    v, h = slice(nv), slice(nv, None)
+    ric, gram = ctx.ric_e, ctx.gram[h, h]
     if identity_id == "C3.1":
         hyps = [ctx.hyp_conformal(), ctx.hyp_fibers_tg(),
                 ctx.hyp_horizontal_integrable(), ctx.hyp_fiber_chart()]
-        for i, u in enumerate(ctx.vframe):
-            for j in range(i, len(ctx.vframe)):
-                v = ctx.vframe[j]
-                rnu = ctx.fiber_ricci_intrinsic(u, v)
-                rhs = (rnu + n * ctx.inner(ctx.grad_hprime(u), v)
-                       + (n * n / 4.0 - n / 2.0) * lam4
-                       * ctx.inner(u, ctx.vgrad_f) * ctx.inner(v, ctx.vgrad_f))
-                out.append(make_report("C3.1", ctx.p, ctx.ric(u, v), rhs,
-                                       hyps, tol, label=f"(U{i+1},V{j+1})"))
-        for i, u in enumerate(ctx.vframe):
-            for a, x in enumerate(ctx.hframe):
-                rhs = (n * ctx.inner(ctx.grad_hprime(x), u)
-                       - sum(ctx.inner(x, xj) * ctx.inner(ctx.grad_hprime(xj), u)
-                             for xj in ctx.hframe))
-                out.append(make_report("C3.1", ctx.p, ctx.ric(u, x), rhs,
-                                       hyps, tol, label=f"(U{i+1},X{a+1})"))
-        div_hp = ctx.div_hprime()
-        vnorm = ctx.inner(ctx.vgrad_f, ctx.vgrad_f)
-        hp_f = float(np.asarray(ctx.hp_vec) @ ctx.g @ ctx.grad_f)
-        for a, x in enumerate(ctx.hframe):
-            for b in range(a, len(ctx.hframe)):
-                y = ctx.hframe[b]
-                xf, yf = ctx.direction_f(x), ctx.direction_f(y)
-                rhs = (ctx.inner(x, y) * div_hp
-                       + ctx.base_ric(ctx.push(x), ctx.push(y)) / lam_sq
-                       - 0.75 * lam4 * ctx.inner(x, y) * vnorm
-                       - ((n - 2) / 2.0) * lam_sq * ctx.hess_f_pair(x, y)
-                       - (lam_sq / 2.0) * ctx.inner(x, y)
-                       * (ctx.horizontal_laplacian_f() - n * hp_f)
-                       + (n * lam4 / 4.0) * ctx.inner(x, y)
-                       * ctx.inner(ctx.grad_f, ctx.grad_f)
-                       + (lam4 / 4.0) * (n - 2) * xf * yf)
-                out.append(make_report("C3.1", ctx.p, ctx.ric(x, y), rhs,
-                                       hyps, tol, label=f"(X{a+1},Y{b+1})"))
+        vdf, dhp = ctx.vdf_e[v], ctx.dhp_e
+        dilation = _dilation_terms(ctx)
+        blocks = [
+            (ctx.fiber_ric_e + n * dhp[v, v]
+             + (n * n / 4.0 - n / 2.0) * lam_sq ** 2 * np.outer(vdf, vdf)),
+            (n * dhp[h, v] - gram @ dhp[h, v]).T,
+            (gram * ctx.div_hprime + dilation.pop("Ric_N/lam^2")
+             - 0.75 * lam_sq ** 2 * gram * _g_sq(ctx, ctx.vgrad_f)
+             + sum(dilation.values()))]
     elif identity_id == "C3.2":
         hyps = [ctx.hyp_conformal(), ctx.hyp_fibers_tg(),
                 ctx.hyp_horizontal_integrable(), ctx.hyp_homothetic()]
-        div_hp = ctx.div_hprime()
-        vnorm = ctx.inner(ctx.vgrad_f, ctx.vgrad_f)
-        hp_f = float(np.asarray(ctx.hp_vec) @ ctx.g @ ctx.grad_f)
-        for a, x in enumerate(ctx.hframe):
-            for b in range(a, len(ctx.hframe)):
-                y = ctx.hframe[b]
-                rhs = (ctx.inner(x, y) * div_hp
-                       + ctx.base_ric(ctx.push(x), ctx.push(y)) / lam_sq
-                       - 0.25 * lam4 * ctx.inner(x, y) * vnorm
-                       + (n * lam_sq / 2.0) * ctx.inner(x, y) * hp_f)
-                out.append(make_report("C3.2", ctx.p, ctx.ric(x, y), rhs,
-                                       hyps, tol, label=f"(X{a+1},Y{b+1})"))
+        hp_f = float(ctx.hp_vec @ ctx.g @ ctx.grad_f)
+        blocks = [None, None,
+                  (gram * ctx.div_hprime + ctx.base_ric_e / lam_sq
+                   - 0.25 * lam_sq ** 2 * gram * _g_sq(ctx, ctx.vgrad_f)
+                   + (n * lam_sq / 2.0) * gram * hp_f)]
     elif identity_id == "C3.3":
         hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg(), ctx.hyp_fiber_chart()]
-        for i, u in enumerate(ctx.vframe):
-            for j in range(i, len(ctx.vframe)):
-                v = ctx.vframe[j]
-                out.append(make_report(
-                    "C3.3", ctx.p, ctx.ric(u, v),
-                    ctx.fiber_ricci_intrinsic(u, v), hyps, tol,
-                    label=f"(U{i+1},V{j+1})"))
-        for i, u in enumerate(ctx.vframe):
-            for a, x in enumerate(ctx.hframe):
-                out.append(make_report("C3.3", ctx.p, ctx.ric(u, x), 0.0,
-                                       hyps, tol, label=f"(U{i+1},X{a+1})"))
-        for a, x in enumerate(ctx.hframe):
-            for b in range(a, len(ctx.hframe)):
-                y = ctx.hframe[b]
-                out.append(make_report(
-                    "C3.3", ctx.p, ctx.ric(x, y),
-                    ctx.base_ric(ctx.push(x), ctx.push(y)) / lam_sq,
-                    hyps, tol, label=f"(X{a+1},Y{b+1})"))
+        blocks = [ctx.fiber_ric_e, np.zeros((nv, n)),
+                  ctx.base_ric_e / lam_sq]
     else:
         raise ValueError(f"unknown corollary {identity_id!r}")
+    out = []
+    for (block, label, index), rhs in zip(
+            (((v, v), "(U{},V{})", _upper(nv)),
+             ((v, h), "(U{},X{})", np.ndindex(nv, n)),
+             ((h, h), "(X{},Y{})", _upper(n))), blocks):
+        if rhs is not None:
+            out += _records(identity_id, ctx, tol, hyps, label, index,
+                            ric[block], rhs)
     return out
 
 
-def verify_scalar_split(setup, p, tol=1e-6, ctx=None):
+def verify_scalar_split(ctx, tol=1e-6):
     """s = s^{KerF_*} + s^N / lam^2 for a totally geodesic map."""
-    ctx = ctx or IdentityContext(setup, p)
     hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg(), ctx.hyp_fiber_chart()]
     s_fiber = ctx.fiber_scalar_intrinsic()
     s_base = ctx.base_scalar_curvature
     rhs = s_fiber + s_base / ctx.lam_sq
-    return make_report("T3.4", p, ctx.scalar_curvature, rhs, hyps, tol,
-                       terms={"s_fiber": s_fiber, "s_base/lam^2": s_base / ctx.lam_sq})
+    return make_report("T3.4", ctx.p, ctx.scalar_curvature, rhs, hyps, tol,
+                       terms={"s_fiber": s_fiber,
+                              "s_base/lam^2": s_base / ctx.lam_sq})
 
 
 # ---------------------------------------------------------------------
 # Lemma 2.1 and Lemma 2.2
 # ---------------------------------------------------------------------
 
-def verify_lemma_2_1(setup, p, tol=1e-6, ctx=None):
+def verify_lemma_2_1(ctx, tol=1e-6):
     """L2.1 for every pair of lifts X_a, X_b of the base coordinate
     fields e_a, e_b: F_*(h nabla_{X_a} X_b) = nabla^N_{e_a} e_b
     + (lam^2/2){X_a(f) F_*X_b + X_b(f) F_*X_a - g(X_a, X_b) F_*(h grad f)},
     with nabla^N_{e_a} e_b = Gamma^N_ab."""
-    ctx = ctx or IdentityContext(setup, p)
-    hyps = [ctx.hyp_conformal()]
     lift, _, nabla = ctx.basic_fields
     lhs = np.einsum("ik,kab->iab", ctx.jac @ ctx.ph, nabla)
     push = ctx.jac @ lift
@@ -993,24 +951,20 @@ def verify_lemma_2_1(setup, p, tol=1e-6, ctx=None):
     gxy = lift.T @ ctx.g @ lift
     correction = 0.5 * ctx.lam_sq * (
         np.einsum("a,ib->iab", xf, push) + np.einsum("b,ia->iab", xf, push)
-        - np.einsum("ab,i->iab", gxy, ctx.push(ctx.hgrad_f)))
+        - np.einsum("ab,i->iab", gxy, ctx.jac @ ctx.hgrad_f))
     rhs = ctx.base_curvature[0] + correction
     lhs_n, rhs_n, res = (sub.pair_norms(ctx.h_base, w)
                          for w in (lhs, rhs, lhs - rhs))
-    return [_finish(ResidualReport(
-        identity_id="L2.1", point=p, lhs=lhs_n[a, b], rhs=rhs_n[a, b],
-        abs_residual=res[a, b],
-        rel_residual=res[a, b] / (1.0 + max(lhs_n[a, b], rhs_n[a, b])),
-        hypotheses=list(hyps), verdict=""), tol)
-        for a in range(ctx.n) for b in range(ctx.n)]
+    return _records("L2.1", ctx, tol, [ctx.hyp_conformal()], "",
+                    np.ndindex(res.shape), lhs_n, rhs_n,
+                    residual=(res, 1.0 + np.maximum(lhs_n, rhs_n)))
 
 
-def verify_hessian_symmetry(setup, p, tol=1e-9, ctx=None):
+def verify_hessian_symmetry(ctx, tol=1e-9):
     """L2.2: the Hessian of f = 1/lambda^2 is symmetric."""
-    ctx = ctx or IdentityContext(setup, p)
     worst = float(np.max(np.abs(ctx.hess_f - ctx.hess_f.T)))
     rep = ResidualReport(
-        identity_id="L2.2", point=p, lhs=worst, rhs=0.0,
+        identity_id="L2.2", point=ctx.p, lhs=worst, rhs=0.0,
         abs_residual=worst, rel_residual=worst, hypotheses=[], verdict="")
     return _finish(rep, tol)
 
@@ -1020,22 +974,23 @@ def verify_hessian_symmetry(setup, p, tol=1e-9, ctx=None):
 # ---------------------------------------------------------------------
 
 def run_check(check_id, setup, p, tol=1e-6, ctx=None):
-    """Run one check id at one point; returns a list of ResidualReport."""
+    """Run one check id at one point; returns a list of ResidualReport.
+    ``ctx`` is the point's ``IdentityContext`` when the caller holds it."""
     ctx = ctx or IdentityContext(setup, p)
     if check_id in CURVATURE_CHECKS:
-        return verify_curvature_identity(check_id, setup, p, tol=tol, ctx=ctx)
+        return verify_curvature_identity(check_id, ctx, tol)
     if check_id in ("P3.1", "E3.3"):
-        return verify_A_formula(check_id, setup, p, tol=tol, ctx=ctx)
+        return verify_A_formula(check_id, ctx, tol)
     if check_id in LEMMA31_CHECKS:
-        return verify_lemma_3_1(check_id.split(".")[-1], setup, p, tol=tol, ctx=ctx)
+        return verify_lemma_3_1(check_id.split(".")[-1], ctx, tol)
     if check_id in RICCI_CHECKS:
-        return verify_ricci_decomposition(check_id, setup, p, tol=tol, ctx=ctx)
+        return verify_ricci_decomposition(check_id, ctx, tol)
     if check_id in COROLLARY_CHECKS:
-        return verify_corollary(check_id, setup, p, tol=tol, ctx=ctx)
+        return verify_corollary(check_id, ctx, tol)
     if check_id == "T3.4":
-        return [verify_scalar_split(setup, p, tol=tol, ctx=ctx)]
+        return [verify_scalar_split(ctx, tol)]
     if check_id == "L2.1":
-        return verify_lemma_2_1(setup, p, tol=tol, ctx=ctx)
+        return verify_lemma_2_1(ctx, tol)
     if check_id == "L2.2":
-        return [verify_hessian_symmetry(setup, p, tol=max(tol, 1e-9), ctx=ctx)]
+        return [verify_hessian_symmetry(ctx, max(tol, 1e-9))]
     raise ValueError(f"unknown check id {check_id!r}")

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .identities import (Hypothesis, IdentityContext, ResidualReport, _finish,
-                         worst_of)
+from .identities import IdentityContext, ResidualReport, _finish, worst_of
 from .jets import primal, primal_array
 
 
@@ -162,18 +161,19 @@ def conformal_field_fit(chart, xi, points, tol=1e-9, contexts=None):
 
 def _horizontal_div_h(ctx):
     """div(H) as the horizontal trace sum_j g(nabla_{X_j} H, X_j)."""
-    return sum(ctx.inner(ctx.grad_h(x), x) for x in ctx.hframe)
+    nv = ctx.m - ctx.n
+    return float(np.trace(ctx.dh_e[nv:, nv:]))
 
 
 def _norm_sq_h(ctx):
-    return ctx.inner(ctx.h_vec, ctx.h_vec)
+    return float(ctx.h_e @ ctx.h_e)
 
 
 def _fiber_formula_value(ctx, xi_h, mu):
     """f = div(H) - (m-n)|H|^2 + mu - g(H, horizontal part of xi):
     reduces to f1 for vertical xi and to f2 for horizontal xi."""
     base = _horizontal_div_h(ctx) - (ctx.m - ctx.n) * _norm_sq_h(ctx) + mu
-    return base - ctx.inner(ctx.h_vec, xi_h)
+    return base - float(ctx.h_vec @ ctx.g @ xi_h)
 
 
 def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
@@ -186,8 +186,7 @@ def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
     worst = 0.0
     hyp_sets = []
     for p, ctx in zip(points, _contexts(setup, points, contexts)):
-        hyp_sets.append([ctx.hyp_conformal(),
-                         _umbilical_hyp(ctx),
+        hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_umbilical(),
                          ctx.hyp_horizontal_tg()])
         k = ctx.m - ctx.n
         vframe = np.array(ctx.vframe)
@@ -196,9 +195,7 @@ def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
         pv, dpv, _ = ctx.partials.pv
         lie = geo.lie_derivative_matrix(ctx.g, ctx.gamma, pv @ xi_vals,
                                         dpv @ xi_vals + dxi @ pv.T)
-        lform = 0.5 * (vframe @ lie @ vframe.T) + np.array(
-            [[ctx.fiber_ricci_intrinsic(u, v) for v in vframe]
-             for u in vframe])
+        lform = 0.5 * (vframe @ lie @ vframe.T) + ctx.fiber_ric_e
         fitted = -float(np.trace(lform)) / k
         xi_h = ctx.ph @ xi_vals
         formula = _fiber_formula_value(ctx, xi_h, mu)
@@ -242,11 +239,11 @@ def base_soliton_report(setup, xi, mu, points, xi_base=None, tol=1e-6,
         # projection residual: pushforward of the horizontal part of xi
         # against the declared base field
         xi_vals = np.array([primal(c) for c in xi_fn(ctx.xs)])
-        push = ctx.push(ctx.ph @ xi_vals)
+        push = ctx.jac @ (ctx.ph @ xi_vals)
         declared = np.array([primal(c) for c in
                              xi_base_fn(list(ctx.base_point.coords))])
         dproj = push - declared
-        proj_res = math.sqrt(max(0.0, ctx.base_inner(dproj, dproj)))
+        proj_res = math.sqrt(max(0.0, float(dproj @ ctx.h_base @ dproj)))
         worst = max(worst, res)
         per_point.append({"point": p, "fitted": fitted, "formula": formula,
                           "residual": res, "mu": mu,
@@ -263,13 +260,13 @@ def _base_formula_value(ctx, xi_fn, mu):
     + (n lam^2 / 2) H'(1/lam^2), plus the f4 correction
     (lam^2/2) g(grad_v(1/lam^2), xi_v) when xi has a vertical part."""
     lam_sq = ctx.lam_sq
-    vnorm = ctx.inner(ctx.vgrad_f, ctx.vgrad_f)
-    hp_f = float(np.asarray(ctx.hp_vec) @ ctx.g @ ctx.grad_f)
-    f3 = (mu + ctx.div_hprime() - 0.25 * lam_sq ** 2 * vnorm
+    vnorm = float(ctx.vgrad_f @ ctx.g @ ctx.vgrad_f)
+    hp_f = float(ctx.hp_vec @ ctx.g @ ctx.grad_f)
+    f3 = (mu + ctx.div_hprime - 0.25 * lam_sq ** 2 * vnorm
           + (ctx.n * lam_sq / 2.0) * hp_f)
     xi_vals = np.array([primal(c) for c in xi_fn(ctx.xs)])
     xi_v = ctx.pv @ xi_vals
-    return f3 + (lam_sq / 2.0) * ctx.inner(ctx.vgrad_f, xi_v)
+    return f3 + (lam_sq / 2.0) * float(ctx.vgrad_f @ ctx.g @ xi_v)
 
 
 def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6, contexts=None):
@@ -308,10 +305,9 @@ def harmonicity_report(setup, xi, mu, points, tol=1e-6, contexts=None):
     hyp_sets = []
     for p, ctx in zip(points, _contexts(setup, points, contexts)):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
-                         _umbilical_hyp(ctx), ctx.hyp_horizontal_tg()])
-        tau = sub.tension_field(setup, p, ctx.partials)
-        tau_norm = math.sqrt(max(0.0, ctx.base_inner(
-            np.asarray(tau.components), np.asarray(tau.components))))
+                         ctx.hyp_umbilical(), ctx.hyp_horizontal_tg()])
+        tau = np.asarray(sub.tension_field(setup, p, ctx.partials).components)
+        tau_norm = math.sqrt(max(0.0, float(tau @ ctx.h_base @ tau)))
         s_fiber = ctx.fiber_scalar_intrinsic()
         scalar_gap = abs(s_fiber + mu * (m - n))
         trace_terms = {
@@ -350,16 +346,6 @@ def harmonicity_report(setup, xi, mu, points, tol=1e-6, contexts=None):
 # ---------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------
-
-def _umbilical_hyp(ctx):
-    """sup |T(U,V) - g(U,V)H| over the orthonormal vertical frame."""
-    worst = 0.0
-    for i, u in enumerate(ctx.vframe):
-        for v in ctx.vframe[i:]:
-            d = ctx.T(u, v) - ctx.inner(u, v) * ctx.h_vec
-            worst = max(worst, math.sqrt(max(0.0, ctx.inner(d, d))))
-    return Hypothesis("umbilical-fibers", worst <= ctx.hyp_tol, worst)
-
 
 def _contexts(setup, points, contexts):
     """The caller's per-point contexts, or new ones over the points'

@@ -472,13 +472,9 @@ def mean_curvature_at(setup, xs):
 def conformal_anisotropy(jac, h, hframe, lam_sq):
     """sup |h(F_* X_i, F_* X_j) - lam^2 delta_ij| over an orthonormal
     horizontal frame: 0 exactly when F is horizontally conformal."""
-    aniso = 0.0
-    for i, xi in enumerate(hframe):
-        for j, xj in enumerate(hframe):
-            push = float((jac @ xi) @ h @ (jac @ xj))
-            expect = lam_sq if i == j else 0.0
-            aniso = max(aniso, abs(push - expect))
-    return aniso
+    push = np.array(hframe) @ jac.T
+    return float(np.max(np.abs(push @ h @ push.T
+                               - lam_sq * np.eye(len(push)))))
 
 
 def dilation(setup, p):
@@ -657,16 +653,9 @@ def structure_flags(setup, points, tol=1e-8, contexts=None):
     sup_sff = 0.0
     for ctx in contexts:
         g = ctx.g
-        for i, ui in enumerate(ctx.vframe):
-            for uj in ctx.vframe[i:]:
-                t = np.einsum("kab,a,b->k", ctx.t_tensor, ui, uj)
-                sup_t = max(sup_t, _gnorm(g, t))
-                umb = t - float(ui @ g @ uj) * ctx.h_vec
-                sup_umb = max(sup_umb, _gnorm(g, umb))
-        for xi in ctx.hframe:
-            for xj in ctx.hframe:
-                a = np.einsum("kab,a,b->k", ctx.a_tensor, xi, xj)
-                sup_a = max(sup_a, _gnorm(g, a))
+        sup_t = max(sup_t, ctx.hyp_fibers_tg().violation)
+        sup_umb = max(sup_umb, ctx.hyp_umbilical().violation)
+        sup_a = max(sup_a, ctx.hyp_horizontal_tg().violation)
         integrable, sff = _basic_field_violations(ctx)
         sup_integrable = max(sup_integrable, integrable)
         sup_sff = max(sup_sff, sff)

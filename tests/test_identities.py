@@ -170,7 +170,10 @@ def test_m4_spot_check():
 
 # every array of the context that is built on first read
 LAZY_ARRAYS = ("riem", "ric_matrix", "gamma", "grad_f", "vgrad_f", "hgrad_f",
-               "hess_f", "t_tensor", "a_tensor", "h_vec", "hp_vec", "_nabla")
+               "hess_f", "t_tensor", "a_tensor", "h_vec", "hp_vec", "_nabla",
+               "gram", "riem_e", "ric_e", "t_e", "a_e", "nu_e", "dt_e",
+               "da_e", "dh_e", "dhp_e", "h_e", "df_e", "vdf_e", "hess_e",
+               "base_riem_e", "base_ric_e", "fiber_riem_e", "fiber_ric_e")
 
 
 def _bits(value):

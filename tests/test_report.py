@@ -189,18 +189,31 @@ def test_context_evaluates_each_ingredient_once(monkeypatch, document):
 
 def test_flat_sweep_builds_no_curvature(monkeypatch):
     # G2.12 on one-dimensional fibers reads the frames, lambda^2 and the
-    # conformality hypothesis only, so no curvature, Christoffel symbols or
-    # O'Neill tensors are built at the point
+    # conformality hypothesis only, so no curvature, Christoffel symbols,
+    # O'Neill tensors or frame-basis arrays are built at the point
     counts = Counter()
     _count_calls(monkeypatch, counts, (
         (geo, "curvature_tensor_at"), (geo, "christoffels_at"),
         (sub, "oneill_tensors_at"), (JetSpace, "seed")))
+    contexts = []
+    real_init = IdentityContext.__init__
+
+    def keeping_init(self, *args, **kwargs):
+        contexts.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IdentityContext, "__init__", keeping_init)
     rep = report.run_job(parse_manifest(FLAT_SWEEP))
     assert [r["verdict"] for r in rep.records] == ["pass"]
     assert counts["curvature_tensor_at"] == 0
     assert counts["christoffels_at"] == 0
     assert counts["oneill_tensors_at"] == 0
     assert counts["seed"] <= 1
+    frame_arrays = [name for name in vars(IdentityContext)
+                    if name.endswith("_e")] + ["frame", "gram"]
+    assert "riem_e" in frame_arrays and "fiber_ric_e" in frame_arrays
+    ctx, = contexts
+    assert not set(frame_arrays) & set(vars(ctx))
 
 
 # Gamma of this metric is not finite on x2 = 0, where d/dx2 x2^(1/3) is
