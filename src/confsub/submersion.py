@@ -472,9 +472,13 @@ def mean_curvature_at(setup, xs):
 def conformal_anisotropy(jac, h, hframe, lam_sq):
     """sup |h(F_* X_i, F_* X_j) - lam^2 delta_ij| over an orthonormal
     horizontal frame: 0 exactly when F is horizontally conformal."""
-    push = np.array(hframe) @ jac.T
-    return float(np.max(np.abs(push @ h @ push.T
-                               - lam_sq * np.eye(len(push)))))
+    aniso = 0.0
+    for i, xi in enumerate(hframe):
+        for j, xj in enumerate(hframe):
+            push = float((jac @ xi) @ h @ (jac @ xj))
+            expect = lam_sq if i == j else 0.0
+            aniso = max(aniso, abs(push - expect))
+    return aniso
 
 
 def dilation(setup, p):
