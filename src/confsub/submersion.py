@@ -635,7 +635,9 @@ def _basic_field_violations(ctx):
     vert = np.einsum("ki,iab->kab", ctx.pv, d - d.transpose(0, 2, 1))
     brackets = pair_norms(g, vert) / np.maximum(np.outer(norms, norms), 1e-30)
     sff = ctx.base_curvature[0] - np.einsum("ik,kab->iab", ctx.jac, nabla)
-    return (float(np.max(np.triu(brackets, 1), initial=0.0)),
+    # the bracket norms are exactly symmetric with a zero diagonal, so
+    # their largest entry is the largest over pairs a < b
+    return (float(np.max(brackets)),
             float(np.max(pair_norms(ctx.h_base, sff))))
 
 
