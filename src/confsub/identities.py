@@ -162,10 +162,14 @@ def _on_frame(x, *mats):
     return x
 
 
+def _norms(vecs):
+    """The Euclidean norms of the frame-component vectors ``vecs[a, b, c]``
+    over the pairs (a, b)."""
+    return np.sqrt(np.einsum("abc,abc->ab", vecs, vecs))
+
+
 def _sup_norm(vecs):
-    """The largest Euclidean norm of the frame-component vectors
-    ``vecs[..., c]``."""
-    return math.sqrt((vecs * vecs).sum(axis=-1).max())
+    return float(_norms(vecs).max())
 
 
 def _frame_array(source, axes):
@@ -215,6 +219,9 @@ class IdentityContext:
     indices only; ``fiber_riem_e`` and ``fiber_ric_e`` the fiber's own
     Riem and Ric over vertical indices only (zero for one-dimensional
     fibers).
+
+    Scalars read by several checks: ``grad_f_sq`` = |grad f|^2,
+    ``vgrad_f_sq`` = |grad_v f|^2 and ``hp_f`` = H'(f).
 
     The constructor holds only the float core, ``core`` when the caller
     holds it (from ``setup.float_cores`` over a run's points) and
@@ -283,9 +290,24 @@ class IdentityContext:
             self.gamma, *self.partials.inv_lambda_sq[1:]))
 
     @functools.cached_property
+    def grad_f_sq(self):
+        """|grad f|^2."""
+        return float(self.grad_f @ self.g @ self.grad_f)
+
+    @functools.cached_property
+    def vgrad_f_sq(self):
+        """|grad_v f|^2."""
+        return float(self.vgrad_f @ self.g @ self.vgrad_f)
+
+    @functools.cached_property
     def hp_vec(self):
         # H' = -(lambda^2 / 2) v grad f
         return -0.5 * self.lam_sq * self.vgrad_f
+
+    @functools.cached_property
+    def hp_f(self):
+        """H'(f) = g(H', grad f)."""
+        return float(self.hp_vec @ self.g @ self.grad_f)
 
     @functools.cached_property
     def t_tensor(self):
@@ -570,11 +592,6 @@ class IdentityContext:
             self.hyp_homothetic().violation))
 
 
-def _g_sq(ctx, v):
-    """g(v, v) of a coordinate vector."""
-    return float(v @ ctx.g @ v)
-
-
 # ---------------------------------------------------------------------
 # records from arrays
 # ---------------------------------------------------------------------
@@ -728,7 +745,7 @@ def _g216(ctx, tol):
     hess = 0.5 * lam_sq * _kulkarni_nomizu(gram, ctx.hess_e[h, h])
     df = ctx.df_e[h]
     quartic = -0.25 * lam_sq ** 2 * _kulkarni_nomizu(
-        0.5 * _g_sq(ctx, ctx.grad_f) * gram + np.outer(df, df), gram)
+        0.5 * ctx.grad_f_sq * gram + np.outer(df, df), gram)
     return _records(
         "G2.16", ctx, tol, hyps, "X{} Y{} Z{} L{}",
         [p + (c, d) for p in _pairs(n) for c in range(n) for d in range(n)],
@@ -740,10 +757,6 @@ def _g216(ctx, tol):
 # ---------------------------------------------------------------------
 # Prop 3.1, Eq. (3.3), Lemma 3.1
 # ---------------------------------------------------------------------
-
-def _norms(vecs):
-    return np.sqrt(np.einsum("abc,abc->ab", vecs, vecs))
-
 
 def verify_A_formula(identity_id, ctx, tol=1e-6):
     """P3.1: A_X Y = (1/2){v[X,Y] - lam^2 g(X,Y) grad_v f}; E3.3: the
@@ -788,7 +801,7 @@ def verify_lemma_3_1(item, ctx, tol=1e-6):
         rhs, label = gram * ctx.div_hprime, "X{} Y{}"
     elif item == "vi":
         lhs = np.einsum("aic,bic->ab", a_hv, a_hv)
-        rhs = gram * lam4 / 4.0 * _g_sq(ctx, ctx.vgrad_f)
+        rhs = gram * lam4 / 4.0 * ctx.vgrad_f_sq
         label = "X{} Y{}"
     else:
         raise ValueError(f"unknown lemma item {item!r}")
@@ -807,14 +820,13 @@ def _dilation_terms(ctx):
     lam4 = lam_sq ** 2
     h = slice(ctx.m - n, None)
     gram, hess, df = ctx.gram[h, h], ctx.hess_e[h, h], ctx.df_e[h]
-    hp_f = float(ctx.hp_vec @ ctx.g @ ctx.grad_f)  # H'(f)
     return {
         "Ric_N/lam^2": ctx.base_ric_e / lam_sq,
         "-((n-2)/2) lam^2 Hess f(X,Y)": -((n - 2) / 2.0) * lam_sq * hess,
         "-(lam^2/2) g(X,Y){lap_H f - n H'(f)}": -(lam_sq / 2.0) * gram
-            * (float(np.trace(hess)) - n * hp_f),
+            * (float(np.trace(hess)) - n * ctx.hp_f),
         "(n lam^4/4) g(X,Y)|grad f|^2": (n * lam4 / 4.0) * gram
-            * _g_sq(ctx, ctx.grad_f),
+            * ctx.grad_f_sq,
         "(lam^4/4)(n-2)(Xf)(Yf)": (lam4 / 4.0) * (n - 2) * np.outer(df, df),
     }
 
@@ -897,16 +909,15 @@ def verify_corollary(identity_id, ctx, tol=1e-6):
              + (n * n / 4.0 - n / 2.0) * lam_sq ** 2 * np.outer(vdf, vdf)),
             (n * dhp[h, v] - gram @ dhp[h, v]).T,
             (gram * ctx.div_hprime + dilation.pop("Ric_N/lam^2")
-             - 0.75 * lam_sq ** 2 * gram * _g_sq(ctx, ctx.vgrad_f)
+             - 0.75 * lam_sq ** 2 * gram * ctx.vgrad_f_sq
              + sum(dilation.values()))]
     elif identity_id == "C3.2":
         hyps = [ctx.hyp_conformal(), ctx.hyp_fibers_tg(),
                 ctx.hyp_horizontal_integrable(), ctx.hyp_homothetic()]
-        hp_f = float(ctx.hp_vec @ ctx.g @ ctx.grad_f)
         blocks = [None, None,
                   (gram * ctx.div_hprime + ctx.base_ric_e / lam_sq
-                   - 0.25 * lam_sq ** 2 * gram * _g_sq(ctx, ctx.vgrad_f)
-                   + (n * lam_sq / 2.0) * gram * hp_f)]
+                   - 0.25 * lam_sq ** 2 * gram * ctx.vgrad_f_sq
+                   + (n * lam_sq / 2.0) * gram * ctx.hp_f)]
     elif identity_id == "C3.3":
         hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg(), ctx.hyp_fiber_chart()]
         blocks = [ctx.fiber_ric_e, np.zeros((nv, n)),

@@ -260,10 +260,8 @@ def _base_formula_value(ctx, xi_fn, mu):
     + (n lam^2 / 2) H'(1/lam^2), plus the f4 correction
     (lam^2/2) g(grad_v(1/lam^2), xi_v) when xi has a vertical part."""
     lam_sq = ctx.lam_sq
-    vnorm = float(ctx.vgrad_f @ ctx.g @ ctx.vgrad_f)
-    hp_f = float(ctx.hp_vec @ ctx.g @ ctx.grad_f)
-    f3 = (mu + ctx.div_hprime - 0.25 * lam_sq ** 2 * vnorm
-          + (ctx.n * lam_sq / 2.0) * hp_f)
+    f3 = (mu + ctx.div_hprime - 0.25 * lam_sq ** 2 * ctx.vgrad_f_sq
+          + (ctx.n * lam_sq / 2.0) * ctx.hp_f)
     xi_vals = np.array([primal(c) for c in xi_fn(ctx.xs)])
     xi_v = ctx.pv @ xi_vals
     return f3 + (lam_sq / 2.0) * float(ctx.vgrad_f @ ctx.g @ xi_v)
@@ -306,7 +304,8 @@ def harmonicity_report(setup, xi, mu, points, tol=1e-6, contexts=None):
     for p, ctx in zip(points, _contexts(setup, points, contexts)):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
                          ctx.hyp_umbilical(), ctx.hyp_horizontal_tg()])
-        tau = np.asarray(sub.tension_field(setup, p, ctx.partials).components)
+        tau = sub.tension_field(setup, ctx.h_vec, ctx.hgrad_f, ctx.jac,
+                                ctx.lam_sq)
         tau_norm = math.sqrt(max(0.0, float(tau @ ctx.h_base @ tau)))
         s_fiber = ctx.fiber_scalar_intrinsic()
         scalar_gap = abs(s_fiber + mu * (m - n))

@@ -515,19 +515,14 @@ def mean_curvature(setup, p):
     return TangentVector(tuple(primal(c) for c in comps), p)
 
 
-def tension_field(setup, p, partials=None):
-    """(n-2)(lambda^2/2) F_*(H grad(1/lambda^2)) - (m-n) F_*(H), from the
-    point's ``CorePartials``: ``partials`` when the caller holds them."""
-    partials = partials or CorePartials(setup, p.coords)
-    ginv = partials.ginv[0]
-    hgrad = partials.ph[0] @ (ginv @ partials.inv_lambda_sq[1])
-    h_vec = mean_curvature_from(partials.oneill[0], partials.pv[0] @ ginv,
-                                setup.m - setup.n)
-    jac = partials.jac[0]
-    first = (setup.n - 2) * 0.5 * partials.lam_sq[0] * (jac @ hgrad)
+def tension_field(setup, h_vec, hgrad_f, jac, lam_sq):
+    """(n-2)(lambda^2/2) F_*(H grad_h f) - (m-n) F_*(H) in base
+    coordinates, from a point's mean curvature ``h_vec``, the horizontal
+    gradient ``hgrad_f`` of f = 1 / lambda^2, the Jacobian ``jac`` and
+    ``lam_sq``."""
+    first = (setup.n - 2) * 0.5 * lam_sq * (jac @ hgrad_f)
     second = (setup.m - setup.n) * (jac @ h_vec)
-    q = setup.map_point(p)
-    return TangentVector(tuple(float(a - b) for a, b in zip(first, second)), q)
+    return first - second
 
 
 # ---------------------------------------------------------------------

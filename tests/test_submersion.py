@@ -200,8 +200,10 @@ def test_structure_flags_on_catalog():
 
 def test_tension_field_vanishes_for_tg_map():
     job = catalog.load_job("5.4")
-    tau = sub.tension_field(job.setup, job.points[0])
-    assert np.max(np.abs(np.asarray(tau.components))) <= 1e-12
+    ctx = IdentityContext(job.setup, job.points[0])
+    tau = sub.tension_field(job.setup, ctx.h_vec, ctx.hgrad_f, ctx.jac,
+                            ctx.lam_sq)
+    assert np.max(np.abs(tau)) <= 1e-12
 
 
 def test_not_a_submersion_detected():
