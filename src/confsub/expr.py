@@ -362,23 +362,6 @@ def eval_expr(node, env):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def coordinates_used(node):
-    """All coordinate names referenced by the AST."""
-    if isinstance(node, Coord):
-        return {node.name}
-    if isinstance(node, Const):
-        return set()
-    if isinstance(node, Neg):
-        return coordinates_used(node.arg)
-    if isinstance(node, (BinOp, Compare, BoolOp)):
-        return coordinates_used(node.left) | coordinates_used(node.right)
-    if isinstance(node, Pow):
-        return coordinates_used(node.base)
-    if isinstance(node, Call):
-        return coordinates_used(node.arg)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 _PRECEDENCE = {"or": 0, "and": 1, "cmp": 2, "+": 3, "-": 3, "*": 4, "/": 4,
                "neg": 5, "pow": 6, "atom": 7}
 

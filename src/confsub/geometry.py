@@ -1,38 +1,32 @@
 """Single-manifold geometry on a coordinate chart: metric, Levi-Civita
-connection, curvature, and the first-order calculus operators.
+connection, curvature, Lie derivatives and orthonormal frames.
 
 Sign conventions:
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
     Ric(X, Y) = trace(Z -> R(Z, X)Y)
 so that a space form of curvature K has Ric = (m-1) K g.
 
-Most functions here come in two layers: a generic layer that maps
-coordinate scalars (floats or jets) to scalars, so results can be fed
-back through the jet pipeline, and thin wrappers with Point /
-TangentVector signatures for callers that work pointwise.
-
 Every derivative is taken by one helper, ``coordinate_partials``: it
 seeds all coordinate directions at a fresh jet level, evaluates a
 function returning a scalar or a nested list of scalars, and unpacks the
 values with their first (and, at order 2, second) partials, giving zero
-partials to components that do not carry the new level.  Field
-partials (Lie brackets, divergences, covariant derivatives, the O'Neill
-bundle) call it directly; the Jacobian, the metric and Christoffel
-partials, gradients and Hessians are short calls to it.  Because the
-helper only adds a level, it also works inside an enclosing seeding:
-given jet coordinates it returns jets of the enclosing level.
+partials to components that do not carry the new level.  The
+Jacobian, the metric and Christoffel partials and vector-field partials
+are short calls to it.  Because the helper only adds a level, it also
+works inside an enclosing seeding: given jet coordinates it returns jets
+of the enclosing level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as expr_mod
 from .expr import eval_expr, parse_expression, parse_predicate
-from .jets import EvaluationError, Jet, JetSpace, primal, primal_array
+from .jets import EvaluationError, Jet, JetSpace, primal
 from .linalg import mat_inverse, transpose
 
 
@@ -59,20 +53,6 @@ class Point:
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    components: tuple
-    base: Point
-
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           tuple(float(c) for c in self.components))
-        if len(self.components) != self.base.dim:
-            raise ValueError("component count does not match base dimension")
-        if not all(math.isfinite(c) for c in self.components):
-            raise ValueError("vector components must be finite")
-
-
-@dataclass(frozen=True)
 class VectorFieldSpec:
     """A vector field given componentwise by expressions."""
 
@@ -89,15 +69,6 @@ class VectorFieldSpec:
     @property
     def dim(self):
         return len(self.components)
-
-
-@dataclass
-class Frame:
-    """Orthonormal vectors at a common point with their cached Gram
-    matrix (identity up to rounding)."""
-
-    vectors: list
-    gram: np.ndarray = field(default=None)
 
 
 class ChartManifold:
@@ -133,12 +104,6 @@ class ChartManifold:
 
     def scalar(self, text):
         return parse_expression(text, set(self.coord_names))
-
-    def basis_vector(self, index, point):
-        comps = [0.0] * self.dim
-        comps[index] = 1.0
-        return TangentVector(tuple(comps), point)
-
 
 # ---------------------------------------------------------------------
 # jet-calculus entry points
@@ -205,28 +170,8 @@ def field_fn(chart, spec):
     return lambda xs: field_values_at(chart, spec, xs)
 
 
-def scalar_fn(chart, f):
-    """Coordinate function of a scalar given as an expression or
-    already as a function of the coordinates."""
-    return f if callable(f) else (lambda xs: eval_expr(f, chart.env(xs)))
-
-
-def lie_bracket_at(x_fn, y_fn, xs):
-    xv, dx = coordinate_partials(x_fn, xs)
-    yv, dy = coordinate_partials(y_fn, xs)
-    m = len(xs)
-    return [sum(xv[i] * dy[i][k] - yv[i] * dx[i][k] for i in range(m))
-            for k in range(m)]
-
-
-def lie_bracket(chart, x_spec, y_spec, p):
-    comps = lie_bracket_at(field_fn(chart, x_spec), field_fn(chart, y_spec),
-                           list(p.coords))
-    return TangentVector(tuple(primal(c) for c in comps), p)
-
-
 # ---------------------------------------------------------------------
-# metric and connection (generic layer)
+# metric and connection
 # ---------------------------------------------------------------------
 
 def inverse_metric_at(chart, xs):
@@ -292,13 +237,6 @@ def riemann_from_christoffels(gamma, dgamma):
     return half - half.transpose(0, 1, 3, 2)
 
 
-def ricci_at(chart, xs, xc, yc):
-    """Ric(X, Y) = trace(Z -> R(Z, X)Y) at the point."""
-    ric = ricci_matrix_at(chart, xs)
-    m = chart.dim
-    return sum(ric[j][k] * xc[j] * yc[k] for j in range(m) for k in range(m))
-
-
 def ricci_matrix_at(chart, xs):
     """Ric[j, k] = Ric(e_j, e_k) at float coordinates."""
     return np.einsum("ikij->jk", curvature_tensor_at(chart, xs))
@@ -309,18 +247,6 @@ def scalar_curvature_at(chart, xs):
     ginv = inverse_metric_at(chart, xs)
     m = chart.dim
     return sum(ginv[j][k] * ric[j][k] for j in range(m) for k in range(m))
-
-
-def cov_deriv_along_at(chart, xs, x_comps, w_fn, gamma=None):
-    """(nabla_X W)^k with X given pointwise and W a component function."""
-    if gamma is None:
-        gamma = christoffels_at(chart, xs)
-    wv, dw = coordinate_partials(w_fn, xs)
-    m = chart.dim
-    return [sum(x_comps[i] * dw[i][k] for i in range(m))
-            + sum(gamma[k][i][j] * x_comps[i] * wv[j]
-                  for i in range(m) for j in range(m))
-            for k in range(m)]
 
 
 def raise_index(ginv, df):
@@ -334,31 +260,6 @@ def covariant_hessian(gamma, df, d2f):
     m = len(df)
     return [[d2f[i][j] - sum(gamma[k][i][j] * df[k] for k in range(m))
              for j in range(m)] for i in range(m)]
-
-
-def gradient_at(chart, f_fn, xs):
-    _, df = coordinate_partials(f_fn, xs)
-    return raise_index(inverse_metric_at(chart, xs), df)
-
-
-def divergence_at(chart, x_fn, xs):
-    gamma = christoffels_at(chart, xs)
-    xv, dx = coordinate_partials(x_fn, xs)
-    m = chart.dim
-    return (sum(dx[i][i] for i in range(m))
-            + sum(gamma[i][i][k] * xv[k] for i in range(m) for k in range(m)))
-
-
-def hessian_matrix_at(chart, f_fn, xs):
-    _, df, d2f = coordinate_partials(f_fn, xs, order=2)
-    return covariant_hessian(christoffels_at(chart, xs), df, d2f)
-
-
-def laplacian_at(chart, f_fn, xs):
-    hess = hessian_matrix_at(chart, f_fn, xs)
-    ginv = inverse_metric_at(chart, xs)
-    m = chart.dim
-    return sum(ginv[i][j] * hess[i][j] for i in range(m) for j in range(m))
 
 
 def vector_partials(fn, xs):
@@ -378,14 +279,8 @@ def lie_derivative_matrix(g, gamma, xi, dxi):
 
 
 # ---------------------------------------------------------------------
-# pointwise wrappers
+# float values over points
 # ---------------------------------------------------------------------
-
-def metric_matrix(chart, p):
-    """The metric at p as a float matrix; raises outside the chart's
-    domain and where it is not positive definite."""
-    return metric_matrices(chart, batch_coordinates([p.coords]), 1)[0]
-
 
 def batch_coordinates(rows):
     """Coordinate values of a batch of points for ``eval_expr``: one float
@@ -411,11 +306,12 @@ def stack_points(values, count):
 
 
 def metric_matrices(chart, xs, count):
-    """``metric_matrix`` at ``count`` points from one evaluation of the
-    metric: ``xs`` holds one float array over the points per coordinate,
-    or the coordinates of the one point as floats.  Returns a
-    (count, dim, dim) array and raises what ``metric_matrix`` raises,
-    naming the point when there is one."""
+    """The metric at ``count`` points as float matrices, from one
+    evaluation: ``xs`` holds one float array over the points per
+    coordinate, or the coordinates of the one point as floats.  Returns a
+    (count, dim, dim) array; raises outside the chart's domain and where
+    the metric is not positive definite, naming the point when there is
+    one."""
     where = tuple(map(float, xs)) if count == 1 else f"one of {count} points"
     if chart.domain is not None and not np.all(
             eval_expr(chart.domain, chart.env(xs))):
@@ -429,46 +325,8 @@ def metric_matrices(chart, xs, count):
     return g
 
 
-def christoffel_symbols(chart, p):
-    metric_matrix(chart, p)
-    return primal_array(christoffels_at(chart, p.coords))
-
-
 def scalar_curvature(chart, p):
     return primal(scalar_curvature_at(chart, p.coords))
-
-
-def gradient(chart, f, p):
-    comps = gradient_at(chart, scalar_fn(chart, f), list(p.coords))
-    return TangentVector(tuple(primal(c) for c in comps), p)
-
-
-def divergence(chart, x_spec, p):
-    return primal(divergence_at(chart, field_fn(chart, x_spec), list(p.coords)))
-
-
-def hessian(chart, f, x_spec, y_spec, p):
-    xs = list(p.coords)
-    hess = hessian_matrix_at(chart, scalar_fn(chart, f), xs)
-    xc = [primal(v) for v in field_values_at(chart, x_spec, xs)]
-    yc = [primal(v) for v in field_values_at(chart, y_spec, xs)]
-    m = chart.dim
-    return primal(sum(hess[i][j] * xc[i] * yc[j]
-                      for i in range(m) for j in range(m)))
-
-
-def laplacian(chart, f, p):
-    return primal(laplacian_at(chart, scalar_fn(chart, f), list(p.coords)))
-
-
-def lie_derivative_metric(chart, xi_spec, x_spec, y_spec, p):
-    xs = list(p.coords)
-    xc = primal_array(field_values_at(chart, x_spec, xs))
-    yc = primal_array(field_values_at(chart, y_spec, xs))
-    lie = lie_derivative_matrix(primal_array(chart.metric_at(xs)),
-                                primal_array(christoffels_at(chart, xs)),
-                                *vector_partials(field_fn(chart, xi_spec), xs))
-    return float(xc @ lie @ yc)
 
 
 def orthonormalize_components(gmat, vectors, tol=1e-10):
@@ -501,17 +359,3 @@ def orthonormal_frames(g, vectors, tol=1e-10):
 
 def _inner(u, g, w):
     return np.einsum("pi,pij,pj->p", u, g, w)
-
-
-def orthonormalize(chart, p, vectors):
-    g = metric_matrix(chart, p)
-    comps = orthonormalize_components(g, [list(v.components) for v in vectors])
-    vecs = [TangentVector(tuple(map(float, w)), p) for w in comps]
-    gram = np.array([[w1 @ g @ w2 for w2 in comps] for w1 in comps])
-    return Frame(vectors=vecs, gram=gram)
-
-
-def coordinate_frame(chart, p):
-    """Orthonormal frame from the coordinate basis seed."""
-    seeds = [chart.basis_vector(i, p) for i in range(chart.dim)]
-    return orthonormalize(chart, p, seeds)

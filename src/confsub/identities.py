@@ -342,7 +342,8 @@ class IdentityContext:
         dH = (dT W + T dW) / (m - n) and, with d lambda^2 = -lambda^4 df,
         dH' = -(d lambda^2 W df + lambda^2 (dW df + W d2f)) / 2;
         the Gamma terms then make them covariant.  T and A are tensors,
-        so these equal the per-field cov_deriv_T_at / cov_deriv_A_at."""
+        so this is (nabla_E T)_U E' = nabla_E (T_U E') - T_{nabla_E U} E'
+        - T_U (nabla_E E') for any fields extending U and E'."""
         m, gam = self.m, self.gamma
         dgam = self.partials.christoffels[1]
         pv, dpv, d2pv = self.partials.pv

@@ -15,15 +15,6 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def mat_vec(mat, vec):
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in mat]
-
-
-def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def transpose(mat):
     return [list(col) for col in zip(*mat)]
 

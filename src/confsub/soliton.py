@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .identities import IdentityContext, ResidualReport, _finish, worst_of
+from .identities import ResidualReport, _finish, worst_of
 from .jets import primal, primal_array
 
 
@@ -84,16 +84,6 @@ def _soliton_form(g, lie, ric):
 
 def _field_fn(chart, xi):
     return xi if callable(xi) else geo.field_fn(chart, xi)
-
-
-def soliton_residual(chart, xi, mu, p, x, y):
-    """(1/2)(L_xi g)(X,Y) + Ric(X,Y) + mu g(X,Y) at p."""
-    xs = list(p.coords)
-    g, gamma, ric = _chart_curvature(chart, xs)
-    lie = _lie_matrix(g, gamma, _field_fn(chart, xi), xs)
-    xc, yc = (np.asarray(v.components if isinstance(v, geo.TangentVector)
-                         else v, dtype=float) for v in (x, y))
-    return float(xc @ (0.5 * lie + ric + mu * g) @ yc)
 
 
 def fit_mu(chart, xi, points, tol=1e-9, contexts=None):
@@ -176,16 +166,15 @@ def _fiber_formula_value(ctx, xi_h, mu):
     return base - float(ctx.h_vec @ ctx.g @ xi_h)
 
 
-def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
-                         contexts=None):
+def fiber_soliton_report(setup, xi, points, contexts, mu=0.0, tol=1e-6):
     """Fibers as (almost) Ricci solitons: residual of
     (1/2){g(nabla_U xi_v, V) + g(nabla_V xi_v, U)} + Ric^v(U,V) + f g(U,V)
-    with f evaluated from its closed form per point.  ``contexts`` are
-    the points' IdentityContexts when the caller already built them."""
+    with f evaluated from its closed form per point, read off
+    ``contexts``, the points' IdentityContexts."""
     per_point = []
     worst = 0.0
     hyp_sets = []
-    for p, ctx in zip(points, _contexts(setup, points, contexts)):
+    for p, ctx in zip(points, contexts):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_umbilical(),
                          ctx.hyp_horizontal_tg()])
         k = ctx.m - ctx.n
@@ -210,8 +199,8 @@ def fiber_soliton_report(setup, xi, points, mu=0.0, tol=1e-6,
     return _verdict(report, tol)
 
 
-def base_soliton_report(setup, xi, mu, points, xi_base=None, tol=1e-6,
-                        contexts=None):
+def base_soliton_report(setup, xi, mu, points, contexts, xi_base=None,
+                        tol=1e-6):
     """Base as an (almost) Ricci soliton: residual of
     (1/2)(L h)(Xt,Yt) + Ric^N(Xt,Yt) + f h(Xt,Yt) with f from f3/f4.
 
@@ -226,7 +215,7 @@ def base_soliton_report(setup, xi, mu, points, xi_base=None, tol=1e-6,
     per_point = []
     worst = 0.0
     hyp_sets = []
-    for p, ctx in zip(points, _contexts(setup, points, contexts)):
+    for p, ctx in zip(points, contexts):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
                          ctx.hyp_fibers_tg(), ctx.hyp_horizontal_integrable()])
         base_gamma, _, base_ric = ctx.base_curvature
@@ -267,11 +256,10 @@ def _base_formula_value(ctx, xi_fn, mu):
     return f3 + (lam_sq / 2.0) * float(ctx.vgrad_f @ ctx.g @ xi_v)
 
 
-def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6, contexts=None):
+def scalar_mu_consistency(setup, xi, mu, points, contexts, tol=1e-6):
     """s(p) = -mu*m for a totally geodesic map; also reports the spread
     of s over the points (constancy check)."""
-    ctxs = list(_contexts(setup, points, contexts))
-    values = [ctx.scalar_curvature for ctx in ctxs]
+    values = [ctx.scalar_curvature for ctx in contexts]
     m = setup.m
     worst_idx = worst_of(range(len(points)),
                          lambda i: abs(values[i] + mu * m))
@@ -279,7 +267,7 @@ def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6, contexts=None):
     rhs = -mu * m
     terms = {f"s@{i}": v for i, v in enumerate(values)}
     terms["spread"] = max(values) - min(values)
-    ctx = ctxs[worst_idx]
+    ctx = contexts[worst_idx]
     hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg()]
     abs_res = abs(lhs - rhs)
     scale = 1.0 + max(abs(lhs), abs(rhs))
@@ -291,7 +279,7 @@ def scalar_mu_consistency(setup, xi, mu, points, tol=1e-6, contexts=None):
     return _finish(rep, tol)
 
 
-def harmonicity_report(setup, xi, mu, points, tol=1e-6, contexts=None):
+def harmonicity_report(setup, xi, mu, points, contexts, tol=1e-6):
     """F harmonic iff s^{KerF*} = -mu(m-n): both sides evaluated
     independently, with the trace identity
     s^{Ker} + (m-n)mu - (m-n)^2 |H|^2 + (m-n) div(H) = 0 itemized."""
@@ -301,7 +289,7 @@ def harmonicity_report(setup, xi, mu, points, tol=1e-6, contexts=None):
     worst_scalar = 0.0
     worst_trace = 0.0
     hyp_sets = []
-    for p, ctx in zip(points, _contexts(setup, points, contexts)):
+    for p, ctx in zip(points, contexts):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
                          ctx.hyp_umbilical(), ctx.hyp_horizontal_tg()])
         tau = sub.tension_field(setup, ctx.h_vec, ctx.hgrad_f, ctx.jac,
@@ -345,15 +333,6 @@ def harmonicity_report(setup, xi, mu, points, tol=1e-6, contexts=None):
 # ---------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------
-
-def _contexts(setup, points, contexts):
-    """The caller's per-point contexts, or new ones over the points'
-    float cores."""
-    if contexts is not None:
-        return contexts
-    return [IdentityContext(setup, p, core=core)
-            for p, core in zip(points, setup.float_cores(points))]
-
 
 def _merge_hypotheses(hyp_sets):
     """Worst violation of each named hypothesis across the points."""

@@ -1,11 +1,7 @@
-"""Structure attached to a map F: (M, g) -> (N, h): projectors,
-dilation, horizontal lifts, the fundamental tensors T and A with their
-covariant derivatives, mean curvatures, second fundamental form, tension
-field and structural-property detection.
-
-The generic layer again maps coordinate scalars (floats or jets) to
-scalars so every derived field can be pushed back through the jet
-pipeline.
+"""Structure attached to a map F: (M, g) -> (N, h): the batched float
+core (projectors, frames, dilation), the per-point ``CorePartials`` with
+the fundamental tensors T and A, mean curvature, tension field, the
+fiber slice chart and structural-property detection.
 """
 
 from __future__ import annotations
@@ -18,11 +14,10 @@ import numpy as np
 
 from . import geometry as geo
 from .expr import eval_expr, parse_expression
-from .geometry import (Point, TangentVector, cov_deriv_along_at, field_fn,
-                       jacobian_at)
+from .geometry import Point, jacobian_at
 from .jets import EvaluationError, primal
-from .linalg import (SingularMatrixError, mat_inverse, mat_mul, mat_vec,
-                     null_space_bases, taylor_inverse, taylor_mul, transpose)
+from .linalg import (SingularMatrixError, null_space_bases, taylor_inverse,
+                     taylor_mul)
 
 
 class NotASubmersionError(ValueError):
@@ -105,8 +100,6 @@ class SubmersionSetup:
     def n(self):
         return self.base.dim
 
-    # -- generic layer -------------------------------------------------
-
     def map_point_at(self, xs):
         env = self.total.env(xs)
         return [eval_expr(c, env) for c in self.map_components]
@@ -121,68 +114,6 @@ class SubmersionSetup:
         jac = self.jacobian_at(p.coords)
         return np.array([[primal(v) for v in row] for row in jac])
 
-    def _core_matrices_at(self, xs):
-        """(g, ginv, J, K, lift_matrix) with K = J ginv J^T."""
-        g = self.total.metric_at(xs)
-        ginv = mat_inverse(g)
-        jac = self.jacobian_at(xs)
-        jt = transpose(jac)
-        k = mat_mul(jac, mat_mul(ginv, jt))
-        try:
-            k_inv = mat_inverse(k)
-        except SingularMatrixError:
-            raise NotASubmersionError(
-                f"map is rank deficient at {tuple(primal(x) for x in xs)}") from None
-        lift = mat_mul(ginv, mat_mul(jt, k_inv))  # m x n
-        return g, ginv, jac, k, lift
-
-    def _projectors(self, jac, lift):
-        ph = mat_mul(lift, jac)
-        m = self.m
-        pv = [[(1.0 if i == j else 0.0) - ph[i][j] for j in range(m)]
-              for i in range(m)]
-        return pv, ph
-
-    def projectors_at(self, xs):
-        """(vertical, horizontal) projector matrices."""
-        _, _, jac, _, lift = self._core_matrices_at(xs)
-        return self._projectors(jac, lift)
-
-    def _conformality_ratio(self, h, k):
-        n = self.n
-        return sum(h[a][b] * k[a][b] for a in range(n) for b in range(n)) / n
-
-    def lambda_sq_at(self, xs):
-        """Squared dilation as the frame-averaged conformality ratio."""
-        _, _, _, k, _ = self._core_matrices_at(xs)
-        return self._conformality_ratio(
-            self.base.metric_at(self.map_point_at(xs)), k)
-
-    def horizontal_lift_at(self, xs, base_comps):
-        _, _, _, _, lift = self._core_matrices_at(xs)
-        return mat_vec(lift, base_comps)
-
-    def basic_field_fn(self, base_spec):
-        """Horizontal lift of a base vector field, as a total-chart
-        component function."""
-        def fn(xs):
-            ys = self.map_point_at(xs)
-            comps = [eval_expr(c, self.base.env(ys)) for c in base_spec.components]
-            return self.horizontal_lift_at(xs, comps)
-        return fn
-
-    def vertical_project_fn(self, fn):
-        def proj(xs):
-            pv, _ = self.projectors_at(xs)
-            return mat_vec(pv, fn(xs))
-        return proj
-
-    def horizontal_project_fn(self, fn):
-        def proj(xs):
-            _, ph = self.projectors_at(xs)
-            return mat_vec(ph, fn(xs))
-        return proj
-
     # -- numeric values at a point ---------------------------------------
 
     def float_core(self, p):
@@ -194,9 +125,10 @@ class SubmersionSetup:
         in one pass over a leading point axis: the total metric, the map
         with its Jacobian (one seeding) and the base metric at F(p) are
         each evaluated once for all points, and the linear algebra runs
-        stacked.  P_v, P_h and lambda^2 take the formulas of
-        ``projectors_at`` and ``lambda_sq_at``; the vertical frame is the
-        reduced-row-echelon kernel basis of the Jacobian, orthonormalized.
+        stacked: K = J g^{-1} J^T, the lift g^{-1} J^T K^{-1}, P_h = lift J,
+        P_v = I - P_h and lambda^2 = tr(h K^T) / n; the vertical frame is
+        the reduced-row-echelon kernel basis of the Jacobian,
+        orthonormalized.
 
         Raises where a point is outside either chart's domain, either
         metric is not positive definite there, or the map is rank
@@ -251,15 +183,6 @@ class SubmersionSetup:
                           base_point=base_points[i], h_base=h_base[i])
                 for i in range(count)]
 
-    def vertical_frame(self, p):
-        """Orthonormal vertical frame at p."""
-        return self.float_core(p).vframe
-
-    def horizontal_frame(self, p):
-        """Orthonormal horizontal frame at p."""
-        return self.float_core(p).hframe
-
-
 class CorePartials:
     """The submersion's core matrices at one point with their first and
     second coordinate partials, as float triples (X, dX, ddX) of
@@ -270,8 +193,7 @@ class CorePartials:
     h o F.  The rest is the matrix product rule on them:
     K = J g^{-1} J^T, lift = g^{-1} J^T K^{-1}, P_h = lift J,
     P_v = I - P_h, lambda^2 = tr(h K^T) / n and f = 1 / lambda^2, the
-    formulas of ``SubmersionSetup._core_matrices_at`` and its callers,
-    which stay the generic (jet) layer."""
+    formulas of ``SubmersionSetup.float_cores``."""
 
     def __init__(self, setup, xs):
         self.setup = setup
@@ -350,37 +272,6 @@ def _transposed(a):
     return tuple(x.swapaxes(-1, -2) for x in a)
 
 
-# ---------------------------------------------------------------------
-# fundamental tensors
-# ---------------------------------------------------------------------
-
-def oneill_T_at(setup, xs, e_fn, ep_fn):
-    """T_E E' = H nabla_{vE} vE' + v nabla_{vE} H E'."""
-    chart = setup.total
-    pv, ph = setup.projectors_at(xs)
-    gamma = geo.christoffels_at(chart, xs)
-    ve = mat_vec(pv, e_fn(xs))
-    d1 = cov_deriv_along_at(chart, xs, ve, setup.vertical_project_fn(ep_fn), gamma)
-    d2 = cov_deriv_along_at(chart, xs, ve, setup.horizontal_project_fn(ep_fn), gamma)
-    return [a + b for a, b in zip(mat_vec(ph, d1), mat_vec(pv, d2))]
-
-
-def oneill_A_at(setup, xs, e_fn, ep_fn):
-    """A_E E' = H nabla_{HE} vE' + v nabla_{HE} H E'."""
-    chart = setup.total
-    pv, ph = setup.projectors_at(xs)
-    gamma = geo.christoffels_at(chart, xs)
-    he = mat_vec(ph, e_fn(xs))
-    d1 = cov_deriv_along_at(chart, xs, he, setup.vertical_project_fn(ep_fn), gamma)
-    d2 = cov_deriv_along_at(chart, xs, he, setup.horizontal_project_fn(ep_fn), gamma)
-    return [a + b for a, b in zip(mat_vec(ph, d1), mat_vec(pv, d2))]
-
-
-def _const_fn(comps):
-    vals = list(comps)
-    return lambda xs: vals
-
-
 def oneill_contraction(pv, dpv, gamma):
     """(T, A, N, M) over the coordinate basis from P_v[i, b], its partials
     dpv[l, i, b] = d_l (P_v)^i_b and Gamma[k, i, j], as arrays of floats
@@ -397,77 +288,11 @@ def oneill_contraction(pv, dpv, gamma):
             np.einsum("ia,kib->kab", ph, mix), nv, mix)
 
 
-def oneill_tensors_at(setup, xs):
-    """(T, A) over the coordinate basis as object arrays, from one
-    order-1 seeding of P_v and one Christoffel evaluation through
-    ``oneill_contraction``."""
-    pv, dpv = geo.coordinate_partials(lambda zs: setup.projectors_at(zs)[0],
-                                      xs)
-    gamma = geo.christoffels_at(setup.total, xs)
-    t, a, _, _ = oneill_contraction(np.array(pv, dtype=object),
-                                    np.array(dpv, dtype=object),
-                                    np.array(gamma, dtype=object))
-    return t, a
-
-
-def cov_deriv_T_at(setup, xs, e_comps, u_fn, ep_fn):
-    """(nabla_E T)_U E' = nabla_E (T_U E') - T_{v nabla_E U} E'
-    - T_U (nabla_E E'), with the T field differentiated exactly."""
-    chart = setup.total
-    gamma = geo.christoffels_at(chart, xs)
-    t_field = lambda zs: oneill_T_at(setup, zs, u_fn, ep_fn)
-    term1 = cov_deriv_along_at(chart, xs, e_comps, t_field, gamma)
-    pv, _ = setup.projectors_at(xs)
-    de_u = mat_vec(pv, cov_deriv_along_at(chart, xs, e_comps, u_fn, gamma))
-    term2 = oneill_T_at(setup, xs, _const_fn(de_u), ep_fn)
-    de_ep = cov_deriv_along_at(chart, xs, e_comps, ep_fn, gamma)
-    term3 = oneill_T_at(setup, xs, u_fn, _const_fn(de_ep))
-    return [a - b - c for a, b, c in zip(term1, term2, term3)]
-
-
-def cov_deriv_A_at(setup, xs, e_comps, x_fn, ep_fn):
-    """(nabla_E A)_X E' with the horizontal slot projector-corrected."""
-    chart = setup.total
-    gamma = geo.christoffels_at(chart, xs)
-    a_field = lambda zs: oneill_A_at(setup, zs, x_fn, ep_fn)
-    term1 = cov_deriv_along_at(chart, xs, e_comps, a_field, gamma)
-    _, ph = setup.projectors_at(xs)
-    de_x = mat_vec(ph, cov_deriv_along_at(chart, xs, e_comps, x_fn, gamma))
-    term2 = oneill_A_at(setup, xs, _const_fn(de_x), ep_fn)
-    de_ep = cov_deriv_along_at(chart, xs, e_comps, ep_fn, gamma)
-    term3 = oneill_A_at(setup, xs, x_fn, _const_fn(de_ep))
-    return [a - b - c for a, b, c in zip(term1, term2, term3)]
-
-
-# ---------------------------------------------------------------------
-# mean curvatures
-# ---------------------------------------------------------------------
-
 def mean_curvature_from(t, w, fiber_dim):
     """H = trace_v(T) / (m - n) from float T and W = P_v g^{-1}, which is
     sum_i U_i U_i^T over an orthonormal vertical frame."""
     return np.einsum("kab,ab->k", t, w) / fiber_dim
 
-
-def vertical_trace_T_at(setup, xs):
-    """Sum of T(U_i, U_i) over an orthonormal vertical frame: T contracted
-    with sum_i U_i U_i^T = P_v g^{-1}."""
-    t, _ = oneill_tensors_at(setup, xs)
-    pv, _ = setup.projectors_at(xs)
-    w = mat_mul(pv, mat_inverse(setup.total.metric_at(xs)))
-    return list(np.einsum("kab,ab->k", t, np.array(w, dtype=object)))
-
-
-def mean_curvature_at(setup, xs):
-    """Fiber mean curvature H with the umbilical normalization
-    T_U V = g(U, V) H, i.e. H = trace_v(T) / (m - n)."""
-    trace = vertical_trace_T_at(setup, xs)
-    return [c / (setup.m - setup.n) for c in trace]
-
-
-# ---------------------------------------------------------------------
-# pointwise wrappers
-# ---------------------------------------------------------------------
 
 def conformal_anisotropy(jac, h, hframe, lam_sq):
     """sup |h(F_* X_i, F_* X_j) - lam^2 delta_ij| over an orthonormal
@@ -486,33 +311,6 @@ def dilation(setup, p):
     aniso = conformal_anisotropy(core.jac, core.h_base, core.hframe,
                                  core.lam_sq)
     return DilationResult(lambda_sq=core.lam_sq, anisotropy=aniso)
-
-
-def horizontal_lift(setup, base_spec, p):
-    xs = list(p.coords)
-    ys = setup.map_point_at(xs)
-    comps = [eval_expr(c, setup.base.env(ys)) for c in base_spec.components]
-    lifted = setup.horizontal_lift_at(xs, comps)
-    return TangentVector(tuple(primal(c) for c in lifted), p)
-
-
-def oneill_T(setup, p, e_spec, ep_spec):
-    comps = oneill_T_at(setup, list(p.coords),
-                        field_fn(setup.total, e_spec),
-                        field_fn(setup.total, ep_spec))
-    return TangentVector(tuple(primal(c) for c in comps), p)
-
-
-def oneill_A(setup, p, e_spec, ep_spec):
-    comps = oneill_A_at(setup, list(p.coords),
-                        field_fn(setup.total, e_spec),
-                        field_fn(setup.total, ep_spec))
-    return TangentVector(tuple(primal(c) for c in comps), p)
-
-
-def mean_curvature(setup, p):
-    comps = mean_curvature_at(setup, list(p.coords))
-    return TangentVector(tuple(primal(c) for c in comps), p)
 
 
 def tension_field(setup, h_vec, hgrad_f, jac, lam_sq):
@@ -580,26 +378,12 @@ def fiber_slice_chart(setup, p, points_hint=None):
     return FiberSliceChart(setup, idx, list(p.coords))
 
 
-def intrinsic_fiber_scalar_curvature(setup, p):
-    """Scalar curvature of the fiber through p computed on the fiber's
-    own chart; 0 for one-dimensional fibers."""
-    if setup.m - setup.n == 1:
-        return 0.0
-    chart = fiber_slice_chart(setup, p)
-    if chart is None:
-        raise NotASubmersionError(
-            "fiber chart unavailable: vertical distribution is not "
-            "coordinate-aligned")
-    return primal(geo.scalar_curvature_at(chart, chart.fiber_coords(p)))
-
-
 # ---------------------------------------------------------------------
 # structural-property detection
 # ---------------------------------------------------------------------
 
 def _gnorm(g, v):
-    arr = np.array([primal(c) for c in v])
-    return math.sqrt(max(0.0, float(arr @ g @ arr)))
+    return math.sqrt(max(0.0, float(v @ g @ v)))
 
 
 def basic_field_derivatives(lift, dlift, gamma):
@@ -636,15 +420,10 @@ def _basic_field_violations(ctx):
             float(np.max(pair_norms(ctx.h_base, sff))))
 
 
-def structure_flags(setup, points, tol=1e-8, contexts=None):
+def structure_flags(setup, points, contexts, tol=1e-8):
     """Which structural properties hold at every point, each with its
-    largest violation, read off the points' ``IdentityContext`` values:
-    ``contexts`` when the caller holds them, else built here."""
-    if contexts is None:
-        # imported here: identities imports this module
-        from .identities import IdentityContext
-        contexts = [IdentityContext(setup, p, core=core)
-                    for p, core in zip(points, setup.float_cores(points))]
+    largest violation, read off ``contexts``, the points'
+    ``identities.IdentityContext`` values."""
     sup_t = 0.0
     sup_umb = 0.0
     sup_integrable = 0.0

@@ -6,6 +6,7 @@ import pytest
 
 from confsub import catalog
 from confsub.geometry import ChartManifold, Point
+from confsub.identities import IdentityContext
 from confsub.manifest import sample_box
 from confsub.submersion import SubmersionSetup
 
@@ -25,6 +26,19 @@ def chart(names, rows, domain=None):
 
 def make_setup(total, base, map_texts):
     return SubmersionSetup.from_strings(total, base, map_texts)
+
+
+def contexts(setup, points):
+    """The points' IdentityContexts over one batch of float cores, as
+    ``report.run_job`` builds them."""
+    return [IdentityContext(setup, p, core=core)
+            for p, core in zip(points, setup.float_cores(points))]
+
+
+def oneill(tensor, u, v):
+    """T_u v (or A_u v) from a context's coordinate-basis tensor,
+    ``tensor[k, a, b]`` being component k of T_{e_a} e_b."""
+    return np.einsum("kab,a,b->k", tensor, u, v)
 
 
 def flat_chart(dim, prefix="x"):

@@ -98,13 +98,14 @@ def test_run_example_evaluates_each_ingredient_once(monkeypatch):
 
     for owner, name in ((IdentityContext, "__init__"),
                         (geo, "ricci_matrix_at"),
-                        (sub, "oneill_T_at"), (sub, "oneill_A_at"),
+                        (sub, "oneill_contraction"),
                         (JetSpace, "seed")):
         counting(owner, name)
     rep = catalog.run_example("5.3")
     assert rep.counts["fail"] == 0
     assert counts["__init__"] == 12
-    assert counts["oneill_T_at"] + counts["oneill_A_at"] == 0
+    # T and A are contracted once per point, in the point's context
+    assert counts["oneill_contraction"] == 12
     assert counts["seed"] == 5 * 12 + 1
     counts.clear()
     catalog.run_example("5.1")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsub.expr import (ExprError, coordinates_used, eval_expr,
-                          parse_expression, parse_predicate, to_text)
+from confsub.expr import (ExprError, eval_expr, parse_expression,
+                          parse_predicate, to_text)
 from confsub.jets import primal
 
 COORDS = {"x1", "x2", "x3"}
@@ -63,11 +63,6 @@ def test_text_round_trip(text):
         primal(eval_expr(node, env)), rel=1e-15)
     # rendering is a fixed point after one round trip
     assert to_text(reparsed) == rendered
-
-
-def test_coordinates_used():
-    node = parse_expression("exp(-2*x2) + x3*x3", COORDS)
-    assert coordinates_used(node) == {"x2", "x3"}
 
 
 @pytest.mark.parametrize("text,env,expected", [

@@ -17,8 +17,9 @@ from confsub import submersion as sub
 from confsub.cli import EXIT_USAGE, main
 from confsub.geometry import ChartManifold
 from confsub.identities import IdentityContext, worst_of
-from confsub.jets import EvaluationError, Jet, JetSpace
+from confsub.jets import EvaluationError, JetSpace
 from confsub.manifest import parse_manifest
+from conftest import contexts
 
 BASE = """
 total.dim    = 2
@@ -79,7 +80,8 @@ def test_structure_flags_read_the_run_contexts():
     job = catalog.load_job("5.3")
     job.checks = ["structure-flags"]
     records = report.run_job(job).records
-    flags = sub.structure_flags(job.setup, job.points).as_dict()
+    flags = sub.structure_flags(job.setup, job.points,
+                                contexts(job.setup, job.points)).as_dict()
     assert len(records) == len(flags)
     for rec, (name, check) in zip(records, flags.items()):
         assert rec["note"].startswith(f"{name}: ")
@@ -102,40 +104,33 @@ def test_json_and_text_render():
 def test_one_context_and_one_oneill_bundle_per_point(monkeypatch):
     # checks = all on one 5.3 point: every identity and soliton report
     # shares the point's context, which builds T, A and their covariant
-    # derivatives from its CorePartials and never calls oneill_tensors_at
+    # derivatives from its one CorePartials, contracting T and A once
     counts = Counter()
-    real_init = IdentityContext.__init__
-    real_bundle = sub.oneill_tensors_at
-    real_projectors = sub.SubmersionSetup.projectors_at
+    _count_calls(monkeypatch, counts, (
+        (IdentityContext, "__init__"), (sub, "oneill_contraction"),
+        (JetSpace, "seed"), (ChartManifold, "metric_at")))
+    real_partials = sub.CorePartials.__init__
 
-    def counting_init(self, *args, **kwargs):
-        counts["contexts"] += 1
-        real_init(self, *args, **kwargs)
+    def counting_partials(self, *args, **kwargs):
+        counts["partials"] += 1
+        real_partials(self, *args, **kwargs)
 
-    def counting_bundle(setup, xs):
-        counts["jet" if isinstance(xs[0], Jet) else "float"] += 1
-        return real_bundle(setup, xs)
-
-    def counting_projectors(self, xs):
-        counts["projectors"] += 1
-        return real_projectors(self, xs)
-
-    monkeypatch.setattr(IdentityContext, "__init__", counting_init)
-    monkeypatch.setattr(sub, "oneill_tensors_at", counting_bundle)
-    monkeypatch.setattr(sub.SubmersionSetup, "projectors_at",
-                        counting_projectors)
+    monkeypatch.setattr(sub.CorePartials, "__init__", counting_partials)
     job = catalog.load_job("5.3")
     job.points = job.points[:1]
     assert "harmonicity" in job.checks
     rep = report.run_job(job)
     assert rep.records
-    assert counts["contexts"] == 1
+    assert counts["__init__"] == 1
     # structure_flags reads the context's T and A, and the tension field
-    # the context's CorePartials: no run path builds them on jets or
-    # floats through oneill_tensors_at, nor calls the jet projectors
-    assert counts["jet"] == 0
-    assert counts["float"] == 0
-    assert counts["projectors"] == 0
+    # its H and grad f: no second CorePartials or T/A contraction
+    assert counts["partials"] == 1
+    assert counts["oneill_contraction"] == 1
+    # the float cores' Jacobian seeding, the three CorePartials leaves
+    # (the Jacobian's with its inner seeding), the base curvature, xi and
+    # the base-soliton report's base field
+    assert counts["seed"] == 8
+    assert counts["metric_at"] == 5
 
 
 FLAT_SWEEP = """
@@ -177,14 +172,13 @@ def test_context_evaluates_each_ingredient_once(monkeypatch, document):
     counts = Counter()
     _count_calls(monkeypatch, counts, (
         (IdentityContext, "__init__"), (JetSpace, "seed"),
-        (ChartManifold, "metric_at"), (sub.SubmersionSetup, "lambda_sq_at")))
+        (ChartManifold, "metric_at")))
     job = parse_manifest(document)
     rep = report.run_job(job)
     assert [r["verdict"] for r in rep.records] == ["pass"] * len(job.points)
     assert counts["__init__"] == len(job.points)
     assert counts["seed"] <= 1
     assert counts["metric_at"] <= 4
-    assert counts["lambda_sq_at"] == 0
 
 
 def test_flat_sweep_builds_no_curvature(monkeypatch):
@@ -194,7 +188,7 @@ def test_flat_sweep_builds_no_curvature(monkeypatch):
     counts = Counter()
     _count_calls(monkeypatch, counts, (
         (geo, "curvature_tensor_at"), (geo, "christoffels_at"),
-        (sub, "oneill_tensors_at"), (JetSpace, "seed")))
+        (sub, "oneill_contraction"), (JetSpace, "seed")))
     contexts = []
     real_init = IdentityContext.__init__
 
@@ -207,7 +201,7 @@ def test_flat_sweep_builds_no_curvature(monkeypatch):
     assert [r["verdict"] for r in rep.records] == ["pass"]
     assert counts["curvature_tensor_at"] == 0
     assert counts["christoffels_at"] == 0
-    assert counts["oneill_tensors_at"] == 0
+    assert counts["oneill_contraction"] == 0
     assert counts["seed"] <= 1
     frame_arrays = [name for name in vars(IdentityContext)
                     if name.endswith("_e")] + ["frame", "gram"]

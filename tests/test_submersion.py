@@ -13,9 +13,10 @@ from confsub import submersion as sub
 from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext
 from confsub.jets import JetSpace, primal, primal_array
-from confsub.linalg import mat_inverse, mat_vec
-from conftest import (conformal_corpus, flat_chart, make_setup,
-                      riemannian_corpus, sample, warped_4to2)
+from confsub.linalg import mat_inverse
+from conftest import (conformal_corpus, contexts, flat_chart, make_setup,
+                      oneill, riemannian_corpus, sample, warped_4to2)
+import jet_reference as jr
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +42,8 @@ def test_projectors_idempotent_orthogonal(riemannian_setups,
             points = box_or_points
         else:
             points = sample(box_or_points, 3, seed=11)
-        for p in points[:3]:
-            pv, ph = setup.projectors_at(list(p.coords))
-            ph, pv = np.asarray(ph, float), np.asarray(pv, float)
+        for core in setup.float_cores(points[:3]):
+            pv, ph = core.pv, core.ph
             assert np.max(np.abs(ph @ ph - ph)) <= 1e-10, name
             assert np.max(np.abs(pv @ pv - pv)) <= 1e-10, name
             assert np.max(np.abs(ph + pv - np.eye(setup.m))) <= 1e-12, name
@@ -52,10 +52,8 @@ def test_projectors_idempotent_orthogonal(riemannian_setups,
 
 def test_projectors_g_symmetric(ex53):
     # g(P_H X, Y) = g(X, P_H Y)
-    p = Point((0.3, 1.6, 2.0))
-    _, ph = ex53.projectors_at(list(p.coords))
-    ph = np.asarray(ph, float)
-    g = geo.metric_matrix(ex53.total, p)
+    core = ex53.float_core(Point((0.3, 1.6, 2.0)))
+    g, ph = core.g, core.ph
     assert np.max(np.abs(g @ ph - (g @ ph).T)) <= 1e-12
 
 
@@ -71,30 +69,24 @@ def test_dilation_and_anisotropy(ex51, ex53):
 
 
 def test_oneill_values_example_53(ex53):
-    p = Point((0.2, 1.8, 2.0))
+    ctx = IdentityContext(ex53, Point((0.2, 1.8, 2.0)))
     e1, e2, e3 = basis(3)
-    t = sub.oneill_T(ex53, p, VectorFieldSpec.constant(e1),
-                     VectorFieldSpec.constant(e1))
-    assert np.asarray(t.components) == pytest.approx((0.0, 0.0, 0.5))
-    a = sub.oneill_A(ex53, p, VectorFieldSpec.constant(e2),
-                     VectorFieldSpec.constant(e3))
-    assert np.max(np.abs(np.asarray(a.components))) <= 1e-12
-    h = sub.mean_curvature(ex53, p)
-    assert np.asarray(h.components) == pytest.approx((0.0, 0.0, 2.0))
+    t = oneill(ctx.t_tensor, e1, e1)
+    assert t == pytest.approx((0.0, 0.0, 0.5))
+    a = oneill(ctx.a_tensor, e2, e3)
+    assert np.max(np.abs(a)) <= 1e-12
+    assert ctx.h_vec == pytest.approx((0.0, 0.0, 2.0))
 
 
 def test_oneill_T_reverses_distributions(ex53):
     # T maps (vertical, vertical) -> horizontal and
     # (vertical, horizontal) -> vertical
-    p = Point((0.5, 2.2, 1.8))
-    pv, _ = ex53.projectors_at(list(p.coords))
-    pv = np.asarray(pv, float)
+    ctx = IdentityContext(ex53, Point((0.5, 2.2, 1.8)))
+    pv = ctx.pv
     e1, e2, e3 = basis(3)
-    t_vv = np.asarray(sub.oneill_T(ex53, p, VectorFieldSpec.constant(e1),
-                                   VectorFieldSpec.constant(e1)).components)
+    t_vv = oneill(ctx.t_tensor, e1, e1)
     assert np.max(np.abs(pv @ t_vv)) <= 1e-9
-    t_vh = np.asarray(sub.oneill_T(ex53, p, VectorFieldSpec.constant(e1),
-                                   VectorFieldSpec.constant(e3)).components)
+    t_vh = oneill(ctx.t_tensor, e1, e3)
     ph = np.eye(3) - pv
     assert np.max(np.abs(ph @ t_vh)) <= 1e-9
 
@@ -103,29 +95,19 @@ def test_oneill_A_skew_and_alternation(riemannian_setups):
     for name, setup, box in riemannian_setups:
         if setup.n < 2:
             continue
-        p = sample(box, 1, seed=13)[0]
-        g = geo.metric_matrix(setup.total, p)
-        hf = setup.horizontal_frame(p)
-        x = np.asarray(hf[0])
-        y = np.asarray(hf[1])
-        axy = np.asarray(sub.oneill_A(
-            setup, p, VectorFieldSpec.constant(x),
-            VectorFieldSpec.constant(y)).components)
-        ayx = np.asarray(sub.oneill_A(
-            setup, p, VectorFieldSpec.constant(y),
-            VectorFieldSpec.constant(x)).components)
+        ctx = IdentityContext(setup, sample(box, 1, seed=13)[0])
+        g, a = ctx.g, ctx.a_tensor
+        x, y = ctx.hframe[0], ctx.hframe[1]
+        axy = oneill(a, x, y)
+        ayx = oneill(a, y, x)
         # alternation on horizontal vectors (Riemannian case)
         assert np.max(np.abs(axy + ayx)) <= 1e-9, name
         # A_X X = 0 at dilation one
-        axx = np.asarray(sub.oneill_A(
-            setup, p, VectorFieldSpec.constant(x),
-            VectorFieldSpec.constant(x)).components)
+        axx = oneill(a, x, x)
         assert np.max(np.abs(axx)) <= 1e-9, name
         # skew-symmetry: g(A_X Y, V) = -g(Y, A_X V) for vertical V
-        v = np.asarray(setup.vertical_frame(p)[0])
-        axv = np.asarray(sub.oneill_A(
-            setup, p, VectorFieldSpec.constant(x),
-            VectorFieldSpec.constant(v)).components)
+        v = ctx.vframe[0]
+        axv = oneill(a, x, v)
         assert float(axy @ g @ v) == pytest.approx(
             -float(y @ g @ axv), abs=1e-9), name
 
@@ -135,43 +117,40 @@ def test_riemannian_A_is_half_vertical_bracket(riemannian_setups):
         if setup.n < 2:
             continue
         p = sample(box, 1, seed=14)[0]
-        pv, _ = setup.projectors_at(list(p.coords))
-        pv = np.asarray(pv, float)
+        ctx = IdentityContext(setup, p)
+        pv = ctx.pv
         e_x = basis(setup.m)[0]
         e_y = basis(setup.m)[1]
         ph = np.eye(setup.m) - pv
         x = ph @ np.asarray(e_x)
         y = ph @ np.asarray(e_y)
-        x_lift = setup.basic_field_fn(
-            VectorFieldSpec.constant(setup.jacobian(p) @ x))
-        y_lift = setup.basic_field_fn(
-            VectorFieldSpec.constant(setup.jacobian(p) @ y))
-        from confsub.jets import primal
-        bracket = geo.lie_bracket_at(x_lift, y_lift, list(p.coords))
-        vb = pv @ np.array([primal(c) for c in bracket])
-        a = np.asarray(sub.oneill_A(
-            setup, p, VectorFieldSpec.constant(x),
-            VectorFieldSpec.constant(y)).components)
+        # the bracket of the basic lifts, on the jet reference path
+        x_lift = jr.basic_field_fn(
+            setup, VectorFieldSpec.constant(ctx.jac @ x))
+        y_lift = jr.basic_field_fn(
+            setup, VectorFieldSpec.constant(ctx.jac @ y))
+        bracket = jr.lie_bracket_at(x_lift, y_lift, list(p.coords))
+        vb = pv @ primal_array(bracket)
+        a = oneill(ctx.a_tensor, x, y)
         assert np.max(np.abs(a - 0.5 * vb)) <= 1e-8, name
 
 
 def test_mean_curvature_zero_for_tg_fibers(ex51):
-    p = Point((1.0, 0.5))
-    h = sub.mean_curvature(ex51, p)
-    assert np.max(np.abs(np.asarray(h.components))) <= 1e-12
+    h = IdentityContext(ex51, Point((1.0, 0.5))).h_vec
+    assert np.max(np.abs(h)) <= 1e-12
 
 
 def test_intrinsic_fiber_curvature_one_dim_is_zero(ex51, ex53):
     for setup, p in ((ex51, Point((0.5, 0.25))),
                      (ex53, Point((0.0, 1.5, 2.0)))):
-        assert sub.intrinsic_fiber_scalar_curvature(setup, p) == 0.0
+        assert IdentityContext(setup, p).fiber_scalar_intrinsic() == 0.0
 
 
 def test_intrinsic_fiber_curvature_curved_fiber(riemannian_setups):
     name, setup, box = riemannian_setups[3]
     assert name == "curved-fiber-3to1"
     p = sample(box, 1, seed=15)[0]
-    s = sub.intrinsic_fiber_scalar_curvature(setup, p)
+    s = IdentityContext(setup, p).fiber_scalar_intrinsic()
     assert s != 0.0
     # the fiber slice metric is conformal to exp(2c x1) diag(1, 2+sin(x2)),
     # whose curvature is independent of the overall constant factor
@@ -193,7 +172,9 @@ def test_structure_flags_on_catalog():
     }
     for eid, want in expected.items():
         job = catalog.load_job(eid)
-        flags = sub.structure_flags(job.setup, job.points[:4]).as_dict()
+        points = job.points[:4]
+        flags = sub.structure_flags(
+            job.setup, points, contexts(job.setup, points)).as_dict()
         for key, value in want.items():
             assert flags[key].holds is value, (eid, key)
 
@@ -217,9 +198,9 @@ def test_not_a_submersion_detected():
 def test_horizontal_lift_pushes_forward():
     job = catalog.load_job("5.3")
     setup = job.setup
-    p = Point((0.3, 2.0, 1.5))
-    lift = sub.horizontal_lift(setup, VectorFieldSpec.constant((1.0, 0.0)), p)
-    push = setup.jacobian(p) @ np.asarray(lift.components)
+    ctx = IdentityContext(setup, Point((0.3, 2.0, 1.5)))
+    lift = ctx.basic_fields[0]  # column a lifts the base field e_a
+    push = ctx.jac @ lift[:, 0]
     assert push == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
@@ -251,11 +232,11 @@ ONEILL_CASES = [_catalog_case(eid) for eid in catalog.EXAMPLE_IDS] + [
 def _hprime_fn(setup):
     """H' = -(lambda^2 / 2) v grad(1 / lambda^2) as a component function."""
     def fn(zs):
-        grad = geo.gradient_at(setup.total,
-                               lambda ws: 1.0 / setup.lambda_sq_at(ws), zs)
-        pv, _ = setup.projectors_at(zs)
-        lam_sq = setup.lambda_sq_at(zs)
-        return [-0.5 * lam_sq * c for c in mat_vec(pv, grad)]
+        grad = jr.gradient_at(setup.total,
+                              lambda ws: 1.0 / jr.lambda_sq_at(setup, ws), zs)
+        pv, _ = jr.projectors_at(setup, zs)
+        lam_sq = jr.lambda_sq_at(setup, zs)
+        return [-0.5 * lam_sq * c for c in jr.mat_vec(pv, grad)]
     return fn
 
 
@@ -263,7 +244,7 @@ def _hprime_fn(setup):
                          ids=[case[0] for case in ONEILL_CASES])
 def test_context_oneill_values_match_per_field_path(name, setup, points):
     rng = np.random.default_rng(20261017)
-    const = sub._const_fn
+    const = jr.const_fn
     m, n = setup.m, setup.n
     e = basis(m)
     for p in points:
@@ -273,19 +254,19 @@ def test_context_oneill_values_match_per_field_path(name, setup, points):
         t_ref = {}
         for a in range(m):
             for b in range(m):
-                t_ref[a, b] = primal_array(sub.oneill_T_at(
+                t_ref[a, b] = primal_array(jr.oneill_T_at(
                     setup, xs, const(e[a]), const(e[b])))
-                a_ref = primal_array(sub.oneill_A_at(
+                a_ref = primal_array(jr.oneill_A_at(
                     setup, xs, const(e[a]), const(e[b])))
                 _assert_close(ctx.t_tensor[:, a, b], t_ref[a, b], (name, "T"))
                 _assert_close(ctx.a_tensor[:, a, b], a_ref, (name, "A"))
         _assert_close(ctx.h_vec,
-                      primal_array(sub.mean_curvature_at(setup, xs)),
+                      primal_array(jr.mean_curvature_at(setup, xs)),
                       (name, "H"))
         # H as the trace of T against P_v g^{-1}, summed pair by pair
-        pv, _ = setup.projectors_at(xs)
+        pv, _ = jr.projectors_at(setup, xs)
         w = (np.asarray(pv, float)
-             @ np.linalg.inv(geo.metric_matrix(setup.total, p)))
+             @ np.linalg.inv(jr.metric_matrix(setup.total, p)))
         h_ref = sum(w[a, b] * t_ref[a, b] for a in range(m) for b in range(m))
         _assert_close(ctx.h_vec, h_ref / (m - n), (name, "H"))
         _assert_close(ctx.hp_vec, primal_array(_hprime_fn(setup)(xs)),
@@ -294,18 +275,18 @@ def test_context_oneill_values_match_per_field_path(name, setup, points):
         # every component; H and H' are differentiated as fields
         for _ in range(2):
             d, u, v = rng.standard_normal((3, m))
-            dt_ref = primal_array(sub.cov_deriv_T_at(
+            dt_ref = primal_array(jr.cov_deriv_T_at(
                 setup, xs, list(d), const(u), const(v)))
-            da_ref = primal_array(sub.cov_deriv_A_at(
+            da_ref = primal_array(jr.cov_deriv_A_at(
                 setup, xs, list(d), const(u), const(v)))
             _assert_close(np.einsum("lkab,l,a,b->k", dt, d, u, v), dt_ref,
                           (name, "dT"))
             _assert_close(np.einsum("lkab,l,a,b->k", da, d, u, v), da_ref,
                           (name, "dA"))
-            dh_ref = primal_array(geo.cov_deriv_along_at(
+            dh_ref = primal_array(jr.cov_deriv_along_at(
                 setup.total, xs, list(d),
-                lambda zs: sub.mean_curvature_at(setup, zs)))
-            dhp_ref = primal_array(geo.cov_deriv_along_at(
+                lambda zs: jr.mean_curvature_at(setup, zs)))
+            dhp_ref = primal_array(jr.cov_deriv_along_at(
                 setup.total, xs, list(d), _hprime_fn(setup)))
             _assert_close(d @ dh, dh_ref, (name, "dH"))
             _assert_close(d @ dhp, dhp_ref, (name, "dH'"))
@@ -360,12 +341,13 @@ def _per_pair_violations(setup, p):
     xs = list(p.coords)
     q = setup.map_point(p)
     ys = list(q.coords)
-    g = geo.metric_matrix(setup.total, p)
-    h_base = geo.metric_matrix(setup.base, q)
-    pv = np.asarray(setup.projectors_at(xs)[0], float)
+    g = jr.metric_matrix(setup.total, p)
+    h_base = jr.metric_matrix(setup.base, q)
+    pv = np.asarray(jr.projectors_at(setup, xs)[0], float)
     jac = setup.jacobian(p)
     e = basis(setup.n)
-    lifts = [setup.basic_field_fn(VectorFieldSpec.constant(ea)) for ea in e]
+    lifts = [jr.basic_field_fn(setup, VectorFieldSpec.constant(ea))
+             for ea in e]
     worst_bracket = worst_sff = 0.0
     for a in range(setup.n):
         xa = primal_array(lifts[a](xs))
@@ -373,12 +355,12 @@ def _per_pair_violations(setup, p):
             xb = primal_array(lifts[b](xs))
             if b > a:
                 vert = pv @ primal_array(
-                    geo.lie_bracket_at(lifts[a], lifts[b], xs))
+                    jr.lie_bracket_at(lifts[a], lifts[b], xs))
                 worst_bracket = max(worst_bracket, _gnorm(g, vert) / (
                     _gnorm(g, xa) * _gnorm(g, xb)))
-            nabla_n = primal_array(geo.cov_deriv_along_at(
+            nabla_n = primal_array(jr.cov_deriv_along_at(
                 setup.base, ys, e[a], lambda zs, eb=e[b]: list(eb)))
-            nabla_m = primal_array(geo.cov_deriv_along_at(
+            nabla_m = primal_array(jr.cov_deriv_along_at(
                 setup.total, xs, list(xa), lifts[b]))
             worst_sff = max(worst_sff, _gnorm(h_base, nabla_n - jac @ nabla_m))
     return worst_bracket, worst_sff
@@ -390,7 +372,7 @@ def test_basic_field_derivatives_match_per_pair_path(riemannian_setups):
     # the per-pair path seeds each lifted field on its own
     for name, setup, box in riemannian_setups:
         e = basis(setup.n)
-        lifts = [setup.basic_field_fn(VectorFieldSpec.constant(ea))
+        lifts = [jr.basic_field_fn(setup, VectorFieldSpec.constant(ea))
                  for ea in e]
         for p in sample(box, 2, seed=23):
             xs = list(p.coords)
@@ -399,11 +381,11 @@ def test_basic_field_derivatives_match_per_pair_path(riemannian_setups):
                 xa = primal_array(lifts[a](xs))
                 _assert_close(lift[:, a], xa, (name, "X", a))
                 for b in range(setup.n):
-                    ref = primal_array(geo.cov_deriv_along_at(
+                    ref = primal_array(jr.cov_deriv_along_at(
                         setup.total, xs, list(xa), lifts[b]))
                     _assert_close(nabla[:, a, b], ref, (name, "nabla", a, b))
                     bracket = primal_array(
-                        geo.lie_bracket_at(lifts[a], lifts[b], xs))
+                        jr.lie_bracket_at(lifts[a], lifts[b], xs))
                     _assert_close(d[:, a, b] - d[:, b, a], bracket,
                                   (name, "bracket", a, b))
 
@@ -423,7 +405,7 @@ def test_context_scalar_curvatures_match_reference(riemannian_setups):
                           geo.scalar_curvature(setup.base, ctx.base_point),
                           (name, "s^N"))
             _assert_close(ctx.fiber_scalar_intrinsic(),
-                          sub.intrinsic_fiber_scalar_curvature(setup, p),
+                          jr.intrinsic_fiber_scalar_curvature(setup, p),
                           (name, "s^fiber"))
 
 
@@ -439,10 +421,11 @@ def test_structure_flags_match_per_pair_path(name, setup, points):
     # one seeding of the lift matrix gives every bracket and every
     # nabla_{X_a} X_b; the per-pair path seeds each pair on its own
     for p in points:
-        got = sub._basic_field_violations(IdentityContext(setup, p))
+        ctx = IdentityContext(setup, p)
+        got = sub._basic_field_violations(ctx)
         ref = _per_pair_violations(setup, p)
         _assert_close(got, ref, (name, "integrability, sff"))
-        flags = sub.structure_flags(setup, [p])
+        flags = sub.structure_flags(setup, [p], [ctx])
         _assert_close(flags.horizontal_integrable.max_violation, ref[0],
                       (name, "integrable flag"))
         assert flags.map_totally_geodesic.max_violation >= got[1]
@@ -551,16 +534,16 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
     assert len(cores) == len(points)
     for p, core in zip(points, cores):
         xs = list(p.coords)
-        g = geo.metric_matrix(setup.total, p)
+        g = jr.metric_matrix(setup.total, p)
         jac = setup.jacobian(p)
-        pv, ph = (primal_array(a) for a in setup.projectors_at(xs))
-        lift = primal_array(setup._core_matrices_at(xs)[4])
+        pv, ph = (primal_array(a) for a in jr.projectors_at(setup, xs))
+        lift = primal_array(jr.core_matrices_at(setup, xs)[4])
         base_point = setup.map_point(p)
         ref = {"g": g, "ginv": np.array(mat_inverse(g.tolist())),
                "jac": jac, "pv": pv, "ph": ph,
-               "lam_sq": primal(setup.lambda_sq_at(xs)),
+               "lam_sq": primal(jr.lambda_sq_at(setup, xs)),
                "base_point": base_point.coords,
-               "h_base": geo.metric_matrix(setup.base, base_point),
+               "h_base": jr.metric_matrix(setup.base, base_point),
                "vframe": _gram_schmidt(g, _rref_kernel(jac)),
                "hframe": _gram_schmidt(g, lift.T)}
         for got in (core, setup.float_core(p)):
@@ -587,11 +570,11 @@ def _check_core_partials(setup, p):
     xs = list(p.coords)
     got = sub.CorePartials(setup, xs)
     _assert_triples_close(got.pv, geo.coordinate_partials(
-        lambda zs: setup.projectors_at(zs)[0], xs, order=2), (p, "P_v"))
+        lambda zs: jr.projectors_at(setup, zs)[0], xs, order=2), (p, "P_v"))
     _assert_triples_close(got.inv_lambda_sq, geo.coordinate_partials(
-        lambda zs: 1.0 / setup.lambda_sq_at(zs), xs, order=2), (p, "f"))
+        lambda zs: 1.0 / jr.lambda_sq_at(setup, zs), xs, order=2), (p, "f"))
     _assert_triples_close(got.lift[:2], geo.coordinate_partials(
-        lambda zs: setup._core_matrices_at(zs)[4], xs), (p, "lift"))
+        lambda zs: jr.core_matrices_at(setup, zs)[4], xs), (p, "lift"))
     gamma = geo.coordinate_partials(
         lambda zs: geo.christoffels_at(setup.total, zs), xs)
     _assert_triples_close(got.christoffels, gamma, (p, "Gamma"))
