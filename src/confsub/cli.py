@@ -18,9 +18,6 @@ import argparse
 import sys
 
 from . import report
-from .expr import ExprError
-from .geometry import DegenerateMetricError
-from .jets import EvaluationError
 from .manifest import (EXAMPLE_IDS, KNOWN_CHECKS, ManifestError,
                        load_manifest, parse_tolerance)
 
@@ -108,11 +105,9 @@ def main(argv=None):
         for check_id in KNOWN_CHECKS:
             print(check_id)
         return EXIT_OK
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ManifestError, ExprError, ValueError,
-            DegenerateMetricError, EvaluationError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # ValueError covers ManifestError, ExprError, DegenerateMetricError
+        # and EvaluationError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

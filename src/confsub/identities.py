@@ -9,7 +9,7 @@ frame-basis array (name ending in ``_e``, index order in the class
 docstring).  A check slices the blocks it needs (``[:m-n]`` vertical,
 ``[m-n:]`` horizontal), computes its left side, right side and each
 named term as arrays over its index tuples, one einsum or slice per term,
-and ``_records`` turns the arrays into one report per tuple.
+and ``_records`` turns the arrays into one record per tuple (``record``).
 
 Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -68,12 +68,14 @@ COROLLARY_CHECKS = ("C3.1", "C3.2", "C3.3")
 ALL_CHECK_IDS = (CURVATURE_CHECKS + ("P3.1", "E3.3") + LEMMA31_CHECKS
                  + RICCI_CHECKS + COROLLARY_CHECKS + ("T3.4", "L2.1", "L2.2"))
 
-# identities whose general-dilation closure depends on sign conventions
-# the source statements leave implicit: their lambda == 1 reductions close
-# on the corpus while some general-dilation forms do not, so failing
-# records carry a flag instead of hard-failing a run
+# checks whose general-dilation closure depends on sign conventions the
+# source statements leave implicit: their lambda == 1 reductions close on
+# the corpus while some general-dilation forms do not, so failing records
+# carry a flag instead of hard-failing a run.  The base-soliton constant
+# f3/f4 is assembled from the horizontal Ricci decomposition, so its
+# report is flagged like C3.1.
 CONVENTION_SENSITIVE_IDS = ("G2.16", "L3.1.i", "L3.1.v", "R3.13",
-                            "C3.1", "C3.2")
+                            "C3.1", "C3.2", "base-soliton")
 
 
 @dataclass(frozen=True)
@@ -83,30 +85,54 @@ class Hypothesis:
     violation: float
 
 
-@dataclass
-class ResidualReport:
-    identity_id: str
-    point: geo.Point
-    lhs: float
-    rhs: float
-    abs_residual: float
-    rel_residual: float
-    hypotheses: list
-    verdict: str  # pass | fail | hypothesis-not-met | paper-divergent
-    terms: dict = field(default_factory=dict)
-    label: str = ""
-    convention_sensitive: bool = False
-    note: str = ""
+def verdict_of(hypotheses, value, tol):
+    """The verdict of every record: ``hypothesis-not-met`` when one of
+    ``hypotheses`` is unmet, else ``pass`` when ``value`` <= ``tol``, else
+    ``fail``."""
+    if not all(h.satisfied for h in hypotheses):
+        return "hypothesis-not-met"
+    return "pass" if value <= tol else "fail"
 
 
-def _finish(report, tol):
-    if not all(h.satisfied for h in report.hypotheses):
-        report.verdict = "hypothesis-not-met"
-    elif report.rel_residual <= tol:
-        report.verdict = "pass"
-    else:
-        report.verdict = "fail"
-    return report
+def record(check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
+           label="", note="", residual=None, scale=None, absolute=False):
+    """One result as the plain dict ``report.to_json`` writes, at the
+    coordinates ``point`` (empty for a record of no single point).
+
+    ``terms`` is a mapping or (name, value) pairs.  The absolute residual
+    is |lhs - rhs| unless ``residual`` gives it, and the relative one
+    divides it by ``scale``, 1 + max(|lhs|, |rhs|, |each term|) unless
+    given.  The verdict (``verdict_of``) reads the relative residual, or
+    the absolute one when ``absolute``.  A record is of kind ``identity``
+    for an id of ``ALL_CHECK_IDS`` and ``soliton`` otherwise.  It is
+    convention-sensitive when its id is in ``CONVENTION_SENSITIVE_IDS``
+    and it has a point: a skipped report evaluated nothing to flag."""
+    point = [float(c) for c in point]
+    lhs, rhs = float(lhs), float(rhs)
+    terms = {key: float(value) for key, value in dict(terms).items()}
+    abs_res = abs(lhs - rhs) if residual is None else float(residual)
+    if scale is None:
+        scale = 1.0 + max([abs(lhs), abs(rhs)]
+                          + [abs(v) for v in terms.values()])
+    rel = abs_res / scale
+    return {
+        "kind": "identity" if check_id in ALL_CHECK_IDS else "soliton",
+        "id": check_id,
+        "label": label,
+        "point": point,
+        "lhs": lhs,
+        "rhs": rhs,
+        "abs_residual": abs_res,
+        "rel_residual": rel,
+        "hypotheses": [{"name": h.name, "satisfied": bool(h.satisfied),
+                        "violation": float(h.violation)}
+                       for h in hypotheses],
+        "verdict": verdict_of(hypotheses, abs_res if absolute else rel, tol),
+        "convention_sensitive": bool(point)
+                                and check_id in CONVENTION_SENSITIVE_IDS,
+        "terms": terms,
+        "note": note,
+    }
 
 
 # values within WORST_BAND * (1 + |max|) of the largest tie for the worst
@@ -126,20 +152,6 @@ def worst_of(items, key):
     floor = top - WORST_BAND * (1.0 + abs(top))
     return next((item for item, v in zip(items, values) if v >= floor),
                 items[values.index(top)])
-
-
-def make_report(identity_id, point, lhs, rhs, hypotheses, tol,
-                terms=None, label="", note=""):
-    terms = terms or {}
-    abs_res = abs(lhs - rhs)
-    scale = 1.0 + max([abs(lhs), abs(rhs)] + [abs(v) for v in terms.values()])
-    report = ResidualReport(
-        identity_id=identity_id, point=point, lhs=lhs, rhs=rhs,
-        abs_residual=abs_res, rel_residual=abs_res / scale,
-        hypotheses=list(hypotheses), verdict="", terms=dict(terms),
-        label=label, note=note,
-        convention_sensitive=identity_id in CONVENTION_SENSITIVE_IDS)
-    return _finish(report, tol)
 
 
 # ---------------------------------------------------------------------
@@ -609,11 +621,11 @@ def _upper(k):
 
 def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
              residual=None):
-    """One report per index tuple of ``index``, in order.  ``lhs``,
+    """One record per index tuple of ``index``, in order.  ``lhs``,
     ``rhs`` and each array of the (name, array) ``terms`` are read at
     the tuple, and ``label`` formats its 1-based block numbers.  The
-    residual is |lhs - rhs| over ``make_report``'s scale, unless
-    ``residual`` gives (residual, scale) arrays."""
+    residual is |lhs - rhs| over ``record``'s scale, unless ``residual``
+    gives (residual, scale) arrays."""
     index = [tuple(idx) for idx in index]
     at = tuple(np.array(index).T)
 
@@ -622,26 +634,19 @@ def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
 
     lhs, rhs = values(lhs), values(rhs)
     terms = [(key, values(v)) for key, v in terms]
+    res = scale = [None] * len(index)
     if residual is not None:
         res, scale = (values(x) for x in residual)
-        rel = [a / b for a, b in zip(res, scale)]
-    out = []
-    for r, idx in enumerate(index):
-        name = label.format(*(i + 1 for i in idx))
-        if residual is None:
-            out.append(make_report(
-                identity_id, ctx.p, lhs[r], rhs[r], hyps, tol,
-                terms={key: v[r] for key, v in terms}, label=name))
-        else:
-            out.append(_finish(ResidualReport(
-                identity_id=identity_id, point=ctx.p, lhs=lhs[r],
-                rhs=rhs[r], abs_residual=res[r], rel_residual=rel[r],
-                hypotheses=list(hyps), verdict="", label=name), tol))
-    return out
+    return [record(identity_id, ctx.p.coords, lhs[r], rhs[r], hyps, tol,
+                   terms={key: v[r] for key, v in terms},
+                   label=label.format(*(i + 1 for i in idx)),
+                   residual=res[r], scale=scale[r])
+            for r, idx in enumerate(index)]
 
 
 def _trivial(identity_id, ctx, hyps, tol, note):
-    return [make_report(identity_id, ctx.p, 0.0, 0.0, hyps, tol, note=note)]
+    return [record(identity_id, ctx.p.coords, 0.0, 0.0, hyps, tol,
+                   note=note)]
 
 
 def _kulkarni_nomizu(h, k):
@@ -653,14 +658,6 @@ def _kulkarni_nomizu(h, k):
 # ---------------------------------------------------------------------
 # curvature identities (2.12)-(2.16)
 # ---------------------------------------------------------------------
-
-def verify_curvature_identity(identity_id, ctx, tol=1e-6):
-    dispatch = {"G2.12": _g212, "G2.13": _g213, "G2.14": _g214,
-                "G2.15": _g215, "G2.16": _g216}
-    if identity_id not in dispatch:
-        raise ValueError(f"unknown curvature identity {identity_id!r}")
-    return dispatch[identity_id](ctx, tol)
-
 
 def _g212(ctx, tol):
     hyps = [ctx.hyp_conformal(), ctx.hyp_fiber_chart()]
@@ -800,12 +797,10 @@ def verify_lemma_3_1(item, ctx, tol=1e-6):
     elif item == "v":
         lhs = np.einsum("iabi->ab", ctx.da_e[v, h, h, v])
         rhs, label = gram * ctx.div_hprime, "X{} Y{}"
-    elif item == "vi":
+    else:  # vi
         lhs = np.einsum("aic,bic->ab", a_hv, a_hv)
         rhs = gram * lam4 / 4.0 * ctx.vgrad_f_sq
         label = "X{} Y{}"
-    else:
-        raise ValueError(f"unknown lemma item {item!r}")
     return _records(f"L3.1.{item}", ctx, tol, hyps, label,
                     np.ndindex(lhs.shape), lhs, rhs)
 
@@ -879,8 +874,6 @@ def _ricci_terms(identity_id, ctx):
 
 
 def verify_ricci_decomposition(identity_id, ctx, tol=1e-6):
-    if identity_id not in RICCI_CHECKS:
-        raise ValueError(f"unknown decomposition {identity_id!r}")
     hyps = [ctx.hyp_conformal()]
     if identity_id == "R3.11":
         hyps.append(ctx.hyp_fiber_chart())
@@ -919,12 +912,10 @@ def verify_corollary(identity_id, ctx, tol=1e-6):
                   (gram * ctx.div_hprime + ctx.base_ric_e / lam_sq
                    - 0.25 * lam_sq ** 2 * gram * ctx.vgrad_f_sq
                    + (n * lam_sq / 2.0) * gram * ctx.hp_f)]
-    elif identity_id == "C3.3":
+    else:  # C3.3
         hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg(), ctx.hyp_fiber_chart()]
         blocks = [ctx.fiber_ric_e, np.zeros((nv, n)),
                   ctx.base_ric_e / lam_sq]
-    else:
-        raise ValueError(f"unknown corollary {identity_id!r}")
     out = []
     for (block, label, index), rhs in zip(
             (((v, v), "(U{},V{})", _upper(nv)),
@@ -942,9 +933,9 @@ def verify_scalar_split(ctx, tol=1e-6):
     s_fiber = ctx.fiber_scalar_intrinsic()
     s_base = ctx.base_scalar_curvature
     rhs = s_fiber + s_base / ctx.lam_sq
-    return make_report("T3.4", ctx.p, ctx.scalar_curvature, rhs, hyps, tol,
-                       terms={"s_fiber": s_fiber,
-                              "s_base/lam^2": s_base / ctx.lam_sq})
+    return [record("T3.4", ctx.p.coords, ctx.scalar_curvature, rhs, hyps, tol,
+                   terms={"s_fiber": s_fiber,
+                          "s_base/lam^2": s_base / ctx.lam_sq})]
 
 
 # ---------------------------------------------------------------------
@@ -973,36 +964,38 @@ def verify_lemma_2_1(ctx, tol=1e-6):
 
 
 def verify_hessian_symmetry(ctx, tol=1e-9):
-    """L2.2: the Hessian of f = 1/lambda^2 is symmetric."""
+    """L2.2: the Hessian of f = 1/lambda^2 is symmetric, to within
+    max(tol, 1e-9)."""
     worst = float(np.max(np.abs(ctx.hess_f - ctx.hess_f.T)))
-    rep = ResidualReport(
-        identity_id="L2.2", point=ctx.p, lhs=worst, rhs=0.0,
-        abs_residual=worst, rel_residual=worst, hypotheses=[], verdict="")
-    return _finish(rep, tol)
+    return [record("L2.2", ctx.p.coords, worst, 0.0, [], max(tol, 1e-9),
+                   scale=1.0)]
 
 
 # ---------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------
 
+# every identity check id, in ``ALL_CHECK_IDS`` order, with its
+# fn(ctx, tol) giving the point's records
+CHECKS = {
+    "G2.12": _g212, "G2.13": _g213, "G2.14": _g214, "G2.15": _g215,
+    "G2.16": _g216,
+    **{cid: functools.partial(verify_A_formula, cid)
+       for cid in ("P3.1", "E3.3")},
+    **{cid: functools.partial(verify_lemma_3_1, cid.split(".")[-1])
+       for cid in LEMMA31_CHECKS},
+    **{cid: functools.partial(verify_ricci_decomposition, cid)
+       for cid in RICCI_CHECKS},
+    **{cid: functools.partial(verify_corollary, cid)
+       for cid in COROLLARY_CHECKS},
+    "T3.4": verify_scalar_split, "L2.1": verify_lemma_2_1,
+    "L2.2": verify_hessian_symmetry,
+}
+
+
 def run_check(check_id, setup, p, tol=1e-6, ctx=None):
-    """Run one check id at one point; returns a list of ResidualReport.
+    """Run one check id at one point; returns its records (``record``).
     ``ctx`` is the point's ``IdentityContext`` when the caller holds it."""
-    ctx = ctx or IdentityContext(setup, p)
-    if check_id in CURVATURE_CHECKS:
-        return verify_curvature_identity(check_id, ctx, tol)
-    if check_id in ("P3.1", "E3.3"):
-        return verify_A_formula(check_id, ctx, tol)
-    if check_id in LEMMA31_CHECKS:
-        return verify_lemma_3_1(check_id.split(".")[-1], ctx, tol)
-    if check_id in RICCI_CHECKS:
-        return verify_ricci_decomposition(check_id, ctx, tol)
-    if check_id in COROLLARY_CHECKS:
-        return verify_corollary(check_id, ctx, tol)
-    if check_id == "T3.4":
-        return [verify_scalar_split(ctx, tol)]
-    if check_id == "L2.1":
-        return verify_lemma_2_1(ctx, tol)
-    if check_id == "L2.2":
-        return [verify_hessian_symmetry(ctx, max(tol, 1e-9))]
-    raise ValueError(f"unknown check id {check_id!r}")
+    if check_id not in CHECKS:
+        raise ValueError(f"unknown check id {check_id!r}")
+    return CHECKS[check_id](ctx or IdentityContext(setup, p), tol)

@@ -1,6 +1,6 @@
 """Run a verification job and render the results.
 
-A run produces a flat list of records (one per residual report), a
+A run produces a flat list of records (``identities.record``), a
 four-bucket count summary, and job metadata.  Records whose identity is
 convention-sensitive may carry ``verdict == "fail"`` while still being
 excluded from the process exit status: their general-dilation forms
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from . import soliton as sol
 from . import submersion as sub
-from .identities import ALL_CHECK_IDS, IdentityContext, run_check, worst_of
+from .identities import (ALL_CHECK_IDS, Hypothesis, IdentityContext, record,
+                         run_check, worst_of)
 from .manifest import SOLITON_CHECKS
 
 
@@ -37,93 +38,15 @@ class Report:
         return 0 if self.counts.get("fail", 0) - self.flagged_fails == 0 else 1
 
 
-def _hyp_dicts(hyps):
-    return [{"name": h.name, "satisfied": bool(h.satisfied),
-             "violation": float(h.violation)} for h in hyps]
-
-
-def _clean_terms(terms):
-    out = {}
-    for key, value in terms.items():
-        if isinstance(value, dict):
-            out[key] = _clean_terms(value)
-        else:
-            out[key] = float(value)
-    return out
-
-
-def residual_record(rep, kind="identity"):
-    """Normalize a ResidualReport into a plain-dict record."""
-    return {
-        "kind": kind,
-        "id": rep.identity_id,
-        "label": rep.label,
-        "point": [float(c) for c in rep.point.coords],
-        "lhs": float(rep.lhs),
-        "rhs": float(rep.rhs),
-        "abs_residual": float(rep.abs_residual),
-        "rel_residual": float(rep.rel_residual),
-        "hypotheses": _hyp_dicts(rep.hypotheses),
-        "verdict": rep.verdict,
-        "convention_sensitive": bool(rep.convention_sensitive),
-        "terms": _clean_terms(rep.terms),
-        "note": rep.note,
-    }
-
-
-# the base-soliton constant f3/f4 is assembled from the horizontal Ricci
-# decomposition, whose general-dilation form is convention-sensitive when
-# the dilation varies vertically; its failures are flagged like C3.1's
-_CONVENTION_SENSITIVE_SOLITON = ("base-soliton",)
-
-
 def _soliton_record(check_id, sr):
     worst = worst_of(sr.per_point, lambda d: d[sr.worst_key])
-    point = list(worst["point"].coords) if worst else []
-    terms = {}
-    if worst:
-        terms = {k: float(v) for k, v in worst.items()
-                 if k not in ("point", "trace_terms")}
-        if "trace_terms" in worst:
-            terms.update(_clean_terms(worst["trace_terms"]))
-    return {
-        "kind": "soliton",
-        "id": check_id,
-        "label": sr.target,
-        "point": point,
-        "lhs": float(worst.get("fitted", 0.0)) if worst else 0.0,
-        "rhs": float(worst.get("formula", 0.0)) if worst else 0.0,
-        "abs_residual": float(sr.max_residual),
-        "rel_residual": float(sr.max_residual),
-        "hypotheses": _hyp_dicts(sr.hypotheses),
-        "verdict": sr.verdict,
-        "convention_sensitive": check_id in _CONVENTION_SENSITIVE_SOLITON,
-        "terms": terms,
-        "note": sr.note,
-    }
-
-
-def _fit_record(check_id, point, lhs, rhs, residual, verdict, terms, note=""):
-    return {
-        "kind": "soliton", "id": check_id, "label": "",
-        "point": [float(c) for c in point], "lhs": float(lhs),
-        "rhs": float(rhs), "abs_residual": float(residual),
-        "rel_residual": float(residual) / (1.0 + max(abs(lhs), abs(rhs))),
-        "hypotheses": [], "verdict": verdict,
-        "convention_sensitive": False, "terms": _clean_terms(terms),
-        "note": note,
-    }
-
-
-def _skipped(check_id, reason):
-    return {
-        "kind": "soliton", "id": check_id, "label": "", "point": [],
-        "lhs": 0.0, "rhs": 0.0, "abs_residual": 0.0, "rel_residual": 0.0,
-        "hypotheses": [{"name": "soliton field declared", "satisfied": False,
-                        "violation": 1.0}],
-        "verdict": "hypothesis-not-met", "convention_sensitive": False,
-        "terms": {}, "note": reason,
-    }
+    terms = {k: v for k, v in worst.items()
+             if k not in ("point", "trace_terms")}
+    terms.update(worst.get("trace_terms", {}))
+    return record(check_id, worst["point"].coords, worst.get("fitted", 0.0),
+                  worst.get("formula", 0.0), sr.hypotheses, sr.tol,
+                  terms=terms, label=sr.target, note=sr.note,
+                  residual=sr.max_residual, scale=1.0)
 
 
 def _run_soliton_checks(job, checks, records, contexts):
@@ -133,18 +56,20 @@ def _run_soliton_checks(job, checks, records, contexts):
         flags = sub.structure_flags(setup, points,
                                     contexts=contexts).as_dict()
         for name, check in flags.items():
-            records.append(_fit_record(
-                "structure-flags", [], float(check.holds), float(check.holds),
-                0.0, "pass", {"max_violation": check.max_violation},
+            records.append(record(
+                "structure-flags", (), check.holds, check.holds, [], tol,
+                terms={"max_violation": check.max_violation},
                 note=f"{name}: {'holds' if check.holds else 'fails'} "
                      f"(max violation {check.max_violation:.3e})"))
     if not needs_xi:
         return
     xi = job.xi
     if xi is None:
+        unmet = [Hypothesis("soliton field declared", False, 1.0)]
         for check_id in needs_xi:
-            records.append(_skipped(
-                check_id, "manifest declares no soliton.xi field"))
+            records.append(record(
+                check_id, (), 0.0, 0.0, unmet, tol,
+                note="manifest declares no soliton.xi field"))
         return
     mu = job.mu
     # every check but conformal-fit reads mu, fitted when none is declared
@@ -153,23 +78,23 @@ def _run_soliton_checks(job, checks, records, contexts):
         fit = sol.fit_mu(setup.total, xi, points, contexts=contexts)
         mu = fit.mu if mu is None else mu
     if "fit-mu" in checks:
-        residual = max(fit.max_residual, abs(fit.mu - mu))
-        verdict = "pass" if residual <= tol else "fail"
         worst = worst_of(fit.per_point, lambda pr: pr[1])
-        records.append(_fit_record(
-            "fit-mu", worst[0].coords, fit.mu, mu, residual, verdict,
-            {"fitted_mu": fit.mu, "equation_residual": fit.max_residual},
-            note=f"soliton constant fit: {fit.classification}"))
+        records.append(record(
+            "fit-mu", worst[0].coords, fit.mu, mu, [], tol,
+            terms={"fitted_mu": fit.mu, "equation_residual": fit.max_residual},
+            note=f"soliton constant fit: {fit.classification}",
+            residual=max(fit.max_residual, abs(fit.mu - mu)),
+            scale=1.0 + max(abs(fit.mu), abs(mu)), absolute=True))
     if "conformal-fit" in checks:
         conf = sol.conformal_field_fit(setup.total, xi, points,
                                        contexts=contexts)
         worst_p, worst_f = worst_of(conf.f_values, lambda pf: abs(pf[1]))
-        records.append(_fit_record(
-            "conformal-fit", worst_p.coords, worst_f, 0.0,
-            conf.max_residual, "pass" if conf.max_residual <= tol else "fail",
-            {"max_abs_f": abs(worst_f)},
+        records.append(record(
+            "conformal-fit", worst_p.coords, worst_f, 0.0, [], tol,
+            terms={"max_abs_f": abs(worst_f)},
             note="killing field" if conf.is_killing
-            else "conformal factor shown at its largest point"))
+            else "conformal factor shown at its largest point",
+            residual=conf.max_residual, absolute=True))
     if "fiber-soliton" in checks:
         records.append(_soliton_record(
             "fiber-soliton",
@@ -184,10 +109,8 @@ def _run_soliton_checks(job, checks, records, contexts):
                                     xi_base=xi_base, tol=tol,
                                     contexts=contexts)))
     if "scalar-mu" in checks:
-        records.append(residual_record(
-            sol.scalar_mu_consistency(setup, xi, mu, points, tol=tol,
-                                      contexts=contexts),
-            kind="soliton"))
+        records.append(sol.scalar_mu_consistency(setup, xi, mu, points,
+                                                 tol=tol, contexts=contexts))
     if "harmonicity" in checks:
         records.append(_soliton_record(
             "harmonicity",
@@ -227,9 +150,8 @@ def run_job(job):
         if soliton_ids:
             contexts.append(ctx)
         for check_id in identity_ids:
-            for rep in run_check(check_id, setup, p, tol=job.tolerance,
-                                 ctx=ctx):
-                records.append(residual_record(rep))
+            records.extend(run_check(check_id, setup, p, tol=job.tolerance,
+                                     ctx=ctx))
     _run_soliton_checks(job, soliton_ids, records, contexts)
     counts = count_verdicts(records)
     flagged = sum(1 for r in records
@@ -372,8 +294,7 @@ def _record_lines(records):
                 f"lhs={worst['lhs']:.9g} rhs={worst['rhs']:.9g}")
             if worst["terms"]:
                 parts = ", ".join(f"{k}={v:.6g}"
-                                  for k, v in worst["terms"].items()
-                                  if not isinstance(v, dict))
+                                  for k, v in worst["terms"].items())
                 lines.append(f"         terms: {parts}")
     return lines
 

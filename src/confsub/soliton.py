@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .identities import ResidualReport, _finish, worst_of
+from .identities import record, verdict_of, worst_of
 from .jets import primal, primal_array
 
 
@@ -41,12 +41,15 @@ class SolitonReport:
     hypotheses: list
     per_point: list  # dicts with point, fitted, formula, residual, ...
     max_residual: float
-    fitted_constant: float = None
-    verdict: str = ""
+    tol: float
     note: str = ""
     # the per-point entry whose largest value sets max_residual; the
     # point with that value is the report's worst point
     worst_key: str = "residual"
+
+    @property
+    def verdict(self):
+        return verdict_of(self.hypotheses, self.max_residual, self.tol)
 
 
 def _classify(mu, tol):
@@ -193,10 +196,9 @@ def fiber_soliton_report(setup, xi, points, contexts, mu=0.0, tol=1e-6):
         per_point.append({"point": p, "fitted": fitted, "formula": formula,
                           "residual": res,
                           "fit_vs_formula": abs(fitted - formula)})
-    hyps = _merge_hypotheses(hyp_sets)
-    report = SolitonReport(target="fibers", hypotheses=hyps,
-                           per_point=per_point, max_residual=worst)
-    return _verdict(report, tol)
+    return SolitonReport(target="fibers",
+                         hypotheses=_merge_hypotheses(hyp_sets),
+                         per_point=per_point, max_residual=worst, tol=tol)
 
 
 def base_soliton_report(setup, xi, mu, points, contexts, xi_base=None,
@@ -238,10 +240,9 @@ def base_soliton_report(setup, xi, mu, points, contexts, xi_base=None,
                           "residual": res, "mu": mu,
                           "projection_residual": proj_res,
                           "fit_vs_formula": abs(fitted - formula)})
-    hyps = _merge_hypotheses(hyp_sets)
-    report = SolitonReport(target="base", hypotheses=hyps,
-                           per_point=per_point, max_residual=worst)
-    return _verdict(report, tol)
+    return SolitonReport(target="base",
+                         hypotheses=_merge_hypotheses(hyp_sets),
+                         per_point=per_point, max_residual=worst, tol=tol)
 
 
 def _base_formula_value(ctx, xi_fn, mu):
@@ -257,8 +258,9 @@ def _base_formula_value(ctx, xi_fn, mu):
 
 
 def scalar_mu_consistency(setup, xi, mu, points, contexts, tol=1e-6):
-    """s(p) = -mu*m for a totally geodesic map; also reports the spread
-    of s over the points (constancy check)."""
+    """s(p) = -mu*m for a totally geodesic map, as a ``record`` at the
+    worst point; also reports the spread of s over the points
+    (constancy check)."""
     values = [ctx.scalar_curvature for ctx in contexts]
     m = setup.m
     worst_idx = worst_of(range(len(points)),
@@ -268,15 +270,10 @@ def scalar_mu_consistency(setup, xi, mu, points, contexts, tol=1e-6):
     terms = {f"s@{i}": v for i, v in enumerate(values)}
     terms["spread"] = max(values) - min(values)
     ctx = contexts[worst_idx]
-    hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg()]
-    abs_res = abs(lhs - rhs)
-    scale = 1.0 + max(abs(lhs), abs(rhs))
-    rep = ResidualReport(
-        identity_id="T4.7", point=points[worst_idx], lhs=lhs, rhs=rhs,
-        abs_residual=abs_res, rel_residual=abs_res / scale,
-        hypotheses=hyps, verdict="", terms=terms,
-        note="worst point shown; per-point s values itemized")
-    return _finish(rep, tol)
+    return record("T4.7", points[worst_idx].coords, lhs, rhs,
+                  [ctx.hyp_conformal(), ctx.hyp_map_tg()], tol, terms=terms,
+                  note="worst point shown; per-point s values itemized",
+                  scale=1.0 + max(abs(lhs), abs(rhs)))
 
 
 def harmonicity_report(setup, xi, mu, points, contexts, tol=1e-6):
@@ -313,21 +310,19 @@ def harmonicity_report(setup, xi, mu, points, contexts, tol=1e-6):
                           "trace_terms": trace_terms})
     harmonic = worst_tension <= tol
     scalar_matches = worst_scalar <= tol
-    hyps = _merge_hypotheses(hyp_sets)
-    report = SolitonReport(
-        target="total", hypotheses=hyps, per_point=per_point,
+    # one side's worst value counts only when the other side holds, so the
+    # residual is within tol exactly when harmonic == scalar_matches
+    return SolitonReport(
+        target="total", hypotheses=_merge_hypotheses(hyp_sets),
+        per_point=per_point,
         max_residual=max(worst_tension if scalar_matches else 0.0,
                          worst_scalar if harmonic else 0.0),
+        tol=tol,
         worst_key=("scalar_gap" if harmonic and not scalar_matches
                    else "tension_norm"),
         note=(f"harmonic={harmonic} scalar-side={scalar_matches}; "
               "equivalence " + ("holds" if harmonic == scalar_matches
                                 else "VIOLATED")))
-    if not all(h.satisfied for h in report.hypotheses):
-        report.verdict = "hypothesis-not-met"
-    else:
-        report.verdict = "pass" if harmonic == scalar_matches else "fail"
-    return report
 
 
 # ---------------------------------------------------------------------
@@ -343,13 +338,3 @@ def _merge_hypotheses(hyp_sets):
             if cur is None or h.violation > cur.violation:
                 merged[h.name] = h
     return list(merged.values())
-
-
-def _verdict(report, tol):
-    if not all(h.satisfied for h in report.hypotheses):
-        report.verdict = "hypothesis-not-met"
-    elif report.max_residual <= tol:
-        report.verdict = "pass"
-    else:
-        report.verdict = "fail"
-    return report

@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from confsub.identities import (Hypothesis, ResidualReport, _finish,
-                                make_report)
+from confsub.identities import Hypothesis, record
 from confsub.submersion import pair_norms
 
 
@@ -151,7 +150,7 @@ class Loops:
 
 
 def _trivial(identity_id, p, hyps, tol, note):
-    return make_report(identity_id, p, 0.0, 0.0, hyps, tol, note=note)
+    return record(identity_id, p.coords, 0.0, 0.0, hyps, tol, note=note)
 
 
 def _g212(ctx, tol):
@@ -172,8 +171,8 @@ def _g212(ctx, tol):
                     t1 = ctx.inner(ctx.T(u, w), ctx.T(v, s))
                     t2 = ctx.inner(ctx.T(v, w), ctx.T(u, s))
                     rhs = rnu + t1 - t2
-                    out.append(make_report(
-                        "G2.12", ctx.p, lhs, rhs, hyps, tol,
+                    out.append(record(
+                        "G2.12", ctx.p.coords, lhs, rhs, hyps, tol,
                         terms={"R_nu": rnu, "g(T_UW,T_VS)": t1,
                                "-g(T_VW,T_US)": -t2},
                         label=f"U{i+1} V{j+1} W{k+1} S{l+1}"))
@@ -195,8 +194,8 @@ def _g213(ctx, tol):
                     lhs = ctx.inner(ctx.R(u, v, w), x)
                     t1 = ctx.inner(ctx.dT(u, v, w), x)
                     t2 = ctx.inner(ctx.dT(v, u, w), x)
-                    out.append(make_report(
-                        "G2.13", ctx.p, lhs, t1 - t2, hyps, tol,
+                    out.append(record(
+                        "G2.13", ctx.p.coords, lhs, t1 - t2, hyps, tol,
                         terms={"(nabla_U T)_V W": t1, "-(nabla_V T)_U W": -t2},
                         label=f"U{i+1} V{j+1} W{k+1} X{a+1}"))
     return out
@@ -217,8 +216,8 @@ def _g214(ctx, tol):
                     t5 = (ctx.lam_sq * ctx.inner(ctx.A(x, y), u)
                           * ctx.inner(v, ctx.vgrad_f))
                     rhs = t1 + t2 - t3 - t4 + t5
-                    out.append(make_report(
-                        "G2.14", ctx.p, lhs, rhs, hyps, tol,
+                    out.append(record(
+                        "G2.14", ctx.p.coords, lhs, rhs, hyps, tol,
                         terms={"(nabla_U A)_X Y": t1, "g(A_XU,A_YV)": t2,
                                "-(nabla_X T)_U Y": -t3, "-g(T_VY,T_UX)": -t4,
                                "lam^2 g(A_XY,U)g(V,grad_v f)": t5},
@@ -243,8 +242,8 @@ def _g215(ctx, tol):
                     t2 = ctx.inner(ctx.dA(y, x, z), u)
                     t3 = ctx.inner(ctx.T(u, z), ctx.nu_bracket(x, y))
                     rhs = t1 - t2 - t3
-                    out.append(make_report(
-                        "G2.15", ctx.p, lhs, rhs, hyps, tol,
+                    out.append(record(
+                        "G2.15", ctx.p.coords, lhs, rhs, hyps, tol,
                         terms={"(nabla_X A)_Y Z": t1, "-(nabla_Y A)_X Z": -t2,
                                "-g(T_UZ, v[X,Y])": -t3},
                         label=f"X{a+1} Y{b+1} Z{c+1} U{i+1}"))
@@ -289,8 +288,8 @@ def _g216(ctx, tol):
                          - ctx.inner(y, l) * ctx.inner(x, z)) * gf_norm_sq
                         + ctx.inner(vec1, vec2))
                     rhs = base + brackets + hess + quartic
-                    out.append(make_report(
-                        "G2.16", ctx.p, lhs, rhs, hyps, tol,
+                    out.append(record(
+                        "G2.16", ctx.p.coords, lhs, rhs, hyps, tol,
                         terms={"base-curvature/lam^2": base,
                                "bracket-terms": brackets,
                                "hessian-terms": hess,
@@ -314,12 +313,9 @@ def _a_formula(identity_id, ctx, tol):
             else:
                 res = ctx.norm(ctx.A(y, x) + axy + grad_term)
                 lhs, rhs = res, 0.0
-            rep = ResidualReport(
-                identity_id=identity_id, point=ctx.p, lhs=lhs, rhs=rhs,
-                abs_residual=res, rel_residual=res / scale,
-                hypotheses=list(hyps), verdict="",
-                label=f"X{a+1} Y{b+1}")
-            out.append(_finish(rep, tol))
+            out.append(record(identity_id, ctx.p.coords, lhs, rhs, hyps, tol,
+                              label=f"X{a+1} Y{b+1}", residual=res,
+                              scale=scale))
     return out
 
 
@@ -335,38 +331,38 @@ def _lemma_3_1(item, ctx, tol):
                           for x in ctx.hframe)
                 rhs = (n ** 2 * lam4 / 4.0 * ctx.inner(ctx.vgrad_f, u)
                        * ctx.inner(ctx.vgrad_f, v))
-                out.append(make_report("L3.1.i", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"U{i+1} V{j+1}"))
+                out.append(record("L3.1.i", ctx.p.coords, lhs, rhs,
+                                  hyps, tol, label=f"U{i+1} V{j+1}"))
     elif item == "ii":
         for i, u in enumerate(ctx.vframe):
             for j, v in enumerate(ctx.vframe):
                 lhs = sum(ctx.inner(ctx.dA(u, x, x), v) for x in ctx.hframe)
                 rhs = n * ctx.inner(ctx.grad_hprime(u), v)
-                out.append(make_report("L3.1.ii", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"U{i+1} V{j+1}"))
+                out.append(record("L3.1.ii", ctx.p.coords, lhs, rhs,
+                                  hyps, tol, label=f"U{i+1} V{j+1}"))
     elif item == "iii":
         for a, x in enumerate(ctx.hframe):
             for i, u in enumerate(ctx.vframe):
                 lhs = sum(ctx.inner(ctx.dA(x, xj, xj), u) for xj in ctx.hframe)
                 rhs = n * ctx.inner(ctx.grad_hprime(x), u)
-                out.append(make_report("L3.1.iii", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"X{a+1} U{i+1}"))
+                out.append(record("L3.1.iii", ctx.p.coords, lhs, rhs,
+                                  hyps, tol, label=f"X{a+1} U{i+1}"))
     elif item == "iv":
         for a, x in enumerate(ctx.hframe):
             for i, u in enumerate(ctx.vframe):
                 lhs = sum(ctx.inner(ctx.dA(xj, x, xj), u) for xj in ctx.hframe)
                 rhs = sum(ctx.inner(x, xj) * ctx.inner(ctx.grad_hprime(xj), u)
                           for xj in ctx.hframe)
-                out.append(make_report("L3.1.iv", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"X{a+1} U{i+1}"))
+                out.append(record("L3.1.iv", ctx.p.coords, lhs, rhs,
+                                  hyps, tol, label=f"X{a+1} U{i+1}"))
     elif item == "v":
         div_hp = ctx.div_hprime()
         for a, x in enumerate(ctx.hframe):
             for b, y in enumerate(ctx.hframe):
                 lhs = sum(ctx.inner(ctx.dA(u, x, y), u) for u in ctx.vframe)
                 rhs = ctx.inner(x, y) * div_hp
-                out.append(make_report("L3.1.v", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"X{a+1} Y{b+1}"))
+                out.append(record("L3.1.v", ctx.p.coords, lhs, rhs,
+                                  hyps, tol, label=f"X{a+1} Y{b+1}"))
     else:
         vnorm = ctx.inner(ctx.vgrad_f, ctx.vgrad_f)
         for a, x in enumerate(ctx.hframe):
@@ -374,8 +370,8 @@ def _lemma_3_1(item, ctx, tol):
                 lhs = sum(ctx.inner(ctx.A(x, u), ctx.A(y, u))
                           for u in ctx.vframe)
                 rhs = ctx.inner(x, y) * ctx.lam_sq ** 2 / 4.0 * vnorm
-                out.append(make_report("L3.1.vi", ctx.p, lhs, rhs, hyps, tol,
-                                       label=f"X{a+1} Y{b+1}"))
+                out.append(record("L3.1.vi", ctx.p.coords, lhs, rhs,
+                                  hyps, tol, label=f"X{a+1} Y{b+1}"))
     return out
 
 
@@ -454,26 +450,26 @@ def _ricci(identity_id, ctx, tol):
             for j in range(i, len(ctx.vframe)):
                 v = ctx.vframe[j]
                 rhs, terms = _ric_vertical_rhs(ctx, u, v)
-                out.append(make_report("R3.11", ctx.p, ctx.ric(u, v), rhs,
-                                       hyps, tol, terms=terms,
-                                       label=f"U{i+1} V{j+1}"))
+                out.append(record("R3.11", ctx.p.coords, ctx.ric(u, v), rhs,
+                                  hyps, tol, terms=terms,
+                                  label=f"U{i+1} V{j+1}"))
     elif identity_id == "R3.12":
         hyps = [ctx.hyp_conformal()]
         for i, u in enumerate(ctx.vframe):
             for a, x in enumerate(ctx.hframe):
                 rhs, terms = _ric_mixed_rhs(ctx, u, x)
-                out.append(make_report("R3.12", ctx.p, ctx.ric(u, x), rhs,
-                                       hyps, tol, terms=terms,
-                                       label=f"U{i+1} X{a+1}"))
+                out.append(record("R3.12", ctx.p.coords, ctx.ric(u, x), rhs,
+                                  hyps, tol, terms=terms,
+                                  label=f"U{i+1} X{a+1}"))
     else:
         hyps = [ctx.hyp_conformal()]
         for a, x in enumerate(ctx.hframe):
             for b in range(a, len(ctx.hframe)):
                 y = ctx.hframe[b]
                 rhs, terms = _ric_horizontal_rhs(ctx, x, y)
-                out.append(make_report("R3.13", ctx.p, ctx.ric(x, y), rhs,
-                                       hyps, tol, terms=terms,
-                                       label=f"X{a+1} Y{b+1}"))
+                out.append(record("R3.13", ctx.p.coords, ctx.ric(x, y), rhs,
+                                  hyps, tol, terms=terms,
+                                  label=f"X{a+1} Y{b+1}"))
     return out
 
 
@@ -492,16 +488,16 @@ def _corollary(identity_id, ctx, tol):
                 rhs = (rnu + n * ctx.inner(ctx.grad_hprime(u), v)
                        + (n * n / 4.0 - n / 2.0) * lam4
                        * ctx.inner(u, ctx.vgrad_f) * ctx.inner(v, ctx.vgrad_f))
-                out.append(make_report("C3.1", ctx.p, ctx.ric(u, v), rhs,
-                                       hyps, tol, label=f"(U{i+1},V{j+1})"))
+                out.append(record("C3.1", ctx.p.coords, ctx.ric(u, v), rhs,
+                                  hyps, tol, label=f"(U{i+1},V{j+1})"))
         for i, u in enumerate(ctx.vframe):
             for a, x in enumerate(ctx.hframe):
                 rhs = (n * ctx.inner(ctx.grad_hprime(x), u)
                        - sum(ctx.inner(x, xj)
                              * ctx.inner(ctx.grad_hprime(xj), u)
                              for xj in ctx.hframe))
-                out.append(make_report("C3.1", ctx.p, ctx.ric(u, x), rhs,
-                                       hyps, tol, label=f"(U{i+1},X{a+1})"))
+                out.append(record("C3.1", ctx.p.coords, ctx.ric(u, x), rhs,
+                                  hyps, tol, label=f"(U{i+1},X{a+1})"))
         div_hp = ctx.div_hprime()
         vnorm = ctx.inner(ctx.vgrad_f, ctx.vgrad_f)
         hp_f = float(np.asarray(ctx.hp_vec) @ ctx.g @ ctx.grad_f)
@@ -518,8 +514,8 @@ def _corollary(identity_id, ctx, tol):
                        + (n * lam4 / 4.0) * ctx.inner(x, y)
                        * ctx.inner(ctx.grad_f, ctx.grad_f)
                        + (lam4 / 4.0) * (n - 2) * xf * yf)
-                out.append(make_report("C3.1", ctx.p, ctx.ric(x, y), rhs,
-                                       hyps, tol, label=f"(X{a+1},Y{b+1})"))
+                out.append(record("C3.1", ctx.p.coords, ctx.ric(x, y), rhs,
+                                  hyps, tol, label=f"(X{a+1},Y{b+1})"))
     elif identity_id == "C3.2":
         hyps = [ctx.hyp_conformal(), ctx.hyp_fibers_tg(),
                 ctx.hyp_horizontal_integrable(), ctx.hyp_homothetic()]
@@ -533,26 +529,26 @@ def _corollary(identity_id, ctx, tol):
                        + ctx.base_ric(ctx.push(x), ctx.push(y)) / lam_sq
                        - 0.25 * lam4 * ctx.inner(x, y) * vnorm
                        + (n * lam_sq / 2.0) * ctx.inner(x, y) * hp_f)
-                out.append(make_report("C3.2", ctx.p, ctx.ric(x, y), rhs,
-                                       hyps, tol, label=f"(X{a+1},Y{b+1})"))
+                out.append(record("C3.2", ctx.p.coords, ctx.ric(x, y), rhs,
+                                  hyps, tol, label=f"(X{a+1},Y{b+1})"))
     else:
         hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg(), ctx.hyp_fiber_chart()]
         for i, u in enumerate(ctx.vframe):
             for j in range(i, len(ctx.vframe)):
                 v = ctx.vframe[j]
-                out.append(make_report(
-                    "C3.3", ctx.p, ctx.ric(u, v),
+                out.append(record(
+                    "C3.3", ctx.p.coords, ctx.ric(u, v),
                     ctx.fiber_ricci_intrinsic(u, v), hyps, tol,
                     label=f"(U{i+1},V{j+1})"))
         for i, u in enumerate(ctx.vframe):
             for a, x in enumerate(ctx.hframe):
-                out.append(make_report("C3.3", ctx.p, ctx.ric(u, x), 0.0,
-                                       hyps, tol, label=f"(U{i+1},X{a+1})"))
+                out.append(record("C3.3", ctx.p.coords, ctx.ric(u, x), 0.0,
+                                  hyps, tol, label=f"(U{i+1},X{a+1})"))
         for a, x in enumerate(ctx.hframe):
             for b in range(a, len(ctx.hframe)):
                 y = ctx.hframe[b]
-                out.append(make_report(
-                    "C3.3", ctx.p, ctx.ric(x, y),
+                out.append(record(
+                    "C3.3", ctx.p.coords, ctx.ric(x, y),
                     ctx.base_ric(ctx.push(x), ctx.push(y)) / lam_sq,
                     hyps, tol, label=f"(X{a+1},Y{b+1})"))
     return out
@@ -563,8 +559,8 @@ def _scalar_split(ctx, tol):
     s_fiber = ctx.fiber_scalar_intrinsic()
     s_base = ctx.base_scalar_curvature
     rhs = s_fiber + s_base / ctx.lam_sq
-    return [make_report("T3.4", ctx.p, ctx.scalar_curvature, rhs, hyps, tol,
-                        terms={"s_fiber": s_fiber,
+    return [record("T3.4", ctx.p.coords, ctx.scalar_curvature, rhs, hyps,
+                   tol, terms={"s_fiber": s_fiber,
                                "s_base/lam^2": s_base / ctx.lam_sq})]
 
 
@@ -581,20 +577,16 @@ def _lemma_2_1(ctx, tol):
     rhs = ctx.base_curvature[0] + correction
     lhs_n, rhs_n, res = (pair_norms(ctx.h_base, w)
                          for w in (lhs, rhs, lhs - rhs))
-    return [_finish(ResidualReport(
-        identity_id="L2.1", point=ctx.p, lhs=lhs_n[a, b], rhs=rhs_n[a, b],
-        abs_residual=res[a, b],
-        rel_residual=res[a, b] / (1.0 + max(lhs_n[a, b], rhs_n[a, b])),
-        hypotheses=list(hyps), verdict=""), tol)
-        for a in range(ctx.n) for b in range(ctx.n)]
+    return [record("L2.1", ctx.p.coords, lhs_n[a, b], rhs_n[a, b], hyps,
+                   tol, residual=res[a, b],
+                   scale=1.0 + max(lhs_n[a, b], rhs_n[a, b]))
+            for a in range(ctx.n) for b in range(ctx.n)]
 
 
 def _hessian_symmetry(ctx, tol):
     worst = float(np.max(np.abs(ctx.hess_f - ctx.hess_f.T)))
-    rep = ResidualReport(
-        identity_id="L2.2", point=ctx.p, lhs=worst, rhs=0.0,
-        abs_residual=worst, rel_residual=worst, hypotheses=[], verdict="")
-    return [_finish(rep, max(tol, 1e-9))]
+    return [record("L2.2", ctx.p.coords, worst, 0.0, [], max(tol, 1e-9),
+                   scale=1.0)]
 
 
 _CHECKS = {"G2.12": _g212, "G2.13": _g213, "G2.14": _g214, "G2.15": _g215,

@@ -125,14 +125,14 @@ def test_criterion_3_fundamental_closure(riemannian_setups,
             ctx = IdentityContext(setup, p)
             for check_id in FUNDAMENTAL:
                 for rep in run_check(check_id, setup, p, ctx=ctx):
-                    assert rep.abs_residual <= 1e-6, (name, check_id,
-                                                      rep.label)
+                    assert rep["abs_residual"] <= 1e-6, (name, check_id,
+                                                         rep["label"])
     # the Gauss-type curvature relation additionally closes on every
     # genuinely conformal catalog setup
     for name, setup, points in conformal_setups:
         for p in points[:3]:
             for rep in run_check("G2.12", setup, p):
-                assert rep.abs_residual <= 1e-6, (name, rep.label)
+                assert rep["abs_residual"] <= 1e-6, (name, rep["label"])
 
 
 # -- criterion 4: space-form oracles with finite-difference cross-check --
@@ -223,10 +223,10 @@ def test_criterion_7_theorem_instances(conformal_setups):
     assert abs(fit.mu) <= 1e-9
     ctxs = contexts(job.setup, pts)
     scal = sol.scalar_mu_consistency(job.setup, job.xi, 0.0, pts, ctxs)
-    assert scal.verdict == "pass"
+    assert scal["verdict"] == "pass"
     # s = 0 = -mu * (m - n) with m - n offset 3 total dims and mu = 0
-    assert scal.lhs == pytest.approx(0.0, abs=1e-12)
-    assert scal.rhs == pytest.approx(-fit.mu * 3, abs=1e-9)
+    assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
+    assert scal["rhs"] == pytest.approx(-fit.mu * 3, abs=1e-9)
 
     harm = sol.harmonicity_report(job.setup, job.xi, 0.0, pts, ctxs)
     assert harm.verdict == "pass"
@@ -238,8 +238,8 @@ def test_criterion_7_theorem_instances(conformal_setups):
     # mixed-derivative symmetry across every catalog setup's scalar data
     for name, setup, points in conformal_setups:
         for rep in run_check("L2.2", setup, points[0]):
-            if rep.verdict != "hypothesis-not-met":
-                assert rep.abs_residual <= 1e-9, (name, rep.label)
+            if rep["verdict"] != "hypothesis-not-met":
+                assert rep["abs_residual"] <= 1e-9, (name, rep["label"])
 
     flat = flat_chart(2)
     flat_pts = sample([(-2.0, 2.0), (-2.0, 2.0)], 6, seed=109)
@@ -336,8 +336,8 @@ def test_criterion_8_property_suites(riemannian_setups, conformal_setups,
         assert float(t_vv @ g @ x) == pytest.approx(
             -float(v @ g @ t_vx), abs=1e-9), name
         for rep in run_check("E3.3", setup, p):
-            if rep.verdict != "hypothesis-not-met":
-                assert rep.abs_residual <= 1e-8, (name, rep.label)
+            if rep["verdict"] != "hypothesis-not-met":
+                assert rep["abs_residual"] <= 1e-8, (name, rep["label"])
 
     # expression round-trip is a fixed point
     for text in EXPR_CORPUS:
@@ -364,9 +364,9 @@ def test_criterion_9_general_dilation_identities(riemannian_setups,
             ctx = IdentityContext(setup, p)
             for check_id in ("G2.16", "R3.13"):
                 for rep in run_check(check_id, setup, p, ctx=ctx):
-                    if rep.verdict != "hypothesis-not-met":
-                        assert rep.abs_residual <= 1e-6, (name, check_id,
-                                                          rep.label)
+                    if rep["verdict"] != "hypothesis-not-met":
+                        assert rep["abs_residual"] <= 1e-6, (
+                            name, check_id, rep["label"])
 
     # general case: residuals itemized per term, convention flag raised
     for name, setup, points in conformal_setups:
@@ -376,18 +376,18 @@ def test_criterion_9_general_dilation_identities(riemannian_setups,
             reports = run_check(check_id, setup, p, ctx=ctx)
             assert reports, (name, check_id)
             for rep in reports:
-                assert rep.convention_sensitive
-                if rep.verdict == "hypothesis-not-met":
+                assert rep["convention_sensitive"]
+                if rep["verdict"] == "hypothesis-not-met":
                     continue
-                if "no distinct" in rep.note:
+                if "no distinct" in rep["note"]:
                     continue  # degenerate frame: nothing to itemize
-                assert rep.terms, (name, check_id, rep.label)
+                assert rep["terms"], (name, check_id, rep["label"])
 
     # regression anchor: vertically varying dilation exhibits the
     # divergence; closure there is a reported finding, not a gate
     name, cone, points = conformal_setups[-1]
     assert name == "cone"
     worst = max(run_check("R3.13", cone, points[0]),
-                key=lambda r: r.abs_residual)
-    assert worst.verdict == "fail"
-    assert worst.convention_sensitive and worst.terms
+                key=lambda r: r["abs_residual"])
+    assert worst["verdict"] == "fail"
+    assert worst["convention_sensitive"] and worst["terms"]

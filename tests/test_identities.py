@@ -7,9 +7,10 @@ import pytest
 
 from confsub import catalog
 from confsub.geometry import Point
-from confsub.identities import (ALL_CHECK_IDS, CONVENTION_SENSITIVE_IDS,
-                                IdentityContext, run_check)
-from confsub.report import residual_record
+from confsub.identities import (ALL_CHECK_IDS, CHECKS,
+                                CONVENTION_SENSITIVE_IDS, Hypothesis,
+                                IdentityContext, record, run_check,
+                                verdict_of)
 from conftest import (chart, conformal_corpus, make_setup, sample,
                       warped_4to2)
 
@@ -31,8 +32,8 @@ def test_fundamental_equations_close_at_unit_dilation(riemannian_setups):
             ctx = IdentityContext(setup, p)
             for check_id in FUNDAMENTAL:
                 for rep in run_check(check_id, setup, p, ctx=ctx):
-                    assert rep.abs_residual <= 1e-9, (name, check_id,
-                                                      rep.label)
+                    assert rep["abs_residual"] <= 1e-9, (name, check_id,
+                                                         rep["label"])
 
 
 def test_every_check_runs_everywhere(riemannian_setups):
@@ -44,10 +45,45 @@ def test_every_check_runs_everywhere(riemannian_setups):
         reports = run_check(check_id, setup, p, ctx=ctx)
         assert reports, check_id
         for rep in reports:
-            assert rep.verdict in ("pass", "fail", "hypothesis-not-met")
-            assert rep.identity_id == check_id
-            assert rep.convention_sensitive is (
+            assert rep["verdict"] in ("pass", "fail", "hypothesis-not-met")
+            assert rep["id"] == check_id
+            assert rep["convention_sensitive"] is (
                 check_id in CONVENTION_SENSITIVE_IDS)
+
+
+def test_check_table_covers_every_id_in_order(riemannian_setups):
+    assert tuple(CHECKS) == ALL_CHECK_IDS
+    name, setup, box = riemannian_setups[0]
+    with pytest.raises(ValueError, match="unknown check id 'G9.99'"):
+        run_check("G9.99", setup, sample(box, 1, seed=22)[0])
+
+
+def test_verdict_rule():
+    met, unmet = Hypothesis("a", True, 0.0), Hypothesis("b", False, 2.0)
+    # an unmet hypothesis outranks a residual above tol
+    assert verdict_of([met, unmet], 5.0, 1e-6) == "hypothesis-not-met"
+    assert verdict_of([unmet], 0.0, 1e-6) == "hypothesis-not-met"
+    # a value equal to tol passes; above it, or NaN, fails
+    assert verdict_of([met], 1e-6, 1e-6) == "pass"
+    assert verdict_of([], 0.0, 0.0) == "pass"
+    assert verdict_of([met], 1.5e-6, 1e-6) == "fail"
+    assert verdict_of([], float("nan"), 1e-6) == "fail"
+
+
+def test_record_reads_the_residual_its_kind_compares():
+    # an identity record compares its relative residual, a fit its
+    # absolute one
+    rec = record("G2.12", (0, 1), 3.0, 3.0 + 3e-6, [], 1e-6)
+    assert rec["abs_residual"] > 1e-6 >= rec["rel_residual"]
+    assert rec["verdict"] == "pass"
+    assert rec["kind"] == "identity" and rec["point"] == [0.0, 1.0]
+    fit = record("fit-mu", (), 3.0, 3.0 + 3e-6, [], 1e-6,
+                 residual=3e-6, scale=4.0, absolute=True)
+    assert fit["verdict"] == "fail" and fit["kind"] == "soliton"
+    assert fit["rel_residual"] == 3e-6 / 4.0
+    # the default scale takes in every term
+    rec = record("T3.4", (), 1.0, 0.0, [], 1e-6, terms={"t": -3.0})
+    assert rec["rel_residual"] == 1.0 / 4.0
 
 
 def test_full_closure_on_conformal_examples(conformal_setups):
@@ -60,10 +96,10 @@ def test_full_closure_on_conformal_examples(conformal_setups):
             ctx = IdentityContext(setup, p)
             for check_id in robust:
                 for rep in run_check(check_id, setup, p, ctx=ctx):
-                    if rep.verdict == "hypothesis-not-met":
+                    if rep["verdict"] == "hypothesis-not-met":
                         continue
-                    assert rep.abs_residual <= 1e-9, (name, check_id,
-                                                      rep.label)
+                    assert rep["abs_residual"] <= 1e-9, (name, check_id,
+                                                         rep["label"])
 
 
 def test_r313_convention_divergence_on_cone(conformal_setups):
@@ -75,26 +111,27 @@ def test_r313_convention_divergence_on_cone(conformal_setups):
     p = points[0]
     ctx = IdentityContext(cone, p)
     reports = run_check("R3.13", cone, p, ctx=ctx)
-    diag = [r for r in reports if r.label and r.label[-2:] in ("11", "22")
-            or r.lhs != 0.0]
-    worst = max(reports, key=lambda r: r.abs_residual)
-    assert worst.verdict == "fail"
-    assert worst.convention_sensitive
-    assert worst.terms  # itemized breakdown accompanies the flag
+    diag = [r for r in reports
+            if r["label"] and r["label"][-2:] in ("11", "22")
+            or r["lhs"] != 0.0]
+    worst = max(reports, key=lambda r: r["abs_residual"])
+    assert worst["verdict"] == "fail"
+    assert worst["convention_sensitive"]
+    assert worst["terms"]  # itemized breakdown accompanies the flag
     # the cone is hyperbolic 3-space: Ric = -2 g on unit vectors, the
     # printed right side gives -3
-    assert worst.lhs == pytest.approx(-2.0, abs=1e-9)
-    assert worst.rhs == pytest.approx(-3.0, abs=1e-9)
+    assert worst["lhs"] == pytest.approx(-2.0, abs=1e-9)
+    assert worst["rhs"] == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_l31i_overcount_on_cone(conformal_setups):
     # printed left side scales with n, right side with n^2
     name, cone, points = conformal_setups[-1]
     reports = run_check("L3.1.i", cone, points[0])
-    worst = max(reports, key=lambda r: r.abs_residual)
-    assert worst.verdict == "fail"
-    assert worst.convention_sensitive
-    assert worst.rhs == pytest.approx(2 * worst.lhs, rel=1e-9)
+    worst = max(reports, key=lambda r: r["abs_residual"])
+    assert worst["verdict"] == "fail"
+    assert worst["convention_sensitive"]
+    assert worst["rhs"] == pytest.approx(2 * worst["lhs"], rel=1e-9)
 
 
 def test_r313_closes_when_dilation_is_horizontal(conformal_setups):
@@ -104,7 +141,7 @@ def test_r313_closes_when_dilation_is_horizontal(conformal_setups):
         if name != "5.3":
             continue
         for rep in run_check("R3.13", setup, points[0]):
-            assert rep.abs_residual <= 1e-9
+            assert rep["abs_residual"] <= 1e-9
 
 
 def test_hypothesis_gating(conformal_setups):
@@ -115,10 +152,10 @@ def test_hypothesis_gating(conformal_setups):
         chart("y1 y2", ["1, 0", "0, 1"]), ["x1", "x2"])
     p = Point((0.4, 0.8, -0.3))
     for rep in run_check("L3.1.iii", twisted, p):
-        assert rep.verdict == "hypothesis-not-met"
-        unmet = [h for h in rep.hypotheses if not h.satisfied]
-        assert any("integrable" in h.name for h in unmet)
-        assert all(h.violation > 0 for h in unmet)
+        assert rep["verdict"] == "hypothesis-not-met"
+        unmet = [h for h in rep["hypotheses"] if not h["satisfied"]]
+        assert any("integrable" in h["name"] for h in unmet)
+        assert all(h["violation"] > 0 for h in unmet)
 
 
 def test_tolerance_monotonicity(conformal_setups):
@@ -130,8 +167,8 @@ def test_tolerance_monotonicity(conformal_setups):
             small = run_check(check_id, cone, p, tol=tol_small)
             large = run_check(check_id, cone, p, tol=tol_large)
             for s, l in zip(small, large):
-                if s.verdict == "pass":
-                    assert l.verdict == "pass"
+                if s["verdict"] == "pass":
+                    assert l["verdict"] == "pass"
 
 
 def test_reports_are_deterministic(conformal_setups):
@@ -140,18 +177,16 @@ def test_reports_are_deterministic(conformal_setups):
     first = run_check("R3.11", setup, p)
     second = run_check("R3.11", setup, p)
     for a, b in zip(first, second):
-        assert (a.lhs, a.rhs, a.abs_residual, a.rel_residual) == \
-            (b.lhs, b.rhs, b.abs_residual, b.rel_residual)
-        assert a.terms == b.terms
+        assert a == b
 
 
 def test_scalar_split_requires_tg_map(conformal_setups):
     for name, setup, points in conformal_setups:
         reports = run_check("T3.4", setup, points[0])
         if name == "5.4":
-            assert reports[0].verdict == "pass"
+            assert reports[0]["verdict"] == "pass"
         elif name in ("5.1", "5.3"):
-            assert reports[0].verdict == "hypothesis-not-met"
+            assert reports[0]["verdict"] == "hypothesis-not-met"
 
 
 def test_m4_spot_check():
@@ -165,7 +200,7 @@ def test_m4_spot_check():
     ctx = IdentityContext(setup, p)
     for check_id in FUNDAMENTAL:
         for rep in run_check(check_id, setup, p, ctx=ctx):
-            assert rep.abs_residual <= 1e-9, (check_id, rep.label)
+            assert rep["abs_residual"] <= 1e-9, (check_id, rep["label"])
 
 
 # every array of the context that is built on first read
@@ -183,7 +218,7 @@ def _bits(value):
 
 
 def _records(ctx, check_ids):
-    return [json.dumps(residual_record(rep), sort_keys=True)
+    return [json.dumps(rep, sort_keys=True)
             for check_id in check_ids
             for rep in run_check(check_id, ctx.setup, ctx.p, ctx=ctx)]
 

@@ -3,6 +3,8 @@ loop forms (``identity_loops``): same records in the same order, with the
 same labels, verdicts and hypotheses, and every value within
 1e-12 (1 + |reference|)."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,10 +26,10 @@ def _close(got, ref, what, scale=None):
 
 
 def _assert_hypotheses(got, ref, what):
-    assert [h.name for h in got] == [h.name for h in ref], what
+    assert [h["name"] for h in got] == [h["name"] for h in ref], what
     for h, r in zip(got, ref):
-        assert h.satisfied == r.satisfied, (what, h.name)
-        _close(h.violation, r.violation, (what, h.name))
+        assert h["satisfied"] == r["satisfied"], (what, h["name"])
+        _close(h["violation"], r["violation"], (what, h["name"]))
 
 
 def _assert_same_records(setup, p):
@@ -35,24 +37,26 @@ def _assert_same_records(setup, p):
     for check_id in ALL_CHECK_IDS:
         got = run_check(check_id, setup, p, ctx=ctx)
         ref = reference_check(check_id, IdentityContext(setup, p))
-        assert [r.label for r in got] == [r.label for r in ref], check_id
+        assert [r["label"] for r in got] == [r["label"] for r in ref], \
+            check_id
         for rep, want in zip(got, ref):
-            what = (check_id, rep.label)
-            assert rep.identity_id == want.identity_id, what
-            assert rep.verdict == want.verdict, what
-            assert rep.note == want.note, what
-            assert rep.convention_sensitive == want.convention_sensitive
-            _close(rep.lhs, want.lhs, what + ("lhs",))
-            _close(rep.rhs, want.rhs, what + ("rhs",))
+            what = (check_id, rep["label"])
+            assert rep["id"] == want["id"], what
+            assert rep["verdict"] == want["verdict"], what
+            assert rep["note"] == want["note"], what
+            assert (rep["convention_sensitive"]
+                    == want["convention_sensitive"]), what
+            _close(rep["lhs"], want["lhs"], what + ("lhs",))
+            _close(rep["rhs"], want["rhs"], what + ("rhs",))
             # a residual cancels lhs against rhs: it moves by rounding on
             # their scale
-            scale = 1.0 + abs(want.lhs) + abs(want.rhs)
-            _close(rep.abs_residual, want.abs_residual, what, scale)
-            _close(rep.rel_residual, want.rel_residual, what, scale)
-            assert list(rep.terms) == list(want.terms), what
-            for name, value in want.terms.items():
-                _close(rep.terms[name], value, what + (name,))
-            _assert_hypotheses(rep.hypotheses, want.hypotheses, what)
+            scale = 1.0 + abs(want["lhs"]) + abs(want["rhs"])
+            _close(rep["abs_residual"], want["abs_residual"], what, scale)
+            _close(rep["rel_residual"], want["rel_residual"], what, scale)
+            assert list(rep["terms"]) == list(want["terms"]), what
+            for name, value in want["terms"].items():
+                _close(rep["terms"][name], value, what + (name,))
+            _assert_hypotheses(rep["hypotheses"], want["hypotheses"], what)
 
 
 def _catalog_case(eid):
@@ -124,8 +128,8 @@ def test_frame_suprema_match_loop_forms(name, setup, points):
         for hyp in ("hyp_conformal", "hyp_fibers_tg", "hyp_horizontal_tg",
                     "hyp_horizontal_integrable", "hyp_homothetic",
                     "hyp_map_tg", "hyp_umbilical"):
-            _assert_hypotheses([getattr(ctx, hyp)()],
-                               [getattr(loops, hyp)()], (name, hyp))
+            _assert_hypotheses([asdict(getattr(ctx, hyp)())],
+                               [asdict(getattr(loops, hyp)())], (name, hyp))
         flags = sub.structure_flags(setup, [p], contexts=[ctx])
         _close(flags.fibers_totally_geodesic.max_violation,
                loops.hyp_fibers_tg().violation, (name, "flag T"))
@@ -219,7 +223,8 @@ def test_left_side_reads_no_right_side_array(name, setup, points):
     for check_id in LEFT_SIDE_CHECKS:
         for rep, want in zip(run_check(check_id, setup, p, ctx=ctx),
                              run_check(check_id, setup, p, ctx=clean)):
-            _finite_and_equal(rep.lhs, want.lhs, (name, check_id, rep.label))
+            _finite_and_equal(rep["lhs"], want["lhs"],
+                              (name, check_id, rep["label"]))
 
 
 @pytest.mark.parametrize("name,setup,points", CASES,
@@ -231,10 +236,10 @@ def test_right_side_reads_no_left_side_array(name, setup, points):
     for check_id in ALL_CHECK_IDS:
         for rep, want in zip(run_check(check_id, setup, p, ctx=ctx),
                              run_check(check_id, setup, p, ctx=clean)):
-            what = (name, check_id, rep.label)
-            _finite_and_equal(rep.rhs, want.rhs, what)
-            for term, value in want.terms.items():
-                _finite_and_equal(rep.terms[term], value, what + (term,))
-            assert rep.hypotheses == want.hypotheses, what
+            what = (name, check_id, rep["label"])
+            _finite_and_equal(rep["rhs"], want["rhs"], what)
+            for term, value in want["terms"].items():
+                _finite_and_equal(rep["terms"][term], value, what + (term,))
+            assert rep["hypotheses"] == want["hypotheses"], what
             if check_id not in LEFT_SIDE_CHECKS:
-                _finite_and_equal(rep.lhs, want.lhs, what)
+                _finite_and_equal(rep["lhs"], want["lhs"], what)

@@ -18,7 +18,8 @@ from confsub.cli import EXIT_USAGE, main
 from confsub.geometry import ChartManifold
 from confsub.identities import IdentityContext, worst_of
 from confsub.jets import EvaluationError, JetSpace
-from confsub.manifest import parse_manifest
+from confsub.manifest import (KNOWN_CHECKS, SOLITON_CHECKS,
+                              parse_manifest)
 from conftest import contexts
 
 BASE = """
@@ -272,6 +273,63 @@ def test_harmonicity_record_shows_worst_point():
     rec, = report.run_job(job).records
     assert rec["point"] == [0.0, 1.5, 3.0]
     assert rec["terms"]["tension_norm"] == pytest.approx(3.0, rel=1e-12)
+
+
+# a fiber-2d-style job: 2-D curved fibers, no soliton field, so every
+# soliton check but structure-flags records a skip
+_G33 = "(2.3 + sin(x1))^2"
+_G44 = _G33 + "*(2.7 + cos(x3))^2"
+FIBER_2D_NO_XI = f"""
+total.dim    = 4
+total.coords = x1 x2 x3 x4
+total.metric = 1, 0, 0, 0 ; 0, 1, 0, 0 ; 0, 0, {_G33}, 0 ; 0, 0, 0, {_G44}
+base.dim     = 2
+base.coords  = y1 y2
+base.metric  = 1, 0 ; 0, 1
+map.components = x1, x2
+checks = all
+points.list = (0.2, -0.4, 0.5, 1.1)
+"""
+
+RECORD_KEYS = {"kind", "id", "label", "point", "lhs", "rhs", "abs_residual",
+               "rel_residual", "hypotheses", "verdict",
+               "convention_sensitive", "terms", "note"}
+
+
+def test_every_record_has_one_schema():
+    # identity, soliton, fit, skipped and structure-flags records alike
+    # carry the same 13 keys, each a plain float, str, bool or list
+    job = catalog.load_job("5.3")
+    job.points = job.points[:2]
+    job.checks = list(KNOWN_CHECKS)
+    records = report.run_job(job).records
+    skipped = report.run_job(parse_manifest(FIBER_2D_NO_XI)).records
+    # the scalar-mu record is named after its theorem
+    assert {r["id"] for r in records} == (set(KNOWN_CHECKS) - {"scalar-mu"}
+                                          | {"T4.7"})
+    assert [r["note"] for r in skipped if r["kind"] == "soliton"
+            and r["id"] != "structure-flags"] == [
+        "manifest declares no soliton.xi field"] * (len(SOLITON_CHECKS) - 1)
+    # a skipped report evaluated nothing to flag
+    assert [r["convention_sensitive"] for r in records + skipped
+            if r["id"] == "base-soliton"] == [True, False]
+    types = {"kind": str, "id": str, "label": str, "lhs": float,
+             "rhs": float, "abs_residual": float, "rel_residual": float,
+             "verdict": str, "convention_sensitive": bool, "note": str}
+    for rec in records + skipped:
+        assert set(rec) == RECORD_KEYS, rec["id"]
+        for key, kind in types.items():
+            assert type(rec[key]) is kind, (rec["id"], key)
+        assert type(rec["point"]) is list
+        assert all(type(c) is float for c in rec["point"])
+        assert type(rec["terms"]) is dict
+        assert all(type(k) is str and type(v) is float
+                   for k, v in rec["terms"].items()), rec["id"]
+        assert type(rec["hypotheses"]) is list
+        for hyp in rec["hypotheses"]:
+            assert [type(hyp[k]) for k in ("name", "satisfied",
+                                           "violation")] == [str, bool,
+                                                             float]
 
 
 def test_worst_point_is_the_first_within_the_rounding_band():

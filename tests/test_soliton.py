@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from confsub import catalog
+from confsub import catalog, report
 from confsub import soliton as sol
 from confsub.geometry import ChartManifold, Point, VectorFieldSpec
 from conftest import chart, contexts, flat_chart, sample
@@ -86,8 +86,8 @@ def test_base_and_scalar_on_54():
     base = sol.base_soliton_report(job.setup, job.xi, 0.0, points, ctxs)
     assert base.verdict == "pass"
     scal = sol.scalar_mu_consistency(job.setup, job.xi, 0.0, points, ctxs)
-    assert scal.verdict == "pass"
-    assert scal.lhs == pytest.approx(0.0, abs=1e-12)
+    assert scal["verdict"] == "pass"
+    assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
     harm = sol.harmonicity_report(job.setup, job.xi, 0.0, points, ctxs)
     assert harm.verdict == "pass"
     assert "harmonic=True" in harm.note
@@ -98,10 +98,30 @@ def test_scalar_mu_gated_when_map_not_tg():
     points = job.points[:4]
     rep = sol.scalar_mu_consistency(job.setup, job.xi, 2.0, points,
                                     contexts(job.setup, points))
-    assert rep.verdict == "hypothesis-not-met"
+    assert rep["verdict"] == "hypothesis-not-met"
     # the scalar curvature itself is still reported per point
-    svals = [v for k, v in rep.terms.items() if k.startswith("s@")]
+    svals = [v for k, v in rep["terms"].items() if k.startswith("s@")]
     assert all(v == pytest.approx(-6.0, abs=1e-9) for v in svals)
+
+
+@pytest.mark.parametrize("tension,mu", [(0.0, 0.0), (0.0, 1.0),
+                                         (1.0, 0.0), (1.0, 1.0)])
+def test_harmonicity_verdict_is_the_equivalence(monkeypatch, tension, mu):
+    # 5.4 meets the hypotheses, is harmonic and has s^Ker = 0: a tension
+    # offset breaks harmonicity and mu != 0 the scalar side, and the
+    # verdict passes exactly when both hold or both fail
+    real = sol.sub.tension_field
+    monkeypatch.setattr(sol.sub, "tension_field",
+                        lambda *args: real(*args) + tension)
+    job = catalog.load_job("5.4")
+    points = job.points[:2]
+    rep = sol.harmonicity_report(job.setup, job.xi, mu, points,
+                                 contexts(job.setup, points))
+    harmonic, scalar_side = tension == 0.0, mu == 0.0
+    assert f"harmonic={harmonic} scalar-side={scalar_side}" in rep.note
+    want = "pass" if harmonic == scalar_side else "fail"
+    assert rep.verdict == want
+    assert report._soliton_record("harmonicity", rep)["verdict"] == want
 
 
 def test_harmonicity_equivalence_detected_off_hypotheses():
