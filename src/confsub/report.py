@@ -59,8 +59,7 @@ def _run_soliton_checks(job, checks, records, contexts):
             records.append(record(
                 "structure-flags", (), check.holds, check.holds, [], tol,
                 terms={"max_violation": check.max_violation},
-                note=f"{name}: {'holds' if check.holds else 'fails'} "
-                     f"(max violation {check.max_violation:.3e})"))
+                note=f"{name}: {'holds' if check.holds else 'fails'}"))
     if not needs_xi:
         return
     xi = job.xi
