@@ -99,10 +99,10 @@ def record(check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
     """One result as the plain dict ``report.to_json`` writes, at the
     coordinates ``point`` (empty for a record of no single point).
 
-    ``terms`` is a mapping or (name, value) pairs.  The absolute residual
-    is |lhs - rhs| unless ``residual`` gives it, and the relative one
-    divides it by ``scale``, 1 + max(|lhs|, |rhs|, |each term|) unless
-    given.  The verdict (``verdict_of``) reads the relative residual, or
+    ``terms`` maps names to values.  The absolute residual is
+    |lhs - rhs| unless ``residual`` gives it, and the relative one divides
+    it by ``scale``, 1 + max(|lhs|, |rhs|, |each term|) unless given.
+    The verdict (``verdict_of``) reads the relative residual, or
     the absolute one when ``absolute``.  A record is of kind ``identity``
     for an id of ``ALL_CHECK_IDS`` and ``soliton`` otherwise.  It is
     convention-sensitive when its id is in ``CONVENTION_SENSITIVE_IDS``
