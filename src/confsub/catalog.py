@@ -238,8 +238,9 @@ def run_example(example_id, tol=1e-6, points=None):
         rows.append(_compare(name, provenance, samples, tol))
 
     # every row at a point reads the point's one identity context
-    contexts = [IdentityContext(setup, p, core=core)
-                for p, core in zip(points, setup.float_cores(points))]
+    cores = setup.float_cores(points)
+    contexts = [IdentityContext(setup, p, cores=cores, index=i)
+                for i, p in enumerate(points)]
 
     # Christoffel symbols, every index triple (sparse expected, default 0)
     for k in range(1, m + 1):

@@ -94,10 +94,22 @@ def verdict_of(hypotheses, value, tol):
     return "pass" if value <= tol else "fail"
 
 
+# the type of each value of a record by its key, the one layout
+# ``report.to_json`` writes; each of the ``hypotheses`` is laid out as
+# HYPOTHESIS_SCHEMA
+RECORD_SCHEMA = {"kind": str, "id": str, "label": str, "point": list[float],
+                 "lhs": float, "rhs": float, "abs_residual": float,
+                 "rel_residual": float, "hypotheses": list[dict],
+                 "verdict": str, "convention_sensitive": bool,
+                 "terms": dict[str, float], "note": str}
+HYPOTHESIS_SCHEMA = {"name": str, "satisfied": bool, "violation": float}
+
+
 def record(check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
            label="", note="", residual=None, scale=None, absolute=False):
-    """One result as the plain dict ``report.to_json`` writes, at the
-    coordinates ``point`` (empty for a record of no single point).
+    """One result as the plain dict ``report.to_json`` writes, laid out as
+    ``RECORD_SCHEMA``, at the coordinates ``point`` (empty for a record of
+    no single point).
 
     ``terms`` maps names to values.  The absolute residual is
     |lhs - rhs| unless ``residual`` gives it, and the relative one divides
@@ -192,6 +204,13 @@ def _frame_array(source, axes):
         lambda ctx: ctx._vector_slots(source(ctx).transpose(axes)))
 
 
+def _core_slice(name):
+    """A cached property: the point's slice of the float core's array
+    ``name`` (``IdentityContext``)."""
+    return functools.cached_property(
+        lambda ctx: getattr(ctx.cores, name)[ctx.index])
+
+
 def _once(method):
     """Memoize a no-argument context method: a hypothesis is measured
     once per point however many checks list it."""
@@ -235,31 +254,55 @@ class IdentityContext:
     Scalars read by several checks: ``grad_f_sq`` = |grad f|^2,
     ``vgrad_f_sq`` = |grad_v f|^2 and ``hp_f`` = H'(f).
 
-    The constructor holds only the float core, ``core`` when the caller
-    holds it (from ``setup.float_cores`` over a run's points) and
-    ``setup.float_core(p)`` otherwise: ``g``, ``ginv``, ``jac``,
-    ``vframe``, ``hframe``, ``pv``, ``ph``, ``lam_sq``, ``base_point``
-    and ``h_base``.  Every other array is a cached property
+    The constructor holds only the float core stacked over a point axis,
+    ``cores`` with the point's ``index`` when the caller holds it (from
+    ``setup.float_cores`` over a run's points) and
+    ``setup.float_cores([p])`` otherwise.  The point's slices ``g``,
+    ``ginv``, ``jac``, ``frame`` (``vframe``, then ``hframe``), ``pv``,
+    ``ph``, ``lam_sq``, ``h_base`` and ``_base_push`` (F_*X_a), and F(p)
+    as ``base_point``, are cached properties like every other array, each
     built on first read from only the arrays it needs, so a check pays
-    only for what it reads, and an ingredient that cannot be evaluated
-    at the point fails only the checks that read it."""
+    only for what it reads, and an ingredient that cannot be evaluated at
+    the point fails only the checks that read it."""
 
-    def __init__(self, setup, p, hyp_tol=1e-8, core=None):
+    def __init__(self, setup, p, hyp_tol=1e-8, cores=None, index=0):
         self.setup = setup
         self.p = p
         self.hyp_tol = hyp_tol
         self.xs = list(p.coords)
         self.m = setup.m
         self.n = setup.n
-        if core is None:
-            core = setup.float_core(p)
-        self.core = core
-        self.g, self.ginv, self.jac = core.g, core.ginv, core.jac
-        self.vframe, self.hframe = core.vframe, core.hframe  # m-n, n vectors
-        self.pv, self.ph = core.pv, core.ph
-        self.lam_sq = core.lam_sq
-        self.base_point, self.h_base = core.base_point, core.h_base
+        if cores is None:
+            cores, index = setup.float_cores([p]), 0
+        self.cores, self.index = cores, index
         self._fields = {}  # of ``vector_field``
+
+    # -- the point's slices of the float core -----------------------------
+
+    g = _core_slice("g")
+    ginv = _core_slice("ginv")
+    jac = _core_slice("jac")
+    frame = _core_slice("frame")  # E: U_1 .. U_{m-n}, X_1 .. X_n as rows
+    pv = _core_slice("pv")
+    ph = _core_slice("ph")
+    h_base = _core_slice("h_base")
+
+    @functools.cached_property
+    def lam_sq(self):
+        return float(self.cores.lam_sq[self.index])
+
+    @functools.cached_property
+    def base_point(self):
+        """F(p)."""
+        return geo.Point(tuple(self.cores.base_coords[self.index].tolist()))
+
+    @functools.cached_property
+    def vframe(self):
+        return self.frame[:self.m - self.n]
+
+    @functools.cached_property
+    def hframe(self):
+        return self.frame[self.m - self.n:]
 
     # -- ingredients built on first read ----------------------------------
 
@@ -459,12 +502,6 @@ class IdentityContext:
     # -- frame-basis arrays -----------------------------------------------
 
     @functools.cached_property
-    def frame(self):
-        """E: the vertical frame, then the horizontal one, one vector per
-        row."""
-        return np.array(list(self.vframe) + list(self.hframe))
-
-    @functools.cached_property
     def _lower(self):
         """g E^T: ``v @ _lower`` holds the frame components g(v, E_c)."""
         return self.g @ self.frame.T
@@ -513,10 +550,8 @@ class IdentityContext:
         nv = self.m - self.n
         return float(np.trace(self.dhp_e[:nv, :nv]))
 
-    @functools.cached_property
-    def _base_push(self):
-        """F_*X_a, one row per horizontal frame vector."""
-        return np.array(self.hframe) @ self.jac.T
+    # F_*X_a, one row per horizontal frame vector
+    _base_push = _core_slice("push")
 
     @functools.cached_property
     def base_riem_e(self):
@@ -550,8 +585,7 @@ class IdentityContext:
 
     @_once
     def hyp_conformal(self):
-        aniso = sub.conformal_anisotropy(self.jac, self.h_base, self.hframe,
-                                         self.lam_sq)
+        aniso = float(self.cores.anisotropy[self.index])
         return Hypothesis("conformal", aniso <= max(self.hyp_tol, 1e-8), aniso)
 
     @_once

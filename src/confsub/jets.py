@@ -18,7 +18,8 @@ such, so one evaluation serves a batch of points.  The scalar functions
 then raise the error of their float branch when any element raises it;
 callers evaluating arrays switch NumPy's floating-point warnings off
 (``np.errstate``) and check what the arithmetic operators leave
-non-finite.
+non-finite.  A float result too large to represent raises
+``EvaluationError`` like any other non-finite value.
 """
 
 from __future__ import annotations
@@ -225,7 +226,10 @@ def sexp(x):
         return x.chain(e, e, e if x.space.order == 2 else None)
     if isinstance(x, np.ndarray):
         return _check_finite(np.exp(x), "exp")
-    return _check_finite(math.exp(x), "exp")
+    try:
+        return _check_finite(math.exp(x), "exp")
+    except OverflowError:
+        raise EvaluationError("non-finite value in exp") from None
 
 
 def slog(x):
@@ -290,7 +294,10 @@ def spow(x, exponent):
         if x.space.order == 2:
             f2 = _float_exp(r) * _float_exp(r - 1) * spow(x.val, r - 2)
         return x.chain(f0, f1, f2)
-    return _pow_number(x, r)
+    try:
+        return _pow_number(x, r)
+    except OverflowError:
+        raise EvaluationError("non-finite value in power") from None
 
 
 def _float_exp(r):

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from . import __version__
 from . import soliton as sol
 from . import submersion as sub
-from .identities import (ALL_CHECK_IDS, Hypothesis, IdentityContext, record,
-                         run_check, worst_of)
+from .identities import (ALL_CHECK_IDS, HYPOTHESIS_SCHEMA, RECORD_SCHEMA,
+                         Hypothesis, IdentityContext, record, run_check,
+                         worst_of)
 from .manifest import SOLITON_CHECKS
 
 
@@ -139,12 +140,9 @@ def run_job(job):
     except (ArithmeticError, ValueError):
         # some point fails its core: each context then builds its own, so
         # the checks of the points before that one still run first
-        cores = [None] * len(job.points)
+        cores = None
     for i, p in enumerate(job.points):
-        # a context holds its core as long as it is kept, so a run without
-        # soliton reports holds the per-point arrays of one point at a time
-        ctx = IdentityContext(setup, p, core=cores[i])
-        cores[i] = None
+        ctx = IdentityContext(setup, p, cores=cores, index=i)
         lam.append(ctx.lam_sq)
         if soliton_ids:
             contexts.append(ctx)
@@ -178,12 +176,21 @@ def run_job(job):
 _encode_str = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
-_INF = float("inf")
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value):
+    """JSON text of a float (NumPy's included); TypeError for any other
+    value."""
+    text = _float_repr(value)
+    return _NONFINITE.get(text, text)
 
 
 def _scalar_text(value):
     """JSON text of a value that is not a container, as ``json.dumps``
     writes it."""
+    if isinstance(value, float):
+        return _float_text(value)
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
@@ -194,53 +201,18 @@ def _scalar_text(value):
         return "false"
     if isinstance(value, int):
         return _int_repr(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return _float_repr(value)
     raise TypeError(
         f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_json(value, newline, out):
-    """Append the text of ``value`` to ``out``, nested under ``newline``
-    (a newline and the current indent); as in ``json.dumps``, a scalar
-    entry is one piece with its separator and key."""
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key in sorted(value):
-            _write_entry(sep + _encode_str(key) + ": ", value[key], inner,
-                         out)
-            sep = comma
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in value:
-            _write_entry(sep, item, inner, out)
-            sep = comma
-        out.append(newline + "]")
-    else:
-        out.append(_scalar_text(value))
-
-
-def _write_entry(head, value, inner, out):
-    if isinstance(value, (dict, list, tuple)):
-        out.append(head)
-        _write_json(value, inner, out)
-    else:
-        out.append(head + _scalar_text(value))
+def _block(opening, items, newline, closing):
+    """The texts ``items`` one to a line, indented under ``newline``,
+    between the brackets, as ``json.dumps`` writes a container's
+    entries."""
+    if not items:
+        return opening + closing
+    inner = newline + "  "
+    return opening + inner + ("," + inner).join(items) + newline + closing
 
 
 def json_text(payload):
@@ -248,17 +220,91 @@ def json_text(payload):
     payload of dicts with string keys, lists, tuples, strings, ints,
     floats (NumPy's included), bools and None, written without the
     pure-Python encoder ``json.dumps`` falls back to under ``indent``."""
-    out = []
-    _write_json(payload, "\n", out)
-    return "".join(out)
+    return _nested_text(payload, "\n")
+
+
+def _nested_text(value, newline):
+    """``json_text`` of ``value`` nested at ``newline``, a newline and the
+    indent of the enclosing entry."""
+    if isinstance(value, dict):
+        inner = newline + "  "
+        return _block("{", [_encode_str(key) + ": "
+                            + _nested_text(value[key], inner)
+                            for key in sorted(value)], newline, "}")
+    if isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        return _block("[", [_nested_text(item, inner) for item in value],
+                      newline, "]")
+    return _scalar_text(value)
+
+
+def _template(keys, newline):
+    """The text of a dict with ``keys`` nested at ``newline``, a ``%s``
+    slot for each value, in the order of ``keys``."""
+    inner = newline + "  "
+    return ("{" + ",".join(f"{inner}{_encode_str(key)}: %s" for key in keys)
+            + newline + "}")
+
+
+# the indents of a record, its entries and its hypotheses' entries in the
+# payload's ``records`` list, and the templates of a record and of a
+# hypothesis over their keys in ``identities``
+_RECORD_NL = "\n    "
+_ENTRY_NL = _RECORD_NL + "  "
+_RECORD_TEMPLATE = _template(sorted(RECORD_SCHEMA), _RECORD_NL)
+_HYPOTHESIS_TEMPLATE = _template(sorted(HYPOTHESIS_SCHEMA), _ENTRY_NL + "  ")
+
+
+def _floats_text(values):
+    return _block("[", list(map(_float_text, values)), _ENTRY_NL, "]")
+
+
+def _hypotheses_text(hypotheses):
+    return _block("[", [_HYPOTHESIS_TEMPLATE % tuple(
+        [write(hyp[key]) for key, write in _HYPOTHESIS_FIELDS])
+        for hyp in hypotheses], _ENTRY_NL, "]")
+
+
+def _terms_text(terms):
+    return _block("{", [_encode_str(key) + ": " + _float_text(terms[key])
+                        for key in sorted(terms)], _ENTRY_NL, "}")
+
+
+# the writer of a record's value by its type in the schema
+_FIELD_TEXT = {float: _float_text, str: _encode_str, bool: _scalar_text,
+               list[float]: _floats_text, list[dict]: _hypotheses_text,
+               dict[str, float]: _terms_text}
+
+
+def _fields(schema):
+    """(key, writer) for each key of ``schema``, in the order of the
+    template's slots."""
+    return tuple((key, _FIELD_TEXT[schema[key]]) for key in sorted(schema))
+
+
+_RECORD_FIELDS = _fields(RECORD_SCHEMA)
+_HYPOTHESIS_FIELDS = _fields(HYPOTHESIS_SCHEMA)
+
+
+def _record_text(rec):
+    """The text of an entry of the payload's ``records`` list, as
+    ``json_text`` writes it, from the record template; raises KeyError or
+    TypeError for a dict not laid out or typed as ``identities.record``
+    builds it."""
+    return _RECORD_TEMPLATE % tuple(
+        [write(rec[key]) for key, write in _RECORD_FIELDS])
 
 
 def to_json(report):
-    """Canonical JSON: sorted keys, no wall time, deterministic bytes."""
-    payload = {"job": report.job, "records": report.records,
-               "counts": report.counts,
-               "flagged_fails": report.flagged_fails, "meta": report.meta}
-    return json_text(payload)
+    """Canonical JSON: sorted keys, no wall time, deterministic bytes.
+    ``records`` sorts last, so its list closes the text of the rest."""
+    head = json_text({"job": report.job, "counts": report.counts,
+                      "flagged_fails": report.flagged_fails,
+                      "meta": report.meta})
+    return (head[:-2] + ',\n  "records": '
+            + _block("[", list(map(_record_text, report.records)), "\n  ",
+                     "]")
+            + "\n}")
 
 
 _VERDICT_TAG = {"pass": "PASS", "fail": "FAIL",

@@ -181,7 +181,7 @@ def fiber_soliton_report(setup, xi, points, contexts, mu=0.0, tol=1e-6):
         hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_umbilical(),
                          ctx.hyp_horizontal_tg()])
         k = ctx.m - ctx.n
-        vframe = np.array(ctx.vframe)
+        vframe = ctx.vframe
         # xi_v = P_v xi with d_l xi_v = d_l P_v xi + P_v d_l xi
         xi_vals, dxi, _ = ctx.vector_field(xi)
         pv, dpv, _ = ctx.partials.pv

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -36,19 +36,21 @@ class DilationResult:
 
 @dataclass(frozen=True)
 class FloatCore:
-    """Float values of a submersion at one point (see
-    ``SubmersionSetup.float_cores``)."""
+    """Float values of a submersion over a stack of points, each with a
+    leading point axis (see ``SubmersionSetup.float_cores``)."""
 
-    g: np.ndarray          # total metric
-    ginv: np.ndarray       # its inverse
-    jac: np.ndarray        # Jacobian of F
-    vframe: list           # orthonormal vertical frame, m - n vectors
-    hframe: list           # orthonormal horizontal frame, n vectors
-    pv: np.ndarray         # vertical projector
-    ph: np.ndarray         # horizontal projector
-    lam_sq: float          # squared dilation
-    base_point: Point      # F(p)
-    h_base: np.ndarray     # base metric at F(p)
+    g: np.ndarray           # total metric
+    ginv: np.ndarray        # its inverse
+    jac: np.ndarray         # Jacobian of F
+    frame: np.ndarray       # orthonormal frame: m - n vertical rows, then
+                            # n horizontal ones
+    pv: np.ndarray          # vertical projector
+    ph: np.ndarray          # horizontal projector
+    lam_sq: np.ndarray      # squared dilation
+    base_coords: np.ndarray  # coordinates of F(p)
+    h_base: np.ndarray      # base metric at F(p)
+    push: np.ndarray        # F_* X_a, one row per horizontal frame vector
+    anisotropy: np.ndarray  # sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab|
 
 
 @dataclass(frozen=True)
@@ -116,19 +118,17 @@ class SubmersionSetup:
 
     # -- numeric values at a point ---------------------------------------
 
-    def float_core(self, p):
-        """The ``FloatCore`` at p."""
-        return self.float_cores([p])[0]
-
     def float_cores(self, points):
         """The frames, projectors and dilation at every point as floats,
-        in one pass over a leading point axis: the total metric, the map
-        with its Jacobian (one seeding) and the base metric at F(p) are
-        each evaluated once for all points, and the linear algebra runs
-        stacked: K = J g^{-1} J^T, the lift g^{-1} J^T K^{-1}, P_h = lift J,
-        P_v = I - P_h and lambda^2 = tr(h K^T) / n; the vertical frame is
-        the reduced-row-echelon kernel basis of the Jacobian,
-        orthonormalized.
+        one ``FloatCore`` over a leading point axis, from one pass: the
+        total metric, the map with its Jacobian (one seeding) and the base
+        metric at F(p) are each evaluated once for all points, and the
+        linear algebra runs stacked: K = J g^{-1} J^T, the lift
+        g^{-1} J^T K^{-1}, P_h = lift J, P_v = I - P_h,
+        lambda^2 = tr(h K^T) / n, the pushed horizontal frame F_* X_a and
+        the conformal anisotropy sup |h(F_* X_a, F_* X_b) - lambda^2
+        delta_ab| over it; the vertical frame is the reduced-row-echelon
+        kernel basis of the Jacobian, orthonormalized.
 
         Raises where a point is outside either chart's domain, either
         metric is not positive definite there, or the map is rank
@@ -137,12 +137,13 @@ class SubmersionSetup:
         failing point, as that point alone raises it."""
         points = list(points)
         with np.errstate(all="ignore"):
-            if len(points) > 1:
-                try:
-                    return self._float_cores(points)
-                except (ArithmeticError, ValueError):
-                    pass
-            return [self._float_cores([p])[0] for p in points]
+            try:
+                return self._float_cores(points)
+            except (ArithmeticError, ValueError):
+                if len(points) == 1:
+                    raise
+            cores = [astuple(self._float_cores([p])) for p in points]
+        return FloatCore(*map(np.concatenate, zip(*cores)))
 
     def _float_cores(self, points):
         """``float_cores`` without the rerun; one point is evaluated from
@@ -166,22 +167,25 @@ class SubmersionSetup:
                 f"map is rank deficient at {where}") from None
         lift = ginv @ (jt @ k_inv)  # m x n at each point
         ph = lift @ jac
-        base_points = [Point(tuple(row)) for row in fvals]
+        if not np.isfinite(fvals).all():
+            raise ValueError("point coordinates must be finite")
         h_base = geo.metric_matrices(
-            self.base, geo.batch_coordinates([q.coords for q in base_points]),
-            count)
+            self.base, geo.batch_coordinates(fvals.tolist()), count)
         lam_sq = np.einsum("pab,pab->p", h_base, k) / n
         if count > 1 and not all(np.isfinite(a).all()
                                  for a in (g, jac, h_base, lam_sq)):
             raise EvaluationError("non-finite value in the float core")
         vframe = geo.orthonormal_frames(g, vbasis)
         hframe = geo.orthonormal_frames(g, lift.transpose(0, 2, 1))
-        pv = np.eye(m) - ph
-        return [FloatCore(g=g[i], ginv=ginv[i], jac=jac[i],
-                          vframe=list(vframe[i]), hframe=list(hframe[i]),
-                          pv=pv[i], ph=ph[i], lam_sq=float(lam_sq[i]),
-                          base_point=base_points[i], h_base=h_base[i])
-                for i in range(count)]
+        push = hframe @ jt  # F_* X_a, one row per horizontal frame vector
+        gram = push @ h_base @ push.transpose(0, 2, 1)
+        aniso = np.abs(gram - lam_sq[:, None, None] * np.eye(n))
+        return FloatCore(g=g, ginv=ginv, jac=jac,
+                         frame=np.concatenate((vframe, hframe), axis=1),
+                         pv=np.eye(m) - ph, ph=ph, lam_sq=lam_sq,
+                         base_coords=fvals, h_base=h_base, push=push,
+                         anisotropy=aniso.max(axis=(1, 2)))
+
 
 class CorePartials:
     """The submersion's core matrices at one point with their first and
@@ -294,23 +298,10 @@ def mean_curvature_from(t, w, fiber_dim):
     return np.einsum("kab,ab->k", t, w) / fiber_dim
 
 
-def conformal_anisotropy(jac, h, hframe, lam_sq):
-    """sup |h(F_* X_i, F_* X_j) - lam^2 delta_ij| over an orthonormal
-    horizontal frame: 0 exactly when F is horizontally conformal."""
-    aniso = 0.0
-    for i, xi in enumerate(hframe):
-        for j, xj in enumerate(hframe):
-            push = float((jac @ xi) @ h @ (jac @ xj))
-            expect = lam_sq if i == j else 0.0
-            aniso = max(aniso, abs(push - expect))
-    return aniso
-
-
 def dilation(setup, p):
-    core = setup.float_core(p)
-    aniso = conformal_anisotropy(core.jac, core.h_base, core.hframe,
-                                 core.lam_sq)
-    return DilationResult(lambda_sq=core.lam_sq, anisotropy=aniso)
+    core = setup.float_cores([p])
+    return DilationResult(lambda_sq=float(core.lam_sq[0]),
+                          anisotropy=float(core.anisotropy[0]))
 
 
 def tension_field(setup, h_vec, hgrad_f, jac, lam_sq):

@@ -31,8 +31,9 @@ def make_setup(total, base, map_texts):
 def contexts(setup, points):
     """The points' IdentityContexts over one batch of float cores, as
     ``report.run_job`` builds them."""
-    return [IdentityContext(setup, p, core=core)
-            for p, core in zip(points, setup.float_cores(points))]
+    cores = setup.float_cores(points)
+    return [IdentityContext(setup, p, cores=cores, index=i)
+            for i, p in enumerate(points)]
 
 
 def oneill(tensor, u, v):

@@ -81,6 +81,34 @@ def test_verify_json_byte_deterministic(small_manifest, capsys):
         assert rec["verdict"] in ("pass", "fail", "hypothesis-not-met")
 
 
+OVERFLOW = """
+total.dim    = 2
+total.coords = x1 x2
+total.metric = 1, 0 ; 0, 1
+base.dim     = 1
+base.coords  = y1
+base.metric  = 1
+map.components = {map}
+checks = G2.12
+points.list = {points}
+"""
+
+
+@pytest.mark.parametrize("map_text,points,message", [
+    ("exp(1000*x1)", "(0.1, 0.2) ; (1, 0.5)",
+     "non-finite value in exp in 'exp(1000 * x1)'"),
+    ("x1^400", "(1, 0.5) ; (10, 0.5)",
+     "non-finite value in power in 'x1^400'")], ids=["exp", "power"])
+def test_overflow_is_an_evaluation_error(tmp_path, capsys, map_text, points,
+                                         message):
+    # a float overflow at the second point is reported as one line and
+    # exit 2, not as a traceback
+    path = tmp_path / "overflow.cfsm"
+    path.write_text(OVERFLOW.format(map=map_text, points=points))
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_manifest_is_usage_error(capsys):
     assert main(["verify", "/no/such/file.cfsm"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err

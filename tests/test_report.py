@@ -8,15 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from confsub import catalog, report
+from confsub import catalog, identities, report
 from confsub import geometry as geo
 from confsub import submersion as sub
 from confsub.cli import EXIT_USAGE, main
 from confsub.geometry import ChartManifold
-from confsub.identities import IdentityContext, worst_of
+from confsub.identities import (ALL_CHECK_IDS, Hypothesis,
+                                IdentityContext, record, worst_of)
 from confsub.jets import EvaluationError, JetSpace
 from confsub.manifest import (KNOWN_CHECKS, SOLITON_CHECKS,
                               parse_manifest)
@@ -316,6 +317,10 @@ def test_every_record_has_one_schema():
     types = {"kind": str, "id": str, "label": str, "lhs": float,
              "rhs": float, "abs_residual": float, "rel_residual": float,
              "verdict": str, "convention_sensitive": bool, "note": str}
+    # the writer's templates have a slot for each key of the schema, and
+    # a writer for the type of its value
+    assert set(identities.RECORD_SCHEMA) == RECORD_KEYS
+    assert {key: identities.RECORD_SCHEMA[key] for key in types} == types
     for rec in records + skipped:
         assert set(rec) == RECORD_KEYS, rec["id"]
         for key, kind in types.items():
@@ -327,6 +332,7 @@ def test_every_record_has_one_schema():
                    for k, v in rec["terms"].items()), rec["id"]
         assert type(rec["hypotheses"]) is list
         for hyp in rec["hypotheses"]:
+            assert set(hyp) == set(identities.HYPOTHESIS_SCHEMA)
             assert [type(hyp[k]) for k in ("name", "satisfied",
                                            "violation")] == [str, bool,
                                                              float]
@@ -412,7 +418,7 @@ points.list = {points}
      geo.DegenerateMetricError,
      "metric is not positive definite at (1.0, 0.5)"),
     ("1, 0 ; 0, exp(x2)", "x1", "G2.12", "(1, 2) ; (1, 800) ; (1, 0.5)",
-     OverflowError, "math range error"),
+     EvaluationError, "non-finite value in exp in 'exp(x2)'"),
     ("1, 0 ; 0, 1/x2", "x1", "G2.12", "(1, 2) ; (1, 0) ; (1, -0.5)",
      EvaluationError, "division by zero in '1 / x2'"),
     # Gamma fails at the first point, the metric at the second: the first
@@ -477,15 +483,104 @@ def _oracle(payload):
 
 @pytest.mark.parametrize("name", catalog.EXAMPLE_IDS
                          + ("curved-all", "flat-sweep", "fiber-2d"))
-def test_verify_json_equals_json_dumps(monkeypatch, name):
+def test_verify_json_equals_json_dumps(name):
     if name in catalog.EXAMPLE_IDS:
         job = catalog.load_job(name)
     else:
         job = parse_manifest(_workloads().manifest_text(name, 1))
-    payloads = _capture_payloads(monkeypatch)
-    text = report.to_json(report.run_job(job))
-    assert len(payloads) == 1
-    assert text == _oracle(payloads[0])
+    rep = report.run_job(job)
+    assert report.to_json(rep) == _oracle({
+        "job": rep.job, "records": rep.records, "counts": rep.counts,
+        "flagged_fails": rep.flagged_fails, "meta": rep.meta})
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                1e300, -1e300])
+_PLAIN_FLOATS = st.floats() | _EDGE_FLOATS
+_FLOATS = _PLAIN_FLOATS | st.floats().map(np.float64)
+_TEXTS = st.text() | st.sampled_from(["", "\u00e9\u03bb^2 \u2207_U",
+                                      '"quoted"\\ \n\t\x00\x1f',
+                                      "\u2028\ud83d\ude00"])
+_HYPOTHESES = st.lists(st.builds(Hypothesis, _TEXTS, st.booleans(), _FLOATS),
+                       max_size=3)
+_RECORDS = st.builds(
+    record, st.sampled_from(ALL_CHECK_IDS + SOLITON_CHECKS) | _TEXTS,
+    st.lists(_FLOATS, max_size=4), _FLOATS, _FLOATS, _HYPOTHESES, _FLOATS,
+    terms=st.dictionaries(_TEXTS, _FLOATS, max_size=4), label=_TEXTS,
+    note=_TEXTS, residual=st.none() | _FLOATS,
+    scale=st.none() | _PLAIN_FLOATS.filter(lambda x: x != 0),
+    absolute=st.booleans())
+
+
+@given(st.lists(_RECORDS, max_size=3))
+@example([record("G2.12", (), math.nan, -0.0, [], 1e-6)])
+@example([record("R3.13", (-0.0, 5e-324, 1e300), np.float64(math.inf),
+                 -math.inf, [Hypothesis("\u00e9\"\\", True, np.float64(0.5))],
+                 0.0, terms={"\u03bb^2 \u2028": 1e300, "\x00": -0.0},
+                 label="X\u2081 \t", note="\ud83d\ude00")])
+def test_records_json_equals_json_dumps(records):
+    # every record identities.record can build is written from the
+    # record template, as json.dumps writes it
+    rep = report.Report(job={"n_points": 1}, records=records,
+                        counts=report.count_verdicts(records),
+                        meta={"seed": None})
+    assert report.to_json(rep) == _oracle({
+        "job": rep.job, "records": records, "counts": rep.counts,
+        "flagged_fails": 0, "meta": rep.meta})
+
+
+@pytest.mark.parametrize("change", [
+    lambda rec: rec.pop("note"), lambda rec: rec.update(label=None),
+    lambda rec: rec.update(lhs=2), lambda rec: rec.update(point=[[1.0]]),
+    lambda rec: rec["hypotheses"][0].pop("violation"),
+    lambda rec: rec["terms"].update(nested={"a": 1.0})])
+def test_a_record_laid_out_otherwise_raises(change):
+    # the writer knows only the record identities.record builds: a record
+    # that drifts from it fails loudly instead of being written otherwise
+    rec = record("L2.1", (1.0, 2.0), 1.0, 0.5, [Hypothesis("h", True, 0.0)],
+                 1e-6, terms={"t": 0.25})
+    change(rec)
+    rep = report.Report(job={}, records=[rec], counts={}, meta={})
+    with pytest.raises((KeyError, TypeError)):
+        report.to_json(rep)
+
+
+def _close(got, ref):
+    return abs(got - ref) <= 1e-12 * (1.0 + abs(ref)) or (
+        math.isnan(got) and math.isnan(ref))
+
+
+@pytest.mark.parametrize("name", ["curved-all", "fiber-2d", "flat-sweep"])
+def test_stacked_run_matches_runs_of_each_point_alone(name):
+    # every context of a run reads its own point's slices of the stacked
+    # core: the identity records of a run over 8 points are those of 8
+    # runs over one point each (the soliton records summarize all of a
+    # run's points, so they are not per point)
+    job = parse_manifest(_workloads().manifest_text(name, 1, points=8))
+    points = list(job.points)
+    assert len(points) == 8
+    stacked = report.run_job(job).records
+    alone = []
+    for p in points:
+        job.points = [p]
+        alone += report.run_job(job).records
+    stacked, alone = ([r for r in recs if r["kind"] == "identity"]
+                      for recs in (stacked, alone))
+    assert stacked and len(stacked) == len(alone)
+    assert len({tuple(r["point"]) for r in stacked}) == 8
+    for got, ref in zip(stacked, alone):
+        for key in ("id", "label", "point", "verdict", "note",
+                    "convention_sensitive"):
+            assert got[key] == ref[key], (got["id"], key)
+        for key in ("lhs", "rhs", "abs_residual", "rel_residual"):
+            assert _close(got[key], ref[key]), (got["id"], key)
+        assert got["terms"].keys() == ref["terms"].keys()
+        assert all(_close(got["terms"][k], v)
+                   for k, v in ref["terms"].items()), got["id"]
+        assert [(h["name"], h["satisfied"]) for h in got["hypotheses"]] == [
+            (h["name"], h["satisfied"]) for h in ref["hypotheses"]]
+        assert all(_close(g["violation"], r["violation"]) for g, r in zip(
+            got["hypotheses"], ref["hypotheses"])), got["id"]
 
 
 def test_example_json_equals_json_dumps(monkeypatch, example_reports):

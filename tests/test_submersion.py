@@ -16,6 +16,7 @@ from confsub.jets import JetSpace, primal, primal_array
 from confsub.linalg import mat_inverse
 from conftest import (conformal_corpus, contexts, flat_chart, make_setup,
                       oneill, riemannian_corpus, sample, warped_4to2)
+import identity_loops as loops
 import jet_reference as jr
 
 
@@ -42,8 +43,8 @@ def test_projectors_idempotent_orthogonal(riemannian_setups,
             points = box_or_points
         else:
             points = sample(box_or_points, 3, seed=11)
-        for core in setup.float_cores(points[:3]):
-            pv, ph = core.pv, core.ph
+        cores = setup.float_cores(points[:3])
+        for pv, ph in zip(cores.pv, cores.ph):
             assert np.max(np.abs(ph @ ph - ph)) <= 1e-10, name
             assert np.max(np.abs(pv @ pv - pv)) <= 1e-10, name
             assert np.max(np.abs(ph + pv - np.eye(setup.m))) <= 1e-12, name
@@ -52,8 +53,8 @@ def test_projectors_idempotent_orthogonal(riemannian_setups,
 
 def test_projectors_g_symmetric(ex53):
     # g(P_H X, Y) = g(X, P_H Y)
-    core = ex53.float_core(Point((0.3, 1.6, 2.0)))
-    g, ph = core.g, core.ph
+    ctx = IdentityContext(ex53, Point((0.3, 1.6, 2.0)))
+    g, ph = ctx.g, ctx.ph
     assert np.max(np.abs(g @ ph - (g @ ph).T)) <= 1e-12
 
 
@@ -518,9 +519,10 @@ FLOAT_CORE_CASES = conformal_corpus() + [
 @pytest.mark.parametrize("name,setup,points", FLOAT_CORE_CASES,
                          ids=[case[0] for case in FLOAT_CORE_CASES])
 def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
-    # the batch seeds the Jacobian once for every point; each core, and the
-    # core of the point alone, matches the generic layer, frames compared
-    # as vectors so their signs and order count
+    # the batch seeds the Jacobian once for every point; each point's
+    # slices, read by its context, and those of the point alone match the
+    # generic layer, frames compared as vectors so their signs and order
+    # count; the stacked anisotropy matches the loop over frame pairs
     counts = Counter()
     real_seed = JetSpace.seed
 
@@ -531,8 +533,8 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
     monkeypatch.setattr(JetSpace, "seed", counting_seed)
     cores = setup.float_cores(points)
     assert counts["seed"] == 1
-    assert len(cores) == len(points)
-    for p, core in zip(points, cores):
+    assert len(cores.g) == len(points)
+    for i, p in enumerate(points):
         xs = list(p.coords)
         g = jr.metric_matrix(setup.total, p)
         jac = setup.jacobian(p)
@@ -546,12 +548,34 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
                "h_base": jr.metric_matrix(setup.base, base_point),
                "vframe": _gram_schmidt(g, _rref_kernel(jac)),
                "hframe": _gram_schmidt(g, lift.T)}
-        for got in (core, setup.float_core(p)):
+        for got in (IdentityContext(setup, p, cores=cores, index=i),
+                    IdentityContext(setup, p)):
             for key, value in ref.items():
                 field = getattr(got, key)
                 if key == "base_point":
                     field = field.coords
                 _assert_close(field, value, (name, p.coords, key))
+            _assert_close(got.hyp_conformal().violation,
+                          loops.Loops(got).hyp_conformal().violation,
+                          (name, p.coords, "anisotropy"))
+
+
+def test_float_cores_rerun_stacks_the_points_alone(monkeypatch, ex53):
+    # a batch that fails while every point alone evaluates gives the stack
+    # of the one-point cores
+    points = catalog.load_job("5.3").points[:4]
+    batch = ex53.float_cores(points)
+    real = sub.SubmersionSetup._float_cores
+
+    def batch_fails(self, pts):
+        if len(pts) > 1:
+            raise ValueError("non-finite value in the float core")
+        return real(self, pts)
+
+    monkeypatch.setattr(sub.SubmersionSetup, "_float_cores", batch_fails)
+    rerun = ex53.float_cores(points)
+    for key, value in vars(batch).items():
+        _assert_close(getattr(rerun, key), value, key)
 
 
 # ---------------------------------------------------------------------
