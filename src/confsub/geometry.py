@@ -210,15 +210,17 @@ def christoffel_partials_at(chart, xs):
 
 def christoffels_from_metric(g, dg, ddg):
     """(Gamma, dGamma) from the float metric with its partials,
-    dg[l] = d_l g and ddg[l, j] = d_l d_j g: Gamma = g^{-1} C / 2 with
+    dg[l] = d_l g and ddg[l, j] = d_l d_j g, at one point or over a
+    leading point axis: Gamma = g^{-1} C / 2 with
     C_lij = d_i g_jl + d_j g_il - d_l g_ij, and differentiating
     g Gamma = C / 2 gives d_p Gamma = g^{-1} (d_p C / 2 - d_p g Gamma)."""
     ginv = np.linalg.inv(g)
-    c = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-    dc = np.einsum("pijl->plij", ddg) + np.einsum("pjil->plij", ddg) - ddg
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, c)
-    dgamma = np.einsum("kl,plij->pkij", ginv,
-                       0.5 * dc - np.einsum("plq,qij->plij", dg, gamma))
+    c = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+    dc = (np.einsum("...pijl->...plij", ddg)
+          + np.einsum("...pjil->...plij", ddg) - ddg)
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, c)
+    dgamma = np.einsum("...kl,...plij->...pkij", ginv, 0.5 * dc - np.einsum(
+        "...plq,...qij->...plij", dg, gamma))
     return gamma, dgamma
 
 
@@ -230,11 +232,12 @@ def curvature_tensor_at(chart, xs):
 
 def riemann_from_christoffels(gamma, dgamma):
     """Riem from float (Gamma, dGamma) as ``christoffel_partials_at``
-    returns them, indexed as in ``curvature_tensor_at``:
+    returns them, at one point or over a leading point axis, indexed as
+    in ``curvature_tensor_at``:
     R^l_kij = d_i Gamma^l_jk + Gamma^l_it Gamma^t_jk - (i <-> j)."""
-    half = (np.einsum("iljk->lkij", dgamma)
-            + np.einsum("lit,tjk->lkij", gamma, gamma))
-    return half - half.transpose(0, 1, 3, 2)
+    half = (np.einsum("...iljk->...lkij", dgamma)
+            + np.einsum("...lit,...tjk->...lkij", gamma, gamma))
+    return half - half.swapaxes(-1, -2)
 
 
 def ricci_matrix_at(chart, xs):
@@ -295,6 +298,8 @@ def batch_coordinates(rows):
 def stack_points(values, count):
     """(count, *shape) float array of a nested list whose entries are
     float arrays over a point axis or floats shared by every point."""
+    if count == 1:
+        return np.array(values, dtype=float)[None]
     shape, flat = [count], [values]
     while isinstance(flat[0], (list, tuple)):
         shape.append(len(flat[0]))
@@ -310,13 +315,15 @@ def metric_matrices(chart, xs, count):
     evaluation: ``xs`` holds one float array over the points per
     coordinate, or the coordinates of the one point as floats.  Returns a
     (count, dim, dim) array; raises outside the chart's domain and where
-    the metric is not positive definite, naming the point when there is
-    one."""
+    the metric is not finite or not positive definite, naming the point
+    when there is one."""
     where = tuple(map(float, xs)) if count == 1 else f"one of {count} points"
     if chart.domain is not None and not np.all(
             eval_expr(chart.domain, chart.env(xs))):
         raise EvaluationError(f"point {where} outside chart domain")
     g = stack_points(chart.metric_at(xs), count)
+    if not np.isfinite(g).all():
+        raise EvaluationError(f"non-finite metric at {where}")
     try:
         np.linalg.cholesky(0.5 * (g + g.transpose(0, 2, 1)))
     except np.linalg.LinAlgError:

@@ -35,9 +35,10 @@ frame).  In terms of the context's arrays:
   base chart (``base_curvature``); over the frame every other ``_e``
   array.
 
-Every partial of the total side comes from the point's
-``submersion.CorePartials`` (three order-2 seedings: g, the Jacobian and
-h o F); Gamma and dGamma come from the metric seeding alone, so Riem and
+Every partial of the total side comes from the run's
+``submersion.CorePartials`` (three order-2 seedings over all the points:
+g, the Jacobian and h o F), each context reading its point's slices;
+Gamma and dGamma come from the metric seeding alone, so Riem and
 Hess f read no projector.  ``submersion.oneill_contraction`` gives T and
 A from (P_v, dP_v, Gamma), H = trace_v(T) / (m - n) with the trace taken
 against W = P_v g^{-1}, H' = -(lambda^2 / 2) P_v grad f, and the
@@ -58,7 +59,7 @@ import numpy as np
 from . import geometry as geo
 from . import submersion as sub
 from .jets import primal_array
-from .linalg import mat_inverse, taylor_mul
+from .linalg import mat_inverse
 
 CURVATURE_CHECKS = ("G2.12", "G2.13", "G2.14", "G2.15", "G2.16")
 LEMMA31_CHECKS = tuple(f"L3.1.{k}"
@@ -262,8 +263,10 @@ class IdentityContext:
     ``ph``, ``lam_sq``, ``h_base`` and ``_base_push`` (F_*X_a), and F(p)
     as ``base_point``, are cached properties like every other array, each
     built on first read from only the arrays it needs, so a check pays
-    only for what it reads, and an ingredient that cannot be evaluated at
-    the point fails only the checks that read it."""
+    only for what it reads, and an ingredient that cannot be evaluated
+    fails only the checks that read it.  The first context to read one
+    of the run's ``partials`` builds it for every point, raising, where
+    one fails, the error of the first failing point."""
 
     def __init__(self, setup, p, hyp_tol=1e-8, cores=None, index=0):
         self.setup = setup
@@ -306,20 +309,19 @@ class IdentityContext:
 
     # -- ingredients built on first read ----------------------------------
 
-    @functools.cached_property
-    def partials(self):
-        """The point's ``sub.CorePartials``: every partial below comes from
-        its three seedings, each made on first read.  Riem, ``gamma`` and
-        Hess f read its Gamma, from the metric seeding alone."""
-        return sub.CorePartials(self.setup, self.xs)
+    def partials(self, name):
+        """The point's slices of entry ``name`` of the run's
+        ``sub.CorePartials`` (``cores.partials``): every partial below comes
+        from its seedings.  Riem, ``gamma`` and Hess f read its Gamma."""
+        return tuple(a[self.index] for a in getattr(self.cores.partials, name))
 
     @functools.cached_property
     def gamma(self):
-        return self.partials.christoffels[0]
+        return self.partials("christoffels")[0]
 
     @functools.cached_property
     def riem(self):
-        return geo.riemann_from_christoffels(*self.partials.christoffels)
+        return geo.riemann_from_christoffels(*self.partials("christoffels"))
 
     @functools.cached_property
     def ric_matrix(self):
@@ -329,7 +331,7 @@ class IdentityContext:
     def grad_f(self):
         """grad f of the dilation function f = 1 / lambda^2."""
         return np.array(geo.raise_index(self.ginv,
-                                        self.partials.inv_lambda_sq[1]))
+                                        self.partials("inv_lambda_sq")[1]))
 
     @functools.cached_property
     def vgrad_f(self):
@@ -342,7 +344,7 @@ class IdentityContext:
     @functools.cached_property
     def hess_f(self):
         return np.array(geo.covariant_hessian(
-            self.gamma, *self.partials.inv_lambda_sq[1:]))
+            self.gamma, *self.partials("inv_lambda_sq")[1:]))
 
     @functools.cached_property
     def grad_f_sq(self):
@@ -366,23 +368,16 @@ class IdentityContext:
 
     @functools.cached_property
     def t_tensor(self):
-        return self.partials.oneill[0]
+        return self.partials("oneill")[0]
 
     @functools.cached_property
     def a_tensor(self):
-        return self.partials.oneill[1]
-
-    @functools.cached_property
-    def _vtrace_form(self):
-        """(W, dW) with W = P_v g^{-1}, which is sum_i U_i U_i^T over an
-        orthonormal vertical frame, and dW[l] = d_l W, by the product
-        rule on the triples of P_v and g^{-1}."""
-        partials = self.partials
-        return taylor_mul(partials.pv, partials.ginv)[:2]
+        return self.partials("oneill")[1]
 
     @functools.cached_property
     def h_vec(self):
-        return sub.mean_curvature_from(self.t_tensor, self._vtrace_form[0],
+        return sub.mean_curvature_from(self.t_tensor,
+                                       self.partials("vtrace_form")[0],
                                        self.m - self.n)
 
     @functools.cached_property
@@ -400,10 +395,10 @@ class IdentityContext:
         so this is (nabla_E T)_U E' = nabla_E (T_U E') - T_{nabla_E U} E'
         - T_U (nabla_E E') for any fields extending U and E'."""
         m, gam = self.m, self.gamma
-        dgam = self.partials.christoffels[1]
-        pv, dpv, d2pv = self.partials.pv
+        dgam = self.partials("christoffels")[1]
+        pv, dpv, d2pv = self.partials("pv")
         ph = self.ph
-        t, a, nv, mix = self.partials.oneill
+        t, a, nv, mix = self.partials("oneill")
         dnv = (d2pv.transpose(0, 2, 1, 3)
                + np.einsum("lkij,jb->lkib", dgam, pv)
                + np.einsum("kij,ljb->lkib", gam, dpv))
@@ -413,10 +408,10 @@ class IdentityContext:
         dm_term = np.einsum("lia,kib->lkab", dpv, mix)
         dt = dm_term + np.einsum("ia,lkib->lkab", pv, dmix)
         da = -dm_term + np.einsum("ia,lkib->lkab", ph, dmix)
-        w, dw = self._vtrace_form
+        w, dw = self.partials("vtrace_form")
         dh = (np.einsum("lkab,ab->lk", dt, w)
               + np.einsum("kab,lab->lk", t, dw)) / (m - self.n)
-        _, df, d2f = self.partials.inv_lambda_sq
+        _, df, d2f = self.partials("inv_lambda_sq")
         dlam_sq = -self.lam_sq ** 2 * df
         dhp = -0.5 * (np.outer(dlam_sq, w @ df)
                       + self.lam_sq * (dw @ df + d2f @ w.T))
@@ -442,7 +437,7 @@ class IdentityContext:
     def basic_fields(self):
         """(X, D, nabla) of ``sub.basic_field_derivatives``: the lifts X_a
         of the base coordinate fields and every nabla_{X_a} X_b."""
-        return sub.basic_field_derivatives(*self.partials.lift[:2],
+        return sub.basic_field_derivatives(*self.partials("lift")[:2],
                                            self.gamma)
 
     def vector_field(self, xi):
@@ -460,12 +455,8 @@ class IdentityContext:
     @functools.cached_property
     def base_curvature(self):
         """(Gamma^N, Riem^N, Ric^N) of the base metric at F(p), indexed
-        like ``gamma``, ``riem`` and ``ric_matrix``, from one seeding of
-        (Gamma^N, dGamma^N)."""
-        gamma, dgamma = geo.christoffel_partials_at(
-            self.setup.base, list(self.base_point.coords))
-        riem = geo.riemann_from_christoffels(gamma, dgamma)
-        return gamma, riem, np.einsum("ikij->jk", riem)
+        like ``gamma``, ``riem`` and ``ric_matrix``."""
+        return self.partials("base_curvature")
 
     @functools.cached_property
     def base_scalar_curvature(self):
@@ -476,7 +467,7 @@ class IdentityContext:
     @functools.cached_property
     def fiber_chart(self):
         """The fiber's slice chart through p, or None."""
-        return sub.fiber_slice_chart(self.setup, self.p)
+        return sub.fiber_slice_chart(self.setup, self.p, self.jac)
 
     @functools.cached_property
     def _fiber_curvature(self):

@@ -55,30 +55,32 @@ def _carries_derivatives(x):
 
 # -- order-2 Taylor arithmetic on float matrices -------------------------
 #
-# A triple (X, dX, ddX) holds a matrix X with its coordinate partials
-# dX[l] = d_l X and ddX[l, j] = d_l d_j X, as float arrays of shapes
-# (r, c), (m, r, c) and (m, m, r, c).
+# A triple (X, dX, ddX) holds matrices X[p] over a leading point axis with
+# their partials dX[p, l] = d_l X[p] and ddX[p, l, j] = d_l d_j X[p], as
+# float arrays of shapes (P, r, c), (P, m, r, c) and (P, m, m, r, c).
 
 def taylor_mul(a, b):
     """The triple of AB: d(AB) = dA B + A dB and
     d_l d_j(AB) = d_l d_j A B + d_l A d_j B + d_j A d_l B + A d_l d_j B."""
     x, dx, ddx = a
     y, dy, ddy = b
-    cross = dx[:, None] @ dy[None]
-    return (x @ y, dx @ y + x @ dy,
-            ddx @ y + cross + cross.swapaxes(0, 1) + x @ ddy)
+    cross = dx[:, :, None] @ dy[:, None]
+    return (x @ y, dx @ y[:, None] + x[:, None] @ dy,
+            ddx @ y[:, None, None] + cross + cross.swapaxes(1, 2)
+            + x[:, None, None] @ ddy)
 
 
 def taylor_inverse(a):
     """The triple of A^{-1}: d_l(A^{-1}) = -A^{-1} d_l A A^{-1} and
     d_l d_j(A^{-1}) = A^{-1}(d_l A A^{-1} d_j A + d_j A A^{-1} d_l A
-    - d_l d_j A) A^{-1}.  Raises ``np.linalg.LinAlgError`` where A is
+    - d_l d_j A) A^{-1}.  Raises ``np.linalg.LinAlgError`` where an A is
     singular."""
     x, dx, ddx = a
     inv = np.linalg.inv(x)
-    u = dx @ inv  # u[l] = d_l A A^{-1}
-    cross = u[:, None] @ u[None]
-    return inv, -(inv @ u), inv @ (cross + cross.swapaxes(0, 1) - ddx @ inv)
+    u = dx @ inv[:, None]  # u[p, l] = d_l A A^{-1}
+    cross = u[:, :, None] @ u[:, None]
+    return inv, -(inv[:, None] @ u), inv[:, None, None] @ (
+        cross + cross.swapaxes(1, 2) - ddx @ inv[:, None, None])
 
 
 def null_space_bases(mats, nullity, tol=1e-10):

@@ -184,7 +184,7 @@ def fiber_soliton_report(setup, xi, points, contexts, mu=0.0, tol=1e-6):
         vframe = ctx.vframe
         # xi_v = P_v xi with d_l xi_v = d_l P_v xi + P_v d_l xi
         xi_vals, dxi, _ = ctx.vector_field(xi)
-        pv, dpv, _ = ctx.partials.pv
+        pv, dpv, _ = ctx.partials("pv")
         lie = geo.lie_derivative_matrix(ctx.g, ctx.gamma, pv @ xi_vals,
                                         dpv @ xi_vals + dxi @ pv.T)
         lform = 0.5 * (vframe @ lie @ vframe.T) + ctx.fiber_ric_e

@@ -1,6 +1,6 @@
 """Structure attached to a map F: (M, g) -> (N, h): the batched float
-core (projectors, frames, dilation), the per-point ``CorePartials`` with
-the fundamental tensors T and A, mean curvature, tension field, the
+core (projectors, frames, dilation), the ``CorePartials`` of its points
+with the fundamental tensors T and A, mean curvature, tension field, the
 fiber slice chart and structural-property detection.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class FloatCore:
     h_base: np.ndarray      # base metric at F(p)
     push: np.ndarray        # F_* X_a, one row per horizontal frame vector
     anisotropy: np.ndarray  # sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab|
+    # the same points' partials, built on first read
+    partials: CorePartials = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -112,10 +114,6 @@ class SubmersionSetup:
     def jacobian_at(self, xs):
         return jacobian_at(self.map_components, self.total.coord_names, xs)
 
-    def jacobian(self, p):
-        jac = self.jacobian_at(p.coords)
-        return np.array([[primal(v) for v in row] for row in jac])
-
     # -- numeric values at a point ---------------------------------------
 
     def float_cores(self, points):
@@ -131,34 +129,44 @@ class SubmersionSetup:
         kernel basis of the Jacobian, orthonormalized.
 
         Raises where a point is outside either chart's domain, either
-        metric is not positive definite there, or the map is rank
-        deficient.  A batch in which any point fails is evaluated again
-        one point at a time, so the error raised is that of the first
-        failing point, as that point alone raises it."""
+        metric is not positive definite there, the map is rank deficient,
+        or g, J, h, K or lambda^2 is not finite.  A batch in which any
+        point fails is evaluated again one point at a time, so the error
+        raised is that of the first failing point, as that point alone
+        raises it."""
         points = list(points)
         with np.errstate(all="ignore"):
             try:
-                return self._float_cores(points)
+                arrays = self._float_cores(points)
             except (ArithmeticError, ValueError):
                 if len(points) == 1:
                     raise
-            cores = [astuple(self._float_cores([p])) for p in points]
-        return FloatCore(*map(np.concatenate, zip(*cores)))
+                cores = [self._float_cores([p]) for p in points]
+                arrays = {key: np.concatenate([c[key] for c in cores])
+                          for key in cores[0]}
+        return FloatCore(**arrays, partials=CorePartials(
+            self, points, arrays["base_coords"]))
 
     def _float_cores(self, points):
-        """``float_cores`` without the rerun; one point is evaluated from
-        its float coordinates, so it raises what the scalar functions
-        raise there."""
+        """The arrays of ``float_cores`` by field name, without the rerun;
+        one point is evaluated from its float coordinates, so it raises
+        what the scalar functions raise there."""
         count, m, n = len(points), self.m, self.n
+        where = points[0].coords if count == 1 else f"one of {count} points"
+
+        def finite(name, a):
+            if not np.isfinite(a).all():
+                raise EvaluationError(f"non-finite {name} at {where}")
+            return a
+
         xs = geo.batch_coordinates([p.coords for p in points])
         g = geo.metric_matrices(self.total, xs, count)
         fvals, d = geo.coordinate_partials(self.map_point_at, xs)
         fvals = geo.stack_points(fvals, count)
-        jac = geo.stack_points(d, count).transpose(0, 2, 1)
+        jac = finite("Jacobian", geo.stack_points(d, count).transpose(0, 2, 1))
         ginv = np.linalg.inv(g)
         jt = jac.transpose(0, 2, 1)
-        k = jac @ (ginv @ jt)
-        where = points[0].coords if count == 1 else f"one of {count} points"
+        k = finite("K = J g^-1 J^T", jac @ (ginv @ jt))
         try:
             k_inv = np.linalg.inv(k)
             vbasis = null_space_bases(jac, m - n)
@@ -171,85 +179,116 @@ class SubmersionSetup:
             raise ValueError("point coordinates must be finite")
         h_base = geo.metric_matrices(
             self.base, geo.batch_coordinates(fvals.tolist()), count)
-        lam_sq = np.einsum("pab,pab->p", h_base, k) / n
-        if count > 1 and not all(np.isfinite(a).all()
-                                 for a in (g, jac, h_base, lam_sq)):
-            raise EvaluationError("non-finite value in the float core")
+        lam_sq = finite("lambda^2", np.einsum("pab,pab->p", h_base, k) / n)
         vframe = geo.orthonormal_frames(g, vbasis)
         hframe = geo.orthonormal_frames(g, lift.transpose(0, 2, 1))
         push = hframe @ jt  # F_* X_a, one row per horizontal frame vector
         gram = push @ h_base @ push.transpose(0, 2, 1)
         aniso = np.abs(gram - lam_sq[:, None, None] * np.eye(n))
-        return FloatCore(g=g, ginv=ginv, jac=jac,
-                         frame=np.concatenate((vframe, hframe), axis=1),
-                         pv=np.eye(m) - ph, ph=ph, lam_sq=lam_sq,
-                         base_coords=fvals, h_base=h_base, push=push,
-                         anisotropy=aniso.max(axis=(1, 2)))
+        return dict(g=g, ginv=ginv, jac=jac,
+                    frame=np.concatenate((vframe, hframe), axis=1),
+                    pv=np.eye(m) - ph, ph=ph, lam_sq=lam_sq,
+                    base_coords=fvals, h_base=h_base, push=push,
+                    anisotropy=aniso.max(axis=(1, 2)))
+
+
+def _stacked(method):
+    """A cached property of ``CorePartials`` over all its points at once;
+    where that raises, the points are evaluated again one at a time, as in
+    ``SubmersionSetup.float_cores``, so the first failing point raises."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def stacked(self):
+        with np.errstate(all="ignore"):
+            try:
+                return method(self)
+            except (ArithmeticError, ValueError):
+                if len(self.points) == 1:
+                    raise
+            parts = [getattr(CorePartials(self.setup, self.points[i:i + 1],
+                                          self.base_coords[i:i + 1]), name)
+                     for i in range(len(self.points))]
+        return tuple(np.concatenate(slot) for slot in zip(*parts))
+    return functools.cached_property(stacked)
 
 
 class CorePartials:
-    """The submersion's core matrices at one point with their first and
-    second coordinate partials, as float triples (X, dX, ddX) of
-    ``linalg.taylor_mul`` (dX[l] = d_l X, ddX[l, j] = d_l d_j X), each
-    built on first read.  Three shallow seedings at order 2 are the
-    leaves: the total metric g (``metric``, which also gives Gamma and
-    dGamma), the Jacobian J (through the nested ``jacobian_at``) and
-    h o F.  The rest is the matrix product rule on them:
-    K = J g^{-1} J^T, lift = g^{-1} J^T K^{-1}, P_h = lift J,
-    P_v = I - P_h, lambda^2 = tr(h K^T) / n and f = 1 / lambda^2, the
-    formulas of ``SubmersionSetup.float_cores``."""
+    """The submersion's core matrices at a run's points with their first
+    and second coordinate partials, as float triples (X, dX, ddX) of
+    ``linalg.taylor_mul`` over a leading point axis, each built on first
+    read for every point at once (one point is a stack of one).  Three
+    shallow seedings at order 2 over all the points are the leaves: the
+    total metric g (``metric``, which also gives Gamma and dGamma), the
+    Jacobian J (through the nested ``jacobian_at``) and h o F.  The rest
+    is the matrix product rule on them: K = J g^{-1} J^T,
+    lift = g^{-1} J^T K^{-1}, P_h = lift J, P_v = I - P_h,
+    lambda^2 = tr(h K^T) / n and f = 1 / lambda^2, the formulas of
+    ``SubmersionSetup.float_cores``.  A fourth seeding, of the base
+    metric at F(p), gives the base curvature."""
 
-    def __init__(self, setup, xs):
+    def __init__(self, setup, points, base_coords):
         self.setup = setup
-        self.xs = [float(x) for x in xs]
+        self.points = points
+        self.base_coords = base_coords  # (P, n), F(p)
 
-    def _leaf(self, fn):
-        return tuple(np.array(a, dtype=float) for a in
-                     geo.coordinate_partials(fn, self.xs, order=2))
+    def _leaf(self, fn, rows=None):
+        """(X, dX, ddX) of ``fn`` at the points, or at the coordinate rows
+        ``rows``, from one seeding."""
+        rows = [p.coords for p in self.points] if rows is None else rows
+        return tuple(geo.stack_points(a, len(rows)) for a in
+                     geo.coordinate_partials(fn, geo.batch_coordinates(rows),
+                                             order=2))
 
-    @functools.cached_property
+    @_stacked
     def metric(self):
         return self._leaf(self.setup.total.metric_at)
 
-    @functools.cached_property
+    @_stacked
     def christoffels(self):
-        """(Gamma, dGamma) of the total metric, dGamma[l] = d_l Gamma."""
+        """(Gamma, dGamma) of the total metric, dGamma[p, l] = d_l Gamma."""
         return geo.christoffels_from_metric(*self.metric)
 
-    @functools.cached_property
+    @_stacked
     def jac(self):
         return self._leaf(self.setup.jacobian_at)
 
-    @functools.cached_property
+    @_stacked
     def ginv(self):
         return taylor_inverse(self.metric)
 
-    @functools.cached_property
+    @_stacked
     def k(self):
         """K = J g^{-1} J^T."""
         return taylor_mul(self.jac, taylor_mul(self.ginv, _transposed(self.jac)))
 
-    @functools.cached_property
+    @_stacked
     def lift(self):
         """The lift matrix g^{-1} J^T K^{-1} (m x n): column a is the lift
         of e_a."""
         try:
             k_inv = taylor_inverse(self.k)
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError:  # a stack reruns each point alone
             raise NotASubmersionError(
-                f"map is rank deficient at {tuple(self.xs)}") from None
+                f"map is rank deficient at {self.points[0].coords}") from None
         return taylor_mul(self.ginv, taylor_mul(_transposed(self.jac), k_inv))
 
-    @functools.cached_property
+    @_stacked
     def ph(self):
         return taylor_mul(self.lift, self.jac)
 
-    @functools.cached_property
+    @_stacked
     def pv(self):
         ph = self.ph
         return (np.eye(self.setup.m) - ph[0], -ph[1], -ph[2])
 
-    @functools.cached_property
+    @_stacked
+    def vtrace_form(self):
+        """(W, dW) with W = P_v g^{-1}, which is sum_i U_i U_i^T over an
+        orthonormal vertical frame."""
+        return taylor_mul(self.pv, self.ginv)[:2]
+
+    @_stacked
     def lam_sq(self):
         """lambda^2 = tr(h K^T) / n with h the base metric at F."""
         setup = self.setup
@@ -257,18 +296,30 @@ class CorePartials:
         return tuple(np.trace(x, axis1=-2, axis2=-1) / setup.n
                      for x in taylor_mul(h, _transposed(self.k)))
 
-    @functools.cached_property
+    @_stacked
     def inv_lambda_sq(self):
-        """(f, df, ddf) of f = 1 / lambda^2."""
+        """(f, df, ddf) of f = 1 / lambda^2; lambda^2 is raised to powers
+        as a scalar per point, whose rounding an array power may not keep."""
         s, ds, dds = self.lam_sq
-        return (1.0 / s, -ds / s ** 2,
-                2.0 * np.outer(ds, ds) / s ** 3 - dds / s ** 2)
+        s2 = np.array([x ** 2 for x in s])[:, None]
+        s3 = np.array([x ** 3 for x in s])[:, None, None]
+        return (1.0 / s, -ds / s2,
+                2.0 * (ds[:, :, None] * ds[:, None]) / s3 - dds / s2[:, None])
 
-    @functools.cached_property
+    @_stacked
     def oneill(self):
         """(T, A, N, M) of ``oneill_contraction`` over (P_v, dP_v, Gamma)."""
         pv, dpv, _ = self.pv
         return oneill_contraction(pv, dpv, self.christoffels[0])
+
+    @_stacked
+    def base_curvature(self):
+        """(Gamma^N, Riem^N, Ric^N) of the base metric at F(p), indexed as
+        in ``geometry.riemann_from_christoffels``, from one seeding."""
+        gamma, dgamma = geo.christoffels_from_metric(
+            *self._leaf(self.setup.base.metric_at, self.base_coords))
+        riem = geo.riemann_from_christoffels(gamma, dgamma)
+        return gamma, riem, np.einsum("...ikij->...jk", riem)
 
 
 def _transposed(a):
@@ -279,17 +330,18 @@ def _transposed(a):
 def oneill_contraction(pv, dpv, gamma):
     """(T, A, N, M) over the coordinate basis from P_v[i, b], its partials
     dpv[l, i, b] = d_l (P_v)^i_b and Gamma[k, i, j], as arrays of floats
-    or of jets.  T[k, a, b] is component k of T_{e_a} e_b, likewise A;
+    or of jets, at one point or over a leading point axis.  T[k, a, b] is
+    component k of T_{e_a} e_b, likewise A;
     both are tensors, so the constant extensions of e_a, e_b serve:
     with N^k_ib = (nabla_i (P_v e_b))^k and M = P_h N + P_v (Gamma - N),
     T^k_ab = (P_v)^i_a M^k_ib and A^k_ab = (P_h)^i_a M^k_ib.  N and M
     are returned for callers that differentiate T and A."""
-    ph = np.eye(len(pv), dtype=pv.dtype) - pv
-    nv = dpv.transpose(1, 0, 2) + np.einsum("kij,jb->kib", gamma, pv)
-    mix = (np.einsum("kl,lib->kib", ph, nv)
-           + np.einsum("kl,lib->kib", pv, gamma - nv))
-    return (np.einsum("ia,kib->kab", pv, mix),
-            np.einsum("ia,kib->kab", ph, mix), nv, mix)
+    ph = np.eye(pv.shape[-1], dtype=pv.dtype) - pv
+    nv = dpv.swapaxes(-3, -2) + np.einsum("...kij,...jb->...kib", gamma, pv)
+    mix = (np.einsum("...kl,...lib->...kib", ph, nv)
+           + np.einsum("...kl,...lib->...kib", pv, gamma - nv))
+    return (np.einsum("...ia,...kib->...kab", pv, mix),
+            np.einsum("...ia,...kib->...kab", ph, mix), nv, mix)
 
 
 def mean_curvature_from(t, w, fiber_dim):
@@ -345,26 +397,14 @@ class FiberSliceChart:
         return [p.coords[i] for i in self.vertical_indices]
 
 
-def vertical_coordinate_indices(setup, points, tol=1e-12):
-    """Indices of coordinates spanning the vertical distribution, or None
-    when the kernel is not coordinate-aligned at the sampled points."""
-    m, n = setup.m, setup.n
-    zero_cols = None
-    for p in points:
-        jac = setup.jacobian(p)
-        scale = max(1.0, float(np.max(np.abs(jac))))
-        cols = {i for i in range(m)
-                if float(np.max(np.abs(jac[:, i]))) <= tol * scale}
-        zero_cols = cols if zero_cols is None else (zero_cols & cols)
-    if zero_cols is not None and len(zero_cols) == m - n:
-        return sorted(zero_cols)
-    return None
-
-
-def fiber_slice_chart(setup, p, points_hint=None):
-    pts = points_hint or [p]
-    idx = vertical_coordinate_indices(setup, pts)
-    if idx is None:
+def fiber_slice_chart(setup, p, jac, tol=1e-12):
+    """The slice chart of the fiber through ``p``, on the coordinates
+    whose columns of the Jacobian ``jac`` of F at p (the float core's)
+    vanish, or None when the kernel is not spanned by m - n of them."""
+    scale = max(1.0, float(np.max(np.abs(jac))))
+    idx = [i for i in range(setup.m)
+           if float(np.max(np.abs(jac[:, i]))) <= tol * scale]
+    if len(idx) != setup.m - setup.n:
         return None
     return FiberSliceChart(setup, idx, list(p.coords))
 

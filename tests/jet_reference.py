@@ -229,6 +229,11 @@ def vertical_trace_T_at(setup, xs):
     return list(np.einsum("kab,ab->k", t, np.array(w, dtype=object)))
 
 
+def jacobian(setup, p):
+    """The float Jacobian of F at p, from its own seeding."""
+    return primal_array(setup.jacobian_at(p.coords))
+
+
 def mean_curvature_at(setup, xs):
     """Fiber mean curvature H with the umbilical normalization
     T_U V = g(U, V) H, i.e. H = trace_v(T) / (m - n)."""
@@ -241,7 +246,7 @@ def intrinsic_fiber_scalar_curvature(setup, p):
     own chart; 0 for one-dimensional fibers."""
     if setup.m - setup.n == 1:
         return 0.0
-    chart = fiber_slice_chart(setup, p)
+    chart = fiber_slice_chart(setup, p, jacobian(setup, p))
     if chart is None:
         raise NotASubmersionError(
             "fiber chart unavailable: vertical distribution is not "

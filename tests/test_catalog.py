@@ -79,13 +79,14 @@ def test_unknown_example_rejected():
 
 
 def test_run_example_evaluates_each_ingredient_once(monkeypatch):
-    # each per-point ingredient is computed once, outside the per-row
+    # each ingredient is computed once per run, outside the per-row
     # loops: one identity context per point (Gamma, lambda^2, T, A, H,
-    # Ricci) shared by every row and by the structure flags; the per-field
-    # T/A path is never taken.  A context seeds its CorePartials (the
-    # metric, the Jacobian with its inner seeding, h o F) and the base
-    # curvature: 5 seedings per point, and one for the float cores of all
-    # the points; Ricci reads the metric seeding Gamma came from
+    # Ricci) shared by every row and by the structure flags, each reading
+    # its point's slices of the run's one CorePartials; the per-field T/A
+    # path is never taken.  The run seeds the float cores' Jacobian, the
+    # CorePartials leaves (the metric, the Jacobian with its inner
+    # seeding, h o F) and the base curvature once each, for all its
+    # points: 6 seedings; Ricci reads the metric seeding Gamma came from
     counts = Counter()
 
     def counting(owner, name):
@@ -104,11 +105,12 @@ def test_run_example_evaluates_each_ingredient_once(monkeypatch):
     rep = catalog.run_example("5.3")
     assert rep.counts["fail"] == 0
     assert counts["__init__"] == 12
-    # T and A are contracted once per point, in the point's context
-    assert counts["oneill_contraction"] == 12
-    assert counts["seed"] == 5 * 12 + 1
+    # T and A are contracted once for all the points
+    assert counts["oneill_contraction"] == 1
+    assert counts["seed"] == 6
     counts.clear()
     catalog.run_example("5.1")
     assert counts["__init__"] == 10
     assert counts["ricci_matrix_at"] == 0
-    assert counts["seed"] == 5 * 10 + 1
+    assert counts["oneill_contraction"] == 1
+    assert counts["seed"] == 6

@@ -109,6 +109,32 @@ def test_overflow_is_an_evaluation_error(tmp_path, capsys, map_text, points,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+NON_FINITE_CORE = OVERFLOW.replace("total.metric = 1, 0 ; 0, 1",
+                                   "total.metric = {metric}")
+
+
+@pytest.mark.parametrize("metric,map_text,points,message", [
+    ("1, 0 ; 0, 1", "exp(200*x1)", "(1.9, 0.2)",
+     "non-finite K = J g^-1 J^T at (1.9, 0.2)"),
+    ("1, 0 ; 0, 1 + x2*1e300*1e300", "x1", "(1, 2)",
+     "non-finite metric at (1.0, 2.0)"),
+    ("1, 0 ; 0, 1", "exp(200*x1)", "(-0.03, 0.2) ; (1.9, 0.2)",
+     "non-finite K = J g^-1 J^T at (1.9, 0.2)")],
+    ids=["K", "metric", "good-point-first"])
+def test_non_finite_float_core_names_value_and_point(tmp_path, capsys, metric,
+                                                     map_text, points,
+                                                     message):
+    # a product that overflows to inf raises nothing, so the float core
+    # checks g, J, h, K and lambda^2 at every point count before the
+    # inversions and the frames: one line and exit 2, naming the value
+    # and the point, not a Gram-Schmidt error
+    path = tmp_path / "non_finite.cfsm"
+    path.write_text(NON_FINITE_CORE.format(metric=metric, map=map_text,
+                                           points=points))
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_manifest_is_usage_error(capsys):
     assert main(["verify", "/no/such/file.cfsm"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err

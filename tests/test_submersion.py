@@ -12,8 +12,8 @@ from confsub import geometry as geo
 from confsub import submersion as sub
 from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext
-from confsub.jets import JetSpace, primal, primal_array
-from confsub.linalg import mat_inverse
+from confsub.jets import EvaluationError, JetSpace, primal, primal_array
+from confsub.linalg import mat_inverse, taylor_inverse, taylor_mul
 from conftest import (conformal_corpus, contexts, flat_chart, make_setup,
                       oneill, riemannian_corpus, sample, warped_4to2)
 import identity_loops as loops
@@ -345,7 +345,7 @@ def _per_pair_violations(setup, p):
     g = jr.metric_matrix(setup.total, p)
     h_base = jr.metric_matrix(setup.base, q)
     pv = np.asarray(jr.projectors_at(setup, xs)[0], float)
-    jac = setup.jacobian(p)
+    jac = jr.jacobian(setup, p)
     e = basis(setup.n)
     lifts = [jr.basic_field_fn(setup, VectorFieldSpec.constant(ea))
              for ea in e]
@@ -537,7 +537,7 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
     for i, p in enumerate(points):
         xs = list(p.coords)
         g = jr.metric_matrix(setup.total, p)
-        jac = setup.jacobian(p)
+        jac = jr.jacobian(setup, p)
         pv, ph = (primal_array(a) for a in jr.projectors_at(setup, xs))
         lift = primal_array(jr.core_matrices_at(setup, xs)[4])
         base_point = setup.map_point(p)
@@ -575,7 +575,11 @@ def test_float_cores_rerun_stacks_the_points_alone(monkeypatch, ex53):
     monkeypatch.setattr(sub.SubmersionSetup, "_float_cores", batch_fails)
     rerun = ex53.float_cores(points)
     for key, value in vars(batch).items():
-        _assert_close(getattr(rerun, key), value, key)
+        if key != "partials":
+            _assert_close(getattr(rerun, key), value, key)
+    # the rerun's partials cover the same points
+    for got, ref in zip(rerun.partials.pv, batch.partials.pv):
+        _assert_close(got, ref, "partials.pv")
 
 
 # ---------------------------------------------------------------------
@@ -587,23 +591,27 @@ def _assert_triples_close(got, ref, what):
         _assert_close(g, primal_array(r), (what, order))
 
 
-def _check_core_partials(setup, p):
-    """CorePartials and christoffel_partials_at against the jet layer:
-    P_v and 1/lambda^2 seeded at order 2, the lift matrix at order 1 and
-    Gamma seeded over the nested christoffels_at."""
-    xs = list(p.coords)
-    got = sub.CorePartials(setup, xs)
-    _assert_triples_close(got.pv, geo.coordinate_partials(
-        lambda zs: jr.projectors_at(setup, zs)[0], xs, order=2), (p, "P_v"))
-    _assert_triples_close(got.inv_lambda_sq, geo.coordinate_partials(
-        lambda zs: 1.0 / jr.lambda_sq_at(setup, zs), xs, order=2), (p, "f"))
-    _assert_triples_close(got.lift[:2], geo.coordinate_partials(
-        lambda zs: jr.core_matrices_at(setup, zs)[4], xs), (p, "lift"))
-    gamma = geo.coordinate_partials(
-        lambda zs: geo.christoffels_at(setup.total, zs), xs)
-    _assert_triples_close(got.christoffels, gamma, (p, "Gamma"))
-    _assert_triples_close(geo.christoffel_partials_at(setup.total, xs),
-                          gamma, (p, "christoffel_partials_at"))
+def _check_core_partials(setup, points):
+    """Each point's slices of the run's stacked CorePartials, and
+    christoffel_partials_at, against the jet layer: P_v and 1/lambda^2
+    seeded at order 2, the lift matrix at order 1 and Gamma seeded over
+    the nested christoffels_at."""
+    for p, ctx in zip(points, contexts(setup, points)):
+        xs = list(p.coords)
+        got = ctx.partials
+        _assert_triples_close(got("pv"), geo.coordinate_partials(
+            lambda zs: jr.projectors_at(setup, zs)[0], xs, order=2),
+            (p, "P_v"))
+        _assert_triples_close(got("inv_lambda_sq"), geo.coordinate_partials(
+            lambda zs: 1.0 / jr.lambda_sq_at(setup, zs), xs, order=2),
+            (p, "f"))
+        _assert_triples_close(got("lift")[:2], geo.coordinate_partials(
+            lambda zs: jr.core_matrices_at(setup, zs)[4], xs), (p, "lift"))
+        gamma = geo.coordinate_partials(
+            lambda zs: geo.christoffels_at(setup.total, zs), xs)
+        _assert_triples_close(got("christoffels"), gamma, (p, "Gamma"))
+        _assert_triples_close(geo.christoffel_partials_at(setup.total, xs),
+                              gamma, (p, "christoffel_partials_at"))
 
 
 CORE_PARTIAL_CASES = ONEILL_CASES[:5] + [
@@ -616,8 +624,67 @@ CORE_PARTIAL_CASES = ONEILL_CASES[:5] + [
 @pytest.mark.parametrize("name,setup,points", CORE_PARTIAL_CASES,
                          ids=[case[0] for case in CORE_PARTIAL_CASES])
 def test_core_partials_match_jet_layer(name, setup, points):
-    for p in points:
-        _check_core_partials(setup, p)
+    _check_core_partials(setup, points)
+
+
+STACKED_ENTRIES = ("metric", "christoffels", "jac", "ginv", "k", "lift",
+                   "ph", "pv", "vtrace_form", "lam_sq", "inv_lambda_sq",
+                   "oneill", "base_curvature")
+STACK_CASES = [(eid, catalog.load_job(eid).setup, catalog.default_points(eid))
+               for eid in catalog.EXAMPLE_IDS] + [
+    ("warped-4to2", WARPED_4TO2, sample(_BOX4, 6, seed=27))]
+
+
+@pytest.mark.parametrize("name,setup,points", STACK_CASES,
+                         ids=[case[0] for case in STACK_CASES])
+def test_stacked_core_partials_equal_each_point_alone(name, setup, points):
+    # every entry of the run's CorePartials (Gamma and dGamma, the P_v,
+    # lift, lambda^2 and 1/lambda^2 triples, T, A and the base curvature
+    # among them) is bit for bit that of the point's one-point stack
+    stack = setup.float_cores(points).partials
+    for i, p in enumerate(points):
+        alone = setup.float_cores([p]).partials
+        for entry in STACKED_ENTRIES:
+            got, ref = getattr(stack, entry), getattr(alone, entry)
+            assert len(got) == len(ref)
+            for slot, (x, y) in enumerate(zip(got, ref)):
+                assert x.shape[0] == len(points) and y.shape[0] == 1
+                assert np.array_equal(x[i], y[0]), (name, p.coords, entry,
+                                                    slot)
+
+
+def test_taylor_arithmetic_over_a_stack_equals_each_point_alone():
+    rng = np.random.default_rng(11)
+
+    def triple(points, rows, cols, dirs=3):
+        return (rng.normal(size=(points, rows, cols)),
+                rng.normal(size=(points, dirs, rows, cols)),
+                rng.normal(size=(points, dirs, dirs, rows, cols)))
+
+    a, b = triple(5, 2, 3), triple(5, 3, 4)
+    square = triple(5, 3, 3)
+    square = (square[0] + 3.0 * np.eye(3),) + square[1:]
+    for fn, args in ((taylor_mul, (a, b)), (taylor_inverse, (square,))):
+        stacked = fn(*args)
+        for i in range(5):
+            alone = fn(*(tuple(x[i:i + 1] for x in arg) for arg in args))
+            for x, y in zip(stacked, alone):
+                assert np.array_equal(x[i:i + 1], y), (fn.__name__, i)
+
+
+def test_stacked_partials_rerun_raises_the_first_failing_point(ex53):
+    # a stacked entry that raises is evaluated again one point at a time,
+    # so the error is that of the first failing point, as it alone raises
+    points = catalog.load_job("5.3").points[:3]
+    base_coords = ex53.float_cores(points).base_coords
+    # x3^-2 has no value on x3 = 0
+    points[1:] = [Point(p.coords[:2] + (0.0,)) for p in points[1:]]
+    with pytest.raises(EvaluationError) as exc:
+        sub.CorePartials(ex53, points, base_coords).christoffels
+    with pytest.raises(EvaluationError) as ref:
+        sub.CorePartials(ex53, points[1:2], base_coords[1:2]).christoffels
+    assert str(exc.value) == str(ref.value)
+    assert "zero raised to a negative power" in str(exc.value)
 
 
 _COEF = st.floats(-0.5, 0.5)
@@ -642,4 +709,4 @@ def test_core_partials_match_jet_layer_on_generated_metrics(a, c, e, x):
         ["y1", "y2"], [[f"exp({f(e[0])}*y1)", "0"], ["0", "1 + y2^2"]])
     setup = make_setup(total, base, [f"x1 + {f(e[1])}*x3^2",
                                      f"x2 + {f(e[2])}*x1*x3"])
-    _check_core_partials(setup, Point(x))
+    _check_core_partials(setup, [Point(x)])
