@@ -200,12 +200,13 @@ def _stacked(method):
 
     @functools.wraps(method)
     def stacked(self):
+        if len(self.points) == 1:
+            return method(self)
         with np.errstate(all="ignore"):
             try:
                 return method(self)
             except (ArithmeticError, ValueError):
-                if len(self.points) == 1:
-                    raise
+                pass
             parts = [getattr(CorePartials(self.setup, self.points[i:i + 1],
                                           self.base_coords[i:i + 1]), name)
                      for i in range(len(self.points))]
@@ -233,8 +234,7 @@ class CorePartials:
         self.base_coords = base_coords  # (P, n), F(p)
 
     def _leaf(self, fn, rows=None):
-        """(X, dX, ddX) of ``fn`` at the points, or at the coordinate rows
-        ``rows``, from one seeding."""
+        """(X, dX, ddX) of ``fn`` at the points, or at ``rows``."""
         rows = [p.coords for p in self.points] if rows is None else rows
         return tuple(geo.stack_points(a, len(rows)) for a in
                      geo.coordinate_partials(fn, geo.batch_coordinates(rows),
@@ -274,19 +274,16 @@ class CorePartials:
         return taylor_mul(self.ginv, taylor_mul(_transposed(self.jac), k_inv))
 
     @_stacked
-    def ph(self):
-        return taylor_mul(self.lift, self.jac)
-
-    @_stacked
     def pv(self):
-        ph = self.ph
+        ph = taylor_mul(self.lift, self.jac)
         return (np.eye(self.setup.m) - ph[0], -ph[1], -ph[2])
 
     @_stacked
     def vtrace_form(self):
         """(W, dW) with W = P_v g^{-1}, which is sum_i U_i U_i^T over an
-        orthonormal vertical frame."""
-        return taylor_mul(self.pv, self.ginv)[:2]
+        orthonormal vertical frame: the first order of ``taylor_mul``."""
+        (pv, dpv, _), (ginv, dginv, _) = self.pv, self.ginv
+        return pv @ ginv, dpv @ ginv[:, None] + pv[:, None] @ dginv
 
     @_stacked
     def lam_sq(self):
@@ -301,8 +298,8 @@ class CorePartials:
         """(f, df, ddf) of f = 1 / lambda^2; lambda^2 is raised to powers
         as a scalar per point, whose rounding an array power may not keep."""
         s, ds, dds = self.lam_sq
-        s2 = np.array([x ** 2 for x in s])[:, None]
-        s3 = np.array([x ** 3 for x in s])[:, None, None]
+        powers = np.array([(x ** 2, x ** 3) for x in s.tolist()])
+        s2, s3 = powers[:, :1], powers[:, 1:, None]
         return (1.0 / s, -ds / s2,
                 2.0 * (ds[:, :, None] * ds[:, None]) / s3 - dds / s2[:, None])
 

@@ -628,8 +628,8 @@ def test_core_partials_match_jet_layer(name, setup, points):
 
 
 STACKED_ENTRIES = ("metric", "christoffels", "jac", "ginv", "k", "lift",
-                   "ph", "pv", "vtrace_form", "lam_sq", "inv_lambda_sq",
-                   "oneill", "base_curvature")
+                   "pv", "vtrace_form", "lam_sq", "inv_lambda_sq", "oneill",
+                   "base_curvature")
 STACK_CASES = [(eid, catalog.load_job(eid).setup, catalog.default_points(eid))
                for eid in catalog.EXAMPLE_IDS] + [
     ("warped-4to2", WARPED_4TO2, sample(_BOX4, 6, seed=27))]
