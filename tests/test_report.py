@@ -292,6 +292,18 @@ checks = all
 points.list = (0.2, -0.4, 0.5, 1.1)
 """
 
+def test_fiber_chart_reads_the_float_core_jacobian(monkeypatch):
+    # checks = all on one point with 2-D fibers: the run seeds the float
+    # cores' Jacobian, the CorePartials leaves (the metric, the Jacobian
+    # with its inner seeding, h o F), the base metric and the fiber
+    # chart's metric; the fiber slice chart finds its coordinates in the
+    # float cores' Jacobian instead of seeding the map again
+    counts = Counter()
+    _count_calls(monkeypatch, counts, ((JetSpace, "seed"),))
+    report.run_job(parse_manifest(FIBER_2D_NO_XI))
+    assert counts["seed"] == 7
+
+
 RECORD_KEYS = {"kind", "id", "label", "point", "lhs", "rhs", "abs_residual",
                "rel_residual", "hypotheses", "verdict",
                "convention_sensitive", "terms", "note"}
