@@ -26,8 +26,8 @@ import numpy as np
 
 from . import expr as expr_mod
 from .expr import eval_expr, parse_expression, parse_predicate
-from .jets import EvaluationError, Jet, JetSpace, primal
-from .linalg import mat_inverse, transpose
+from .jets import EvaluationError, Jet, JetSpace
+from .linalg import transpose
 
 
 class DegenerateMetricError(ValueError):
@@ -174,31 +174,6 @@ def field_fn(chart, spec):
 # metric and connection
 # ---------------------------------------------------------------------
 
-def inverse_metric_at(chart, xs):
-    return mat_inverse(chart.metric_at(xs))
-
-
-def metric_partials_at(chart, xs):
-    """(g, dg) with dg[l][i][j] the l-th coordinate partial of g_ij."""
-    return coordinate_partials(chart.metric_at, xs)
-
-
-def christoffels_at(chart, xs):
-    """Gamma[k][i][j] of the Levi-Civita connection."""
-    g, dg = metric_partials_at(chart, xs)
-    ginv = mat_inverse(g)
-    m = chart.dim
-    gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for k in range(m):
-        for i in range(m):
-            for j in range(i, m):
-                val = sum(ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                          for l in range(m)) * 0.5
-                gamma[k][i][j] = val
-                gamma[k][j][i] = val
-    return gamma
-
-
 def christoffel_partials_at(chart, xs):
     """(Gamma, dGamma) as float arrays at float coordinates, with
     dGamma[l, k, i, j] = d_l Gamma^k_ij, from one order-2 seeding of the
@@ -240,31 +215,6 @@ def riemann_from_christoffels(gamma, dgamma):
     return half - half.swapaxes(-1, -2)
 
 
-def ricci_matrix_at(chart, xs):
-    """Ric[j, k] = Ric(e_j, e_k) at float coordinates."""
-    return np.einsum("ikij->jk", curvature_tensor_at(chart, xs))
-
-
-def scalar_curvature_at(chart, xs):
-    ric = ricci_matrix_at(chart, xs)
-    ginv = inverse_metric_at(chart, xs)
-    m = chart.dim
-    return sum(ginv[j][k] * ric[j][k] for j in range(m) for k in range(m))
-
-
-def raise_index(ginv, df):
-    """The vector g^{-1} df of a covector's components."""
-    m = len(df)
-    return [sum(ginv[k][j] * df[j] for j in range(m)) for k in range(m)]
-
-
-def covariant_hessian(gamma, df, d2f):
-    """Hess f in coordinates: d_i d_j f - Gamma^k_ij d_k f."""
-    m = len(df)
-    return [[d2f[i][j] - sum(gamma[k][i][j] * df[k] for k in range(m))
-             for j in range(m)] for i in range(m)]
-
-
 def vector_partials(fn, xs):
     """(v, dv) of a component function at float coordinates as float
     arrays, dv[i, k] = d_i v^k, from one seeding."""
@@ -272,13 +222,15 @@ def vector_partials(fn, xs):
 
 
 def lie_derivative_matrix(g, gamma, xi, dxi):
-    """(L_xi g)_ij over the coordinate basis at a point as a float matrix,
-    from the float metric g, Christoffel symbols gamma and ``xi`` with its
-    partials dxi[i, k] = d_i xi^k there: L = g N + (g N)^T with
+    """(L_xi g)_ij over the coordinate basis as a float matrix, at one
+    point or over a leading point axis, from the float metric g,
+    Christoffel symbols gamma and ``xi`` with its partials
+    dxi[..., i, k] = d_i xi^k there: L = g N + (g N)^T with
     N^k_i = d_i xi^k + Gamma^k_il xi^l the components of nabla xi, since
     (L_xi g)(X, Y) = g(nabla_X xi, Y) + g(nabla_Y xi, X)."""
-    gn = g @ (dxi.T + np.einsum("kil,l->ki", gamma, xi))
-    return gn + gn.T
+    gn = g @ (dxi.swapaxes(-1, -2)
+              + np.einsum("...kil,...l->...ki", gamma, xi))
+    return gn + gn.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------
@@ -332,27 +284,16 @@ def metric_matrices(chart, xs, count):
     return g
 
 
-def scalar_curvature(chart, p):
-    return primal(scalar_curvature_at(chart, p.coords))
-
-
-def orthonormalize_components(gmat, vectors, tol=1e-10):
-    """Stabilized Gram-Schmidt against the metric inner product, columns
-    processed in input order for determinism (``orthonormal_frames`` at
-    one point)."""
-    g = np.asarray(gmat, dtype=float)
-    vecs = np.asarray(vectors, dtype=float).reshape(1, -1, len(g))
-    return list(orthonormal_frames(g[None], vecs, tol)[0])
-
-
 def orthonormal_frames(g, vectors, tol=1e-10):
     """Gram-Schmidt at every point of a stack: ``g`` is (P, m, m) and
     ``vectors`` (P, k, m); returns the (P, k, m) orthonormalized vectors,
-    each processed in input order with a re-orthogonalization pass."""
-    limit = tol * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+    each processed in input order with a re-orthogonalization pass.  A
+    vector is dependent on those before it when the squared g-norm of its
+    residual is at most ``tol`` times its own squared g-norm."""
     out = np.empty(vectors.shape)
     for a in range(vectors.shape[1]):
         w = vectors[:, a]
+        limit = tol * _inner(w, g, w)
         for _ in range(2):  # re-orthogonalization pass for stability
             for b in range(a):
                 u = out[:, b]

@@ -3,13 +3,15 @@ decompositions and their corollaries for a conformal submersion.
 
 Each identity is a fixed contraction over the orthonormal frame
 E = (U_1 .. U_{m-n} | X_1 .. X_n), the vertical frame then the
-horizontal one.  An ``IdentityContext`` holds every tensor the checks
-read over the coordinate basis, as it is built, and over E, as a
-frame-basis array (name ending in ``_e``, index order in the class
-docstring).  A check slices the blocks it needs (``[:m-n]`` vertical,
-``[m-n:]`` horizontal), computes its left side, right side and each
-named term as arrays over its index tuples, one einsum or slice per term,
-and ``_records`` turns the arrays into one record per tuple (``record``).
+horizontal one.  One ``IdentityContext`` per run holds every tensor the
+checks read at every point of the run, the point axis first: over the
+coordinate basis, as it is built, and over E, as a frame-basis array
+(name ending in ``_e``, index order in the class docstring).  A check
+slices the blocks it needs (``[:, :m-n]`` vertical, ``[:, m-n:]``
+horizontal), computes its left side, right side and each named term once
+for all the points, as arrays over the point axis and its index tuples,
+one einsum, product or slice per term, and ``_records`` turns the arrays
+into one record per point and tuple (``record``).
 
 Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
@@ -37,20 +39,23 @@ frame).  In terms of the context's arrays:
 
 Every partial of the total side comes from the run's
 ``submersion.CorePartials`` (three order-2 seedings over all the points:
-g, the Jacobian and h o F), each context reading its point's slices;
-Gamma and dGamma come from the metric seeding alone, so Riem and
-Hess f read no projector.  ``submersion.oneill_contraction`` gives T and
-A from (P_v, dP_v, Gamma), H = trace_v(T) / (m - n) with the trace taken
-against W = P_v g^{-1}, H' = -(lambda^2 / 2) P_v grad f, and the
-covariant derivatives follow by the product rule
-(``IdentityContext._nabla``).  Scalar curvatures are traces
-tr(g^{-1} Ric).
+g, the Jacobian and h o F); Gamma and dGamma come from the metric seeding
+alone, so Riem and Hess f read no projector.
+``submersion.oneill_contraction`` gives T and A from (P_v, dP_v, Gamma),
+H = trace_v(T) / (m - n) with the trace taken against W = P_v g^{-1},
+H' = -(lambda^2 / 2) P_v grad f, and the covariant derivatives follow by
+the product rule (``IdentityContext._nabla``).  Scalar curvatures are
+traces tr(g^{-1} Ric).
+
+Every contraction keeps the arithmetic of one point alone: einsums carry
+a ``...`` prefix and no path search, matrix products run per point, and
+per-point scalars multiply arrays in the order a single point would, so a
+point's values do not depend on the points that share its run.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -59,7 +64,7 @@ import numpy as np
 from . import geometry as geo
 from . import submersion as sub
 from .jets import primal_array
-from .linalg import mat_inverse
+from .linalg import mat_inverse, mat_vec, quad_form
 
 CURVATURE_CHECKS = ("G2.12", "G2.13", "G2.14", "G2.15", "G2.16")
 LEMMA31_CHECKS = tuple(f"L3.1.{k}"
@@ -81,6 +86,10 @@ CONVENTION_SENSITIVE_IDS = ("G2.16", "L3.1.i", "L3.1.v", "R3.13",
 
 @dataclass(frozen=True)
 class Hypothesis:
+    """A named hypothesis, whether it is ``satisfied`` and its
+    ``violation``: a bool and a float in a record, (P,) arrays over a
+    run's points in an ``IdentityContext``."""
+
     name: str
     satisfied: bool
     violation: float
@@ -167,225 +176,183 @@ def worst_of(items, key):
                 items[values.index(top)])
 
 
-# ---------------------------------------------------------------------
-# per-point evaluation context
-# ---------------------------------------------------------------------
+def hypotheses_at(hyps, count):
+    """One list of ``Hypothesis`` per point, in point order, from the
+    run-level ``hyps`` over ``count`` points."""
+    columns = [(h.name, h.satisfied.tolist(), h.violation.tolist())
+               for h in hyps]
+    return [[Hypothesis(name, ok[i], v[i]) for name, ok, v in columns]
+            for i in range(count)]
 
-def _trace(ginv, ric):
-    """Scalar curvature tr(g^{-1} Ric) from an inverse metric and its
-    Ricci matrix."""
-    return float(np.einsum("jk,jk->", ginv, ric))
 
+# ---------------------------------------------------------------------
+# run-level evaluation context
+# ---------------------------------------------------------------------
 
 def _on_frame(x, *mats):
-    """``x`` with ``mats[s]`` contracted into its slot s:
-    out[r, s, ...] = sum x[i, j, ...] mats[0][r, i] mats[1][s, j] ...;
-    each step contracts the first slot and appends the new one last."""
+    """``x`` (P, i, j, ...) with ``mats[s]`` (P, r, i) contracted into its
+    slot s at every point:
+    out[p, r, s, ...] = sum x[p, i, j, ...] mats[0][p, r, i]
+    mats[1][p, s, j] ...; each step contracts the first slot and appends
+    the new one last."""
     for mat in mats:
-        x = (x.reshape(len(x), -1).T @ mat.T).reshape(x.shape[1:]
-                                                       + (len(mat),))
+        count, k = x.shape[:2]
+        x = (x.reshape(count, k, -1).swapaxes(1, 2)
+             @ mat.swapaxes(1, 2)).reshape(x.shape[:1] + x.shape[2:]
+                                           + mat.shape[1:2])
     return x
 
 
 def _norms(vecs):
-    """The Euclidean norms of the frame-component vectors ``vecs[a, b, c]``
-    over the pairs (a, b)."""
-    return np.sqrt(np.einsum("abc,abc->ab", vecs, vecs))
+    """The Euclidean norms of the frame-component vectors
+    ``vecs[p, a, b, c]`` over the pairs (a, b)."""
+    return np.sqrt(np.einsum("...abc,...abc->...ab", vecs, vecs))
 
 
 def _sup_norm(vecs):
-    return float(_norms(vecs).max())
+    return _norms(vecs).max(axis=(1, 2))
 
 
-def _frame_array(source, axes):
-    """A cached property: the context's coordinate array ``source(ctx)``,
-    its slots put in the order ``axes`` (the vector slot last), over the
-    frame (``IdentityContext._vector_slots``)."""
-    return functools.cached_property(
-        lambda ctx: ctx._vector_slots(source(ctx).transpose(axes)))
-
-
-def _core_slice(name):
-    """A cached property: the point's slice of the float core's array
-    ``name`` (``IdentityContext``)."""
-    return functools.cached_property(
-        lambda ctx: getattr(ctx.cores, name)[ctx.index])
-
-
-def _once(method):
-    """Memoize a no-argument context method: a hypothesis is measured
-    once per point however many checks list it."""
-    key = "_once_" + method.__name__
-
-    @functools.wraps(method)
-    def wrapper(self):
-        if key not in self.__dict__:
-            self.__dict__[key] = method(self)
-        return self.__dict__[key]
-    return wrapper
+def _traces(ginv, ric):
+    """Scalar curvatures tr(g^{-1} Ric) at every point."""
+    return np.einsum("...jk,...jk->...", ginv, ric)
 
 
 class IdentityContext:
-    """The frame, curvature, O'Neill tensors and dilation calculus at one
-    point, shared by every check there.
+    """The frame, curvature, O'Neill tensors and dilation calculus at
+    every point of a run, shared by every check.  Every array holds the
+    point axis first; the indices below follow it.
 
-    Coordinate-basis arrays: ``riem[l, k, i, j]`` is component l of
-    R(e_i, e_j) e_k, ``t_tensor[k, a, b]`` component k of T_{e_a} e_b
+    Coordinate-basis arrays: ``riem[p, l, k, i, j]`` is component l of
+    R(e_i, e_j) e_k, ``t_tensor[p, k, a, b]`` component k of T_{e_a} e_b
     (likewise ``a_tensor``), and the covariant derivatives in ``_nabla``
-    carry the differentiating direction first.
+    carry the differentiating direction right after the point.
 
     Frame-basis arrays (suffix ``_e``) over E = ``frame``, the rows
     U_1 .. U_{m-n}, X_1 .. X_n; an index is a frame index, vertical ones
     first, and a vector slot holds the components g(., E_c):
-    ``gram[r, s]`` = g(E_r, E_s); ``riem_e[a, b, c, d]`` =
-    g(R(E_a, E_b) E_c, E_d); ``ric_e[a, b]`` = Ric(E_a, E_b);
-    ``t_e[a, b, c]`` = g(T_{E_a} E_b, E_c), likewise ``a_e``;
-    ``nu_e[a, b, c]`` = g(v[X_a, X_b], E_c) = g(A_{X_a} X_b - A_{X_b} X_a,
-    E_c) over horizontal a, b; ``dt_e[e, a, b, c]`` =
+    ``gram[p, r, s]`` = g(E_r, E_s); ``riem_e[p, a, b, c, d]`` =
+    g(R(E_a, E_b) E_c, E_d); ``ric_e[p, a, b]`` = Ric(E_a, E_b);
+    ``t_e[p, a, b, c]`` = g(T_{E_a} E_b, E_c), likewise ``a_e``;
+    ``nu_e[p, a, b, c]`` = g(v[X_a, X_b], E_c) = g(A_{X_a} X_b -
+    A_{X_b} X_a, E_c) over horizontal a, b; ``dt_e[p, e, a, b, c]`` =
     g((nabla_{E_e} T)_{E_a} E_b, E_c), likewise ``da_e``;
-    ``dh_e[e, c]`` = g(nabla_{E_e} H, E_c), likewise ``dhp_e`` for H';
-    ``h_e[c]`` = g(H, E_c); ``df_e[c]`` = E_c(f); ``vdf_e[c]`` =
-    g(grad_v f, E_c); ``hess_e[a, b]`` = Hess f(E_a, E_b);
-    ``base_riem_e[a, b, c, d]`` = h(R^N(F_*X_a, F_*X_b) F_*X_c, F_*X_d)
-    and ``base_ric_e[a, b]`` = Ric^N(F_*X_a, F_*X_b) over horizontal
+    ``dh_e[p, e, c]`` = g(nabla_{E_e} H, E_c), likewise ``dhp_e`` for H';
+    ``h_e[p, c]`` = g(H, E_c); ``df_e[p, c]`` = E_c(f); ``vdf_e[p, c]`` =
+    g(grad_v f, E_c); ``hess_e[p, a, b]`` = Hess f(E_a, E_b);
+    ``base_riem_e[p, a, b, c, d]`` = h(R^N(F_*X_a, F_*X_b) F_*X_c, F_*X_d)
+    and ``base_ric_e[p, a, b]`` = Ric^N(F_*X_a, F_*X_b) over horizontal
     indices only; ``fiber_riem_e`` and ``fiber_ric_e`` the fiber's own
     Riem and Ric over vertical indices only (zero for one-dimensional
     fibers).
 
-    Scalars read by several checks: ``grad_f_sq`` = |grad f|^2,
-    ``vgrad_f_sq`` = |grad_v f|^2 and ``hp_f`` = H'(f).
+    (P,) arrays read by several checks: ``lam_sq`` = lambda^2,
+    ``grad_f_sq`` = |grad f|^2, ``vgrad_f_sq`` = |grad_v f|^2, ``hp_f`` =
+    H'(f), ``div_hprime`` and the scalar curvatures; each ``hyp_*`` is a
+    ``Hypothesis`` of (P,) arrays.
 
-    The constructor holds only the float core stacked over a point axis,
-    ``cores`` with the point's ``index`` when the caller holds it (from
-    ``setup.float_cores`` over a run's points) and
-    ``setup.float_cores([p])`` otherwise.  The point's slices ``g``,
-    ``ginv``, ``jac``, ``frame`` (``vframe``, then ``hframe``), ``pv``,
-    ``ph``, ``lam_sq``, ``h_base`` and ``_base_push`` (F_*X_a), and F(p)
-    as ``base_point``, are cached properties like every other array, each
-    built on first read from only the arrays it needs, so a check pays
-    only for what it reads, and an ingredient that cannot be evaluated
-    fails only the checks that read it.  The first context to read one
-    of the run's ``partials`` builds it for every point, raising, where
-    one fails, the error of the first failing point."""
+    The constructor holds the run's float core, ``cores`` when the caller
+    holds it and ``setup.float_cores(points)`` otherwise, with its
+    arrays ``g``, ``ginv``, ``jac``, ``frame`` (``vframe``, then
+    ``hframe``), ``pv``, ``ph``, ``lam_sq`` and ``h_base``.  Everything
+    else is a cached property, built on first read for every point at
+    once from only the arrays it needs, so a check pays only for what it
+    reads, and an ingredient that cannot be evaluated fails only the
+    checks that read it.  The run's ``cores.partials`` build each entry
+    on first read, raising, where one point fails, the error of the first
+    failing point."""
 
-    def __init__(self, setup, p, hyp_tol=1e-8, cores=None, index=0):
+    def __init__(self, setup, points, hyp_tol=1e-8, cores=None):
         self.setup = setup
-        self.p = p
+        self.points = list(points)
         self.hyp_tol = hyp_tol
-        self.xs = list(p.coords)
         self.m = setup.m
         self.n = setup.n
         if cores is None:
-            cores, index = setup.float_cores([p]), 0
-        self.cores, self.index = cores, index
+            cores = setup.float_cores(self.points)
+        self.cores = cores
+        self.g, self.ginv, self.jac = cores.g, cores.ginv, cores.jac
+        self.frame, self.pv, self.ph = cores.frame, cores.pv, cores.ph
+        self.lam_sq, self.h_base = cores.lam_sq, cores.h_base
+        self.vframe = self.frame[:, :self.m - self.n]
+        self.hframe = self.frame[:, self.m - self.n:]
         self._fields = {}  # of ``vector_field``
-
-    # -- the point's slices of the float core -----------------------------
-
-    g = _core_slice("g")
-    ginv = _core_slice("ginv")
-    jac = _core_slice("jac")
-    frame = _core_slice("frame")  # E: U_1 .. U_{m-n}, X_1 .. X_n as rows
-    pv = _core_slice("pv")
-    ph = _core_slice("ph")
-    h_base = _core_slice("h_base")
-
-    @functools.cached_property
-    def lam_sq(self):
-        return float(self.cores.lam_sq[self.index])
-
-    @functools.cached_property
-    def base_point(self):
-        """F(p)."""
-        return geo.Point(tuple(self.cores.base_coords[self.index].tolist()))
-
-    @functools.cached_property
-    def vframe(self):
-        return self.frame[:self.m - self.n]
-
-    @functools.cached_property
-    def hframe(self):
-        return self.frame[self.m - self.n:]
 
     # -- ingredients built on first read ----------------------------------
 
-    def partials(self, name):
-        """The point's slices of entry ``name`` of the run's
-        ``sub.CorePartials`` (``cores.partials``): every partial below comes
-        from its seedings.  Riem, ``gamma`` and Hess f read its Gamma."""
-        return tuple(a[self.index] for a in getattr(self.cores.partials, name))
-
     @functools.cached_property
     def gamma(self):
-        return self.partials("christoffels")[0]
+        return self.cores.partials.christoffels[0]
 
     @functools.cached_property
     def riem(self):
-        return geo.riemann_from_christoffels(*self.partials("christoffels"))
+        return geo.riemann_from_christoffels(*self.cores.partials.christoffels)
 
     @functools.cached_property
     def ric_matrix(self):
-        return np.einsum("ikij->jk", self.riem)
+        return np.einsum("...ikij->...jk", self.riem)
 
     @functools.cached_property
     def grad_f(self):
-        """grad f of the dilation function f = 1 / lambda^2."""
-        return np.array(geo.raise_index(self.ginv,
-                                        self.partials("inv_lambda_sq")[1]))
+        """grad f = g^{-1} df of the dilation function f = 1 / lambda^2."""
+        df = self.cores.partials.inv_lambda_sq[1]
+        return sum(self.ginv[:, :, j] * df[:, j, None] for j in range(self.m))
 
     @functools.cached_property
     def vgrad_f(self):
-        return self.pv @ self.grad_f
+        return mat_vec(self.pv, self.grad_f)
 
     @functools.cached_property
     def hgrad_f(self):
-        return self.ph @ self.grad_f
+        return mat_vec(self.ph, self.grad_f)
 
     @functools.cached_property
     def hess_f(self):
-        return np.array(geo.covariant_hessian(
-            self.gamma, *self.partials("inv_lambda_sq")[1:]))
+        """Hess f = d_i d_j f - Gamma^k_ij d_k f."""
+        _, df, d2f = self.cores.partials.inv_lambda_sq
+        return d2f - sum(self.gamma[:, k] * df[:, k, None, None]
+                         for k in range(self.m))
 
     @functools.cached_property
     def grad_f_sq(self):
         """|grad f|^2."""
-        return float(self.grad_f @ self.g @ self.grad_f)
+        return quad_form(self.grad_f, self.g, self.grad_f)
 
     @functools.cached_property
     def vgrad_f_sq(self):
         """|grad_v f|^2."""
-        return float(self.vgrad_f @ self.g @ self.vgrad_f)
+        return quad_form(self.vgrad_f, self.g, self.vgrad_f)
 
     @functools.cached_property
     def hp_vec(self):
         # H' = -(lambda^2 / 2) v grad f
-        return -0.5 * self.lam_sq * self.vgrad_f
+        return (-0.5 * self.lam_sq)[:, None] * self.vgrad_f
 
     @functools.cached_property
     def hp_f(self):
         """H'(f) = g(H', grad f)."""
-        return float(self.hp_vec @ self.g @ self.grad_f)
+        return quad_form(self.hp_vec, self.g, self.grad_f)
 
     @functools.cached_property
     def t_tensor(self):
-        return self.partials("oneill")[0]
+        return self.cores.partials.oneill[0]
 
     @functools.cached_property
     def a_tensor(self):
-        return self.partials("oneill")[1]
+        return self.cores.partials.oneill[1]
 
     @functools.cached_property
     def h_vec(self):
         return sub.mean_curvature_from(self.t_tensor,
-                                       self.partials("vtrace_form")[0],
+                                       self.cores.partials.vtrace_form[0],
                                        self.m - self.n)
 
     @functools.cached_property
     def _nabla(self):
-        """(nabla T, nabla A, nabla H, nabla H') indexed [l, k, a, b] and
-        [l, k] with l the differentiating direction.  The partials follow
-        from (P_v, dP_v, d2P_v), (Gamma, dGamma), (df, d2f) and g by the
-        product rule, with dP_h = -dP_v:
+        """(nabla T, nabla A, nabla H, nabla H') indexed [p, l, k, a, b]
+        and [p, l, k] with l the differentiating direction.  The partials
+        follow from (P_v, dP_v, d2P_v), (Gamma, dGamma), (df, d2f) and g by
+        the product rule, with dP_h = -dP_v:
         dN = d2P_v + dGamma P_v + Gamma dP_v,
         dM = dP_v (Gamma - 2 N) + P_h dN + P_v (dGamma - dN),
         dT = dP_v M + P_v dM, dA = -dP_v M + P_h dM,
@@ -394,36 +361,37 @@ class IdentityContext:
         the Gamma terms then make them covariant.  T and A are tensors,
         so this is (nabla_E T)_U E' = nabla_E (T_U E') - T_{nabla_E U} E'
         - T_U (nabla_E E') for any fields extending U and E'."""
-        m, gam = self.m, self.gamma
-        dgam = self.partials("christoffels")[1]
-        pv, dpv, d2pv = self.partials("pv")
-        ph = self.ph
-        t, a, nv, mix = self.partials("oneill")
-        dnv = (d2pv.transpose(0, 2, 1, 3)
-               + np.einsum("lkij,jb->lkib", dgam, pv)
-               + np.einsum("kij,ljb->lkib", gam, dpv))
-        dmix = (np.einsum("lkq,qib->lkib", dpv, gam - 2.0 * nv)
-                + np.einsum("kq,lqib->lkib", ph, dnv)
-                + np.einsum("kq,lqib->lkib", pv, dgam - dnv))
-        dm_term = np.einsum("lia,kib->lkab", dpv, mix)
-        dt = dm_term + np.einsum("ia,lkib->lkab", pv, dmix)
-        da = -dm_term + np.einsum("ia,lkib->lkab", ph, dmix)
-        w, dw = self.partials("vtrace_form")
-        dh = (np.einsum("lkab,ab->lk", dt, w)
-              + np.einsum("kab,lab->lk", t, dw)) / (m - self.n)
-        _, df, d2f = self.partials("inv_lambda_sq")
-        dlam_sq = -self.lam_sq ** 2 * df
-        dhp = -0.5 * (np.outer(dlam_sq, w @ df)
-                      + self.lam_sq * (dw @ df + d2f @ w.T))
+        partials = self.cores.partials
+        gam, dgam = partials.christoffels
+        pv, dpv, d2pv = partials.pv
+        ph, lam_sq = self.ph, self.lam_sq
+        t, a, nv, mix = partials.oneill
+        dnv = (d2pv.swapaxes(-3, -2)
+               + np.einsum("...lkij,...jb->...lkib", dgam, pv)
+               + np.einsum("...kij,...ljb->...lkib", gam, dpv))
+        dmix = (np.einsum("...lkq,...qib->...lkib", dpv, gam - 2.0 * nv)
+                + np.einsum("...kq,...lqib->...lkib", ph, dnv)
+                + np.einsum("...kq,...lqib->...lkib", pv, dgam - dnv))
+        dm_term = np.einsum("...lia,...kib->...lkab", dpv, mix)
+        dt = dm_term + np.einsum("...ia,...lkib->...lkab", pv, dmix)
+        da = -dm_term + np.einsum("...ia,...lkib->...lkab", ph, dmix)
+        w, dw = partials.vtrace_form
+        dh = (np.einsum("...lkab,...ab->...lk", dt, w)
+              + np.einsum("...kab,...lab->...lk", t, dw)) / (self.m - self.n)
+        _, df, d2f = partials.inv_lambda_sq
+        dlam_sq = (-lam_sq ** 2)[:, None] * df
+        dhp = -0.5 * (dlam_sq[:, :, None] * mat_vec(w, df)[:, None, :]
+                      + lam_sq[:, None, None] * (mat_vec(dw, df)
+                                                 + d2f @ w.swapaxes(-1, -2)))
 
         def tensor(partial, x):
             return (partial
-                    + np.einsum("klj,jab->lkab", gam, x)
-                    - np.einsum("jla,kjb->lkab", gam, x)
-                    - np.einsum("jlb,kaj->lkab", gam, x))
+                    + np.einsum("...klj,...jab->...lkab", gam, x)
+                    - np.einsum("...jla,...kjb->...lkab", gam, x)
+                    - np.einsum("...jlb,...kaj->...lkab", gam, x))
 
         def vector(partial, x):
-            return partial + np.einsum("klj,j->lk", gam, x)
+            return partial + np.einsum("...klj,...j->...lk", gam, x)
 
         return (tensor(dt, t), tensor(da, a),
                 vector(dh, self.h_vec), vector(dhp, self.hp_vec))
@@ -431,23 +399,24 @@ class IdentityContext:
     @functools.cached_property
     def scalar_curvature(self):
         """s = tr(g^{-1} Ric) of the total metric."""
-        return _trace(self.ginv, self.ric_matrix)
+        return _traces(self.ginv, self.ric_matrix)
 
     @functools.cached_property
     def basic_fields(self):
         """(X, D, nabla) of ``sub.basic_field_derivatives``: the lifts X_a
         of the base coordinate fields and every nabla_{X_a} X_b."""
-        return sub.basic_field_derivatives(*self.partials("lift")[:2],
+        return sub.basic_field_derivatives(*self.cores.partials.lift[:2],
                                            self.gamma)
 
     def vector_field(self, xi):
-        """(xi, dxi, L_xi g) of a total-chart field at p as float arrays,
-        dxi[i, k] = d_i xi^k, from one seeding per field, kept for every
-        soliton fit and report that reads the field.  ``xi`` is a
+        """(xi, dxi, L_xi g) of a total-chart field at the points as float
+        arrays, dxi[p, i, k] = d_i xi^k, from one seeding per point, kept
+        for every soliton fit and report that reads the field.  ``xi`` is a
         ``VectorFieldSpec`` or a component function."""
         if xi not in self._fields:
             fn = xi if callable(xi) else geo.field_fn(self.setup.total, xi)
-            v, dv = geo.vector_partials(fn, self.xs)
+            v, dv = (np.array(a) for a in zip(*[
+                geo.vector_partials(fn, list(p.coords)) for p in self.points]))
             self._fields[xi] = (v, dv, geo.lie_derivative_matrix(
                 self.g, self.gamma, v, dv))
         return self._fields[xi]
@@ -456,79 +425,101 @@ class IdentityContext:
     def base_curvature(self):
         """(Gamma^N, Riem^N, Ric^N) of the base metric at F(p), indexed
         like ``gamma``, ``riem`` and ``ric_matrix``."""
-        return self.partials("base_curvature")
+        return self.cores.partials.base_curvature
 
     @functools.cached_property
     def base_scalar_curvature(self):
         """s^N = tr(h^{-1} Ric^N) at F(p)."""
-        return _trace(np.array(mat_inverse(self.h_base.tolist())),
-                      self.base_curvature[2])
+        return _traces(np.array([mat_inverse(h)
+                                 for h in self.h_base.tolist()]),
+                       self.base_curvature[2])
 
     @functools.cached_property
     def fiber_chart(self):
-        """The fiber's slice chart through p, or None."""
-        return sub.fiber_slice_chart(self.setup, self.p, self.jac)
+        """The fiber's slice chart through each point, or None."""
+        return [sub.fiber_slice_chart(self.setup, p, jac)
+                for p, jac in zip(self.points, self.jac)]
 
     @functools.cached_property
     def _fiber_curvature(self):
         """(vertical indices, fiber metric, fiber Riem, fiber Ric) on the
-        fiber chart."""
-        chart = self.fiber_chart
-        if chart is None:
-            raise sub.NotASubmersionError("fiber chart unavailable")
-        fcoords = chart.fiber_coords(self.p)
-        riem = geo.curvature_tensor_at(chart, fcoords)
-        return (chart.vertical_indices, primal_array(chart.metric_at(fcoords)),
-                riem, np.einsum("ikij->jk", riem))
+        fiber chart through each point, each with the point axis first;
+        the charts are seeded point by point."""
+        rows = []
+        for p, chart in zip(self.points, self.fiber_chart):
+            if chart is None:
+                raise sub.NotASubmersionError("fiber chart unavailable")
+            fcoords = chart.fiber_coords(p)
+            rows.append((chart.vertical_indices,
+                         primal_array(chart.metric_at(fcoords)),
+                         geo.curvature_tensor_at(chart, fcoords)))
+        idx, gf, riem = (np.array(a) for a in zip(*rows))
+        return idx, gf, riem, np.einsum("...ikij->...jk", riem)
 
-    @_once
+    @functools.cached_property
     def fiber_scalar_intrinsic(self):
         """s^v = tr(g_v^{-1} Ric^v) on the fiber chart; 0 for
         1-dimensional fibers."""
         if self.m - self.n == 1:
-            return 0.0
+            return np.zeros(len(self.points))
         _, gf, _, ric = self._fiber_curvature
-        return _trace(np.array(mat_inverse(gf.tolist())), ric)
+        return _traces(np.array([mat_inverse(g) for g in gf.tolist()]), ric)
 
     # -- frame-basis arrays -----------------------------------------------
 
     @functools.cached_property
     def _lower(self):
         """g E^T: ``v @ _lower`` holds the frame components g(v, E_c)."""
-        return self.g @ self.frame.T
+        return self.g @ self.frame.swapaxes(1, 2)
 
-    def _vector_slots(self, x):
-        """A tensor over the coordinate basis, its last slot a vector,
-        with E on every other slot and the vector lowered onto E."""
-        return _on_frame(x, *[self.frame] * (x.ndim - 1), self._lower.T)
+    def _vector_slots(self, x, axes):
+        """A coordinate-basis array (P, ...), its slots after the point put
+        in the order ``axes`` with the vector slot last, with E on every
+        other slot and the vector lowered onto E."""
+        x = x.transpose((0,) + tuple(a + 1 for a in axes))
+        return _on_frame(x, *[self.frame] * (x.ndim - 2),
+                         self._lower.swapaxes(1, 2))
 
     @functools.cached_property
     def gram(self):
         return self.frame @ self._lower
 
-    riem_e = _frame_array(lambda ctx: ctx.riem, (2, 3, 1, 0))
-    t_e = _frame_array(lambda ctx: ctx.t_tensor, (1, 2, 0))
-    a_e = _frame_array(lambda ctx: ctx.a_tensor, (1, 2, 0))
-    dt_e = _frame_array(lambda ctx: ctx._nabla[0], (0, 2, 3, 1))
-    da_e = _frame_array(lambda ctx: ctx._nabla[1], (0, 2, 3, 1))
-    dh_e = _frame_array(lambda ctx: ctx._nabla[2], (0, 1))
-    dhp_e = _frame_array(lambda ctx: ctx._nabla[3], (0, 1))
-    h_e = _frame_array(lambda ctx: ctx.h_vec, (0,))
-    df_e = _frame_array(lambda ctx: ctx.grad_f, (0,))
-    vdf_e = _frame_array(lambda ctx: ctx.vgrad_f, (0,))
+    # the coordinate-basis arrays over the frame, slots as listed above
+    riem_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx.riem, (2, 3, 1, 0)))
+    t_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx.t_tensor, (1, 2, 0)))
+    a_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx.a_tensor, (1, 2, 0)))
+    dt_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx._nabla[0], (0, 2, 3, 1)))
+    da_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx._nabla[1], (0, 2, 3, 1)))
+    dh_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx._nabla[2], (0, 1)))
+    dhp_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx._nabla[3], (0, 1)))
+    h_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx.h_vec, (0,)))
+    df_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx.grad_f, (0,)))
+    vdf_e = functools.cached_property(
+        lambda ctx: ctx._vector_slots(ctx.vgrad_f, (0,)))
 
     @functools.cached_property
     def ric_e(self):
-        return self.frame @ self.ric_matrix.T @ self.frame.T
+        return (self.frame @ self.ric_matrix.swapaxes(1, 2)
+                @ self.frame.swapaxes(1, 2))
 
     @functools.cached_property
     def hess_e(self):
-        return self.frame @ self.hess_f @ self.frame.T
+        return self.frame @ self.hess_f @ self.frame.swapaxes(1, 2)
 
     @functools.cached_property
     def nu_e(self):
-        a_hh = self.a_e[self.m - self.n:, self.m - self.n:]
-        return a_hh - a_hh.transpose(1, 0, 2)
+        nv = self.m - self.n
+        a_hh = self.a_e[:, nv:, nv:]
+        return a_hh - a_hh.swapaxes(1, 2)
 
     @functools.cached_property
     def div_hprime(self):
@@ -539,95 +530,101 @@ class IdentityContext:
         m-dimensional divergence.
         """
         nv = self.m - self.n
-        return float(np.trace(self.dhp_e[:nv, :nv]))
-
-    # F_*X_a, one row per horizontal frame vector
-    _base_push = _core_slice("push")
+        return np.trace(self.dhp_e[:, :nv, :nv], axis1=1, axis2=2)
 
     @functools.cached_property
     def base_riem_e(self):
-        push = self._base_push
-        return _on_frame(self.base_curvature[1].transpose(2, 3, 1, 0),
+        push = self.cores.push  # F_*X_a, one row per horizontal frame vector
+        return _on_frame(self.base_curvature[1].transpose(0, 3, 4, 2, 1),
                          push, push, push, push @ self.h_base)
 
     @functools.cached_property
     def base_ric_e(self):
-        return self._base_push @ self.base_curvature[2].T @ self._base_push.T
+        push = self.cores.push
+        return push @ self.base_curvature[2].swapaxes(1, 2) @ push.swapaxes(
+            1, 2)
 
     @functools.cached_property
     def fiber_riem_e(self):
-        nv = self.m - self.n
-        if nv == 1:
-            return np.zeros((1, 1, 1, 1))
-        idx, gf, riem, _ = self._fiber_curvature
-        ev = self.frame[:nv, idx]
-        return _on_frame(riem.transpose(2, 3, 1, 0), ev, ev, ev, ev @ gf)
+        if self.m - self.n == 1:
+            return np.zeros((len(self.points), 1, 1, 1, 1))
+        _, gf, riem, _ = self._fiber_curvature
+        ev = self._fiber_frame
+        return _on_frame(riem.transpose(0, 3, 4, 2, 1), ev, ev, ev, ev @ gf)
 
     @functools.cached_property
     def fiber_ric_e(self):
-        nv = self.m - self.n
-        if nv == 1:
-            return np.zeros((1, 1))
-        idx, _, _, ric = self._fiber_curvature
-        ev = self.frame[:nv, idx]
-        return ev @ ric @ ev.T
+        if self.m - self.n == 1:
+            return np.zeros((len(self.points), 1, 1))
+        ev = self._fiber_frame
+        return ev @ self._fiber_curvature[3] @ ev.swapaxes(1, 2)
 
-    # -- structural hypotheses at this point ------------------------------
+    @functools.cached_property
+    def _fiber_frame(self):
+        """The vertical frame over each point's fiber coordinates."""
+        idx = self._fiber_curvature[0]
+        return np.take_along_axis(self.vframe, idx[:, None, :], axis=2)
 
-    @_once
-    def hyp_conformal(self):
-        aniso = float(self.cores.anisotropy[self.index])
-        return Hypothesis("conformal", aniso <= max(self.hyp_tol, 1e-8), aniso)
-
-    @_once
-    def hyp_fiber_chart(self):
-        ok = self.m - self.n == 1 or self.fiber_chart is not None
-        return Hypothesis("fiber-chart-available", ok, 0.0 if ok else 1.0)
+    # -- structural hypotheses at the points ------------------------------
 
     def _hypothesis(self, name, violation):
         return Hypothesis(name, violation <= self.hyp_tol, violation)
 
+    @functools.cached_property
+    def hyp_conformal(self):
+        aniso = self.cores.anisotropy
+        return Hypothesis("conformal", aniso <= max(self.hyp_tol, 1e-8),
+                          aniso)
+
+    @functools.cached_property
+    def hyp_fiber_chart(self):
+        if self.m - self.n == 1:
+            ok = np.ones(len(self.points), dtype=bool)
+        else:
+            ok = np.array([chart is not None for chart in self.fiber_chart])
+        return Hypothesis("fiber-chart-available", ok, np.where(ok, 0.0, 1.0))
+
     # T is symmetric on vertical pairs and v[X_a, X_b] antisymmetric, so
     # the suprema run over every pair of the frame block
 
-    @_once
+    @functools.cached_property
     def hyp_fibers_tg(self):
         """sup |T(U_i, U_j)|."""
         nv = self.m - self.n
         return self._hypothesis("fibers-totally-geodesic",
-                                _sup_norm(self.t_e[:nv, :nv]))
+                                _sup_norm(self.t_e[:, :nv, :nv]))
 
-    @_once
+    @functools.cached_property
     def hyp_umbilical(self):
         """sup |T(U_i, U_j) - g(U_i, U_j) H|."""
         nv = self.m - self.n
-        umb = self.t_e[:nv, :nv] - self.gram[:nv, :nv, None] * self.h_e
+        umb = (self.t_e[:, :nv, :nv]
+               - self.gram[:, :nv, :nv, None] * self.h_e[:, None, None])
         return self._hypothesis("umbilical-fibers", _sup_norm(umb))
 
-    @_once
+    @functools.cached_property
     def hyp_horizontal_tg(self):
         """sup |A(X_a, X_b)|."""
         nv = self.m - self.n
         return self._hypothesis("horizontal-totally-geodesic",
-                                _sup_norm(self.a_e[nv:, nv:]))
+                                _sup_norm(self.a_e[:, nv:, nv:]))
 
-    @_once
+    @functools.cached_property
     def hyp_horizontal_integrable(self):
         """sup |v[X_a, X_b]|."""
         return self._hypothesis("horizontal-integrable",
                                 _sup_norm(self.nu_e))
 
-    @_once
+    @functools.cached_property
     def hyp_homothetic(self):
-        return self._hypothesis("homothetic", math.sqrt(max(
-            0.0, float(self.hgrad_f @ self.g @ self.hgrad_f))))
+        return self._hypothesis("homothetic", np.sqrt(np.maximum(
+            0.0, quad_form(self.hgrad_f, self.g, self.hgrad_f))))
 
-    @_once
+    @functools.cached_property
     def hyp_map_tg(self):
-        return self._hypothesis("map-totally-geodesic", max(
-            self.hyp_fibers_tg().violation,
-            self.hyp_horizontal_tg().violation,
-            self.hyp_homothetic().violation))
+        return self._hypothesis("map-totally-geodesic", np.max([
+            self.hyp_fibers_tg.violation, self.hyp_horizontal_tg.violation,
+            self.hyp_homothetic.violation], axis=0))
 
 
 # ---------------------------------------------------------------------
@@ -644,40 +641,66 @@ def _upper(k):
     return list(combinations_with_replacement(range(k), 2))
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(label, index):
+    """(indexer, labels) of ``_records`` for a tuple of index tuples: the
+    point axis followed by one integer array per slot, and the 1-based
+    labels; every run of the same dimensions reuses them."""
+    slots = tuple(np.array(index, dtype=int).reshape(len(index), -1).T)
+    # one empty tuple reads a (P,) array as (P, 1)
+    return ((slice(None),) + (slots or (None,)),
+            [label.format(*(i + 1 for i in idx)) for idx in index])
+
+
 def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
              residual=None):
-    """One record per index tuple of ``index``, in order.  ``lhs``,
-    ``rhs`` and each array of the (name, array) ``terms`` are read at
-    the tuple, and ``label`` formats its 1-based block numbers.  The
-    residual is |lhs - rhs| over ``record``'s scale, unless ``residual``
-    gives (residual, scale) arrays."""
-    index = [tuple(idx) for idx in index]
-    at = tuple(np.array(index).T)
+    """One list of records per point of the run, each with one record per
+    index tuple of ``index``, in order.  ``lhs``, ``rhs`` and each array of
+    the (name, array) ``terms`` hold the point axis first and are read at
+    the tuple (an empty tuple reads (P,) arrays), and ``label`` formats
+    its 1-based block numbers.  The residual is |lhs - rhs| over
+    ``record``'s scale, unless ``residual`` gives (residual, scale)
+    arrays.  Each array is read into one list per point, and each point's
+    records share one list of its hypotheses."""
+    at, labels = _layout(label, tuple(map(tuple, index)))
 
-    def values(x):
+    def rows(x):
         return x[at].tolist()
 
-    lhs, rhs = values(lhs), values(rhs)
-    terms = [(key, values(v)) for key, v in terms]
-    res = scale = [None] * len(index)
-    if residual is not None:
-        res, scale = (values(x) for x in residual)
-    return [record(identity_id, ctx.p.coords, lhs[r], rhs[r], hyps, tol,
-                   terms={key: v[r] for key, v in terms},
-                   label=label.format(*(i + 1 for i in idx)),
-                   residual=res[r], scale=scale[r])
-            for r, idx in enumerate(index)]
+    names = [key for key, _ in terms]
+    columns = [rows(lhs), rows(rhs)]
+    if residual is None:
+        columns += [[[None] * len(labels)] * len(ctx.points)] * 2
+    else:
+        columns += [rows(x) for x in residual]
+    columns += [rows(v) for _, v in terms]
+    return [[record(identity_id, p.coords, lhs_r, rhs_r, point_hyps, tol,
+                    terms=dict(zip(names, values)), label=text,
+                    residual=res_r, scale=scale_r)
+             for text, lhs_r, rhs_r, res_r, scale_r, *values
+             in zip(labels, *point_rows)]
+            for p, point_hyps, *point_rows in zip(
+                ctx.points, hypotheses_at(hyps, len(ctx.points)), *columns)]
 
 
 def _trivial(identity_id, ctx, hyps, tol, note):
-    return [record(identity_id, ctx.p.coords, 0.0, 0.0, hyps, tol,
-                   note=note)]
+    return [[record(identity_id, p.coords, 0.0, 0.0, point_hyps, tol,
+                    note=note)]
+            for p, point_hyps in zip(ctx.points,
+                                     hypotheses_at(hyps, len(ctx.points)))]
+
+
+def _outer(u, v):
+    """u[a] v[b] at every point."""
+    return u[:, :, None] * v[:, None, :]
 
 
 def _kulkarni_nomizu(h, k):
     """(h o k)[a, b, c, d] = h_ac k_bd + h_bd k_ac - h_ad k_bc - h_bc k_ad."""
-    return (np.einsum("ac,bd->abcd", h, k) + np.einsum("bd,ac->abcd", h, k)
-            - np.einsum("ad,bc->abcd", h, k) - np.einsum("bc,ad->abcd", h, k))
+    return (np.einsum("...ac,...bd->...abcd", h, k)
+            + np.einsum("...bd,...ac->...abcd", h, k)
+            - np.einsum("...ad,...bc->...abcd", h, k)
+            - np.einsum("...bc,...ad->...abcd", h, k))
 
 
 # ---------------------------------------------------------------------
@@ -685,94 +708,98 @@ def _kulkarni_nomizu(h, k):
 # ---------------------------------------------------------------------
 
 def _g212(ctx, tol):
-    hyps = [ctx.hyp_conformal(), ctx.hyp_fiber_chart()]
+    hyps = [ctx.hyp_conformal, ctx.hyp_fiber_chart]
     nv = ctx.m - ctx.n
     if nv < 2:
         return _trivial("G2.12", ctx, hyps, tol, "no distinct vertical pair")
-    t = ctx.t_e[:nv, :nv]
-    t1 = np.einsum("ikc,jlc->ijkl", t, t)  # g(T_{U_i} U_k, T_{U_j} U_l)
-    t2 = t1.transpose(1, 0, 2, 3)
+    v = slice(nv)
+    t = ctx.t_e[:, v, v]
+    # g(T_{U_i} U_k, T_{U_j} U_l)
+    t1 = np.einsum("...ikc,...jlc->...ijkl", t, t)
+    t2 = t1.swapaxes(1, 2)
     rnu = ctx.fiber_riem_e
     pairs = _pairs(nv)
     return _records(
         "G2.12", ctx, tol, hyps, "U{} V{} W{} S{}",
         [p + q for p in pairs for q in pairs],
-        ctx.riem_e[:nv, :nv, :nv, :nv], rnu + t1 - t2,
+        ctx.riem_e[:, v, v, v, v], rnu + t1 - t2,
         (("R_nu", rnu), ("g(T_UW,T_VS)", t1), ("-g(T_VW,T_US)", -t2)))
 
 
 def _g213(ctx, tol):
-    hyps = [ctx.hyp_conformal()]
+    hyps = [ctx.hyp_conformal]
     nv = ctx.m - ctx.n
     if nv < 2:
         return _trivial("G2.13", ctx, hyps, tol, "no distinct vertical pair")
     v, h = slice(nv), slice(nv, None)
-    t1 = ctx.dt_e[v, v, v, h]
-    t2 = t1.transpose(1, 0, 2, 3)
+    t1 = ctx.dt_e[:, v, v, v, h]
+    t2 = t1.swapaxes(1, 2)
     return _records(
         "G2.13", ctx, tol, hyps, "U{} V{} W{} X{}",
         [p + (k, a) for p in _pairs(nv) for k in range(nv)
          for a in range(ctx.n)],
-        ctx.riem_e[v, v, v, h], t1 - t2,
+        ctx.riem_e[:, v, v, v, h], t1 - t2,
         (("(nabla_U T)_V W", t1), ("-(nabla_V T)_U W", -t2)))
 
 
 def _g214(ctx, tol):
-    hyps = [ctx.hyp_conformal()]
+    hyps = [ctx.hyp_conformal]
     nv = ctx.m - ctx.n
     v, h = slice(nv), slice(nv, None)
-    a_hv, t_vh = ctx.a_e[h, v], ctx.t_e[v, h]
-    t1 = ctx.da_e[v, h, h, v]
-    t2 = np.einsum("aic,bjc->iabj", a_hv, a_hv)
-    t3 = ctx.dt_e[h, v, h, v].transpose(1, 0, 2, 3)
-    t4 = np.einsum("jbc,iac->iabj", t_vh, t_vh)
-    t5 = ctx.lam_sq * np.einsum("abi,j->iabj", ctx.a_e[h, h, v],
-                                ctx.vdf_e[v])
+    a_hv, t_vh = ctx.a_e[:, h, v], ctx.t_e[:, v, h]
+    t1 = ctx.da_e[:, v, h, h, v]
+    t2 = np.einsum("...aic,...bjc->...iabj", a_hv, a_hv)
+    t3 = ctx.dt_e[:, h, v, h, v].swapaxes(1, 2)
+    t4 = np.einsum("...jbc,...iac->...iabj", t_vh, t_vh)
+    t5 = ctx.lam_sq[:, None, None, None, None] * np.einsum(
+        "...abi,...j->...iabj", ctx.a_e[:, h, h, v], ctx.vdf_e[:, v])
     return _records(
-        "G2.14", ctx, tol, hyps, "U{} X{} Y{} V{}", np.ndindex(t1.shape),
-        ctx.riem_e[v, h, h, v], t1 + t2 - t3 - t4 + t5,
+        "G2.14", ctx, tol, hyps, "U{} X{} Y{} V{}", np.ndindex(t1.shape[1:]),
+        ctx.riem_e[:, v, h, h, v], t1 + t2 - t3 - t4 + t5,
         (("(nabla_U A)_X Y", t1), ("g(A_XU,A_YV)", t2),
          ("-(nabla_X T)_U Y", -t3), ("-g(T_VY,T_UX)", -t4),
          ("lam^2 g(A_XY,U)g(V,grad_v f)", t5)))
 
 
 def _g215(ctx, tol):
-    hyps = [ctx.hyp_conformal()]
+    hyps = [ctx.hyp_conformal]
     if ctx.n < 2:
         return _trivial("G2.15", ctx, hyps, tol, "no distinct horizontal pair")
     nv = ctx.m - ctx.n
     v, h = slice(nv), slice(nv, None)
-    t1 = ctx.da_e[h, h, h, v]
-    t2 = t1.transpose(1, 0, 2, 3)
-    t3 = np.einsum("icx,abx->abci", ctx.t_e[v, h], ctx.nu_e)
+    t1 = ctx.da_e[:, h, h, h, v]
+    t2 = t1.swapaxes(1, 2)
+    t3 = np.einsum("...icx,...abx->...abci", ctx.t_e[:, v, h], ctx.nu_e)
     return _records(
         "G2.15", ctx, tol, hyps, "X{} Y{} Z{} U{}",
         [p + (c, i) for p in _pairs(ctx.n) for c in range(ctx.n)
          for i in range(nv)],
-        ctx.riem_e[h, h, h, v], t1 - t2 - t3,
+        ctx.riem_e[:, h, h, h, v], t1 - t2 - t3,
         (("(nabla_X A)_Y Z", t1), ("-(nabla_Y A)_X Z", -t2),
          ("-g(T_UZ, v[X,Y])", -t3)))
 
 
 def _g216(ctx, tol):
-    hyps = [ctx.hyp_conformal()]
+    hyps = [ctx.hyp_conformal]
     n = ctx.n
     if n < 2:
         return _trivial("G2.16", ctx, hyps, tol, "no distinct horizontal pair")
     h = slice(ctx.m - n, None)
-    lam_sq, gram, nu = ctx.lam_sq, ctx.gram[h, h], ctx.nu_e
-    base = ctx.base_riem_e / lam_sq
-    brackets = 0.25 * (np.einsum("acx,bdx->abcd", nu, nu)
-                       - np.einsum("bcx,adx->abcd", nu, nu)
-                       + 2.0 * np.einsum("abx,cdx->abcd", nu, nu))
-    hess = 0.5 * lam_sq * _kulkarni_nomizu(gram, ctx.hess_e[h, h])
-    df = ctx.df_e[h]
-    quartic = -0.25 * lam_sq ** 2 * _kulkarni_nomizu(
-        0.5 * ctx.grad_f_sq * gram + np.outer(df, df), gram)
+    lam_sq, gram, nu = ctx.lam_sq, ctx.gram[:, h, h], ctx.nu_e
+    per_point = (slice(None),) + (None,) * 4
+    base = ctx.base_riem_e / lam_sq[per_point]
+    brackets = 0.25 * (np.einsum("...acx,...bdx->...abcd", nu, nu)
+                       - np.einsum("...bcx,...adx->...abcd", nu, nu)
+                       + 2.0 * np.einsum("...abx,...cdx->...abcd", nu, nu))
+    hess = (0.5 * lam_sq)[per_point] * _kulkarni_nomizu(gram,
+                                                         ctx.hess_e[:, h, h])
+    df = ctx.df_e[:, h]
+    quartic = (-0.25 * lam_sq ** 2)[per_point] * _kulkarni_nomizu(
+        (0.5 * ctx.grad_f_sq)[:, None, None] * gram + _outer(df, df), gram)
     return _records(
         "G2.16", ctx, tol, hyps, "X{} Y{} Z{} L{}",
         [p + (c, d) for p in _pairs(n) for c in range(n) for d in range(n)],
-        ctx.riem_e[h, h, h, h], base + brackets + hess + quartic,
+        ctx.riem_e[:, h, h, h, h], base + brackets + hess + quartic,
         (("base-curvature/lam^2", base), ("bracket-terms", brackets),
          ("hessian-terms", hess), ("gradient-terms", quartic)))
 
@@ -785,49 +812,52 @@ def verify_A_formula(identity_id, ctx, tol=1e-6):
     """P3.1: A_X Y = (1/2){v[X,Y] - lam^2 g(X,Y) grad_v f}; E3.3: the
     derived relation A_Y X + A_X Y + lam^2 g(X,Y) grad_v f = 0."""
     h = slice(ctx.m - ctx.n, None)
-    axy = ctx.a_e[h, h]
-    grad_term = ctx.lam_sq * ctx.gram[h, h, None] * ctx.vdf_e
+    axy = ctx.a_e[:, h, h]
+    grad_term = (ctx.lam_sq[:, None, None, None] * ctx.gram[:, h, h, None]
+                 * ctx.vdf_e[:, None, None])
     if identity_id == "P3.1":
         closed = 0.5 * (ctx.nu_e - grad_term)
         res = _norms(axy - closed)
         lhs, rhs = _norms(axy), _norms(closed)
     else:
-        res = _norms(axy.transpose(1, 0, 2) + axy + grad_term)
+        res = _norms(axy.swapaxes(1, 2) + axy + grad_term)
         lhs, rhs = res, np.zeros_like(res)
-    return _records(identity_id, ctx, tol, [ctx.hyp_conformal()], "X{} Y{}",
-                    np.ndindex(res.shape), lhs, rhs,
+    return _records(identity_id, ctx, tol, [ctx.hyp_conformal], "X{} Y{}",
+                    np.ndindex(res.shape[1:]), lhs, rhs,
                     residual=(res, 1.0 + _norms(axy)))
 
 
 def verify_lemma_3_1(item, ctx, tol=1e-6):
-    hyps = [ctx.hyp_conformal(), ctx.hyp_horizontal_integrable()]
+    hyps = [ctx.hyp_conformal, ctx.hyp_horizontal_integrable]
     n, nv, lam4 = ctx.n, ctx.m - ctx.n, ctx.lam_sq ** 2
     v, h = slice(nv), slice(nv, None)
-    gram = ctx.gram[h, h]
+    gram = ctx.gram[:, h, h]
     if item in ("i", "vi"):
-        a_hv = ctx.a_e[h, v]
+        a_hv = ctx.a_e[:, h, v]
     if item == "i":
-        vdf = ctx.vdf_e[v]
-        lhs = np.einsum("aic,ajc->ij", a_hv, a_hv)
-        rhs, label = n ** 2 * lam4 / 4.0 * np.outer(vdf, vdf), "U{} V{}"
+        vdf = ctx.vdf_e[:, v]
+        lhs = np.einsum("...aic,...ajc->...ij", a_hv, a_hv)
+        rhs = (n ** 2 * lam4 / 4.0)[:, None, None] * _outer(vdf, vdf)
+        label = "U{} V{}"
     elif item == "ii":
-        lhs = np.einsum("iaaj->ij", ctx.da_e[v, h, h, v])
-        rhs, label = n * ctx.dhp_e[v, v], "U{} V{}"
+        lhs = np.einsum("...iaaj->...ij", ctx.da_e[:, v, h, h, v])
+        rhs, label = n * ctx.dhp_e[:, v, v], "U{} V{}"
     elif item == "iii":
-        lhs = np.einsum("abbi->ai", ctx.da_e[h, h, h, v])
-        rhs, label = n * ctx.dhp_e[h, v], "X{} U{}"
+        lhs = np.einsum("...abbi->...ai", ctx.da_e[:, h, h, h, v])
+        rhs, label = n * ctx.dhp_e[:, h, v], "X{} U{}"
     elif item == "iv":
-        lhs = np.einsum("babi->ai", ctx.da_e[h, h, h, v])
-        rhs, label = gram @ ctx.dhp_e[h, v], "X{} U{}"
+        lhs = np.einsum("...babi->...ai", ctx.da_e[:, h, h, h, v])
+        rhs, label = gram @ ctx.dhp_e[:, h, v], "X{} U{}"
     elif item == "v":
-        lhs = np.einsum("iabi->ab", ctx.da_e[v, h, h, v])
-        rhs, label = gram * ctx.div_hprime, "X{} Y{}"
+        lhs = np.einsum("...iabi->...ab", ctx.da_e[:, v, h, h, v])
+        rhs, label = gram * ctx.div_hprime[:, None, None], "X{} Y{}"
     else:  # vi
-        lhs = np.einsum("aic,bic->ab", a_hv, a_hv)
-        rhs = gram * lam4 / 4.0 * ctx.vgrad_f_sq
+        lhs = np.einsum("...aic,...bic->...ab", a_hv, a_hv)
+        rhs = (gram * lam4[:, None, None] / 4.0
+               * ctx.vgrad_f_sq[:, None, None])
         label = "X{} Y{}"
     return _records(f"L3.1.{item}", ctx, tol, hyps, label,
-                    np.ndindex(lhs.shape), lhs, rhs)
+                    np.ndindex(lhs.shape[1:]), lhs, rhs)
 
 
 # ---------------------------------------------------------------------
@@ -836,19 +866,23 @@ def verify_lemma_3_1(item, ctx, tol=1e-6):
 
 def _dilation_terms(ctx):
     """The terms of the horizontal Ricci form (3.13) read off the base
-    Ricci tensor and f = 1/lambda^2, as arrays over horizontal pairs."""
+    Ricci tensor and f = 1/lambda^2, as arrays over the points and
+    horizontal pairs."""
     n, lam_sq = ctx.n, ctx.lam_sq
     lam4 = lam_sq ** 2
     h = slice(ctx.m - n, None)
-    gram, hess, df = ctx.gram[h, h], ctx.hess_e[h, h], ctx.df_e[h]
+    gram, hess, df = ctx.gram[:, h, h], ctx.hess_e[:, h, h], ctx.df_e[:, h]
+    laplacian = np.trace(hess, axis1=1, axis2=2)
     return {
-        "Ric_N/lam^2": ctx.base_ric_e / lam_sq,
-        "-((n-2)/2) lam^2 Hess f(X,Y)": -((n - 2) / 2.0) * lam_sq * hess,
-        "-(lam^2/2) g(X,Y){lap_H f - n H'(f)}": -(lam_sq / 2.0) * gram
-            * (float(np.trace(hess)) - n * ctx.hp_f),
-        "(n lam^4/4) g(X,Y)|grad f|^2": (n * lam4 / 4.0) * gram
-            * ctx.grad_f_sq,
-        "(lam^4/4)(n-2)(Xf)(Yf)": (lam4 / 4.0) * (n - 2) * np.outer(df, df),
+        "Ric_N/lam^2": ctx.base_ric_e / lam_sq[:, None, None],
+        "-((n-2)/2) lam^2 Hess f(X,Y)": (-((n - 2) / 2.0)
+                                         * lam_sq)[:, None, None] * hess,
+        "-(lam^2/2) g(X,Y){lap_H f - n H'(f)}": (-(lam_sq / 2.0))[
+            :, None, None] * gram * (laplacian - n * ctx.hp_f)[:, None, None],
+        "(n lam^4/4) g(X,Y)|grad f|^2": (n * lam4 / 4.0)[:, None, None]
+            * gram * ctx.grad_f_sq[:, None, None],
+        "(lam^4/4)(n-2)(Xf)(Yf)": ((lam4 / 4.0) * (n - 2))[:, None, None]
+            * _outer(df, df),
     }
 
 
@@ -857,55 +891,60 @@ def _ricci_terms(identity_id, ctx):
     m, n, nv = ctx.m, ctx.n, ctx.m - ctx.n
     v, h = slice(nv), slice(nv, None)
     if identity_id == "R3.11":
-        a_hv = ctx.a_e[h, v]
-        vdf = ctx.vdf_e[v]
-        return ctx.ric_e[v, v], {
+        a_hv = ctx.a_e[:, h, v]
+        vdf = ctx.vdf_e[:, v]
+        return ctx.ric_e[:, v, v], {
             "Ric_nu": ctx.fiber_ric_e,
-            "-(m-n)g(T_UV,H)": -(m - n) * (ctx.t_e[v, v] @ ctx.h_e),
+            "-(m-n)g(T_UV,H)": -(m - n) * mat_vec(ctx.t_e[:, v, v],
+                                                   ctx.h_e),
             "sum (nabla_U A)_Xj Xj . V": np.einsum(
-                "iaaj->ij", ctx.da_e[v, h, h, v]),
-            "sum g(A_Xj U, A_Xj V)": np.einsum("aic,ajc->ij", a_hv, a_hv),
+                "...iaaj->...ij", ctx.da_e[:, v, h, h, v]),
+            "sum g(A_Xj U, A_Xj V)": np.einsum("...aic,...ajc->...ij",
+                                               a_hv, a_hv),
             "-sum (nabla_Xj T)_U Xj . V": -np.einsum(
-                "aiaj->ij", ctx.dt_e[h, v, h, v]),
-            "-(lam^4/2) n (Uf)(Vf)": -(ctx.lam_sq ** 2 / 2.0) * n
-                * np.outer(vdf, vdf),
+                "...aiaj->...ij", ctx.dt_e[:, h, v, h, v]),
+            "-(lam^4/2) n (Uf)(Vf)": (-(ctx.lam_sq ** 2 / 2.0) * n)[
+                :, None, None] * _outer(vdf, vdf),
         }
     if identity_id == "R3.12":
-        da = ctx.da_e[h, h, h, v]
-        return ctx.ric_e[v, h], {
-            "(m-n) g(nabla_U H, X)": (m - n) * ctx.dh_e[v, h],
+        da = ctx.da_e[:, h, h, h, v]
+        return ctx.ric_e[:, v, h], {
+            "(m-n) g(nabla_U H, X)": (m - n) * ctx.dh_e[:, v, h],
             "-sum (nabla_Ui T)_U Ui . X": -np.einsum(
-                "jija->ia", ctx.dt_e[v, v, v, h]),
-            "sum (nabla_X A)_Xj Xj . U": np.einsum("abbi->ia", da),
-            "-sum (nabla_Xj A)_X Xj . U": -np.einsum("babi->ia", da),
+                "...jija->...ia", ctx.dt_e[:, v, v, v, h]),
+            "sum (nabla_X A)_Xj Xj . U": np.einsum("...abbi->...ia", da),
+            "-sum (nabla_Xj A)_X Xj . U": -np.einsum("...babi->...ia", da),
             "-sum g(T_U Xj, v[X,Xj])": -np.einsum(
-                "ibc,abc->ia", ctx.t_e[v, h], ctx.nu_e),
+                "...ibc,...abc->...ia", ctx.t_e[:, v, h], ctx.nu_e),
         }
-    a_hv, t_vh, nu = ctx.a_e[h, v], ctx.t_e[v, h], ctx.nu_e
+    a_hv, t_vh, nu = ctx.a_e[:, h, v], ctx.t_e[:, v, h], ctx.nu_e
     dilation = _dilation_terms(ctx)
-    return ctx.ric_e[h, h], {
+    return ctx.ric_e[:, h, h], {
         "sum (nabla_Ui A)_X Y . Ui": np.einsum(
-            "iabi->ab", ctx.da_e[v, h, h, v]),
-        "sum g(A_X Ui, A_Y Ui)": np.einsum("aic,bic->ab", a_hv, a_hv),
+            "...iabi->...ab", ctx.da_e[:, v, h, h, v]),
+        "sum g(A_X Ui, A_Y Ui)": np.einsum("...aic,...bic->...ab",
+                                           a_hv, a_hv),
         "-sum (nabla_X T)_Ui Y . Ui": -np.einsum(
-            "aibi->ab", ctx.dt_e[h, v, h, v]),
-        "-sum g(T_Ui X, T_Ui Y)": -np.einsum("iac,ibc->ab", t_vh, t_vh),
-        "lam^2 g(A_XY, grad_v f)": ctx.lam_sq * (ctx.a_e[h, h] @ ctx.vdf_e),
+            "...aibi->...ab", ctx.dt_e[:, h, v, h, v]),
+        "-sum g(T_Ui X, T_Ui Y)": -np.einsum("...iac,...ibc->...ab",
+                                             t_vh, t_vh),
+        "lam^2 g(A_XY, grad_v f)": ctx.lam_sq[:, None, None]
+            * mat_vec(ctx.a_e[:, h, h], ctx.vdf_e),
         "Ric_N/lam^2": dilation.pop("Ric_N/lam^2"),
         "(3/4) sum g(v[X,Xj], v[Xj,Y])": 0.75 * np.einsum(
-            "adc,dbc->ab", nu, nu),
+            "...adc,...dbc->...ab", nu, nu),
         **dilation,
     }
 
 
 def verify_ricci_decomposition(identity_id, ctx, tol=1e-6):
-    hyps = [ctx.hyp_conformal()]
+    hyps = [ctx.hyp_conformal]
     if identity_id == "R3.11":
-        hyps.append(ctx.hyp_fiber_chart())
+        hyps.append(ctx.hyp_fiber_chart)
     lhs, terms = _ricci_terms(identity_id, ctx)
     nv = ctx.m - ctx.n
     label, index = {"R3.11": ("U{} V{}", _upper(nv)),
-                    "R3.12": ("U{} X{}", np.ndindex(lhs.shape)),
+                    "R3.12": ("U{} X{}", np.ndindex(lhs.shape[1:])),
                     "R3.13": ("X{} Y{}", _upper(ctx.n))}[identity_id]
     return _records(identity_id, ctx, tol, hyps, label, index, lhs,
                     sum(terms.values()), list(terms.items()))
@@ -917,50 +956,57 @@ def verify_corollary(identity_id, ctx, tol=1e-6):
     corollary states them."""
     n, nv, lam_sq = ctx.n, ctx.m - ctx.n, ctx.lam_sq
     v, h = slice(nv), slice(nv, None)
-    ric, gram = ctx.ric_e, ctx.gram[h, h]
+    ric, gram = ctx.ric_e, ctx.gram[:, h, h]
     if identity_id == "C3.1":
-        hyps = [ctx.hyp_conformal(), ctx.hyp_fibers_tg(),
-                ctx.hyp_horizontal_integrable(), ctx.hyp_fiber_chart()]
-        vdf, dhp = ctx.vdf_e[v], ctx.dhp_e
+        hyps = [ctx.hyp_conformal, ctx.hyp_fibers_tg,
+                ctx.hyp_horizontal_integrable, ctx.hyp_fiber_chart]
+        vdf, dhp = ctx.vdf_e[:, v], ctx.dhp_e
         dilation = _dilation_terms(ctx)
         blocks = [
-            (ctx.fiber_ric_e + n * dhp[v, v]
-             + (n * n / 4.0 - n / 2.0) * lam_sq ** 2 * np.outer(vdf, vdf)),
-            (n * dhp[h, v] - gram @ dhp[h, v]).T,
-            (gram * ctx.div_hprime + dilation.pop("Ric_N/lam^2")
-             - 0.75 * lam_sq ** 2 * gram * ctx.vgrad_f_sq
+            (ctx.fiber_ric_e + n * dhp[:, v, v]
+             + ((n * n / 4.0 - n / 2.0) * lam_sq ** 2)[:, None, None]
+             * _outer(vdf, vdf)),
+            (n * dhp[:, h, v] - gram @ dhp[:, h, v]).swapaxes(1, 2),
+            (gram * ctx.div_hprime[:, None, None]
+             + dilation.pop("Ric_N/lam^2")
+             - (0.75 * lam_sq ** 2)[:, None, None] * gram
+             * ctx.vgrad_f_sq[:, None, None]
              + sum(dilation.values()))]
     elif identity_id == "C3.2":
-        hyps = [ctx.hyp_conformal(), ctx.hyp_fibers_tg(),
-                ctx.hyp_horizontal_integrable(), ctx.hyp_homothetic()]
+        hyps = [ctx.hyp_conformal, ctx.hyp_fibers_tg,
+                ctx.hyp_horizontal_integrable, ctx.hyp_homothetic]
         blocks = [None, None,
-                  (gram * ctx.div_hprime + ctx.base_ric_e / lam_sq
-                   - 0.25 * lam_sq ** 2 * gram * ctx.vgrad_f_sq
-                   + (n * lam_sq / 2.0) * gram * ctx.hp_f)]
+                  (gram * ctx.div_hprime[:, None, None]
+                   + ctx.base_ric_e / lam_sq[:, None, None]
+                   - (0.25 * lam_sq ** 2)[:, None, None] * gram
+                   * ctx.vgrad_f_sq[:, None, None]
+                   + (n * lam_sq / 2.0)[:, None, None] * gram
+                   * ctx.hp_f[:, None, None])]
     else:  # C3.3
-        hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg(), ctx.hyp_fiber_chart()]
-        blocks = [ctx.fiber_ric_e, np.zeros((nv, n)),
-                  ctx.base_ric_e / lam_sq]
-    out = []
+        hyps = [ctx.hyp_conformal, ctx.hyp_map_tg, ctx.hyp_fiber_chart]
+        blocks = [ctx.fiber_ric_e, np.zeros((len(ctx.points), nv, n)),
+                  ctx.base_ric_e / lam_sq[:, None, None]]
+    out = [[] for _ in ctx.points]
     for (block, label, index), rhs in zip(
             (((v, v), "(U{},V{})", _upper(nv)),
              ((v, h), "(U{},X{})", np.ndindex(nv, n)),
              ((h, h), "(X{},Y{})", _upper(n))), blocks):
         if rhs is not None:
-            out += _records(identity_id, ctx, tol, hyps, label, index,
-                            ric[block], rhs)
+            for recs, more in zip(out, _records(
+                    identity_id, ctx, tol, hyps, label, index,
+                    ric[(slice(None),) + block], rhs)):
+                recs += more
     return out
 
 
 def verify_scalar_split(ctx, tol=1e-6):
     """s = s^{KerF_*} + s^N / lam^2 for a totally geodesic map."""
-    hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg(), ctx.hyp_fiber_chart()]
-    s_fiber = ctx.fiber_scalar_intrinsic()
-    s_base = ctx.base_scalar_curvature
-    rhs = s_fiber + s_base / ctx.lam_sq
-    return [record("T3.4", ctx.p.coords, ctx.scalar_curvature, rhs, hyps, tol,
-                   terms={"s_fiber": s_fiber,
-                          "s_base/lam^2": s_base / ctx.lam_sq})]
+    hyps = [ctx.hyp_conformal, ctx.hyp_map_tg, ctx.hyp_fiber_chart]
+    s_fiber = ctx.fiber_scalar_intrinsic
+    s_base = ctx.base_scalar_curvature / ctx.lam_sq
+    return _records("T3.4", ctx, tol, hyps, "", [()], ctx.scalar_curvature,
+                    s_fiber + s_base,
+                    (("s_fiber", s_fiber), ("s_base/lam^2", s_base)))
 
 
 # ---------------------------------------------------------------------
@@ -973,27 +1019,31 @@ def verify_lemma_2_1(ctx, tol=1e-6):
     + (lam^2/2){X_a(f) F_*X_b + X_b(f) F_*X_a - g(X_a, X_b) F_*(h grad f)},
     with nabla^N_{e_a} e_b = Gamma^N_ab."""
     lift, _, nabla = ctx.basic_fields
-    lhs = np.einsum("ik,kab->iab", ctx.jac @ ctx.ph, nabla)
+    lhs = np.einsum("...ik,...kab->...iab", ctx.jac @ ctx.ph, nabla)
     push = ctx.jac @ lift
-    xf = lift.T @ ctx.g @ ctx.grad_f
-    gxy = lift.T @ ctx.g @ lift
-    correction = 0.5 * ctx.lam_sq * (
-        np.einsum("a,ib->iab", xf, push) + np.einsum("b,ia->iab", xf, push)
-        - np.einsum("ab,i->iab", gxy, ctx.jac @ ctx.hgrad_f))
+    lift_t = lift.swapaxes(1, 2)
+    xf = mat_vec(lift_t @ ctx.g, ctx.grad_f)
+    gxy = lift_t @ ctx.g @ lift
+    correction = (0.5 * ctx.lam_sq)[:, None, None, None] * (
+        np.einsum("...a,...ib->...iab", xf, push)
+        + np.einsum("...b,...ia->...iab", xf, push)
+        - np.einsum("...ab,...i->...iab", gxy, mat_vec(ctx.jac,
+                                                        ctx.hgrad_f)))
     rhs = ctx.base_curvature[0] + correction
     lhs_n, rhs_n, res = (sub.pair_norms(ctx.h_base, w)
                          for w in (lhs, rhs, lhs - rhs))
-    return _records("L2.1", ctx, tol, [ctx.hyp_conformal()], "",
-                    np.ndindex(res.shape), lhs_n, rhs_n,
+    return _records("L2.1", ctx, tol, [ctx.hyp_conformal], "",
+                    np.ndindex(res.shape[1:]), lhs_n, rhs_n,
                     residual=(res, 1.0 + np.maximum(lhs_n, rhs_n)))
 
 
 def verify_hessian_symmetry(ctx, tol=1e-9):
     """L2.2: the Hessian of f = 1/lambda^2 is symmetric, to within
     max(tol, 1e-9)."""
-    worst = float(np.max(np.abs(ctx.hess_f - ctx.hess_f.T)))
-    return [record("L2.2", ctx.p.coords, worst, 0.0, [], max(tol, 1e-9),
-                   scale=1.0)]
+    worst = np.abs(ctx.hess_f - ctx.hess_f.swapaxes(1, 2)).max(axis=(1, 2))
+    return _records("L2.2", ctx, max(tol, 1e-9), [], "", [()], worst,
+                    np.zeros_like(worst),
+                    residual=(worst, np.ones_like(worst)))
 
 
 # ---------------------------------------------------------------------
@@ -1001,7 +1051,7 @@ def verify_hessian_symmetry(ctx, tol=1e-9):
 # ---------------------------------------------------------------------
 
 # every identity check id, in ``ALL_CHECK_IDS`` order, with its
-# fn(ctx, tol) giving the point's records
+# fn(ctx, tol) giving one list of records per point of the run
 CHECKS = {
     "G2.12": _g212, "G2.13": _g213, "G2.14": _g214, "G2.15": _g215,
     "G2.16": _g216,
@@ -1018,9 +1068,10 @@ CHECKS = {
 }
 
 
-def run_check(check_id, setup, p, tol=1e-6, ctx=None):
-    """Run one check id at one point; returns its records (``record``).
-    ``ctx`` is the point's ``IdentityContext`` when the caller holds it."""
+def run_check(check_id, setup, points, tol=1e-6, ctx=None):
+    """Run one check id at every point of ``points``; returns one list of
+    records (``record``) per point.  ``ctx`` is the points'
+    ``IdentityContext`` when the caller holds it."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}")
-    return CHECKS[check_id](ctx or IdentityContext(setup, p), tol)
+    return CHECKS[check_id](ctx or IdentityContext(setup, points), tol)

@@ -127,3 +127,25 @@ def null_space_bases(mats, nullity, tol=1e-10):
     basis[point, slot, pivots[:, None, :]] = -rows[point, row,
                                                    free[:, :, None]]
     return basis
+
+
+# -- products of vectors at every point of a leading point axis ----------
+#
+# Each is one matrix product per point, as NumPy runs ``a @ v`` or
+# ``u @ v`` on the point's own arrays, so a point's value does not depend
+# on the points stacked with it.
+
+def mat_vec(a, v):
+    """a @ v at every point: a (P, ..., r, c) and v (P, c)."""
+    return (a @ v.reshape(v.shape[:1] + (1,) * (a.ndim - 3) + v.shape[1:]
+                          + (1,)))[..., 0]
+
+
+def vec_dot(u, v):
+    """u . v at every point, (P,) from (P, m) rows."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def quad_form(u, g, v):
+    """u^T g v at every point, as (u @ g) @ v."""
+    return vec_dot((u[:, None, :] @ g)[:, 0], v)

@@ -50,13 +50,11 @@ def _soliton_record(check_id, sr):
                   residual=sr.max_residual, scale=1.0)
 
 
-def _run_soliton_checks(job, checks, records, contexts):
+def _run_soliton_checks(job, checks, records, ctx):
     setup, points, tol = job.setup, job.points, job.tolerance
     needs_xi = [c for c in checks if c != "structure-flags"]
     if "structure-flags" in checks:
-        flags = sub.structure_flags(setup, points,
-                                    contexts=contexts).as_dict()
-        for name, check in flags.items():
+        for name, check in sub.structure_flags(ctx).as_dict().items():
             records.append(record(
                 "structure-flags", (), check.holds, check.holds, [], tol,
                 terms={"max_violation": check.max_violation},
@@ -75,7 +73,7 @@ def _run_soliton_checks(job, checks, records, contexts):
     # every check but conformal-fit reads mu, fitted when none is declared
     if "fit-mu" in checks or (
             mu is None and any(c != "conformal-fit" for c in needs_xi)):
-        fit = sol.fit_mu(setup.total, xi, points, contexts=contexts)
+        fit = sol.fit_mu(setup.total, xi, points, ctx=ctx)
         mu = fit.mu if mu is None else mu
     if "fit-mu" in checks:
         worst = worst_of(fit.per_point, lambda pr: pr[1])
@@ -86,8 +84,7 @@ def _run_soliton_checks(job, checks, records, contexts):
             residual=max(fit.max_residual, abs(fit.mu - mu)),
             scale=1.0 + max(abs(fit.mu), abs(mu)), absolute=True))
     if "conformal-fit" in checks:
-        conf = sol.conformal_field_fit(setup.total, xi, points,
-                                       contexts=contexts)
+        conf = sol.conformal_field_fit(setup.total, xi, points, ctx=ctx)
         worst_p, worst_f = worst_of(conf.f_values, lambda pf: abs(pf[1]))
         records.append(record(
             "conformal-fit", worst_p.coords, worst_f, 0.0, [], tol,
@@ -97,25 +94,20 @@ def _run_soliton_checks(job, checks, records, contexts):
             residual=conf.max_residual, absolute=True))
     if "fiber-soliton" in checks:
         records.append(_soliton_record(
-            "fiber-soliton",
-            sol.fiber_soliton_report(setup, xi, points, mu=mu, tol=tol,
-                                     contexts=contexts)))
+            "fiber-soliton", sol.fiber_soliton_report(ctx, xi, mu=mu,
+                                                      tol=tol)))
     if "base-soliton" in checks:
         xi_base = next((spec for target, spec in job.fields.values()
                         if target == "base"), None)
         records.append(_soliton_record(
-            "base-soliton",
-            sol.base_soliton_report(setup, xi, mu, points,
-                                    xi_base=xi_base, tol=tol,
-                                    contexts=contexts)))
+            "base-soliton", sol.base_soliton_report(ctx, xi, mu,
+                                                    xi_base=xi_base,
+                                                    tol=tol)))
     if "scalar-mu" in checks:
-        records.append(sol.scalar_mu_consistency(setup, xi, mu, points,
-                                                 tol=tol, contexts=contexts))
+        records.append(sol.scalar_mu_consistency(ctx, mu, tol=tol))
     if "harmonicity" in checks:
         records.append(_soliton_record(
-            "harmonicity",
-            sol.harmonicity_report(setup, xi, mu, points, tol=tol,
-                                   contexts=contexts)))
+            "harmonicity", sol.harmonicity_report(ctx, mu, tol=tol)))
 
 
 def count_verdicts(records):
@@ -132,24 +124,14 @@ def run_job(job):
     setup = job.setup
     identity_ids = [c for c in job.checks if c in ALL_CHECK_IDS]
     soliton_ids = [c for c in job.checks if c in SOLITON_CHECKS]
-    records = []
-    lam = []
-    contexts = []  # kept only for the soliton reports, which reuse them
-    try:
-        cores = setup.float_cores(job.points)
-    except (ArithmeticError, ValueError):
-        # some point fails its core: each context then builds its own, so
-        # the checks of the points before that one still run first
-        cores = None
-    for i, p in enumerate(job.points):
-        ctx = IdentityContext(setup, p, cores=cores, index=i)
-        lam.append(ctx.lam_sq)
-        if soliton_ids:
-            contexts.append(ctx)
-        for check_id in identity_ids:
-            records.extend(run_check(check_id, setup, p, tol=job.tolerance,
-                                     ctx=ctx))
-    _run_soliton_checks(job, soliton_ids, records, contexts)
+    ctx = IdentityContext(setup, job.points)
+    # one list of records per point from each check, interleaved point by
+    # point
+    per_check = [run_check(check_id, setup, job.points, tol=job.tolerance,
+                           ctx=ctx) for check_id in identity_ids]
+    records = [rec for point_records in zip(*per_check)
+               for recs in point_records for rec in recs]
+    _run_soliton_checks(job, soliton_ids, records, ctx)
     counts = count_verdicts(records)
     flagged = sum(1 for r in records
                   if r["verdict"] == "fail" and r["convention_sensitive"])
@@ -158,7 +140,8 @@ def run_job(job):
         "base_dim": setup.n,
         "total_coords": list(setup.total.coord_names),
         "base_coords": list(setup.base.coord_names),
-        "lambda_sq_range": [min(lam), max(lam)],
+        "lambda_sq_range": [float(ctx.lam_sq.min()),
+                            float(ctx.lam_sq.max())],
         "n_points": len(job.points),
         "checks": list(job.checks),
     }

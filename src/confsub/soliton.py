@@ -9,15 +9,16 @@ compared against its closed-form expression.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .identities import record, verdict_of, worst_of
+from .identities import (Hypothesis, hypotheses_at, record, verdict_of,
+                         worst_of)
 from .jets import primal, primal_array
+from .linalg import mat_vec, quad_form, vec_dot
 
 
 @dataclass
@@ -60,9 +61,11 @@ def _classify(mu, tol):
     return "steady"
 
 
-def _frame(g):
-    """Orthonormal frame from the coordinate basis, one vector per row."""
-    return np.array(geo.orthonormalize_components(g, np.eye(len(g))))
+def _frames(g):
+    """Orthonormal frames from the coordinate basis at every point of the
+    (P, m, m) metrics ``g``, one vector per row."""
+    return geo.orthonormal_frames(g, np.broadcast_to(np.eye(g.shape[-1]),
+                                                     g.shape))
 
 
 def _chart_curvature(chart, xs):
@@ -78,71 +81,69 @@ def _lie_matrix(g, gamma, xi_fn, xs):
     return geo.lie_derivative_matrix(g, gamma, *geo.vector_partials(xi_fn, xs))
 
 
+def _chart_fields(chart, xi, points):
+    """(g, Ric, L_xi g) of a bare chart at the points, each (P, m, m):
+    Gamma and Ric from one order-2 seeding of the metric per point, L_xi g
+    from one seeding of xi."""
+    xi_fn = _field_fn(chart, xi)
+    rows = []
+    for p in points:
+        xs = list(p.coords)
+        g, gamma, ric = _chart_curvature(chart, xs)
+        rows.append((g, ric, _lie_matrix(g, gamma, xi_fn, xs)))
+    return tuple(np.array(a) for a in zip(*rows))
+
+
 def _soliton_form(g, lie, ric):
     """Matrix of (1/2)(L_xi g) + Ric over the orthonormal frame of g
-    (whose Gram matrix is the identity, for the fit)."""
-    frame = _frame(g)
-    return frame @ (0.5 * lie + ric.T) @ frame.T
+    (whose Gram matrix is the identity, for the fit) at every point."""
+    frame = _frames(g)
+    return frame @ (0.5 * lie + ric.swapaxes(1, 2)) @ frame.swapaxes(1, 2)
 
 
 def _field_fn(chart, xi):
     return xi if callable(xi) else geo.field_fn(chart, xi)
 
 
-def fit_mu(chart, xi, points, tol=1e-9, contexts=None):
+def _traces(a):
+    return np.trace(a, axis1=1, axis2=2)
+
+
+def fit_mu(chart, xi, points, tol=1e-9, ctx=None):
     """Least-squares mu over all orthonormal frame pairs and points.
-    ``contexts`` are the points' IdentityContexts of a submersion whose
-    total chart is ``chart``, when the caller holds them; g, Ric and
-    L_xi g are then read from them."""
+    ``ctx`` is the points' IdentityContext of a submersion whose total
+    chart is ``chart``, when the caller holds it; g, Ric and L_xi g are
+    then read from it."""
     if not points:
         raise ValueError("fit_mu needs at least one point")
-    if contexts is None:
-        xi_fn = _field_fn(chart, xi)
-        forms = []
-        for p in points:
-            xs = list(p.coords)
-            g, gamma, ric = _chart_curvature(chart, xs)
-            forms.append(_soliton_form(g, _lie_matrix(g, gamma, xi_fn, xs),
-                                       ric))
+    if ctx is None:
+        g, ric, lie = _chart_fields(chart, xi, points)
     else:
-        forms = [_soliton_form(ctx.g, ctx.vector_field(xi)[2], ctx.ric_matrix)
-                 for ctx in contexts]
+        g, ric, lie = ctx.g, ctx.ric_matrix, ctx.vector_field(xi)[2]
+    forms = _soliton_form(g, lie, ric)
     # minimizing sum (l_ab + mu*delta_ab)^2 gives mu = -mean of traces
-    num = sum(np.trace(f) for f in forms)
-    den = chart.dim * len(points)
-    mu = -num / den
-    per_point = []
-    worst = 0.0
-    for p, f in zip(points, forms):
-        res = float(np.max(np.abs(f + mu * np.eye(chart.dim))))
-        per_point.append((p, res))
-        worst = max(worst, res)
-    return MuFit(mu=float(mu), max_residual=worst,
-                 classification=_classify(mu, tol), per_point=per_point)
+    mu = -sum(_traces(forms).tolist()) / (chart.dim * len(points))
+    residuals = np.abs(forms + mu * np.eye(chart.dim)).max(
+        axis=(1, 2)).tolist()
+    return MuFit(mu=float(mu), max_residual=max([0.0] + residuals),
+                 classification=_classify(mu, tol),
+                 per_point=list(zip(points, residuals)))
 
 
-def conformal_field_fit(chart, xi, points, tol=1e-9, contexts=None):
-    """Fit (L_xi g) = 2 f g pointwise; f from the trace.  ``contexts`` as
-    for ``fit_mu``: g and L_xi g are then read from them."""
-    if contexts is None:
-        xi_fn = _field_fn(chart, xi)
-        metrics = []
-        for p in points:
-            xs = list(p.coords)
-            g = primal_array(chart.metric_at(xs))
-            gamma = primal_array(geo.christoffels_at(chart, xs))
-            metrics.append((g, _lie_matrix(g, gamma, xi_fn, xs)))
+def conformal_field_fit(chart, xi, points, tol=1e-9, ctx=None):
+    """Fit (L_xi g) = 2 f g pointwise; f from the trace.  ``ctx`` as for
+    ``fit_mu``: g and L_xi g are then read from it."""
+    if ctx is None:
+        g, _, lie = _chart_fields(chart, xi, points)
     else:
-        metrics = [(ctx.g, ctx.vector_field(xi)[2]) for ctx in contexts]
-    f_values = []
-    worst = 0.0
-    for p, (g, lie) in zip(points, metrics):
-        frame = _frame(g)
-        lie = frame @ lie @ frame.T
-        k = len(frame)
-        f = float(np.trace(lie)) / (2.0 * k)
-        worst = max(worst, float(np.max(np.abs(lie - 2.0 * f * np.eye(k)))))
-        f_values.append((p, f))
+        g, lie = ctx.g, ctx.vector_field(xi)[2]
+    frame = _frames(g)
+    lie = frame @ lie @ frame.swapaxes(1, 2)
+    k = chart.dim
+    f = _traces(lie) / (2.0 * k)
+    worst = max([0.0] + np.abs(lie - (2.0 * f)[:, None, None] * np.eye(k)).max(
+        axis=(1, 2)).tolist())
+    f_values = list(zip(points, f.tolist()))
     is_killing = worst <= tol and all(abs(f) <= tol for _, f in f_values)
     return ConformalFit(f_values=f_values, max_residual=worst,
                         is_killing=is_killing)
@@ -155,165 +156,162 @@ def conformal_field_fit(chart, xi, points, tol=1e-9, contexts=None):
 def _horizontal_div_h(ctx):
     """div(H) as the horizontal trace sum_j g(nabla_{X_j} H, X_j)."""
     nv = ctx.m - ctx.n
-    return float(np.trace(ctx.dh_e[nv:, nv:]))
+    return _traces(ctx.dh_e[:, nv:, nv:])
 
 
 def _norm_sq_h(ctx):
-    return float(ctx.h_e @ ctx.h_e)
+    return vec_dot(ctx.h_e, ctx.h_e)
 
 
 def _fiber_formula_value(ctx, xi_h, mu):
     """f = div(H) - (m-n)|H|^2 + mu - g(H, horizontal part of xi):
     reduces to f1 for vertical xi and to f2 for horizontal xi."""
     base = _horizontal_div_h(ctx) - (ctx.m - ctx.n) * _norm_sq_h(ctx) + mu
-    return base - float(ctx.h_vec @ ctx.g @ xi_h)
+    return base - quad_form(ctx.h_vec, ctx.g, xi_h)
 
 
-def fiber_soliton_report(setup, xi, points, contexts, mu=0.0, tol=1e-6):
+def _point_dicts(points, **columns):
+    """One dict per point: its ``point`` and each (P,) column's value."""
+    values = {key: v.tolist() for key, v in columns.items()}
+    return [{"point": p, **{key: v[i] for key, v in values.items()}}
+            for i, p in enumerate(points)]
+
+
+def fiber_soliton_report(ctx, xi, mu=0.0, tol=1e-6):
     """Fibers as (almost) Ricci solitons: residual of
     (1/2){g(nabla_U xi_v, V) + g(nabla_V xi_v, U)} + Ric^v(U,V) + f g(U,V)
-    with f evaluated from its closed form per point, read off
-    ``contexts``, the points' IdentityContexts."""
-    per_point = []
-    worst = 0.0
-    hyp_sets = []
-    for p, ctx in zip(points, contexts):
-        hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_umbilical(),
-                         ctx.hyp_horizontal_tg()])
-        k = ctx.m - ctx.n
-        vframe = ctx.vframe
-        # xi_v = P_v xi with d_l xi_v = d_l P_v xi + P_v d_l xi
-        xi_vals, dxi, _ = ctx.vector_field(xi)
-        pv, dpv, _ = ctx.partials("pv")
-        lie = geo.lie_derivative_matrix(ctx.g, ctx.gamma, pv @ xi_vals,
-                                        dpv @ xi_vals + dxi @ pv.T)
-        lform = 0.5 * (vframe @ lie @ vframe.T) + ctx.fiber_ric_e
-        fitted = -float(np.trace(lform)) / k
-        xi_h = ctx.ph @ xi_vals
-        formula = _fiber_formula_value(ctx, xi_h, mu)
-        res = float(np.max(np.abs(lform + formula * np.eye(k))))
-        worst = max(worst, res)
-        per_point.append({"point": p, "fitted": fitted, "formula": formula,
-                          "residual": res,
-                          "fit_vs_formula": abs(fitted - formula)})
-    return SolitonReport(target="fibers",
-                         hypotheses=_merge_hypotheses(hyp_sets),
-                         per_point=per_point, max_residual=worst, tol=tol)
+    with f evaluated from its closed form at each point of ``ctx``, the
+    run's IdentityContext."""
+    k = ctx.m - ctx.n
+    vframe = ctx.vframe
+    # xi_v = P_v xi with d_l xi_v = d_l P_v xi + P_v d_l xi
+    xi_vals, dxi, _ = ctx.vector_field(xi)
+    pv, dpv, _ = ctx.cores.partials.pv
+    lie = geo.lie_derivative_matrix(
+        ctx.g, ctx.gamma, mat_vec(pv, xi_vals),
+        mat_vec(dpv, xi_vals) + dxi @ pv.swapaxes(1, 2))
+    lform = 0.5 * (vframe @ lie @ vframe.swapaxes(1, 2)) + ctx.fiber_ric_e
+    fitted = -_traces(lform) / k
+    formula = _fiber_formula_value(ctx, mat_vec(ctx.ph, xi_vals), mu)
+    res = np.abs(lform + formula[:, None, None] * np.eye(k)).max(axis=(1, 2))
+    return SolitonReport(
+        target="fibers",
+        hypotheses=_merge_hypotheses([ctx.hyp_conformal, ctx.hyp_umbilical,
+                                      ctx.hyp_horizontal_tg]),
+        per_point=_point_dicts(ctx.points, fitted=fitted, formula=formula,
+                               residual=res,
+                               fit_vs_formula=np.abs(fitted - formula)),
+        max_residual=max([0.0] + res.tolist()), tol=tol)
 
 
-def base_soliton_report(setup, xi, mu, points, contexts, xi_base=None,
-                        tol=1e-6):
+def base_soliton_report(ctx, xi, mu, xi_base=None, tol=1e-6):
     """Base as an (almost) Ricci soliton: residual of
-    (1/2)(L h)(Xt,Yt) + Ric^N(Xt,Yt) + f h(Xt,Yt) with f from f3/f4.
+    (1/2)(L h)(Xt,Yt) + Ric^N(Xt,Yt) + f h(Xt,Yt) with f from f3/f4, at
+    each point of ``ctx``, the run's IdentityContext.
 
     ``xi_base`` is the pushforward field expressed on the base chart; it
     defaults to zero.  A per-point projection residual compares it with
     the actual pushforward of the horizontal part of ``xi``.
     """
+    setup, n = ctx.setup, ctx.n
     xi_fn = _field_fn(setup.total, xi)
     if xi_base is None:
-        xi_base = geo.VectorFieldSpec.constant([0.0] * setup.n)
+        xi_base = geo.VectorFieldSpec.constant([0.0] * n)
     xi_base_fn = _field_fn(setup.base, xi_base)
-    per_point = []
-    worst = 0.0
-    hyp_sets = []
-    for p, ctx in zip(points, contexts):
-        hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
-                         ctx.hyp_fibers_tg(), ctx.hyp_horizontal_integrable()])
-        base_gamma, _, base_ric = ctx.base_curvature
-        lform = _soliton_form(
-            ctx.h_base, _lie_matrix(ctx.h_base, base_gamma, xi_base_fn,
-                                    list(ctx.base_point.coords)), base_ric)
-        fitted = -float(np.trace(lform)) / setup.n
-        formula = _base_formula_value(ctx, xi_fn, mu)
-        res = float(np.max(np.abs(lform + formula * np.eye(setup.n))))
-        # projection residual: pushforward of the horizontal part of xi
-        # against the declared base field
-        xi_vals = np.array([primal(c) for c in xi_fn(ctx.xs)])
-        push = ctx.jac @ (ctx.ph @ xi_vals)
-        declared = np.array([primal(c) for c in
-                             xi_base_fn(list(ctx.base_point.coords))])
-        dproj = push - declared
-        proj_res = math.sqrt(max(0.0, float(dproj @ ctx.h_base @ dproj)))
-        worst = max(worst, res)
-        per_point.append({"point": p, "fitted": fitted, "formula": formula,
-                          "residual": res, "mu": mu,
-                          "projection_residual": proj_res,
-                          "fit_vs_formula": abs(fitted - formula)})
-    return SolitonReport(target="base",
-                         hypotheses=_merge_hypotheses(hyp_sets),
-                         per_point=per_point, max_residual=worst, tol=tol)
+    base_gamma, _, base_ric = ctx.base_curvature
+    base_rows = ctx.cores.base_coords.tolist()
+    lie = np.array([_lie_matrix(h, gamma, xi_base_fn, ys) for h, gamma, ys
+                    in zip(ctx.h_base, base_gamma, base_rows)])
+    lform = _soliton_form(ctx.h_base, lie, base_ric)
+    fitted = -_traces(lform) / n
+    xi_vals = np.array([[primal(c) for c in xi_fn(list(p.coords))]
+                        for p in ctx.points])
+    formula = _base_formula_value(ctx, xi_vals, mu)
+    res = np.abs(lform + formula[:, None, None] * np.eye(n)).max(axis=(1, 2))
+    # projection residual: pushforward of the horizontal part of xi
+    # against the declared base field
+    push = mat_vec(ctx.jac, mat_vec(ctx.ph, xi_vals))
+    declared = np.array([[primal(c) for c in xi_base_fn(ys)]
+                         for ys in base_rows])
+    dproj = push - declared
+    return SolitonReport(
+        target="base",
+        hypotheses=_merge_hypotheses([ctx.hyp_conformal, ctx.hyp_homothetic,
+                                      ctx.hyp_fibers_tg,
+                                      ctx.hyp_horizontal_integrable]),
+        per_point=_point_dicts(
+            ctx.points, fitted=fitted, formula=formula, residual=res,
+            mu=np.full(len(ctx.points), mu),
+            projection_residual=np.sqrt(np.maximum(
+                0.0, quad_form(dproj, ctx.h_base, dproj))),
+            fit_vs_formula=np.abs(fitted - formula)),
+        max_residual=max([0.0] + res.tolist()), tol=tol)
 
 
-def _base_formula_value(ctx, xi_fn, mu):
+def _base_formula_value(ctx, xi_vals, mu):
     """f3 = mu + div(H') - (1/4) lam^4 |grad_v(1/lam^2)|^2
     + (n lam^2 / 2) H'(1/lam^2), plus the f4 correction
-    (lam^2/2) g(grad_v(1/lam^2), xi_v) when xi has a vertical part."""
+    (lam^2/2) g(grad_v(1/lam^2), xi_v) when xi has a vertical part, from
+    the values ``xi_vals`` of xi at the points."""
     lam_sq = ctx.lam_sq
     f3 = (mu + ctx.div_hprime - 0.25 * lam_sq ** 2 * ctx.vgrad_f_sq
           + (ctx.n * lam_sq / 2.0) * ctx.hp_f)
-    xi_vals = np.array([primal(c) for c in xi_fn(ctx.xs)])
-    xi_v = ctx.pv @ xi_vals
-    return f3 + (lam_sq / 2.0) * float(ctx.vgrad_f @ ctx.g @ xi_v)
+    xi_v = mat_vec(ctx.pv, xi_vals)
+    return f3 + (lam_sq / 2.0) * quad_form(ctx.vgrad_f, ctx.g, xi_v)
 
 
-def scalar_mu_consistency(setup, xi, mu, points, contexts, tol=1e-6):
+def scalar_mu_consistency(ctx, mu, tol=1e-6):
     """s(p) = -mu*m for a totally geodesic map, as a ``record`` at the
-    worst point; also reports the spread of s over the points
-    (constancy check)."""
-    values = [ctx.scalar_curvature for ctx in contexts]
-    m = setup.m
-    worst_idx = worst_of(range(len(points)),
+    worst point of ``ctx``, the run's IdentityContext; also reports the
+    spread of s over the points (constancy check)."""
+    values = ctx.scalar_curvature.tolist()
+    m = ctx.m
+    worst_idx = worst_of(range(len(values)),
                          lambda i: abs(values[i] + mu * m))
     lhs = values[worst_idx]
     rhs = -mu * m
     terms = {f"s@{i}": v for i, v in enumerate(values)}
     terms["spread"] = max(values) - min(values)
-    ctx = contexts[worst_idx]
-    return record("T4.7", points[worst_idx].coords, lhs, rhs,
-                  [ctx.hyp_conformal(), ctx.hyp_map_tg()], tol, terms=terms,
+    hyps = hypotheses_at([ctx.hyp_conformal, ctx.hyp_map_tg], len(values))
+    return record("T4.7", ctx.points[worst_idx].coords, lhs, rhs,
+                  hyps[worst_idx], tol, terms=terms,
                   note="worst point shown; per-point s values itemized",
                   scale=1.0 + max(abs(lhs), abs(rhs)))
 
 
-def harmonicity_report(setup, xi, mu, points, contexts, tol=1e-6):
+def harmonicity_report(ctx, mu, tol=1e-6):
     """F harmonic iff s^{KerF*} = -mu(m-n): both sides evaluated
-    independently, with the trace identity
+    independently at each point of ``ctx``, the run's IdentityContext,
+    with the trace identity
     s^{Ker} + (m-n)mu - (m-n)^2 |H|^2 + (m-n) div(H) = 0 itemized."""
-    m, n = setup.m, setup.n
-    per_point = []
-    worst_tension = 0.0
-    worst_scalar = 0.0
-    worst_trace = 0.0
-    hyp_sets = []
-    for p, ctx in zip(points, contexts):
-        hyp_sets.append([ctx.hyp_conformal(), ctx.hyp_homothetic(),
-                         ctx.hyp_umbilical(), ctx.hyp_horizontal_tg()])
-        tau = sub.tension_field(setup, ctx.h_vec, ctx.hgrad_f, ctx.jac,
-                                ctx.lam_sq)
-        tau_norm = math.sqrt(max(0.0, float(tau @ ctx.h_base @ tau)))
-        s_fiber = ctx.fiber_scalar_intrinsic()
-        scalar_gap = abs(s_fiber + mu * (m - n))
-        trace_terms = {
-            "s_fiber": s_fiber,
-            "(m-n)mu": (m - n) * mu,
-            "-(m-n)^2|H|^2": -(m - n) ** 2 * _norm_sq_h(ctx),
-            "(m-n)div(H)": (m - n) * _horizontal_div_h(ctx),
-        }
-        trace_res = abs(sum(trace_terms.values()))
-        worst_tension = max(worst_tension, tau_norm)
-        worst_scalar = max(worst_scalar, scalar_gap)
-        worst_trace = max(worst_trace, trace_res)
-        per_point.append({"point": p, "tension_norm": tau_norm,
-                          "scalar_gap": scalar_gap,
-                          "trace_identity_residual": trace_res,
-                          "trace_terms": trace_terms})
+    m, n = ctx.m, ctx.n
+    tau = sub.tension_field(ctx.setup, ctx.h_vec, ctx.hgrad_f, ctx.jac,
+                            ctx.lam_sq)
+    tension = np.sqrt(np.maximum(0.0, quad_form(tau, ctx.h_base, tau)))
+    s_fiber = ctx.fiber_scalar_intrinsic
+    scalar_gap = np.abs(s_fiber + mu * (m - n))
+    trace_terms = {
+        "s_fiber": s_fiber.tolist(),
+        "(m-n)mu": [(m - n) * mu] * len(ctx.points),
+        "-(m-n)^2|H|^2": (-(m - n) ** 2 * _norm_sq_h(ctx)).tolist(),
+        "(m-n)div(H)": ((m - n) * _horizontal_div_h(ctx)).tolist(),
+    }
+    per_point = _point_dicts(ctx.points, tension_norm=tension,
+                             scalar_gap=scalar_gap)
+    for i, entry in enumerate(per_point):
+        terms = {key: v[i] for key, v in trace_terms.items()}
+        entry["trace_identity_residual"] = abs(sum(terms.values()))
+        entry["trace_terms"] = terms
+    worst_tension = max([0.0] + tension.tolist())
+    worst_scalar = max([0.0] + scalar_gap.tolist())
     harmonic = worst_tension <= tol
     scalar_matches = worst_scalar <= tol
     # one side's worst value counts only when the other side holds, so the
     # residual is within tol exactly when harmonic == scalar_matches
     return SolitonReport(
-        target="total", hypotheses=_merge_hypotheses(hyp_sets),
+        target="total", hypotheses=_merge_hypotheses(
+            [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_umbilical,
+             ctx.hyp_horizontal_tg]),
         per_point=per_point,
         max_residual=max(worst_tension if scalar_matches else 0.0,
                          worst_scalar if harmonic else 0.0),
@@ -329,12 +327,12 @@ def harmonicity_report(setup, xi, mu, points, contexts, tol=1e-6):
 # shared plumbing
 # ---------------------------------------------------------------------
 
-def _merge_hypotheses(hyp_sets):
-    """Worst violation of each named hypothesis across the points."""
-    merged = {}
-    for hyps in hyp_sets:
-        for h in hyps:
-            cur = merged.get(h.name)
-            if cur is None or h.violation > cur.violation:
-                merged[h.name] = h
-    return list(merged.values())
+def _merge_hypotheses(hyps):
+    """Each run-level hypothesis of ``hyps`` at the first point of its
+    worst violation."""
+    merged = []
+    for h in hyps:
+        violation = h.violation.tolist()
+        i = max(range(len(violation)), key=violation.__getitem__)
+        merged.append(Hypothesis(h.name, bool(h.satisfied[i]), violation[i]))
+    return merged

@@ -16,8 +16,8 @@ from . import geometry as geo
 from .expr import eval_expr, parse_expression
 from .geometry import Point, jacobian_at
 from .jets import EvaluationError, primal
-from .linalg import (SingularMatrixError, null_space_bases, taylor_inverse,
-                     taylor_mul)
+from .linalg import (SingularMatrixError, mat_vec, null_space_bases,
+                     quad_form, taylor_inverse, taylor_mul)
 
 
 class NotASubmersionError(ValueError):
@@ -343,8 +343,9 @@ def oneill_contraction(pv, dpv, gamma):
 
 def mean_curvature_from(t, w, fiber_dim):
     """H = trace_v(T) / (m - n) from float T and W = P_v g^{-1}, which is
-    sum_i U_i U_i^T over an orthonormal vertical frame."""
-    return np.einsum("kab,ab->k", t, w) / fiber_dim
+    sum_i U_i U_i^T over an orthonormal vertical frame, at one point or
+    over a leading point axis."""
+    return np.einsum("...kab,...ab->...k", t, w) / fiber_dim
 
 
 def dilation(setup, p):
@@ -355,11 +356,11 @@ def dilation(setup, p):
 
 def tension_field(setup, h_vec, hgrad_f, jac, lam_sq):
     """(n-2)(lambda^2/2) F_*(H grad_h f) - (m-n) F_*(H) in base
-    coordinates, from a point's mean curvature ``h_vec``, the horizontal
-    gradient ``hgrad_f`` of f = 1 / lambda^2, the Jacobian ``jac`` and
-    ``lam_sq``."""
-    first = (setup.n - 2) * 0.5 * lam_sq * (jac @ hgrad_f)
-    second = (setup.m - setup.n) * (jac @ h_vec)
+    coordinates at every point of a stack, (P, n), from the points' mean
+    curvatures ``h_vec``, the horizontal gradients ``hgrad_f`` of
+    f = 1 / lambda^2, the Jacobians ``jac`` and ``lam_sq``."""
+    first = ((setup.n - 2) * 0.5 * lam_sq)[:, None] * mat_vec(jac, hgrad_f)
+    second = (setup.m - setup.n) * mat_vec(jac, h_vec)
     return first - second
 
 
@@ -410,67 +411,67 @@ def fiber_slice_chart(setup, p, jac, tol=1e-12):
 # structural-property detection
 # ---------------------------------------------------------------------
 
-def _gnorm(g, v):
-    return math.sqrt(max(0.0, float(v @ g @ v)))
-
-
 def basic_field_derivatives(lift, dlift, gamma):
     """(X, D, nabla) for the horizontal lifts X_a of the base coordinate
-    fields, as float arrays from the lift matrix with its partials
-    (``CorePartials.lift``): X[i, a] = X_a^i, D[k, a, b] = X_a(X_b^k) and
-    nabla[k, a, b] = (nabla_{X_a} X_b)^k = D[k, a, b]
-    + Gamma^k_ij X_a^i X_b^j, with ``gamma`` the total Christoffel
-    symbols.  The bracket [X_a, X_b] is D[:, a, b] - D[:, b, a]."""
-    d = np.einsum("la,lkb->kab", lift, dlift)
-    return lift, d, d + np.einsum("kij,ia,jb->kab", gamma, lift, lift)
+    fields, as float arrays over a leading point axis from the lift matrix
+    with its partials (``CorePartials.lift``): X[p, i, a] = X_a^i,
+    D[p, k, a, b] = X_a(X_b^k) and nabla[p, k, a, b] =
+    (nabla_{X_a} X_b)^k = D[p, k, a, b] + Gamma^k_ij X_a^i X_b^j, with
+    ``gamma`` the total Christoffel symbols.  The bracket [X_a, X_b] is
+    D[:, :, a, b] - D[:, :, b, a]."""
+    d = np.einsum("...la,...lkb->...kab", lift, dlift)
+    return lift, d, d + np.einsum("...kij,...ia,...jb->...kab", gamma, lift,
+                                  lift)
 
 
 def pair_norms(g, vecs):
-    """|vecs[:, a, b]| in the metric g for every pair (a, b)."""
-    return np.sqrt(np.maximum(0.0, np.einsum("kab,kl,lab->ab", vecs, g,
-                                             vecs)))
+    """|vecs[..., :, a, b]| in the metric g for every pair (a, b), at one
+    point or over a leading point axis."""
+    return np.sqrt(np.maximum(0.0, np.einsum("...kab,...kl,...lab->...ab",
+                                             vecs, g, vecs)))
 
 
 def _basic_field_violations(ctx):
-    """(integrability, second fundamental form) violations at the point
+    """(integrability, second fundamental form) violations at each point
     of ``ctx`` (an ``identities.IdentityContext``) over the lifts X_a of
     its basic fields: sup |v[X_a, X_b]| normalized to unit vectors, and
-    sup |Gamma^N_ab - F_*(nabla_{X_a} X_b)|."""
+    sup |Gamma^N_ab - F_*(nabla_{X_a} X_b)|, as (P,) arrays."""
     lift, d, nabla = ctx.basic_fields
     g = ctx.g
-    norms = np.sqrt(np.maximum(0.0, np.einsum("ia,ij,ja->a", lift, g, lift)))
-    vert = np.einsum("ki,iab->kab", ctx.pv, d - d.transpose(0, 2, 1))
-    brackets = pair_norms(g, vert) / np.maximum(np.outer(norms, norms), 1e-30)
-    sff = ctx.base_curvature[0] - np.einsum("ik,kab->iab", ctx.jac, nabla)
+    norms = np.sqrt(np.maximum(0.0, np.einsum("...ia,...ij,...ja->...a",
+                                              lift, g, lift)))
+    vert = np.einsum("...ki,...iab->...kab", ctx.pv, d - d.swapaxes(-1, -2))
+    brackets = pair_norms(g, vert) / np.maximum(
+        norms[:, :, None] * norms[:, None, :], 1e-30)
+    sff = ctx.base_curvature[0] - np.einsum("...ik,...kab->...iab", ctx.jac,
+                                            nabla)
     # the bracket norms are exactly symmetric with a zero diagonal, so
     # their largest entry is the largest over pairs a < b
-    return (float(np.max(brackets)),
-            float(np.max(pair_norms(ctx.h_base, sff))))
+    return (brackets.max(axis=(1, 2)),
+            pair_norms(ctx.h_base, sff).max(axis=(1, 2)))
 
 
-def structure_flags(setup, points, contexts, tol=1e-8):
-    """Which structural properties hold at every point, each with its
-    largest violation, read off ``contexts``, the points'
-    ``identities.IdentityContext`` values."""
-    sup_t = 0.0
-    sup_umb = 0.0
-    sup_integrable = 0.0
-    sup_a = 0.0
-    sup_hgrad = 0.0
-    sup_vgrad = 0.0
-    sup_sff = 0.0
-    for ctx in contexts:
-        g = ctx.g
-        sup_t = max(sup_t, ctx.hyp_fibers_tg().violation)
-        sup_umb = max(sup_umb, ctx.hyp_umbilical().violation)
-        sup_a = max(sup_a, ctx.hyp_horizontal_tg().violation)
-        integrable, sff = _basic_field_violations(ctx)
-        sup_integrable = max(sup_integrable, integrable)
-        sup_sff = max(sup_sff, sff)
-        # grad(lambda) = -(lambda^3 / 2) grad(1/lambda^2)
-        grad_lam = -0.5 * math.sqrt(ctx.lam_sq) ** 3 * ctx.grad_f
-        sup_hgrad = max(sup_hgrad, _gnorm(g, ctx.ph @ grad_lam))
-        sup_vgrad = max(sup_vgrad, _gnorm(g, ctx.pv @ grad_lam))
+def _g_norms(g, v):
+    """|v| in the metric g at every point, v (P, m)."""
+    return np.sqrt(np.maximum(0.0, quad_form(v, g, v)))
+
+
+def structure_flags(ctx, tol=1e-8):
+    """Which structural properties hold at every point of ``ctx`` (an
+    ``identities.IdentityContext``), each with its largest violation over
+    the points."""
+    integrable, sff = _basic_field_violations(ctx)
+    # grad(lambda) = -(lambda^3 / 2) grad(1/lambda^2), with lambda^3 a
+    # float power per point, as one point alone raises it
+    grad_lam = np.array([-0.5 * math.sqrt(s) ** 3
+                         for s in ctx.lam_sq.tolist()])[:, None] * ctx.grad_f
+    sup_t, sup_umb, sup_a, sup_integrable, sup_sff, sup_hgrad, sup_vgrad = (
+        max(0.0, float(v.max())) for v in (
+            ctx.hyp_fibers_tg.violation, ctx.hyp_umbilical.violation,
+            ctx.hyp_horizontal_tg.violation, integrable, sff,
+            _g_norms(ctx.g, mat_vec(ctx.ph, grad_lam)),
+            _g_norms(ctx.g, mat_vec(ctx.pv, grad_lam))))
+
     def check(v):
         return PropertyCheck(holds=v <= tol, max_violation=v)
     return StructureFlags(

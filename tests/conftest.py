@@ -28,18 +28,16 @@ def make_setup(total, base, map_texts):
     return SubmersionSetup.from_strings(total, base, map_texts)
 
 
-def contexts(setup, points):
-    """The points' IdentityContexts over one batch of float cores, as
-    ``report.run_job`` builds them."""
-    cores = setup.float_cores(points)
-    return [IdentityContext(setup, p, cores=cores, index=i)
-            for i, p in enumerate(points)]
+def context(setup, points):
+    """The points' run-level IdentityContext, as ``report.run_job`` builds
+    it."""
+    return IdentityContext(setup, points)
 
 
 def oneill(tensor, u, v):
-    """T_u v (or A_u v) from a context's coordinate-basis tensor,
-    ``tensor[k, a, b]`` being component k of T_{e_a} e_b."""
-    return np.einsum("kab,a,b->k", tensor, u, v)
+    """T_u v (or A_u v) at every point from a context's coordinate-basis
+    tensor, ``tensor[p, k, a, b]`` being component k of T_{e_a} e_b."""
+    return np.einsum("...kab,a,b->...k", tensor, u, v)
 
 
 def flat_chart(dim, prefix="x"):

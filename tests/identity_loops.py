@@ -2,10 +2,10 @@
 
 Every G2.x, P3.1/E3.3, L3.1.x, R3.x, C3.x, T3.4 and L2.x check written as
 loops over frame tuples, one inner product at a time, with per-vector
-helpers over an ``IdentityContext``'s coordinate-basis arrays (``riem``,
-``ric_matrix``, ``t_tensor``, ``a_tensor``, the covariant derivatives in
-``_nabla``, Hess f, the base and fiber curvature).  The hypotheses are
-measured by the same loops.  ``identities.run_check`` contracts frame-basis
+helpers over one point's slices of an ``IdentityContext``'s
+coordinate-basis arrays (``riem``, ``ric_matrix``, ``t_tensor``,
+``a_tensor``, the covariant derivatives in ``_nabla``, Hess f, the base and
+fiber curvature).  The hypotheses are measured by the same loops.  ``identities.run_check`` contracts frame-basis
 arrays instead; the tests compare the two record by record.
 """
 
@@ -18,14 +18,20 @@ from confsub.submersion import pair_norms
 
 
 class Loops:
-    """Per-vector helpers over a context's coordinate arrays; any other
-    attribute is the context's own."""
+    """Per-vector helpers over the coordinate arrays of point ``i`` of a
+    run-level context; any other attribute is that point's slice of the
+    context's own (a tuple of arrays slice by slice)."""
 
-    def __init__(self, ctx):
-        self.ctx = ctx
+    def __init__(self, ctx, i=0):
+        self.ctx, self.i = ctx, i
+        self.m, self.n, self.hyp_tol = ctx.m, ctx.n, ctx.hyp_tol
+        self.p = ctx.points[i]
 
     def __getattr__(self, name):
-        return getattr(self.ctx, name)
+        value = getattr(self.ctx, name)
+        if isinstance(value, tuple):
+            return tuple(v[self.i] for v in value)
+        return value[self.i]
 
     def inner(self, u, v):
         return float(np.asarray(u) @ self.g @ np.asarray(v))
@@ -101,6 +107,11 @@ class Loops:
         return float(np.asarray(x) @ self.hess_f @ np.asarray(y))
 
     # -- hypotheses ------------------------------------------------------
+
+    def hyp_fiber_chart(self):
+        h = self.ctx.hyp_fiber_chart
+        return Hypothesis(h.name, bool(h.satisfied[self.i]),
+                          float(h.violation[self.i]))
 
     def hyp_conformal(self):
         aniso = 0.0
@@ -556,7 +567,7 @@ def _corollary(identity_id, ctx, tol):
 
 def _scalar_split(ctx, tol):
     hyps = [ctx.hyp_conformal(), ctx.hyp_map_tg(), ctx.hyp_fiber_chart()]
-    s_fiber = ctx.fiber_scalar_intrinsic()
+    s_fiber = ctx.fiber_scalar_intrinsic
     s_base = ctx.base_scalar_curvature
     rhs = s_fiber + s_base / ctx.lam_sq
     return [record("T3.4", ctx.p.coords, ctx.scalar_curvature, rhs, hyps,
@@ -594,9 +605,10 @@ _CHECKS = {"G2.12": _g212, "G2.13": _g213, "G2.14": _g214, "G2.15": _g215,
            "L2.2": _hessian_symmetry}
 
 
-def reference_check(check_id, ctx, tol=1e-6):
-    """The records of ``check_id`` at the context's point, by loops."""
-    loops = Loops(ctx)
+def reference_check(check_id, ctx, tol=1e-6, i=0):
+    """The records of ``check_id`` at point ``i`` of the context, by
+    loops."""
+    loops = Loops(ctx, i)
     if check_id in _CHECKS:
         return _CHECKS[check_id](loops, tol)
     if check_id in ("P3.1", "E3.3"):

@@ -7,9 +7,10 @@ function maps coordinate scalars (floats or jets) to scalars, so a
 derived field can be differentiated again by
 ``geometry.coordinate_partials``.  ``IdentityContext`` builds the same
 quantities as float arrays from ``CorePartials`` by the matrix product
-rule; the tests compare the two.  The module also holds the small float
-helpers the tests share: the metric and the Christoffel symbols at a
-point.
+rule; the tests compare the two.  The module also holds the small helpers
+the tests share: the metric, its inverse and partials, the Christoffel
+symbols, Ricci matrix and scalar curvature at a point, over the jet
+pipeline.
 """
 
 import numpy as np
@@ -43,7 +44,59 @@ def metric_matrix(chart, p):
 
 def christoffel_symbols(chart, p):
     metric_matrix(chart, p)
-    return primal_array(geo.christoffels_at(chart, p.coords))
+    return primal_array(christoffels_at(chart, p.coords))
+
+
+# ---------------------------------------------------------------------
+# metric, connection and curvature at a point
+# ---------------------------------------------------------------------
+
+def inverse_metric_at(chart, xs):
+    return mat_inverse(chart.metric_at(xs))
+
+
+def metric_partials_at(chart, xs):
+    """(g, dg) with dg[l][i][j] the l-th coordinate partial of g_ij."""
+    return geo.coordinate_partials(chart.metric_at, xs)
+
+
+def christoffels_at(chart, xs):
+    """Gamma[k][i][j] of the Levi-Civita connection, as scalars (floats
+    or jets) from the jet pipeline."""
+    g, dg = metric_partials_at(chart, xs)
+    ginv = mat_inverse(g)
+    m = chart.dim
+    gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
+    for k in range(m):
+        for i in range(m):
+            for j in range(i, m):
+                val = sum(ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                          for l in range(m)) * 0.5
+                gamma[k][i][j] = val
+                gamma[k][j][i] = val
+    return gamma
+
+
+def ricci_matrix_at(chart, xs):
+    """Ric[j, k] = Ric(e_j, e_k) at float coordinates."""
+    return np.einsum("ikij->jk", geo.curvature_tensor_at(chart, xs))
+
+
+def scalar_curvature_at(chart, xs):
+    ric = ricci_matrix_at(chart, xs)
+    ginv = inverse_metric_at(chart, xs)
+    m = chart.dim
+    return sum(ginv[j][k] * ric[j][k] for j in range(m) for k in range(m))
+
+
+def scalar_curvature(chart, p):
+    return primal(scalar_curvature_at(chart, p.coords))
+
+
+def raise_index(ginv, df):
+    """The vector g^{-1} df of a covector's components."""
+    m = len(df)
+    return [sum(ginv[k][j] * df[j] for j in range(m)) for k in range(m)]
 
 
 # ---------------------------------------------------------------------
@@ -60,13 +113,13 @@ def lie_bracket_at(x_fn, y_fn, xs):
 
 def gradient_at(chart, f_fn, xs):
     _, df = geo.coordinate_partials(f_fn, xs)
-    return geo.raise_index(geo.inverse_metric_at(chart, xs), df)
+    return raise_index(inverse_metric_at(chart, xs), df)
 
 
 def cov_deriv_along_at(chart, xs, x_comps, w_fn, gamma=None):
     """(nabla_X W)^k with X given pointwise and W a component function."""
     if gamma is None:
-        gamma = geo.christoffels_at(chart, xs)
+        gamma = christoffels_at(chart, xs)
     wv, dw = geo.coordinate_partials(w_fn, xs)
     m = chart.dim
     return [sum(x_comps[i] * dw[i][k] for i in range(m))
@@ -151,7 +204,7 @@ def oneill_T_at(setup, xs, e_fn, ep_fn):
     """T_E E' = H nabla_{vE} vE' + v nabla_{vE} H E'."""
     chart = setup.total
     pv, ph = projectors_at(setup, xs)
-    gamma = geo.christoffels_at(chart, xs)
+    gamma = christoffels_at(chart, xs)
     ve = mat_vec(pv, e_fn(xs))
     d1 = cov_deriv_along_at(chart, xs, ve, vertical_project_fn(setup, ep_fn),
                             gamma)
@@ -164,7 +217,7 @@ def oneill_A_at(setup, xs, e_fn, ep_fn):
     """A_E E' = H nabla_{HE} vE' + v nabla_{HE} H E'."""
     chart = setup.total
     pv, ph = projectors_at(setup, xs)
-    gamma = geo.christoffels_at(chart, xs)
+    gamma = christoffels_at(chart, xs)
     he = mat_vec(ph, e_fn(xs))
     d1 = cov_deriv_along_at(chart, xs, he, vertical_project_fn(setup, ep_fn),
                             gamma)
@@ -184,7 +237,7 @@ def oneill_tensors_at(setup, xs):
     ``oneill_contraction``."""
     pv, dpv = geo.coordinate_partials(lambda zs: projectors_at(setup, zs)[0],
                                       xs)
-    gamma = geo.christoffels_at(setup.total, xs)
+    gamma = christoffels_at(setup.total, xs)
     t, a, _, _ = oneill_contraction(np.array(pv, dtype=object),
                                     np.array(dpv, dtype=object),
                                     np.array(gamma, dtype=object))
@@ -195,7 +248,7 @@ def cov_deriv_T_at(setup, xs, e_comps, u_fn, ep_fn):
     """(nabla_E T)_U E' = nabla_E (T_U E') - T_{v nabla_E U} E'
     - T_U (nabla_E E'), with the T field differentiated exactly."""
     chart = setup.total
-    gamma = geo.christoffels_at(chart, xs)
+    gamma = christoffels_at(chart, xs)
     t_field = lambda zs: oneill_T_at(setup, zs, u_fn, ep_fn)
     term1 = cov_deriv_along_at(chart, xs, e_comps, t_field, gamma)
     pv, _ = projectors_at(setup, xs)
@@ -209,7 +262,7 @@ def cov_deriv_T_at(setup, xs, e_comps, u_fn, ep_fn):
 def cov_deriv_A_at(setup, xs, e_comps, x_fn, ep_fn):
     """(nabla_E A)_X E' with the horizontal slot projector-corrected."""
     chart = setup.total
-    gamma = geo.christoffels_at(chart, xs)
+    gamma = christoffels_at(chart, xs)
     a_field = lambda zs: oneill_A_at(setup, zs, x_fn, ep_fn)
     term1 = cov_deriv_along_at(chart, xs, e_comps, a_field, gamma)
     _, ph = projectors_at(setup, xs)
@@ -251,4 +304,4 @@ def intrinsic_fiber_scalar_curvature(setup, p):
         raise NotASubmersionError(
             "fiber chart unavailable: vertical distribution is not "
             "coordinate-aligned")
-    return primal(geo.scalar_curvature_at(chart, chart.fiber_coords(p)))
+    return primal(scalar_curvature_at(chart, chart.fiber_coords(p)))

@@ -24,7 +24,7 @@ from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext, run_check
 from confsub.jets import JetSpace, primal
 from confsub.manifest import parse_manifest
-from conftest import chart, contexts, flat_chart, oneill, sample
+from conftest import chart, context, flat_chart, oneill, sample
 from test_geometry import fd_ricci
 import jet_reference as jr
 
@@ -42,22 +42,23 @@ def test_criterion_1_example_51_transcription():
     setup = catalog.load_job("5.1").setup
     points = sample([(-1.5, 1.5), (-1.0, 1.0)], 20, seed=101)
     e1, e2 = unit(0, 2), unit(1, 2)
-    for p, ctx in zip(points, contexts(setup, points)):
+    ctx = context(setup, points)
+    for i, p in enumerate(points):
         x2 = p.coords[1]
         expected = np.zeros((2, 2, 2))
         expected[1, 0, 0] = math.exp(-2 * x2)   # Gamma^2_11
         expected[0, 0, 1] = expected[0, 1, 0] = -1.0
-        assert np.max(np.abs(ctx.gamma - expected)) <= 1e-9
+        assert np.max(np.abs(ctx.gamma[i] - expected)) <= 1e-9
 
         d = sub.dilation(setup, p)
         assert d.lambda_sq == pytest.approx(math.exp(2 * x2), abs=1e-9)
         assert d.anisotropy <= 1e-10
 
-        axx = oneill(ctx.a_tensor, e1, e1)
+        axx = oneill(ctx.a_tensor[i], e1, e1)
         assert axx == pytest.approx((0.0, math.exp(-2 * x2)), abs=1e-9)
 
         for u, v in ((e2, e2), (e2, e1)):
-            t = oneill(ctx.t_tensor, u, v)
+            t = oneill(ctx.t_tensor[i], u, v)
             assert np.max(np.abs(t)) <= 1e-9
 
 
@@ -66,26 +67,23 @@ def test_criterion_1_example_51_transcription():
 def test_criterion_2_examples_53_54_structure():
     job53 = catalog.load_job("5.3")
     points53 = job53.points[:10]
-    contexts53 = contexts(job53.setup, points53)
-    for ctx in contexts53:
-        for x in (unit(1, 3), unit(2, 3)):
-            axx = oneill(ctx.a_tensor, x, x)
-            assert np.max(np.abs(axx)) <= 1e-9
-    flags53 = sub.structure_flags(job53.setup, points53,
-                                  contexts53).as_dict()
+    ctx53 = context(job53.setup, points53)
+    for x in (unit(1, 3), unit(2, 3)):
+        axx = oneill(ctx53.a_tensor, x, x)
+        assert np.max(np.abs(axx)) <= 1e-9
+    flags53 = sub.structure_flags(ctx53).as_dict()
     assert flags53["horizontal_integrable"].holds
     assert flags53["horizontal_totally_geodesic"].holds
 
     job54 = catalog.load_job("5.4")
     points54 = job54.points[:10]
-    contexts54 = contexts(job54.setup, points54)
-    for p, ctx in zip(points54, contexts54):
-        assert np.max(np.abs(ctx.gamma)) <= 1e-9
+    ctx54 = context(job54.setup, points54)
+    assert np.max(np.abs(ctx54.gamma)) <= 1e-9
+    for p in points54:
         d = sub.dilation(job54.setup, p)
         assert math.sqrt(d.lambda_sq) == pytest.approx(0.5, abs=1e-9)
         assert d.anisotropy <= 1e-10
-    flags54 = sub.structure_flags(job54.setup, points54,
-                                  contexts54).as_dict()
+    flags54 = sub.structure_flags(ctx54).as_dict()
     assert flags54["map_totally_geodesic"].holds
 
 
@@ -96,8 +94,7 @@ def test_criterion_2_examples_53_54_structure():
 def test_criterion_2_printed_T_UU_value_53():
     job = catalog.load_job("5.3")
     e1 = unit(0, 3)
-    for ctx in contexts(job.setup, job.points[:10]):
-        t = oneill(ctx.t_tensor, e1, e1)
+    for t in oneill(context(job.setup, job.points[:10]).t_tensor, e1, e1):
         assert t == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
 
 
@@ -108,10 +105,11 @@ def test_criterion_2_printed_T_UU_value_53():
 def test_criterion_2_printed_umbilic_product_53():
     job = catalog.load_job("5.3")
     u = np.asarray(unit(0, 3))
-    for ctx in contexts(job.setup, job.points[:10]):
-        guu = float(u @ ctx.g @ u)
-        h = ctx.h_vec
-        x3 = ctx.p.coords[2]
+    ctx = context(job.setup, job.points[:10])
+    for i, p in enumerate(ctx.points):
+        guu = float(u @ ctx.g[i] @ u)
+        h = ctx.h_vec[i]
+        x3 = p.coords[2]
         assert guu * h == pytest.approx((0.0, 0.0, x3 ** -2), abs=1e-9)
 
 
@@ -122,16 +120,16 @@ def test_criterion_3_fundamental_closure(riemannian_setups,
     assert len(riemannian_setups) >= 5
     for name, setup, box in riemannian_setups:
         for p in sample(box, 20, seed=103):
-            ctx = IdentityContext(setup, p)
+            ctx = IdentityContext(setup, [p])
             for check_id in FUNDAMENTAL:
-                for rep in run_check(check_id, setup, p, ctx=ctx):
+                for rep in run_check(check_id, setup, [p], ctx=ctx)[0]:
                     assert rep["abs_residual"] <= 1e-6, (name, check_id,
                                                          rep["label"])
     # the Gauss-type curvature relation additionally closes on every
     # genuinely conformal catalog setup
     for name, setup, points in conformal_setups:
         for p in points[:3]:
-            for rep in run_check("G2.12", setup, p):
+            for rep in run_check("G2.12", setup, [p])[0]:
                 assert rep["abs_residual"] <= 1e-6, (name, rep["label"])
 
 
@@ -148,10 +146,10 @@ def test_criterion_4_spaceform_oracles():
     for chart_, points, einstein, scalar in cases:
         for p in points:
             g = jr.metric_matrix(chart_, p)
-            mat = geo.ricci_matrix_at(chart_, list(p.coords))
+            mat = jr.ricci_matrix_at(chart_, list(p.coords))
             ric = np.array([[primal(v) for v in row] for row in mat])
             assert np.allclose(ric, einstein * g, rtol=1e-6, atol=1e-9)
-            assert geo.scalar_curvature(chart_, p) == pytest.approx(
+            assert jr.scalar_curvature(chart_, p) == pytest.approx(
                 scalar, rel=1e-6)
             # independent cross-check: curvature from metric floats only
             assert np.allclose(ric, fd_ricci(chart_, list(p.coords)),
@@ -221,14 +219,14 @@ def test_criterion_7_theorem_instances(conformal_setups):
     pts = job.points[:6]
     fit = sol.fit_mu(job.setup.total, job.xi, pts)
     assert abs(fit.mu) <= 1e-9
-    ctxs = contexts(job.setup, pts)
-    scal = sol.scalar_mu_consistency(job.setup, job.xi, 0.0, pts, ctxs)
+    ctx = context(job.setup, pts)
+    scal = sol.scalar_mu_consistency(ctx, 0.0)
     assert scal["verdict"] == "pass"
     # s = 0 = -mu * (m - n) with m - n offset 3 total dims and mu = 0
     assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
     assert scal["rhs"] == pytest.approx(-fit.mu * 3, abs=1e-9)
 
-    harm = sol.harmonicity_report(job.setup, job.xi, 0.0, pts, ctxs)
+    harm = sol.harmonicity_report(ctx, 0.0)
     assert harm.verdict == "pass"
     assert "harmonic=True" in harm.note
     for row in harm.per_point:
@@ -237,7 +235,7 @@ def test_criterion_7_theorem_instances(conformal_setups):
 
     # mixed-derivative symmetry across every catalog setup's scalar data
     for name, setup, points in conformal_setups:
-        for rep in run_check("L2.2", setup, points[0]):
+        for rep in run_check("L2.2", setup, points[:1])[0]:
             if rep["verdict"] != "hypothesis-not-met":
                 assert rep["abs_residual"] <= 1e-9, (name, rep["label"])
 
@@ -323,19 +321,19 @@ def test_criterion_8_property_suites(riemannian_setups, conformal_setups,
     # projectors and O'Neill tensor structure on the conformal corpus
     for name, setup, points in conformal_setups:
         p = points[0]
-        ctx = IdentityContext(setup, p)
-        pv, ph, g = ctx.pv, ctx.ph, ctx.g
+        ctx = IdentityContext(setup, [p])
+        pv, ph, g = ctx.pv[0], ctx.ph[0], ctx.g[0]
         assert np.max(np.abs(ph @ ph - ph)) <= 1e-10
         assert np.max(np.abs(pv @ pv - pv)) <= 1e-10
-        v, x = ctx.vframe[0], ctx.hframe[0]
-        t_vv = oneill(ctx.t_tensor, v, v)
+        v, x = ctx.vframe[0, 0], ctx.hframe[0, 0]
+        t_vv = oneill(ctx.t_tensor[0], v, v)
         assert np.max(np.abs(pv @ t_vv)) <= 1e-9, name   # reversal
-        t_vx = oneill(ctx.t_tensor, v, x)
+        t_vx = oneill(ctx.t_tensor[0], v, x)
         assert np.max(np.abs(ph @ t_vx)) <= 1e-9, name
         # skew-symmetry g(T_V W, X) = -g(W, T_V X)
         assert float(t_vv @ g @ x) == pytest.approx(
             -float(v @ g @ t_vx), abs=1e-9), name
-        for rep in run_check("E3.3", setup, p):
+        for rep in run_check("E3.3", setup, [p])[0]:
             if rep["verdict"] != "hypothesis-not-met":
                 assert rep["abs_residual"] <= 1e-8, (name, rep["label"])
 
@@ -361,9 +359,9 @@ def test_criterion_9_general_dilation_identities(riemannian_setups,
     # unit-dilation reduction closes
     for name, setup, box in riemannian_setups:
         for p in sample(box, 3, seed=111):
-            ctx = IdentityContext(setup, p)
+            ctx = IdentityContext(setup, [p])
             for check_id in ("G2.16", "R3.13"):
-                for rep in run_check(check_id, setup, p, ctx=ctx):
+                for rep in run_check(check_id, setup, [p], ctx=ctx)[0]:
                     if rep["verdict"] != "hypothesis-not-met":
                         assert rep["abs_residual"] <= 1e-6, (
                             name, check_id, rep["label"])
@@ -371,9 +369,9 @@ def test_criterion_9_general_dilation_identities(riemannian_setups,
     # general case: residuals itemized per term, convention flag raised
     for name, setup, points in conformal_setups:
         p = points[0]
-        ctx = IdentityContext(setup, p)
+        ctx = IdentityContext(setup, [p])
         for check_id in ("G2.16", "R3.13"):
-            reports = run_check(check_id, setup, p, ctx=ctx)
+            reports = run_check(check_id, setup, [p], ctx=ctx)[0]
             assert reports, (name, check_id)
             for rep in reports:
                 assert rep["convention_sensitive"]
@@ -387,7 +385,7 @@ def test_criterion_9_general_dilation_identities(riemannian_setups,
     # divergence; closure there is a reported finding, not a gate
     name, cone, points = conformal_setups[-1]
     assert name == "cone"
-    worst = max(run_check("R3.13", cone, points[0]),
+    worst = max(run_check("R3.13", cone, points[:1])[0],
                 key=lambda r: r["abs_residual"])
     assert worst["verdict"] == "fail"
     assert worst["convention_sensitive"] and worst["terms"]

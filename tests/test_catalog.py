@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from confsub import catalog
-from confsub import geometry as geo
 from confsub import submersion as sub
 from confsub.identities import IdentityContext
 from confsub.jets import JetSpace
@@ -80,13 +79,13 @@ def test_unknown_example_rejected():
 
 def test_run_example_evaluates_each_ingredient_once(monkeypatch):
     # each ingredient is computed once per run, outside the per-row
-    # loops: one identity context per point (Gamma, lambda^2, T, A, H,
-    # Ricci) shared by every row and by the structure flags, each reading
-    # its point's slices of the run's one CorePartials; the per-field T/A
-    # path is never taken.  The run seeds the float cores' Jacobian, the
-    # CorePartials leaves (the metric, the Jacobian with its inner
-    # seeding, h o F) and the base curvature once each, for all its
-    # points: 6 seedings; Ricci reads the metric seeding Gamma came from
+    # loops: one identity context for all the points (Gamma, lambda^2,
+    # T, A, H, Ricci) shared by every row and by the structure flags,
+    # reading the run's one CorePartials; the per-field T/A path is never
+    # taken.  The run seeds the float cores' Jacobian, the CorePartials
+    # leaves (the metric, the Jacobian with its inner seeding, h o F) and
+    # the base curvature once each, for all its points: 6 seedings; Ricci
+    # reads the metric seeding Gamma came from
     counts = Counter()
 
     def counting(owner, name):
@@ -98,19 +97,17 @@ def test_run_example_evaluates_each_ingredient_once(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((IdentityContext, "__init__"),
-                        (geo, "ricci_matrix_at"),
                         (sub, "oneill_contraction"),
                         (JetSpace, "seed")):
         counting(owner, name)
     rep = catalog.run_example("5.3")
     assert rep.counts["fail"] == 0
-    assert counts["__init__"] == 12
+    assert counts["__init__"] == 1
     # T and A are contracted once for all the points
     assert counts["oneill_contraction"] == 1
     assert counts["seed"] == 6
     counts.clear()
     catalog.run_example("5.1")
-    assert counts["__init__"] == 10
-    assert counts["ricci_matrix_at"] == 0
+    assert counts["__init__"] == 1
     assert counts["oneill_contraction"] == 1
     assert counts["seed"] == 6

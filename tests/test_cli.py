@@ -135,6 +135,18 @@ def test_non_finite_float_core_names_value_and_point(tmp_path, capsys, metric,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_large_dilation_is_verified(tmp_path, capsys):
+    # |J| ~ 1e11 and lambda^2 ~ 1e22 are finite: the horizontal lift's
+    # squared norm, about 1e-22, is compared with its own input vector's
+    # and not with an absolute bound, so every check runs
+    path = tmp_path / "large_dilation.cfsm"
+    path.write_text(OVERFLOW.format(map="exp(200*x1)", points="(0.1, 0.2)")
+                    .replace("checks = G2.12\n", ""))
+    assert main(["verify", str(path), "--format", "json"]) == EXIT_OK
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    assert (counts["pass"], counts["hypothesis_not_met"]) == (33, 6)
+
+
 def test_missing_manifest_is_usage_error(capsys):
     assert main(["verify", "/no/such/file.cfsm"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err

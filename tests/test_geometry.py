@@ -14,7 +14,9 @@ from confsub import geometry as geo
 from confsub.geometry import ChartManifold, Point
 from confsub.jets import Jet, JetSpace, sexp
 from conftest import chart, flat_chart, sample
-from jet_reference import christoffel_symbols, metric_matrix
+from jet_reference import (christoffel_symbols, christoffels_at, metric_matrix,
+                           metric_partials_at, ricci_matrix_at,
+                           scalar_curvature)
 
 # -- reference metrics -------------------------------------------------
 
@@ -84,9 +86,9 @@ def fd_ricci(chart_, xs, h=1e-4):
 @pytest.mark.parametrize("p", HYP_POINTS[:20])
 def test_hyperbolic_plane_is_einstein(p):
     g = metric_matrix(HYPERBOLIC, p)
-    ric = geo.ricci_matrix_at(HYPERBOLIC, list(p.coords))
+    ric = ricci_matrix_at(HYPERBOLIC, list(p.coords))
     assert np.allclose(ric, -g, rtol=1e-9, atol=1e-12)
-    assert geo.scalar_curvature(HYPERBOLIC, p) == pytest.approx(-2.0,
+    assert scalar_curvature(HYPERBOLIC, p) == pytest.approx(-2.0,
                                                                 rel=1e-9)
 
 
@@ -94,15 +96,15 @@ def test_hyperbolic_plane_is_einstein(p):
 def test_h3_metric_is_einstein(p):
     from confsub.jets import primal
     g = metric_matrix(H3, p)
-    mat = geo.ricci_matrix_at(H3, list(p.coords))
+    mat = ricci_matrix_at(H3, list(p.coords))
     ric = np.array([[primal(v) for v in row] for row in mat])
     assert np.allclose(ric, -2.0 * g, rtol=1e-9, atol=1e-12)
-    assert geo.scalar_curvature(H3, p) == pytest.approx(-6.0, rel=1e-9)
+    assert scalar_curvature(H3, p) == pytest.approx(-6.0, rel=1e-9)
 
 
 def test_sphere_patch_scalar_curvature():
     for p in sample([(0.4, 2.6), (-2.0, 2.0)], 5, seed=5):
-        assert geo.scalar_curvature(SPHERE_PATCH, p) == pytest.approx(
+        assert scalar_curvature(SPHERE_PATCH, p) == pytest.approx(
             2.0, rel=1e-9)
 
 
@@ -113,7 +115,7 @@ def test_sphere_patch_scalar_curvature():
 def test_ricci_matches_finite_difference_oracle(chart_, points):
     from confsub.jets import primal
     for p in points:
-        mat = geo.ricci_matrix_at(chart_, list(p.coords))
+        mat = ricci_matrix_at(chart_, list(p.coords))
         exact = np.array([[primal(v) for v in row] for row in mat])
         approx = fd_ricci(chart_, list(p.coords))
         assert np.allclose(exact, approx, rtol=1e-6, atol=1e-6)
@@ -248,13 +250,13 @@ def test_lie_derivative_matrix_matches_coordinate_form(chart_, texts, dxi,
     for p in points:
         xs = list(p.coords)
         g, dg = (np.array(a, float)
-                 for a in geo.metric_partials_at(chart_, xs))
+                 for a in metric_partials_at(chart_, xs))
         xi = np.array(geo.field_values_at(chart_, spec, xs), float)
         d = np.array(dxi(xs))
         ref = (np.einsum("k,kij->ij", xi, dg) + np.einsum("kj,ik->ij", g, d)
                + np.einsum("ik,jk->ij", g, d))
         got = geo.lie_derivative_matrix(
-            g, np.array(geo.christoffels_at(chart_, xs), float),
+            g, np.array(christoffels_at(chart_, xs), float),
             *geo.vector_partials(geo.field_fn(chart_, spec), xs))
         assert np.abs(ref).max() > 0.1  # not a Killing field
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
@@ -273,9 +275,23 @@ def test_domain_enforced():
 
 def test_orthonormalize_gram_identity():
     g = metric_matrix(HYPERBOLIC, Point((0.5, 2.0)))
-    vecs = np.array(geo.orthonormalize_components(g, np.eye(2)))
+    vecs = geo.orthonormal_frames(g[None], np.eye(2)[None])[0]
     gram = vecs @ g @ vecs.T
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_orthonormal_frames_bound_is_relative_to_each_vector(scale):
+    # independence is judged against each input vector's own squared
+    # norm, so a frame of tiny or huge vectors is built like a unit one,
+    # and a vector in the span of those before it is still rejected
+    g = np.diag([1.0, 4.0])[None]
+    vecs = geo.orthonormal_frames(g, scale * np.array([[[1.0, 1.0],
+                                                        [1.0, -1.0]]]))
+    assert np.max(np.abs(vecs[0] @ g[0] @ vecs[0].T - np.eye(2))) <= 1e-12
+    with pytest.raises(geo.DependentVectorsError):
+        geo.orthonormal_frames(g, scale * np.array([[[1.0, 1.0],
+                                                     [2.0, 2.0]]]))
 
 
 # -- the one seeding helper --------------------------------------------
@@ -286,7 +302,7 @@ def test_coordinate_partials_order_two_first_partials_match_order_one():
     # Christoffel evaluation (divisions, powers, an inner seeding)
     for chart_, xs in ((H3, [0.3, -0.2, 1.7]), (SPHERE_PATCH, [0.9, 0.4]),
                        (CURVED, [0.1, 0.6, -0.5])):
-        fn = lambda zs: geo.christoffels_at(chart_, zs)
+        fn = lambda zs: christoffels_at(chart_, zs)
         vals1, d1 = geo.coordinate_partials(fn, xs, order=1)
         vals2, d2, _ = geo.coordinate_partials(fn, xs, order=2)
         assert vals1 == vals2

@@ -17,21 +17,13 @@ from conftest import (chart, conformal_corpus, make_setup, sample,
 FUNDAMENTAL = ("G2.12", "G2.13", "G2.14", "G2.15")
 
 
-def run_all(check_id, setup, points, tol=1e-6):
-    out = []
-    for p in points:
-        ctx = IdentityContext(setup, p)
-        out.extend(run_check(check_id, setup, p, tol=tol, ctx=ctx))
-    return out
-
-
 def test_fundamental_equations_close_at_unit_dilation(riemannian_setups):
     for name, setup, box in riemannian_setups:
         points = sample(box, 3, seed=21)
-        for p in points:
-            ctx = IdentityContext(setup, p)
-            for check_id in FUNDAMENTAL:
-                for rep in run_check(check_id, setup, p, ctx=ctx):
+        ctx = IdentityContext(setup, points)
+        for check_id in FUNDAMENTAL:
+            for recs in run_check(check_id, setup, points, ctx=ctx):
+                for rep in recs:
                     assert rep["abs_residual"] <= 1e-9, (name, check_id,
                                                          rep["label"])
 
@@ -39,10 +31,10 @@ def test_fundamental_equations_close_at_unit_dilation(riemannian_setups):
 def test_every_check_runs_everywhere(riemannian_setups):
     # each id yields reports with a definite verdict on every setup
     name, setup, box = riemannian_setups[2]
-    p = sample(box, 1, seed=22)[0]
-    ctx = IdentityContext(setup, p)
+    points = sample(box, 1, seed=22)
+    ctx = IdentityContext(setup, points)
     for check_id in ALL_CHECK_IDS:
-        reports = run_check(check_id, setup, p, ctx=ctx)
+        reports, = run_check(check_id, setup, points, ctx=ctx)
         assert reports, check_id
         for rep in reports:
             assert rep["verdict"] in ("pass", "fail", "hypothesis-not-met")
@@ -55,7 +47,7 @@ def test_check_table_covers_every_id_in_order(riemannian_setups):
     assert tuple(CHECKS) == ALL_CHECK_IDS
     name, setup, box = riemannian_setups[0]
     with pytest.raises(ValueError, match="unknown check id 'G9.99'"):
-        run_check("G9.99", setup, sample(box, 1, seed=22)[0])
+        run_check("G9.99", setup, sample(box, 1, seed=22))
 
 
 def test_verdict_rule():
@@ -92,10 +84,10 @@ def test_full_closure_on_conformal_examples(conformal_setups):
     robust = ("G2.12", "G2.13", "G2.14", "G2.15", "P3.1", "E3.3",
               "R3.11", "R3.12", "L2.1", "L2.2")
     for name, setup, points in conformal_setups:
-        for p in points[:2]:
-            ctx = IdentityContext(setup, p)
-            for check_id in robust:
-                for rep in run_check(check_id, setup, p, ctx=ctx):
+        ctx = IdentityContext(setup, points[:2])
+        for check_id in robust:
+            for recs in run_check(check_id, setup, points[:2], ctx=ctx):
+                for rep in recs:
                     if rep["verdict"] == "hypothesis-not-met":
                         continue
                     assert rep["abs_residual"] <= 1e-9, (name, check_id,
@@ -108,9 +100,8 @@ def test_r313_convention_divergence_on_cone(conformal_setups):
     # decomposition misses by exactly 1 per unit metric on this cone
     name, cone, points = conformal_setups[-1]
     assert name == "cone"
-    p = points[0]
-    ctx = IdentityContext(cone, p)
-    reports = run_check("R3.13", cone, p, ctx=ctx)
+    ctx = IdentityContext(cone, points[:1])
+    reports, = run_check("R3.13", cone, points[:1], ctx=ctx)
     diag = [r for r in reports
             if r["label"] and r["label"][-2:] in ("11", "22")
             or r["lhs"] != 0.0]
@@ -127,7 +118,7 @@ def test_r313_convention_divergence_on_cone(conformal_setups):
 def test_l31i_overcount_on_cone(conformal_setups):
     # printed left side scales with n, right side with n^2
     name, cone, points = conformal_setups[-1]
-    reports = run_check("L3.1.i", cone, points[0])
+    reports, = run_check("L3.1.i", cone, points[:1])
     worst = max(reports, key=lambda r: r["abs_residual"])
     assert worst["verdict"] == "fail"
     assert worst["convention_sensitive"]
@@ -140,7 +131,7 @@ def test_r313_closes_when_dilation_is_horizontal(conformal_setups):
     for name, setup, points in conformal_setups:
         if name != "5.3":
             continue
-        for rep in run_check("R3.13", setup, points[0]):
+        for rep in run_check("R3.13", setup, points[:1])[0]:
             assert rep["abs_residual"] <= 1e-9
 
 
@@ -151,7 +142,7 @@ def test_hypothesis_gating(conformal_setups):
         chart("x1 x2 x3", ["1 + x2^2, 0, x2", "0, 1, 0", "x2, 0, 1"]),
         chart("y1 y2", ["1, 0", "0, 1"]), ["x1", "x2"])
     p = Point((0.4, 0.8, -0.3))
-    for rep in run_check("L3.1.iii", twisted, p):
+    for rep in run_check("L3.1.iii", twisted, [p])[0]:
         assert rep["verdict"] == "hypothesis-not-met"
         unmet = [h for h in rep["hypotheses"] if not h["satisfied"]]
         assert any("integrable" in h["name"] for h in unmet)
@@ -161,11 +152,10 @@ def test_hypothesis_gating(conformal_setups):
 def test_tolerance_monotonicity(conformal_setups):
     # a record passing at tol also passes at any larger tol
     name, cone, points = conformal_setups[-1]
-    p = points[0]
     for tol_small, tol_large in ((1e-12, 1e-6), (1e-8, 1e-2)):
         for check_id in ("G2.12", "R3.13", "T3.4"):
-            small = run_check(check_id, cone, p, tol=tol_small)
-            large = run_check(check_id, cone, p, tol=tol_large)
+            small, = run_check(check_id, cone, points[:1], tol=tol_small)
+            large, = run_check(check_id, cone, points[:1], tol=tol_large)
             for s, l in zip(small, large):
                 if s["verdict"] == "pass":
                     assert l["verdict"] == "pass"
@@ -173,16 +163,15 @@ def test_tolerance_monotonicity(conformal_setups):
 
 def test_reports_are_deterministic(conformal_setups):
     name, setup, points = conformal_setups[0]
-    p = points[0]
-    first = run_check("R3.11", setup, p)
-    second = run_check("R3.11", setup, p)
+    first, = run_check("R3.11", setup, points[:1])
+    second, = run_check("R3.11", setup, points[:1])
     for a, b in zip(first, second):
         assert a == b
 
 
 def test_scalar_split_requires_tg_map(conformal_setups):
     for name, setup, points in conformal_setups:
-        reports = run_check("T3.4", setup, points[0])
+        reports, = run_check("T3.4", setup, points[:1])
         if name == "5.4":
             assert reports[0]["verdict"] == "pass"
         elif name in ("5.1", "5.3"):
@@ -196,10 +185,10 @@ def test_m4_spot_check():
               ["1, 0, 0, 0", "0, 1, 0, 0", "0, 0, exp(2*x1), 0",
                "0, 0, 0, 2 + sin(x3)"]),
         chart("y1 y2", ["1, 0", "0, 1"]), ["x1", "x2"])
-    p = Point((0.2, -0.4, 0.5, 1.1))
-    ctx = IdentityContext(setup, p)
+    points = [Point((0.2, -0.4, 0.5, 1.1))]
+    ctx = IdentityContext(setup, points)
     for check_id in FUNDAMENTAL:
-        for rep in run_check(check_id, setup, p, ctx=ctx):
+        for rep in run_check(check_id, setup, points, ctx=ctx)[0]:
             assert rep["abs_residual"] <= 1e-9, (check_id, rep["label"])
 
 
@@ -220,7 +209,8 @@ def _bits(value):
 def _records(ctx, check_ids):
     return [json.dumps(rep, sort_keys=True)
             for check_id in check_ids
-            for rep in run_check(check_id, ctx.setup, ctx.p, ctx=ctx)]
+            for recs in run_check(check_id, ctx.setup, ctx.points, ctx=ctx)
+            for rep in recs]
 
 
 # the cone's dilation varies along its fibers, unlike 5.3 and the warped
@@ -236,12 +226,13 @@ def test_context_independent_of_read_order(setup, p):
     # two fresh contexts read in opposite orders hold the same bits, and
     # contexts whose checks trigger every build, in either order, give
     # the same records
-    forward, backward = IdentityContext(setup, p), IdentityContext(setup, p)
+    forward, backward = (IdentityContext(setup, [p]),
+                         IdentityContext(setup, [p]))
     got = {name: _bits(getattr(forward, name)) for name in LAZY_ARRAYS}
     for name in reversed(LAZY_ARRAYS):
         assert _bits(getattr(backward, name)) == got[name], name
     records = _records(forward, ALL_CHECK_IDS)
     assert _records(backward, ALL_CHECK_IDS) == records
-    assert _records(IdentityContext(setup, p), ALL_CHECK_IDS) == records
-    reverse = _records(IdentityContext(setup, p), ALL_CHECK_IDS[::-1])
+    assert _records(IdentityContext(setup, [p]), ALL_CHECK_IDS) == records
+    reverse = _records(IdentityContext(setup, [p]), ALL_CHECK_IDS[::-1])
     assert sorted(reverse) == sorted(records)

@@ -14,7 +14,8 @@ from confsub import catalog
 from confsub import soliton as sol
 from confsub import submersion as sub
 from confsub.geometry import Point
-from confsub.identities import ALL_CHECK_IDS, IdentityContext, run_check
+from confsub.identities import (ALL_CHECK_IDS, IdentityContext, hypotheses_at,
+                                run_check)
 from conftest import (chart, conformal_corpus, make_setup, riemannian_corpus,
                       sample, warped_4to2)
 from identity_loops import Loops, reference_check
@@ -32,31 +33,38 @@ def _assert_hypotheses(got, ref, what):
         _close(h["violation"], r["violation"], (what, h["name"]))
 
 
-def _assert_same_records(setup, p):
-    ctx = IdentityContext(setup, p)
+def _assert_same_records(setup, points):
+    # the checks run once over all the points of one context; the loops
+    # read each point of a second one
+    ctx = IdentityContext(setup, points)
+    loops_ctx = IdentityContext(setup, points)
     for check_id in ALL_CHECK_IDS:
-        got = run_check(check_id, setup, p, ctx=ctx)
-        ref = reference_check(check_id, IdentityContext(setup, p))
-        assert [r["label"] for r in got] == [r["label"] for r in ref], \
-            check_id
-        for rep, want in zip(got, ref):
-            what = (check_id, rep["label"])
-            assert rep["id"] == want["id"], what
-            assert rep["verdict"] == want["verdict"], what
-            assert rep["note"] == want["note"], what
-            assert (rep["convention_sensitive"]
-                    == want["convention_sensitive"]), what
-            _close(rep["lhs"], want["lhs"], what + ("lhs",))
-            _close(rep["rhs"], want["rhs"], what + ("rhs",))
-            # a residual cancels lhs against rhs: it moves by rounding on
-            # their scale
-            scale = 1.0 + abs(want["lhs"]) + abs(want["rhs"])
-            _close(rep["abs_residual"], want["abs_residual"], what, scale)
-            _close(rep["rel_residual"], want["rel_residual"], what, scale)
-            assert list(rep["terms"]) == list(want["terms"]), what
-            for name, value in want["terms"].items():
-                _close(rep["terms"][name], value, what + (name,))
-            _assert_hypotheses(rep["hypotheses"], want["hypotheses"], what)
+        for i, got in enumerate(run_check(check_id, setup, points, ctx=ctx)):
+            _assert_point_records(check_id, got,
+                                  reference_check(check_id, loops_ctx, i=i))
+
+
+def _assert_point_records(check_id, got, ref):
+    assert [r["label"] for r in got] == [r["label"] for r in ref], \
+        check_id
+    for rep, want in zip(got, ref):
+        what = (check_id, rep["label"], tuple(rep["point"]))
+        assert rep["id"] == want["id"], what
+        assert rep["verdict"] == want["verdict"], what
+        assert rep["note"] == want["note"], what
+        assert (rep["convention_sensitive"]
+                == want["convention_sensitive"]), what
+        _close(rep["lhs"], want["lhs"], what + ("lhs",))
+        _close(rep["rhs"], want["rhs"], what + ("rhs",))
+        # a residual cancels lhs against rhs: it moves by rounding on
+        # their scale
+        scale = 1.0 + abs(want["lhs"]) + abs(want["rhs"])
+        _close(rep["abs_residual"], want["abs_residual"], what, scale)
+        _close(rep["rel_residual"], want["rel_residual"], what, scale)
+        assert list(rep["terms"]) == list(want["terms"]), what
+        for name, value in want["terms"].items():
+            _close(rep["terms"][name], value, what + (name,))
+        _assert_hypotheses(rep["hypotheses"], want["hypotheses"], what)
 
 
 def _catalog_case(eid):
@@ -86,8 +94,7 @@ CASES = [_catalog_case(eid) for eid in catalog.EXAMPLE_IDS] + [
 @pytest.mark.parametrize("name,setup,points", CASES,
                          ids=[case[0] for case in CASES])
 def test_contractions_match_loop_forms(name, setup, points):
-    for p in points:
-        _assert_same_records(setup, p)
+    _assert_same_records(setup, points)
 
 
 # a conformal submersion R^3 -> R^2, (x1, x2, x3) -> (x1, x2), whose
@@ -109,7 +116,7 @@ def test_contractions_match_loop_forms_on_generated_metrics(a, b, c, d, e,
                            f"0, {phi}, 0",
                            f"({e})*{warp}*x2, 0, {warp}"]),
         chart("y1 y2", ["1, 0", "0, 1"]), ["x1", "x2"])
-    _assert_same_records(setup, Point(x))
+    _assert_same_records(setup, [Point(x)])
 
 
 HYP_CASES = CASES + [("curved-fiber-3to1", c[1], sample(c[2], 2, seed=33))
@@ -122,41 +129,47 @@ HYP_CASES = CASES + [("curved-fiber-3to1", c[1], sample(c[2], 2, seed=33))
 def test_frame_suprema_match_loop_forms(name, setup, points):
     # the hypotheses, the structure flags and the soliton reports read
     # the same sup |T(U_i, U_j)|, sup |A(X_a, X_b)| and umbilicity values
-    for p in points:
-        ctx = IdentityContext(setup, p)
-        loops = Loops(IdentityContext(setup, p))
-        for hyp in ("hyp_conformal", "hyp_fibers_tg", "hyp_horizontal_tg",
-                    "hyp_horizontal_integrable", "hyp_homothetic",
-                    "hyp_map_tg", "hyp_umbilical"):
-            _assert_hypotheses([asdict(getattr(ctx, hyp)())],
-                               [asdict(getattr(loops, hyp)())], (name, hyp))
-        flags = sub.structure_flags(setup, [p], contexts=[ctx])
-        _close(flags.fibers_totally_geodesic.max_violation,
-               loops.hyp_fibers_tg().violation, (name, "flag T"))
-        _close(flags.horizontal_totally_geodesic.max_violation,
-               loops.hyp_horizontal_tg().violation, (name, "flag A"))
-        _close(flags.fibers_totally_umbilical.max_violation,
-               loops.hyp_umbilical().violation, (name, "flag umbilical"))
+    ctx = IdentityContext(setup, points)
+    loops_ctx = IdentityContext(setup, points)
+    loops = [Loops(loops_ctx, i) for i in range(len(points))]
+    for hyp in ("hyp_conformal", "hyp_fibers_tg", "hyp_horizontal_tg",
+                "hyp_horizontal_integrable", "hyp_homothetic",
+                "hyp_map_tg", "hyp_umbilical"):
+        for got, loop in zip(hypotheses_at([getattr(ctx, hyp)], len(points)),
+                             loops):
+            _assert_hypotheses([asdict(h) for h in got],
+                               [asdict(getattr(loop, hyp)())], (name, hyp))
+    # the flags are the suprema over the points
+    flags = sub.structure_flags(ctx)
+    for flag, hyp in (("fibers_totally_geodesic", "hyp_fibers_tg"),
+                      ("horizontal_totally_geodesic", "hyp_horizontal_tg"),
+                      ("fibers_totally_umbilical", "hyp_umbilical")):
+        _close(getattr(flags, flag).max_violation,
+               max(getattr(loop, hyp)().violation for loop in loops),
+               (name, flag))
 
 
 @pytest.mark.parametrize("name,setup,points", CASES,
                          ids=[case[0] for case in CASES])
 def test_soliton_helpers_match_loop_forms(name, setup, points):
-    for p in points:
-        ctx = IdentityContext(setup, p)
-        loops = Loops(IdentityContext(setup, p))
-        _close(sol._horizontal_div_h(ctx),
+    ctx = IdentityContext(setup, points)
+    loops_ctx = IdentityContext(setup, points)
+    xi_v = np.arange(1.0, setup.m + 1.0)
+    f34 = sol._base_formula_value(
+        ctx, np.broadcast_to(xi_v, (len(points), setup.m)), 0.7)
+    for k in range(len(points)):
+        loops = Loops(loops_ctx, k)
+        _close(sol._horizontal_div_h(ctx)[k],
                sum(loops.inner(loops.grad_h(x), x) for x in loops.hframe),
                (name, "div H"))
-        _close(sol._norm_sq_h(ctx), loops.inner(loops.h_vec, loops.h_vec),
-               (name, "|H|^2"))
-        _close(ctx.div_hprime, loops.div_hprime(), (name, "div H'"))
-        ric = ctx.fiber_ric_e
+        _close(sol._norm_sq_h(ctx)[k],
+               loops.inner(loops.h_vec, loops.h_vec), (name, "|H|^2"))
+        _close(ctx.div_hprime[k], loops.div_hprime(), (name, "div H'"))
+        ric = ctx.fiber_ric_e[k]
         for i, u in enumerate(loops.vframe):
             for j, v in enumerate(loops.vframe):
                 _close(ric[i, j], loops.fiber_ricci_intrinsic(u, v),
                        (name, "Ric^v", i, j))
-        xi_v = np.arange(1.0, setup.m + 1.0)
         hp_f = float(loops.hp_vec @ loops.g @ loops.grad_f)
         ref = (0.7 + loops.div_hprime()
                - 0.25 * loops.lam_sq ** 2
@@ -164,8 +177,7 @@ def test_soliton_helpers_match_loop_forms(name, setup, points):
                + (setup.n * loops.lam_sq / 2.0) * hp_f
                + (loops.lam_sq / 2.0)
                * loops.inner(loops.vgrad_f, loops.pv @ xi_v))
-        _close(sol._base_formula_value(ctx, lambda xs: list(xi_v), 0.7), ref,
-               (name, "f3 + f4"))
+        _close(f34[k], ref, (name, "f3 + f4"))
 
 
 # -- the structural rule ---------------------------------------------------
@@ -180,34 +192,35 @@ RIGHT_ARRAYS = ("pv", "ph", "lam_sq", "jac", "h_base", "gamma", "t_tensor",
                 "a_tensor", "_nabla", "grad_f", "vgrad_f", "hgrad_f",
                 "hess_f", "h_vec", "hp_vec", "base_curvature",
                 "base_scalar_curvature", "_fiber_curvature", "basic_fields",
-                "_once_fiber_scalar_intrinsic")
+                "fiber_scalar_intrinsic")
 
 
 def _nan_like(value):
     if isinstance(value, tuple):
         return tuple(_nan_like(v) for v in value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
         return np.full(value.shape, np.nan)
-    if isinstance(value, float):
-        return float("nan")
-    return value  # the fiber chart's vertical indices
+    return value  # the fiber charts' vertical indices
 
 
-def _poisoned(setup, p, names):
-    """A context at p whose arrays ``names`` hold NaN in place of the
-    values a clean context computes."""
-    ctx = IdentityContext(setup, p)
-    clean = IdentityContext(setup, p)
+def _poisoned(setup, points, names):
+    """A context over ``points`` whose arrays ``names`` hold NaN in place
+    of the values a clean context computes."""
+    ctx = IdentityContext(setup, points)
+    clean = IdentityContext(setup, points)
     for name in names:
-        if name.startswith("_once_"):
-            value = getattr(clean, name[len("_once_"):])()
-        else:
-            try:
-                value = getattr(clean, name)
-            except sub.NotASubmersionError:
-                continue  # no fiber chart: no check reads it
+        try:
+            value = getattr(clean, name)
+        except sub.NotASubmersionError:
+            continue  # no fiber chart: no check reads it
         ctx.__dict__[name] = _nan_like(value)
     return ctx
+
+
+def _pairs_of_records(got, want):
+    """(record, record) of two runs over the same points, point by point."""
+    assert len(got) == len(want)
+    return [pair for g, w in zip(got, want) for pair in zip(g, w)]
 
 
 def _finite_and_equal(got, want, what):
@@ -217,12 +230,12 @@ def _finite_and_equal(got, want, what):
 @pytest.mark.parametrize("name,setup,points", CASES,
                          ids=[case[0] for case in CASES])
 def test_left_side_reads_no_right_side_array(name, setup, points):
-    p = points[0]
-    ctx = _poisoned(setup, p, RIGHT_ARRAYS)
-    clean = IdentityContext(setup, p)
+    ctx = _poisoned(setup, points, RIGHT_ARRAYS)
+    clean = IdentityContext(setup, points)
     for check_id in LEFT_SIDE_CHECKS:
-        for rep, want in zip(run_check(check_id, setup, p, ctx=ctx),
-                             run_check(check_id, setup, p, ctx=clean)):
+        for rep, want in _pairs_of_records(
+                run_check(check_id, setup, points, ctx=ctx),
+                run_check(check_id, setup, points, ctx=clean)):
             _finite_and_equal(rep["lhs"], want["lhs"],
                               (name, check_id, rep["label"]))
 
@@ -230,12 +243,12 @@ def test_left_side_reads_no_right_side_array(name, setup, points):
 @pytest.mark.parametrize("name,setup,points", CASES,
                          ids=[case[0] for case in CASES])
 def test_right_side_reads_no_left_side_array(name, setup, points):
-    p = points[0]
-    ctx = _poisoned(setup, p, LEFT_ARRAYS)
-    clean = IdentityContext(setup, p)
+    ctx = _poisoned(setup, points, LEFT_ARRAYS)
+    clean = IdentityContext(setup, points)
     for check_id in ALL_CHECK_IDS:
-        for rep, want in zip(run_check(check_id, setup, p, ctx=ctx),
-                             run_check(check_id, setup, p, ctx=clean)):
+        for rep, want in _pairs_of_records(
+                run_check(check_id, setup, points, ctx=ctx),
+                run_check(check_id, setup, points, ctx=clean)):
             what = (name, check_id, rep["label"])
             _finite_and_equal(rep["rhs"], want["rhs"], what)
             for term, value in want["terms"].items():

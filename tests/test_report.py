@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from confsub import catalog, identities, report
 from confsub import geometry as geo
+from confsub import soliton as sol
 from confsub import submersion as sub
 from confsub.cli import EXIT_USAGE, main
 from confsub.geometry import ChartManifold
@@ -21,7 +22,7 @@ from confsub.identities import (ALL_CHECK_IDS, Hypothesis,
 from confsub.jets import EvaluationError, JetSpace
 from confsub.manifest import (KNOWN_CHECKS, SOLITON_CHECKS,
                               parse_manifest)
-from conftest import contexts
+from conftest import context
 
 BASE = """
 total.dim    = 2
@@ -76,14 +77,13 @@ def test_structure_flags_records_informational():
     assert "homothetic" in names
 
 
-def test_structure_flags_read_the_run_contexts():
-    # under verify the flags read each point's float core and Gamma from
-    # its context; the records agree with the library form
+def test_structure_flags_read_the_run_context():
+    # under verify the flags read the float core and Gamma from the run's
+    # context; the records agree with the library form
     job = catalog.load_job("5.3")
     job.checks = ["structure-flags"]
     records = report.run_job(job).records
-    flags = sub.structure_flags(job.setup, job.points,
-                                contexts(job.setup, job.points)).as_dict()
+    flags = sub.structure_flags(context(job.setup, job.points)).as_dict()
     assert len(records) == len(flags)
     for rec, (name, check) in zip(records, flags.items()):
         assert rec["note"].startswith(f"{name}: ")
@@ -103,10 +103,12 @@ def test_json_and_text_render():
     assert "wall_time" not in payload
 
 
-def test_one_context_and_one_oneill_bundle_per_point(monkeypatch):
-    # checks = all on one 5.3 point: every identity and soliton report
-    # shares the point's context, which builds T, A and their covariant
-    # derivatives from its one CorePartials, contracting T and A once
+@pytest.mark.parametrize("count", [1, 12])
+def test_one_context_and_one_oneill_bundle_per_run(monkeypatch, count):
+    # checks = all on 5.3: every identity and soliton report shares the
+    # run's one context, which builds T, A and their covariant
+    # derivatives from its one CorePartials, contracting T and A once for
+    # all the points
     counts = Counter()
     _count_calls(monkeypatch, counts, (
         (IdentityContext, "__init__"), (sub, "oneill_contraction"),
@@ -119,7 +121,7 @@ def test_one_context_and_one_oneill_bundle_per_point(monkeypatch):
 
     monkeypatch.setattr(sub.CorePartials, "__init__", counting_partials)
     job = catalog.load_job("5.3")
-    job.points = job.points[:1]
+    job.points = job.points[:count]
     assert "harmonicity" in job.checks
     rep = report.run_job(job)
     assert rep.records
@@ -129,9 +131,9 @@ def test_one_context_and_one_oneill_bundle_per_point(monkeypatch):
     assert counts["partials"] == 1
     assert counts["oneill_contraction"] == 1
     # the float cores' Jacobian seeding, the three CorePartials leaves
-    # (the Jacobian's with its inner seeding), the base curvature, xi and
-    # the base-soliton report's base field
-    assert counts["seed"] == 8
+    # (the Jacobian's with its inner seeding) and the base curvature for
+    # all the points; xi and the base-soliton report's base field at each
+    assert counts["seed"] == 6 + 2 * count
     assert counts["metric_at"] == 5
 
 
@@ -178,19 +180,19 @@ def test_context_evaluates_each_ingredient_once(monkeypatch, document):
     job = parse_manifest(document)
     rep = report.run_job(job)
     assert [r["verdict"] for r in rep.records] == ["pass"] * len(job.points)
-    assert counts["__init__"] == len(job.points)
+    assert counts["__init__"] == 1
     assert counts["seed"] <= 1
     assert counts["metric_at"] <= 4
 
 
 def test_flat_sweep_builds_no_curvature(monkeypatch):
-    # G2.12 on one-dimensional fibers reads the frames, lambda^2 and the
-    # conformality hypothesis only, so no curvature, Christoffel symbols,
-    # O'Neill tensors or frame-basis arrays are built at the point
+    # G2.12 on one-dimensional fibers reads the conformality hypothesis
+    # only, so no curvature, Christoffel symbols, O'Neill tensors or
+    # frame-basis arrays are built at the point
     counts = Counter()
     _count_calls(monkeypatch, counts, (
-        (geo, "curvature_tensor_at"), (geo, "christoffels_at"),
-        (sub, "oneill_contraction"), (JetSpace, "seed")))
+        (geo, "curvature_tensor_at"), (sub, "oneill_contraction"),
+        (JetSpace, "seed")))
     contexts = []
     real_init = IdentityContext.__init__
 
@@ -202,14 +204,15 @@ def test_flat_sweep_builds_no_curvature(monkeypatch):
     rep = report.run_job(parse_manifest(FLAT_SWEEP))
     assert [r["verdict"] for r in rep.records] == ["pass"]
     assert counts["curvature_tensor_at"] == 0
-    assert counts["christoffels_at"] == 0
     assert counts["oneill_contraction"] == 0
     assert counts["seed"] <= 1
-    frame_arrays = [name for name in vars(IdentityContext)
-                    if name.endswith("_e")] + ["frame", "gram"]
-    assert "riem_e" in frame_arrays and "fiber_ric_e" in frame_arrays
+    lazy = [name for name in vars(IdentityContext)
+            if name.endswith("_e")] + ["gram", "_lower", "gamma", "riem"]
+    assert "riem_e" in lazy and "fiber_ric_e" in lazy
     ctx, = contexts
-    assert not set(frame_arrays) & set(vars(ctx))
+    assert not set(lazy) & set(vars(ctx))
+    # nor any entry of the run's CorePartials
+    assert set(vars(ctx.cores.partials)) == {"setup", "points", "base_coords"}
 
 
 # Gamma of this metric is not finite on x2 = 0, where d/dx2 x2^(1/3) is
@@ -251,8 +254,8 @@ def test_failing_ingredient_no_check_reads_does_not_abort():
 
 def test_seedings_per_point_with_every_check(monkeypatch):
     # checks = all on the shipped 5.3 manifest: every identity and soliton
-    # report contracts per-point arrays and reads g, Gamma, Ric, L_xi g and
-    # the O'Neill values from the run's contexts, so a point seeds only xi
+    # report contracts stacked arrays and reads g, Gamma, Ric, L_xi g and
+    # the O'Neill values from the run's context, so a point seeds only xi
     # and the base field, once each; the run seeds the float cores'
     # Jacobian, the CorePartials leaves (the metric, the Jacobian with its
     # inner seeding, h o F), which the tension field reads too, and the
@@ -433,12 +436,13 @@ points.list = {points}
      EvaluationError, "non-finite value in exp in 'exp(x2)'"),
     ("1, 0 ; 0, 1/x2", "x1", "G2.12", "(1, 2) ; (1, 0) ; (1, -0.5)",
      EvaluationError, "division by zero in '1 / x2'"),
-    # Gamma fails at the first point, the metric at the second: the first
-    # point's check raises before the second point's core
+    # Gamma fails at the first point, the metric at the second: the run
+    # builds every point's core before any check reads Gamma
     ("1, 0 ; 0, 1 + x2^(1/3)", "x1", "R3.11", "(0.3, 0) ; (0.3, -8)",
-     EvaluationError, "zero raised to a negative power in 'x2^(1/3)'")],
+     geo.DegenerateMetricError,
+     "metric is not positive definite at (0.3, -8.0)")],
     ids=["rank-first", "metric-first", "log-first", "metric-not-pd",
-         "overflow", "division", "check-before-core"])
+         "overflow", "division", "core-before-check"])
 def test_failing_core_raises_for_the_first_failing_point(
         metric, map_text, checks, points, error, message):
     # the run raises what evaluating the points one at a time raises
@@ -562,12 +566,59 @@ def _close(got, ref):
         math.isnan(got) and math.isnan(ref))
 
 
+def _soliton_reports(job):
+    """The soliton reports of a run that keep per-point values, and its
+    structure flags, from one context over the job's points."""
+    ctx = IdentityContext(job.setup, job.points)
+    return ({"fiber": sol.fiber_soliton_report(ctx, job.xi, mu=job.mu),
+             "base": sol.base_soliton_report(ctx, job.xi, job.mu),
+             "harmonicity": sol.harmonicity_report(ctx, job.mu)},
+            sub.structure_flags(ctx).as_dict())
+
+
+def _assert_same_per_point(got, ref, what):
+    assert got.keys() == ref.keys(), what
+    for key, value in ref.items():
+        if key == "point":
+            assert got[key] == value, what
+        elif key == "trace_terms":
+            _assert_same_per_point(got[key], value, what + (key,))
+        else:
+            assert _close(got[key], value), what + (key,)
+
+
+def _assert_solitons_match_points_alone(job, points):
+    # each report's per-point values are those of the point alone, its
+    # merged hypotheses the worst over the points alone, and each
+    # structure flag's violation the largest over them
+    job.points = points
+    stacked, flags = _soliton_reports(job)
+    alone = []
+    for p in points:
+        job.points = [p]
+        alone.append(_soliton_reports(job))
+    for name, rep in stacked.items():
+        for i, entry in enumerate(rep.per_point):
+            ref, = alone[i][0][name].per_point
+            _assert_same_per_point(entry, ref, (name, i))
+        for k, hyp in enumerate(rep.hypotheses):
+            refs = [reps[name].hypotheses[k] for reps, _ in alone]
+            assert {h.name for h in refs} == {hyp.name}
+            assert hyp.satisfied == all(h.satisfied for h in refs), name
+            assert _close(hyp.violation, max(h.violation for h in refs)), (
+                name, hyp.name)
+    for key, check in flags.items():
+        assert _close(check.max_violation,
+                      max(f[key].max_violation for _, f in alone)), key
+
+
 @pytest.mark.parametrize("name", ["curved-all", "fiber-2d", "flat-sweep"])
 def test_stacked_run_matches_runs_of_each_point_alone(name):
-    # every context of a run reads its own point's slices of the stacked
-    # core: the identity records of a run over 8 points are those of 8
-    # runs over one point each (the soliton records summarize all of a
-    # run's points, so they are not per point)
+    # the run's one context reads every point's values off the stacked
+    # arrays: the identity records of a run over 8 points are those of 8
+    # runs over one point each, and on curved-all so are the soliton
+    # reports' per-point values (their records summarize all of a run's
+    # points, so they are not per point)
     job = parse_manifest(_workloads().manifest_text(name, 1, points=8))
     points = list(job.points)
     assert len(points) == 8
@@ -576,6 +627,8 @@ def test_stacked_run_matches_runs_of_each_point_alone(name):
     for p in points:
         job.points = [p]
         alone += report.run_job(job).records
+    if name == "curved-all":
+        _assert_solitons_match_points_alone(job, points)
     stacked, alone = ([r for r in recs if r["kind"] == "identity"]
                       for recs in (stacked, alone))
     assert stacked and len(stacked) == len(alone)

@@ -6,7 +6,7 @@ import pytest
 from confsub import catalog, report
 from confsub import soliton as sol
 from confsub.geometry import ChartManifold, Point, VectorFieldSpec
-from conftest import chart, contexts, flat_chart, sample
+from conftest import chart, context, flat_chart, sample
 
 HYPERBOLIC = chart("x1 x2", ["x2^-2, 0", "0, x2^-2"], "x2 > 0")
 H3 = chart("x1 x2 x3",
@@ -70,8 +70,8 @@ def test_killing_and_conformal_fields():
 def test_fiber_soliton_on_53():
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    rep = sol.fiber_soliton_report(job.setup, job.xi, points,
-                                   contexts(job.setup, points), mu=2.0)
+    rep = sol.fiber_soliton_report(context(job.setup, points), job.xi,
+                                   mu=2.0)
     assert rep.verdict == "pass"
     for row in rep.per_point:
         # one-dimensional fibers carry no intrinsic curvature, so the
@@ -82,13 +82,13 @@ def test_fiber_soliton_on_53():
 def test_base_and_scalar_on_54():
     job = catalog.load_job("5.4")
     points = job.points[:4]
-    ctxs = contexts(job.setup, points)
-    base = sol.base_soliton_report(job.setup, job.xi, 0.0, points, ctxs)
+    ctx = context(job.setup, points)
+    base = sol.base_soliton_report(ctx, job.xi, 0.0)
     assert base.verdict == "pass"
-    scal = sol.scalar_mu_consistency(job.setup, job.xi, 0.0, points, ctxs)
+    scal = sol.scalar_mu_consistency(ctx, 0.0)
     assert scal["verdict"] == "pass"
     assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
-    harm = sol.harmonicity_report(job.setup, job.xi, 0.0, points, ctxs)
+    harm = sol.harmonicity_report(ctx, 0.0)
     assert harm.verdict == "pass"
     assert "harmonic=True" in harm.note
 
@@ -96,8 +96,7 @@ def test_base_and_scalar_on_54():
 def test_scalar_mu_gated_when_map_not_tg():
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    rep = sol.scalar_mu_consistency(job.setup, job.xi, 2.0, points,
-                                    contexts(job.setup, points))
+    rep = sol.scalar_mu_consistency(context(job.setup, points), 2.0)
     assert rep["verdict"] == "hypothesis-not-met"
     # the scalar curvature itself is still reported per point
     svals = [v for k, v in rep["terms"].items() if k.startswith("s@")]
@@ -115,8 +114,7 @@ def test_harmonicity_verdict_is_the_equivalence(monkeypatch, tension, mu):
                         lambda *args: real(*args) + tension)
     job = catalog.load_job("5.4")
     points = job.points[:2]
-    rep = sol.harmonicity_report(job.setup, job.xi, mu, points,
-                                 contexts(job.setup, points))
+    rep = sol.harmonicity_report(context(job.setup, points), mu)
     harmonic, scalar_side = tension == 0.0, mu == 0.0
     assert f"harmonic={harmonic} scalar-side={scalar_side}" in rep.note
     want = "pass" if harmonic == scalar_side else "fail"
@@ -129,8 +127,7 @@ def test_harmonicity_equivalence_detected_off_hypotheses():
     # verdict, but the itemized trace identity still closes
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    rep = sol.harmonicity_report(job.setup, job.xi, 2.0, points,
-                                 contexts(job.setup, points))
+    rep = sol.harmonicity_report(context(job.setup, points), 2.0)
     assert rep.verdict == "hypothesis-not-met"
     for row in rep.per_point:
         assert row["trace_identity_residual"] <= 1e-9
@@ -149,22 +146,21 @@ def test_classification_sign_convention():
 
 
 @pytest.mark.parametrize("eid", ["5.3", "5.4"])
-def test_fits_read_the_contexts_like_the_chart(eid):
-    # with the run's contexts, fit_mu and conformal_field_fit read g, Gamma
-    # and Ric from them instead of seeding the chart again; the values
+def test_fits_read_the_context_like_the_chart(eid):
+    # with the run's context, fit_mu and conformal_field_fit read g, Gamma
+    # and Ric from it instead of seeding the chart again; the values
     # agree with the (chart, xi, points) form to rounding
     job = catalog.load_job(eid)
     points = job.points[:4]
-    ctxs = contexts(job.setup, points)
+    ctx = context(job.setup, points)
     total = job.setup.total
     fit = sol.fit_mu(total, job.xi, points)
-    fit_ctx = sol.fit_mu(total, job.xi, points, contexts=ctxs)
+    fit_ctx = sol.fit_mu(total, job.xi, points, ctx=ctx)
     assert fit_ctx.mu == pytest.approx(fit.mu, rel=1e-12, abs=1e-12)
     assert [r for _, r in fit_ctx.per_point] == pytest.approx(
         [r for _, r in fit.per_point], rel=1e-12, abs=1e-12)
     conf = sol.conformal_field_fit(total, job.xi, points)
-    conf_ctx = sol.conformal_field_fit(total, job.xi, points,
-                                       contexts=ctxs)
+    conf_ctx = sol.conformal_field_fit(total, job.xi, points, ctx=ctx)
     assert [f for _, f in conf_ctx.f_values] == pytest.approx(
         [f for _, f in conf.f_values], rel=1e-12, abs=1e-12)
     assert conf_ctx.max_residual == pytest.approx(conf.max_residual,

@@ -14,7 +14,7 @@ from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext
 from confsub.jets import EvaluationError, JetSpace, primal, primal_array
 from confsub.linalg import mat_inverse, taylor_inverse, taylor_mul
-from conftest import (conformal_corpus, contexts, flat_chart, make_setup,
+from conftest import (conformal_corpus, context, flat_chart, make_setup,
                       oneill, riemannian_corpus, sample, warped_4to2)
 import identity_loops as loops
 import jet_reference as jr
@@ -53,8 +53,8 @@ def test_projectors_idempotent_orthogonal(riemannian_setups,
 
 def test_projectors_g_symmetric(ex53):
     # g(P_H X, Y) = g(X, P_H Y)
-    ctx = IdentityContext(ex53, Point((0.3, 1.6, 2.0)))
-    g, ph = ctx.g, ctx.ph
+    ctx = IdentityContext(ex53, [Point((0.3, 1.6, 2.0))])
+    g, ph = ctx.g[0], ctx.ph[0]
     assert np.max(np.abs(g @ ph - (g @ ph).T)) <= 1e-12
 
 
@@ -70,24 +70,24 @@ def test_dilation_and_anisotropy(ex51, ex53):
 
 
 def test_oneill_values_example_53(ex53):
-    ctx = IdentityContext(ex53, Point((0.2, 1.8, 2.0)))
+    ctx = IdentityContext(ex53, [Point((0.2, 1.8, 2.0))])
     e1, e2, e3 = basis(3)
-    t = oneill(ctx.t_tensor, e1, e1)
+    t = oneill(ctx.t_tensor[0], e1, e1)
     assert t == pytest.approx((0.0, 0.0, 0.5))
-    a = oneill(ctx.a_tensor, e2, e3)
+    a = oneill(ctx.a_tensor[0], e2, e3)
     assert np.max(np.abs(a)) <= 1e-12
-    assert ctx.h_vec == pytest.approx((0.0, 0.0, 2.0))
+    assert ctx.h_vec[0] == pytest.approx((0.0, 0.0, 2.0))
 
 
 def test_oneill_T_reverses_distributions(ex53):
     # T maps (vertical, vertical) -> horizontal and
     # (vertical, horizontal) -> vertical
-    ctx = IdentityContext(ex53, Point((0.5, 2.2, 1.8)))
-    pv = ctx.pv
+    ctx = IdentityContext(ex53, [Point((0.5, 2.2, 1.8))])
+    pv = ctx.pv[0]
     e1, e2, e3 = basis(3)
-    t_vv = oneill(ctx.t_tensor, e1, e1)
+    t_vv = oneill(ctx.t_tensor[0], e1, e1)
     assert np.max(np.abs(pv @ t_vv)) <= 1e-9
-    t_vh = oneill(ctx.t_tensor, e1, e3)
+    t_vh = oneill(ctx.t_tensor[0], e1, e3)
     ph = np.eye(3) - pv
     assert np.max(np.abs(ph @ t_vh)) <= 1e-9
 
@@ -96,9 +96,9 @@ def test_oneill_A_skew_and_alternation(riemannian_setups):
     for name, setup, box in riemannian_setups:
         if setup.n < 2:
             continue
-        ctx = IdentityContext(setup, sample(box, 1, seed=13)[0])
-        g, a = ctx.g, ctx.a_tensor
-        x, y = ctx.hframe[0], ctx.hframe[1]
+        ctx = IdentityContext(setup, sample(box, 1, seed=13))
+        g, a = ctx.g[0], ctx.a_tensor[0]
+        x, y = ctx.hframe[0, 0], ctx.hframe[0, 1]
         axy = oneill(a, x, y)
         ayx = oneill(a, y, x)
         # alternation on horizontal vectors (Riemannian case)
@@ -107,7 +107,7 @@ def test_oneill_A_skew_and_alternation(riemannian_setups):
         axx = oneill(a, x, x)
         assert np.max(np.abs(axx)) <= 1e-9, name
         # skew-symmetry: g(A_X Y, V) = -g(Y, A_X V) for vertical V
-        v = ctx.vframe[0]
+        v = ctx.vframe[0, 0]
         axv = oneill(a, x, v)
         assert float(axy @ g @ v) == pytest.approx(
             -float(y @ g @ axv), abs=1e-9), name
@@ -118,8 +118,8 @@ def test_riemannian_A_is_half_vertical_bracket(riemannian_setups):
         if setup.n < 2:
             continue
         p = sample(box, 1, seed=14)[0]
-        ctx = IdentityContext(setup, p)
-        pv = ctx.pv
+        ctx = IdentityContext(setup, [p])
+        pv = ctx.pv[0]
         e_x = basis(setup.m)[0]
         e_y = basis(setup.m)[1]
         ph = np.eye(setup.m) - pv
@@ -127,31 +127,31 @@ def test_riemannian_A_is_half_vertical_bracket(riemannian_setups):
         y = ph @ np.asarray(e_y)
         # the bracket of the basic lifts, on the jet reference path
         x_lift = jr.basic_field_fn(
-            setup, VectorFieldSpec.constant(ctx.jac @ x))
+            setup, VectorFieldSpec.constant(ctx.jac[0] @ x))
         y_lift = jr.basic_field_fn(
-            setup, VectorFieldSpec.constant(ctx.jac @ y))
+            setup, VectorFieldSpec.constant(ctx.jac[0] @ y))
         bracket = jr.lie_bracket_at(x_lift, y_lift, list(p.coords))
         vb = pv @ primal_array(bracket)
-        a = oneill(ctx.a_tensor, x, y)
+        a = oneill(ctx.a_tensor[0], x, y)
         assert np.max(np.abs(a - 0.5 * vb)) <= 1e-8, name
 
 
 def test_mean_curvature_zero_for_tg_fibers(ex51):
-    h = IdentityContext(ex51, Point((1.0, 0.5))).h_vec
+    h = IdentityContext(ex51, [Point((1.0, 0.5))]).h_vec
     assert np.max(np.abs(h)) <= 1e-12
 
 
 def test_intrinsic_fiber_curvature_one_dim_is_zero(ex51, ex53):
     for setup, p in ((ex51, Point((0.5, 0.25))),
                      (ex53, Point((0.0, 1.5, 2.0)))):
-        assert IdentityContext(setup, p).fiber_scalar_intrinsic() == 0.0
+        assert IdentityContext(setup, [p]).fiber_scalar_intrinsic[0] == 0.0
 
 
 def test_intrinsic_fiber_curvature_curved_fiber(riemannian_setups):
     name, setup, box = riemannian_setups[3]
     assert name == "curved-fiber-3to1"
     p = sample(box, 1, seed=15)[0]
-    s = IdentityContext(setup, p).fiber_scalar_intrinsic()
+    s = IdentityContext(setup, [p]).fiber_scalar_intrinsic[0]
     assert s != 0.0
     # the fiber slice metric is conformal to exp(2c x1) diag(1, 2+sin(x2)),
     # whose curvature is independent of the overall constant factor
@@ -174,15 +174,14 @@ def test_structure_flags_on_catalog():
     for eid, want in expected.items():
         job = catalog.load_job(eid)
         points = job.points[:4]
-        flags = sub.structure_flags(
-            job.setup, points, contexts(job.setup, points)).as_dict()
+        flags = sub.structure_flags(context(job.setup, points)).as_dict()
         for key, value in want.items():
             assert flags[key].holds is value, (eid, key)
 
 
 def test_tension_field_vanishes_for_tg_map():
     job = catalog.load_job("5.4")
-    ctx = IdentityContext(job.setup, job.points[0])
+    ctx = IdentityContext(job.setup, job.points[:1])
     tau = sub.tension_field(job.setup, ctx.h_vec, ctx.hgrad_f, ctx.jac,
                             ctx.lam_sq)
     assert np.max(np.abs(tau)) <= 1e-12
@@ -199,9 +198,9 @@ def test_not_a_submersion_detected():
 def test_horizontal_lift_pushes_forward():
     job = catalog.load_job("5.3")
     setup = job.setup
-    ctx = IdentityContext(setup, Point((0.3, 2.0, 1.5)))
-    lift = ctx.basic_fields[0]  # column a lifts the base field e_a
-    push = ctx.jac @ lift[:, 0]
+    ctx = IdentityContext(setup, [Point((0.3, 2.0, 1.5))])
+    lift = ctx.basic_fields[0][0]  # column a lifts the base field e_a
+    push = ctx.jac[0] @ lift[:, 0]
     assert push == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
@@ -248,10 +247,12 @@ def test_context_oneill_values_match_per_field_path(name, setup, points):
     const = jr.const_fn
     m, n = setup.m, setup.n
     e = basis(m)
-    for p in points:
+    ctx = IdentityContext(setup, points)
+    for i, p in enumerate(points):
         xs = list(p.coords)
-        ctx = IdentityContext(setup, p)
-        dt, da, dh, dhp = ctx._nabla
+        dt, da, dh, dhp = (x[i] for x in ctx._nabla)
+        t_tensor, a_tensor = ctx.t_tensor[i], ctx.a_tensor[i]
+        h_vec, hp_vec = ctx.h_vec[i], ctx.hp_vec[i]
         t_ref = {}
         for a in range(m):
             for b in range(m):
@@ -259,9 +260,9 @@ def test_context_oneill_values_match_per_field_path(name, setup, points):
                     setup, xs, const(e[a]), const(e[b])))
                 a_ref = primal_array(jr.oneill_A_at(
                     setup, xs, const(e[a]), const(e[b])))
-                _assert_close(ctx.t_tensor[:, a, b], t_ref[a, b], (name, "T"))
-                _assert_close(ctx.a_tensor[:, a, b], a_ref, (name, "A"))
-        _assert_close(ctx.h_vec,
+                _assert_close(t_tensor[:, a, b], t_ref[a, b], (name, "T"))
+                _assert_close(a_tensor[:, a, b], a_ref, (name, "A"))
+        _assert_close(h_vec,
                       primal_array(jr.mean_curvature_at(setup, xs)),
                       (name, "H"))
         # H as the trace of T against P_v g^{-1}, summed pair by pair
@@ -269,8 +270,8 @@ def test_context_oneill_values_match_per_field_path(name, setup, points):
         w = (np.asarray(pv, float)
              @ np.linalg.inv(jr.metric_matrix(setup.total, p)))
         h_ref = sum(w[a, b] * t_ref[a, b] for a in range(m) for b in range(m))
-        _assert_close(ctx.h_vec, h_ref / (m - n), (name, "H"))
-        _assert_close(ctx.hp_vec, primal_array(_hprime_fn(setup)(xs)),
+        _assert_close(h_vec, h_ref / (m - n), (name, "H"))
+        _assert_close(hp_vec, primal_array(_hprime_fn(setup)(xs)),
                       (name, "H'"))
         # nabla T and nabla A are multilinear: random arguments cover
         # every component; H and H' are differentiated as fields
@@ -320,7 +321,7 @@ def test_context_seeds_at_most_two_levels_deep(monkeypatch, name, setup,
 
     monkeypatch.setattr(geo, "coordinate_partials", tracked)
     monkeypatch.setattr(JetSpace, "seed", counted_seed)
-    ctx = IdentityContext(setup, point)
+    ctx = IdentityContext(setup, [point])
     for attr in ("riem", "gamma", "hess_f", "t_tensor", "a_tensor", "h_vec",
                  "hp_vec", "_nabla"):
         getattr(ctx, attr)
@@ -377,7 +378,8 @@ def test_basic_field_derivatives_match_per_pair_path(riemannian_setups):
                  for ea in e]
         for p in sample(box, 2, seed=23):
             xs = list(p.coords)
-            lift, d, nabla = IdentityContext(setup, p).basic_fields
+            lift, d, nabla = (x[0] for x in
+                              IdentityContext(setup, [p]).basic_fields)
             for a in range(setup.n):
                 xa = primal_array(lifts[a](xs))
                 _assert_close(lift[:, a], xa, (name, "X", a))
@@ -398,14 +400,15 @@ def test_context_scalar_curvatures_match_reference(riemannian_setups):
              for name, setup, box in riemannian_setups]
     cases.append(("warped-4to2", WARPED_4TO2, [Point((0.2, -0.4, 0.5, 1.1))]))
     for name, setup, points in cases:
-        for p in points:
-            ctx = IdentityContext(setup, p)
-            _assert_close(ctx.scalar_curvature,
-                          geo.scalar_curvature(setup.total, p), (name, "s"))
-            _assert_close(ctx.base_scalar_curvature,
-                          geo.scalar_curvature(setup.base, ctx.base_point),
+        ctx = IdentityContext(setup, points)
+        for i, p in enumerate(points):
+            _assert_close(ctx.scalar_curvature[i],
+                          jr.scalar_curvature(setup.total, p), (name, "s"))
+            _assert_close(ctx.base_scalar_curvature[i],
+                          jr.scalar_curvature(setup.base,
+                                              Point(ctx.cores.base_coords[i])),
                           (name, "s^N"))
-            _assert_close(ctx.fiber_scalar_intrinsic(),
+            _assert_close(ctx.fiber_scalar_intrinsic[i],
                           jr.intrinsic_fiber_scalar_curvature(setup, p),
                           (name, "s^fiber"))
 
@@ -421,15 +424,15 @@ FLAG_CASES = ONEILL_CASES + [
 def test_structure_flags_match_per_pair_path(name, setup, points):
     # one seeding of the lift matrix gives every bracket and every
     # nabla_{X_a} X_b; the per-pair path seeds each pair on its own
-    for p in points:
-        ctx = IdentityContext(setup, p)
-        got = sub._basic_field_violations(ctx)
-        ref = _per_pair_violations(setup, p)
-        _assert_close(got, ref, (name, "integrability, sff"))
-        flags = sub.structure_flags(setup, [p], [ctx])
-        _assert_close(flags.horizontal_integrable.max_violation, ref[0],
-                      (name, "integrable flag"))
-        assert flags.map_totally_geodesic.max_violation >= got[1]
+    ctx = IdentityContext(setup, points)
+    got = np.array(sub._basic_field_violations(ctx)).T
+    ref = np.array([_per_pair_violations(setup, p) for p in points])
+    _assert_close(got, ref, (name, "integrability, sff"))
+    # the flags hold the suprema over the points
+    flags = sub.structure_flags(ctx)
+    _assert_close(flags.horizontal_integrable.max_violation, ref[:, 0].max(),
+                  (name, "integrable flag"))
+    assert flags.map_totally_geodesic.max_violation >= got[:, 1].max()
 
 
 # ---------------------------------------------------------------------
@@ -534,6 +537,7 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
     cores = setup.float_cores(points)
     assert counts["seed"] == 1
     assert len(cores.g) == len(points)
+    run = IdentityContext(setup, points, cores=cores)
     for i, p in enumerate(points):
         xs = list(p.coords)
         g = jr.metric_matrix(setup.total, p)
@@ -544,19 +548,18 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
         ref = {"g": g, "ginv": np.array(mat_inverse(g.tolist())),
                "jac": jac, "pv": pv, "ph": ph,
                "lam_sq": primal(jr.lambda_sq_at(setup, xs)),
-               "base_point": base_point.coords,
                "h_base": jr.metric_matrix(setup.base, base_point),
                "vframe": _gram_schmidt(g, _rref_kernel(jac)),
                "hframe": _gram_schmidt(g, lift.T)}
-        for got in (IdentityContext(setup, p, cores=cores, index=i),
-                    IdentityContext(setup, p)):
+        # the run's context at the point, and the point's own stack of one
+        for got, k in ((run, i), (IdentityContext(setup, [p]), 0)):
             for key, value in ref.items():
-                field = getattr(got, key)
-                if key == "base_point":
-                    field = field.coords
-                _assert_close(field, value, (name, p.coords, key))
-            _assert_close(got.hyp_conformal().violation,
-                          loops.Loops(got).hyp_conformal().violation,
+                _assert_close(getattr(got, key)[k], value,
+                              (name, p.coords, key))
+            _assert_close(got.cores.base_coords[k], base_point.coords,
+                          (name, p.coords, "base_coords"))
+            _assert_close(got.hyp_conformal.violation[k],
+                          loops.Loops(got, k).hyp_conformal().violation,
                           (name, p.coords, "anisotropy"))
 
 
@@ -596,9 +599,12 @@ def _check_core_partials(setup, points):
     christoffel_partials_at, against the jet layer: P_v and 1/lambda^2
     seeded at order 2, the lift matrix at order 1 and Gamma seeded over
     the nested christoffels_at."""
-    for p, ctx in zip(points, contexts(setup, points)):
+    partials = setup.float_cores(points).partials
+    for i, p in enumerate(points):
         xs = list(p.coords)
-        got = ctx.partials
+
+        def got(name):
+            return tuple(a[i] for a in getattr(partials, name))
         _assert_triples_close(got("pv"), geo.coordinate_partials(
             lambda zs: jr.projectors_at(setup, zs)[0], xs, order=2),
             (p, "P_v"))
@@ -608,7 +614,7 @@ def _check_core_partials(setup, points):
         _assert_triples_close(got("lift")[:2], geo.coordinate_partials(
             lambda zs: jr.core_matrices_at(setup, zs)[4], xs), (p, "lift"))
         gamma = geo.coordinate_partials(
-            lambda zs: geo.christoffels_at(setup.total, zs), xs)
+            lambda zs: jr.christoffels_at(setup.total, zs), xs)
         _assert_triples_close(got("christoffels"), gamma, (p, "Gamma"))
         _assert_triples_close(geo.christoffel_partials_at(setup.total, xs),
                               gamma, (p, "christoffel_partials_at"))

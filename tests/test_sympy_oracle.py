@@ -12,7 +12,8 @@ from its definition:
 - H = sum_i T_{U_i} U_i / (m - n) over an orthonormal vertical frame.
 
 The expressions are then evaluated at two or three points of each
-example and compared with the point's ``IdentityContext`` arrays.  This
+example and compared with the run's ``IdentityContext`` arrays at the
+point.  This
 path shares no jet, Taylor or contraction code with ``confsub``; it
 reads only the parsed manifest expressions.
 """
@@ -25,7 +26,7 @@ sp = pytest.importorskip("sympy")
 from confsub import catalog  # noqa: E402
 from confsub import expr  # noqa: E402
 from confsub.geometry import Point  # noqa: E402
-from conftest import contexts, warped_4to2  # noqa: E402
+from conftest import context, warped_4to2  # noqa: E402
 
 _BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
            "*": lambda a, b: a * b, "/": lambda a, b: a / b}
@@ -178,9 +179,10 @@ CASES = _cases()
                          ids=[case[0] for case in CASES])
 def test_context_matches_sympy_oracle(name, setup, points):
     oracle = SymbolicSubmersion(setup)
-    for p, ctx in zip(points, contexts(setup, points)):
+    ctx = context(setup, points)
+    for i, p in enumerate(points):
         for key, ref in oracle.at(p.coords).items():
-            got = np.asarray(getattr(ctx, key), dtype=float)
+            got = np.asarray(getattr(ctx, key)[i], dtype=float)
             ref = np.asarray(ref, dtype=float)
             assert got.shape == ref.shape, (name, key)
             bound = 1e-10 * (1.0 + np.abs(ref))
