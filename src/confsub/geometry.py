@@ -10,11 +10,15 @@ Every derivative is taken by one helper, ``coordinate_partials``: it
 seeds all coordinate directions at a fresh jet level, evaluates a
 function returning a scalar or a nested list of scalars, and unpacks the
 values with their first (and, at order 2, second) partials, giving zero
-partials to components that do not carry the new level.  The
-Jacobian, the metric and Christoffel partials and vector-field partials
-are short calls to it.  Because the helper only adds a level, it also
-works inside an enclosing seeding: given jet coordinates it returns jets
-of the enclosing level.
+partials to components that do not carry the new level.  Because it only
+adds a level, it also works inside an enclosing seeding: given jet
+coordinates it returns jets of the enclosing level, which is how
+``jacobian_at`` nests.  ``point_partials`` is its one form over a run's
+points: one seeding of float arrays over the point axis, unpacked into
+float arrays with the point axis first.  Every seeding a run makes (the
+metric, the Jacobian, h o F, the base metric, a vector field) is one
+call to it over all the points; Christoffel symbols, curvature and Lie
+derivatives are float contractions of what it returns.
 """
 
 from __future__ import annotations
@@ -144,6 +148,21 @@ def coordinate_partials(fn, xs, order=1):
     return values, d, _nest(dd, [m, m] + shape)
 
 
+def point_partials(fn, rows, order=2):
+    """Values and coordinate partials of ``fn`` at every point of ``rows``
+    (one coordinate sequence per point) as float arrays with the point
+    axis first, from one ``coordinate_partials`` seeding over all the
+    points: (X, dX) at order 1 and (X, dX, ddX) at order 2, with
+    dX[p, i] = d_i X at point p and ddX[p, i, j] = d_i d_j X there.  One
+    point is evaluated from its float coordinates, so it raises what the
+    scalar functions raise there; over several points NumPy's
+    floating-point warnings are off and a scalar function raises where any
+    point raises."""
+    with np.errstate(all="ignore"):
+        return tuple(stack_points(a, len(rows)) for a in coordinate_partials(
+            fn, batch_coordinates(rows), order))
+
+
 def _nest(flat, shape):
     """Regroup a flat list into nested lists of the given shape."""
     for n in reversed(shape[1:]):
@@ -174,21 +193,13 @@ def field_fn(chart, spec):
 # metric and connection
 # ---------------------------------------------------------------------
 
-def christoffel_partials_at(chart, xs):
-    """(Gamma, dGamma) as float arrays at float coordinates, with
-    dGamma[l, k, i, j] = d_l Gamma^k_ij, from one order-2 seeding of the
-    metric through ``christoffels_from_metric``."""
-    return christoffels_from_metric(*(np.array(a, dtype=float) for a in
-                                      coordinate_partials(chart.metric_at, xs,
-                                                          order=2)))
-
-
 def christoffels_from_metric(g, dg, ddg):
     """(Gamma, dGamma) from the float metric with its partials,
     dg[l] = d_l g and ddg[l, j] = d_l d_j g, at one point or over a
-    leading point axis: Gamma = g^{-1} C / 2 with
-    C_lij = d_i g_jl + d_j g_il - d_l g_ij, and differentiating
-    g Gamma = C / 2 gives d_p Gamma = g^{-1} (d_p C / 2 - d_p g Gamma)."""
+    leading point axis, with dGamma[l, k, i, j] = d_l Gamma^k_ij:
+    Gamma = g^{-1} C / 2 with C_lij = d_i g_jl + d_j g_il - d_l g_ij, and
+    differentiating g Gamma = C / 2 gives
+    d_p Gamma = g^{-1} (d_p C / 2 - d_p g Gamma)."""
     ginv = np.linalg.inv(g)
     c = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
     dc = (np.einsum("...pijl->...plij", ddg)
@@ -199,26 +210,14 @@ def christoffels_from_metric(g, dg, ddg):
     return gamma, dgamma
 
 
-def curvature_tensor_at(chart, xs):
-    """Riem[l, k, i, j]: component l of R(e_i, e_j) e_k, at float
-    coordinates."""
-    return riemann_from_christoffels(*christoffel_partials_at(chart, xs))
-
-
 def riemann_from_christoffels(gamma, dgamma):
-    """Riem from float (Gamma, dGamma) as ``christoffel_partials_at``
-    returns them, at one point or over a leading point axis, indexed as
-    in ``curvature_tensor_at``:
+    """Riem[..., l, k, i, j], component l of R(e_i, e_j) e_k, from float
+    (Gamma, dGamma) as ``christoffels_from_metric`` returns them, at one
+    point or over a leading point axis:
     R^l_kij = d_i Gamma^l_jk + Gamma^l_it Gamma^t_jk - (i <-> j)."""
     half = (np.einsum("...iljk->...lkij", dgamma)
             + np.einsum("...lit,...tjk->...lkij", gamma, gamma))
     return half - half.swapaxes(-1, -2)
-
-
-def vector_partials(fn, xs):
-    """(v, dv) of a component function at float coordinates as float
-    arrays, dv[i, k] = d_i v^k, from one seeding."""
-    return tuple(np.array(a, dtype=float) for a in coordinate_partials(fn, xs))
 
 
 def lie_derivative_matrix(g, gamma, xi, dxi):

@@ -35,12 +35,18 @@ frame).  In terms of the context's arrays:
   nabla_{X_a} X_b (``basic_fields``), and curvature computed on other
   charts: the fiber's own slice chart (``_fiber_curvature``) and the
   base chart (``base_curvature``); over the frame every other ``_e``
-  array.
+  array.  The fiber's slice chart has the vertical block g_v of g for its
+  metric, so its curvature reads the vertical blocks of the one metric
+  seeding, but its Christoffel symbols are built with g_v^{-1}, not
+  g^{-1}: they are not the left side's Gamma.
 
 Every partial of the total side comes from the run's
 ``submersion.CorePartials`` (three order-2 seedings over all the points:
 g, the Jacobian and h o F); Gamma and dGamma come from the metric seeding
-alone, so Riem and Hess f read no projector.
+alone, so Riem and Hess f read no projector.  A run seeds each
+ingredient once over all its points (``geometry.point_partials``): those
+three, the float core's Jacobian, the base metric at F(p) and each
+vector field a soliton report reads.
 ``submersion.oneill_contraction`` gives T and A from (P_v, dP_v, Gamma),
 H = trace_v(T) / (m - n) with the trace taken against W = P_v g^{-1},
 H' = -(lambda^2 / 2) P_v grad f, and the covariant derivatives follow by
@@ -63,7 +69,6 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .jets import primal_array
 from .linalg import mat_inverse, mat_vec, quad_form
 
 CURVATURE_CHECKS = ("G2.12", "G2.13", "G2.14", "G2.15", "G2.16")
@@ -410,13 +415,13 @@ class IdentityContext:
 
     def vector_field(self, xi):
         """(xi, dxi, L_xi g) of a total-chart field at the points as float
-        arrays, dxi[p, i, k] = d_i xi^k, from one seeding per point, kept
-        for every soliton fit and report that reads the field.  ``xi`` is a
-        ``VectorFieldSpec`` or a component function."""
+        arrays, dxi[p, i, k] = d_i xi^k, from one seeding over all the
+        points, kept for every soliton fit and report that reads the field.
+        ``xi`` is a ``VectorFieldSpec`` or a component function."""
         if xi not in self._fields:
             fn = xi if callable(xi) else geo.field_fn(self.setup.total, xi)
-            v, dv = (np.array(a) for a in zip(*[
-                geo.vector_partials(fn, list(p.coords)) for p in self.points]))
+            v, dv = geo.point_partials(fn, [p.coords for p in self.points],
+                                       order=1)
             self._fields[xi] = (v, dv, geo.lie_derivative_matrix(
                 self.g, self.gamma, v, dv))
         return self._fields[xi]
@@ -435,26 +440,36 @@ class IdentityContext:
                        self.base_curvature[2])
 
     @functools.cached_property
-    def fiber_chart(self):
-        """The fiber's slice chart through each point, or None."""
-        return [sub.fiber_slice_chart(self.setup, p, jac)
-                for p, jac in zip(self.points, self.jac)]
+    def fiber_coordinates(self):
+        """Each point's fiber coordinates (``sub.fiber_coordinates``), or
+        None where the fiber has no slice chart."""
+        return sub.fiber_coordinates(self.jac, self.m - self.n)
 
     @functools.cached_property
     def _fiber_curvature(self):
-        """(vertical indices, fiber metric, fiber Riem, fiber Ric) on the
-        fiber chart through each point, each with the point axis first;
-        the charts are seeded point by point."""
-        rows = []
-        for p, chart in zip(self.points, self.fiber_chart):
-            if chart is None:
-                raise sub.NotASubmersionError("fiber chart unavailable")
-            fcoords = chart.fiber_coords(p)
-            rows.append((chart.vertical_indices,
-                         primal_array(chart.metric_at(fcoords)),
-                         geo.curvature_tensor_at(chart, fcoords)))
-        idx, gf, riem = (np.array(a) for a in zip(*rows))
-        return idx, gf, riem, np.einsum("...ikij->...jk", riem)
+        """(fiber coordinates, fiber metric, fiber Riem, fiber Ric) on the
+        slice chart of the fiber through each point, each with the point
+        axis first.  The slice chart's metric is the block g_v of g on the
+        fiber coordinates and its partials along the slice are the same
+        blocks of the metric's partials, so one contraction over the
+        blocks of the run's metric seeding gives every point's curvature;
+        raises at the first point without a slice chart."""
+        coords = self.fiber_coordinates
+        if None in coords:
+            where = self.points[coords.index(None)].coords
+            raise sub.NotASubmersionError(
+                f"fiber chart unavailable at {where}")
+        idx = np.array(coords)
+        blocks = []
+        for x in self.cores.partials.metric:
+            for axis in range(1, x.ndim):
+                shape = [len(idx)] + [1] * (x.ndim - 1)
+                shape[axis] = -1
+                x = np.take_along_axis(x, idx.reshape(shape), axis)
+            blocks.append(x)
+        riem = geo.riemann_from_christoffels(
+            *geo.christoffels_from_metric(*blocks))
+        return idx, blocks[0], riem, np.einsum("...ikij->...jk", riem)
 
     @functools.cached_property
     def fiber_scalar_intrinsic(self):
@@ -581,7 +596,7 @@ class IdentityContext:
         if self.m - self.n == 1:
             ok = np.ones(len(self.points), dtype=bool)
         else:
-            ok = np.array([chart is not None for chart in self.fiber_chart])
+            ok = np.array([c is not None for c in self.fiber_coordinates])
         return Hypothesis("fiber-chart-available", ok, np.where(ok, 0.0, 1.0))
 
     # T is symmetric on vertical pairs and v[X_a, X_b] antisymmetric, so

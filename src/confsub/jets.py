@@ -177,12 +177,6 @@ def primal(x):
     return x if isinstance(x, np.ndarray) else float(x)
 
 
-def primal_array(values):
-    """Float array of the primals of a (nested) sequence of scalars."""
-    arr = np.asarray(values, dtype=object)
-    return np.array([primal(x) for x in arr.flat]).reshape(arr.shape)
-
-
 def _check_finite(x, what):
     if isinstance(x, np.ndarray):
         if not np.isfinite(x).all():

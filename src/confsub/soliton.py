@@ -17,7 +17,6 @@ from . import geometry as geo
 from . import submersion as sub
 from .identities import (Hypothesis, hypotheses_at, record, verdict_of,
                          worst_of)
-from .jets import primal, primal_array
 from .linalg import mat_vec, quad_form, vec_dot
 
 
@@ -68,30 +67,17 @@ def _frames(g):
                                                      g.shape))
 
 
-def _chart_curvature(chart, xs):
-    """(g, Gamma, Ric) of a chart at xs as float arrays, Gamma and Ric
-    from one order-2 seeding of the metric."""
-    gamma, dgamma = geo.christoffel_partials_at(chart, xs)
-    ric = np.einsum("ikij->jk", geo.riemann_from_christoffels(gamma, dgamma))
-    return primal_array(chart.metric_at(xs)), gamma, ric
-
-
-def _lie_matrix(g, gamma, xi_fn, xs):
-    """L_xi g at xs from one seeding of xi."""
-    return geo.lie_derivative_matrix(g, gamma, *geo.vector_partials(xi_fn, xs))
-
-
 def _chart_fields(chart, xi, points):
     """(g, Ric, L_xi g) of a bare chart at the points, each (P, m, m):
-    Gamma and Ric from one order-2 seeding of the metric per point, L_xi g
-    from one seeding of xi."""
-    xi_fn = _field_fn(chart, xi)
-    rows = []
-    for p in points:
-        xs = list(p.coords)
-        g, gamma, ric = _chart_curvature(chart, xs)
-        rows.append((g, ric, _lie_matrix(g, gamma, xi_fn, xs)))
-    return tuple(np.array(a) for a in zip(*rows))
+    Gamma and Ric from one order-2 seeding of the metric over all the
+    points, L_xi g from one seeding of xi."""
+    rows = [p.coords for p in points]
+    g, dg, ddg = geo.point_partials(chart.metric_at, rows)
+    gamma, dgamma = geo.christoffels_from_metric(g, dg, ddg)
+    ric = np.einsum("...ikij->...jk",
+                    geo.riemann_from_christoffels(gamma, dgamma))
+    xi_vals, dxi = geo.point_partials(_field_fn(chart, xi), rows, order=1)
+    return g, ric, geo.lie_derivative_matrix(g, gamma, xi_vals, dxi)
 
 
 def _soliton_form(g, lie, ric):
@@ -214,26 +200,20 @@ def base_soliton_report(ctx, xi, mu, xi_base=None, tol=1e-6):
     the actual pushforward of the horizontal part of ``xi``.
     """
     setup, n = ctx.setup, ctx.n
-    xi_fn = _field_fn(setup.total, xi)
     if xi_base is None:
         xi_base = geo.VectorFieldSpec.constant([0.0] * n)
-    xi_base_fn = _field_fn(setup.base, xi_base)
     base_gamma, _, base_ric = ctx.base_curvature
-    base_rows = ctx.cores.base_coords.tolist()
-    lie = np.array([_lie_matrix(h, gamma, xi_base_fn, ys) for h, gamma, ys
-                    in zip(ctx.h_base, base_gamma, base_rows)])
-    lform = _soliton_form(ctx.h_base, lie, base_ric)
+    declared, dxi_base = geo.point_partials(_field_fn(setup.base, xi_base),
+                                            ctx.cores.base_coords, order=1)
+    lform = _soliton_form(ctx.h_base, geo.lie_derivative_matrix(
+        ctx.h_base, base_gamma, declared, dxi_base), base_ric)
     fitted = -_traces(lform) / n
-    xi_vals = np.array([[primal(c) for c in xi_fn(list(p.coords))]
-                        for p in ctx.points])
+    xi_vals = ctx.vector_field(xi)[0]
     formula = _base_formula_value(ctx, xi_vals, mu)
     res = np.abs(lform + formula[:, None, None] * np.eye(n)).max(axis=(1, 2))
     # projection residual: pushforward of the horizontal part of xi
     # against the declared base field
-    push = mat_vec(ctx.jac, mat_vec(ctx.ph, xi_vals))
-    declared = np.array([[primal(c) for c in xi_base_fn(ys)]
-                         for ys in base_rows])
-    dproj = push - declared
+    dproj = mat_vec(ctx.jac, mat_vec(ctx.ph, xi_vals)) - declared
     return SolitonReport(
         target="base",
         hypotheses=_merge_hypotheses([ctx.hyp_conformal, ctx.hyp_homothetic,

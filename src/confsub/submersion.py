@@ -1,7 +1,7 @@
 """Structure attached to a map F: (M, g) -> (N, h): the batched float
 core (projectors, frames, dilation), the ``CorePartials`` of its points
 with the fundamental tensors T and A, mean curvature, tension field, the
-fiber slice chart and structural-property detection.
+fiber coordinates and structural-property detection.
 """
 
 from __future__ import annotations
@@ -159,11 +159,10 @@ class SubmersionSetup:
                 raise EvaluationError(f"non-finite {name} at {where}")
             return a
 
-        xs = geo.batch_coordinates([p.coords for p in points])
-        g = geo.metric_matrices(self.total, xs, count)
-        fvals, d = geo.coordinate_partials(self.map_point_at, xs)
-        fvals = geo.stack_points(fvals, count)
-        jac = finite("Jacobian", geo.stack_points(d, count).transpose(0, 2, 1))
+        rows = [p.coords for p in points]
+        g = geo.metric_matrices(self.total, geo.batch_coordinates(rows), count)
+        fvals, d = geo.point_partials(self.map_point_at, rows, order=1)
+        jac = finite("Jacobian", d.transpose(0, 2, 1))
         ginv = np.linalg.inv(g)
         jt = jac.transpose(0, 2, 1)
         k = finite("K = J g^-1 J^T", jac @ (ginv @ jt))
@@ -219,26 +218,24 @@ class CorePartials:
     and second coordinate partials, as float triples (X, dX, ddX) of
     ``linalg.taylor_mul`` over a leading point axis, each built on first
     read for every point at once (one point is a stack of one).  Three
-    shallow seedings at order 2 over all the points are the leaves: the
-    total metric g (``metric``, which also gives Gamma and dGamma), the
-    Jacobian J (through the nested ``jacobian_at``) and h o F.  The rest
-    is the matrix product rule on them: K = J g^{-1} J^T,
-    lift = g^{-1} J^T K^{-1}, P_h = lift J, P_v = I - P_h,
-    lambda^2 = tr(h K^T) / n and f = 1 / lambda^2, the formulas of
-    ``SubmersionSetup.float_cores``.  A fourth seeding, of the base
-    metric at F(p), gives the base curvature."""
+    shallow ``geometry.point_partials`` seedings at order 2 over all the
+    points are the leaves: the total metric g (``metric``, which also gives
+    Gamma and dGamma, and whose blocks on the fiber coordinates give the
+    fiber's own curvature), the Jacobian J (through the nested
+    ``jacobian_at``) and h o F.  The rest is the matrix product rule on
+    them: K = J g^{-1} J^T, lift = g^{-1} J^T K^{-1}, P_h = lift J,
+    P_v = I - P_h, lambda^2 = tr(h K^T) / n and f = 1 / lambda^2, the
+    formulas of ``SubmersionSetup.float_cores``.  A fourth seeding, of the
+    base metric at F(p), gives the base curvature."""
 
     def __init__(self, setup, points, base_coords):
         self.setup = setup
         self.points = points
         self.base_coords = base_coords  # (P, n), F(p)
 
-    def _leaf(self, fn, rows=None):
-        """(X, dX, ddX) of ``fn`` at the points, or at ``rows``."""
-        rows = [p.coords for p in self.points] if rows is None else rows
-        return tuple(geo.stack_points(a, len(rows)) for a in
-                     geo.coordinate_partials(fn, geo.batch_coordinates(rows),
-                                             order=2))
+    def _leaf(self, fn):
+        """(X, dX, ddX) of ``fn`` at the points."""
+        return geo.point_partials(fn, [p.coords for p in self.points])
 
     @_stacked
     def metric(self):
@@ -314,7 +311,7 @@ class CorePartials:
         """(Gamma^N, Riem^N, Ric^N) of the base metric at F(p), indexed as
         in ``geometry.riemann_from_christoffels``, from one seeding."""
         gamma, dgamma = geo.christoffels_from_metric(
-            *self._leaf(self.setup.base.metric_at, self.base_coords))
+            *geo.point_partials(self.setup.base.metric_at, self.base_coords))
         riem = geo.riemann_from_christoffels(gamma, dgamma)
         return gamma, riem, np.einsum("...ikij->...jk", riem)
 
@@ -365,46 +362,18 @@ def tension_field(setup, h_vec, hgrad_f, jac, lam_sq):
 
 
 # ---------------------------------------------------------------------
-# fiber slice chart (intrinsic fiber geometry)
+# fiber coordinates (intrinsic fiber geometry)
 # ---------------------------------------------------------------------
 
-class FiberSliceChart:
-    """Intrinsic chart on the fiber through a point, available when the
-    vertical distribution is spanned by coordinate axes (the map
-    components do not involve the fiber coordinates)."""
-
-    def __init__(self, setup, vertical_indices, anchor):
-        self.setup = setup
-        self.vertical_indices = list(vertical_indices)
-        self.anchor = list(anchor)
-        self.dim = len(self.vertical_indices)
-
-    def splice(self, xs_fiber):
-        full = [c for c in self.anchor]
-        for idx, val in zip(self.vertical_indices, xs_fiber):
-            full[idx] = val
-        return full
-
-    def metric_at(self, xs_fiber):
-        full = self.splice(xs_fiber)
-        g = self.setup.total.metric_at(full)
-        return [[g[i][j] for j in self.vertical_indices]
-                for i in self.vertical_indices]
-
-    def fiber_coords(self, p):
-        return [p.coords[i] for i in self.vertical_indices]
-
-
-def fiber_slice_chart(setup, p, jac, tol=1e-12):
-    """The slice chart of the fiber through ``p``, on the coordinates
-    whose columns of the Jacobian ``jac`` of F at p (the float core's)
-    vanish, or None when the kernel is not spanned by m - n of them."""
-    scale = max(1.0, float(np.max(np.abs(jac))))
-    idx = [i for i in range(setup.m)
-           if float(np.max(np.abs(jac[:, i]))) <= tol * scale]
-    if len(idx) != setup.m - setup.n:
-        return None
-    return FiberSliceChart(setup, idx, list(p.coords))
+def fiber_coordinates(jac, fiber_dim, tol=1e-12):
+    """Each point's fiber coordinates, from the (P, n, m) Jacobians ``jac``
+    of F (the float core's): the coordinates whose columns vanish, which
+    chart the fiber through the point as a slice of the total chart, or
+    None at a point whose kernel is not spanned by ``fiber_dim`` of them."""
+    columns = np.abs(jac).max(axis=1)
+    vanish = columns <= tol * np.maximum(1.0, columns.max(axis=1))[:, None]
+    return [np.flatnonzero(v).tolist() if v.sum() == fiber_dim else None
+            for v in vanish]
 
 
 # ---------------------------------------------------------------------

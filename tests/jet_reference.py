@@ -9,17 +9,19 @@ derived field can be differentiated again by
 quantities as float arrays from ``CorePartials`` by the matrix product
 rule; the tests compare the two.  The module also holds the small helpers
 the tests share: the metric, its inverse and partials, the Christoffel
-symbols, Ricci matrix and scalar curvature at a point, over the jet
-pipeline.
+symbols with their partials, the curvature tensor, Ricci matrix and
+scalar curvature at a point, vector-field partials, and the fiber's
+slice chart, each seeded at one point on its own, as the independent
+reference for the run's seedings over all its points.
 """
 
 import numpy as np
 
 from confsub import geometry as geo
 from confsub.expr import eval_expr
-from confsub.jets import primal, primal_array
+from confsub.jets import primal
 from confsub.linalg import SingularMatrixError, mat_inverse, transpose
-from confsub.submersion import (NotASubmersionError, fiber_slice_chart,
+from confsub.submersion import (NotASubmersionError, fiber_coordinates,
                                 oneill_contraction)
 
 
@@ -30,6 +32,12 @@ def mat_vec(mat, vec):
 def mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def primal_array(values):
+    """Float array of the primals of a (nested) sequence of scalars."""
+    arr = np.asarray(values, dtype=object)
+    return np.array([primal(x) for x in arr.flat]).reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------
@@ -77,9 +85,24 @@ def christoffels_at(chart, xs):
     return gamma
 
 
+def christoffel_partials_at(chart, xs):
+    """(Gamma, dGamma) as float arrays at float coordinates, with
+    dGamma[l, k, i, j] = d_l Gamma^k_ij, from one order-2 seeding of the
+    metric at this point alone."""
+    return geo.christoffels_from_metric(*(np.array(a, dtype=float) for a in
+                                          geo.coordinate_partials(
+                                              chart.metric_at, xs, order=2)))
+
+
+def curvature_tensor_at(chart, xs):
+    """Riem[l, k, i, j]: component l of R(e_i, e_j) e_k, at float
+    coordinates."""
+    return geo.riemann_from_christoffels(*christoffel_partials_at(chart, xs))
+
+
 def ricci_matrix_at(chart, xs):
     """Ric[j, k] = Ric(e_j, e_k) at float coordinates."""
-    return np.einsum("ikij->jk", geo.curvature_tensor_at(chart, xs))
+    return np.einsum("ikij->jk", curvature_tensor_at(chart, xs))
 
 
 def scalar_curvature_at(chart, xs):
@@ -102,6 +125,13 @@ def raise_index(ginv, df):
 # ---------------------------------------------------------------------
 # field calculus on one chart
 # ---------------------------------------------------------------------
+
+def vector_partials(fn, xs):
+    """(v, dv) of a component function at float coordinates as float
+    arrays, dv[i, k] = d_i v^k, from one seeding at this point alone."""
+    return tuple(np.array(a, dtype=float)
+                 for a in geo.coordinate_partials(fn, xs))
+
 
 def lie_bracket_at(x_fn, y_fn, xs):
     xv, dx = geo.coordinate_partials(x_fn, xs)
@@ -292,6 +322,36 @@ def mean_curvature_at(setup, xs):
     T_U V = g(U, V) H, i.e. H = trace_v(T) / (m - n)."""
     trace = vertical_trace_T_at(setup, xs)
     return [c / (setup.m - setup.n) for c in trace]
+
+
+class FiberSliceChart:
+    """Intrinsic chart on the fiber through a point, on the fiber
+    coordinates there: the total metric evaluated again with the fiber
+    coordinates spliced into the point's, restricted to their block."""
+
+    def __init__(self, setup, vertical_indices, anchor):
+        self.setup = setup
+        self.vertical_indices = list(vertical_indices)
+        self.anchor = list(anchor)
+        self.dim = len(self.vertical_indices)
+
+    def metric_at(self, xs_fiber):
+        full = list(self.anchor)
+        for idx, val in zip(self.vertical_indices, xs_fiber):
+            full[idx] = val
+        g = self.setup.total.metric_at(full)
+        return [[g[i][j] for j in self.vertical_indices]
+                for i in self.vertical_indices]
+
+    def fiber_coords(self, p):
+        return [p.coords[i] for i in self.vertical_indices]
+
+
+def fiber_slice_chart(setup, p, jac):
+    """The slice chart of the fiber through ``p`` from the Jacobian
+    ``jac`` of F at p, or None where the fiber has none."""
+    idx, = fiber_coordinates(jac[None], setup.m - setup.n)
+    return None if idx is None else FiberSliceChart(setup, idx, p.coords)
 
 
 def intrinsic_fiber_scalar_curvature(setup, p):

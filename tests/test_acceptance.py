@@ -308,7 +308,7 @@ def test_criterion_8_property_suites(riemannian_setups, conformal_setups,
                 pred = np.einsum("li,lj->ij", gamma[:, k, :], g) \
                     + np.einsum("lj,il->ij", gamma[:, k, :], g)
                 assert np.max(np.abs(dg - pred)) <= 1e-6
-            riem = geo.curvature_tensor_at(chart_, xs_p)
+            riem = jr.curvature_tensor_at(chart_, xs_p)
             r = np.array([[[[primal(riem[l][k][i][j]) for j in range(m)]
                             for i in range(m)] for k in range(m)]
                           for l in range(m)])

@@ -147,6 +147,33 @@ def test_large_dilation_is_verified(tmp_path, capsys):
     assert (counts["pass"], counts["hypothesis_not_met"]) == (33, 6)
 
 
+NO_SLICE_CHART = """
+total.dim    = 3
+total.coords = x1 x2 x3
+total.metric = 1, 0, 0 ; 0, 1, 0 ; 0, 0, 1
+base.dim     = 1
+base.coords  = y1
+base.metric  = 1
+map.components = {map}
+points.list = {points}
+"""
+
+
+@pytest.mark.parametrize("map_text,points", [
+    ("x1 + x2", "(0.1, 0.2, 0.3)"),
+    # the fiber through (0.1, 0, 0.3) has the slice chart on (x2, x3)
+    ("x1 + x2^2", "(0.1, 0, 0.3) ; (0.1, 0.2, 0.3) ; (0.4, 0.5, 0.6)")])
+def test_missing_fiber_chart_names_the_first_point(tmp_path, capsys, map_text,
+                                                   points):
+    # the kernel of F at (0.1, 0.2, 0.3) is spanned by no two coordinate
+    # axes, so the fiber curvature has no slice chart there
+    path = tmp_path / "no_slice_chart.cfsm"
+    path.write_text(NO_SLICE_CHART.format(map=map_text, points=points))
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == (
+        "error: fiber chart unavailable at (0.1, 0.2, 0.3)")
+
+
 def test_missing_manifest_is_usage_error(capsys):
     assert main(["verify", "/no/such/file.cfsm"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err

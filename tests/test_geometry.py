@@ -14,9 +14,9 @@ from confsub import geometry as geo
 from confsub.geometry import ChartManifold, Point
 from confsub.jets import Jet, JetSpace, sexp
 from conftest import chart, flat_chart, sample
-from jet_reference import (christoffel_symbols, christoffels_at, metric_matrix,
-                           metric_partials_at, ricci_matrix_at,
-                           scalar_curvature)
+from jet_reference import (christoffel_partials_at, christoffel_symbols,
+                           christoffels_at, metric_matrix, metric_partials_at,
+                           ricci_matrix_at, scalar_curvature, vector_partials)
 
 # -- reference metrics -------------------------------------------------
 
@@ -165,16 +165,12 @@ def test_connection_is_metric_compatible(chart_, points):
 
 @pytest.mark.parametrize("chart_,points", CHARTS_AND_POINTS)
 def test_curvature_symmetries_and_first_bianchi(chart_, points):
-    from confsub.jets import primal
-    m = chart_.dim
-    for p in points:
-        xs = list(p.coords)
-        riem = geo.curvature_tensor_at(chart_, xs)
+    # r[p, l, k, i, j] = component l of R(e_i, e_j) e_k at point p, from
+    # one seeding of the metric over all the points
+    riem = geo.riemann_from_christoffels(*geo.christoffels_from_metric(
+        *geo.point_partials(chart_.metric_at, [p.coords for p in points])))
+    for p, r in zip(points, riem):
         g = metric_matrix(chart_, p)
-        # r[l, k, i, j] = component l of R(e_i, e_j) e_k
-        r = np.array([[[[primal(riem[l][k][i][j]) for j in range(m)]
-                        for i in range(m)] for k in range(m)]
-                      for l in range(m)])
         # lowered tensor g(R(e_i, e_j) e_k, e_w)
         low = np.einsum("wl,lkij->wkij", g, r)
         # antisymmetry in the acting pair (i, j)
@@ -210,7 +206,7 @@ def test_riemann_einsums_match_loop_form(chart_, points):
     # the einsums sum the same 2m + 2 products per entry in another
     # order: a few ulps of the largest term apart
     for p in points:
-        gamma, dgamma = geo.christoffel_partials_at(chart_, list(p.coords))
+        gamma, dgamma = christoffel_partials_at(chart_, list(p.coords))
         ref = _riemann_loops(gamma, dgamma)
         scale = 1.0 + np.abs(dgamma).max() + np.abs(gamma).max() ** 2
         got = geo.riemann_from_christoffels(gamma, dgamma)
@@ -225,7 +221,7 @@ def test_lie_derivative_of_metric_flat_killing():
     p = Point((0.9, 0.2))
     lie = geo.lie_derivative_matrix(
         metric_matrix(flat, p), christoffel_symbols(flat, p),
-        *geo.vector_partials(geo.field_fn(flat, rot), list(p.coords)))
+        *vector_partials(geo.field_fn(flat, rot), list(p.coords)))
     for xc in ((1.0, 0.0), (0.0, 1.0), (0.5, -0.3)):
         assert abs(np.asarray(xc) @ lie @ np.asarray(xc)) <= 1e-12
 
@@ -245,9 +241,12 @@ LIE_CASES = [
 def test_lie_derivative_matrix_matches_coordinate_form(chart_, texts, dxi,
                                                        points):
     # (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k, with the
-    # metric partials from their own seeding and no Christoffel symbols
+    # metric partials from their own seeding and no Christoffel symbols;
+    # xi and its partials from one seeding over all the points
     spec = chart_.field(*texts)
-    for p in points:
+    fields = zip(*geo.point_partials(geo.field_fn(chart_, spec),
+                                     [p.coords for p in points], order=1))
+    for p, field in zip(points, fields):
         xs = list(p.coords)
         g, dg = (np.array(a, float)
                  for a in metric_partials_at(chart_, xs))
@@ -256,8 +255,7 @@ def test_lie_derivative_matrix_matches_coordinate_form(chart_, texts, dxi,
         ref = (np.einsum("k,kij->ij", xi, dg) + np.einsum("kj,ik->ij", g, d)
                + np.einsum("ik,jk->ij", g, d))
         got = geo.lie_derivative_matrix(
-            g, np.array(christoffels_at(chart_, xs), float),
-            *geo.vector_partials(geo.field_fn(chart_, spec), xs))
+            g, np.array(christoffels_at(chart_, xs), float), *field)
         assert np.abs(ref).max() > 0.1  # not a Killing field
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 

@@ -200,7 +200,7 @@ def _nan_like(value):
         return tuple(_nan_like(v) for v in value)
     if isinstance(value, np.ndarray) and value.dtype.kind == "f":
         return np.full(value.shape, np.nan)
-    return value  # the fiber charts' vertical indices
+    return value  # the fiber coordinates
 
 
 def _poisoned(setup, points, names):

@@ -130,10 +130,11 @@ def test_one_context_and_one_oneill_bundle_per_run(monkeypatch, count):
     # its H and grad f: no second CorePartials or T/A contraction
     assert counts["partials"] == 1
     assert counts["oneill_contraction"] == 1
-    # the float cores' Jacobian seeding, the three CorePartials leaves
-    # (the Jacobian's with its inner seeding) and the base curvature for
-    # all the points; xi and the base-soliton report's base field at each
-    assert counts["seed"] == 6 + 2 * count
+    # one seeding of each ingredient for all the points, whatever their
+    # count: the float cores' Jacobian, the three CorePartials leaves (the
+    # Jacobian's with its inner seeding), the base curvature, xi and the
+    # base-soliton report's base field
+    assert counts["seed"] == 8
     assert counts["metric_at"] == 5
 
 
@@ -188,11 +189,13 @@ def test_context_evaluates_each_ingredient_once(monkeypatch, document):
 def test_flat_sweep_builds_no_curvature(monkeypatch):
     # G2.12 on one-dimensional fibers reads the conformality hypothesis
     # only, so no curvature, Christoffel symbols, O'Neill tensors or
-    # frame-basis arrays are built at the point
+    # frame-basis arrays are built at the point: every chart's
+    # Christoffel symbols and curvature come from the two contractions
+    # counted here
     counts = Counter()
     _count_calls(monkeypatch, counts, (
-        (geo, "curvature_tensor_at"), (sub, "oneill_contraction"),
-        (JetSpace, "seed")))
+        (geo, "christoffels_from_metric"), (geo, "riemann_from_christoffels"),
+        (sub, "oneill_contraction"), (JetSpace, "seed")))
     contexts = []
     real_init = IdentityContext.__init__
 
@@ -203,7 +206,8 @@ def test_flat_sweep_builds_no_curvature(monkeypatch):
     monkeypatch.setattr(IdentityContext, "__init__", keeping_init)
     rep = report.run_job(parse_manifest(FLAT_SWEEP))
     assert [r["verdict"] for r in rep.records] == ["pass"]
-    assert counts["curvature_tensor_at"] == 0
+    assert counts["christoffels_from_metric"] == 0
+    assert counts["riemann_from_christoffels"] == 0
     assert counts["oneill_contraction"] == 0
     assert counts["seed"] <= 1
     lazy = [name for name in vars(IdentityContext)
@@ -255,17 +259,18 @@ def test_failing_ingredient_no_check_reads_does_not_abort():
 def test_seedings_per_point_with_every_check(monkeypatch):
     # checks = all on the shipped 5.3 manifest: every identity and soliton
     # report contracts stacked arrays and reads g, Gamma, Ric, L_xi g and
-    # the O'Neill values from the run's context, so a point seeds only xi
-    # and the base field, once each; the run seeds the float cores'
-    # Jacobian, the CorePartials leaves (the metric, the Jacobian with its
-    # inner seeding, h o F), which the tension field reads too, and the
-    # base metric once each, for all its points: 6 seedings
+    # the O'Neill values from the run's context, so no point seeds
+    # anything of its own; the run seeds the float cores' Jacobian, the
+    # CorePartials leaves (the metric, the Jacobian with its inner
+    # seeding, h o F), which the tension field reads too, the base metric,
+    # xi and the base field once each, for all its points: 8 seedings
     counts = Counter()
     _count_calls(monkeypatch, counts, ((JetSpace, "seed"),))
     job = catalog.load_job("5.3")
     assert "harmonicity" in job.checks and "L2.1" in job.checks
+    assert len(job.points) > 1
     report.run_job(job)
-    assert counts["seed"] <= 2 * len(job.points) + 6
+    assert counts["seed"] == 8
 
 
 def test_harmonicity_record_shows_worst_point():
@@ -295,16 +300,16 @@ checks = all
 points.list = (0.2, -0.4, 0.5, 1.1)
 """
 
-def test_fiber_chart_reads_the_float_core_jacobian(monkeypatch):
+def test_fiber_curvature_reads_the_run_metric_seeding(monkeypatch):
     # checks = all on one point with 2-D fibers: the run seeds the float
     # cores' Jacobian, the CorePartials leaves (the metric, the Jacobian
-    # with its inner seeding, h o F), the base metric and the fiber
-    # chart's metric; the fiber slice chart finds its coordinates in the
-    # float cores' Jacobian instead of seeding the map again
+    # with its inner seeding, h o F) and the base metric; the fiber finds
+    # its coordinates in the float cores' Jacobian and its curvature in
+    # the vertical blocks of the metric seeding, seeding nothing of its own
     counts = Counter()
     _count_calls(monkeypatch, counts, ((JetSpace, "seed"),))
     report.run_job(parse_manifest(FIBER_2D_NO_XI))
-    assert counts["seed"] == 7
+    assert counts["seed"] == 6
 
 
 RECORD_KEYS = {"kind", "id", "label", "point", "lhs", "rhs", "abs_residual",
@@ -568,10 +573,14 @@ def _close(got, ref):
 
 def _soliton_reports(job):
     """The soliton reports of a run that keep per-point values, and its
-    structure flags, from one context over the job's points."""
+    structure flags, from one context over the job's points, with the
+    job's base field when it declares one."""
     ctx = IdentityContext(job.setup, job.points)
+    xi_base = next((spec for target, spec in job.fields.values()
+                    if target == "base"), None)
     return ({"fiber": sol.fiber_soliton_report(ctx, job.xi, mu=job.mu),
-             "base": sol.base_soliton_report(ctx, job.xi, job.mu),
+             "base": sol.base_soliton_report(ctx, job.xi, job.mu,
+                                             xi_base=xi_base),
              "harmonicity": sol.harmonicity_report(ctx, job.mu)},
             sub.structure_flags(ctx).as_dict())
 
@@ -646,6 +655,21 @@ def test_stacked_run_matches_runs_of_each_point_alone(name):
             (h["name"], h["satisfied"]) for h in ref["hypotheses"]]
         assert all(_close(g["violation"], r["violation"]) for g, r in zip(
             got["hypotheses"], ref["hypotheses"])), got["id"]
+
+
+def test_stacked_fields_match_runs_of_each_point_alone():
+    # on the 5.3 metric with a nonconstant xi and a declared base field
+    # xi_N, each seeded once over all 12 points: every point's soliton
+    # values are those of the point alone
+    job = catalog.load_job("5.3")
+    job.fields = {
+        "xi": ("total", job.setup.total.field("x3^-2", "x1*x2^3",
+                                              "sin(x1)*x3^-1")),
+        "xi_n": ("base", job.setup.base.field("y2^-2", "exp(y1)*y2^3"))}
+    reports, _ = _soliton_reports(job)
+    assert np.ptp([e["projection_residual"]
+                   for e in reports["base"].per_point]) > 0.1
+    _assert_solitons_match_points_alone(job, list(job.points))
 
 
 def test_example_json_equals_json_dumps(monkeypatch, example_reports):

@@ -12,12 +12,13 @@ from confsub import geometry as geo
 from confsub import submersion as sub
 from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext
-from confsub.jets import EvaluationError, JetSpace, primal, primal_array
+from confsub.jets import EvaluationError, JetSpace, primal
 from confsub.linalg import mat_inverse, taylor_inverse, taylor_mul
 from conftest import (conformal_corpus, context, flat_chart, make_setup,
                       oneill, riemannian_corpus, sample, warped_4to2)
 import identity_loops as loops
 import jet_reference as jr
+from jet_reference import primal_array
 
 
 @pytest.fixture(scope="module")
@@ -616,7 +617,7 @@ def _check_core_partials(setup, points):
         gamma = geo.coordinate_partials(
             lambda zs: jr.christoffels_at(setup.total, zs), xs)
         _assert_triples_close(got("christoffels"), gamma, (p, "Gamma"))
-        _assert_triples_close(geo.christoffel_partials_at(setup.total, xs),
+        _assert_triples_close(jr.christoffel_partials_at(setup.total, xs),
                               gamma, (p, "christoffel_partials_at"))
 
 
@@ -716,3 +717,49 @@ def test_core_partials_match_jet_layer_on_generated_metrics(a, c, e, x):
     setup = make_setup(total, base, [f"x1 + {f(e[1])}*x3^2",
                                      f"x2 + {f(e[2])}*x1*x3"])
     _check_core_partials(setup, [Point(x)])
+
+
+# ---------------------------------------------------------------------
+# fiber curvature from the blocks of the metric seeding
+# ---------------------------------------------------------------------
+
+def _scattered_fiber_setup():
+    """A 4-D metric over the (x1, x3)-plane, fibers along x2 and x4: the
+    fiber coordinates are neither trailing nor contiguous, and the fiber
+    metric has an off-diagonal entry and depends on both sides' coordinates;
+    the rows are diagonally dominant on the unit box."""
+    total = geo.ChartManifold.from_strings(
+        ["x1", "x2", "x3", "x4"],
+        [["1", "0", "0", "0"],
+         ["0", "(2 + sin(x1))^2", "0.3*sin(x4)", "0.2*sin(x1 + x4)"],
+         ["0", "0.3*sin(x4)", "1", "0"],
+         ["0", "0.2*sin(x1 + x4)", "0", "(2 + cos(x2))^2*(1.5 + x3^2)"]])
+    return make_setup(total, flat_chart(2, "y"), ["x1", "x3"])
+
+
+FIBER_BLOCK_CASES = [
+    ("warped-4to2", WARPED_4TO2, sample(_BOX4, 4, seed=27), [2, 3]),
+    ("scattered-fiber", _scattered_fiber_setup(), sample(_BOX4, 4, seed=28),
+     [1, 3])]
+
+
+@pytest.mark.parametrize("name,setup,points,fiber", FIBER_BLOCK_CASES,
+                         ids=[case[0] for case in FIBER_BLOCK_CASES])
+def test_fiber_blocks_match_each_slice_chart(name, setup, points, fiber):
+    # the fiber metric, Riem and Ric of a run, read off the vertical
+    # blocks of its one metric seeding, against each point's own slice
+    # chart, which evaluates the total metric again with the fiber
+    # coordinates spliced in and seeds them at that point alone
+    idx, gv, riem, ric = IdentityContext(setup, points)._fiber_curvature
+    assert idx.tolist() == [fiber] * len(points)
+    for i, p in enumerate(points):
+        slice_chart = jr.fiber_slice_chart(setup, p, jr.jacobian(setup, p))
+        assert slice_chart.vertical_indices == fiber
+        xs = slice_chart.fiber_coords(p)
+        riem_ref = jr.curvature_tensor_at(slice_chart, xs)
+        _assert_close(gv[i], primal_array(slice_chart.metric_at(xs)),
+                      (name, i, "g_v"))
+        _assert_close(riem[i], riem_ref, (name, i, "Riem_v"))
+        _assert_close(ric[i], np.einsum("ikij->jk", riem_ref),
+                      (name, i, "Ric_v"))
+        assert np.abs(riem_ref).max() > 0.01, (name, i)  # curved fibers
