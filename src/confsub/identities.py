@@ -10,8 +10,8 @@ coordinate basis, as it is built, and over E, as a frame-basis array
 slices the blocks it needs (``[:, :m-n]`` vertical, ``[:, m-n:]``
 horizontal), computes its left side, right side and each named term once
 for all the points, as arrays over the point axis and its index tuples,
-one einsum, product or slice per term, and ``_records`` turns the arrays
-into one record per point and tuple (``record``).
+one einsum, product or slice per term, and ``build_records`` maps over
+the flat list ``_records`` reads off each array: a record per point and tuple.
 
 Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
@@ -62,8 +62,10 @@ point's values do not depend on the points that share its run.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import (chain, combinations, combinations_with_replacement,
+                       repeat)
 
 import numpy as np
 
@@ -92,21 +94,30 @@ CONVENTION_SENSITIVE_IDS = ("G2.16", "L3.1.i", "L3.1.v", "R3.13",
 @dataclass(frozen=True)
 class Hypothesis:
     """A named hypothesis, whether it is ``satisfied`` and its
-    ``violation``: a bool and a float in a record, (P,) arrays over a
+    ``violation``: a bool and a float at one point, (P,) arrays over a
     run's points in an ``IdentityContext``."""
 
     name: str
     satisfied: bool
     violation: float
 
+    @functools.cached_property
+    def dicts(self):
+        """Its dict (``HYPOTHESIS_SCHEMA``) at each point of its run, once."""
+        return list(map(dict, map(zip, repeat(tuple(HYPOTHESIS_SCHEMA)), zip(
+            repeat(self.name), self.satisfied.tolist(),
+            self.violation.tolist()))))
+
+
+_VERDICTS = {(True, True): "pass", (True, False): "fail"}
+
 
 def verdict_of(hypotheses, value, tol):
     """The verdict of every record: ``hypothesis-not-met`` when one of
     ``hypotheses`` is unmet, else ``pass`` when ``value`` <= ``tol``, else
     ``fail``."""
-    if not all(h.satisfied for h in hypotheses):
-        return "hypothesis-not-met"
-    return "pass" if value <= tol else "fail"
+    return _VERDICTS.get((all(h.satisfied for h in hypotheses), value <= tol),
+                         "hypothesis-not-met")
 
 
 # the type of each value of a record by its key, the one layout
@@ -120,46 +131,53 @@ RECORD_SCHEMA = {"kind": str, "id": str, "label": str, "point": list[float],
 HYPOTHESIS_SCHEMA = {"name": str, "satisfied": bool, "violation": float}
 
 
+def build_records(check_id, points, lhs, rhs, hypotheses, tol, *, labels,
+                  terms={}, note="", residual=None, scale=None,
+                  absolute=False):
+    """Every record of one check, laid out as ``RECORD_SCHEMA``, from
+    flat lists with one entry per record, each mapped over at once:
+    ``points`` (empty for none), ``lhs``, ``rhs``, ``hypotheses`` (lists
+    of ``HYPOTHESIS_SCHEMA`` dicts), ``labels``, each column of the map
+    ``terms``, and ``residual`` and ``scale`` if given, else |lhs - rhs|
+    and 1 + max(|lhs|, |rhs|, |each term|) (Python's ``max``: a NaN counts
+    only in first place).  The verdict (``verdict_of``) reads residual / scale, or
+    the residual when ``absolute``.  Records hold the very ``points`` and
+    ``hypotheses`` lists given, and without terms one empty dict, so the
+    records of a point share one point list and one list per set of
+    hypotheses (``_records``): no reader may mutate them."""
+    values = list(terms.values())
+    if residual is None:
+        residual = list(map(abs, map(operator.sub, lhs, rhs)))
+    if scale is None:
+        scale = map(operator.add, repeat(1.0), map(max, *[
+            map(abs, column) for column in [lhs, rhs] + values]))
+    rel = list(map(operator.truediv, residual, scale))
+    met = map(all, map(map, repeat(operator.itemgetter("satisfied")),
+                       hypotheses))
+    passed = map(operator.le, residual if absolute else rel, repeat(tol))
+    columns = [
+        repeat("identity" if check_id in ALL_CHECK_IDS else "soliton"),
+        repeat(check_id), labels, points, lhs, rhs, residual, rel, hypotheses,
+        map(_VERDICTS.get, zip(met, passed), repeat("hypothesis-not-met")),
+        map(bool, points) if check_id in CONVENTION_SENSITIVE_IDS
+        else repeat(False),
+        map(dict, map(zip, repeat(list(terms)), zip(*values))) if values
+        else repeat({}), repeat(note)]
+    return list(map(dict, map(zip, repeat(tuple(RECORD_SCHEMA)),
+                              zip(*columns))))
+
+
 def record(check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
            label="", note="", residual=None, scale=None, absolute=False):
-    """One result as the plain dict ``report.to_json`` writes, laid out as
-    ``RECORD_SCHEMA``, at the coordinates ``point`` (empty for a record of
-    no single point).
-
-    ``terms`` maps names to values.  The absolute residual is
-    |lhs - rhs| unless ``residual`` gives it, and the relative one divides
-    it by ``scale``, 1 + max(|lhs|, |rhs|, |each term|) unless given.
-    The verdict (``verdict_of``) reads the relative residual, or
-    the absolute one when ``absolute``.  A record is of kind ``identity``
-    for an id of ``ALL_CHECK_IDS`` and ``soliton`` otherwise.  It is
-    convention-sensitive when its id is in ``CONVENTION_SENSITIVE_IDS``
-    and it has a point: a skipped report evaluated nothing to flag."""
-    point = [float(c) for c in point]
-    lhs, rhs = float(lhs), float(rhs)
-    terms = {key: float(value) for key, value in dict(terms).items()}
-    abs_res = abs(lhs - rhs) if residual is None else float(residual)
-    if scale is None:
-        scale = 1.0 + max([abs(lhs), abs(rhs)]
-                          + [abs(v) for v in terms.values()])
-    rel = abs_res / scale
-    return {
-        "kind": "identity" if check_id in ALL_CHECK_IDS else "soliton",
-        "id": check_id,
-        "label": label,
-        "point": point,
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_residual": abs_res,
-        "rel_residual": rel,
-        "hypotheses": [{"name": h.name, "satisfied": bool(h.satisfied),
-                        "violation": float(h.violation)}
-                       for h in hypotheses],
-        "verdict": verdict_of(hypotheses, abs_res if absolute else rel, tol),
-        "convention_sensitive": bool(point)
-                                and check_id in CONVENTION_SENSITIVE_IDS,
-        "terms": terms,
-        "note": note,
-    }
+    """The one-row call of ``build_records``, of ``Hypothesis`` objects
+    and a name-to-value map ``terms``."""
+    return build_records(
+        check_id, [[float(c) for c in point]], [float(lhs)], [float(rhs)],
+        [[{"name": h.name, "satisfied": bool(h.satisfied),
+           "violation": float(h.violation)} for h in hypotheses]], tol,
+        labels=[label], terms={k: [float(v)] for k, v in dict(terms).items()},
+        note=note, residual=None if residual is None else [float(residual)],
+        scale=None if scale is None else [float(scale)], absolute=absolute)[0]
 
 
 # values within WORST_BAND * (1 + |max|) of the largest tie for the worst
@@ -179,15 +197,6 @@ def worst_of(items, key):
     floor = top - WORST_BAND * (1.0 + abs(top))
     return next((item for item, v in zip(items, values) if v >= floor),
                 items[values.index(top)])
-
-
-def hypotheses_at(hyps, count):
-    """One list of ``Hypothesis`` per point, in point order, from the
-    run-level ``hyps`` over ``count`` points."""
-    columns = [(h.name, h.satisfied.tolist(), h.violation.tolist())
-               for h in hyps]
-    return [[Hypothesis(name, ok[i], v[i]) for name, ok, v in columns]
-            for i in range(count)]
 
 
 # ---------------------------------------------------------------------
@@ -282,6 +291,11 @@ class IdentityContext:
         self.vframe = self.frame[:, :self.m - self.n]
         self.hframe = self.frame[:, self.m - self.n:]
         self._fields = {}  # of ``vector_field``
+        # each point's coordinates, the one list its records share, and by
+        # the names of hypotheses, one list of their dicts per point
+        self.point_lists = list(map(list, map(operator.attrgetter("coords"),
+                                              self.points)))
+        self.hypothesis_lists = {}
 
     # -- ingredients built on first read ----------------------------------
 
@@ -668,41 +682,37 @@ def _layout(label, index):
 
 
 def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
-             residual=None):
-    """One list of records per point of the run, each with one record per
-    index tuple of ``index``, in order.  ``lhs``, ``rhs`` and each array of
-    the (name, array) ``terms`` hold the point axis first and are read at
-    the tuple (an empty tuple reads (P,) arrays), and ``label`` formats
-    its 1-based block numbers.  The residual is |lhs - rhs| over
-    ``record``'s scale, unless ``residual`` gives (residual, scale)
-    arrays.  Each array is read into one list per point, and each point's
-    records share one list of its hypotheses."""
+             residual=None, scale=None, note=""):
+    """One list of records per point of the run, one record per index
+    tuple of ``index`` (its 1-based numbers formatted by ``label``), from
+    one flat list (``tolist``) of each array, read at the tuples after the
+    point axis (an empty tuple reads (P,) arrays): ``lhs``, ``rhs``, each
+    of the (name, array) ``terms``, ``residual`` and ``scale``."""
     at, labels = _layout(label, tuple(map(tuple, index)))
+    count = len(labels)
 
-    def rows(x):
-        return x[at].tolist()
+    def column(x):
+        return None if x is None else x[at].reshape(-1).tolist()
 
-    names = [key for key, _ in terms]
-    columns = [rows(lhs), rows(rhs)]
-    if residual is None:
-        columns += [[[None] * len(labels)] * len(ctx.points)] * 2
-    else:
-        columns += [rows(x) for x in residual]
-    columns += [rows(v) for _, v in terms]
-    return [[record(identity_id, p.coords, lhs_r, rhs_r, point_hyps, tol,
-                    terms=dict(zip(names, values)), label=text,
-                    residual=res_r, scale=scale_r)
-             for text, lhs_r, rhs_r, res_r, scale_r, *values
-             in zip(labels, *point_rows)]
-            for p, point_hyps, *point_rows in zip(
-                ctx.points, hypotheses_at(hyps, len(ctx.points)), *columns)]
+    def each_tuple(rows):  # a point's entry once per index tuple
+        return list(chain.from_iterable(map(repeat, rows, repeat(count))))
+
+    names = tuple(h.name for h in hyps)
+    if names not in ctx.hypothesis_lists:
+        ctx.hypothesis_lists[names] = (list(map(list, zip(*[
+            h.dicts for h in hyps]))) or [[]] * len(ctx.points))
+    rows = build_records(
+        identity_id, each_tuple(ctx.point_lists), column(lhs), column(rhs),
+        each_tuple(ctx.hypothesis_lists[names]), tol,
+        labels=labels * len(ctx.points),
+        terms={name: column(v) for name, v in terms}, note=note,
+        residual=column(residual), scale=column(scale))
+    return list(map(list, zip(*[iter(rows)] * count)))
 
 
 def _trivial(identity_id, ctx, hyps, tol, note):
-    return [[record(identity_id, p.coords, 0.0, 0.0, point_hyps, tol,
-                    note=note)]
-            for p, point_hyps in zip(ctx.points,
-                                     hypotheses_at(hyps, len(ctx.points)))]
+    return _records(identity_id, ctx, tol, hyps, "", [()],
+                    *[np.zeros(len(ctx.points))] * 2, note=note)
 
 
 def _outer(u, v):
@@ -838,8 +848,8 @@ def verify_A_formula(identity_id, ctx, tol=1e-6):
         res = _norms(axy.swapaxes(1, 2) + axy + grad_term)
         lhs, rhs = res, np.zeros_like(res)
     return _records(identity_id, ctx, tol, [ctx.hyp_conformal], "X{} Y{}",
-                    np.ndindex(res.shape[1:]), lhs, rhs,
-                    residual=(res, 1.0 + _norms(axy)))
+                    np.ndindex(res.shape[1:]), lhs, rhs, residual=res,
+                    scale=1.0 + _norms(axy))
 
 
 def verify_lemma_3_1(item, ctx, tol=1e-6):
@@ -1001,17 +1011,14 @@ def verify_corollary(identity_id, ctx, tol=1e-6):
         hyps = [ctx.hyp_conformal, ctx.hyp_map_tg, ctx.hyp_fiber_chart]
         blocks = [ctx.fiber_ric_e, np.zeros((len(ctx.points), nv, n)),
                   ctx.base_ric_e / lam_sq[:, None, None]]
-    out = [[] for _ in ctx.points]
-    for (block, label, index), rhs in zip(
-            (((v, v), "(U{},V{})", _upper(nv)),
-             ((v, h), "(U{},X{})", np.ndindex(nv, n)),
-             ((h, h), "(X{},Y{})", _upper(n))), blocks):
-        if rhs is not None:
-            for recs, more in zip(out, _records(
-                    identity_id, ctx, tol, hyps, label, index,
-                    ric[(slice(None),) + block], rhs)):
-                recs += more
-    return out
+    parts = [_records(identity_id, ctx, tol, hyps, label, index,
+                      ric[(slice(None),) + block], rhs)
+             for (block, label, index), rhs in zip(
+                 (((v, v), "(U{},V{})", _upper(nv)),
+                  ((v, h), "(U{},X{})", np.ndindex(nv, n)),
+                  ((h, h), "(X{},Y{})", _upper(n))), blocks)
+             if rhs is not None]
+    return list(map(list, map(chain.from_iterable, zip(*parts))))
 
 
 def verify_scalar_split(ctx, tol=1e-6):
@@ -1048,8 +1055,8 @@ def verify_lemma_2_1(ctx, tol=1e-6):
     lhs_n, rhs_n, res = (sub.pair_norms(ctx.h_base, w)
                          for w in (lhs, rhs, lhs - rhs))
     return _records("L2.1", ctx, tol, [ctx.hyp_conformal], "",
-                    np.ndindex(res.shape[1:]), lhs_n, rhs_n,
-                    residual=(res, 1.0 + np.maximum(lhs_n, rhs_n)))
+                    np.ndindex(res.shape[1:]), lhs_n, rhs_n, residual=res,
+                    scale=1.0 + np.maximum(lhs_n, rhs_n))
 
 
 def verify_hessian_symmetry(ctx, tol=1e-9):
@@ -1057,8 +1064,8 @@ def verify_hessian_symmetry(ctx, tol=1e-9):
     max(tol, 1e-9)."""
     worst = np.abs(ctx.hess_f - ctx.hess_f.swapaxes(1, 2)).max(axis=(1, 2))
     return _records("L2.2", ctx, max(tol, 1e-9), [], "", [()], worst,
-                    np.zeros_like(worst),
-                    residual=(worst, np.ones_like(worst)))
+                    np.zeros_like(worst), residual=worst,
+                    scale=np.ones_like(worst))
 
 
 # ---------------------------------------------------------------------

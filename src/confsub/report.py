@@ -1,6 +1,6 @@
 """Run a verification job and render the results.
 
-A run produces a flat list of records (``identities.record``), a
+A run produces a flat list of records (``identities.build_records``), a
 four-bucket count summary, and job metadata.  Records whose identity is
 convention-sensitive may carry ``verdict == "fail"`` while still being
 excluded from the process exit status: their general-dilation forms
@@ -13,8 +13,12 @@ only in the text rendering).
 from __future__ import annotations
 
 import json.encoder
+import math
+import operator
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import itemgetter
 
 from . import __version__
 from . import soliton as sol
@@ -129,8 +133,7 @@ def run_job(job):
     # point
     per_check = [run_check(check_id, setup, job.points, tol=job.tolerance,
                            ctx=ctx) for check_id in identity_ids]
-    records = [rec for point_records in zip(*per_check)
-               for recs in point_records for rec in recs]
+    records = list(chain.from_iterable(chain.from_iterable(zip(*per_check))))
     _run_soliton_checks(job, soliton_ids, records, ctx)
     counts = count_verdicts(records)
     flagged = sum(1 for r in records
@@ -158,32 +161,23 @@ def run_job(job):
 
 _encode_str = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
-_int_repr = int.__repr__
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(value):
-    """JSON text of a float (NumPy's included); TypeError for any other
-    value."""
-    text = _float_repr(value)
-    return _NONFINITE.get(text, text)
+_BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _scalar_text(value):
     """JSON text of a value that is not a container, as ``json.dumps``
     writes it."""
     if isinstance(value, float):
-        return _float_text(value)
+        return _floats_text([value])[0]
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, bool):
+        return _BOOL_TEXT[value]
     if isinstance(value, int):
-        return _int_repr(value)
+        return int.__repr__(value)
     raise TypeError(
         f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -224,70 +218,99 @@ def _nested_text(value, newline):
 def _template(keys, newline):
     """The text of a dict with ``keys`` nested at ``newline``, a ``%s``
     slot for each value, in the order of ``keys``."""
-    inner = newline + "  "
-    return ("{" + ",".join(f"{inner}{_encode_str(key)}: %s" for key in keys)
-            + newline + "}")
+    return _block("{", [_encode_str(key) + ": %s" for key in keys], newline,
+                  "}")
 
 
-# the indents of a record, its entries and its hypotheses' entries in the
-# payload's ``records`` list, and the templates of a record and of a
-# hypothesis over their keys in ``identities``
-_RECORD_NL = "\n    "
-_ENTRY_NL = _RECORD_NL + "  "
-_RECORD_TEMPLATE = _template(sorted(RECORD_SCHEMA), _RECORD_NL)
+# the indents of a row of the payload (a record or a catalog row), of its
+# entries and of its hypotheses' entries, and the templates over the keys
+_ROW_NL = "\n    "
+_ENTRY_NL = _ROW_NL + "  "
+_RECORD_TEMPLATE = _template(sorted(RECORD_SCHEMA), _ROW_NL)
 _HYPOTHESIS_TEMPLATE = _template(sorted(HYPOTHESIS_SCHEMA), _ENTRY_NL + "  ")
+EXAMPLE_ROW_SCHEMA = {"name": str, "provenance": str, "expected": float,
+                      "computed": float, "residual": float, "verdict": str,
+                      "point": list[float], "note": str}
+_EXAMPLE_ROW_TEMPLATE = _template(sorted(EXAMPLE_ROW_SCHEMA), _ROW_NL)
+
+# Each writer maps over a column, one key's values in every row, at once;
+# ``memo`` holds the texts of the strings written in one rendering.
 
 
-def _floats_text(values):
-    return _block("[", list(map(_float_text, values)), _ENTRY_NL, "]")
+def _floats_text(values, memo=None):
+    """Floats (NumPy's included); TypeError for any other value."""
+    texts = list(map(_float_repr, values))
+    if not all(map(math.isfinite, values)):
+        texts = list(map(_NONFINITE.get, texts, texts))
+    return texts
 
 
-def _hypotheses_text(hypotheses):
-    return _block("[", [_HYPOTHESIS_TEMPLATE % tuple(
-        [write(hyp[key]) for key, write in _HYPOTHESIS_FIELDS])
-        for hyp in hypotheses], _ENTRY_NL, "]")
+def _strings_text(values, memo):
+    missing = dict.fromkeys(values).keys() - memo.keys()
+    memo.update(zip(missing, map(_encode_str, missing)))
+    return list(map(memo.__getitem__, values))
 
 
-def _terms_text(terms):
-    return _block("{", [_encode_str(key) + ": " + _float_text(terms[key])
-                        for key in sorted(terms)], _ENTRY_NL, "}")
+def _containers_text(values, memo, write, shape, items):
+    """Lists or dicts, each run of one object written once: their ``items``
+    as one column by ``write``, filling the template of each shape."""
+    new = list(map(operator.is_not, values, chain([None], values)))
+    distinct = list(compress(values, new))
+    shapes = list(map(shape, distinct))
+    templates = {key: _slots(key) for key in dict.fromkeys(shapes)}
+    texts = iter(write(list(chain.from_iterable(map(items, distinct))), memo))
+    texts = [None] + list(map(str.format, map(templates.__getitem__, shapes),
+                              map(list, map(islice, repeat(texts),
+                                            map(len, distinct)))))
+    return list(map(texts.__getitem__, accumulate(new)))
 
 
-# the writer of a record's value by its type in the schema
-_FIELD_TEXT = {float: _float_text, str: _encode_str, bool: _scalar_text,
-               list[float]: _floats_text, list[dict]: _hypotheses_text,
-               dict[str, float]: _terms_text}
+def _slots(shape):
+    """The ``str.format`` template of a list of ``shape`` items, or of a
+    dict of the keys ``shape``: entries sorted, filled from their places."""
+    if isinstance(shape, int):
+        return _block("[", [f"{{0[{i}]}}" for i in range(shape)], _ENTRY_NL,
+                      "]")
+    return _block("{{", [(_encode_str(shape[i]) + ": ").replace(
+        "{", "{{").replace("}", "}}") + f"{{0[{i}]}}" for i in sorted(
+            range(len(shape)), key=shape.__getitem__)], _ENTRY_NL, "}}")
 
 
-def _fields(schema):
-    """(key, writer) for each key of ``schema``, in the order of the
-    template's slots."""
-    return tuple((key, _FIELD_TEXT[schema[key]]) for key in sorted(schema))
+def _rows_text(rows, memo, schema, template):
+    """The dicts ``rows`` filling ``template`` over the sorted keys of
+    ``schema``, each key's values written as one column of its type;
+    KeyError or TypeError for a row not laid out or typed as ``schema``."""
+    texts = [_COLUMN_TEXT[schema[key]](list(map(itemgetter(key), rows)), memo)
+             for key in sorted(schema)]
+    return list(map(template.__mod__, zip(*texts)))
 
 
-_RECORD_FIELDS = _fields(RECORD_SCHEMA)
-_HYPOTHESIS_FIELDS = _fields(HYPOTHESIS_SCHEMA)
+_COLUMN_TEXT = {
+    float: _floats_text, str: _strings_text,
+    bool: lambda values, memo: list(map(_BOOL_TEXT.__getitem__, values)),
+    list[float]: lambda lists, memo: _containers_text(
+        lists, memo, _floats_text, len, iter),
+    list[dict]: lambda lists, memo: _containers_text(
+        lists, memo, lambda hyps, memo: _rows_text(
+            hyps, memo, HYPOTHESIS_SCHEMA, _HYPOTHESIS_TEMPLATE), len, iter),
+    dict[str, float]: lambda dicts, memo: _containers_text(
+        dicts, memo, _floats_text, tuple, dict.values)}
 
 
-def _record_text(rec):
-    """The text of an entry of the payload's ``records`` list, as
-    ``json_text`` writes it, from the record template; raises KeyError or
-    TypeError for a dict not laid out or typed as ``identities.record``
-    builds it."""
-    return _RECORD_TEMPLATE % tuple(
-        [write(rec[key]) for key, write in _RECORD_FIELDS])
+def _with_rows(head, key, rows, schema, template):
+    """``json_text`` of ``head`` with ``rows`` under its last key, ``key``."""
+    return (json_text(head)[:-2] + f",\n  {_encode_str(key)}: "
+            + _block("[", _rows_text(rows, {}, schema, template), "\n  ", "]")
+            + "\n}")
 
 
 def to_json(report):
     """Canonical JSON: sorted keys, no wall time, deterministic bytes.
     ``records`` sorts last, so its list closes the text of the rest."""
-    head = json_text({"job": report.job, "counts": report.counts,
-                      "flagged_fails": report.flagged_fails,
-                      "meta": report.meta})
-    return (head[:-2] + ',\n  "records": '
-            + _block("[", list(map(_record_text, report.records)), "\n  ",
-                     "]")
-            + "\n}")
+    return _with_rows({"job": report.job, "counts": report.counts,
+                       "flagged_fails": report.flagged_fails,
+                       "meta": report.meta}, "records", report.records,
+                      RECORD_SCHEMA, _RECORD_TEMPLATE)
 
 
 _VERDICT_TAG = {"pass": "PASS", "fail": "FAIL",
@@ -385,8 +408,7 @@ def example_report_to_json(rep):
         "residual": float(r.residual), "verdict": r.verdict,
         "point": list(r.point) if r.point else [], "note": r.note,
     } for r in rep.rows]
-    payload = {"example": rep.example_id, "rows": rows,
-               "counts": rep.counts,
-               "discrepancies": [r.name for r in rep.discrepancies],
-               "note": rep.note}
-    return json_text(payload)
+    return _with_rows({"example": rep.example_id, "counts": rep.counts,
+                       "discrepancies": [r.name for r in rep.discrepancies],
+                       "note": rep.note}, "rows", rows, EXAMPLE_ROW_SCHEMA,
+                      _EXAMPLE_ROW_TEMPLATE)

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .identities import (Hypothesis, hypotheses_at, record, verdict_of,
-                         worst_of)
+from .identities import Hypothesis, record, verdict_of, worst_of
 from .linalg import mat_vec, quad_form, vec_dot
 
 
@@ -252,9 +251,11 @@ def scalar_mu_consistency(ctx, mu, tol=1e-6):
     rhs = -mu * m
     terms = {f"s@{i}": v for i, v in enumerate(values)}
     terms["spread"] = max(values) - min(values)
-    hyps = hypotheses_at([ctx.hyp_conformal, ctx.hyp_map_tg], len(values))
-    return record("T4.7", ctx.points[worst_idx].coords, lhs, rhs,
-                  hyps[worst_idx], tol, terms=terms,
+    hyps = [Hypothesis(h.name, bool(h.satisfied[worst_idx]),
+                       float(h.violation[worst_idx]))
+            for h in (ctx.hyp_conformal, ctx.hyp_map_tg)]
+    return record("T4.7", ctx.points[worst_idx].coords, lhs, rhs, hyps, tol,
+                  terms=terms,
                   note="worst point shown; per-point s values itemized",
                   scale=1.0 + max(abs(lhs), abs(rhs)))
 

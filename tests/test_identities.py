@@ -1,16 +1,20 @@
 """Identity verification engine: closure, flags, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confsub import catalog
 from confsub.geometry import Point
 from confsub.identities import (ALL_CHECK_IDS, CHECKS,
                                 CONVENTION_SENSITIVE_IDS, Hypothesis,
-                                IdentityContext, record, run_check,
-                                verdict_of)
+                                IdentityContext, build_records, record,
+                                run_check, verdict_of)
+from confsub.manifest import SOLITON_CHECKS
 from conftest import (chart, conformal_corpus, make_setup, sample,
                       warped_4to2)
 
@@ -76,6 +80,121 @@ def test_record_reads_the_residual_its_kind_compares():
     # the default scale takes in every term
     rec = record("T3.4", (), 1.0, 0.0, [], 1e-6, terms={"t": -3.0})
     assert rec["rel_residual"] == 1.0 / 4.0
+
+
+_EDGE = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+_FLOATS = st.floats() | _EDGE
+
+
+def _scalar_record(check_id, point, lhs, rhs, hypotheses, tol, *, terms,
+                   label, note, residual, scale, absolute):
+    """A record by scalar arithmetic, one value at a time, as a reference
+    independent of the columnar builder."""
+    abs_res = abs(lhs - rhs) if residual is None else residual
+    if scale is None:
+        scale = 1.0 + max([abs(lhs), abs(rhs)]
+                          + [abs(v) for v in terms.values()])
+    rel = abs_res / scale
+    hyps = [Hypothesis(h["name"], h["satisfied"], h["violation"])
+            for h in hypotheses]
+    return {"kind": "identity" if check_id in ALL_CHECK_IDS else "soliton",
+            "id": check_id, "label": label, "point": list(point),
+            "lhs": lhs, "rhs": rhs, "abs_residual": abs_res,
+            "rel_residual": rel, "hypotheses": hypotheses,
+            "verdict": verdict_of(hyps, abs_res if absolute else rel, tol),
+            "convention_sensitive": bool(point)
+            and check_id in CONVENTION_SENSITIVE_IDS,
+            "terms": terms, "note": note}
+
+
+def _rows(check_id, points, lhs, rhs, hypotheses, tol, *, labels, terms={},
+          note="", residual=None, scale=None, absolute=False):
+    """``build_records``' arguments, one row at a time."""
+    for i in range(len(lhs)):
+        yield (check_id, tuple(points[i]), lhs[i], rhs[i], hypotheses[i],
+               tol), dict(
+            terms={name: col[i] for name, col in terms.items()},
+            label=labels[i], note=note,
+            residual=None if residual is None else residual[i],
+            scale=None if scale is None else scale[i], absolute=absolute)
+
+
+def _assert_builder_matches_record(*args, **kwargs):
+    # row by row, the columnar builder gives what its one-row call
+    # record() and scalar arithmetic give; json.dumps tells NaN, -0.0 and
+    # 0.0 apart, which == does not
+    got = build_records(*args, **kwargs)
+    rows = list(_rows(*args, **kwargs))
+    assert len(got) == len(rows)
+    for rec, (row, options) in zip(got, rows):
+        one = record(*row[:4], [Hypothesis(h["name"], h["satisfied"],
+                                           h["violation"]) for h in row[4]],
+                     row[5], **options)
+        text = json.dumps(rec, sort_keys=True)
+        assert text == json.dumps(one, sort_keys=True)
+        assert text == json.dumps(_scalar_record(*row, **options),
+                                  sort_keys=True)
+    return got
+
+
+@st.composite
+def _check_columns(draw):
+    """Columns of a check's records over a few points, each point's
+    records holding its one point list and one hypotheses list, some of
+    them unmet."""
+    points, hypotheses = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        point = draw(st.lists(_FLOATS, max_size=3))
+        hyps = draw(st.lists(st.fixed_dictionaries(
+            {"name": st.text(max_size=3), "satisfied": st.booleans(),
+             "violation": _FLOATS}), max_size=2))
+        count = draw(st.integers(1, 3))
+        points += [point] * count
+        hypotheses += [hyps] * count
+    n = len(points)
+    column = st.lists(_FLOATS, min_size=n, max_size=n)
+    names = draw(st.lists(st.text(max_size=3), unique=True, max_size=3))
+    scale = st.lists(_FLOATS.filter(lambda x: x != 0), min_size=n,
+                     max_size=n)
+    return dict(
+        check_id=draw(st.sampled_from(ALL_CHECK_IDS + SOLITON_CHECKS)),
+        points=points, lhs=draw(column), rhs=draw(column),
+        hypotheses=hypotheses, tol=draw(_FLOATS),
+        labels=draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)),
+        terms={name: draw(column) for name in names},
+        note=draw(st.text(max_size=3)),
+        residual=draw(st.none() | column), scale=draw(st.none() | scale),
+        absolute=draw(st.booleans()))
+
+
+@given(_check_columns())
+def test_builder_matches_record_row_by_row(columns):
+    # the columnar builder keeps record()'s arithmetic and verdict rule
+    records = _assert_builder_matches_record(**columns)
+    for rec, point, hyps in zip(records, columns["points"],
+                                columns["hypotheses"]):
+        assert rec["point"] is point and rec["hypotheses"] is hyps
+
+
+@pytest.mark.parametrize("lhs,rhs,terms,scale", [
+    # max keeps its first argument when it is NaN, and skips a later NaN
+    (math.nan, 1.0, [2.0], math.nan), (1.0, math.nan, [2.0], 3.0),
+    (1.0, 0.5, [math.nan, 3.0], 4.0), (1.0, 0.5, [3.0, math.nan], 4.0),
+    (-2.0, 0.5, [], 3.0)])
+@pytest.mark.parametrize("absolute", [False, True])
+def test_builder_takes_nan_where_max_does(lhs, rhs, terms, scale, absolute):
+    hyps = [[{"name": "a", "satisfied": True, "violation": 0.0}],
+            [{"name": "b", "satisfied": False, "violation": 2.0}]]
+    rec, skipped = _assert_builder_matches_record(
+        "G2.16", [[0.5], []], [lhs] * 2, [rhs] * 2, hyps, 1e-6,
+        labels=["X1", "X2"], terms={f"t{i}": [v] * 2
+                                    for i, v in enumerate(terms)},
+        note="n", absolute=absolute)
+    assert json.dumps(rec["abs_residual"] / scale) == json.dumps(
+        rec["rel_residual"])
+    assert rec["verdict"] == "fail" and rec["convention_sensitive"]
+    assert skipped["verdict"] == "hypothesis-not-met"
+    assert not skipped["convention_sensitive"]
 
 
 def test_full_closure_on_conformal_examples(conformal_setups):

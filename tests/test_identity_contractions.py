@@ -14,8 +14,7 @@ from confsub import catalog
 from confsub import soliton as sol
 from confsub import submersion as sub
 from confsub.geometry import Point
-from confsub.identities import (ALL_CHECK_IDS, IdentityContext, hypotheses_at,
-                                run_check)
+from confsub.identities import ALL_CHECK_IDS, IdentityContext, run_check
 from conftest import (chart, conformal_corpus, make_setup, riemannian_corpus,
                       sample, warped_4to2)
 from identity_loops import Loops, reference_check
@@ -135,10 +134,9 @@ def test_frame_suprema_match_loop_forms(name, setup, points):
     for hyp in ("hyp_conformal", "hyp_fibers_tg", "hyp_horizontal_tg",
                 "hyp_horizontal_integrable", "hyp_homothetic",
                 "hyp_map_tg", "hyp_umbilical"):
-        for got, loop in zip(hypotheses_at([getattr(ctx, hyp)], len(points)),
-                             loops):
-            _assert_hypotheses([asdict(h) for h in got],
-                               [asdict(getattr(loop, hyp)())], (name, hyp))
+        for got, loop in zip(getattr(ctx, hyp).dicts, loops):
+            _assert_hypotheses([got], [asdict(getattr(loop, hyp)())],
+                               (name, hyp))
     # the flags are the suprema over the points
     flags = sub.structure_flags(ctx)
     for flag, hyp in (("fibers_totally_geodesic", "hyp_fibers_tg"),

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from confsub import submersion as sub
 from confsub.cli import EXIT_USAGE, main
 from confsub.geometry import ChartManifold
 from confsub.identities import (ALL_CHECK_IDS, Hypothesis,
-                                IdentityContext, record, worst_of)
+                                IdentityContext, record, run_check, worst_of)
 from confsub.jets import EvaluationError, JetSpace
 from confsub.manifest import (KNOWN_CHECKS, SOLITON_CHECKS,
                               parse_manifest)
@@ -486,18 +487,6 @@ def _workloads():
     return module
 
 
-def _capture_payloads(monkeypatch):
-    payloads = []
-    real = report.json_text
-
-    def capture(payload):
-        payloads.append(payload)
-        return real(payload)
-
-    monkeypatch.setattr(report, "json_text", capture)
-    return payloads
-
-
 def _oracle(payload):
     return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -564,6 +553,84 @@ def test_a_record_laid_out_otherwise_raises(change):
     rep = report.Report(job={}, records=[rec], counts={}, meta={})
     with pytest.raises((KeyError, TypeError)):
         report.to_json(rep)
+
+
+_EXAMPLE_FLOATS = [math.nan, math.inf, -math.inf, -0.0]
+_HYPOTHESIS_DICTS = st.lists(st.fixed_dictionaries(
+    {"name": _TEXTS, "satisfied": st.booleans(), "violation": _FLOATS}),
+    max_size=3)
+_VALUES = {float: _FLOATS, str: _TEXTS, bool: st.booleans(),
+           dict[str, float]: st.dictionaries(_TEXTS, _FLOATS, max_size=4)}
+
+
+@st.composite
+def _record_runs(draw):
+    """Records laid out as the schema, drawn point by point: the records of
+    a point hold its point and hypotheses lists, each either that one
+    shared list object or a copy of it, as consecutive records of a run
+    do (points of mixed lengths, as structure-flags and identity records
+    are, empty ones included)."""
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        point = draw(st.lists(_FLOATS, max_size=3))
+        hyps = draw(_HYPOTHESIS_DICTS)
+        for _ in range(draw(st.integers(1, 3))):
+            rec = {key: draw(_VALUES[kind]) for key, kind
+                   in identities.RECORD_SCHEMA.items() if kind in _VALUES}
+            shared = draw(st.booleans())
+            rec["point"] = point if shared else list(point)
+            rec["hypotheses"] = hyps if shared else [dict(h) for h in hyps]
+            records.append(rec)
+    return records
+
+
+def _one_record(value):
+    """A record with ``value`` in every float slot, a point of two
+    coordinates, a hypothesis and two terms."""
+    hyp = {"name": "\u00e9 {0}", "satisfied": True, "violation": value}
+    return dict(record("G2.12", (), 0.0, 0.0, [], 1e-6),
+                lhs=value, rhs=value, abs_residual=value, rel_residual=value,
+                point=[value, 1.0], hypotheses=[hyp],
+                terms={"b}": value, "a{": value},
+                label="X\u2081 \u03bb", note="\ud83d\ude00")
+
+
+@given(_record_runs())
+@example([_one_record(value) for value in _EXAMPLE_FLOATS])
+@example([_one_record(1.5)] * 2 + [dict(_one_record(0.5), terms={})])
+def test_columnar_writer_equals_json_dumps(records):
+    # each column is written at once and each run of one shared list
+    # once, yet every record reads as json.dumps writes it
+    rep = report.Report(job={}, records=records,
+                        counts={"pass": len(records)}, meta={})
+    assert report.to_json(rep) == _oracle({
+        "job": {}, "records": records, "counts": rep.counts,
+        "flagged_fails": 0, "meta": {}})
+
+
+def test_records_of_a_point_share_lists_no_reader_mutates():
+    # a run's records of one point hold its one coordinate list, and in
+    # one check one hypotheses list; rendering and counting leave them as
+    # they are
+    job = catalog.load_job("5.3")
+    job.points = job.points[:3]
+    rep = report.run_job(job)
+    ctx = IdentityContext(job.setup, job.points)
+    for i, p in enumerate(job.points):
+        by_check = {}
+        for check_id in ALL_CHECK_IDS:
+            for rec in run_check(check_id, job.setup, job.points,
+                                 ctx=ctx)[i]:
+                assert rec["point"] is ctx.point_lists[i] == list(p.coords)
+                by_check.setdefault(check_id, set()).add(
+                    id(rec["hypotheses"]))
+        assert all(len(ids) == 1 for ids in by_check.values()), by_check
+    before = json.dumps(rep.records)
+    text = report.to_json(rep)
+    report.to_text(rep)
+    assert report.count_verdicts(rep.records) == rep.counts
+    assert report.to_json(rep) == text
+    assert json.dumps(rep.records) == before
 
 
 def _close(got, ref):
@@ -672,11 +739,14 @@ def test_stacked_fields_match_runs_of_each_point_alone():
     _assert_solitons_match_points_alone(job, list(job.points))
 
 
-def test_example_json_equals_json_dumps(monkeypatch, example_reports):
-    payloads = _capture_payloads(monkeypatch)
+def test_example_json_equals_json_dumps(example_reports):
+    # the rows are written from the row template, the rest by json_text
     for eid, rep in example_reports.items():
-        text = report.example_report_to_json(rep)
-        assert text == _oracle(payloads[-1]), eid
+        rows = [dict(asdict(r), point=list(r.point or ())) for r in rep.rows]
+        assert report.example_report_to_json(rep) == _oracle({
+            "example": rep.example_id, "rows": rows, "counts": rep.counts,
+            "discrepancies": [r.name for r in rep.discrepancies],
+            "note": rep.note}), eid
 
 
 _JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
