@@ -43,21 +43,9 @@ class ExpectedValues:
 
 
 @dataclass
-class ComparisonRow:
-    name: str
-    provenance: str  # paper-printed | derived-oracle
-    expected: float
-    computed: float
-    residual: float
-    verdict: str  # pass | fail | paper-divergent
-    point: tuple = None
-    note: str = ""
-
-
-@dataclass
 class ExampleReport:
     example_id: str
-    rows: list
+    rows: list  # dicts laid out as report.EXAMPLE_ROW_SCHEMA
     discrepancies: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
     note: str = ""
@@ -205,6 +193,16 @@ _EXPECTED = {
 # comparison machinery
 # ---------------------------------------------------------------------
 
+def _row(name, provenance, expected, computed, residual, verdict,
+         point=()):
+    """A comparison row, laid out as ``report.EXAMPLE_ROW_SCHEMA``; a
+    structure-flag row has no point."""
+    return {"name": name, "provenance": provenance,
+            "expected": float(expected), "computed": float(computed),
+            "residual": float(residual), "verdict": verdict,
+            "point": list(point), "note": ""}
+
+
 def _compare(name, provenance, samples, tol):
     """Aggregate per-point (expected, computed) samples into one row."""
     worst = max(samples, key=lambda s: abs(s[1] - s[2]))
@@ -217,9 +215,8 @@ def _compare(name, provenance, samples, tol):
         verdict = "paper-divergent"
     else:
         verdict = "fail"
-    return ComparisonRow(name=name, provenance=provenance, expected=expected,
-                         computed=computed, residual=residual,
-                         verdict=verdict, point=tuple(point.coords))
+    return _row(name, provenance, expected, computed, residual, verdict,
+                point.coords)
 
 
 def run_example(example_id, tol=1e-6, points=None):
@@ -272,18 +269,16 @@ def run_example(example_id, tol=1e-6, points=None):
         compare(f"Ric(e{i},e{j}) oracle", "derived-oracle", oracle, vals)
 
     # structure flags vs prose claims
-    flags = sub.structure_flags(ctx).as_dict()
+    flags = sub.structure_flags(ctx)
     for flag_name, want in expected.structure.items():
         got = flags[flag_name].holds
-        rows.append(ComparisonRow(
-            name=f"flag {flag_name}", provenance="paper-printed",
-            expected=float(want), computed=float(got),
-            residual=0.0 if got == want else 1.0,
-            verdict="pass" if got == want else "paper-divergent"))
+        rows.append(_row(f"flag {flag_name}", "paper-printed", want, got,
+                         0.0 if got == want else 1.0,
+                         "pass" if got == want else "paper-divergent"))
 
-    discrepancies = [r for r in rows if r.verdict == "paper-divergent"]
-    counts = {"pass": sum(r.verdict == "pass" for r in rows),
-              "fail": sum(r.verdict == "fail" for r in rows),
+    discrepancies = [r for r in rows if r["verdict"] == "paper-divergent"]
+    counts = {"pass": sum(r["verdict"] == "pass" for r in rows),
+              "fail": sum(r["verdict"] == "fail" for r in rows),
               "hypothesis_not_met": 0,
               "paper_divergent": len(discrepancies)}
     return ExampleReport(example_id=example_id, rows=rows,

@@ -265,10 +265,11 @@ class IdentityContext:
     H'(f), ``div_hprime`` and the scalar curvatures; each ``hyp_*`` is a
     ``Hypothesis`` of (P,) arrays.
 
-    The constructor holds the run's float core, ``cores`` when the caller
-    holds it and ``setup.float_cores(points)`` otherwise, with its
-    arrays ``g``, ``ginv``, ``jac``, ``frame`` (``vframe``, then
-    ``hframe``), ``pv``, ``ph``, ``lam_sq`` and ``h_base``.  Everything
+    The constructor holds the run's float core,
+    ``setup.float_cores(points)``, with its arrays ``g``, ``ginv``,
+    ``jac``, ``frame`` (``vframe``, then ``hframe``), ``pv``, ``ph``,
+    ``lam_sq`` and ``h_base``.  A hypothesis holds where its violation is
+    at most ``submersion.PROPERTY_TOL``.  Everything
     else is a cached property, built on first read for every point at
     once from only the arrays it needs, so a check pays only for what it
     reads, and an ingredient that cannot be evaluated fails only the
@@ -276,15 +277,12 @@ class IdentityContext:
     on first read, raising, where one point fails, the error of the first
     failing point."""
 
-    def __init__(self, setup, points, hyp_tol=1e-8, cores=None):
+    def __init__(self, setup, points):
         self.setup = setup
         self.points = list(points)
-        self.hyp_tol = hyp_tol
         self.m = setup.m
         self.n = setup.n
-        if cores is None:
-            cores = setup.float_cores(self.points)
-        self.cores = cores
+        self.cores = cores = setup.float_cores(self.points)
         self.g, self.ginv, self.jac = cores.g, cores.ginv, cores.jac
         self.frame, self.pv, self.ph = cores.frame, cores.pv, cores.ph
         self.lam_sq, self.h_base = cores.lam_sq, cores.h_base
@@ -597,13 +595,12 @@ class IdentityContext:
     # -- structural hypotheses at the points ------------------------------
 
     def _hypothesis(self, name, violation):
-        return Hypothesis(name, violation <= self.hyp_tol, violation)
+        return Hypothesis(name, violation <= sub.PROPERTY_TOL, violation)
 
     @functools.cached_property
     def hyp_conformal(self):
         aniso = self.cores.anisotropy
-        return Hypothesis("conformal", aniso <= max(self.hyp_tol, 1e-8),
-                          aniso)
+        return Hypothesis("conformal", aniso <= sub.PROPERTY_TOL, aniso)
 
     @functools.cached_property
     def hyp_fiber_chart(self):

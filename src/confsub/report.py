@@ -43,22 +43,11 @@ class Report:
         return 0 if self.counts.get("fail", 0) - self.flagged_fails == 0 else 1
 
 
-def _soliton_record(check_id, sr):
-    worst = worst_of(sr.per_point, lambda d: d[sr.worst_key])
-    terms = {k: v for k, v in worst.items()
-             if k not in ("point", "trace_terms")}
-    terms.update(worst.get("trace_terms", {}))
-    return record(check_id, worst["point"].coords, worst.get("fitted", 0.0),
-                  worst.get("formula", 0.0), sr.hypotheses, sr.tol,
-                  terms=terms, label=sr.target, note=sr.note,
-                  residual=sr.max_residual, scale=1.0)
-
-
 def _run_soliton_checks(job, checks, records, ctx):
     setup, points, tol = job.setup, job.points, job.tolerance
     needs_xi = [c for c in checks if c != "structure-flags"]
     if "structure-flags" in checks:
-        for name, check in sub.structure_flags(ctx).as_dict().items():
+        for name, check in sub.structure_flags(ctx).items():
             records.append(record(
                 "structure-flags", (), check.holds, check.holds, [], tol,
                 terms={"max_violation": check.max_violation},
@@ -97,21 +86,16 @@ def _run_soliton_checks(job, checks, records, ctx):
             else "conformal factor shown at its largest point",
             residual=conf.max_residual, absolute=True))
     if "fiber-soliton" in checks:
-        records.append(_soliton_record(
-            "fiber-soliton", sol.fiber_soliton_report(ctx, xi, mu=mu,
-                                                      tol=tol)))
+        records.append(sol.fiber_soliton_report(ctx, xi, mu=mu, tol=tol))
     if "base-soliton" in checks:
         xi_base = next((spec for target, spec in job.fields.values()
                         if target == "base"), None)
-        records.append(_soliton_record(
-            "base-soliton", sol.base_soliton_report(ctx, xi, mu,
-                                                    xi_base=xi_base,
-                                                    tol=tol)))
+        records.append(sol.base_soliton_report(ctx, xi, mu, xi_base=xi_base,
+                                               tol=tol))
     if "scalar-mu" in checks:
         records.append(sol.scalar_mu_consistency(ctx, mu, tol=tol))
     if "harmonicity" in checks:
-        records.append(_soliton_record(
-            "harmonicity", sol.harmonicity_report(ctx, mu, tol=tol)))
+        records.append(sol.harmonicity_report(ctx, mu, tol=tol))
 
 
 def count_verdicts(records):
@@ -228,6 +212,7 @@ _ROW_NL = "\n    "
 _ENTRY_NL = _ROW_NL + "  "
 _RECORD_TEMPLATE = _template(sorted(RECORD_SCHEMA), _ROW_NL)
 _HYPOTHESIS_TEMPLATE = _template(sorted(HYPOTHESIS_SCHEMA), _ENTRY_NL + "  ")
+# the comparison rows of ``catalog.run_example``
 EXAMPLE_ROW_SCHEMA = {"name": str, "provenance": str, "expected": float,
                       "computed": float, "residual": float, "verdict": str,
                       "point": list[float], "note": str}
@@ -379,17 +364,17 @@ def to_text(report):
 def example_report_to_text(rep):
     lines = [f"example {rep.example_id}"]
     for row in rep.rows:
-        tag = _VERDICT_TAG[row.verdict]
         lines.append(
-            f"  [{tag}] {row.name:<24} ({row.provenance}) "
-            f"expected={row.expected:.9g} computed={row.computed:.9g} "
-            f"|res|={row.residual:.3e}")
+            f"  [{_VERDICT_TAG[row['verdict']]}] {row['name']:<24} "
+            f"({row['provenance']}) expected={row['expected']:.9g} "
+            f"computed={row['computed']:.9g} |res|={row['residual']:.3e}")
     lines.append("")
     if rep.discrepancies:
         lines.append("  published values diverging from the computation:")
         for row in rep.discrepancies:
-            lines.append(f"    {row.name}: printed {row.expected:.9g} vs "
-                         f"computed {row.computed:.9g} at {row.point}")
+            lines.append(f"    {row['name']}: printed {row['expected']:.9g} "
+                         f"vs computed {row['computed']:.9g} at "
+                         f"{tuple(row['point']) or None}")
     else:
         lines.append("  no divergences from the published values")
     if rep.note:
@@ -402,13 +387,8 @@ def example_report_to_text(rep):
 
 
 def example_report_to_json(rep):
-    rows = [{
-        "name": r.name, "provenance": r.provenance,
-        "expected": float(r.expected), "computed": float(r.computed),
-        "residual": float(r.residual), "verdict": r.verdict,
-        "point": list(r.point) if r.point else [], "note": r.note,
-    } for r in rep.rows]
     return _with_rows({"example": rep.example_id, "counts": rep.counts,
-                       "discrepancies": [r.name for r in rep.discrepancies],
-                       "note": rep.note}, "rows", rows, EXAMPLE_ROW_SCHEMA,
-                      _EXAMPLE_ROW_TEMPLATE)
+                       "discrepancies": [r["name"] for r in
+                                         rep.discrepancies],
+                       "note": rep.note}, "rows", rep.rows,
+                      EXAMPLE_ROW_SCHEMA, _EXAMPLE_ROW_TEMPLATE)

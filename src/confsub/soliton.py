@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .identities import Hypothesis, record, verdict_of, worst_of
+from .identities import Hypothesis, record, worst_of
 from .linalg import mat_vec, quad_form, vec_dot
 
 
@@ -34,27 +34,14 @@ class ConformalFit:
     is_killing: bool
 
 
-@dataclass
-class SolitonReport:
-    target: str  # fibers | base | total
-    hypotheses: list
-    per_point: list  # dicts with point, fitted, formula, residual, ...
-    max_residual: float
-    tol: float
-    note: str = ""
-    # the per-point entry whose largest value sets max_residual; the
-    # point with that value is the report's worst point
-    worst_key: str = "residual"
-
-    @property
-    def verdict(self):
-        return verdict_of(self.hypotheses, self.max_residual, self.tol)
+# |mu| and |f| up to which a fit reads as steady or Killing
+FIT_TOL = 1e-9
 
 
-def _classify(mu, tol):
-    if mu < -tol:
+def _classify(mu):
+    if mu < -FIT_TOL:
         return "shrinking"
-    if mu > tol:
+    if mu > FIT_TOL:
         return "expanding"
     return "steady"
 
@@ -94,7 +81,7 @@ def _traces(a):
     return np.trace(a, axis1=1, axis2=2)
 
 
-def fit_mu(chart, xi, points, tol=1e-9, ctx=None):
+def fit_mu(chart, xi, points, ctx=None):
     """Least-squares mu over all orthonormal frame pairs and points.
     ``ctx`` is the points' IdentityContext of a submersion whose total
     chart is ``chart``, when the caller holds it; g, Ric and L_xi g are
@@ -111,11 +98,11 @@ def fit_mu(chart, xi, points, tol=1e-9, ctx=None):
     residuals = np.abs(forms + mu * np.eye(chart.dim)).max(
         axis=(1, 2)).tolist()
     return MuFit(mu=float(mu), max_residual=max([0.0] + residuals),
-                 classification=_classify(mu, tol),
+                 classification=_classify(mu),
                  per_point=list(zip(points, residuals)))
 
 
-def conformal_field_fit(chart, xi, points, tol=1e-9, ctx=None):
+def conformal_field_fit(chart, xi, points, ctx=None):
     """Fit (L_xi g) = 2 f g pointwise; f from the trace.  ``ctx`` as for
     ``fit_mu``: g and L_xi g are then read from it."""
     if ctx is None:
@@ -129,7 +116,8 @@ def conformal_field_fit(chart, xi, points, tol=1e-9, ctx=None):
     worst = max([0.0] + np.abs(lie - (2.0 * f)[:, None, None] * np.eye(k)).max(
         axis=(1, 2)).tolist())
     f_values = list(zip(points, f.tolist()))
-    is_killing = worst <= tol and all(abs(f) <= tol for _, f in f_values)
+    is_killing = worst <= FIT_TOL and all(abs(f) <= FIT_TOL
+                                          for _, f in f_values)
     return ConformalFit(f_values=f_values, max_residual=worst,
                         is_killing=is_killing)
 
@@ -155,18 +143,11 @@ def _fiber_formula_value(ctx, xi_h, mu):
     return base - quad_form(ctx.h_vec, ctx.g, xi_h)
 
 
-def _point_dicts(points, **columns):
-    """One dict per point: its ``point`` and each (P,) column's value."""
-    values = {key: v.tolist() for key, v in columns.items()}
-    return [{"point": p, **{key: v[i] for key, v in values.items()}}
-            for i, p in enumerate(points)]
-
-
 def fiber_soliton_report(ctx, xi, mu=0.0, tol=1e-6):
     """Fibers as (almost) Ricci solitons: residual of
     (1/2){g(nabla_U xi_v, V) + g(nabla_V xi_v, U)} + Ric^v(U,V) + f g(U,V)
     with f evaluated from its closed form at each point of ``ctx``, the
-    run's IdentityContext."""
+    run's IdentityContext, as the record at its worst point."""
     k = ctx.m - ctx.n
     vframe = ctx.vframe
     # xi_v = P_v xi with d_l xi_v = d_l P_v xi + P_v d_l xi
@@ -179,20 +160,18 @@ def fiber_soliton_report(ctx, xi, mu=0.0, tol=1e-6):
     fitted = -_traces(lform) / k
     formula = _fiber_formula_value(ctx, mat_vec(ctx.ph, xi_vals), mu)
     res = np.abs(lform + formula[:, None, None] * np.eye(k)).max(axis=(1, 2))
-    return SolitonReport(
-        target="fibers",
-        hypotheses=_merge_hypotheses([ctx.hyp_conformal, ctx.hyp_umbilical,
-                                      ctx.hyp_horizontal_tg]),
-        per_point=_point_dicts(ctx.points, fitted=fitted, formula=formula,
-                               residual=res,
-                               fit_vs_formula=np.abs(fitted - formula)),
-        max_residual=max([0.0] + res.tolist()), tol=tol)
+    return _worst_point_record(
+        "fiber-soliton", "fibers", ctx, tol,
+        [ctx.hyp_conformal, ctx.hyp_umbilical, ctx.hyp_horizontal_tg],
+        {"fitted": fitted, "formula": formula, "residual": res,
+         "fit_vs_formula": np.abs(fitted - formula)})
 
 
 def base_soliton_report(ctx, xi, mu, xi_base=None, tol=1e-6):
     """Base as an (almost) Ricci soliton: residual of
     (1/2)(L h)(Xt,Yt) + Ric^N(Xt,Yt) + f h(Xt,Yt) with f from f3/f4, at
-    each point of ``ctx``, the run's IdentityContext.
+    each point of ``ctx``, the run's IdentityContext, as the record at its
+    worst point.
 
     ``xi_base`` is the pushforward field expressed on the base chart; it
     defaults to zero.  A per-point projection residual compares it with
@@ -213,18 +192,15 @@ def base_soliton_report(ctx, xi, mu, xi_base=None, tol=1e-6):
     # projection residual: pushforward of the horizontal part of xi
     # against the declared base field
     dproj = mat_vec(ctx.jac, mat_vec(ctx.ph, xi_vals)) - declared
-    return SolitonReport(
-        target="base",
-        hypotheses=_merge_hypotheses([ctx.hyp_conformal, ctx.hyp_homothetic,
-                                      ctx.hyp_fibers_tg,
-                                      ctx.hyp_horizontal_integrable]),
-        per_point=_point_dicts(
-            ctx.points, fitted=fitted, formula=formula, residual=res,
-            mu=np.full(len(ctx.points), mu),
-            projection_residual=np.sqrt(np.maximum(
-                0.0, quad_form(dproj, ctx.h_base, dproj))),
-            fit_vs_formula=np.abs(fitted - formula)),
-        max_residual=max([0.0] + res.tolist()), tol=tol)
+    return _worst_point_record(
+        "base-soliton", "base", ctx, tol,
+        [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_fibers_tg,
+         ctx.hyp_horizontal_integrable],
+        {"fitted": fitted, "formula": formula, "residual": res,
+         "mu": np.full(len(ctx.points), mu),
+         "projection_residual": np.sqrt(np.maximum(
+             0.0, quad_form(dproj, ctx.h_base, dproj))),
+         "fit_vs_formula": np.abs(fitted - formula)})
 
 
 def _base_formula_value(ctx, xi_vals, mu):
@@ -264,7 +240,8 @@ def harmonicity_report(ctx, mu, tol=1e-6):
     """F harmonic iff s^{KerF*} = -mu(m-n): both sides evaluated
     independently at each point of ``ctx``, the run's IdentityContext,
     with the trace identity
-    s^{Ker} + (m-n)mu - (m-n)^2 |H|^2 + (m-n) div(H) = 0 itemized."""
+    s^{Ker} + (m-n)mu - (m-n)^2 |H|^2 + (m-n) div(H) = 0 itemized, as the
+    record at its worst point."""
     m, n = ctx.m, ctx.n
     tau = sub.tension_field(ctx.setup, ctx.h_vec, ctx.hgrad_f, ctx.jac,
                             ctx.lam_sq)
@@ -272,33 +249,27 @@ def harmonicity_report(ctx, mu, tol=1e-6):
     s_fiber = ctx.fiber_scalar_intrinsic
     scalar_gap = np.abs(s_fiber + mu * (m - n))
     trace_terms = {
-        "s_fiber": s_fiber.tolist(),
-        "(m-n)mu": [(m - n) * mu] * len(ctx.points),
-        "-(m-n)^2|H|^2": (-(m - n) ** 2 * _norm_sq_h(ctx)).tolist(),
-        "(m-n)div(H)": ((m - n) * _horizontal_div_h(ctx)).tolist(),
-    }
-    per_point = _point_dicts(ctx.points, tension_norm=tension,
-                             scalar_gap=scalar_gap)
-    for i, entry in enumerate(per_point):
-        terms = {key: v[i] for key, v in trace_terms.items()}
-        entry["trace_identity_residual"] = abs(sum(terms.values()))
-        entry["trace_terms"] = terms
+        "s_fiber": s_fiber,
+        "(m-n)mu": np.full(len(ctx.points), (m - n) * mu),
+        "-(m-n)^2|H|^2": -(m - n) ** 2 * _norm_sq_h(ctx),
+        "(m-n)div(H)": (m - n) * _horizontal_div_h(ctx)}
     worst_tension = max([0.0] + tension.tolist())
     worst_scalar = max([0.0] + scalar_gap.tolist())
     harmonic = worst_tension <= tol
     scalar_matches = worst_scalar <= tol
     # one side's worst value counts only when the other side holds, so the
     # residual is within tol exactly when harmonic == scalar_matches
-    return SolitonReport(
-        target="total", hypotheses=_merge_hypotheses(
-            [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_umbilical,
-             ctx.hyp_horizontal_tg]),
-        per_point=per_point,
-        max_residual=max(worst_tension if scalar_matches else 0.0,
-                         worst_scalar if harmonic else 0.0),
-        tol=tol,
-        worst_key=("scalar_gap" if harmonic and not scalar_matches
-                   else "tension_norm"),
+    return _worst_point_record(
+        "harmonicity", "total", ctx, tol,
+        [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_umbilical,
+         ctx.hyp_horizontal_tg],
+        {"tension_norm": tension, "scalar_gap": scalar_gap,
+         "trace_identity_residual": np.abs(sum(trace_terms.values())),
+         **trace_terms},
+        worst=("scalar_gap" if harmonic and not scalar_matches
+               else "tension_norm"),
+        residual=max(worst_tension if scalar_matches else 0.0,
+                     worst_scalar if harmonic else 0.0),
         note=(f"harmonic={harmonic} scalar-side={scalar_matches}; "
               "equivalence " + ("holds" if harmonic == scalar_matches
                                 else "VIOLATED")))
@@ -307,6 +278,22 @@ def harmonicity_report(ctx, mu, tol=1e-6):
 # ---------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------
+
+def _worst_point_record(check_id, label, ctx, tol, hyps, columns,
+                        worst="residual", residual=None, note=""):
+    """A report's record at the point of ``ctx`` whose ``worst`` column is
+    largest (``worst_of``): each (P,) array of ``columns`` there is a term,
+    ``fitted`` and ``formula`` (0.0 without them) are lhs and rhs, and
+    ``residual`` defaults to max(0.0, the ``worst`` column)."""
+    values = {key: v.tolist() for key, v in columns.items()}
+    i = worst_of(range(len(ctx.points)), values[worst].__getitem__)
+    terms = {key: v[i] for key, v in values.items()}
+    return record(check_id, ctx.points[i].coords, terms.get("fitted", 0.0),
+                  terms.get("formula", 0.0), _merge_hypotheses(hyps), tol,
+                  terms=terms, label=label, note=note, scale=1.0,
+                  residual=max([0.0] + values[worst]) if residual is None
+                  else residual)
+
 
 def _merge_hypotheses(hyps):
     """Each run-level hypothesis of ``hyps`` at the first point of its

@@ -24,14 +24,9 @@ class NotASubmersionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DilationResult:
-    lambda_sq: float
-    anisotropy: float
-
-    @property
-    def dilation(self):
-        return math.sqrt(self.lambda_sq)
+# the largest violation with which a structural property, or a hypothesis
+# of an identity, still holds
+PROPERTY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,23 +54,6 @@ class FloatCore:
 class PropertyCheck:
     holds: bool
     max_violation: float
-
-
-@dataclass(frozen=True)
-class StructureFlags:
-    fibers_totally_geodesic: PropertyCheck
-    fibers_totally_umbilical: PropertyCheck
-    horizontal_integrable: PropertyCheck
-    horizontal_totally_geodesic: PropertyCheck
-    homothetic: PropertyCheck
-    lambda_vertical_constant: PropertyCheck
-    map_totally_geodesic: PropertyCheck
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in (
-            "fibers_totally_geodesic", "fibers_totally_umbilical",
-            "horizontal_integrable", "horizontal_totally_geodesic",
-            "homothetic", "lambda_vertical_constant", "map_totally_geodesic")}
 
 
 class SubmersionSetup:
@@ -345,12 +323,6 @@ def mean_curvature_from(t, w, fiber_dim):
     return np.einsum("...kab,...ab->...k", t, w) / fiber_dim
 
 
-def dilation(setup, p):
-    core = setup.float_cores([p])
-    return DilationResult(lambda_sq=float(core.lam_sq[0]),
-                          anisotropy=float(core.anisotropy[0]))
-
-
 def tension_field(setup, h_vec, hgrad_f, jac, lam_sq):
     """(n-2)(lambda^2/2) F_*(H grad_h f) - (m-n) F_*(H) in base
     coordinates at every point of a stack, (P, n), from the points' mean
@@ -425,10 +397,10 @@ def _g_norms(g, v):
     return np.sqrt(np.maximum(0.0, quad_form(v, g, v)))
 
 
-def structure_flags(ctx, tol=1e-8):
+def structure_flags(ctx):
     """Which structural properties hold at every point of ``ctx`` (an
-    ``identities.IdentityContext``), each with its largest violation over
-    the points."""
+    ``identities.IdentityContext``), each a ``PropertyCheck`` with its
+    largest violation over the points, by name."""
     integrable, sff = _basic_field_violations(ctx)
     # grad(lambda) = -(lambda^3 / 2) grad(1/lambda^2), with lambda^3 a
     # float power per point, as one point alone raises it
@@ -441,14 +413,13 @@ def structure_flags(ctx, tol=1e-8):
             _g_norms(ctx.g, mat_vec(ctx.ph, grad_lam)),
             _g_norms(ctx.g, mat_vec(ctx.pv, grad_lam))))
 
-    def check(v):
-        return PropertyCheck(holds=v <= tol, max_violation=v)
-    return StructureFlags(
-        fibers_totally_geodesic=check(sup_t),
-        fibers_totally_umbilical=check(sup_umb),
-        horizontal_integrable=check(sup_integrable),
-        horizontal_totally_geodesic=check(sup_a),
-        homothetic=check(sup_hgrad),
-        lambda_vertical_constant=check(sup_vgrad),
-        map_totally_geodesic=check(max(sup_t, sup_a, sup_hgrad, sup_sff)),
-    )
+    return {name: PropertyCheck(holds=v <= PROPERTY_TOL, max_violation=v)
+            for name, v in (
+                ("fibers_totally_geodesic", sup_t),
+                ("fibers_totally_umbilical", sup_umb),
+                ("horizontal_integrable", sup_integrable),
+                ("horizontal_totally_geodesic", sup_a),
+                ("homothetic", sup_hgrad),
+                ("lambda_vertical_constant", sup_vgrad),
+                ("map_totally_geodesic",
+                 max(sup_t, sup_a, sup_hgrad, sup_sff)))}

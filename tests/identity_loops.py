@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from confsub.identities import Hypothesis, record
-from confsub.submersion import pair_norms
+from confsub.submersion import PROPERTY_TOL, pair_norms
 
 
 class Loops:
@@ -24,7 +24,7 @@ class Loops:
 
     def __init__(self, ctx, i=0):
         self.ctx, self.i = ctx, i
-        self.m, self.n, self.hyp_tol = ctx.m, ctx.n, ctx.hyp_tol
+        self.m, self.n = ctx.m, ctx.n
         self.p = ctx.points[i]
 
     def __getattr__(self, name):
@@ -120,36 +120,35 @@ class Loops:
                 push = float((self.jac @ xi) @ self.h_base @ (self.jac @ xj))
                 expect = self.lam_sq if i == j else 0.0
                 aniso = max(aniso, abs(push - expect))
-        return Hypothesis("conformal", aniso <= max(self.hyp_tol, 1e-8),
-                          aniso)
+        return Hypothesis("conformal", aniso <= PROPERTY_TOL, aniso)
 
     def hyp_fibers_tg(self):
         v = max((self.norm(self.T(ui, uj))
                  for i, ui in enumerate(self.vframe)
                  for uj in self.vframe[i:]), default=0.0)
-        return Hypothesis("fibers-totally-geodesic", v <= self.hyp_tol, v)
+        return Hypothesis("fibers-totally-geodesic", v <= PROPERTY_TOL, v)
 
     def hyp_horizontal_tg(self):
         v = max((self.norm(self.A(xi, xj))
                  for xi in self.hframe for xj in self.hframe), default=0.0)
-        return Hypothesis("horizontal-totally-geodesic", v <= self.hyp_tol, v)
+        return Hypothesis("horizontal-totally-geodesic", v <= PROPERTY_TOL, v)
 
     def hyp_horizontal_integrable(self):
         worst = max((self.norm(self.nu_bracket(xi, xj))
                      for i, xi in enumerate(self.hframe)
                      for xj in self.hframe[i + 1:]), default=0.0)
-        return Hypothesis("horizontal-integrable", worst <= self.hyp_tol,
+        return Hypothesis("horizontal-integrable", worst <= PROPERTY_TOL,
                           worst)
 
     def hyp_homothetic(self):
         v = self.norm(self.hgrad_f)
-        return Hypothesis("homothetic", v <= self.hyp_tol, v)
+        return Hypothesis("homothetic", v <= PROPERTY_TOL, v)
 
     def hyp_map_tg(self):
         v = max(self.hyp_fibers_tg().violation,
                 self.hyp_horizontal_tg().violation,
                 self.hyp_homothetic().violation)
-        return Hypothesis("map-totally-geodesic", v <= self.hyp_tol, v)
+        return Hypothesis("map-totally-geodesic", v <= PROPERTY_TOL, v)
 
     def hyp_umbilical(self):
         worst = 0.0
@@ -157,7 +156,7 @@ class Loops:
             for v in self.vframe[i:]:
                 d = self.T(u, v) - self.inner(u, v) * self.h_vec
                 worst = max(worst, self.norm(d))
-        return Hypothesis("umbilical-fibers", worst <= self.hyp_tol, worst)
+        return Hypothesis("umbilical-fibers", worst <= PROPERTY_TOL, worst)
 
 
 def _trivial(identity_id, p, hyps, tol, note):

@@ -27,35 +27,33 @@ def test_no_hard_failures(eid, example_reports):
 @pytest.mark.parametrize("eid", catalog.EXAMPLE_IDS)
 def test_divergence_sections_exact(eid, example_reports):
     rep = example_reports[eid]
-    assert {r.name for r in rep.discrepancies} == EXPECTED_DIVERGENCES[eid]
+    assert {r["name"] for r in rep.discrepancies} == EXPECTED_DIVERGENCES[eid]
     for row in rep.discrepancies:
-        assert row.verdict == "paper-divergent"
-        assert row.provenance == "paper-printed"
+        assert row["verdict"] == "paper-divergent"
+        assert row["provenance"] == "paper-printed"
 
 
 def test_oracle_rows_pass(example_reports):
     # every derived-oracle row agrees with the computation
     for rep in example_reports.values():
         for row in rep.rows:
-            if row.provenance == "derived-oracle":
-                assert row.verdict == "pass", (rep.example_id, row.name)
+            if row["provenance"] == "derived-oracle":
+                assert row["verdict"] == "pass", (rep.example_id, row["name"])
 
 
 def test_51_ricci_values(example_reports):
-    rows = {r.name: r for r in example_reports["5.1"].rows}
-    printed = rows["Ric(e2,e2) printed"]
-    assert printed.computed == pytest.approx(-1.0, abs=1e-9)
-    oracle = rows["Ric(e2,e2) oracle"]
-    assert oracle.verdict == "pass"
-    mixed = rows["Ric(e1,e2) printed"]
-    assert mixed.verdict == "pass"
+    rows = {r["name"]: r for r in example_reports["5.1"].rows}
+    assert rows["Ric(e2,e2) printed"]["computed"] == pytest.approx(-1.0,
+                                                                 abs=1e-9)
+    assert rows["Ric(e2,e2) oracle"]["verdict"] == "pass"
+    assert rows["Ric(e1,e2) printed"]["verdict"] == "pass"
 
 
 def test_52_metric_is_flat(example_reports):
-    rows = {r.name: r for r in example_reports["5.2"].rows}
-    assert rows["Ric(e1,e1) printed"].computed == pytest.approx(0.0,
-                                                                abs=1e-12)
-    assert rows["Ric(e1,e1) oracle"].verdict == "pass"
+    rows = {r["name"]: r for r in example_reports["5.2"].rows}
+    assert rows["Ric(e1,e1) printed"]["computed"] == pytest.approx(0.0,
+                                                                   abs=1e-12)
+    assert rows["Ric(e1,e1) oracle"]["verdict"] == "pass"
 
 
 def test_points_counts():

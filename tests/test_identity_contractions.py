@@ -142,7 +142,7 @@ def test_frame_suprema_match_loop_forms(name, setup, points):
     for flag, hyp in (("fibers_totally_geodesic", "hyp_fibers_tg"),
                       ("horizontal_totally_geodesic", "hyp_horizontal_tg"),
                       ("fibers_totally_umbilical", "hyp_umbilical")):
-        _close(getattr(flags, flag).max_violation,
+        _close(flags[flag].max_violation,
                max(getattr(loop, hyp)().violation for loop in loops),
                (name, flag))
 

@@ -4,7 +4,6 @@ import importlib.util
 import json
 import math
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +83,7 @@ def test_structure_flags_read_the_run_context():
     job = catalog.load_job("5.3")
     job.checks = ["structure-flags"]
     records = report.run_job(job).records
-    flags = sub.structure_flags(context(job.setup, job.points)).as_dict()
+    flags = sub.structure_flags(context(job.setup, job.points))
     assert len(records) == len(flags)
     for rec, (name, check) in zip(records, flags.items()):
         assert rec["note"].startswith(f"{name}: ")
@@ -414,6 +413,49 @@ def test_fit_mu_runs_only_when_needed(monkeypatch, checks, mu, fits):
     assert counts["fit_mu"] == fits
 
 
+SOLITON_ORDER = ["structure-flags"] * 7 + [
+    "fit-mu", "conformal-fit", "fiber-soliton", "base-soliton", "T4.7",
+    "harmonicity"]
+
+
+@pytest.mark.parametrize("xi_name,want", [
+    ("xi", SOLITON_ORDER),
+    (None, ["structure-flags"] * 7 + [c for c in SOLITON_CHECKS
+                                      if c != "structure-flags"])],
+    ids=["with-xi", "without-xi"])
+def test_soliton_section_order(xi_name, want):
+    # checks = all on 5.3: the soliton records follow the identity
+    # records, structure flags first; without a soliton field the skips
+    # come in the job's order of checks
+    job = catalog.load_job("5.3")
+    job.points = job.points[:2]
+    job.checks = list(KNOWN_CHECKS)
+    job.xi_name = xi_name
+    records = report.run_job(job).records
+    soliton = [r["id"] for r in records if r["kind"] == "soliton"]
+    assert soliton == want
+    assert [r["kind"] for r in records] == (
+        ["identity"] * (len(records) - len(want)) + ["soliton"] * len(want))
+
+
+@pytest.mark.parametrize("owner,name", [
+    (sol, name) for name in ("fit_mu", "conformal_field_fit",
+                             "fiber_soliton_report", "base_soliton_report",
+                             "scalar_mu_consistency", "harmonicity_report")
+] + [(sub, "structure_flags")])
+def test_run_job_calls_soliton_functions_through_their_module(
+        monkeypatch, owner, name):
+    # run_job reads each soliton function off its module when it runs, so
+    # a replacement there (a benchmark tracer's, say) sees the call
+    counts = Counter()
+    _count_calls(monkeypatch, counts, ((owner, name),))
+    job = catalog.load_job("5.3")
+    job.points = job.points[:2]
+    job.checks = list(SOLITON_CHECKS)
+    report.run_job(job)
+    assert counts[name] == 1
+
+
 CORE_FAILS = """
 total.dim    = 2
 total.coords = x1 x2
@@ -638,9 +680,9 @@ def _close(got, ref):
         math.isnan(got) and math.isnan(ref))
 
 
-def _soliton_reports(job):
-    """The soliton reports of a run that keep per-point values, and its
-    structure flags, from one context over the job's points, with the
+def _soliton_records(job):
+    """The records of the soliton reports that keep per-point values, and
+    the structure flags, from one context over the job's points, with the
     job's base field when it declares one."""
     ctx = IdentityContext(job.setup, job.points)
     xi_base = next((spec for target, spec in job.fields.values()
@@ -649,52 +691,57 @@ def _soliton_reports(job):
              "base": sol.base_soliton_report(ctx, job.xi, job.mu,
                                              xi_base=xi_base),
              "harmonicity": sol.harmonicity_report(ctx, job.mu)},
-            sub.structure_flags(ctx).as_dict())
+            sub.structure_flags(ctx))
 
 
-def _assert_same_per_point(got, ref, what):
-    assert got.keys() == ref.keys(), what
-    for key, value in ref.items():
-        if key == "point":
-            assert got[key] == value, what
-        elif key == "trace_terms":
-            _assert_same_per_point(got[key], value, what + (key,))
-        else:
-            assert _close(got[key], value), what + (key,)
-
-
-def _assert_solitons_match_points_alone(job, points):
-    # each report's per-point values are those of the point alone, its
-    # merged hypotheses the worst over the points alone, and each
-    # structure flag's violation the largest over them
-    job.points = points
-    stacked, flags = _soliton_reports(job)
+def _assert_solitons_match_points_alone(monkeypatch, job, points):
+    """Each report's record, its worst point pinned to each point in turn,
+    holds that point's lhs, rhs and terms from the point alone; its merged
+    hypotheses are the worst over the points alone, and each structure
+    flag's violation the largest over them.  Returns the records of the
+    points alone."""
     alone = []
     for p in points:
         job.points = [p]
-        alone.append(_soliton_reports(job))
-    for name, rep in stacked.items():
-        for i, entry in enumerate(rep.per_point):
-            ref, = alone[i][0][name].per_point
-            _assert_same_per_point(entry, ref, (name, i))
-        for k, hyp in enumerate(rep.hypotheses):
-            refs = [reps[name].hypotheses[k] for reps, _ in alone]
-            assert {h.name for h in refs} == {hyp.name}
-            assert hyp.satisfied == all(h.satisfied for h in refs), name
-            assert _close(hyp.violation, max(h.violation for h in refs)), (
-                name, hyp.name)
+        alone.append(_soliton_records(job))
+    job.points = points
+    for i, (refs, _) in enumerate(alone):
+        with monkeypatch.context() as pin:
+            pin.setattr(sol, "worst_of", lambda items, key: list(items)[i])
+            stacked, flags = _soliton_records(job)
+        for name, rec in stacked.items():
+            ref = refs[name]
+            assert rec["point"] == ref["point"], (name, i)
+            assert _close(rec["lhs"], ref["lhs"]), (name, i)
+            assert _close(rec["rhs"], ref["rhs"]), (name, i)
+            assert rec["terms"].keys() == ref["terms"].keys()
+            assert all(_close(rec["terms"][k], v)
+                       for k, v in ref["terms"].items()), (name, i)
+    for name, rec in stacked.items():
+        refs = [reps[name] for reps, _ in alone]
+        for k, hyp in enumerate(rec["hypotheses"]):
+            hyps = [r["hypotheses"][k] for r in refs]
+            assert {h["name"] for h in hyps} == {hyp["name"]}
+            assert hyp["satisfied"] == all(h["satisfied"] for h in hyps)
+            assert _close(hyp["violation"],
+                          max(h["violation"] for h in hyps)), name
+        # harmonicity counts one side's worst value only where the other
+        # side holds at every point, so its residual is not the points'
+        if name != "harmonicity":
+            assert _close(rec["abs_residual"],
+                          max(r["abs_residual"] for r in refs)), name
     for key, check in flags.items():
         assert _close(check.max_violation,
                       max(f[key].max_violation for _, f in alone)), key
+    return [reps for reps, _ in alone]
 
 
 @pytest.mark.parametrize("name", ["curved-all", "fiber-2d", "flat-sweep"])
-def test_stacked_run_matches_runs_of_each_point_alone(name):
+def test_stacked_run_matches_runs_of_each_point_alone(monkeypatch, name):
     # the run's one context reads every point's values off the stacked
     # arrays: the identity records of a run over 8 points are those of 8
-    # runs over one point each, and on curved-all so are the soliton
-    # reports' per-point values (their records summarize all of a run's
-    # points, so they are not per point)
+    # runs over one point each, and on curved-all so is each soliton
+    # record with its worst point pinned to that point
     job = parse_manifest(_workloads().manifest_text(name, 1, points=8))
     points = list(job.points)
     assert len(points) == 8
@@ -704,7 +751,7 @@ def test_stacked_run_matches_runs_of_each_point_alone(name):
         job.points = [p]
         alone += report.run_job(job).records
     if name == "curved-all":
-        _assert_solitons_match_points_alone(job, points)
+        _assert_solitons_match_points_alone(monkeypatch, job, points)
     stacked, alone = ([r for r in recs if r["kind"] == "identity"]
                       for recs in (stacked, alone))
     assert stacked and len(stacked) == len(alone)
@@ -724,7 +771,7 @@ def test_stacked_run_matches_runs_of_each_point_alone(name):
             got["hypotheses"], ref["hypotheses"])), got["id"]
 
 
-def test_stacked_fields_match_runs_of_each_point_alone():
+def test_stacked_fields_match_runs_of_each_point_alone(monkeypatch):
     # on the 5.3 metric with a nonconstant xi and a declared base field
     # xi_N, each seeded once over all 12 points: every point's soliton
     # values are those of the point alone
@@ -733,19 +780,18 @@ def test_stacked_fields_match_runs_of_each_point_alone():
         "xi": ("total", job.setup.total.field("x3^-2", "x1*x2^3",
                                               "sin(x1)*x3^-1")),
         "xi_n": ("base", job.setup.base.field("y2^-2", "exp(y1)*y2^3"))}
-    reports, _ = _soliton_reports(job)
-    assert np.ptp([e["projection_residual"]
-                   for e in reports["base"].per_point]) > 0.1
-    _assert_solitons_match_points_alone(job, list(job.points))
+    alone = _assert_solitons_match_points_alone(monkeypatch, job,
+                                                list(job.points))
+    assert np.ptp([reps["base"]["terms"]["projection_residual"]
+                   for reps in alone]) > 0.1
 
 
 def test_example_json_equals_json_dumps(example_reports):
     # the rows are written from the row template, the rest by json_text
     for eid, rep in example_reports.items():
-        rows = [dict(asdict(r), point=list(r.point or ())) for r in rep.rows]
         assert report.example_report_to_json(rep) == _oracle({
-            "example": rep.example_id, "rows": rows, "counts": rep.counts,
-            "discrepancies": [r.name for r in rep.discrepancies],
+            "example": rep.example_id, "rows": rep.rows, "counts": rep.counts,
+            "discrepancies": [r["name"] for r in rep.discrepancies],
             "note": rep.note}), eid
 
 

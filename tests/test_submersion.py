@@ -60,14 +60,12 @@ def test_projectors_g_symmetric(ex53):
 
 
 def test_dilation_and_anisotropy(ex51, ex53):
-    p = Point((0.4, 0.9))
-    d = sub.dilation(ex51, p)
-    assert d.lambda_sq == pytest.approx(np.exp(2 * 0.9), rel=1e-12)
-    assert d.anisotropy <= 1e-10
-    q = Point((0.1, 1.7, 2.5))
-    d3 = sub.dilation(ex53, q)
-    assert d3.lambda_sq == pytest.approx(2.5 ** 2, rel=1e-12)
-    assert d3.anisotropy <= 1e-10
+    ctx = IdentityContext(ex51, [Point((0.4, 0.9))])
+    assert ctx.lam_sq[0] == pytest.approx(np.exp(2 * 0.9), rel=1e-12)
+    assert ctx.cores.anisotropy[0] <= 1e-10
+    ctx3 = IdentityContext(ex53, [Point((0.1, 1.7, 2.5))])
+    assert ctx3.lam_sq[0] == pytest.approx(2.5 ** 2, rel=1e-12)
+    assert ctx3.cores.anisotropy[0] <= 1e-10
 
 
 def test_oneill_values_example_53(ex53):
@@ -175,7 +173,7 @@ def test_structure_flags_on_catalog():
     for eid, want in expected.items():
         job = catalog.load_job(eid)
         points = job.points[:4]
-        flags = sub.structure_flags(context(job.setup, points)).as_dict()
+        flags = sub.structure_flags(context(job.setup, points))
         for key, value in want.items():
             assert flags[key].holds is value, (eid, key)
 
@@ -193,7 +191,7 @@ def test_not_a_submersion_detected():
     base = flat_chart(2, prefix="y")
     bad = make_setup(total, base, ["x1", "x1"])  # rank-deficient
     with pytest.raises(sub.NotASubmersionError):
-        sub.dilation(bad, Point((0.1, 0.2, 0.3)))
+        IdentityContext(bad, [Point((0.1, 0.2, 0.3))])
 
 
 def test_horizontal_lift_pushes_forward():
@@ -431,9 +429,9 @@ def test_structure_flags_match_per_pair_path(name, setup, points):
     _assert_close(got, ref, (name, "integrability, sff"))
     # the flags hold the suprema over the points
     flags = sub.structure_flags(ctx)
-    _assert_close(flags.horizontal_integrable.max_violation, ref[:, 0].max(),
-                  (name, "integrable flag"))
-    assert flags.map_totally_geodesic.max_violation >= got[:, 1].max()
+    _assert_close(flags["horizontal_integrable"].max_violation,
+                  ref[:, 0].max(), (name, "integrable flag"))
+    assert flags["map_totally_geodesic"].max_violation >= got[:, 1].max()
 
 
 # ---------------------------------------------------------------------
@@ -538,7 +536,7 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
     cores = setup.float_cores(points)
     assert counts["seed"] == 1
     assert len(cores.g) == len(points)
-    run = IdentityContext(setup, points, cores=cores)
+    run = IdentityContext(setup, points)
     for i, p in enumerate(points):
         xs = list(p.coords)
         g = jr.metric_matrix(setup.total, p)
