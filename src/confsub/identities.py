@@ -103,10 +103,15 @@ class Hypothesis:
 
     @functools.cached_property
     def dicts(self):
-        """Its dict (``HYPOTHESIS_SCHEMA``) at each point of its run, once."""
-        return list(map(dict, map(zip, repeat(tuple(HYPOTHESIS_SCHEMA)), zip(
-            repeat(self.name), self.satisfied.tolist(),
-            self.violation.tolist()))))
+        """Its dict (``HYPOTHESIS_SCHEMA``) at each point of its run, one
+        per distinct (``satisfied``, violation bits); -0.0 is not 0.0."""
+        satisfied = self.satisfied.tolist()
+        keys = list(zip(satisfied, self.violation.view(np.uint64).tolist()))
+        rows = dict(zip(keys, zip(repeat(self.name), satisfied,
+                                  self.violation.tolist())))
+        shared = {key: dict(zip(HYPOTHESIS_SCHEMA, row))
+                  for key, row in rows.items()}
+        return list(map(shared.__getitem__, keys))
 
 
 _VERDICTS = {(True, True): "pass", (True, False): "fail"}
@@ -143,8 +148,8 @@ def build_records(check_id, points, lhs, rhs, hypotheses, tol, *, labels,
     only in first place).  The verdict (``verdict_of``) reads residual / scale, or
     the residual when ``absolute``.  Records hold the very ``points`` and
     ``hypotheses`` lists given, and without terms one empty dict, so the
-    records of a point share one point list and one list per set of
-    hypotheses (``_records``): no reader may mutate them."""
+    records of a point share one point list, and equal hypotheses one list
+    (``_records``): no reader may mutate them."""
     values = list(terms.values())
     if residual is None:
         residual = list(map(abs, map(operator.sub, lhs, rhs)))
@@ -290,7 +295,8 @@ class IdentityContext:
         self.hframe = self.frame[:, self.m - self.n:]
         self._fields = {}  # of ``vector_field``
         # each point's coordinates, the one list its records share, and by
-        # the names of hypotheses, one list of their dicts per point
+        # the names of hypotheses, one list of their dicts per point, the
+        # same list at points holding the same dicts
         self.point_lists = list(map(list, map(operator.attrgetter("coords"),
                                               self.points)))
         self.hypothesis_lists = {}
@@ -464,20 +470,19 @@ class IdentityContext:
         axis first.  The slice chart's metric is the block g_v of g on the
         fiber coordinates and its partials along the slice are the same
         blocks of the metric's partials, so one contraction over the
-        blocks of the run's metric seeding gives every point's curvature;
-        raises at the first point without a slice chart."""
+        blocks of the run's metric seeding gives every point's curvature.
+        A point without a slice chart reads its first coordinates, every
+        value NaN: its records fail ``hyp_fiber_chart``."""
         coords = self.fiber_coordinates
-        if None in coords:
-            where = self.points[coords.index(None)].coords
-            raise sub.NotASubmersionError(
-                f"fiber chart unavailable at {where}")
-        idx = np.array(coords)
+        missing = np.array([c is None for c in coords])
+        idx = np.array([c or list(range(self.m - self.n)) for c in coords])
         blocks = []
         for x in self.cores.partials.metric:
             for axis in range(1, x.ndim):
                 shape = [len(idx)] + [1] * (x.ndim - 1)
                 shape[axis] = -1
                 x = np.take_along_axis(x, idx.reshape(shape), axis)
+            x[missing] = np.nan
             blocks.append(x)
         riem = geo.riemann_from_christoffels(
             *geo.christoffels_from_metric(*blocks))
@@ -696,8 +701,10 @@ def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
 
     names = tuple(h.name for h in hyps)
     if names not in ctx.hypothesis_lists:
-        ctx.hypothesis_lists[names] = (list(map(list, zip(*[
-            h.dicts for h in hyps]))) or [[]] * len(ctx.points))
+        keys = list(zip(*[map(id, h.dicts) for h in hyps]))
+        lists = dict(zip(keys, map(list, zip(*[h.dicts for h in hyps]))))
+        ctx.hypothesis_lists[names] = (list(map(lists.__getitem__, keys))
+                                       or [[]] * len(ctx.points))
     rows = build_records(
         identity_id, each_tuple(ctx.point_lists), column(lhs), column(rhs),
         each_tuple(ctx.hypothesis_lists[names]), tol,

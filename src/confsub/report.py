@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json.encoder
 import math
-import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from . import __version__
@@ -101,8 +101,8 @@ def _run_soliton_checks(job, checks, records, ctx):
 def count_verdicts(records):
     counts = {"pass": 0, "fail": 0, "hypothesis_not_met": 0,
               "paper_divergent": 0}
-    for rec in records:
-        counts[rec["verdict"].replace("-", "_")] += 1
+    for verdict, count in Counter(map(itemgetter("verdict"), records)).items():
+        counts[verdict.replace("-", "_")] += count
     return counts
 
 
@@ -202,8 +202,8 @@ def _nested_text(value, newline):
 def _template(keys, newline):
     """The text of a dict with ``keys`` nested at ``newline``, a ``%s``
     slot for each value, in the order of ``keys``."""
-    return _block("{", [_encode_str(key) + ": %s" for key in keys], newline,
-                  "}")
+    return _block("{", [_encode_str(key).replace("%", "%%") + ": %s"
+                        for key in keys], newline, "}")
 
 
 # the indents of a row of the payload (a record or a catalog row), of its
@@ -237,28 +237,35 @@ def _strings_text(values, memo):
 
 
 def _containers_text(values, memo, write, shape, items):
-    """Lists or dicts, each run of one object written once: their ``items``
-    as one column by ``write``, filling the template of each shape."""
-    new = list(map(operator.is_not, values, chain([None], values)))
-    distinct = list(compress(values, new))
-    shapes = list(map(shape, distinct))
-    templates = {key: _slots(key) for key in dict.fromkeys(shapes)}
-    texts = iter(write(list(chain.from_iterable(map(items, distinct))), memo))
-    texts = [None] + list(map(str.format, map(templates.__getitem__, shapes),
-                              map(list, map(islice, repeat(texts),
-                                            map(len, distinct)))))
-    return list(map(texts.__getitem__, accumulate(new)))
+    """Lists or dicts, each object written once however often it recurs:
+    their ``items`` as one column by ``write``, the objects of one shape
+    filling its template at once."""
+    ids = list(map(id, values))
+    groups = {}
+    for obj in dict(zip(ids, values)).values():
+        groups.setdefault(shape(obj), []).append(obj)
+    texts = write(list(chain.from_iterable(map(items, chain.from_iterable(
+        groups.values())))), memo)
+    text_of, start = {}, 0
+    for key, group in groups.items():
+        template, order = _slots(key)
+        stop = start + len(order) * len(group)
+        filled = (map(template.__mod__, zip(*[
+            texts[start + i:stop:len(order)] for i in order])) if order
+            else repeat(template))
+        text_of.update(zip(map(id, group), filled))
+        start = stop
+    return list(map(text_of.__getitem__, ids))
 
 
 def _slots(shape):
-    """The ``str.format`` template of a list of ``shape`` items, or of a
-    dict of the keys ``shape``: entries sorted, filled from their places."""
+    """The ``%`` template of a list of ``shape`` items, or of a dict of the
+    keys ``shape``, and the places of the items that fill its slots in
+    turn: entries sorted."""
     if isinstance(shape, int):
-        return _block("[", [f"{{0[{i}]}}" for i in range(shape)], _ENTRY_NL,
-                      "]")
-    return _block("{{", [(_encode_str(shape[i]) + ": ").replace(
-        "{", "{{").replace("}", "}}") + f"{{0[{i}]}}" for i in sorted(
-            range(len(shape)), key=shape.__getitem__)], _ENTRY_NL, "}}")
+        return _block("[", ["%s"] * shape, _ENTRY_NL, "]"), range(shape)
+    order = sorted(range(len(shape)), key=shape.__getitem__)
+    return _template([shape[i] for i in order], _ENTRY_NL), order
 
 
 def _rows_text(rows, memo, schema, template):

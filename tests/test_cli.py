@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from confsub import catalog, report
 from confsub.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from confsub.identities import ALL_CHECK_IDS
 from confsub.manifest import KNOWN_CHECKS, parse_manifest
 
 SMALL = """
@@ -163,15 +165,34 @@ points.list = {points}
     ("x1 + x2", "(0.1, 0.2, 0.3)"),
     # the fiber through (0.1, 0, 0.3) has the slice chart on (x2, x3)
     ("x1 + x2^2", "(0.1, 0, 0.3) ; (0.1, 0.2, 0.3) ; (0.4, 0.5, 0.6)")])
-def test_missing_fiber_chart_names_the_first_point(tmp_path, capsys, map_text,
-                                                   points):
-    # the kernel of F at (0.1, 0.2, 0.3) is spanned by no two coordinate
-    # axes, so the fiber curvature has no slice chart there
+def test_missing_fiber_chart_skips_the_checks_that_read_it(tmp_path, capsys,
+                                                          map_text, points):
+    # the kernel of F is spanned by no two coordinate axes at any point
+    # but (0.1, 0, 0.3), so the fiber curvature has no slice chart there:
+    # the run still reports every check, each record there that reads the
+    # fiber curvature lists fiber-chart-available, unmet, and the point
+    # with a chart keeps finite values
     path = tmp_path / "no_slice_chart.cfsm"
     path.write_text(NO_SLICE_CHART.format(map=map_text, points=points))
-    assert main(["verify", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().err.strip() == (
-        "error: fiber chart unavailable at (0.1, 0.2, 0.3)")
+    assert main(["verify", str(path)]) in (EXIT_OK, EXIT_FAIL)
+    assert "  totals: " in capsys.readouterr().out
+    assert main(["verify", str(path), "--format", "json"]) in (EXIT_OK,
+                                                               EXIT_FAIL)
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert {r["id"] for r in records} >= set(ALL_CHECK_IDS)
+    chart_ids = set()
+    for rec in records:
+        chart = [h for h in rec["hypotheses"]
+                 if h["name"] == "fiber-chart-available"]
+        if chart:
+            chart_ids.add(rec["id"])
+            missing = rec["point"] != [0.1, 0.0, 0.3]
+            assert chart[0]["satisfied"] is not missing, rec
+            if missing:
+                assert rec["verdict"] == "hypothesis-not-met", rec
+            else:
+                assert math.isfinite(rec["abs_residual"]), rec
+    assert {"G2.12", "R3.11", "T3.4"} <= chart_ids
 
 
 def test_missing_manifest_is_usage_error(capsys):

@@ -605,17 +605,28 @@ _VALUES = {float: _FLOATS, str: _TEXTS, bool: st.booleans(),
            dict[str, float]: st.dictionaries(_TEXTS, _FLOATS, max_size=4)}
 
 
+def _from_pool(draw, pool, strategy):
+    """An object drawn before, into ``pool``, or a new one of
+    ``strategy``."""
+    if pool and draw(st.booleans()):
+        return draw(st.sampled_from(pool))
+    pool.append(draw(strategy))
+    return pool[-1]
+
+
 @st.composite
 def _record_runs(draw):
     """Records laid out as the schema, drawn point by point: the records of
     a point hold its point and hypotheses lists, each either that one
     shared list object or a copy of it, as consecutive records of a run
     do (points of mixed lengths, as structure-flags and identity records
-    are, empty ones included)."""
-    records = []
-    for _ in range(draw(st.integers(0, 3))):
-        point = draw(st.lists(_FLOATS, max_size=3))
-        hyps = draw(_HYPOTHESIS_DICTS)
+    are, empty ones included).  A point's lists may be those of any
+    earlier point, as points with equal hypotheses share one list over a
+    run, so one list object recurs in records far apart."""
+    records, points, hypotheses = [], [], []
+    for _ in range(draw(st.integers(0, 4))):
+        point = _from_pool(draw, points, st.lists(_FLOATS, max_size=3))
+        hyps = _from_pool(draw, hypotheses, _HYPOTHESIS_DICTS)
         for _ in range(draw(st.integers(1, 3))):
             rec = {key: draw(_VALUES[kind]) for key, kind
                    in identities.RECORD_SCHEMA.items() if kind in _VALUES}
@@ -637,12 +648,25 @@ def _one_record(value):
                 label="X\u2081 \u03bb", note="\ud83d\ude00")
 
 
+def _shared_apart():
+    """Records whose lists and terms recur apart: the first and last hold
+    one point, hypotheses and terms object, the middle ones others of
+    other shapes, a terms key with ``%`` in it."""
+    first = _one_record(1.5)
+    first["terms"] = {"%s 100%": 0.25, "%(a)s": -0.0}
+    middle = [dict(_one_record(value), terms={}) for value in (0.5, 2.5)]
+    middle[1]["point"] = []
+    return [first, *middle, dict(first, lhs=3.5)]
+
+
 @given(_record_runs())
 @example([_one_record(value) for value in _EXAMPLE_FLOATS])
 @example([_one_record(1.5)] * 2 + [dict(_one_record(0.5), terms={})])
+@example(_shared_apart())
 def test_columnar_writer_equals_json_dumps(records):
-    # each column is written at once and each run of one shared list
-    # once, yet every record reads as json.dumps writes it
+    # each column is written at once and each shared object once, however
+    # far apart its records, yet every record reads as json.dumps writes
+    # it
     rep = report.Report(job={}, records=records,
                         counts={"pass": len(records)}, meta={})
     assert report.to_json(rep) == _oracle({
@@ -673,6 +697,43 @@ def test_records_of_a_point_share_lists_no_reader_mutates():
     assert report.count_verdicts(rep.records) == rep.counts
     assert report.to_json(rep) == text
     assert json.dumps(rep.records) == before
+
+
+def test_hypothesis_dicts_share_one_dict_per_bit_pattern():
+    # points whose satisfied flag and violation bits are equal share one
+    # dict; -0.0 and 0.0 differ in their bits, so never share, and the
+    # records built from the shared dicts are written as json.dumps
+    # writes them
+    violation = np.array([0.0, -0.0, math.nan, 0.0])
+    dicts = Hypothesis("h", violation <= 1e-8, violation).dicts
+    assert dicts[0] is dicts[3]
+    assert len({id(d) for d in dicts}) == 3
+    assert [math.copysign(1.0, d["violation"]) for d in dicts[:2]] == [1, -1]
+    assert [d["satisfied"] for d in dicts] == [True, True, False, True]
+    records = identities.build_records(
+        "G2.12", [[float(i)] for i in range(4)], [0.0] * 4, [-0.0] * 4,
+        [[d] for d in dicts], 1e-6, labels=[""] * 4)
+    rep = report.Report(job={}, records=records,
+                        counts=report.count_verdicts(records), meta={})
+    assert report.to_json(rep) == _oracle({
+        "job": {}, "records": records, "counts": rep.counts,
+        "flagged_fails": 0, "meta": {}})
+
+
+def test_points_with_equal_hypotheses_share_one_list():
+    # on flat-sweep every two records whose hypotheses are equal, bit for
+    # bit, hold one list object and one dict object per hypothesis
+    job = parse_manifest(_workloads().manifest_text("flat-sweep", 1))
+    records = report.run_job(job).records
+    lists, dicts = {}, {}
+    for rec in records:
+        lists.setdefault(json.dumps(rec["hypotheses"]), set()).add(
+            id(rec["hypotheses"]))
+        for hyp in rec["hypotheses"]:
+            dicts.setdefault(json.dumps(hyp), set()).add(id(hyp))
+    assert all(len(ids) == 1 for ids in lists.values())
+    assert all(len(ids) == 1 for ids in dicts.values())
+    assert len(lists) < len(records) // 10
 
 
 def _close(got, ref):
