@@ -191,14 +191,14 @@ WORST_BAND = 1e-12
 
 def worst_of(items, key):
     """The first of ``items``, in order, whose ``key`` lies within the
-    rounding band ``WORST_BAND * (1 + |max|)`` of the largest key, or None
-    for no items: a reassociated sum that moves tied values by rounding
-    does not move the pick."""
+    rounding band ``WORST_BAND * (1 + |max|)`` of the largest key, a NaN
+    key the largest, or None for no items: a reassociated sum that moves
+    tied values by rounding does not move the pick."""
     items = list(items)
     if not items:
         return None
     values = [key(item) for item in items]
-    top = max(values)
+    top = max(values, key=lambda v: (v != v, v))
     floor = top - WORST_BAND * (1.0 + abs(top))
     return next((item for item, v in zip(items, values) if v >= floor),
                 items[values.index(top)])
@@ -295,8 +295,7 @@ class IdentityContext:
         self.hframe = self.frame[:, self.m - self.n:]
         self._fields = {}  # of ``vector_field``
         # each point's coordinates, the one list its records share, and by
-        # the names of hypotheses, one list of their dicts per point, the
-        # same list at points holding the same dicts
+        # the names of hypotheses, one list of their dicts per equal points
         self.point_lists = list(map(list, map(operator.attrgetter("coords"),
                                               self.points)))
         self.hypothesis_lists = {}

@@ -253,12 +253,14 @@ def harmonicity_report(ctx, mu, tol=1e-6):
         "(m-n)mu": np.full(len(ctx.points), (m - n) * mu),
         "-(m-n)^2|H|^2": -(m - n) ** 2 * _norm_sq_h(ctx),
         "(m-n)div(H)": (m - n) * _horizontal_div_h(ctx)}
-    worst_tension = max([0.0] + tension.tolist())
-    worst_scalar = max([0.0] + scalar_gap.tolist())
+    worst_tension = float(tension.max(initial=0.0))
+    worst_scalar = float(scalar_gap.max(initial=0.0))
     harmonic = worst_tension <= tol
     scalar_matches = worst_scalar <= tol
-    # one side's worst value counts only when the other side holds, so the
-    # residual is within tol exactly when harmonic == scalar_matches
+    # one side's worst value counts only when the other holds, so the residual
+    # is within tol exactly when harmonic == scalar_matches, NaN on a NaN side
+    equivalence = ("undecided" if np.isnan(worst_tension + worst_scalar)
+                   else "holds" if harmonic == scalar_matches else "VIOLATED")
     return _worst_point_record(
         "harmonicity", "total", ctx, tol,
         [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_umbilical,
@@ -268,11 +270,11 @@ def harmonicity_report(ctx, mu, tol=1e-6):
          **trace_terms},
         worst=("scalar_gap" if harmonic and not scalar_matches
                else "tension_norm"),
-        residual=max(worst_tension if scalar_matches else 0.0,
-                     worst_scalar if harmonic else 0.0),
+        residual=np.nan if equivalence == "undecided" else max(
+            worst_tension if scalar_matches else 0.0,
+            worst_scalar if harmonic else 0.0),
         note=(f"harmonic={harmonic} scalar-side={scalar_matches}; "
-              "equivalence " + ("holds" if harmonic == scalar_matches
-                                else "VIOLATED")))
+              f"equivalence {equivalence}"))
 
 
 # ---------------------------------------------------------------------
@@ -284,15 +286,15 @@ def _worst_point_record(check_id, label, ctx, tol, hyps, columns,
     """A report's record at the point of ``ctx`` whose ``worst`` column is
     largest (``worst_of``): each (P,) array of ``columns`` there is a term,
     ``fitted`` and ``formula`` (0.0 without them) are lhs and rhs, and
-    ``residual`` defaults to max(0.0, the ``worst`` column)."""
+    ``residual`` defaults to max(0.0, the ``worst`` column), NaN if any."""
     values = {key: v.tolist() for key, v in columns.items()}
     i = worst_of(range(len(ctx.points)), values[worst].__getitem__)
     terms = {key: v[i] for key, v in values.items()}
     return record(check_id, ctx.points[i].coords, terms.get("fitted", 0.0),
                   terms.get("formula", 0.0), _merge_hypotheses(hyps), tol,
                   terms=terms, label=label, note=note, scale=1.0,
-                  residual=max([0.0] + values[worst]) if residual is None
-                  else residual)
+                  residual=float(columns[worst].max(initial=0.0))
+                  if residual is None else residual)
 
 
 def _merge_hypotheses(hyps):

@@ -157,6 +157,9 @@ base.dim     = 1
 base.coords  = y1
 base.metric  = 1
 map.components = {map}
+fields.xi  = total : 0, 0, 0
+soliton.xi = xi
+soliton.mu = 0
 points.list = {points}
 """
 
@@ -170,12 +173,14 @@ def test_missing_fiber_chart_skips_the_checks_that_read_it(tmp_path, capsys,
     # the kernel of F is spanned by no two coordinate axes at any point
     # but (0.1, 0, 0.3), so the fiber curvature has no slice chart there:
     # the run still reports every check, each record there that reads the
-    # fiber curvature lists fiber-chart-available, unmet, and the point
-    # with a chart keeps finite values
+    # fiber curvature lists fiber-chart-available, unmet, the point with a
+    # chart keeps finite values, and the soliton reports that read the
+    # fiber curvature but list no such hypothesis show NaN and do not pass
     path = tmp_path / "no_slice_chart.cfsm"
     path.write_text(NO_SLICE_CHART.format(map=map_text, points=points))
     assert main(["verify", str(path)]) in (EXIT_OK, EXIT_FAIL)
-    assert "  totals: " in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "  totals: " in text
     assert main(["verify", str(path), "--format", "json"]) in (EXIT_OK,
                                                                EXIT_FAIL)
     records = json.loads(capsys.readouterr().out)["records"]
@@ -193,6 +198,20 @@ def test_missing_fiber_chart_skips_the_checks_that_read_it(tmp_path, capsys,
             else:
                 assert math.isfinite(rec["abs_residual"]), rec
     assert {"G2.12", "R3.11", "T3.4"} <= chart_ids
+    for rec in records:
+        if rec["id"] in ("fiber-soliton", "harmonicity"):
+            assert rec["verdict"] != "pass", rec
+            assert math.isnan(rec["abs_residual"]), rec
+    # a check's line shows its NaN record whatever the order of the points
+    path.write_text(NO_SLICE_CHART.format(
+        map=map_text, points=" ; ".join(reversed(points.split(" ; ")))))
+    assert main(["verify", str(path)]) in (EXIT_OK, EXIT_FAIL)
+    shown = chart_ids | {"fiber-soliton", "harmonicity"}
+    lines = [[line for line in out.splitlines()
+              if line[9:].split(" ", 1)[0] in shown]
+             for out in (text, capsys.readouterr().out)]
+    assert len(lines[0]) == len(shown) and lines[0] == lines[1]
+    assert all("rel=nan" in line for line in lines[0])
 
 
 def test_missing_manifest_is_usage_error(capsys):

@@ -367,6 +367,15 @@ def test_worst_point_is_the_first_within_the_rounding_band():
     assert worst_of([], abs) is None
 
 
+@pytest.mark.parametrize("values,expected", [
+    ([0.5, math.nan, 2.0, math.nan], 1), ([2.0, 0.5, math.nan], 2),
+    ([math.nan, math.inf, 2.0], 0), ([math.inf, 2.0, math.nan], 2)])
+def test_worst_point_ranks_nan_above_every_value(values, expected):
+    # a NaN key (a value that could not be computed) is the worst wherever
+    # it sits, above +inf, and the first of several NaN keys is named
+    assert worst_of(range(len(values)), values.__getitem__) == expected
+
+
 def _synthetic(verdict, point, rel, lhs=0.0, rhs=0.0):
     return {"kind": "identity", "id": "R3.11", "label": "",
             "point": list(point), "lhs": lhs, "rhs": rhs,
