@@ -51,10 +51,6 @@ class Point:
         if not all(math.isfinite(c) for c in self.coords):
             raise ValueError("point coordinates must be finite")
 
-    @property
-    def dim(self):
-        return len(self.coords)
-
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
@@ -69,10 +65,6 @@ class VectorFieldSpec:
     @classmethod
     def constant(cls, values):
         return cls(tuple(expr_mod.Const(float(v)) for v in values))
-
-    @property
-    def dim(self):
-        return len(self.components)
 
 
 class ChartManifold:
@@ -105,9 +97,6 @@ class ChartManifold:
 
     def field(self, *component_texts):
         return VectorFieldSpec.parse(component_texts, set(self.coord_names))
-
-    def scalar(self, text):
-        return parse_expression(text, set(self.coord_names))
 
 # ---------------------------------------------------------------------
 # jet-calculus entry points

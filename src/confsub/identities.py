@@ -11,7 +11,8 @@ slices the blocks it needs (``[:, :m-n]`` vertical, ``[:, m-n:]``
 horizontal), computes its left side, right side and each named term once
 for all the points, as arrays over the point axis and its index tuples,
 one einsum, product or slice per term, and ``build_records`` maps over
-the flat list ``_records`` reads off each array: a record per point and tuple.
+the flat list ``_records`` reads off each array into a ``RecordTable``:
+a record per point and tuple.
 
 Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
@@ -136,21 +137,58 @@ RECORD_SCHEMA = {"kind": str, "id": str, "label": str, "point": list[float],
 HYPOTHESIS_SCHEMA = {"name": str, "satisfied": bool, "violation": float}
 
 
-def build_records(check_id, points, lhs, rhs, hypotheses, tol, *, labels,
-                  terms={}, note="", residual=None, scale=None,
+class RecordTable:
+    """Records as one list per ``RECORD_SCHEMA`` key, ``columns`` in its
+    order; the ``point`` column holds indices into ``points``, the
+    coordinate lists.  Records share lists (``_records``): no reader may
+    mutate them."""
+
+    def __init__(self, points=()):
+        self.points = list(points)
+        self.columns = {key: [] for key in RECORD_SCHEMA}
+
+    def __len__(self):
+        return len(self.columns["id"])
+
+    @classmethod
+    def point_major(cls, points, tables):
+        """The records of ``tables``, each over ``points``, in one table
+        point by point, each point's in their order: one permutation,
+        applied to each column, unless one table or point is in order."""
+        table = cls(points)
+        columns = [t.columns for t in tables]
+        for key in table.columns:
+            table.columns[key] = list(chain.from_iterable(
+                map(operator.itemgetter(key), columns)))
+        if len(tables) > 1 and len(table.points) > 1:
+            order = sorted(range(len(table)),
+                           key=table.columns["point"].__getitem__)
+            for key, column in table.columns.items():
+                table.columns[key] = list(map(column.__getitem__, order))
+        return table
+
+    def rows(self):
+        """Each record as a dict laid out as ``RECORD_SCHEMA``, holding its
+        coordinate list: the one row view, for tests and library callers."""
+        columns = dict(self.columns, point=list(map(
+            self.points.__getitem__, self.columns["point"])))
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def build_records(table, check_id, points, lhs, rhs, hypotheses, tol, *,
+                  labels, terms={}, note="", residual=None, scale=None,
                   absolute=False):
-    """Every record of one check, laid out as ``RECORD_SCHEMA``, from
-    flat lists with one entry per record, each mapped over at once:
-    ``points`` (empty for none), ``lhs``, ``rhs``, ``hypotheses`` (lists
-    of ``HYPOTHESIS_SCHEMA`` dicts), ``labels``, each column of the map
-    ``terms``, and ``residual`` and ``scale`` if given, else |lhs - rhs|
-    and 1 + max(|lhs|, |rhs|, |each term|) (Python's ``max``: a NaN counts
-    only in first place).  The verdict (``verdict_of``) reads residual / scale, or
-    the residual when ``absolute``.  Records hold the very ``points`` and
-    ``hypotheses`` lists given, and without terms one empty dict, so the
-    records of a point share one point list, and equal hypotheses one list
-    (``_records``): no reader may mutate them."""
+    """Append every record of one check to ``table`` from flat lists, one
+    entry per record, each mapped over at once: ``points`` (indices into
+    ``table.points``; a point without coordinates is never flagged),
+    ``lhs``, ``rhs``, ``hypotheses`` (lists of ``HYPOTHESIS_SCHEMA`` dicts,
+    held as given), ``labels``, each column of the map ``terms``, and
+    ``residual`` and ``scale``, by default |lhs - rhs| and 1 + max(|lhs|,
+    |rhs|, |each term|) (Python's ``max``: a NaN counts only in first
+    place).  The verdict (``verdict_of``) reads residual / scale, or the
+    residual when ``absolute``."""
     values = list(terms.values())
+    count = len(lhs)
     if residual is None:
         residual = list(map(abs, map(operator.sub, lhs, rhs)))
     if scale is None:
@@ -160,29 +198,33 @@ def build_records(check_id, points, lhs, rhs, hypotheses, tol, *, labels,
     met = map(all, map(map, repeat(operator.itemgetter("satisfied")),
                        hypotheses))
     passed = map(operator.le, residual if absolute else rel, repeat(tol))
-    columns = [
-        repeat("identity" if check_id in ALL_CHECK_IDS else "soliton"),
-        repeat(check_id), labels, points, lhs, rhs, residual, rel, hypotheses,
-        map(_VERDICTS.get, zip(met, passed), repeat("hypothesis-not-met")),
-        map(bool, points) if check_id in CONVENTION_SENSITIVE_IDS
-        else repeat(False),
-        map(dict, map(zip, repeat(list(terms)), zip(*values))) if values
-        else repeat({}), repeat(note)]
-    return list(map(dict, map(zip, repeat(tuple(RECORD_SCHEMA)),
-                              zip(*columns))))
+    # in the order of RECORD_SCHEMA, as ``table.columns``
+    for column, new in zip(table.columns.values(), [
+            repeat("identity" if check_id in ALL_CHECK_IDS else "soliton",
+                   count),
+            repeat(check_id, count), labels, points, lhs, rhs, residual,
+            rel, hypotheses,
+            map(_VERDICTS.get, zip(met, passed), repeat("hypothesis-not-met")),
+            map(bool, map(table.points.__getitem__, points))
+            if check_id in CONVENTION_SENSITIVE_IDS else repeat(False, count),
+            map(dict, map(zip, repeat(list(terms)), zip(*values))) if values
+            else repeat({}, count), repeat(note, count)]):
+        column.extend(new)
 
 
-def record(check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
+def record(table, check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
            label="", note="", residual=None, scale=None, absolute=False):
-    """The one-row call of ``build_records``, of ``Hypothesis`` objects
-    and a name-to-value map ``terms``."""
-    return build_records(
-        check_id, [[float(c) for c in point]], [float(lhs)], [float(rhs)],
+    """The one-row call of ``build_records``, of a point's coordinates,
+    ``Hypothesis`` objects and a name-to-value map ``terms``: appends the
+    record, and its coordinate list to ``table.points``."""
+    table.points.append([float(c) for c in point])
+    build_records(
+        table, check_id, [len(table.points) - 1], [float(lhs)], [float(rhs)],
         [[{"name": h.name, "satisfied": bool(h.satisfied),
            "violation": float(h.violation)} for h in hypotheses]], tol,
         labels=[label], terms={k: [float(v)] for k, v in dict(terms).items()},
         note=note, residual=None if residual is None else [float(residual)],
-        scale=None if scale is None else [float(scale)], absolute=absolute)[0]
+        scale=None if scale is None else [float(scale)], absolute=absolute)
 
 
 # values within WORST_BAND * (1 + |max|) of the largest tie for the worst
@@ -684,11 +726,12 @@ def _layout(label, index):
 
 def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
              residual=None, scale=None, note=""):
-    """One list of records per point of the run, one record per index
-    tuple of ``index`` (its 1-based numbers formatted by ``label``), from
-    one flat list (``tolist``) of each array, read at the tuples after the
-    point axis (an empty tuple reads (P,) arrays): ``lhs``, ``rhs``, each
-    of the (name, array) ``terms``, ``residual`` and ``scale``."""
+    """A ``RecordTable`` over the run's points, point by point, one record
+    per index tuple of ``index`` (its 1-based numbers formatted by
+    ``label``), from one flat list (``tolist``) of each array, read at the
+    tuples after the point axis (an empty tuple reads (P,) arrays):
+    ``lhs``, ``rhs``, each of the (name, array) ``terms``, ``residual`` and
+    ``scale``."""
     at, labels = _layout(label, tuple(map(tuple, index)))
     count = len(labels)
 
@@ -696,7 +739,7 @@ def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
         return None if x is None else x[at].reshape(-1).tolist()
 
     def each_tuple(rows):  # a point's entry once per index tuple
-        return list(chain.from_iterable(map(repeat, rows, repeat(count))))
+        return list(chain.from_iterable(zip(*[rows] * count)))
 
     names = tuple(h.name for h in hyps)
     if names not in ctx.hypothesis_lists:
@@ -704,13 +747,14 @@ def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
         lists = dict(zip(keys, map(list, zip(*[h.dicts for h in hyps]))))
         ctx.hypothesis_lists[names] = (list(map(lists.__getitem__, keys))
                                        or [[]] * len(ctx.points))
-    rows = build_records(
-        identity_id, each_tuple(ctx.point_lists), column(lhs), column(rhs),
-        each_tuple(ctx.hypothesis_lists[names]), tol,
+    table = RecordTable(ctx.point_lists)
+    build_records(
+        table, identity_id, each_tuple(range(len(ctx.points))), column(lhs),
+        column(rhs), each_tuple(ctx.hypothesis_lists[names]), tol,
         labels=labels * len(ctx.points),
         terms={name: column(v) for name, v in terms}, note=note,
         residual=column(residual), scale=column(scale))
-    return list(map(list, zip(*[iter(rows)] * count)))
+    return table
 
 
 def _trivial(identity_id, ctx, hyps, tol, note):
@@ -1014,14 +1058,14 @@ def verify_corollary(identity_id, ctx, tol=1e-6):
         hyps = [ctx.hyp_conformal, ctx.hyp_map_tg, ctx.hyp_fiber_chart]
         blocks = [ctx.fiber_ric_e, np.zeros((len(ctx.points), nv, n)),
                   ctx.base_ric_e / lam_sq[:, None, None]]
-    parts = [_records(identity_id, ctx, tol, hyps, label, index,
-                      ric[(slice(None),) + block], rhs)
-             for (block, label, index), rhs in zip(
-                 (((v, v), "(U{},V{})", _upper(nv)),
-                  ((v, h), "(U{},X{})", np.ndindex(nv, n)),
-                  ((h, h), "(X{},Y{})", _upper(n))), blocks)
-             if rhs is not None]
-    return list(map(list, map(chain.from_iterable, zip(*parts))))
+    return RecordTable.point_major(ctx.point_lists, [
+        _records(identity_id, ctx, tol, hyps, label, index,
+                 ric[(slice(None),) + block], rhs)
+        for (block, label, index), rhs in zip(
+            (((v, v), "(U{},V{})", _upper(nv)),
+             ((v, h), "(U{},X{})", np.ndindex(nv, n)),
+             ((h, h), "(X{},Y{})", _upper(n))), blocks)
+        if rhs is not None])
 
 
 def verify_scalar_split(ctx, tol=1e-6):
@@ -1076,7 +1120,7 @@ def verify_hessian_symmetry(ctx, tol=1e-9):
 # ---------------------------------------------------------------------
 
 # every identity check id, in ``ALL_CHECK_IDS`` order, with its
-# fn(ctx, tol) giving one list of records per point of the run
+# fn(ctx, tol) giving its ``RecordTable`` over the run's points
 CHECKS = {
     "G2.12": _g212, "G2.13": _g213, "G2.14": _g214, "G2.15": _g215,
     "G2.16": _g216,
@@ -1094,9 +1138,9 @@ CHECKS = {
 
 
 def run_check(check_id, setup, points, tol=1e-6, ctx=None):
-    """Run one check id at every point of ``points``; returns one list of
-    records (``record``) per point.  ``ctx`` is the points'
-    ``IdentityContext`` when the caller holds it."""
+    """Run one check id at every point of ``points``; returns its records
+    as a ``RecordTable`` over the points, point by point.  ``ctx`` is the
+    points' ``IdentityContext`` when the caller holds it."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}")
     return CHECKS[check_id](ctx or IdentityContext(setup, points), tol)

@@ -1,6 +1,6 @@
 """Run a verification job and render the results.
 
-A run produces a flat list of records (``identities.build_records``), a
+A run produces its records as one ``identities.RecordTable``, a
 four-bucket count summary, and job metadata.  Records whose identity is
 convention-sensitive may carry ``verdict == "fail"`` while still being
 excluded from the process exit status: their general-dilation forms
@@ -17,22 +17,22 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from . import __version__
 from . import soliton as sol
 from . import submersion as sub
 from .identities import (ALL_CHECK_IDS, HYPOTHESIS_SCHEMA, RECORD_SCHEMA,
-                         Hypothesis, IdentityContext, record, run_check,
-                         worst_of)
+                         Hypothesis, IdentityContext, RecordTable, record,
+                         run_check, worst_of)
 from .manifest import SOLITON_CHECKS
 
 
 @dataclass
 class Report:
     job: dict
-    records: list = field(default_factory=list)
+    records: RecordTable = field(default_factory=RecordTable)
     counts: dict = field(default_factory=dict)
     flagged_fails: int = 0
     meta: dict = field(default_factory=dict)
@@ -48,19 +48,17 @@ def _run_soliton_checks(job, checks, records, ctx):
     needs_xi = [c for c in checks if c != "structure-flags"]
     if "structure-flags" in checks:
         for name, check in sub.structure_flags(ctx).items():
-            records.append(record(
-                "structure-flags", (), check.holds, check.holds, [], tol,
-                terms={"max_violation": check.max_violation},
-                note=f"{name}: {'holds' if check.holds else 'fails'}"))
+            record(records, "structure-flags", (), check.holds, check.holds,
+                   [], tol, terms={"max_violation": check.max_violation},
+                   note=f"{name}: {'holds' if check.holds else 'fails'}")
     if not needs_xi:
         return
     xi = job.xi
     if xi is None:
         unmet = [Hypothesis("soliton field declared", False, 1.0)]
         for check_id in needs_xi:
-            records.append(record(
-                check_id, (), 0.0, 0.0, unmet, tol,
-                note="manifest declares no soliton.xi field"))
+            record(records, check_id, (), 0.0, 0.0, unmet, tol,
+                   note="manifest declares no soliton.xi field")
         return
     mu = job.mu
     # every check but conformal-fit reads mu, fitted when none is declared
@@ -70,40 +68,38 @@ def _run_soliton_checks(job, checks, records, ctx):
         mu = fit.mu if mu is None else mu
     if "fit-mu" in checks:
         worst = worst_of(fit.per_point, lambda pr: pr[1])
-        records.append(record(
-            "fit-mu", worst[0].coords, fit.mu, mu, [], tol,
-            terms={"fitted_mu": fit.mu, "equation_residual": fit.max_residual},
-            note=f"soliton constant fit: {fit.classification}",
-            residual=max(fit.max_residual, abs(fit.mu - mu)),
-            scale=1.0 + max(abs(fit.mu), abs(mu)), absolute=True))
+        record(records, "fit-mu", worst[0].coords, fit.mu, mu, [], tol,
+               terms={"fitted_mu": fit.mu,
+                      "equation_residual": fit.max_residual},
+               note=f"soliton constant fit: {fit.classification}",
+               residual=max(fit.max_residual, abs(fit.mu - mu)),
+               scale=1.0 + max(abs(fit.mu), abs(mu)), absolute=True)
     if "conformal-fit" in checks:
         conf = sol.conformal_field_fit(setup.total, xi, points, ctx=ctx)
         worst_p, worst_f = worst_of(conf.f_values, lambda pf: abs(pf[1]))
-        records.append(record(
-            "conformal-fit", worst_p.coords, worst_f, 0.0, [], tol,
-            terms={"max_abs_f": abs(worst_f)},
-            note="killing field" if conf.is_killing
-            else "conformal factor shown at its largest point",
-            residual=conf.max_residual, absolute=True))
+        record(records, "conformal-fit", worst_p.coords, worst_f, 0.0, [],
+               tol, terms={"max_abs_f": abs(worst_f)},
+               note="killing field" if conf.is_killing
+               else "conformal factor shown at its largest point",
+               residual=conf.max_residual, absolute=True)
     if "fiber-soliton" in checks:
-        records.append(sol.fiber_soliton_report(ctx, xi, mu=mu, tol=tol))
+        sol.fiber_soliton_report(records, ctx, xi, mu=mu, tol=tol)
     if "base-soliton" in checks:
         xi_base = next((spec for target, spec in job.fields.values()
                         if target == "base"), None)
-        records.append(sol.base_soliton_report(ctx, xi, mu, xi_base=xi_base,
-                                               tol=tol))
+        sol.base_soliton_report(records, ctx, xi, mu, xi_base=xi_base,
+                                tol=tol)
     if "scalar-mu" in checks:
-        records.append(sol.scalar_mu_consistency(ctx, mu, tol=tol))
+        sol.scalar_mu_consistency(records, ctx, mu, tol=tol)
     if "harmonicity" in checks:
-        records.append(sol.harmonicity_report(ctx, mu, tol=tol))
+        sol.harmonicity_report(records, ctx, mu, tol=tol)
 
 
 def count_verdicts(records):
-    counts = {"pass": 0, "fail": 0, "hypothesis_not_met": 0,
-              "paper_divergent": 0}
-    for verdict, count in Counter(map(itemgetter("verdict"), records)).items():
-        counts[verdict.replace("-", "_")] += count
-    return counts
+    """The records of a ``RecordTable`` by verdict."""
+    counts = Counter(records.columns["verdict"])
+    return {key: counts[key.replace("_", "-")] for key in (
+        "pass", "fail", "hypothesis_not_met", "paper_divergent")}
 
 
 def run_job(job):
@@ -113,15 +109,14 @@ def run_job(job):
     identity_ids = [c for c in job.checks if c in ALL_CHECK_IDS]
     soliton_ids = [c for c in job.checks if c in SOLITON_CHECKS]
     ctx = IdentityContext(setup, job.points)
-    # one list of records per point from each check, interleaved point by
-    # point
-    per_check = [run_check(check_id, setup, job.points, tol=job.tolerance,
-                           ctx=ctx) for check_id in identity_ids]
-    records = list(chain.from_iterable(chain.from_iterable(zip(*per_check))))
+    records = RecordTable.point_major(ctx.point_lists, [
+        run_check(check_id, setup, job.points, tol=job.tolerance, ctx=ctx)
+        for check_id in identity_ids])
     _run_soliton_checks(job, soliton_ids, records, ctx)
     counts = count_verdicts(records)
-    flagged = sum(1 for r in records
-                  if r["verdict"] == "fail" and r["convention_sensitive"])
+    columns = records.columns
+    flagged = sum(compress(map("fail".__eq__, columns["verdict"]),
+                           columns["convention_sensitive"]))
     job_info = {
         "total_dim": setup.m,
         "base_dim": setup.n,
@@ -289,10 +284,22 @@ _COLUMN_TEXT = {
         dicts, memo, _floats_text, tuple, dict.values)}
 
 
-def _with_rows(head, key, rows, schema, template):
-    """``json_text`` of ``head`` with ``rows`` under its last key, ``key``."""
-    return (json_text(head)[:-2] + f",\n  {_encode_str(key)}: "
-            + _block("[", _rows_text(rows, {}, schema, template), "\n  ", "]")
+def _table_text(table, memo):
+    """The records of a ``RecordTable``, each column written at once as
+    ``_rows_text`` writes it, and each coordinate list of ``table.points``
+    once, picked by the point column."""
+    points = _COLUMN_TEXT[list[float]](table.points, memo)
+    texts = [list(map(points.__getitem__, column)) if key == "point"
+             else _COLUMN_TEXT[RECORD_SCHEMA[key]](column, memo)
+             for key, column in sorted(table.columns.items())]
+    return list(map(_RECORD_TEMPLATE.__mod__, zip(*texts, strict=True)))
+
+
+def _with_rows(head, key, texts):
+    """``json_text`` of ``head`` with the rows ``texts`` under its last
+    key, ``key``."""
+    return (json_text(head)[:-2]
+            + f",\n  {_encode_str(key)}: " + _block("[", texts, "\n  ", "]")
             + "\n}")
 
 
@@ -301,8 +308,8 @@ def to_json(report):
     ``records`` sorts last, so its list closes the text of the rest."""
     return _with_rows({"job": report.job, "counts": report.counts,
                        "flagged_fails": report.flagged_fails,
-                       "meta": report.meta}, "records", report.records,
-                      RECORD_SCHEMA, _RECORD_TEMPLATE)
+                       "meta": report.meta}, "records",
+                      _table_text(report.records, {}))
 
 
 _VERDICT_TAG = {"pass": "PASS", "fail": "FAIL",
@@ -310,34 +317,34 @@ _VERDICT_TAG = {"pass": "PASS", "fail": "FAIL",
 
 
 def _record_lines(records):
-    lines = []
-    by_id = {}
-    for rec in records:
-        by_id.setdefault(rec["id"], []).append(rec)
-    for check_id, recs in by_id.items():
+    """A line per check id of a ``RecordTable``, and two more for a
+    failing check, read off its columns at the check's worst record."""
+    col, lines, by_id = records.columns, [], {}
+    for i, check_id in enumerate(col["id"]):
+        by_id.setdefault(check_id, []).append(i)
+    for check_id, rows in by_id.items():
         # a failing record outranks any other, however large its residual
-        fails = [r for r in recs if r["verdict"] == "fail"]
-        worst = worst_of(fails or recs, lambda r: r["rel_residual"])
-        tag = _VERDICT_TAG[worst["verdict"]]
-        n_fail = len(fails)
+        fails = [i for i in rows if col["verdict"][i] == "fail"]
+        i = worst_of(fails or rows, col["rel_residual"].__getitem__)
         extra = ""
-        if n_fail and worst["convention_sensitive"]:
+        if fails and col["convention_sensitive"][i]:
             extra = "  [convention-sensitive: flagged, not counted as failure]"
-        elif worst["verdict"] == "hypothesis-not-met":
-            unmet = [h["name"] for h in worst["hypotheses"]
+        elif col["verdict"][i] == "hypothesis-not-met":
+            unmet = [h["name"] for h in col["hypotheses"][i]
                      if not h["satisfied"]]
             extra = f"  (unmet: {', '.join(unmet)})"
         lines.append(
-            f"  [{tag}] {check_id:<16} records={len(recs):<4} "
-            f"worst |res|={worst['abs_residual']:.3e} "
-            f"rel={worst['rel_residual']:.3e}{extra}")
-        if n_fail:
+            f"  [{_VERDICT_TAG[col['verdict'][i]]}] {check_id:<16} "
+            f"records={len(rows):<4} worst |res|={col['abs_residual'][i]:.3e} "
+            f"rel={col['rel_residual'][i]:.3e}{extra}")
+        if fails:
             lines.append(
-                f"         worst failing point {tuple(worst['point'])}: "
-                f"lhs={worst['lhs']:.9g} rhs={worst['rhs']:.9g}")
-            if worst["terms"]:
+                f"         worst failing point "
+                f"{tuple(records.points[col['point'][i]])}: "
+                f"lhs={col['lhs'][i]:.9g} rhs={col['rhs'][i]:.9g}")
+            if col["terms"][i]:
                 parts = ", ".join(f"{k}={v:.6g}"
-                                  for k, v in worst["terms"].items())
+                                  for k, v in col["terms"][i].items())
                 lines.append(f"         terms: {parts}")
     return lines
 
@@ -397,5 +404,6 @@ def example_report_to_json(rep):
     return _with_rows({"example": rep.example_id, "counts": rep.counts,
                        "discrepancies": [r["name"] for r in
                                          rep.discrepancies],
-                       "note": rep.note}, "rows", rep.rows,
-                      EXAMPLE_ROW_SCHEMA, _EXAMPLE_ROW_TEMPLATE)
+                       "note": rep.note}, "rows",
+                      _rows_text(rep.rows, {}, EXAMPLE_ROW_SCHEMA,
+                                 _EXAMPLE_ROW_TEMPLATE))

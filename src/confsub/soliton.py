@@ -143,11 +143,11 @@ def _fiber_formula_value(ctx, xi_h, mu):
     return base - quad_form(ctx.h_vec, ctx.g, xi_h)
 
 
-def fiber_soliton_report(ctx, xi, mu=0.0, tol=1e-6):
+def fiber_soliton_report(records, ctx, xi, mu=0.0, tol=1e-6):
     """Fibers as (almost) Ricci solitons: residual of
     (1/2){g(nabla_U xi_v, V) + g(nabla_V xi_v, U)} + Ric^v(U,V) + f g(U,V)
     with f evaluated from its closed form at each point of ``ctx``, the
-    run's IdentityContext, as the record at its worst point."""
+    run's IdentityContext, as the record at its worst point in ``records``."""
     k = ctx.m - ctx.n
     vframe = ctx.vframe
     # xi_v = P_v xi with d_l xi_v = d_l P_v xi + P_v d_l xi
@@ -160,18 +160,18 @@ def fiber_soliton_report(ctx, xi, mu=0.0, tol=1e-6):
     fitted = -_traces(lform) / k
     formula = _fiber_formula_value(ctx, mat_vec(ctx.ph, xi_vals), mu)
     res = np.abs(lform + formula[:, None, None] * np.eye(k)).max(axis=(1, 2))
-    return _worst_point_record(
-        "fiber-soliton", "fibers", ctx, tol,
+    _worst_point_record(
+        records, "fiber-soliton", "fibers", ctx, tol,
         [ctx.hyp_conformal, ctx.hyp_umbilical, ctx.hyp_horizontal_tg],
         {"fitted": fitted, "formula": formula, "residual": res,
          "fit_vs_formula": np.abs(fitted - formula)})
 
 
-def base_soliton_report(ctx, xi, mu, xi_base=None, tol=1e-6):
+def base_soliton_report(records, ctx, xi, mu, xi_base=None, tol=1e-6):
     """Base as an (almost) Ricci soliton: residual of
     (1/2)(L h)(Xt,Yt) + Ric^N(Xt,Yt) + f h(Xt,Yt) with f from f3/f4, at
     each point of ``ctx``, the run's IdentityContext, as the record at its
-    worst point.
+    worst point in ``records``.
 
     ``xi_base`` is the pushforward field expressed on the base chart; it
     defaults to zero.  A per-point projection residual compares it with
@@ -192,8 +192,8 @@ def base_soliton_report(ctx, xi, mu, xi_base=None, tol=1e-6):
     # projection residual: pushforward of the horizontal part of xi
     # against the declared base field
     dproj = mat_vec(ctx.jac, mat_vec(ctx.ph, xi_vals)) - declared
-    return _worst_point_record(
-        "base-soliton", "base", ctx, tol,
+    _worst_point_record(
+        records, "base-soliton", "base", ctx, tol,
         [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_fibers_tg,
          ctx.hyp_horizontal_integrable],
         {"fitted": fitted, "formula": formula, "residual": res,
@@ -215,10 +215,10 @@ def _base_formula_value(ctx, xi_vals, mu):
     return f3 + (lam_sq / 2.0) * quad_form(ctx.vgrad_f, ctx.g, xi_v)
 
 
-def scalar_mu_consistency(ctx, mu, tol=1e-6):
-    """s(p) = -mu*m for a totally geodesic map, as a ``record`` at the
-    worst point of ``ctx``, the run's IdentityContext; also reports the
-    spread of s over the points (constancy check)."""
+def scalar_mu_consistency(records, ctx, mu, tol=1e-6):
+    """s(p) = -mu*m for a totally geodesic map, as a ``record`` in
+    ``records`` at the worst point of ``ctx``, the run's IdentityContext;
+    also reports the spread of s over the points (constancy check)."""
     values = ctx.scalar_curvature.tolist()
     m = ctx.m
     worst_idx = worst_of(range(len(values)),
@@ -230,18 +230,18 @@ def scalar_mu_consistency(ctx, mu, tol=1e-6):
     hyps = [Hypothesis(h.name, bool(h.satisfied[worst_idx]),
                        float(h.violation[worst_idx]))
             for h in (ctx.hyp_conformal, ctx.hyp_map_tg)]
-    return record("T4.7", ctx.points[worst_idx].coords, lhs, rhs, hyps, tol,
-                  terms=terms,
-                  note="worst point shown; per-point s values itemized",
-                  scale=1.0 + max(abs(lhs), abs(rhs)))
+    record(records, "T4.7", ctx.points[worst_idx].coords, lhs, rhs, hyps,
+           tol, terms=terms,
+           note="worst point shown; per-point s values itemized",
+           scale=1.0 + max(abs(lhs), abs(rhs)))
 
 
-def harmonicity_report(ctx, mu, tol=1e-6):
+def harmonicity_report(records, ctx, mu, tol=1e-6):
     """F harmonic iff s^{KerF*} = -mu(m-n): both sides evaluated
     independently at each point of ``ctx``, the run's IdentityContext,
     with the trace identity
     s^{Ker} + (m-n)mu - (m-n)^2 |H|^2 + (m-n) div(H) = 0 itemized, as the
-    record at its worst point."""
+    record at its worst point in ``records``."""
     m, n = ctx.m, ctx.n
     tau = sub.tension_field(ctx.setup, ctx.h_vec, ctx.hgrad_f, ctx.jac,
                             ctx.lam_sq)
@@ -261,8 +261,8 @@ def harmonicity_report(ctx, mu, tol=1e-6):
     # is within tol exactly when harmonic == scalar_matches, NaN on a NaN side
     equivalence = ("undecided" if np.isnan(worst_tension + worst_scalar)
                    else "holds" if harmonic == scalar_matches else "VIOLATED")
-    return _worst_point_record(
-        "harmonicity", "total", ctx, tol,
+    _worst_point_record(
+        records, "harmonicity", "total", ctx, tol,
         [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_umbilical,
          ctx.hyp_horizontal_tg],
         {"tension_norm": tension, "scalar_gap": scalar_gap,
@@ -281,20 +281,21 @@ def harmonicity_report(ctx, mu, tol=1e-6):
 # shared plumbing
 # ---------------------------------------------------------------------
 
-def _worst_point_record(check_id, label, ctx, tol, hyps, columns,
+def _worst_point_record(records, check_id, label, ctx, tol, hyps, columns,
                         worst="residual", residual=None, note=""):
-    """A report's record at the point of ``ctx`` whose ``worst`` column is
-    largest (``worst_of``): each (P,) array of ``columns`` there is a term,
-    ``fitted`` and ``formula`` (0.0 without them) are lhs and rhs, and
-    ``residual`` defaults to max(0.0, the ``worst`` column), NaN if any."""
+    """A report's record in ``records`` at the point of ``ctx`` whose
+    ``worst`` column is largest (``worst_of``): each (P,) array of
+    ``columns`` there is a term, ``fitted`` and ``formula`` (0.0 without
+    them) are lhs and rhs, and ``residual`` defaults to max(0.0, the
+    ``worst`` column), NaN if any."""
     values = {key: v.tolist() for key, v in columns.items()}
     i = worst_of(range(len(ctx.points)), values[worst].__getitem__)
     terms = {key: v[i] for key, v in values.items()}
-    return record(check_id, ctx.points[i].coords, terms.get("fitted", 0.0),
-                  terms.get("formula", 0.0), _merge_hypotheses(hyps), tol,
-                  terms=terms, label=label, note=note, scale=1.0,
-                  residual=float(columns[worst].max(initial=0.0))
-                  if residual is None else residual)
+    record(records, check_id, ctx.points[i].coords, terms.get("fitted", 0.0),
+           terms.get("formula", 0.0), _merge_hypotheses(hyps), tol,
+           terms=terms, label=label, note=note, scale=1.0,
+           residual=float(columns[worst].max(initial=0.0))
+           if residual is None else residual)
 
 
 def _merge_hypotheses(hyps):

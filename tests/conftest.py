@@ -6,7 +6,7 @@ import pytest
 
 from confsub import catalog
 from confsub.geometry import ChartManifold, Point
-from confsub.identities import IdentityContext
+from confsub.identities import IdentityContext, RecordTable
 from confsub.manifest import sample_box
 from confsub.submersion import SubmersionSetup
 
@@ -15,6 +15,33 @@ from confsub.submersion import SubmersionSetup
 _RNG = np.random.default_rng(20240817)
 _COEFF = {name: float(v) for name, v in zip(
     "abcdef", 0.3 + 0.9 * _RNG.random(6))}
+
+
+# Ricci solitons with a nonzero field xi on flat R^3 over flat R^2, with
+# every check: the Gaussian soliton xi = -2x, mu = 2 (L_xi g = -4g,
+# div xi = -6), whose base field is xi_N = -2y, and the rotation field
+# xi = (-x2, x1, 0), a Killing field, at mu = 0 over the rotation of the
+# plane
+GAUSSIAN_SOLITON = """
+total.dim    = 3
+total.coords = x1 x2 x3
+total.metric = 1, 0, 0 ; 0, 1, 0 ; 0, 0, 1
+base.dim     = 2
+base.coords  = y1 y2
+base.metric  = 1, 0 ; 0, 1
+map.components = x1, x2
+fields.xi  = total : -2*x1, -2*x2, -2*x3
+fields.xin = base : -2*y1, -2*y2
+soliton.xi = xi
+soliton.mu = 2
+checks = all
+points.box = -1 1 ; -1 1 ; -1 1
+points.count = 5
+points.seed = 7
+"""
+ROTATION_SOLITON = GAUSSIAN_SOLITON.replace(
+    "-2*x1, -2*x2, -2*x3", "-x2, x1, 0").replace(
+    "-2*y1, -2*y2", "-y2, y1").replace("soliton.mu = 2", "soliton.mu = 0")
 
 
 def chart(names, rows, domain=None):
@@ -32,6 +59,24 @@ def context(setup, points):
     """The points' run-level IdentityContext, as ``report.run_job`` builds
     it."""
     return IdentityContext(setup, points)
+
+
+def rows_by_point(table):
+    """The records of ``table``, an ``identities.RecordTable``, as row
+    dicts (``RecordTable.rows``), one list per point of the table."""
+    groups = [[] for _ in table.points]
+    for index, row in zip(table.columns["point"], table.rows()):
+        groups[index].append(row)
+    return groups
+
+
+def one_row(fn, *args, **kwargs):
+    """The one record ``fn`` (``identities.record`` or a soliton report)
+    appends to a fresh table, as a row dict."""
+    table = RecordTable()
+    fn(table, *args, **kwargs)
+    row, = table.rows()
+    return row
 
 
 def oneill(tensor, u, v):

@@ -13,8 +13,15 @@ import math
 
 import numpy as np
 
-from confsub.identities import Hypothesis, record
+from confsub import identities
+from confsub.identities import Hypothesis
 from confsub.submersion import PROPERTY_TOL, pair_norms
+from conftest import one_row
+
+
+def record(*args, **kwargs):
+    """``identities.record``'s one record, as a row dict."""
+    return one_row(identities.record, *args, **kwargs)
 
 
 class Loops:

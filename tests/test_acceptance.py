@@ -24,7 +24,7 @@ from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext, run_check
 from confsub.jets import JetSpace, primal
 from confsub.manifest import parse_manifest
-from conftest import chart, context, flat_chart, oneill, sample
+from conftest import chart, context, flat_chart, one_row, oneill, sample
 from test_geometry import fd_ricci
 import jet_reference as jr
 
@@ -122,14 +122,14 @@ def test_criterion_3_fundamental_closure(riemannian_setups,
         for p in sample(box, 20, seed=103):
             ctx = IdentityContext(setup, [p])
             for check_id in FUNDAMENTAL:
-                for rep in run_check(check_id, setup, [p], ctx=ctx)[0]:
+                for rep in run_check(check_id, setup, [p], ctx=ctx).rows():
                     assert rep["abs_residual"] <= 1e-6, (name, check_id,
                                                          rep["label"])
     # the Gauss-type curvature relation additionally closes on every
     # genuinely conformal catalog setup
     for name, setup, points in conformal_setups:
         for p in points[:3]:
-            for rep in run_check("G2.12", setup, [p])[0]:
+            for rep in run_check("G2.12", setup, [p]).rows():
                 assert rep["abs_residual"] <= 1e-6, (name, rep["label"])
 
 
@@ -220,13 +220,13 @@ def test_criterion_7_theorem_instances(conformal_setups):
     fit = sol.fit_mu(job.setup.total, job.xi, pts)
     assert abs(fit.mu) <= 1e-9
     ctx = context(job.setup, pts)
-    scal = sol.scalar_mu_consistency(ctx, 0.0)
+    scal = one_row(sol.scalar_mu_consistency, ctx, 0.0)
     assert scal["verdict"] == "pass"
     # s = 0 = -mu * (m - n) with m - n offset 3 total dims and mu = 0
     assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
     assert scal["rhs"] == pytest.approx(-fit.mu * 3, abs=1e-9)
 
-    harm = sol.harmonicity_report(ctx, 0.0)
+    harm = one_row(sol.harmonicity_report, ctx, 0.0)
     assert harm["verdict"] == "pass"
     assert "harmonic=True" in harm["note"]
     # with both sides holding, the residual is the largest tension and
@@ -235,7 +235,7 @@ def test_criterion_7_theorem_instances(conformal_setups):
 
     # mixed-derivative symmetry across every catalog setup's scalar data
     for name, setup, points in conformal_setups:
-        for rep in run_check("L2.2", setup, points[:1])[0]:
+        for rep in run_check("L2.2", setup, points[:1]).rows():
             if rep["verdict"] != "hypothesis-not-met":
                 assert rep["abs_residual"] <= 1e-9, (name, rep["label"])
 
@@ -333,7 +333,7 @@ def test_criterion_8_property_suites(riemannian_setups, conformal_setups,
         # skew-symmetry g(T_V W, X) = -g(W, T_V X)
         assert float(t_vv @ g @ x) == pytest.approx(
             -float(v @ g @ t_vx), abs=1e-9), name
-        for rep in run_check("E3.3", setup, [p])[0]:
+        for rep in run_check("E3.3", setup, [p]).rows():
             if rep["verdict"] != "hypothesis-not-met":
                 assert rep["abs_residual"] <= 1e-8, (name, rep["label"])
 
@@ -361,7 +361,7 @@ def test_criterion_9_general_dilation_identities(riemannian_setups,
         for p in sample(box, 3, seed=111):
             ctx = IdentityContext(setup, [p])
             for check_id in ("G2.16", "R3.13"):
-                for rep in run_check(check_id, setup, [p], ctx=ctx)[0]:
+                for rep in run_check(check_id, setup, [p], ctx=ctx).rows():
                     if rep["verdict"] != "hypothesis-not-met":
                         assert rep["abs_residual"] <= 1e-6, (
                             name, check_id, rep["label"])
@@ -371,7 +371,7 @@ def test_criterion_9_general_dilation_identities(riemannian_setups,
         p = points[0]
         ctx = IdentityContext(setup, [p])
         for check_id in ("G2.16", "R3.13"):
-            reports = run_check(check_id, setup, [p], ctx=ctx)[0]
+            reports = run_check(check_id, setup, [p], ctx=ctx).rows()
             assert reports, (name, check_id)
             for rep in reports:
                 assert rep["convention_sensitive"]
@@ -385,7 +385,7 @@ def test_criterion_9_general_dilation_identities(riemannian_setups,
     # divergence; closure there is a reported finding, not a gate
     name, cone, points = conformal_setups[-1]
     assert name == "cone"
-    worst = max(run_check("R3.13", cone, points[:1])[0],
+    worst = max(run_check("R3.13", cone, points[:1]).rows(),
                 key=lambda r: r["abs_residual"])
     assert worst["verdict"] == "fail"
     assert worst["convention_sensitive"] and worst["terms"]

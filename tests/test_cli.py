@@ -13,6 +13,7 @@ from confsub import catalog, report
 from confsub.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from confsub.identities import ALL_CHECK_IDS
 from confsub.manifest import KNOWN_CHECKS, parse_manifest
+from conftest import GAUSSIAN_SOLITON, ROTATION_SOLITON
 
 SMALL = """
 total.dim    = 2
@@ -283,6 +284,67 @@ def test_shipped_manifest_54_verifies_clean(capsys):
                  "G2.12,R3.13,T3.4,fit-mu,harmonicity"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "fail=0" in out
+
+
+def _verify_json(tmp_path, capsys, text):
+    """The exit code and the JSON payload of ``verify`` on a manifest."""
+    path = tmp_path / "job.cfsm"
+    path.write_text(text)
+    code = main(["verify", str(path), "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _verdicts_by_id(payload):
+    verdicts = {}
+    for rec in payload["records"]:
+        verdicts.setdefault(rec["id"], set()).add(rec["verdict"])
+    return verdicts
+
+
+# the soliton section's ids in the order of its records, structure flags
+# first; the scalar-mu check's record carries the id of its theorem
+SOLITON_IDS = ["structure-flags", "fit-mu", "conformal-fit", "fiber-soliton",
+               "base-soliton", "T4.7", "harmonicity"]
+
+
+def test_gaussian_soliton_fails_scalar_mu_and_harmonicity(tmp_path, capsys):
+    # pins today's verdicts on the Gaussian soliton of flat R^3 (the FOUND
+    # line 56 of CHANGES.md): every hypothesis T4.7 and harmonicity list is
+    # met, yet both fail, since the trace of the soliton equation gives
+    # div xi + s + m mu = 0 and div xi = -6 here, not 0.  Once those
+    # criteria are settled for a field with divergence, this test changes
+    # with them
+    code, payload = _verify_json(tmp_path, capsys, GAUSSIAN_SOLITON)
+    assert code == EXIT_FAIL
+    verdicts = _verdicts_by_id(payload)
+    assert list(verdicts) == list(ALL_CHECK_IDS) + SOLITON_IDS
+    assert {cid: v for cid, v in verdicts.items() if v != {"pass"}} == {
+        "T4.7": {"fail"}, "harmonicity": {"fail"}}
+    assert payload["counts"]["fail"] == 2 and payload["flagged_fails"] == 0
+    recs = {r["id"]: r for r in payload["records"]
+            if r["id"] in ("T4.7", "harmonicity", "fit-mu")}
+    assert recs["fit-mu"]["terms"]["fitted_mu"] == pytest.approx(2.0)
+    # s = 0 against -m mu = -6
+    assert recs["T4.7"]["lhs"] == pytest.approx(0.0, abs=1e-12)
+    assert recs["T4.7"]["rhs"] == -6.0
+    # F is harmonic, but s^fiber = 0 against -mu (m - n) = -2
+    terms = recs["harmonicity"]["terms"]
+    assert terms["tension_norm"] == pytest.approx(0.0, abs=1e-12)
+    assert terms["scalar_gap"] == pytest.approx(2.0)
+    for check_id in ("T4.7", "harmonicity"):
+        hyps = recs[check_id]["hypotheses"]
+        assert hyps and all(h["satisfied"] for h in hyps), check_id
+
+
+def test_rotation_soliton_passes_every_check(tmp_path, capsys):
+    # the rotation field is a Killing field, so div xi = 0 and flat R^3 is
+    # a steady soliton with it: every check passes
+    code, payload = _verify_json(tmp_path, capsys, ROTATION_SOLITON)
+    assert code == EXIT_OK
+    verdicts = _verdicts_by_id(payload)
+    assert list(verdicts) == list(ALL_CHECK_IDS) + SOLITON_IDS
+    assert all(v == {"pass"} for v in verdicts.values()), verdicts
+    assert payload["counts"]["pass"] == len(payload["records"])
 
 
 def test_verify_does_not_import_the_catalog():

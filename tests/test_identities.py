@@ -12,10 +12,10 @@ from confsub import catalog
 from confsub.geometry import Point
 from confsub.identities import (ALL_CHECK_IDS, CHECKS,
                                 CONVENTION_SENSITIVE_IDS, Hypothesis,
-                                IdentityContext, build_records, record,
-                                run_check, verdict_of)
+                                IdentityContext, RecordTable, build_records,
+                                record, run_check, verdict_of)
 from confsub.manifest import SOLITON_CHECKS
-from conftest import (chart, conformal_corpus, make_setup, sample,
+from conftest import (chart, conformal_corpus, make_setup, one_row, sample,
                       warped_4to2)
 
 FUNDAMENTAL = ("G2.12", "G2.13", "G2.14", "G2.15")
@@ -26,10 +26,9 @@ def test_fundamental_equations_close_at_unit_dilation(riemannian_setups):
         points = sample(box, 3, seed=21)
         ctx = IdentityContext(setup, points)
         for check_id in FUNDAMENTAL:
-            for recs in run_check(check_id, setup, points, ctx=ctx):
-                for rep in recs:
-                    assert rep["abs_residual"] <= 1e-9, (name, check_id,
-                                                         rep["label"])
+            for rep in run_check(check_id, setup, points, ctx=ctx).rows():
+                assert rep["abs_residual"] <= 1e-9, (name, check_id,
+                                                     rep["label"])
 
 
 def test_every_check_runs_everywhere(riemannian_setups):
@@ -38,7 +37,7 @@ def test_every_check_runs_everywhere(riemannian_setups):
     points = sample(box, 1, seed=22)
     ctx = IdentityContext(setup, points)
     for check_id in ALL_CHECK_IDS:
-        reports, = run_check(check_id, setup, points, ctx=ctx)
+        reports = run_check(check_id, setup, points, ctx=ctx).rows()
         assert reports, check_id
         for rep in reports:
             assert rep["verdict"] in ("pass", "fail", "hypothesis-not-met")
@@ -69,16 +68,16 @@ def test_verdict_rule():
 def test_record_reads_the_residual_its_kind_compares():
     # an identity record compares its relative residual, a fit its
     # absolute one
-    rec = record("G2.12", (0, 1), 3.0, 3.0 + 3e-6, [], 1e-6)
+    rec = one_row(record, "G2.12", (0, 1), 3.0, 3.0 + 3e-6, [], 1e-6)
     assert rec["abs_residual"] > 1e-6 >= rec["rel_residual"]
     assert rec["verdict"] == "pass"
     assert rec["kind"] == "identity" and rec["point"] == [0.0, 1.0]
-    fit = record("fit-mu", (), 3.0, 3.0 + 3e-6, [], 1e-6,
-                 residual=3e-6, scale=4.0, absolute=True)
+    fit = one_row(record, "fit-mu", (), 3.0, 3.0 + 3e-6, [], 1e-6,
+                  residual=3e-6, scale=4.0, absolute=True)
     assert fit["verdict"] == "fail" and fit["kind"] == "soliton"
     assert fit["rel_residual"] == 3e-6 / 4.0
     # the default scale takes in every term
-    rec = record("T3.4", (), 1.0, 0.0, [], 1e-6, terms={"t": -3.0})
+    rec = one_row(record, "T3.4", (), 1.0, 0.0, [], 1e-6, terms={"t": -3.0})
     assert rec["rel_residual"] == 1.0 / 4.0
 
 
@@ -119,17 +118,22 @@ def _rows(check_id, points, lhs, rhs, hypotheses, tol, *, labels, terms={},
             scale=None if scale is None else scale[i], absolute=absolute)
 
 
-def _assert_builder_matches_record(*args, **kwargs):
+def _assert_builder_matches_record(check_id, points, *args, **kwargs):
     # row by row, the columnar builder gives what its one-row call
     # record() and scalar arithmetic give; json.dumps tells NaN, -0.0 and
-    # 0.0 apart, which == does not
-    got = build_records(*args, **kwargs)
-    rows = list(_rows(*args, **kwargs))
+    # 0.0 apart, which == does not.  The table holds each point list
+    # once, and its records their point's index
+    table = RecordTable({id(p): p for p in points}.values())
+    slot = {id(p): i for i, p in enumerate(table.points)}
+    build_records(table, check_id, [slot[id(p)] for p in points], *args,
+                  **kwargs)
+    got = table.rows()
+    rows = list(_rows(check_id, points, *args, **kwargs))
     assert len(got) == len(rows)
     for rec, (row, options) in zip(got, rows):
-        one = record(*row[:4], [Hypothesis(h["name"], h["satisfied"],
-                                           h["violation"]) for h in row[4]],
-                     row[5], **options)
+        one = one_row(record, *row[:4], [
+            Hypothesis(h["name"], h["satisfied"], h["violation"])
+            for h in row[4]], row[5], **options)
         text = json.dumps(rec, sort_keys=True)
         assert text == json.dumps(one, sort_keys=True)
         assert text == json.dumps(_scalar_record(*row, **options),
@@ -205,12 +209,12 @@ def test_full_closure_on_conformal_examples(conformal_setups):
     for name, setup, points in conformal_setups:
         ctx = IdentityContext(setup, points[:2])
         for check_id in robust:
-            for recs in run_check(check_id, setup, points[:2], ctx=ctx):
-                for rep in recs:
-                    if rep["verdict"] == "hypothesis-not-met":
-                        continue
-                    assert rep["abs_residual"] <= 1e-9, (name, check_id,
-                                                         rep["label"])
+            for rep in run_check(check_id, setup, points[:2],
+                                 ctx=ctx).rows():
+                if rep["verdict"] == "hypothesis-not-met":
+                    continue
+                assert rep["abs_residual"] <= 1e-9, (name, check_id,
+                                                     rep["label"])
 
 
 def test_r313_convention_divergence_on_cone(conformal_setups):
@@ -220,7 +224,7 @@ def test_r313_convention_divergence_on_cone(conformal_setups):
     name, cone, points = conformal_setups[-1]
     assert name == "cone"
     ctx = IdentityContext(cone, points[:1])
-    reports, = run_check("R3.13", cone, points[:1], ctx=ctx)
+    reports = run_check("R3.13", cone, points[:1], ctx=ctx).rows()
     diag = [r for r in reports
             if r["label"] and r["label"][-2:] in ("11", "22")
             or r["lhs"] != 0.0]
@@ -237,7 +241,7 @@ def test_r313_convention_divergence_on_cone(conformal_setups):
 def test_l31i_overcount_on_cone(conformal_setups):
     # printed left side scales with n, right side with n^2
     name, cone, points = conformal_setups[-1]
-    reports, = run_check("L3.1.i", cone, points[:1])
+    reports = run_check("L3.1.i", cone, points[:1]).rows()
     worst = max(reports, key=lambda r: r["abs_residual"])
     assert worst["verdict"] == "fail"
     assert worst["convention_sensitive"]
@@ -250,7 +254,7 @@ def test_r313_closes_when_dilation_is_horizontal(conformal_setups):
     for name, setup, points in conformal_setups:
         if name != "5.3":
             continue
-        for rep in run_check("R3.13", setup, points[:1])[0]:
+        for rep in run_check("R3.13", setup, points[:1]).rows():
             assert rep["abs_residual"] <= 1e-9
 
 
@@ -261,7 +265,7 @@ def test_hypothesis_gating(conformal_setups):
         chart("x1 x2 x3", ["1 + x2^2, 0, x2", "0, 1, 0", "x2, 0, 1"]),
         chart("y1 y2", ["1, 0", "0, 1"]), ["x1", "x2"])
     p = Point((0.4, 0.8, -0.3))
-    for rep in run_check("L3.1.iii", twisted, [p])[0]:
+    for rep in run_check("L3.1.iii", twisted, [p]).rows():
         assert rep["verdict"] == "hypothesis-not-met"
         unmet = [h for h in rep["hypotheses"] if not h["satisfied"]]
         assert any("integrable" in h["name"] for h in unmet)
@@ -273,8 +277,9 @@ def test_tolerance_monotonicity(conformal_setups):
     name, cone, points = conformal_setups[-1]
     for tol_small, tol_large in ((1e-12, 1e-6), (1e-8, 1e-2)):
         for check_id in ("G2.12", "R3.13", "T3.4"):
-            small, = run_check(check_id, cone, points[:1], tol=tol_small)
-            large, = run_check(check_id, cone, points[:1], tol=tol_large)
+            small, large = (run_check(check_id, cone, points[:1],
+                                      tol=tol).rows()
+                            for tol in (tol_small, tol_large))
             for s, l in zip(small, large):
                 if s["verdict"] == "pass":
                     assert l["verdict"] == "pass"
@@ -282,15 +287,15 @@ def test_tolerance_monotonicity(conformal_setups):
 
 def test_reports_are_deterministic(conformal_setups):
     name, setup, points = conformal_setups[0]
-    first, = run_check("R3.11", setup, points[:1])
-    second, = run_check("R3.11", setup, points[:1])
+    first = run_check("R3.11", setup, points[:1]).rows()
+    second = run_check("R3.11", setup, points[:1]).rows()
     for a, b in zip(first, second):
         assert a == b
 
 
 def test_scalar_split_requires_tg_map(conformal_setups):
     for name, setup, points in conformal_setups:
-        reports, = run_check("T3.4", setup, points[:1])
+        reports = run_check("T3.4", setup, points[:1]).rows()
         if name == "5.4":
             assert reports[0]["verdict"] == "pass"
         elif name in ("5.1", "5.3"):
@@ -307,7 +312,7 @@ def test_m4_spot_check():
     points = [Point((0.2, -0.4, 0.5, 1.1))]
     ctx = IdentityContext(setup, points)
     for check_id in FUNDAMENTAL:
-        for rep in run_check(check_id, setup, points, ctx=ctx)[0]:
+        for rep in run_check(check_id, setup, points, ctx=ctx).rows():
             assert rep["abs_residual"] <= 1e-9, (check_id, rep["label"])
 
 
@@ -328,8 +333,8 @@ def _bits(value):
 def _records(ctx, check_ids):
     return [json.dumps(rep, sort_keys=True)
             for check_id in check_ids
-            for recs in run_check(check_id, ctx.setup, ctx.points, ctx=ctx)
-            for rep in recs]
+            for rep in run_check(check_id, ctx.setup, ctx.points,
+                                 ctx=ctx).rows()]
 
 
 # the cone's dilation varies along its fibers, unlike 5.3 and the warped

@@ -16,7 +16,7 @@ from confsub import submersion as sub
 from confsub.geometry import Point
 from confsub.identities import ALL_CHECK_IDS, IdentityContext, run_check
 from conftest import (chart, conformal_corpus, make_setup, riemannian_corpus,
-                      sample, warped_4to2)
+                      rows_by_point, sample, warped_4to2)
 from identity_loops import Loops, reference_check
 
 
@@ -38,7 +38,8 @@ def _assert_same_records(setup, points):
     ctx = IdentityContext(setup, points)
     loops_ctx = IdentityContext(setup, points)
     for check_id in ALL_CHECK_IDS:
-        for i, got in enumerate(run_check(check_id, setup, points, ctx=ctx)):
+        for i, got in enumerate(rows_by_point(
+                run_check(check_id, setup, points, ctx=ctx))):
             _assert_point_records(check_id, got,
                                   reference_check(check_id, loops_ctx, i=i))
 
@@ -217,6 +218,7 @@ def _poisoned(setup, points, names):
 
 def _pairs_of_records(got, want):
     """(record, record) of two runs over the same points, point by point."""
+    got, want = rows_by_point(got), rows_by_point(want)
     assert len(got) == len(want)
     return [pair for g, w in zip(got, want) for pair in zip(g, w)]
 

@@ -18,11 +18,13 @@ from confsub import submersion as sub
 from confsub.cli import EXIT_USAGE, main
 from confsub.geometry import ChartManifold
 from confsub.identities import (ALL_CHECK_IDS, Hypothesis,
-                                IdentityContext, record, run_check, worst_of)
+                                IdentityContext, RecordTable, record,
+                                run_check, worst_of)
 from confsub.jets import EvaluationError, JetSpace
 from confsub.manifest import (KNOWN_CHECKS, SOLITON_CHECKS,
                               parse_manifest)
-from conftest import context
+from conftest import (GAUSSIAN_SOLITON, ROTATION_SOLITON, context, one_row,
+                      rows_by_point)
 
 BASE = """
 total.dim    = 2
@@ -56,7 +58,7 @@ def test_convention_sensitive_failures_flagged_not_fatal():
     # the printed horizontal-Ricci corollary misses on this setup, but
     # the failure is flagged and excluded from the exit status
     rep = report.run_job(make_job("C3.1, base-soliton"))
-    fails = [r for r in rep.records if r["verdict"] == "fail"]
+    fails = [r for r in rep.records.rows() if r["verdict"] == "fail"]
     assert fails
     assert all(r["convention_sensitive"] for r in fails)
     assert rep.flagged_fails == len(fails)
@@ -65,15 +67,16 @@ def test_convention_sensitive_failures_flagged_not_fatal():
 
 def test_soliton_checks_skipped_without_xi():
     rep = report.run_job(make_job("fit-mu, harmonicity", extra=""))
-    assert all(r["verdict"] == "hypothesis-not-met" for r in rep.records)
+    assert all(r["verdict"] == "hypothesis-not-met"
+               for r in rep.records.rows())
     assert rep.exit_code == 0
 
 
 def test_structure_flags_records_informational():
     rep = report.run_job(make_job("structure-flags", extra=""))
     assert len(rep.records) == 7
-    assert all(r["verdict"] == "pass" for r in rep.records)
-    names = {r["note"].split(":")[0] for r in rep.records}
+    assert all(r["verdict"] == "pass" for r in rep.records.rows())
+    names = {r["note"].split(":")[0] for r in rep.records.rows()}
     assert "homothetic" in names
 
 
@@ -82,7 +85,7 @@ def test_structure_flags_read_the_run_context():
     # context; the records agree with the library form
     job = catalog.load_job("5.3")
     job.checks = ["structure-flags"]
-    records = report.run_job(job).records
+    records = report.run_job(job).records.rows()
     flags = sub.structure_flags(context(job.setup, job.points))
     assert len(records) == len(flags)
     for rec, (name, check) in zip(records, flags.items()):
@@ -180,7 +183,7 @@ def test_context_evaluates_each_ingredient_once(monkeypatch, document):
         (ChartManifold, "metric_at")))
     job = parse_manifest(document)
     rep = report.run_job(job)
-    assert [r["verdict"] for r in rep.records] == ["pass"] * len(job.points)
+    assert rep.records.columns["verdict"] == ["pass"] * len(job.points)
     assert counts["__init__"] == 1
     assert counts["seed"] <= 1
     assert counts["metric_at"] <= 4
@@ -205,7 +208,7 @@ def test_flat_sweep_builds_no_curvature(monkeypatch):
 
     monkeypatch.setattr(IdentityContext, "__init__", keeping_init)
     rep = report.run_job(parse_manifest(FLAT_SWEEP))
-    assert [r["verdict"] for r in rep.records] == ["pass"]
+    assert rep.records.columns["verdict"] == ["pass"]
     assert counts["christoffels_from_metric"] == 0
     assert counts["riemann_from_christoffels"] == 0
     assert counts["oneill_contraction"] == 0
@@ -252,7 +255,7 @@ def test_failing_ingredient_no_check_reads_does_not_abort():
     # G2.12 on one-dimensional fibers reads no Gamma, so the point where
     # Gamma fails is verified like any other
     rep = report.run_job(parse_manifest(CUSP.format(checks="G2.12")))
-    assert [r["verdict"] for r in rep.records] == ["pass", "pass"]
+    assert rep.records.columns["verdict"] == ["pass", "pass"]
     assert rep.exit_code == 0
 
 
@@ -279,7 +282,7 @@ def test_harmonicity_record_shows_worst_point():
     job = catalog.load_job("5.3")
     job.points = [geo.Point((0.0, 1.5, 1.5)), geo.Point((0.0, 1.5, 3.0))]
     job.checks = ["harmonicity"]
-    rec, = report.run_job(job).records
+    rec, = report.run_job(job).records.rows()
     assert rec["point"] == [0.0, 1.5, 3.0]
     assert rec["terms"]["tension_norm"] == pytest.approx(3.0, rel=1e-12)
 
@@ -323,8 +326,8 @@ def test_every_record_has_one_schema():
     job = catalog.load_job("5.3")
     job.points = job.points[:2]
     job.checks = list(KNOWN_CHECKS)
-    records = report.run_job(job).records
-    skipped = report.run_job(parse_manifest(FIBER_2D_NO_XI)).records
+    records = report.run_job(job).records.rows()
+    skipped = report.run_job(parse_manifest(FIBER_2D_NO_XI)).records.rows()
     # the scalar-mu record is named after its theorem
     assert {r["id"] for r in records} == (set(KNOWN_CHECKS) - {"scalar-mu"}
                                           | {"T4.7"})
@@ -376,6 +379,18 @@ def test_worst_point_ranks_nan_above_every_value(values, expected):
     assert worst_of(range(len(values)), values.__getitem__) == expected
 
 
+def _table(rows):
+    """A ``RecordTable`` of the row dicts ``rows``, laid out as
+    ``RecordTable.rows`` gives them: each point list held once, its records
+    holding its index."""
+    table = RecordTable({id(r["point"]): r["point"] for r in rows}.values())
+    slot = {id(p): i for i, p in enumerate(table.points)}
+    for key, column in table.columns.items():
+        column.extend(slot[id(r["point"])] if key == "point" else r[key]
+                      for r in rows)
+    return table
+
+
 def _synthetic(verdict, point, rel, lhs=0.0, rhs=0.0):
     return {"kind": "identity", "id": "R3.11", "label": "",
             "point": list(point), "lhs": lhs, "rhs": rhs,
@@ -390,9 +405,10 @@ def _synthetic(verdict, point, rel, lhs=0.0, rhs=0.0):
 def test_text_worst_line_comes_from_failing_records():
     # a hypothesis-not-met record with a larger residual must not hide
     # the hard fail
-    records = [_synthetic("fail", (1.0, 2.0), 0.5, lhs=1.25, rhs=0.75),
-               _synthetic("hypothesis-not-met", (9.0, 9.0), 7.0),
-               _synthetic("pass", (3.0, 3.0), 0.0)]
+    records = _table([
+        _synthetic("fail", (1.0, 2.0), 0.5, lhs=1.25, rhs=0.75),
+        _synthetic("hypothesis-not-met", (9.0, 9.0), 7.0),
+        _synthetic("pass", (3.0, 3.0), 0.0)])
     rep = report.Report(
         job={"total_dim": 2, "base_dim": 1, "total_coords": ["x1", "x2"],
              "base_coords": ["y1"], "lambda_sq_range": [1.0, 1.0],
@@ -440,11 +456,53 @@ def test_soliton_section_order(xi_name, want):
     job.points = job.points[:2]
     job.checks = list(KNOWN_CHECKS)
     job.xi_name = xi_name
-    records = report.run_job(job).records
+    records = report.run_job(job).records.rows()
     soliton = [r["id"] for r in records if r["kind"] == "soliton"]
     assert soliton == want
     assert [r["kind"] for r in records] == (
         ["identity"] * (len(records) - len(want)) + ["soliton"] * len(want))
+
+
+def test_run_records_point_by_point_then_soliton_rows():
+    # checks = all on 3 points of 5.3: the run's table lists each point's
+    # identity records, check by check in the order of the job's checks,
+    # each check's as run_check gives them at that point; the structure
+    # flags and soliton reports follow.  run_check's own table runs point
+    # by point, C3.x's three blocks included
+    job = catalog.load_job("5.3")
+    job.points = job.points[:3]
+    rows = report.run_job(job).records.rows()
+    ctx = IdentityContext(job.setup, job.points)
+    tables = [run_check(check_id, job.setup, job.points, ctx=ctx)
+              for check_id in job.checks if check_id in ALL_CHECK_IDS]
+    assert len(tables) == len(ALL_CHECK_IDS)
+    for table in tables:
+        assert table.columns["point"] == sorted(table.columns["point"])
+    per_point = [rows_by_point(table) for table in tables]
+    want = [rec for i in range(len(job.points)) for recs in per_point
+            for rec in recs[i]]
+    assert json.dumps(rows[:len(want)]) == json.dumps(want)
+    assert [r["id"] for r in rows[len(want):]] == SOLITON_ORDER
+
+
+@pytest.mark.parametrize("name", ["5.1", "gaussian-soliton"])
+def test_counts_read_off_columns_equal_counts_over_rows(name):
+    # 5.1 has flagged fails and the Gaussian soliton two that are not
+    # flagged: the counts and flagged_fails read off the verdict and flag
+    # columns are those counted row by row
+    job = (catalog.load_job(name) if name in catalog.EXAMPLE_IDS
+           else parse_manifest(SOLITON_MANIFESTS[name]))
+    rep = report.run_job(job)
+    rows = rep.records.rows()
+    by_verdict = Counter(r["verdict"].replace("-", "_") for r in rows)
+    assert rep.counts == {key: by_verdict[key] for key in (
+        "pass", "fail", "hypothesis_not_met", "paper_divergent")}
+    assert report.count_verdicts(rep.records) == rep.counts
+    flagged = sum(r["verdict"] == "fail" and r["convention_sensitive"]
+                  for r in rows)
+    assert rep.flagged_fails == flagged
+    assert (flagged > 0) is (name == "5.1")
+    assert rep.counts["fail"] - flagged == (0 if name == "5.1" else 2)
 
 
 @pytest.mark.parametrize("owner,name", [
@@ -542,16 +600,25 @@ def _oracle(payload):
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+SOLITON_MANIFESTS = {"gaussian-soliton": GAUSSIAN_SOLITON,
+                     "rotation-soliton": ROTATION_SOLITON}
+
+
 @pytest.mark.parametrize("name", catalog.EXAMPLE_IDS
-                         + ("curved-all", "flat-sweep", "fiber-2d"))
+                         + ("curved-all", "flat-sweep", "fiber-2d")
+                         + tuple(SOLITON_MANIFESTS))
 def test_verify_json_equals_json_dumps(name):
+    # the soliton manifests' records carry terms dicts of differing keys,
+    # with nonzero values
     if name in catalog.EXAMPLE_IDS:
         job = catalog.load_job(name)
+    elif name in SOLITON_MANIFESTS:
+        job = parse_manifest(SOLITON_MANIFESTS[name])
     else:
         job = parse_manifest(_workloads().manifest_text(name, 1))
     rep = report.run_job(job)
     assert report.to_json(rep) == _oracle({
-        "job": rep.job, "records": rep.records, "counts": rep.counts,
+        "job": rep.job, "records": rep.records.rows(), "counts": rep.counts,
         "flagged_fails": rep.flagged_fails, "meta": rep.meta})
 
 
@@ -564,8 +631,15 @@ _TEXTS = st.text() | st.sampled_from(["", "\u00e9\u03bb^2 \u2207_U",
                                       "\u2028\ud83d\ude00"])
 _HYPOTHESES = st.lists(st.builds(Hypothesis, _TEXTS, st.booleans(), _FLOATS),
                        max_size=3)
-_RECORDS = st.builds(
-    record, st.sampled_from(ALL_CHECK_IDS + SOLITON_CHECKS) | _TEXTS,
+
+
+def _call(*args, **kwargs):
+    return args, kwargs
+
+
+# the arguments of identities.record after its table
+_RECORD_CALLS = st.builds(
+    _call, st.sampled_from(ALL_CHECK_IDS + SOLITON_CHECKS) | _TEXTS,
     st.lists(_FLOATS, max_size=4), _FLOATS, _FLOATS, _HYPOTHESES, _FLOATS,
     terms=st.dictionaries(_TEXTS, _FLOATS, max_size=4), label=_TEXTS,
     note=_TEXTS, residual=st.none() | _FLOATS,
@@ -573,36 +647,43 @@ _RECORDS = st.builds(
     absolute=st.booleans())
 
 
-@given(st.lists(_RECORDS, max_size=3))
-@example([record("G2.12", (), math.nan, -0.0, [], 1e-6)])
-@example([record("R3.13", (-0.0, 5e-324, 1e300), np.float64(math.inf),
-                 -math.inf, [Hypothesis("\u00e9\"\\", True, np.float64(0.5))],
-                 0.0, terms={"\u03bb^2 \u2028": 1e300, "\x00": -0.0},
-                 label="X\u2081 \t", note="\ud83d\ude00")])
-def test_records_json_equals_json_dumps(records):
-    # every record identities.record can build is written from the
-    # record template, as json.dumps writes it
+@given(st.lists(_RECORD_CALLS, max_size=3))
+@example([_call("G2.12", (), math.nan, -0.0, [], 1e-6)])
+@example([_call("R3.13", (-0.0, 5e-324, 1e300), np.float64(math.inf),
+                -math.inf, [Hypothesis("\u00e9\"\\", True, np.float64(0.5))],
+                0.0, terms={"\u03bb^2 \u2028": 1e300, "\x00": -0.0},
+                label="X\u2081 \t", note="\ud83d\ude00")])
+def test_records_json_equals_json_dumps(calls):
+    # every record identities.record can append is written from the
+    # record template, as json.dumps writes its row
+    records = RecordTable()
+    for args, kwargs in calls:
+        record(records, *args, **kwargs)
     rep = report.Report(job={"n_points": 1}, records=records,
                         counts=report.count_verdicts(records),
                         meta={"seed": None})
     assert report.to_json(rep) == _oracle({
-        "job": rep.job, "records": records, "counts": rep.counts,
+        "job": rep.job, "records": records.rows(), "counts": rep.counts,
         "flagged_fails": 0, "meta": rep.meta})
 
 
 @pytest.mark.parametrize("change", [
-    lambda rec: rec.pop("note"), lambda rec: rec.update(label=None),
-    lambda rec: rec.update(lhs=2), lambda rec: rec.update(point=[[1.0]]),
-    lambda rec: rec["hypotheses"][0].pop("violation"),
-    lambda rec: rec["terms"].update(nested={"a": 1.0})])
+    lambda table: table.columns.pop("note"),
+    lambda table: table.columns["label"].__setitem__(0, None),
+    lambda table: table.columns["lhs"].__setitem__(0, 2),
+    lambda table: table.points.__setitem__(0, [[1.0]]),
+    lambda table: table.columns["hypotheses"][0][0].pop("violation"),
+    lambda table: table.columns["terms"][0].update(nested={"a": 1.0}),
+    lambda table: table.columns["verdict"].pop()])
 def test_a_record_laid_out_otherwise_raises(change):
-    # the writer knows only the record identities.record builds: a record
+    # the writer knows only the table identities.record fills: a record
     # that drifts from it fails loudly instead of being written otherwise
-    rec = record("L2.1", (1.0, 2.0), 1.0, 0.5, [Hypothesis("h", True, 0.0)],
-                 1e-6, terms={"t": 0.25})
-    change(rec)
-    rep = report.Report(job={}, records=[rec], counts={}, meta={})
-    with pytest.raises((KeyError, TypeError)):
+    table = RecordTable()
+    record(table, "L2.1", (1.0, 2.0), 1.0, 0.5, [Hypothesis("h", True, 0.0)],
+           1e-6, terms={"t": 0.25})
+    change(table)
+    rep = report.Report(job={}, records=table, counts={}, meta={})
+    with pytest.raises((KeyError, TypeError, ValueError)):
         report.to_json(rep)
 
 
@@ -650,7 +731,7 @@ def _one_record(value):
     """A record with ``value`` in every float slot, a point of two
     coordinates, a hypothesis and two terms."""
     hyp = {"name": "\u00e9 {0}", "satisfied": True, "violation": value}
-    return dict(record("G2.12", (), 0.0, 0.0, [], 1e-6),
+    return dict(one_row(record, "G2.12", (), 0.0, 0.0, [], 1e-6),
                 lhs=value, rhs=value, abs_residual=value, rel_residual=value,
                 point=[value, 1.0], hypotheses=[hyp],
                 terms={"b}": value, "a{": value},
@@ -676,7 +757,7 @@ def test_columnar_writer_equals_json_dumps(records):
     # each column is written at once and each shared object once, however
     # far apart its records, yet every record reads as json.dumps writes
     # it
-    rep = report.Report(job={}, records=records,
+    rep = report.Report(job={}, records=_table(records),
                         counts={"pass": len(records)}, meta={})
     assert report.to_json(rep) == _oracle({
         "job": {}, "records": records, "counts": rep.counts,
@@ -691,21 +772,25 @@ def test_records_of_a_point_share_lists_no_reader_mutates():
     job.points = job.points[:3]
     rep = report.run_job(job)
     ctx = IdentityContext(job.setup, job.points)
+    tables = [run_check(check_id, job.setup, job.points, ctx=ctx)
+              for check_id in ALL_CHECK_IDS]
     for i, p in enumerate(job.points):
         by_check = {}
-        for check_id in ALL_CHECK_IDS:
-            for rec in run_check(check_id, job.setup, job.points,
-                                 ctx=ctx)[i]:
+        for check_id, table in zip(ALL_CHECK_IDS, tables):
+            for rec in rows_by_point(table)[i]:
                 assert rec["point"] is ctx.point_lists[i] == list(p.coords)
                 by_check.setdefault(check_id, set()).add(
                     id(rec["hypotheses"]))
         assert all(len(ids) == 1 for ids in by_check.values()), by_check
-    before = json.dumps(rep.records)
+    # the run's table holds the context's point lists, each once
+    assert rep.records.points[:3] == ctx.point_lists
+    assert len(set(map(id, rep.records.points))) == len(rep.records.points)
+    before = json.dumps([rep.records.points, rep.records.columns])
     text = report.to_json(rep)
     report.to_text(rep)
     assert report.count_verdicts(rep.records) == rep.counts
     assert report.to_json(rep) == text
-    assert json.dumps(rep.records) == before
+    assert json.dumps([rep.records.points, rep.records.columns]) == before
 
 
 def test_hypothesis_dicts_share_one_dict_per_bit_pattern():
@@ -719,13 +804,14 @@ def test_hypothesis_dicts_share_one_dict_per_bit_pattern():
     assert len({id(d) for d in dicts}) == 3
     assert [math.copysign(1.0, d["violation"]) for d in dicts[:2]] == [1, -1]
     assert [d["satisfied"] for d in dicts] == [True, True, False, True]
-    records = identities.build_records(
-        "G2.12", [[float(i)] for i in range(4)], [0.0] * 4, [-0.0] * 4,
+    records = RecordTable([[float(i)] for i in range(4)])
+    identities.build_records(
+        records, "G2.12", list(range(4)), [0.0] * 4, [-0.0] * 4,
         [[d] for d in dicts], 1e-6, labels=[""] * 4)
     rep = report.Report(job={}, records=records,
                         counts=report.count_verdicts(records), meta={})
     assert report.to_json(rep) == _oracle({
-        "job": {}, "records": records, "counts": rep.counts,
+        "job": {}, "records": records.rows(), "counts": rep.counts,
         "flagged_fails": 0, "meta": {}})
 
 
@@ -733,7 +819,7 @@ def test_points_with_equal_hypotheses_share_one_list():
     # on flat-sweep every two records whose hypotheses are equal, bit for
     # bit, hold one list object and one dict object per hypothesis
     job = parse_manifest(_workloads().manifest_text("flat-sweep", 1))
-    records = report.run_job(job).records
+    records = report.run_job(job).records.rows()
     lists, dicts = {}, {}
     for rec in records:
         lists.setdefault(json.dumps(rec["hypotheses"]), set()).add(
@@ -757,10 +843,11 @@ def _soliton_records(job):
     ctx = IdentityContext(job.setup, job.points)
     xi_base = next((spec for target, spec in job.fields.values()
                     if target == "base"), None)
-    return ({"fiber": sol.fiber_soliton_report(ctx, job.xi, mu=job.mu),
-             "base": sol.base_soliton_report(ctx, job.xi, job.mu,
-                                             xi_base=xi_base),
-             "harmonicity": sol.harmonicity_report(ctx, job.mu)},
+    return ({"fiber": one_row(sol.fiber_soliton_report, ctx, job.xi,
+                              mu=job.mu),
+             "base": one_row(sol.base_soliton_report, ctx, job.xi, job.mu,
+                             xi_base=xi_base),
+             "harmonicity": one_row(sol.harmonicity_report, ctx, job.mu)},
             sub.structure_flags(ctx))
 
 
@@ -815,11 +902,11 @@ def test_stacked_run_matches_runs_of_each_point_alone(monkeypatch, name):
     job = parse_manifest(_workloads().manifest_text(name, 1, points=8))
     points = list(job.points)
     assert len(points) == 8
-    stacked = report.run_job(job).records
+    stacked = report.run_job(job).records.rows()
     alone = []
     for p in points:
         job.points = [p]
-        alone += report.run_job(job).records
+        alone += report.run_job(job).records.rows()
     if name == "curved-all":
         _assert_solitons_match_points_alone(monkeypatch, job, points)
     stacked, alone = ([r for r in recs if r["kind"] == "identity"]

@@ -6,7 +6,7 @@ import pytest
 from confsub import catalog
 from confsub import soliton as sol
 from confsub.geometry import ChartManifold, Point, VectorFieldSpec
-from conftest import chart, context, flat_chart, sample
+from conftest import chart, context, flat_chart, one_row, sample
 
 HYPERBOLIC = chart("x1 x2", ["x2^-2, 0", "0, x2^-2"], "x2 > 0")
 H3 = chart("x1 x2 x3",
@@ -70,8 +70,8 @@ def test_killing_and_conformal_fields():
 def test_fiber_soliton_on_53():
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    rec = sol.fiber_soliton_report(context(job.setup, points), job.xi,
-                                   mu=2.0)
+    rec = one_row(sol.fiber_soliton_report, context(job.setup, points),
+                  job.xi, mu=2.0)
     assert rec["id"] == "fiber-soliton" and rec["label"] == "fibers"
     assert rec["verdict"] == "pass"
     # one-dimensional fibers carry no intrinsic curvature, so the fitted
@@ -85,12 +85,12 @@ def test_base_and_scalar_on_54():
     job = catalog.load_job("5.4")
     points = job.points[:4]
     ctx = context(job.setup, points)
-    base = sol.base_soliton_report(ctx, job.xi, 0.0)
+    base = one_row(sol.base_soliton_report, ctx, job.xi, 0.0)
     assert base["verdict"] == "pass"
-    scal = sol.scalar_mu_consistency(ctx, 0.0)
+    scal = one_row(sol.scalar_mu_consistency, ctx, 0.0)
     assert scal["verdict"] == "pass"
     assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
-    harm = sol.harmonicity_report(ctx, 0.0)
+    harm = one_row(sol.harmonicity_report, ctx, 0.0)
     assert harm["verdict"] == "pass"
     assert "harmonic=True" in harm["note"]
 
@@ -98,7 +98,7 @@ def test_base_and_scalar_on_54():
 def test_scalar_mu_gated_when_map_not_tg():
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    rep = sol.scalar_mu_consistency(context(job.setup, points), 2.0)
+    rep = one_row(sol.scalar_mu_consistency, context(job.setup, points), 2.0)
     assert rep["verdict"] == "hypothesis-not-met"
     # the scalar curvature itself is still reported per point
     svals = [v for k, v in rep["terms"].items() if k.startswith("s@")]
@@ -116,7 +116,7 @@ def test_harmonicity_verdict_is_the_equivalence(monkeypatch, tension, mu):
                         lambda *args: real(*args) + tension)
     job = catalog.load_job("5.4")
     points = job.points[:2]
-    rec = sol.harmonicity_report(context(job.setup, points), mu)
+    rec = one_row(sol.harmonicity_report, context(job.setup, points), mu)
     harmonic, scalar_side = tension == 0.0, mu == 0.0
     assert f"harmonic={harmonic} scalar-side={scalar_side}" in rec["note"]
     assert rec["verdict"] == ("pass" if harmonic == scalar_side else "fail")
@@ -127,10 +127,10 @@ def test_harmonicity_equivalence_detected_off_hypotheses():
     # verdict, but the itemized trace identity still closes
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    rec = sol.harmonicity_report(context(job.setup, points), 2.0)
+    rec = one_row(sol.harmonicity_report, context(job.setup, points), 2.0)
     assert rec["verdict"] == "hypothesis-not-met"
     for p in points:
-        alone = sol.harmonicity_report(context(job.setup, [p]), 2.0)
+        alone = one_row(sol.harmonicity_report, context(job.setup, [p]), 2.0)
         assert alone["terms"]["trace_identity_residual"] <= 1e-9
 
 
