@@ -20,7 +20,6 @@ from . import geometry as geo
 from . import submersion as sub
 from .expr import eval_expr, parse_expression
 from .identities import IdentityContext
-from .jets import primal
 from .linalg import quad_form
 from .manifest import EXAMPLE_IDS, parse_manifest
 
@@ -225,14 +224,16 @@ def run_example(example_id, tol=1e-6, points=None):
         points = default_points(example_id)
     total = setup.total
     m = setup.m
+    env = total.env(geo.batch_coordinates([p.coords for p in points]))
     rows = []
 
     def compare(name, provenance, text, computed):
-        """One row: the expected text, parsed once, against the value
-        computed at each point."""
+        """One row: the expected text, evaluated once over the points,
+        against the value computed at each point."""
         node = parse_expression(text, set(total.coord_names))
-        samples = [(p, primal(eval_expr(node, total.env(list(p.coords)))),
-                    float(c)) for p, c in zip(points, computed)]
+        expected = np.broadcast_to(eval_expr(node, env), len(points))
+        samples = [(p, float(e), float(c))
+                   for p, e, c in zip(points, expected, computed)]
         rows.append(_compare(name, provenance, samples, tol))
 
     # every row reads the points' one identity context

@@ -336,8 +336,6 @@ def eval_expr(node, env):
             return jets.sdiv(left, right)
         except jets.EvaluationError as exc:
             raise jets.EvaluationError(f"{exc} in {to_text(node)!r}") from None
-        except ZeroDivisionError:
-            raise jets.EvaluationError(f"division by zero in {to_text(node)!r}") from None
     if isinstance(node, Pow):
         base = eval_expr(node.base, env)
         try:

@@ -13,19 +13,22 @@ context gets a fresh, monotonically increasing level; in a binary
 operation the jet with the higher level treats the other operand as a
 constant coefficient.
 
-Values may also be float arrays over a leading point axis, seeded as
-such, so one evaluation serves a batch of points.  The scalar functions
-then raise the error of their float branch when any element raises it;
-callers evaluating arrays switch NumPy's floating-point warnings off
-(``np.errstate``) and check what the arithmetic operators leave
-non-finite.  A float result too large to represent raises
-``EvaluationError`` like any other non-finite value.
+Values may be floats or float arrays over a leading point axis, seeded
+as such, so one evaluation serves a batch of points.  The scalar
+functions (exp, log, sin, cos, sqrt, powers, reciprocals) compute both
+with the same NumPy function, which rounds a float exactly as it rounds
+that float inside an array: a point's values do not depend on the points
+evaluated with it.  A scalar function raises ``EvaluationError`` where
+any element is outside its domain, and exp, powers and reciprocals also
+where any result is not finite; NumPy's floating-point warnings are off
+inside them.  Callers evaluating arrays switch the warnings off for the
+arithmetic operators too (``np.errstate``) and check what those leave
+non-finite.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -177,13 +180,17 @@ def primal(x):
     return x if isinstance(x, np.ndarray) else float(x)
 
 
-def _check_finite(x, what):
-    if isinstance(x, np.ndarray):
-        if not np.isfinite(x).all():
-            raise EvaluationError(f"non-finite value in {what}")
-    elif not math.isfinite(x):
-        raise EvaluationError(f"non-finite value in {what}")
-    return x
+@np.errstate(all="ignore")
+def _numpy(f, *args, finite=None):
+    """``f(*args)`` for a NumPy function ``f`` of floats or float arrays
+    over a point axis, with NumPy's floating-point warnings off: the one
+    place the scalar functions compute a value.  A float result comes
+    back as a float, so NumPy scalars never enter jet arithmetic; with
+    ``finite`` naming the operation, a non-finite element raises."""
+    out = f(*args)
+    if finite and not np.isfinite(out).all():
+        raise EvaluationError(f"non-finite value in {finite}")
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
 def _reciprocal(x):
@@ -194,20 +201,17 @@ def _reciprocal(x):
         if x.space.order == 2:
             f2 = 2.0 * f0 * f0 * f0
         return x.chain(f0, f1, f2)
-    if isinstance(x, np.ndarray):
-        if (x == 0).any():
-            raise EvaluationError("division by zero")
-        return _check_finite(1.0 / x, "division")
-    if x == 0:
+    # the domain tests count: np.count_nonzero takes a bool and a bool
+    # array alike, and is several times faster than np.any on a bool
+    if np.count_nonzero(x == 0):
         raise EvaluationError("division by zero")
-    return _check_finite(1.0 / x, "division")
+    return _numpy(np.divide, 1.0, x, finite="division")
 
 
 def sdiv(x, y):
-    """x / y; with a float array operand it raises where float division
-    raises, on a zero divisor."""
-    if (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)) and np.any(
-            y == 0):
+    """x / y, raising on a zero divisor (with an array operand, where any
+    point's divisor is zero)."""
+    if np.count_nonzero(y == 0):
         raise EvaluationError("division by zero")
     return x / y
 
@@ -218,12 +222,7 @@ def sexp(x):
     if isinstance(x, Jet):
         e = sexp(x.val)
         return x.chain(e, e, e if x.space.order == 2 else None)
-    if isinstance(x, np.ndarray):
-        return _check_finite(np.exp(x), "exp")
-    try:
-        return _check_finite(math.exp(x), "exp")
-    except OverflowError:
-        raise EvaluationError("non-finite value in exp") from None
+    return _numpy(np.exp, x, finite="exp")
 
 
 def slog(x):
@@ -232,27 +231,23 @@ def slog(x):
         f1 = _reciprocal(x.val)
         f2 = -(f1 * f1) if x.space.order == 2 else None
         return x.chain(f0, f1, f2)
-    if isinstance(x, np.ndarray):
-        if (x <= 0).any():
-            raise EvaluationError("log of a non-positive value")
-        return np.log(x)
-    if x <= 0:
+    if np.count_nonzero(x <= 0):
         raise EvaluationError("log of a non-positive value")
-    return math.log(x)
+    return _numpy(np.log, x)
 
 
 def ssin(x):
     if isinstance(x, Jet):
         s, c = ssin(x.val), scos(x.val)
         return x.chain(s, c, -s if x.space.order == 2 else None)
-    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+    return _numpy(np.sin, x)
 
 
 def scos(x):
     if isinstance(x, Jet):
         s, c = ssin(x.val), scos(x.val)
         return x.chain(c, -s, -c if x.space.order == 2 else None)
-    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+    return _numpy(np.cos, x)
 
 
 def ssqrt(x):
@@ -263,13 +258,9 @@ def ssqrt(x):
         if x.space.order == 2:
             f2 = -0.5 * f1 * _reciprocal(x.val)
         return x.chain(f0, f1, f2)
-    if isinstance(x, np.ndarray):
-        if (x < 0).any():
-            raise EvaluationError("sqrt of a negative value")
-        return np.sqrt(x)
-    if x < 0:
+    if np.count_nonzero(x < 0):
         raise EvaluationError("sqrt of a negative value")
-    return math.sqrt(x)
+    return _numpy(np.sqrt, x)
 
 
 def spow(x, exponent):
@@ -288,49 +279,26 @@ def spow(x, exponent):
         if x.space.order == 2:
             f2 = _float_exp(r) * _float_exp(r - 1) * spow(x.val, r - 2)
         return x.chain(f0, f1, f2)
-    try:
-        return _pow_number(x, r)
-    except OverflowError:
-        raise EvaluationError("non-finite value in power") from None
+    if isinstance(r, int):
+        if r < 0 and np.count_nonzero(x == 0):
+            raise EvaluationError("zero raised to a negative power")
+        return _numpy(np.power, x, float(r), finite="power")
+    # rational exponent: only defined here for non-negative bases unless
+    # the reduced denominator is odd
+    p, q = r.numerator, r.denominator
+    if q % 2 == 0 and np.count_nonzero(x < 0):
+        raise EvaluationError("negative base with even-root exponent")
+    if p < 0 and np.count_nonzero(x == 0):
+        raise EvaluationError("zero raised to a negative power")
+    return _numpy(_rational_power, x, p, q, finite="power")
 
 
 def _float_exp(r):
     return float(r) if isinstance(r, Fraction) else r
 
 
-def _pow_number(x, r):
-    if isinstance(x, np.ndarray):
-        return _pow_array(x, r)
-    if isinstance(r, int):
-        if x == 0 and r < 0:
-            raise EvaluationError("zero raised to a negative power")
-        return _check_finite(float(x) ** r, "power")
-    # rational exponent: only defined here for non-negative bases unless
-    # the reduced denominator is odd
-    p, q = r.numerator, r.denominator
-    if x < 0:
-        if q % 2 == 1:
-            return _check_finite(math.copysign(abs(x) ** (p / q), x if p % 2 else 1.0), "power")
-        raise EvaluationError("negative base with even-root exponent")
-    if x == 0 and p < 0:
-        raise EvaluationError("zero raised to a negative power")
-    return _check_finite(x ** (p / q), "power")
-
-
-def _pow_array(x, r):
-    """``_pow_number`` over a float array, raising its error where any
-    element raises it."""
-    if isinstance(r, int):
-        if r < 0 and (x == 0).any():
-            raise EvaluationError("zero raised to a negative power")
-        return _check_finite(np.power(x, float(r)), "power")
-    p, q = r.numerator, r.denominator
-    negative = x < 0
-    if q % 2 == 0 and negative.any():
-        raise EvaluationError("negative base with even-root exponent")
-    if p < 0 and (x == 0).any():
-        raise EvaluationError("zero raised to a negative power")
+def _rational_power(x, p, q):
+    """x^(p/q) as |x|^(p/q), negated where x < 0 and p is odd (q is odd
+    wherever x < 0)."""
     out = np.power(np.abs(x), p / q)
-    if p % 2:
-        out = np.where(negative, -out, out)
-    return _check_finite(out, "power")
+    return np.where(x < 0, -out, out) if p % 2 else out

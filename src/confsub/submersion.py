@@ -108,10 +108,10 @@ class SubmersionSetup:
 
         Raises where a point is outside either chart's domain, either
         metric is not positive definite there, the map is rank deficient,
-        or g, J, h, K or lambda^2 is not finite.  A batch in which any
-        point fails is evaluated again one point at a time, so the error
-        raised is that of the first failing point, as that point alone
-        raises it."""
+        or g, J, h, K or lambda^2 is not finite.  Each point's values are
+        those of the point alone.  A batch in which any point fails is
+        evaluated again one point at a time, so the error raised is that
+        of the first failing point, as that point alone raises it."""
         points = list(points)
         with np.errstate(all="ignore"):
             try:
@@ -126,9 +126,8 @@ class SubmersionSetup:
             self, points, arrays["base_coords"]))
 
     def _float_cores(self, points):
-        """The arrays of ``float_cores`` by field name, without the rerun;
-        one point is evaluated from its float coordinates, so it raises
-        what the scalar functions raise there."""
+        """The arrays of ``float_cores`` by field name, without the
+        rerun."""
         count, m, n = len(points), self.m, self.n
         where = points[0].coords if count == 1 else f"one of {count} points"
 

@@ -1,6 +1,7 @@
 """Forward-mode jet arithmetic against finite-difference oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsub.expr import eval_expr, parse_expression
-from confsub.jets import (EvaluationError, Jet, JetSpace, primal, scos, sexp,
-                          slog, spow, ssin, ssqrt)
+from confsub.jets import (EvaluationError, Jet, JetSpace, _reciprocal, primal,
+                          scos, sdiv, sexp, slog, spow, ssin, ssqrt)
 
 # scalar test functions paired with their closed-form derivatives
 FUNCS = [
@@ -138,7 +139,8 @@ _BATCH = np.array([-2.5, -0.3, 0.7, 1.9])
     "log(x^2 + 1)", "sin(x)*cos(x)", "sqrt(x^2)", "1/x", "x/(x^2 + 1)"])
 def test_array_values_and_jets_match_each_point(text):
     # one evaluation over a point axis gives every point's value and
-    # first and second derivatives as the float evaluation of that point
+    # first and second derivatives, bit for bit, as the float evaluation
+    # of that point
     node = parse_expression(text, {"x"})
     with np.errstate(all="raise"):
         got = eval_expr(node, {"x": _BATCH})
@@ -147,12 +149,10 @@ def test_array_values_and_jets_match_each_point(text):
     for i, x in enumerate(_BATCH):
         ref = eval_expr(node, {"x": float(x)})
         ref_jet = eval_expr(node, {"x": one_var_jet(float(x))[0]})
-        assert got[i] == pytest.approx(ref, rel=1e-14, abs=1e-300)
-        assert jet.val[i] == pytest.approx(ref_jet.val, rel=1e-14)
-        assert np.asarray(jet.grad[0])[i] == pytest.approx(
-            ref_jet.grad[0], rel=1e-14)
-        assert np.asarray(jet.hess[0][0])[i] == pytest.approx(
-            ref_jet.hess[0][0], rel=1e-14)
+        assert got[i] == ref
+        assert jet.val[i] == ref_jet.val
+        assert np.asarray(jet.grad[0])[i] == ref_jet.grad[0]
+        assert np.asarray(jet.hess[0][0])[i] == ref_jet.hess[0][0]
 
 
 @pytest.mark.parametrize("text,message", [
@@ -163,9 +163,47 @@ def test_array_values_and_jets_match_each_point(text):
     ("(x + 0.3)^-1", "zero raised to a negative power in '(x + 0.3)^-1'"),
     ("exp(1000*x)", "non-finite value in exp in 'exp(1000 * x)'")])
 def test_array_domain_errors_are_loud(text, message):
-    # an element out of the domain raises the float branch's error
+    # an element out of the domain raises the error that element raises
+    # as a float
     node = parse_expression(text, {"x"})
     with np.errstate(all="ignore"):
         with pytest.raises(EvaluationError) as exc:
             eval_expr(node, {"x": _BATCH})
     assert str(exc.value) == message
+    alone = set()
+    for x in _BATCH:
+        try:
+            eval_expr(node, {"x": float(x)})
+        except EvaluationError as point_exc:
+            alone.add(str(point_exc))
+    assert alone == {message}
+
+
+# each scalar function with whether it takes negative arguments
+_SCALAR_FUNCS = [
+    ("exp", sexp, True), ("log", slog, False), ("sin", ssin, True),
+    ("cos", scos, True), ("sqrt", ssqrt, False),
+    ("reciprocal", _reciprocal, True),
+    ("1 / x", lambda x: sdiv(1.0, x), True),
+] + [(f"x^{r}", lambda x, r=r: spow(x, r), r.denominator % 2 == 1)
+     for r in (Fraction(2), Fraction(3), Fraction(-1), Fraction(-2),
+               Fraction(1, 2), Fraction(3, 2), Fraction(-3, 2),
+               Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3),
+               Fraction(5, 3))]
+
+
+@pytest.mark.parametrize("name,func,negative", _SCALAR_FUNCS,
+                         ids=[f[0] for f in _SCALAR_FUNCS])
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.tuples(st.floats(1e-3, 40.0), st.booleans()),
+                       min_size=2, max_size=21), data=st.data())
+def test_a_float_rounds_as_inside_an_array(name, func, negative, values,
+                                           data):
+    # a point's value does not depend on how many points share its
+    # evaluation: a function gives on a float the bits it gives on that
+    # float inside a larger array, wherever the float sits in it
+    batch = np.array([-v if flip and negative else v for v, flip in values])
+    at = data.draw(st.integers(0, len(batch) - 1))
+    got = func(float(batch[at]))
+    assert type(got) is float
+    assert got.hex() == float(func(batch)[at]).hex(), name

@@ -831,9 +831,10 @@ def test_points_with_equal_hypotheses_share_one_list():
     assert len(lists) < len(records) // 10
 
 
-def _close(got, ref):
-    return abs(got - ref) <= 1e-12 * (1.0 + abs(ref)) or (
-        math.isnan(got) and math.isnan(ref))
+def _same(got, ref):
+    """Equal floats, a NaN equal to a NaN: a point's value in a stacked
+    run is, bit for bit, its value in a run of its own."""
+    return got == ref or (math.isnan(got) and math.isnan(ref))
 
 
 def _soliton_records(job):
@@ -869,10 +870,10 @@ def _assert_solitons_match_points_alone(monkeypatch, job, points):
         for name, rec in stacked.items():
             ref = refs[name]
             assert rec["point"] == ref["point"], (name, i)
-            assert _close(rec["lhs"], ref["lhs"]), (name, i)
-            assert _close(rec["rhs"], ref["rhs"]), (name, i)
+            assert _same(rec["lhs"], ref["lhs"]), (name, i)
+            assert _same(rec["rhs"], ref["rhs"]), (name, i)
             assert rec["terms"].keys() == ref["terms"].keys()
-            assert all(_close(rec["terms"][k], v)
+            assert all(_same(rec["terms"][k], v)
                        for k, v in ref["terms"].items()), (name, i)
     for name, rec in stacked.items():
         refs = [reps[name] for reps, _ in alone]
@@ -880,15 +881,15 @@ def _assert_solitons_match_points_alone(monkeypatch, job, points):
             hyps = [r["hypotheses"][k] for r in refs]
             assert {h["name"] for h in hyps} == {hyp["name"]}
             assert hyp["satisfied"] == all(h["satisfied"] for h in hyps)
-            assert _close(hyp["violation"],
+            assert _same(hyp["violation"],
                           max(h["violation"] for h in hyps)), name
         # harmonicity counts one side's worst value only where the other
         # side holds at every point, so its residual is not the points'
         if name != "harmonicity":
-            assert _close(rec["abs_residual"],
+            assert _same(rec["abs_residual"],
                           max(r["abs_residual"] for r in refs)), name
     for key, check in flags.items():
-        assert _close(check.max_violation,
+        assert _same(check.max_violation,
                       max(f[key].max_violation for _, f in alone)), key
     return [reps for reps, _ in alone]
 
@@ -896,9 +897,9 @@ def _assert_solitons_match_points_alone(monkeypatch, job, points):
 @pytest.mark.parametrize("name", ["curved-all", "fiber-2d", "flat-sweep"])
 def test_stacked_run_matches_runs_of_each_point_alone(monkeypatch, name):
     # the run's one context reads every point's values off the stacked
-    # arrays: the identity records of a run over 8 points are those of 8
-    # runs over one point each, and on curved-all so is each soliton
-    # record with its worst point pinned to that point
+    # arrays: the identity records of a run over 8 points are, bit for
+    # bit, those of 8 runs over one point each, and on curved-all so is
+    # each soliton record with its worst point pinned to that point
     job = parse_manifest(_workloads().manifest_text(name, 1, points=8))
     points = list(job.points)
     assert len(points) == 8
@@ -918,13 +919,13 @@ def test_stacked_run_matches_runs_of_each_point_alone(monkeypatch, name):
                     "convention_sensitive"):
             assert got[key] == ref[key], (got["id"], key)
         for key in ("lhs", "rhs", "abs_residual", "rel_residual"):
-            assert _close(got[key], ref[key]), (got["id"], key)
+            assert _same(got[key], ref[key]), (got["id"], key)
         assert got["terms"].keys() == ref["terms"].keys()
-        assert all(_close(got["terms"][k], v)
+        assert all(_same(got["terms"][k], v)
                    for k, v in ref["terms"].items()), got["id"]
         assert [(h["name"], h["satisfied"]) for h in got["hypotheses"]] == [
             (h["name"], h["satisfied"]) for h in ref["hypotheses"]]
-        assert all(_close(g["violation"], r["violation"]) for g, r in zip(
+        assert all(_same(g["violation"], r["violation"]) for g, r in zip(
             got["hypotheses"], ref["hypotheses"])), got["id"]
 
 
