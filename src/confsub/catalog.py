@@ -224,7 +224,9 @@ def run_example(example_id, tol=1e-6, points=None):
         points = default_points(example_id)
     total = setup.total
     m = setup.m
-    env = total.env(geo.batch_coordinates([p.coords for p in points]))
+    # every row reads the points' one identity context
+    ctx = IdentityContext(setup, points)
+    env = total.env(geo.batch_coordinates(ctx.cores.coords))
     rows = []
 
     def compare(name, provenance, text, computed):
@@ -235,9 +237,6 @@ def run_example(example_id, tol=1e-6, points=None):
         samples = [(p, float(e), float(c))
                    for p, e, c in zip(points, expected, computed)]
         rows.append(_compare(name, provenance, samples, tol))
-
-    # every row reads the points' one identity context
-    ctx = IdentityContext(setup, points)
 
     # Christoffel symbols, every index triple (sparse expected, default 0)
     for k in range(1, m + 1):

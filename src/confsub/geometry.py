@@ -137,9 +137,9 @@ def coordinate_partials(fn, xs, order=1):
     return values, d, _nest(dd, [m, m] + shape)
 
 
-def point_partials(fn, rows, order=2):
-    """Values and coordinate partials of ``fn`` at every point of ``rows``
-    (one coordinate sequence per point) as float arrays with the point
+def point_partials(fn, xs, order=2):
+    """Values and coordinate partials of ``fn`` at every point of ``xs``
+    (one row of coordinates per point) as float arrays with the point
     axis first, from one ``coordinate_partials`` seeding over all the
     points: (X, dX) at order 1 and (X, dX, ddX) at order 2, with
     dX[p, i] = d_i X at point p and ddX[p, i, j] = d_i d_j X there.
@@ -147,8 +147,8 @@ def point_partials(fn, rows, order=2):
     where any point raises; each point's values are those of the point
     alone."""
     with np.errstate(all="ignore"):
-        return tuple(stack_points(a, len(rows)) for a in coordinate_partials(
-            fn, batch_coordinates(rows), order))
+        return tuple(stack_points(a, len(xs)) for a in coordinate_partials(
+            fn, batch_coordinates(xs), order))
 
 
 def _nest(flat, shape):
@@ -174,7 +174,8 @@ def field_values_at(chart, spec, xs):
 
 
 def field_fn(chart, spec):
-    return lambda xs: field_values_at(chart, spec, xs)
+    return spec if callable(spec) else (
+        lambda xs: field_values_at(chart, spec, xs))
 
 
 # ---------------------------------------------------------------------
@@ -224,16 +225,15 @@ def lie_derivative_matrix(g, gamma, xi, dxi):
 # float values over points
 # ---------------------------------------------------------------------
 
-def batch_coordinates(rows):
-    """Coordinate values of a batch of points for ``eval_expr``: one float
-    array over the points per coordinate, or the coordinates of a single
-    point as floats.  The scalar functions round a float as they round it
-    inside an array, so the floats only select speed: evaluating one point
-    on one-element arrays pays NumPy's per-array cost in every operation
-    of the jet arithmetic."""
-    if len(rows) == 1:
-        return [float(c) for c in rows[0]]
-    return list(np.array(rows, dtype=float).T)
+def batch_coordinates(xs):
+    """Coordinate values of the points ``xs`` (P, m) for ``eval_expr``: one
+    float array over the points per coordinate, or the coordinates of a
+    single point as floats.  The scalar functions round a float as they
+    round it inside an array, so the floats only select speed: evaluating
+    one point on one-element arrays pays NumPy's per-array cost in every
+    operation of the jet arithmetic."""
+    xs = np.asarray(xs, dtype=float)
+    return xs[0].tolist() if len(xs) == 1 else list(xs.T)
 
 
 def stack_points(values, count):

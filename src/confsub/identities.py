@@ -8,11 +8,11 @@ checks read at every point of the run, the point axis first: over the
 coordinate basis, as it is built, and over E, as a frame-basis array
 (name ending in ``_e``, index order in the class docstring).  A check
 slices the blocks it needs (``[:, :m-n]`` vertical, ``[:, m-n:]``
-horizontal), computes its left side, right side and each named term once
-for all the points, as arrays over the point axis and its index tuples,
-one einsum, product or slice per term, and ``build_records`` maps over
-the flat list ``_records`` reads off each array into a ``RecordTable``:
-a record per point and tuple.
+horizontal) and computes its left side, right side and each named term
+once for all the points, one einsum, product or slice per term;
+``_records`` reads the arrays at the check's index tuples into a part of
+a ``RecordTable``, a record per point and tuple, and the table builds the
+parts of a run's checks in one pass.
 
 Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
@@ -63,7 +63,6 @@ point's values do not depend on the points that share its run.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from itertools import (chain, combinations, combinations_with_replacement,
                        repeat)
@@ -102,28 +101,45 @@ class Hypothesis:
     satisfied: bool
     violation: float
 
-    @functools.cached_property
+    @property
     def dicts(self):
         """Its dict (``HYPOTHESIS_SCHEMA``) at each point of its run, one
         per distinct (``satisfied``, violation bits); -0.0 is not 0.0."""
-        satisfied = self.satisfied.tolist()
-        keys = list(zip(satisfied, self.violation.view(np.uint64).tolist()))
-        rows = dict(zip(keys, zip(repeat(self.name), satisfied,
-                                  self.violation.tolist())))
-        shared = {key: dict(zip(HYPOTHESIS_SCHEMA, row))
-                  for key, row in rows.items()}
-        return list(map(shared.__getitem__, keys))
+        return [hs[0] for hs in _hypothesis_lists([self], len(self.violation))]
 
 
-_VERDICTS = {(True, True): "pass", (True, False): "fail"}
+def _hypothesis_lists(hyps, count):
+    """The list of the ``HYPOTHESIS_SCHEMA`` dicts of ``hyps``, run-level
+    ``Hypothesis`` objects, at each of ``count`` points: one list per
+    distinct row of (violation bits, satisfied) over them all, -0.0 not
+    0.0, found by one dict over the rows' bytes, and one dict per (name,
+    satisfied, bits)."""
+    keys = np.array([k for h in hyps for k in (
+        h.violation.view(np.uint64), h.satisfied)] or [[0] * count],
+                    dtype=np.uint64)
+    rows = keys.T.copy().view(f"V{8 * len(keys)}").ravel().tolist()
+    at = dict(zip(rows, range(count)))  # each distinct row, at a point
+    picked = keys[:, list(at.values())]
+    ints, shared = picked.tolist(), {}
+    lists = [[] for _ in at]
+    for h, values, bits, flags in zip(hyps, picked[::2].view(
+            np.float64).tolist(), ints[::2], ints[1::2]):
+        for row, value, key, met in zip(lists, values, bits, map(bool, flags)):
+            row.append(shared.setdefault((h.name, met, key), dict(zip(
+                HYPOTHESIS_SCHEMA, (h.name, met, value)))))
+    return list(map(dict(zip(at, lists)).__getitem__, rows))
+
+
+# by verdict code: 0 fail, 1 pass, 2 a hypothesis not met
+_VERDICTS = np.array(["fail", "pass", "hypothesis-not-met"], dtype=object)
 
 
 def verdict_of(hypotheses, value, tol):
     """The verdict of every record: ``hypothesis-not-met`` when one of
     ``hypotheses`` is unmet, else ``pass`` when ``value`` <= ``tol``, else
     ``fail``."""
-    return _VERDICTS.get((all(h.satisfied for h in hypotheses), value <= tol),
-                         "hypothesis-not-met")
+    return _VERDICTS[int(value <= tol)
+                     if all(h.satisfied for h in hypotheses) else 2]
 
 
 # the type of each value of a record by its key, the one layout
@@ -140,12 +156,21 @@ HYPOTHESIS_SCHEMA = {"name": str, "satisfied": bool, "violation": float}
 class RecordTable:
     """Records as one list per ``RECORD_SCHEMA`` key, ``columns`` in its
     order; the ``point`` column holds indices into ``points``, the
-    coordinate lists.  Records share lists (``_records``): no reader may
-    mutate them."""
+    coordinate lists.  ``build_records`` adds a check's records as one of
+    ``parts``; a read of ``columns`` builds the parts added since in one
+    pass, point by point across them (``_build``).  Records share lists:
+    no reader may mutate them."""
 
-    def __init__(self, points=()):
-        self.points = list(points)
-        self.columns = {key: [] for key in RECORD_SCHEMA}
+    def __init__(self, points=(), parts=()):
+        self.points, self.parts = list(points), list(parts)
+        self._columns, self._built = {key: [] for key in RECORD_SCHEMA}, 0
+
+    @property
+    def columns(self):
+        if self._built < len(self.parts):
+            _build(self._columns, self.points, self.parts[self._built:])
+            self._built = len(self.parts)
+        return self._columns
 
     def __len__(self):
         return len(self.columns["id"])
@@ -153,19 +178,8 @@ class RecordTable:
     @classmethod
     def point_major(cls, points, tables):
         """The records of ``tables``, each over ``points``, in one table
-        point by point, each point's in their order: one permutation,
-        applied to each column, unless one table or point is in order."""
-        table = cls(points)
-        columns = [t.columns for t in tables]
-        for key in table.columns:
-            table.columns[key] = list(chain.from_iterable(
-                map(operator.itemgetter(key), columns)))
-        if len(tables) > 1 and len(table.points) > 1:
-            order = sorted(range(len(table)),
-                           key=table.columns["point"].__getitem__)
-            for key, column in table.columns.items():
-                table.columns[key] = list(map(column.__getitem__, order))
-        return table
+        point by point, each point's in their order."""
+        return cls(points, [part for t in tables for part in t.parts])
 
     def rows(self):
         """Each record as a dict laid out as ``RECORD_SCHEMA``, holding its
@@ -178,38 +192,75 @@ class RecordTable:
 def build_records(table, check_id, points, lhs, rhs, hypotheses, tol, *,
                   labels, terms={}, note="", residual=None, scale=None,
                   absolute=False):
-    """Append every record of one check to ``table`` from flat lists, one
-    entry per record, each mapped over at once: ``points`` (indices into
-    ``table.points``; a point without coordinates is never flagged),
-    ``lhs``, ``rhs``, ``hypotheses`` (lists of ``HYPOTHESIS_SCHEMA`` dicts,
-    held as given), ``labels``, each column of the map ``terms``, and
-    ``residual`` and ``scale``, by default |lhs - rhs| and 1 + max(|lhs|,
-    |rhs|, |each term|) (Python's ``max``: a NaN counts only in first
-    place).  The verdict (``verdict_of``) reads residual / scale, or the
-    residual when ``absolute``."""
-    values = list(terms.values())
-    count = len(lhs)
-    if residual is None:
-        residual = list(map(abs, map(operator.sub, lhs, rhs)))
-    if scale is None:
-        scale = map(operator.add, repeat(1.0), map(max, *[
-            map(abs, column) for column in [lhs, rhs] + values]))
-    rel = list(map(operator.truediv, residual, scale))
-    met = map(all, map(map, repeat(operator.itemgetter("satisfied")),
-                       hypotheses))
-    passed = map(operator.le, residual if absolute else rel, repeat(tol))
-    # in the order of RECORD_SCHEMA, as ``table.columns``
-    for column, new in zip(table.columns.values(), [
-            repeat("identity" if check_id in ALL_CHECK_IDS else "soliton",
-                   count),
-            repeat(check_id, count), labels, points, lhs, rhs, residual,
-            rel, hypotheses,
-            map(_VERDICTS.get, zip(met, passed), repeat("hypothesis-not-met")),
-            map(bool, map(table.points.__getitem__, points))
-            if check_id in CONVENTION_SENSITIVE_IDS else repeat(False, count),
-            map(dict, map(zip, repeat(list(terms)), zip(*values))) if values
-            else repeat({}, count), repeat(note, count)]):
-        column.extend(new)
+    """Add every record of one check to ``table``, one entry each of
+    ``points`` (indices into ``table.points``; a point without coordinates
+    is never flagged), ``lhs``, ``rhs``, ``hypotheses`` (lists of
+    ``HYPOTHESIS_SCHEMA`` dicts, held as given), ``labels``, each array of
+    the map ``terms``, and ``residual`` and ``scale``, by default
+    |lhs - rhs| and 1 + max(|lhs|, |rhs|, |each term|) (Python's ``max``: a
+    NaN counts only in first place).  The verdict (``verdict_of``) reads
+    residual / scale, or the residual when ``absolute``.  They are built
+    on the table's next read."""
+    table.parts.append((
+        check_id, np.asarray(points, dtype=np.intp),
+        np.array([lhs, rhs, *terms.values()], dtype=float), tuple(terms),
+        hypotheses, tol, labels, note, residual, scale, absolute))
+
+
+@np.errstate(all="ignore")  # as Python's float arithmetic, which it replaces
+def _build(columns, points, parts):
+    """Append the records of ``parts`` (``build_records``) over ``points``
+    to ``columns``, each column computed over all of them at once, made a
+    list once and put point by point across the parts in one permutation."""
+    (ids, indices, floats, names, hyps, tols, labels, notes, residuals,
+     scales, absolute) = zip(*parts)
+    sizes = [len(i) for i in indices]
+    cuts = np.cumsum([0] + sizes).tolist()
+
+    def own(default, values):  # a part's given values, else the default
+        return np.concatenate([default[a:b] if v is None else v
+                               for a, b, v in zip(cuts, cuts[1:], values)])
+
+    def each(values):  # a part's value once per record
+        return chain.from_iterable([v] * n for v, n in zip(values, sizes))
+
+    # every part's lhs, rhs and terms in one array, NaN below a part's rows
+    stack = np.full((max(map(len, floats)), cuts[-1]), np.nan)
+    for f, a, b in zip(floats, cuts, cuts[1:]):
+        stack[:len(f), a:b] = f
+    mags = abs(stack)
+    residual = own(abs(stack[0] - stack[1]), residuals)
+    # Python's max: a NaN in |lhs| propagates, one in |rhs| or a term not
+    scale = own(np.maximum(mags[0], np.fmax.reduce(mags)) + 1.0, scales)
+    rel = residual / scale
+    # whether each hypotheses list is met, once per list object
+    hyps = list(chain.from_iterable(hyps))
+    keys = list(map(id, hyps))
+    met = {key: all(h["satisfied"] for h in hs)
+           for key, hs in dict(zip(keys, hyps)).items()}
+    met = np.fromiter(map(met.__getitem__, keys), bool, len(keys))
+    passed = np.where(np.repeat(absolute, sizes), residual, rel) <= np.repeat(
+        tols, sizes)
+    index = np.concatenate(indices)
+    rows = index.tolist()
+    # in the order of RECORD_SCHEMA, as ``columns``
+    new = [each("identity" if i in ALL_CHECK_IDS else "soliton" for i in ids),
+           each(ids), chain.from_iterable(labels), rows, *stack[:2].tolist(),
+           residual.tolist(), rel.tolist(), hyps,
+           _VERDICTS[np.where(met, passed, 2)].tolist(),
+           chain.from_iterable(
+               map(bool, map(points.__getitem__, rows[a:b]))
+               if cid in CONVENTION_SENSITIVE_IDS else [False] * (b - a)
+               for cid, a, b in zip(ids, cuts, cuts[1:])),
+           chain.from_iterable(
+               map(dict, map(zip, repeat(n), zip(*f[2:].tolist()))) if n
+               else [{}] * f.shape[1] for n, f in zip(names, floats)),
+           each(notes)]
+    order = (np.argsort(index, kind="stable").tolist()
+             if len(parts) > 1 and (index[1:] < index[:-1]).any() else None)
+    for column, values in zip(columns.values(), new):
+        values = list(values)
+        column.extend(map(values.__getitem__, order) if order else values)
 
 
 def record(table, check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
@@ -338,8 +389,7 @@ class IdentityContext:
         self._fields = {}  # of ``vector_field``
         # each point's coordinates, the one list its records share, and by
         # the names of hypotheses, one list of their dicts per equal points
-        self.point_lists = list(map(list, map(operator.attrgetter("coords"),
-                                              self.points)))
+        self.point_lists = cores.coords.tolist()
         self.hypothesis_lists = {}
 
     # -- ingredients built on first read ----------------------------------
@@ -478,9 +528,8 @@ class IdentityContext:
         points, kept for every soliton fit and report that reads the field.
         ``xi`` is a ``VectorFieldSpec`` or a component function."""
         if xi not in self._fields:
-            fn = xi if callable(xi) else geo.field_fn(self.setup.total, xi)
-            v, dv = geo.point_partials(fn, [p.coords for p in self.points],
-                                       order=1)
+            v, dv = geo.point_partials(geo.field_fn(self.setup.total, xi),
+                                       self.cores.coords, order=1)
             self._fields[xi] = (v, dv, geo.lie_derivative_matrix(
                 self.g, self.gamma, v, dv))
         return self._fields[xi]
@@ -728,32 +777,25 @@ def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
              residual=None, scale=None, note=""):
     """A ``RecordTable`` over the run's points, point by point, one record
     per index tuple of ``index`` (its 1-based numbers formatted by
-    ``label``), from one flat list (``tolist``) of each array, read at the
-    tuples after the point axis (an empty tuple reads (P,) arrays):
-    ``lhs``, ``rhs``, each of the (name, array) ``terms``, ``residual`` and
-    ``scale``."""
+    ``label``), of the arrays read at the tuples after the point axis (an
+    empty tuple reads (P,) arrays): ``lhs``, ``rhs``, each of the (name,
+    array) ``terms``, ``residual`` and ``scale``."""
     at, labels = _layout(label, tuple(map(tuple, index)))
-    count = len(labels)
+    count, size = len(labels), len(ctx.points)
 
-    def column(x):
-        return None if x is None else x[at].reshape(-1).tolist()
-
-    def each_tuple(rows):  # a point's entry once per index tuple
-        return list(chain.from_iterable(zip(*[rows] * count)))
+    def flat(x):  # point by point, each point's tuples in order
+        return None if x is None else x[at].reshape(-1)
 
     names = tuple(h.name for h in hyps)
     if names not in ctx.hypothesis_lists:
-        keys = list(zip(*[map(id, h.dicts) for h in hyps]))
-        lists = dict(zip(keys, map(list, zip(*[h.dicts for h in hyps]))))
-        ctx.hypothesis_lists[names] = (list(map(lists.__getitem__, keys))
-                                       or [[]] * len(ctx.points))
+        ctx.hypothesis_lists[names] = _hypothesis_lists(hyps, size)
     table = RecordTable(ctx.point_lists)
     build_records(
-        table, identity_id, each_tuple(range(len(ctx.points))), column(lhs),
-        column(rhs), each_tuple(ctx.hypothesis_lists[names]), tol,
-        labels=labels * len(ctx.points),
-        terms={name: column(v) for name, v in terms}, note=note,
-        residual=column(residual), scale=column(scale))
+        table, identity_id, np.arange(size).repeat(count), flat(lhs),
+        flat(rhs),
+        list(chain.from_iterable(zip(*[ctx.hypothesis_lists[names]] * count))),
+        tol, labels=labels * size, terms={name: flat(v) for name, v in terms},
+        note=note, residual=flat(residual), scale=flat(scale))
     return table
 
 

@@ -163,12 +163,16 @@ def _scalar_text(value):
 
 def _block(opening, items, newline, closing):
     """The texts ``items`` one to a line, indented under ``newline``,
-    between the brackets, as ``json.dumps`` writes a container's
-    entries."""
+    between the brackets, as ``json.dumps`` writes a container's entries,
+    in one join: a run's records are most of its payload, and each ``+``
+    would copy them."""
     if not items:
         return opening + closing
     inner = newline + "  "
-    return opening + inner + ("," + inner).join(items) + newline + closing
+    parts = ["," + inner] * (2 * len(items) + 1)
+    parts[0], parts[-1] = opening + inner, newline + closing
+    parts[1::2] = items
+    return "".join(parts)
 
 
 def json_text(payload):
@@ -297,10 +301,9 @@ def _table_text(table, memo):
 
 def _with_rows(head, key, texts):
     """``json_text`` of ``head`` with the rows ``texts`` under its last
-    key, ``key``."""
-    return (json_text(head)[:-2]
-            + f",\n  {_encode_str(key)}: " + _block("[", texts, "\n  ", "]")
-            + "\n}")
+    key, ``key``, as one block."""
+    return _block(json_text(head)[:-2] + f",\n  {_encode_str(key)}: [",
+                  texts, "\n  ", "]\n}")
 
 
 def to_json(report):

@@ -62,7 +62,7 @@ def _chart_fields(chart, xi, points):
     gamma, dgamma = geo.christoffels_from_metric(g, dg, ddg)
     ric = np.einsum("...ikij->...jk",
                     geo.riemann_from_christoffels(gamma, dgamma))
-    xi_vals, dxi = geo.point_partials(_field_fn(chart, xi), rows, order=1)
+    xi_vals, dxi = geo.point_partials(geo.field_fn(chart, xi), rows, order=1)
     return g, ric, geo.lie_derivative_matrix(g, gamma, xi_vals, dxi)
 
 
@@ -71,10 +71,6 @@ def _soliton_form(g, lie, ric):
     (whose Gram matrix is the identity, for the fit) at every point."""
     frame = _frames(g)
     return frame @ (0.5 * lie + ric.swapaxes(1, 2)) @ frame.swapaxes(1, 2)
-
-
-def _field_fn(chart, xi):
-    return xi if callable(xi) else geo.field_fn(chart, xi)
 
 
 def _traces(a):
@@ -181,7 +177,7 @@ def base_soliton_report(records, ctx, xi, mu, xi_base=None, tol=1e-6):
     if xi_base is None:
         xi_base = geo.VectorFieldSpec.constant([0.0] * n)
     base_gamma, _, base_ric = ctx.base_curvature
-    declared, dxi_base = geo.point_partials(_field_fn(setup.base, xi_base),
+    declared, dxi_base = geo.point_partials(geo.field_fn(setup.base, xi_base),
                                             ctx.cores.base_coords, order=1)
     lform = _soliton_form(ctx.h_base, geo.lie_derivative_matrix(
         ctx.h_base, base_gamma, declared, dxi_base), base_ric)

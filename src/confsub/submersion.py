@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -42,6 +43,7 @@ class FloatCore:
     pv: np.ndarray          # vertical projector
     ph: np.ndarray          # horizontal projector
     lam_sq: np.ndarray      # squared dilation
+    coords: np.ndarray      # coordinates of the points, (P, m)
     base_coords: np.ndarray  # coordinates of F(p)
     h_base: np.ndarray      # base metric at F(p)
     push: np.ndarray        # F_* X_a, one row per horizontal frame vector
@@ -57,7 +59,7 @@ class PropertyCheck:
 
 
 class SubmersionSetup:
-    def __init__(self, total, base, map_components, declared_dilation=None):
+    def __init__(self, total, base, map_components):
         if base.dim >= total.dim:
             raise ValueError("base dimension must be smaller than total")
         if len(map_components) != base.dim:
@@ -65,14 +67,12 @@ class SubmersionSetup:
         self.total = total
         self.base = base
         self.map_components = list(map_components)
-        self.declared_dilation = declared_dilation  # optional expression
 
     @classmethod
-    def from_strings(cls, total, base, map_texts, declared_dilation=None):
+    def from_strings(cls, total, base, map_texts):
         coords = set(total.coord_names)
-        comps = [parse_expression(t, coords) for t in map_texts]
-        lam = parse_expression(declared_dilation, coords) if declared_dilation else None
-        return cls(total, base, comps, lam)
+        return cls(total, base, [parse_expression(t, coords)
+                                 for t in map_texts])
 
     @property
     def m(self):
@@ -96,15 +96,16 @@ class SubmersionSetup:
 
     def float_cores(self, points):
         """The frames, projectors and dilation at every point as floats,
-        one ``FloatCore`` over a leading point axis, from one pass: the
-        total metric, the map with its Jacobian (one seeding) and the base
-        metric at F(p) are each evaluated once for all points, and the
-        linear algebra runs stacked: K = J g^{-1} J^T, the lift
-        g^{-1} J^T K^{-1}, P_h = lift J, P_v = I - P_h,
-        lambda^2 = tr(h K^T) / n, the pushed horizontal frame F_* X_a and
-        the conformal anisotropy sup |h(F_* X_a, F_* X_b) - lambda^2
-        delta_ab| over it; the vertical frame is the reduced-row-echelon
-        kernel basis of the Jacobian, orthonormalized.
+        one ``FloatCore`` over a leading point axis, from one pass over one
+        (P, m) array of the points' coordinates: the total metric, the map
+        with its Jacobian (one seeding) and the base metric at F(p) are
+        each evaluated once for all points, and the linear algebra runs
+        stacked: K = J g^{-1} J^T, the lift g^{-1} J^T K^{-1},
+        P_h = lift J, P_v = I - P_h, lambda^2 = tr(h K^T) / n, the pushed
+        horizontal frame F_* X_a and the conformal anisotropy
+        sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab| over it; the vertical
+        frame is the reduced-row-echelon kernel basis of the Jacobian,
+        orthonormalized.
 
         Raises where a point is outside either chart's domain, either
         metric is not positive definite there, the map is rank deficient,
@@ -112,33 +113,34 @@ class SubmersionSetup:
         those of the point alone.  A batch in which any point fails is
         evaluated again one point at a time, so the error raised is that
         of the first failing point, as that point alone raises it."""
-        points = list(points)
+        xs = np.fromiter(chain.from_iterable(p.coords for p in points),
+                         float).reshape(len(points), -1)
         with np.errstate(all="ignore"):
             try:
-                arrays = self._float_cores(points)
+                arrays = self._float_cores(xs)
             except (ArithmeticError, ValueError):
-                if len(points) == 1:
+                if len(xs) == 1:
                     raise
-                cores = [self._float_cores([p]) for p in points]
+                cores = [self._float_cores(x[None]) for x in xs]
                 arrays = {key: np.concatenate([c[key] for c in cores])
                           for key in cores[0]}
-        return FloatCore(**arrays, partials=CorePartials(
-            self, points, arrays["base_coords"]))
+        return FloatCore(**arrays, coords=xs, partials=CorePartials(
+            self, xs, arrays["base_coords"]))
 
-    def _float_cores(self, points):
-        """The arrays of ``float_cores`` by field name, without the
-        rerun."""
-        count, m, n = len(points), self.m, self.n
-        where = points[0].coords if count == 1 else f"one of {count} points"
+    def _float_cores(self, xs):
+        """The arrays of ``float_cores`` by field name at the points ``xs``,
+        (P, m), without the rerun."""
+        count, m, n = len(xs), self.m, self.n
+        where = (tuple(xs[0].tolist()) if count == 1
+                 else f"one of {count} points")
 
         def finite(name, a):
             if not np.isfinite(a).all():
                 raise EvaluationError(f"non-finite {name} at {where}")
             return a
 
-        rows = [p.coords for p in points]
-        g = geo.metric_matrices(self.total, geo.batch_coordinates(rows), count)
-        fvals, d = geo.point_partials(self.map_point_at, rows, order=1)
+        g = geo.metric_matrices(self.total, geo.batch_coordinates(xs), count)
+        fvals, d = geo.point_partials(self.map_point_at, xs, order=1)
         jac = finite("Jacobian", d.transpose(0, 2, 1))
         ginv = np.linalg.inv(g)
         jt = jac.transpose(0, 2, 1)
@@ -154,7 +156,7 @@ class SubmersionSetup:
         if not np.isfinite(fvals).all():
             raise ValueError("point coordinates must be finite")
         h_base = geo.metric_matrices(
-            self.base, geo.batch_coordinates(fvals.tolist()), count)
+            self.base, geo.batch_coordinates(fvals), count)
         lam_sq = finite("lambda^2", np.einsum("pab,pab->p", h_base, k) / n)
         vframe = geo.orthonormal_frames(g, vbasis)
         hframe = geo.orthonormal_frames(g, lift.transpose(0, 2, 1))
@@ -176,16 +178,16 @@ def _stacked(method):
 
     @functools.wraps(method)
     def stacked(self):
-        if len(self.points) == 1:
+        if len(self.coords) == 1:
             return method(self)
         with np.errstate(all="ignore"):
             try:
                 return method(self)
             except (ArithmeticError, ValueError):
                 pass
-            parts = [getattr(CorePartials(self.setup, self.points[i:i + 1],
+            parts = [getattr(CorePartials(self.setup, self.coords[i:i + 1],
                                           self.base_coords[i:i + 1]), name)
-                     for i in range(len(self.points))]
+                     for i in range(len(self.coords))]
         return tuple(np.concatenate(slot) for slot in zip(*parts))
     return functools.cached_property(stacked)
 
@@ -205,14 +207,14 @@ class CorePartials:
     formulas of ``SubmersionSetup.float_cores``.  A fourth seeding, of the
     base metric at F(p), gives the base curvature."""
 
-    def __init__(self, setup, points, base_coords):
+    def __init__(self, setup, coords, base_coords):
         self.setup = setup
-        self.points = points
+        self.coords = coords  # (P, m), the points'
         self.base_coords = base_coords  # (P, n), F(p)
 
     def _leaf(self, fn):
         """(X, dX, ddX) of ``fn`` at the points."""
-        return geo.point_partials(fn, [p.coords for p in self.points])
+        return geo.point_partials(fn, self.coords)
 
     @_stacked
     def metric(self):
@@ -244,7 +246,8 @@ class CorePartials:
             k_inv = taylor_inverse(self.k)
         except np.linalg.LinAlgError:  # a stack reruns each point alone
             raise NotASubmersionError(
-                f"map is rank deficient at {self.points[0].coords}") from None
+                f"map is rank deficient at {tuple(self.coords[0].tolist())}"
+            ) from None
         return taylor_mul(self.ginv, taylor_mul(_transposed(self.jac), k_inv))
 
     @_stacked

@@ -201,6 +201,81 @@ def test_builder_takes_nan_where_max_does(lhs, rhs, terms, scale, absolute):
     assert not skipped["convention_sensitive"]
 
 
+_MET = {"name": "m", "satisfied": True, "violation": 0.0}
+_MET_NEG = {"name": "m", "satisfied": True, "violation": -0.0}
+_UNMET = {"name": "u", "satisfied": False, "violation": math.nan}
+# lists that records share
+_LISTS = [[_MET], [_MET_NEG], [_MET, _UNMET]]
+# the checks of one table, over its points [[0.5], [1.5, -0.0], []]: NaN in
+# lhs (first place) and only in a term, +-inf with inf - inf, -0.0 against
+# 0.0 in lhs and in the violations, absolute with a given residual and
+# scale, zero records, and the point without coordinates
+_ARRAY_CHECKS = [
+    dict(check_id="G2.16", points=[0, 0, 1, 1, 2, 2],
+         lhs=[math.nan, 1.0, math.inf, -0.0, 0.0, 2.0],
+         rhs=[1.0, 0.5, math.inf, 0.0, -0.0, -math.inf],
+         hypotheses=[_LISTS[i] for i in (0, 1, 2, 0, 1, 0)],
+         labels=list("abcdef"),
+         terms={"t": [2.0, math.nan, -math.inf, -0.0, 3.0, 1.0],
+                "u": [math.nan] * 6}, note="n"),
+    dict(check_id="fit-mu", points=[1, 2], lhs=[1.0, -0.0],
+         rhs=[1.0 + 3e-6, math.inf], hypotheses=[[], [_UNMET]],
+         labels=["", ""], residual=[3e-6, math.inf], scale=[4.0, 1.0],
+         absolute=True),
+    dict(check_id="R3.13", points=[], lhs=[], rhs=[], hypotheses=[],
+         labels=[], terms={"t": []}),
+    dict(check_id="L2.2", points=[0], lhs=[-math.inf], rhs=[-math.inf],
+         hypotheses=[[_MET]], labels=["x"]),
+    dict(check_id="conformal-fit", points=[0, 1], lhs=[math.nan, 1.0],
+         rhs=[0.0, math.nan], hypotheses=[[]] * 2, labels=["", ""],
+         residual=[0.5, 0.5], terms={"f": [2.0, 3.0]})]
+
+
+def _reference_rows(points, check_id, indices, lhs, rhs, hypotheses, *,
+                    labels, terms={}, note="", residual=None, scale=None,
+                    absolute=False):
+    """A check's rows by Python's scalar arithmetic, one at a time."""
+    for i, index in enumerate(indices):
+        yield _scalar_record(
+            check_id, points[index], lhs[i], rhs[i], hypotheses[i],
+            1e-6, terms={name: column[i] for name, column in terms.items()},
+            label=labels[i], note=note,
+            residual=None if residual is None else residual[i],
+            scale=None if scale is None else scale[i], absolute=absolute)
+
+
+def test_array_columns_match_a_row_by_row_reference():
+    # the columns built with NumPy over whole checks, each check alone and
+    # all of them in one pass (put point by point), equal Python's scalar
+    # rule row by row (json.dumps tells NaN, -0.0 and 0.0 apart), and
+    # every verdict is verdict_of's; a NumPy warning fails the test
+    points = [[0.5], [1.5, -0.0], []]
+    tables, expected = RecordTable(points), []
+    for check in _ARRAY_CHECKS:
+        args = dict(check)
+        check_id, indices = args.pop("check_id"), args.pop("points")
+        lhs, rhs, hyps = args.pop("lhs"), args.pop("rhs"), args.pop(
+            "hypotheses")
+        rows = list(_reference_rows(points, check_id, indices, lhs, rhs,
+                                    hyps, **args))
+        alone = RecordTable(points)
+        for table in (alone, tables):
+            build_records(table, check_id, indices, lhs, rhs, hyps, 1e-6,
+                          **args)
+        assert json.dumps(alone.rows()) == json.dumps(rows)
+        expected += zip(indices, rows)
+        for row in rows:
+            value = row["abs_residual" if args.get("absolute")
+                        else "rel_residual"]
+            assert row["verdict"] == verdict_of([
+                Hypothesis(h["name"], h["satisfied"], h["violation"])
+                for h in row["hypotheses"]], value, 1e-6)
+    expected.sort(key=lambda pair: pair[0])
+    assert json.dumps(tables.rows()) == json.dumps([r for _, r in expected])
+    assert [r["convention_sensitive"] for r in tables.rows()
+            if r["id"] == "G2.16"] == [True, True, True, True, False, False]
+
+
 def test_full_closure_on_conformal_examples(conformal_setups):
     # the identities that hold at every convention close exactly on the
     # genuinely conformal catalog setups

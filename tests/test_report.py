@@ -219,7 +219,7 @@ def test_flat_sweep_builds_no_curvature(monkeypatch):
     ctx, = contexts
     assert not set(lazy) & set(vars(ctx))
     # nor any entry of the run's CorePartials
-    assert set(vars(ctx.cores.partials)) == {"setup", "points", "base_coords"}
+    assert set(vars(ctx.cores.partials)) == {"setup", "coords", "base_coords"}
 
 
 # Gamma of this metric is not finite on x2 = 0, where d/dx2 x2^(1/3) is
