@@ -12,7 +12,7 @@ recomputations and a mismatch there is a genuine failure.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ _MANIFEST_FILES = {
 }
 
 
-@dataclass
-class ExpectedValues:
+class ExpectedValues(NamedTuple):
     christoffels: dict  # (k, i, j) -> expression text; absent means 0
     dilation: str  # expression for lambda^2, paper-printed
     oneill_values: list  # (name, kind, args, component expression texts, provenance)
@@ -41,12 +40,11 @@ class ExpectedValues:
     mu_note: str = ""
 
 
-@dataclass
-class ExampleReport:
+class ExampleReport(NamedTuple):
     example_id: str
     rows: list  # dicts laid out as report.EXAMPLE_ROW_SCHEMA
-    discrepancies: list = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
+    discrepancies: list  # the rows whose verdict is paper-divergent
+    counts: dict  # rows by verdict
     note: str = ""
 
 

@@ -19,8 +19,7 @@ comparison operators <, <=, >, >= combined with ``and`` / ``or``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import jets
 
@@ -41,49 +40,41 @@ class ExprError(ValueError):
         super().__init__(f"{message} (column {pos + 1} in {text!r})")
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Coord:
+class Coord(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: object
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * /
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
-    exponent: Fraction
+    exponent: int  # or a fractions.Fraction with denominator > 1
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: object
 
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(NamedTuple):
     op: str  # < <= > >=
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class BoolOp:
+class BoolOp(NamedTuple):
     op: str  # and / or
     left: object
     right: object
@@ -257,8 +248,10 @@ class _Parser:
             self.toks.expect("/")
             den = self._integer()
             self.toks.expect(")")
-            return Fraction(num, den)
-        return Fraction(sign * self._integer())
+            from fractions import Fraction  # only a rational exponent
+            r = Fraction(num, den)
+            return r.numerator if r.denominator == 1 else r
+        return sign * self._integer()
 
     def _integer(self):
         kind, val, pos = self.toks.peek()

@@ -24,7 +24,7 @@ derivatives are float contractions of what it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,18 +42,28 @@ class DependentVectorsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Point:
-    coords: tuple
+    """A point by its coordinates, a tuple of finite floats."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-        if not all(math.isfinite(c) for c in self.coords):
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        self.coords = tuple(map(float, coords))
+        if not all(map(math.isfinite, self.coords)):
             raise ValueError("point coordinates must be finite")
 
+    def __eq__(self, other):
+        return (self.coords == other.coords if type(other) is Point
+                else NotImplemented)
 
-@dataclass(frozen=True)
-class VectorFieldSpec:
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __repr__(self):
+        return f"Point(coords={self.coords!r})"
+
+
+class VectorFieldSpec(NamedTuple):
     """A vector field given componentwise by expressions."""
 
     components: tuple  # of expression ASTs
@@ -89,11 +99,6 @@ class ChartManifold:
     def metric_at(self, xs):
         env = self.env(xs)
         return [[eval_expr(e, env) for e in row] for row in self.metric]
-
-    def contains(self, point):
-        if self.domain is None:
-            return True
-        return bool(eval_expr(self.domain, self.env(point.coords)))
 
     def field(self, *component_texts):
         return VectorFieldSpec.parse(component_texts, set(self.coord_names))

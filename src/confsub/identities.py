@@ -63,9 +63,9 @@ point's values do not depend on the points that share its run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import (chain, combinations, combinations_with_replacement,
                        repeat)
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,7 @@ CONVENTION_SENSITIVE_IDS = ("G2.16", "L3.1.i", "L3.1.v", "R3.13",
                             "C3.1", "C3.2", "base-soliton")
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     """A named hypothesis, whether it is ``satisfied`` and its
     ``violation``: a bool and a float at one point, (P,) arrays over a
     run's points in an ``IdentityContext``."""

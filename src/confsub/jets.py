@@ -29,7 +29,6 @@ non-finite.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -264,10 +263,9 @@ def ssqrt(x):
 
 
 def spow(x, exponent):
-    """x ** r for a constant rational or integer exponent r."""
-    r = exponent
-    if isinstance(r, Fraction) and r.denominator == 1:
-        r = r.numerator
+    """x ** r for a constant exponent r, an int or a ``Fraction``."""
+    p, q = exponent.numerator, exponent.denominator
+    r = p if q == 1 else exponent
     if isinstance(x, Jet):
         if r == 0:
             return x.space.constant(1.0)
@@ -279,13 +277,12 @@ def spow(x, exponent):
         if x.space.order == 2:
             f2 = _float_exp(r) * _float_exp(r - 1) * spow(x.val, r - 2)
         return x.chain(f0, f1, f2)
-    if isinstance(r, int):
-        if r < 0 and np.count_nonzero(x == 0):
+    if q == 1:
+        if p < 0 and np.count_nonzero(x == 0):
             raise EvaluationError("zero raised to a negative power")
-        return _numpy(np.power, x, float(r), finite="power")
+        return _numpy(np.power, x, float(p), finite="power")
     # rational exponent: only defined here for non-negative bases unless
     # the reduced denominator is odd
-    p, q = r.numerator, r.denominator
     if q % 2 == 0 and np.count_nonzero(x < 0):
         raise EvaluationError("negative base with even-root exponent")
     if p < 0 and np.count_nonzero(x == 0):
@@ -294,7 +291,7 @@ def spow(x, exponent):
 
 
 def _float_exp(r):
-    return float(r) if isinstance(r, Fraction) else r
+    return r.numerator / r.denominator
 
 
 def _rational_power(x, p, q):

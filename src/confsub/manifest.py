@@ -29,10 +29,11 @@ Box points are drawn by the splitmix64 counter-based generator so a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .expr import ExprError
-from .geometry import ChartManifold, Point
+import numpy as np
+
+from .expr import ExprError, eval_expr
+from .geometry import ChartManifold, Point, batch_coordinates, stack_points
 from .identities import ALL_CHECK_IDS
 from .submersion import SubmersionSetup
 
@@ -50,16 +51,17 @@ class ManifestError(ValueError):
     """Schema or cross-reference violation in a manifest document."""
 
 
-@dataclass
 class VerificationJob:
-    setup: SubmersionSetup
-    fields: dict  # name -> (target, VectorFieldSpec)
-    xi_name: str = None
-    mu: float = None
-    checks: tuple = ()
-    points: list = field(default_factory=list)
-    tolerance: float = 1e-6
-    seed: int = 42
+    def __init__(self, setup, fields, xi_name=None, mu=None, checks=(),
+                 points=None, tolerance=1e-6, seed=42):
+        self.setup = setup
+        self.fields = fields  # name -> (target, VectorFieldSpec)
+        self.xi_name = xi_name
+        self.mu = mu
+        self.checks = checks
+        self.points = [] if points is None else points
+        self.tolerance = tolerance
+        self.seed = seed
 
     @property
     def xi(self):
@@ -83,31 +85,67 @@ def splitmix64(state):
     return (z ^ (z >> 31)) & _MASK
 
 
-def _unit(seed, counter):
-    return splitmix64((seed + counter * 0x9E3779B97F4A7C15) & _MASK) / 2.0 ** 64
+def _units(seed, start, count):
+    """splitmix64((seed + c G) mod 2**64) / 2**64, G = 0x9E3779B97F4A7C15,
+    for c in [start, start + count): its steps on ``np.uint64`` operands
+    only (NumPy 1 casts none), wrapping, with state + G = seed + (c + 1) G."""
+    u64 = np.uint64
+    z = np.arange(start + 1, start + count + 1, dtype=u64)
+    with np.errstate(over="ignore"):
+        z = u64(seed & _MASK) + z * u64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E9B5)
+        z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+    return (z ^ (z >> u64(31))) / 2.0 ** 64
 
 
 def sample_box(box, count, seed, predicate=None, max_attempts=1000):
     """``count`` points uniform in ``box`` (list of (lo, hi) pairs),
-    rejection-sampled against ``predicate`` when given."""
-    points = []
-    counter = 0
-    attempts = 0
+    rejection-sampled against ``predicate``, a bool mask of a block of
+    candidates' coordinates (k, dim), each block only candidates a one-at-
+    a-time sampler reaches; raises after ``max_attempts`` misses in a row."""
+    lo, hi = np.array(box, float).T
+    points, counter, misses = [], 0, 0
     while len(points) < count:
-        coords = []
-        for lo, hi in box:
-            coords.append(lo + _unit(seed, counter) * (hi - lo))
-            counter += 1
-        p = Point(tuple(coords))
-        attempts += 1
-        if predicate is None or predicate(p):
-            points.append(p)
-            attempts = 0
-        elif attempts >= max_attempts:
+        k = min(count - len(points), max_attempts - misses)
+        xs = lo + _units(seed, counter, k * len(lo)).reshape(k, -1) * (hi - lo)
+        counter += xs.size
+        kept = np.flatnonzero(predicate(xs) if predicate else np.ones(k, bool))
+        points.extend(map(Point, xs[kept].tolist()))
+        misses = k - 1 - int(kept[-1]) if len(kept) else misses + k
+        if misses >= max_attempts:
             raise ManifestError(
                 f"could not sample a point satisfying the domain predicate "
                 f"after {max_attempts} attempts")
     return points
+
+
+def _holds(chart, xs):
+    """A bool mask of the rows of coordinates ``xs`` in the chart's domain."""
+    return np.full(len(xs), chart.domain is None or eval_expr(
+        chart.domain, chart.env(batch_coordinates(xs))), bool)
+
+
+def domain_mask(setup):
+    """The predicate of ``sample_box`` for a submersion: a row holds in the
+    total domain where its image there is finite (else ValueError) and in
+    the base domain.  After an error, the first row raising alone raises."""
+    def in_domains(xs):
+        try:
+            with np.errstate(all="ignore"):
+                mask = _holds(setup.total, xs)
+                rows = np.flatnonzero(mask)
+                if len(rows):
+                    ys = stack_points(setup.map_point_at(
+                        batch_coordinates(xs[rows])), len(rows))
+                    if not np.isfinite(ys).all():
+                        raise ValueError("point coordinates must be finite")
+                    mask[rows] = _holds(setup.base, ys)
+            return mask
+        except ValueError:
+            for row in xs[:-1]:
+                in_domains(row[None])
+            raise
+    return in_domains
 
 
 # ---------------------------------------------------------------------
@@ -176,6 +214,9 @@ def _parse_box(text, dim):
         lo, hi = float(parts[0]), float(parts[1])
         if not lo < hi:
             raise ManifestError(f"empty box range {chunk.strip()!r}")
+        if not math.isfinite(hi - lo):
+            raise ManifestError(f"box range {chunk.strip()!r} is not finite "
+                                "or its width overflows")
         box.append((lo, hi))
     if len(box) != dim:
         raise ManifestError(f"points.box lists {len(box)} ranges for dim {dim}")
@@ -271,17 +312,13 @@ def parse_manifest(document, overrides=None):
     tolerance = parse_tolerance(keys.get("tolerance", "1e-6"))
     seed = int(keys.get("points.seed", "42"))
 
-    def in_domains(p):
-        if not total.contains(p):
-            return False
-        return base.contains(setup.map_point(p))
-
+    in_domains = domain_mask(setup)
     if "points.list" in keys:
         points = _parse_point_list(keys["points.list"], total.dim)
-        for p in points:
-            if not in_domains(p):
-                raise ManifestError(
-                    f"point {tuple(p.coords)} violates a domain predicate")
+        held = in_domains(np.array([p.coords for p in points]))
+        if not held.all():
+            raise ManifestError(f"point {points[held.argmin()].coords} "
+                                "violates a domain predicate")
     elif "points.box" in keys:
         box = _parse_box(keys["points.box"], total.dim)
         count = int(keys.get("points.count", "20"))

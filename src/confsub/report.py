@@ -16,7 +16,6 @@ import json.encoder
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import itemgetter
 
@@ -29,14 +28,15 @@ from .identities import (ALL_CHECK_IDS, HYPOTHESIS_SCHEMA, RECORD_SCHEMA,
 from .manifest import SOLITON_CHECKS
 
 
-@dataclass
 class Report:
-    job: dict
-    records: RecordTable = field(default_factory=RecordTable)
-    counts: dict = field(default_factory=dict)
-    flagged_fails: int = 0
-    meta: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    def __init__(self, job, records=None, counts=None, flagged_fails=0,
+                 meta=None, wall_time=0.0):
+        self.job = job
+        self.records = RecordTable() if records is None else records
+        self.counts = {} if counts is None else counts
+        self.flagged_fails = flagged_fails
+        self.meta = {} if meta is None else meta
+        self.wall_time = wall_time
 
     @property
     def exit_code(self):

@@ -9,7 +9,7 @@ compared against its closed-form expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,16 +19,14 @@ from .identities import Hypothesis, record, worst_of
 from .linalg import mat_vec, quad_form, vec_dot
 
 
-@dataclass
-class MuFit:
+class MuFit(NamedTuple):
     mu: float
     max_residual: float
     classification: str  # shrinking | steady | expanding
     per_point: list  # (Point, residual)
 
 
-@dataclass
-class ConformalFit:
+class ConformalFit(NamedTuple):
     f_values: list  # (Point, f)
     max_residual: float
     is_killing: bool

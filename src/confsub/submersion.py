@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry as geo
 from .expr import eval_expr, parse_expression
-from .geometry import Point, jacobian_at
-from .jets import EvaluationError, primal
+from .geometry import jacobian_at
+from .jets import EvaluationError
 from .linalg import (SingularMatrixError, mat_vec, null_space_bases,
                      quad_form, taylor_inverse, taylor_mul)
 
@@ -30,8 +30,7 @@ class NotASubmersionError(ValueError):
 PROPERTY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FloatCore:
+class FloatCore(NamedTuple):
     """Float values of a submersion over a stack of points, each with a
     leading point axis (see ``SubmersionSetup.float_cores``)."""
 
@@ -49,11 +48,10 @@ class FloatCore:
     push: np.ndarray        # F_* X_a, one row per horizontal frame vector
     anisotropy: np.ndarray  # sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab|
     # the same points' partials, built on first read
-    partials: CorePartials = field(repr=False, compare=False)
+    partials: CorePartials
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     holds: bool
     max_violation: float
 
@@ -85,9 +83,6 @@ class SubmersionSetup:
     def map_point_at(self, xs):
         env = self.total.env(xs)
         return [eval_expr(c, env) for c in self.map_components]
-
-    def map_point(self, p):
-        return Point(tuple(primal(c) for c in self.map_point_at(p.coords)))
 
     def jacobian_at(self, xs):
         return jacobian_at(self.map_components, self.total.coord_names, xs)

@@ -359,6 +359,39 @@ def test_verify_does_not_import_the_catalog():
     assert out.stdout.strip() == "False"
 
 
+def test_start_up_imports_no_dataclasses_or_fractions():
+    # a run pays for neither dataclass code generation nor the fractions
+    # module (with decimal): the records are named tuples or plain
+    # classes, and only a rational exponent, which no shipped manifest
+    # writes, imports fractions; what NumPy itself imports is not counted
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import confsub.cli; "
+            "[confsub.cli.load_manifest(path) for path in sys.argv[1:]]; "
+            "print(sorted({'dataclasses', 'fractions', 'decimal'} "
+            "& (set(sys.modules) - before)))")
+    manifests = sorted(str(p) for p in (src / "confsub" / "manifests").glob(
+        "*.cfsm"))
+    assert len(manifests) == 4
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code, *manifests], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("box,bad", [("-inf 1 ; -1 1", "-inf 1"),
+                                     ("-1 1 ; 0 inf", "0 inf"),
+                                     ("-1e308 1e308 ; -1 1", "-1e308 1e308")])
+def test_unbounded_box_is_usage_error_naming_the_range(tmp_path, capsys, box,
+                                                       bad):
+    path = tmp_path / "box.cfsm"
+    path.write_text(SMALL.replace("points.list = (0, 0) ; (1, 0.5) ; (-1, 1)",
+                                  f"points.box = {box}"))
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: box range {bad!r} is not finite or its width overflows\n")
+
+
 def test_example_rejects_an_unknown_id(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["example", "5.9"])

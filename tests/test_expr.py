@@ -1,13 +1,14 @@
 """Expression language: parsing, evaluation, round-trips, error spans."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsub.expr import (ExprError, eval_expr, parse_expression,
-                          parse_predicate, to_text)
+from confsub.expr import (Coord, ExprError, Pow, eval_expr,
+                          parse_expression, parse_predicate, to_text)
 from confsub.jets import primal
 
 COORDS = {"x1", "x2", "x3"}
@@ -91,3 +92,18 @@ def test_parser_totality(text):
         parse_expression(text, COORDS)
     except ExprError as err:
         assert err.pos >= 0
+
+
+@pytest.mark.parametrize("text,exponent", [
+    ("x1^(1/2)", Fraction(1, 2)), ("x1^(-2/6)", Fraction(-1, 3)),
+    ("x1^(4/2)", 2), ("x1^-3", -3), ("x1^2", 2), ("x1^-(6/3)", -2)])
+def test_integer_exponents_are_ints_equal_to_their_fractions(text, exponent):
+    # an integer exponent is an int, a rational one a reduced Fraction;
+    # either compares and hashes as the Fraction of the same value, so
+    # nodes built either way are equal
+    node = parse_expression(text, COORDS)
+    assert type(node.exponent) is type(exponent)
+    assert node.exponent == exponent == Fraction(exponent)
+    as_fraction = Pow(Coord("x1"), Fraction(exponent))
+    assert node == as_fraction and hash(node) == hash(as_fraction)
+    assert parse_expression(to_text(node), COORDS) == node

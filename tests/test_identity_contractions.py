@@ -3,8 +3,6 @@ loop forms (``identity_loops``): same records in the same order, with the
 same labels, verdicts and hypotheses, and every value within
 1e-12 (1 + |reference|)."""
 
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,7 +134,7 @@ def test_frame_suprema_match_loop_forms(name, setup, points):
                 "hyp_horizontal_integrable", "hyp_homothetic",
                 "hyp_map_tg", "hyp_umbilical"):
         for got, loop in zip(getattr(ctx, hyp).dicts, loops):
-            _assert_hypotheses([got], [asdict(getattr(loop, hyp)())],
+            _assert_hypotheses([got], [getattr(loop, hyp)()._asdict()],
                                (name, hyp))
     # the flags are the suprema over the points
     flags = sub.structure_flags(ctx)

@@ -1,9 +1,12 @@
 """Manifest parsing: schema validation, sampling determinism."""
 
+import numpy as np
 import pytest
 
-from confsub.manifest import (KNOWN_CHECKS, ManifestError, parse_manifest,
-                              sample_box, splitmix64)
+from confsub.expr import eval_expr
+from confsub.jets import EvaluationError
+from confsub.manifest import (KNOWN_CHECKS, ManifestError, _units,
+                              parse_manifest, sample_box, splitmix64)
 
 GOOD = """
 # minimal valid manifest
@@ -114,10 +117,10 @@ def test_box_sampling_deterministic():
 
 def test_box_sampling_respects_predicate():
     box = [(-1.0, 1.0)]
-    pts = sample_box(box, 8, seed=1, predicate=lambda p: p.coords[0] > 0)
+    pts = sample_box(box, 8, seed=1, predicate=lambda xs: xs[:, 0] > 0)
     assert all(p.coords[0] > 0 for p in pts)
     with pytest.raises(ManifestError, match="predicate"):
-        sample_box(box, 1, seed=1, predicate=lambda p: False,
+        sample_box(box, 1, seed=1, predicate=lambda xs: xs[:, 0] > 2,
                    max_attempts=50)
 
 
@@ -135,3 +138,144 @@ def test_box_manifest():
     assert job.seed == 5
     again = parse_manifest(text)
     assert [p.coords for p in job.points] == [p.coords for p in again.points]
+
+
+@pytest.mark.parametrize("box", ["-inf 1", "-1 inf", "-1e308 1e308",
+                                 "-1e308 1.7976931348623157e308"])
+def test_box_bounds_must_be_finite_with_a_finite_width(box):
+    text = replace("points.list", None) + (
+        f"\npoints.box = -1 1 ; {box}\npoints.count = 3\n")
+    with pytest.raises(ManifestError, match=f"box range {box!r} is not "
+                       "finite or its width overflows"):
+        parse_manifest(text)
+
+
+# ---------------------------------------------------------------------
+# the array sampler against a one-at-a-time reference
+# ---------------------------------------------------------------------
+
+GOLDEN = 0x9E3779B97F4A7C15
+MASK = (1 << 64) - 1
+
+
+def _reference_unit(seed, counter):
+    return splitmix64((seed + counter * GOLDEN) & MASK) / 2.0 ** 64
+
+
+def _reference_sample(box, count, seed, predicate, max_attempts=1000):
+    """One candidate at a time: ``predicate`` takes a coordinate tuple."""
+    points, counter, misses = [], 0, 0
+    while len(points) < count:
+        coords = []
+        for lo, hi in box:
+            coords.append(lo + _reference_unit(seed, counter) * (hi - lo))
+            counter += 1
+        if predicate(tuple(coords)):
+            points.append(tuple(coords))
+            misses = 0
+        else:
+            misses += 1
+            if misses >= max_attempts:
+                raise ManifestError(f"after {max_attempts} attempts")
+    return points
+
+
+def _scalar_in_domains(setup):
+    """The domain test of a manifest at one point, from floats."""
+    def holds(chart, xs):
+        return chart.domain is None or bool(
+            eval_expr(chart.domain, chart.env(xs)))
+
+    def in_domains(xs):
+        return holds(setup.total, xs) and holds(
+            setup.base, [float(y) for y in setup.map_point_at(xs)])
+    return in_domains
+
+
+@pytest.mark.parametrize("seed", [0, 42, -7, 2 ** 63 + 12345, 2 ** 64 - 1])
+def test_units_match_scalar_splitmix64(seed):
+    start = 1000 if seed == 42 else 0
+    got = _units(seed, start, 25_000).tolist()
+    want = [_reference_unit(seed, c) for c in range(start, start + 25_000)]
+    assert got == want
+
+
+SAMPLED = """
+total.dim    = 3
+total.coords = x1 x2 x3
+total.metric = x3^-2, 0, 0 ; 0, x3^-2, 0 ; 0, 0, x3^-2
+base.dim     = 2
+base.coords  = y1 y2
+base.metric  = 1, 0 ; 0, 1
+map.components = x2, x3
+points.box = -1 1 ; -1 1 ; 0.5 3
+points.count = 40
+points.seed = 11
+"""
+SAMPLED_BOX = [(-1.0, 1.0), (-1.0, 1.0), (0.5, 3.0)]
+
+
+@pytest.mark.parametrize("domains", [
+    "",
+    "total.domain = x3 > 1",
+    "total.domain = x3 > 1\nbase.domain = y2 > 1.8 and y1 < 0.5",
+    # about four in five candidates rejected, over several blocks
+    "base.domain = y2 > 2.5 or y1 < -0.9",
+])
+def test_box_points_match_one_at_a_time_reference(domains):
+    job = parse_manifest(SAMPLED + domains)
+    want = _reference_sample(SAMPLED_BOX, 40, 11,
+                             _scalar_in_domains(job.setup))
+    assert [p.coords for p in job.points] == want
+
+
+@pytest.mark.parametrize("count,accepted,max_attempts", [
+    (30, lambda i: i % 3 == 0 or i % 7 == 0, 1000),  # most rejected
+    (5, lambda i: i in (0, 4, 5), 50),  # the error after 50 rejections
+    (12, lambda i: True, 4),
+], ids=["mostly-rejected", "max-attempts", "all-accepted"])
+def test_sampler_tests_exactly_the_reference_candidates(count, accepted,
+                                                        max_attempts):
+    box = [(-1.0, 1.0), (0.0, 2.0)]
+    seen, ref_seen = [], []
+
+    def block(xs):
+        first = len(seen)
+        seen.extend(map(tuple, xs.tolist()))
+        return np.array([accepted(i) for i in range(first, len(seen))],
+                        dtype=bool)
+
+    def one(coords):
+        ref_seen.append(coords)
+        return accepted(len(ref_seen) - 1)
+
+    try:
+        want = _reference_sample(box, count, 3, one, max_attempts)
+    except ManifestError:
+        with pytest.raises(ManifestError, match=f"after {max_attempts} "):
+            sample_box(box, count, 3, block, max_attempts)
+    else:
+        assert [p.coords for p in sample_box(
+            box, count, 3, block, max_attempts)] == want
+    assert seen == ref_seen
+
+
+@pytest.mark.parametrize("components,message", [
+    ("x2, log(x2)", "log of a non-positive value in 'log(x2)'"),
+    # a block's first failing operation (the log, over every row) is not
+    # that of its first failing row, whose sqrt fails first
+    ("x2, log(x2 + 0.9) + sqrt(x1 + 0.8)",
+     "sqrt of a negative value in 'sqrt(x1 + 0.8)'"),
+])
+def test_map_raising_at_a_reached_candidate_keeps_its_message(components,
+                                                              message):
+    # the map is undefined on part of the box, and a base domain reads
+    # its values
+    text = SAMPLED.replace("x2, x3", components) + "base.domain = y1 > 0.5"
+    setup = parse_manifest(text.replace("points.box = -1 1 ; -1 1 ; 0.5 3",
+                                        "points.list = (0, 1, 1)")).setup
+    with pytest.raises(EvaluationError) as ref:
+        _reference_sample(SAMPLED_BOX, 40, 11, _scalar_in_domains(setup))
+    with pytest.raises(EvaluationError) as got:
+        parse_manifest(text)
+    assert str(got.value) == str(ref.value) == message

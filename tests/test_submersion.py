@@ -340,7 +340,7 @@ def _per_pair_violations(setup, p):
     over the lifted base coordinate fields, one seeding per bracket and
     per nabla_{X_a} X_b."""
     xs = list(p.coords)
-    q = setup.map_point(p)
+    q = Point(setup.map_point_at(p.coords))
     ys = list(q.coords)
     g = jr.metric_matrix(setup.total, p)
     h_base = jr.metric_matrix(setup.base, q)
@@ -543,7 +543,7 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
         jac = jr.jacobian(setup, p)
         pv, ph = (primal_array(a) for a in jr.projectors_at(setup, xs))
         lift = primal_array(jr.core_matrices_at(setup, xs)[4])
-        base_point = setup.map_point(p)
+        base_point = Point(setup.map_point_at(p.coords))
         ref = {"g": g, "ginv": np.array(mat_inverse(g.tolist())),
                "jac": jac, "pv": pv, "ph": ph,
                "lam_sq": primal(jr.lambda_sq_at(setup, xs)),
@@ -576,7 +576,7 @@ def test_float_cores_rerun_stacks_the_points_alone(monkeypatch, ex53):
 
     monkeypatch.setattr(sub.SubmersionSetup, "_float_cores", batch_fails)
     rerun = ex53.float_cores(points)
-    for key, value in vars(batch).items():
+    for key, value in batch._asdict().items():
         if key != "partials":
             _assert_close(getattr(rerun, key), value, key)
     # the rerun's partials cover the same points
