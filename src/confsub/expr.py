@@ -246,7 +246,11 @@ class _Parser:
                 sign = -sign
             num = sign * self._integer()
             self.toks.expect("/")
+            pos = self.toks.peek()[2]
             den = self._integer()
+            if den == 0:
+                raise ExprError("zero denominator in an exponent", self.text,
+                                pos)
             self.toks.expect(")")
             from fractions import Fraction  # only a rational exponent
             r = Fraction(num, den)

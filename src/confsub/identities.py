@@ -100,12 +100,6 @@ class Hypothesis(NamedTuple):
     satisfied: bool
     violation: float
 
-    @property
-    def dicts(self):
-        """Its dict (``HYPOTHESIS_SCHEMA``) at each point of its run, one
-        per distinct (``satisfied``, violation bits); -0.0 is not 0.0."""
-        return [hs[0] for hs in _hypothesis_lists([self], len(self.violation))]
-
 
 def _hypothesis_lists(hyps, count):
     """The list of the ``HYPOTHESIS_SCHEMA`` dicts of ``hyps``, run-level
@@ -131,14 +125,6 @@ def _hypothesis_lists(hyps, count):
 
 # by verdict code: 0 fail, 1 pass, 2 a hypothesis not met
 _VERDICTS = np.array(["fail", "pass", "hypothesis-not-met"], dtype=object)
-
-
-def verdict_of(hypotheses, value, tol):
-    """The verdict of every record: ``hypothesis-not-met`` when one of
-    ``hypotheses`` is unmet, else ``pass`` when ``value`` <= ``tol``, else
-    ``fail``."""
-    return _VERDICTS[int(value <= tol)
-                     if all(h.satisfied for h in hypotheses) else 2]
 
 
 # the type of each value of a record by its key, the one layout
@@ -171,9 +157,6 @@ class RecordTable:
             self._built = len(self.parts)
         return self._columns
 
-    def __len__(self):
-        return len(self.columns["id"])
-
     @classmethod
     def point_major(cls, points, tables):
         """The records of ``tables``, each over ``points``, in one table
@@ -197,9 +180,10 @@ def build_records(table, check_id, points, lhs, rhs, hypotheses, tol, *,
     ``HYPOTHESIS_SCHEMA`` dicts, held as given), ``labels``, each array of
     the map ``terms``, and ``residual`` and ``scale``, by default
     |lhs - rhs| and 1 + max(|lhs|, |rhs|, |each term|) (Python's ``max``: a
-    NaN counts only in first place).  The verdict (``verdict_of``) reads
-    residual / scale, or the residual when ``absolute``.  They are built
-    on the table's next read."""
+    NaN counts only in first place).  The verdict is
+    ``hypothesis-not-met`` when a hypothesis is unmet, else ``pass`` when
+    residual / scale, or the residual when ``absolute``, is at most
+    ``tol``, else ``fail``.  They are built on the table's next read."""
     table.parts.append((
         check_id, np.asarray(points, dtype=np.intp),
         np.array([lhs, rhs, *terms.values()], dtype=float), tuple(terms),
@@ -223,14 +207,11 @@ def _build(columns, points, parts):
     def each(values):  # a part's value once per record
         return chain.from_iterable([v] * n for v, n in zip(values, sizes))
 
-    # every part's lhs, rhs and terms in one array, NaN below a part's rows
-    stack = np.full((max(map(len, floats)), cuts[-1]), np.nan)
-    for f, a, b in zip(floats, cuts, cuts[1:]):
-        stack[:len(f), a:b] = f
-    mags = abs(stack)
-    residual = own(abs(stack[0] - stack[1]), residuals)
+    lhs, rhs = np.concatenate([f[:2] for f in floats], axis=1)
+    residual = own(abs(lhs - rhs), residuals)
     # Python's max: a NaN in |lhs| propagates, one in |rhs| or a term not
-    scale = own(np.maximum(mags[0], np.fmax.reduce(mags)) + 1.0, scales)
+    mags = np.concatenate([np.fmax.reduce(abs(f)) for f in floats])
+    scale = own(np.maximum(abs(lhs), mags) + 1.0, scales)
     rel = residual / scale
     # whether each hypotheses list is met, once per list object
     hyps = list(chain.from_iterable(hyps))
@@ -244,8 +225,8 @@ def _build(columns, points, parts):
     rows = index.tolist()
     # in the order of RECORD_SCHEMA, as ``columns``
     new = [each("identity" if i in ALL_CHECK_IDS else "soliton" for i in ids),
-           each(ids), chain.from_iterable(labels), rows, *stack[:2].tolist(),
-           residual.tolist(), rel.tolist(), hyps,
+           each(ids), chain.from_iterable(labels), rows, lhs.tolist(),
+           rhs.tolist(), residual.tolist(), rel.tolist(), hyps,
            _VERDICTS[np.where(met, passed, 2)].tolist(),
            chain.from_iterable(
                map(bool, map(points.__getitem__, rows[a:b]))

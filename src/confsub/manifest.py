@@ -165,6 +165,16 @@ def _read_pairs(document):
     return pairs
 
 
+def _number(text, key, kind=int):
+    """``text``, read from ``key``, as an int, or as a float for
+    ``kind=float``; a ManifestError naming the key otherwise."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ManifestError(f"{key}: {text.strip()!r} is not {what}") from None
+
+
 def _metric_rows(text):
     return [[cell.strip() for cell in row.split(",")]
             for row in text.split(";")]
@@ -172,7 +182,7 @@ def _metric_rows(text):
 
 def _chart_from(keys, prefix):
     try:
-        dim = int(keys[f"{prefix}.dim"])
+        dim = _number(keys[f"{prefix}.dim"], f"{prefix}.dim")
         coords = keys[f"{prefix}.coords"].split()
         metric = _metric_rows(keys[f"{prefix}.metric"])
     except KeyError as exc:
@@ -197,7 +207,8 @@ def _parse_point_list(text, dim):
         chunk = chunk.strip()
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise ManifestError(f"malformed point {chunk!r}")
-        coords = [float(c) for c in chunk[1:-1].split(",")]
+        coords = [_number(c, "points.list", float)
+                  for c in chunk[1:-1].split(",")]
         if len(coords) != dim:
             raise ManifestError(
                 f"point {chunk!r} has {len(coords)} coordinates, expected {dim}")
@@ -211,7 +222,7 @@ def _parse_box(text, dim):
         parts = chunk.split()
         if len(parts) != 2:
             raise ManifestError(f"box range {chunk.strip()!r} is not 'lo hi'")
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = (_number(p, "points.box", float) for p in parts)
         if not lo < hi:
             raise ManifestError(f"empty box range {chunk.strip()!r}")
         if not math.isfinite(hi - lo):
@@ -225,10 +236,7 @@ def _parse_box(text, dim):
 
 def parse_tolerance(text):
     """A relative tolerance: a finite, non-negative number."""
-    try:
-        tol = float(text)
-    except ValueError:
-        raise ManifestError(f"tolerance {text!r} is not a number") from None
+    tol = _number(text, "tolerance", float)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ManifestError(
             f"tolerance must be finite and non-negative, got {text!r}")
@@ -293,7 +301,8 @@ def parse_manifest(document, overrides=None):
         raise ManifestError(f"soliton.xi references undeclared field {xi_name!r}")
     if xi_name is not None and fields[xi_name][0] != "total":
         raise ManifestError("soliton.xi must name a field on the total manifold")
-    mu = float(keys["soliton.mu"]) if "soliton.mu" in keys else None
+    mu = (_number(keys["soliton.mu"], "soliton.mu", float)
+          if "soliton.mu" in keys else None)
 
     checks = []
     for token in keys.get("checks", "all").split(","):
@@ -310,7 +319,7 @@ def parse_manifest(document, overrides=None):
     checks = tuple(c for c in checks if not (c in seen or seen.add(c)))
 
     tolerance = parse_tolerance(keys.get("tolerance", "1e-6"))
-    seed = int(keys.get("points.seed", "42"))
+    seed = _number(keys.get("points.seed", "42"), "points.seed")
 
     in_domains = domain_mask(setup)
     if "points.list" in keys:
@@ -321,7 +330,7 @@ def parse_manifest(document, overrides=None):
                                 "violates a domain predicate")
     elif "points.box" in keys:
         box = _parse_box(keys["points.box"], total.dim)
-        count = int(keys.get("points.count", "20"))
+        count = _number(keys.get("points.count", "20"), "points.count")
         if count <= 0:
             raise ManifestError("points.count must be positive")
         points = sample_box(box, count, seed, predicate=in_domains)

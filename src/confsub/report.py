@@ -12,7 +12,7 @@ only in the text rendering).
 
 from __future__ import annotations
 
-import json.encoder
+import json
 import math
 import time
 from collections import Counter
@@ -144,23 +144,6 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
-def _scalar_text(value):
-    """JSON text of a value that is not a container, as ``json.dumps``
-    writes it."""
-    if isinstance(value, float):
-        return _floats_text([value])[0]
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return _BOOL_TEXT[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(
-        f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _block(opening, items, newline, closing):
     """The texts ``items`` one to a line, indented under ``newline``,
     between the brackets, as ``json.dumps`` writes a container's entries,
@@ -173,29 +156,6 @@ def _block(opening, items, newline, closing):
     parts[0], parts[-1] = opening + inner, newline + closing
     parts[1::2] = items
     return "".join(parts)
-
-
-def json_text(payload):
-    """The text of ``json.dumps(payload, sort_keys=True, indent=2)`` for a
-    payload of dicts with string keys, lists, tuples, strings, ints,
-    floats (NumPy's included), bools and None, written without the
-    pure-Python encoder ``json.dumps`` falls back to under ``indent``."""
-    return _nested_text(payload, "\n")
-
-
-def _nested_text(value, newline):
-    """``json_text`` of ``value`` nested at ``newline``, a newline and the
-    indent of the enclosing entry."""
-    if isinstance(value, dict):
-        inner = newline + "  "
-        return _block("{", [_encode_str(key) + ": "
-                            + _nested_text(value[key], inner)
-                            for key in sorted(value)], newline, "}")
-    if isinstance(value, (list, tuple)):
-        inner = newline + "  "
-        return _block("[", [_nested_text(item, inner) for item in value],
-                      newline, "]")
-    return _scalar_text(value)
 
 
 def _template(keys, newline):
@@ -300,9 +260,10 @@ def _table_text(table, memo):
 
 
 def _with_rows(head, key, texts):
-    """``json_text`` of ``head`` with the rows ``texts`` under its last
-    key, ``key``, as one block."""
-    return _block(json_text(head)[:-2] + f",\n  {_encode_str(key)}: [",
+    """``json.dumps(head, sort_keys=True, indent=2)`` with the rows
+    ``texts`` under its last key, ``key``, as one block."""
+    return _block(json.dumps(head, sort_keys=True, indent=2)[:-2]
+                  + f",\n  {_encode_str(key)}: [",
                   texts, "\n  ", "]\n}")
 
 

@@ -112,6 +112,22 @@ def test_overflow_is_an_evaluation_error(tmp_path, capsys, map_text, points,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text,message", [
+    (OVERFLOW.format(map="x1^(1/0)", points="(0.1, 0.2)"),
+     "in map.components: zero denominator in an exponent "
+     "(column 7 in 'x1^(1/0)')"),
+    (OVERFLOW.format(map="x1", points="").replace(
+        "points.list = ", "points.box = 0 1 ; 0 1\npoints.count = 2.5"),
+     "points.count: '2.5' is not an integer")], ids=["exponent", "count"])
+def test_bad_number_is_one_usage_error_line(tmp_path, capsys, text, message):
+    # a zero denominator and a non-integer count name where they are
+    # written, as one line and exit 2, not a traceback
+    path = tmp_path / "bad_number.cfsm"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 NON_FINITE_CORE = OVERFLOW.replace("total.metric = 1, 0 ; 0, 1",
                                    "total.metric = {metric}")
 

@@ -46,6 +46,15 @@ def test_syntax_errors_have_positions(text):
     assert "column" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["x1^(1/0)", "x1^(-3/0)", "x1^-(0/0)"])
+def test_zero_denominator_exponent_is_a_syntax_error(text):
+    # a rational exponent over 0 is an ExprError at the denominator, not
+    # a ZeroDivisionError
+    with pytest.raises(ExprError, match="zero denominator") as err:
+        parse_expression(text, COORDS)
+    assert text[err.value.pos:] == "0)"
+
+
 def test_unknown_coordinate_rejected():
     with pytest.raises(ExprError):
         parse_expression("y1 + 1", COORDS)

@@ -13,7 +13,7 @@ from confsub.geometry import Point
 from confsub.identities import (ALL_CHECK_IDS, CHECKS,
                                 CONVENTION_SENSITIVE_IDS, Hypothesis,
                                 IdentityContext, RecordTable, build_records,
-                                record, run_check, verdict_of)
+                                record, run_check)
 from confsub.manifest import SOLITON_CHECKS
 from conftest import (chart, conformal_corpus, make_setup, one_row, sample,
                       warped_4to2)
@@ -53,16 +53,29 @@ def test_check_table_covers_every_id_in_order(riemannian_setups):
         run_check("G9.99", setup, sample(box, 1, seed=22))
 
 
+def _verdict(hypotheses, value, tol):
+    """The verdict rule, a reference independent of the columnar builder:
+    an unmet hypothesis, else ``value`` <= ``tol``."""
+    if not all(h["satisfied"] for h in hypotheses):
+        return "hypothesis-not-met"
+    return "pass" if value <= tol else "fail"
+
+
 def test_verdict_rule():
     met, unmet = Hypothesis("a", True, 0.0), Hypothesis("b", False, 2.0)
+
+    def verdict(hypotheses, value, tol):  # a record whose residual is value
+        return one_row(record, "fit-mu", (), value, 0.0, hypotheses, tol,
+                       residual=value, absolute=True)["verdict"]
+
     # an unmet hypothesis outranks a residual above tol
-    assert verdict_of([met, unmet], 5.0, 1e-6) == "hypothesis-not-met"
-    assert verdict_of([unmet], 0.0, 1e-6) == "hypothesis-not-met"
+    assert verdict([met, unmet], 5.0, 1e-6) == "hypothesis-not-met"
+    assert verdict([unmet], 0.0, 1e-6) == "hypothesis-not-met"
     # a value equal to tol passes; above it, or NaN, fails
-    assert verdict_of([met], 1e-6, 1e-6) == "pass"
-    assert verdict_of([], 0.0, 0.0) == "pass"
-    assert verdict_of([met], 1.5e-6, 1e-6) == "fail"
-    assert verdict_of([], float("nan"), 1e-6) == "fail"
+    assert verdict([met], 1e-6, 1e-6) == "pass"
+    assert verdict([], 0.0, 0.0) == "pass"
+    assert verdict([met], 1.5e-6, 1e-6) == "fail"
+    assert verdict([], float("nan"), 1e-6) == "fail"
 
 
 def test_record_reads_the_residual_its_kind_compares():
@@ -94,13 +107,12 @@ def _scalar_record(check_id, point, lhs, rhs, hypotheses, tol, *, terms,
         scale = 1.0 + max([abs(lhs), abs(rhs)]
                           + [abs(v) for v in terms.values()])
     rel = abs_res / scale
-    hyps = [Hypothesis(h["name"], h["satisfied"], h["violation"])
-            for h in hypotheses]
     return {"kind": "identity" if check_id in ALL_CHECK_IDS else "soliton",
             "id": check_id, "label": label, "point": list(point),
             "lhs": lhs, "rhs": rhs, "abs_residual": abs_res,
             "rel_residual": rel, "hypotheses": hypotheses,
-            "verdict": verdict_of(hyps, abs_res if absolute else rel, tol),
+            "verdict": _verdict(hypotheses, abs_res if absolute else rel,
+                                tol),
             "convention_sensitive": bool(point)
             and check_id in CONVENTION_SENSITIVE_IDS,
             "terms": terms, "note": note}
@@ -248,7 +260,7 @@ def test_array_columns_match_a_row_by_row_reference():
     # the columns built with NumPy over whole checks, each check alone and
     # all of them in one pass (put point by point), equal Python's scalar
     # rule row by row (json.dumps tells NaN, -0.0 and 0.0 apart), and
-    # every verdict is verdict_of's; a NumPy warning fails the test
+    # every verdict is the rule's; a NumPy warning fails the test
     points = [[0.5], [1.5, -0.0], []]
     tables, expected = RecordTable(points), []
     for check in _ARRAY_CHECKS:
@@ -267,9 +279,7 @@ def test_array_columns_match_a_row_by_row_reference():
         for row in rows:
             value = row["abs_residual" if args.get("absolute")
                         else "rel_residual"]
-            assert row["verdict"] == verdict_of([
-                Hypothesis(h["name"], h["satisfied"], h["violation"])
-                for h in row["hypotheses"]], value, 1e-6)
+            assert row["verdict"] == _verdict(row["hypotheses"], value, 1e-6)
     expected.sort(key=lambda pair: pair[0])
     assert json.dumps(tables.rows()) == json.dumps([r for _, r in expected])
     assert [r["convention_sensitive"] for r in tables.rows()

@@ -12,7 +12,8 @@ from confsub import catalog
 from confsub import soliton as sol
 from confsub import submersion as sub
 from confsub.geometry import Point
-from confsub.identities import ALL_CHECK_IDS, IdentityContext, run_check
+from confsub.identities import (ALL_CHECK_IDS, IdentityContext,
+                                _hypothesis_lists, run_check)
 from conftest import (chart, conformal_corpus, make_setup, riemannian_corpus,
                       rows_by_point, sample, warped_4to2)
 from identity_loops import Loops, reference_check
@@ -133,7 +134,8 @@ def test_frame_suprema_match_loop_forms(name, setup, points):
     for hyp in ("hyp_conformal", "hyp_fibers_tg", "hyp_horizontal_tg",
                 "hyp_horizontal_integrable", "hyp_homothetic",
                 "hyp_map_tg", "hyp_umbilical"):
-        for got, loop in zip(getattr(ctx, hyp).dicts, loops):
+        lists = _hypothesis_lists([getattr(ctx, hyp)], len(points))
+        for (got,), loop in zip(lists, loops):
             _assert_hypotheses([got], [getattr(loop, hyp)()._asdict()],
                                (name, hyp))
     # the flags are the suprema over the points

@@ -99,6 +99,35 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
         parse_manifest(GOOD, overrides={"tolerance": tol})
 
 
+BOX = replace("points.list", None) + """
+points.box   = -1 1 ; -1 1
+points.count = 3
+points.seed  = 7
+"""
+
+
+# a malformed value of each numeric key, and how its message reads it
+MALFORMED = {"total.dim": ("2.0", "'2.0' is not an integer"),
+             "base.dim": ("one", "'one' is not an integer"),
+             "points.count": ("2.5", "'2.5' is not an integer"),
+             "points.seed": ("0x2a", "'0x2a' is not an integer"),
+             "soliton.mu": ("mu", "'mu' is not a number"),
+             "points.list": ("(0, abc)", "'abc' is not a number"),
+             "points.box": ("-1 1 ; -1 b", "'b' is not a number"),
+             "tolerance": ("tight", "'tight' is not a number")}
+
+
+@pytest.mark.parametrize("key", MALFORMED)
+def test_malformed_number_names_its_key(key):
+    # the message names the key and the text it could not read, not
+    # Python's conversion error
+    value, message = MALFORMED[key]
+    assert parse_manifest(BOX).points
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(BOX, overrides={key: value})
+    assert str(err.value) == f"{key}: {message}"
+
+
 def test_zero_tolerance_is_valid():
     assert parse_manifest(replace("tolerance", "0")).tolerance == 0.0
 
