@@ -64,35 +64,10 @@ def load_job(example_id):
     return parse_manifest(_manifest_text(example_id))
 
 
-def load_example(example_id):
-    """(setup, expected values) for a catalog example."""
-    job = load_job(example_id)
-    return job.setup, _EXPECTED[example_id]
-
-
 def default_points(example_id):
-    """Fixed published point lists (>= 10 per example, no seed needed)."""
-    if example_id == "5.1":
-        return [geo.Point(c) for c in
-                [(0.0, 0.0), (1.0, 0.5), (-1.0, 1.0), (0.5, 0.75),
-                 (-0.5, -0.75), (0.5, -0.75), (-0.5, 0.75), (2.0, -0.5),
-                 (-2.0, 0.25), (1.5, 1.25)]]
-    if example_id == "5.2":
-        return [geo.Point(c) for c in
-                [(0.5, 0.0), (1.0, 1.0), (-1.0, 0.5), (0.25, -0.5),
-                 (-0.25, 0.75), (0.75, 2.0), (-0.75, -1.0), (1.5, 0.25),
-                 (-1.5, -0.25), (2.0, 0.5)]]
-    if example_id == "5.3":
-        return [geo.Point((x1, x2, x3))
-                for x3 in (1.5, 2.0, 3.0)
-                for (x1, x2) in ((0.0, 1.5), (1.0, 2.0), (0.5, 2.5), (-1.0, 1.8))]
-    if example_id == "5.4":
-        return [geo.Point(c) for c in
-                [(0.0, 0.0, 0.0), (1.0, 0.5, -0.5), (-1.0, 1.0, 2.0),
-                 (0.5, -0.75, 1.5), (2.0, 1.0, -1.0), (-0.5, 0.25, 0.75),
-                 (1.5, -1.5, 0.5), (-2.0, 2.0, -2.0), (0.25, 0.5, 1.0),
-                 (-0.75, -0.25, -1.25)]]
-    raise UnknownExampleError(f"unknown example id {example_id!r}")
+    """The published points of the example's shipped manifest (>= 10,
+    no seed needed)."""
+    return load_job(example_id).points
 
 
 # ---------------------------------------------------------------------
@@ -217,14 +192,15 @@ def _compare(name, provenance, samples, tol):
 
 
 def run_example(example_id, tol=1e-6, points=None):
-    setup, expected = load_example(example_id)
+    job = load_job(example_id)
+    setup, expected = job.setup, _EXPECTED[example_id]
     if points is None:
-        points = default_points(example_id)
+        points = job.points
     total = setup.total
     m = setup.m
     # every row reads the points' one identity context
     ctx = IdentityContext(setup, points)
-    env = total.env(geo.batch_coordinates(ctx.cores.coords))
+    env = total.env(geo.batch_coordinates(ctx.coords))
     rows = []
 
     def compare(name, provenance, text, computed):

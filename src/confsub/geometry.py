@@ -230,6 +230,24 @@ def lie_derivative_matrix(g, gamma, xi, dxi):
 # float values over points
 # ---------------------------------------------------------------------
 
+def each_point(whole, alone, count):
+    """``whole()``, a value over a stack of ``count`` points (an array or a
+    tuple of arrays, each with the point axis first), with NumPy's
+    warnings off.  Where it raises an ArithmeticError or ValueError,
+    ``alone(i)`` evaluates each point i by itself, so the first failing
+    point raises its own error; where none does, their values are stacked."""
+    with np.errstate(all="ignore"):
+        try:
+            return whole()
+        except (ArithmeticError, ValueError):
+            if count == 1:  # the error is the lone point's own already
+                raise
+        parts = [alone(i) for i in range(count)]
+    if isinstance(parts[0], tuple):
+        return tuple(map(np.concatenate, zip(*parts)))
+    return np.concatenate(parts)
+
+
 def batch_coordinates(xs):
     """Coordinate values of the points ``xs`` (P, m) for ``eval_expr``: one
     float array over the points per coordinate, or the coordinates of a

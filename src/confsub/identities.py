@@ -343,44 +343,48 @@ class IdentityContext:
     H'(f), ``div_hprime`` and the scalar curvatures; each ``hyp_*`` is a
     ``Hypothesis`` of (P,) arrays.
 
-    The constructor holds the run's float core,
-    ``setup.float_cores(points)``, with its arrays ``g``, ``ginv``,
-    ``jac``, ``frame`` (``vframe``, then ``hframe``), ``pv``, ``ph``,
-    ``lam_sq`` and ``h_base``.  A hypothesis holds where its violation is
-    at most ``submersion.PROPERTY_TOL``.  Everything
+    The constructor builds the points' coordinates, ``coords`` (P, m),
+    once, and holds the arrays of ``setup.float_cores(coords)`` by name:
+    ``g``, ``ginv``, ``jac``, ``frame`` (``vframe``, then ``hframe``),
+    ``pv``, ``ph``, ``lam_sq``, ``base_coords`` (F(p)), ``h_base``,
+    ``push`` (F_* X_a over the horizontal frame) and ``anisotropy``, with
+    ``partials``, the points' ``sub.CorePartials``.  A hypothesis holds
+    where its violation is at most ``submersion.PROPERTY_TOL``.  Everything
     else is a cached property, built on first read for every point at
     once from only the arrays it needs, so a check pays only for what it
     reads, and an ingredient that cannot be evaluated fails only the
-    checks that read it.  The run's ``cores.partials`` build each entry
-    on first read, raising, where one point fails, the error of the first
-    failing point."""
+    checks that read it.  ``partials`` build each entry on first read,
+    raising, where one point fails, the error of the first failing point
+    (``geometry.each_point``)."""
 
     def __init__(self, setup, points):
         self.setup = setup
         self.points = list(points)
         self.m = setup.m
         self.n = setup.n
-        self.cores = cores = setup.float_cores(self.points)
-        self.g, self.ginv, self.jac = cores.g, cores.ginv, cores.jac
-        self.frame, self.pv, self.ph = cores.frame, cores.pv, cores.ph
-        self.lam_sq, self.h_base = cores.lam_sq, cores.h_base
+        self.coords = np.fromiter(chain.from_iterable(
+            p.coords for p in self.points), float).reshape(len(self.points), -1)
+        (self.g, self.ginv, self.jac, self.frame, self.pv, self.ph,
+         self.lam_sq, self.base_coords, self.h_base, self.push,
+         self.anisotropy) = setup.float_cores(self.coords)
+        self.partials = sub.CorePartials(setup, self.coords, self.base_coords)
         self.vframe = self.frame[:, :self.m - self.n]
         self.hframe = self.frame[:, self.m - self.n:]
         self._fields = {}  # of ``vector_field``
         # each point's coordinates, the one list its records share, and by
         # the names of hypotheses, one list of their dicts per equal points
-        self.point_lists = cores.coords.tolist()
+        self.point_lists = self.coords.tolist()
         self.hypothesis_lists = {}
 
     # -- ingredients built on first read ----------------------------------
 
     @functools.cached_property
     def gamma(self):
-        return self.cores.partials.christoffels[0]
+        return self.partials.christoffels[0]
 
     @functools.cached_property
     def riem(self):
-        return geo.riemann_from_christoffels(*self.cores.partials.christoffels)
+        return geo.riemann_from_christoffels(*self.partials.christoffels)
 
     @functools.cached_property
     def ric_matrix(self):
@@ -389,7 +393,7 @@ class IdentityContext:
     @functools.cached_property
     def grad_f(self):
         """grad f = g^{-1} df of the dilation function f = 1 / lambda^2."""
-        df = self.cores.partials.inv_lambda_sq[1]
+        df = self.partials.inv_lambda_sq[1]
         return sum(self.ginv[:, :, j] * df[:, j, None] for j in range(self.m))
 
     @functools.cached_property
@@ -403,7 +407,7 @@ class IdentityContext:
     @functools.cached_property
     def hess_f(self):
         """Hess f = d_i d_j f - Gamma^k_ij d_k f."""
-        _, df, d2f = self.cores.partials.inv_lambda_sq
+        _, df, d2f = self.partials.inv_lambda_sq
         return d2f - sum(self.gamma[:, k] * df[:, k, None, None]
                          for k in range(self.m))
 
@@ -429,16 +433,16 @@ class IdentityContext:
 
     @functools.cached_property
     def t_tensor(self):
-        return self.cores.partials.oneill[0]
+        return self.partials.oneill[0]
 
     @functools.cached_property
     def a_tensor(self):
-        return self.cores.partials.oneill[1]
+        return self.partials.oneill[1]
 
     @functools.cached_property
     def h_vec(self):
         return sub.mean_curvature_from(self.t_tensor,
-                                       self.cores.partials.vtrace_form[0],
+                                       self.partials.vtrace_form[0],
                                        self.m - self.n)
 
     @functools.cached_property
@@ -455,7 +459,7 @@ class IdentityContext:
         the Gamma terms then make them covariant.  T and A are tensors,
         so this is (nabla_E T)_U E' = nabla_E (T_U E') - T_{nabla_E U} E'
         - T_U (nabla_E E') for any fields extending U and E'."""
-        partials = self.cores.partials
+        partials = self.partials
         gam, dgam = partials.christoffels
         pv, dpv, d2pv = partials.pv
         ph, lam_sq = self.ph, self.lam_sq
@@ -499,7 +503,7 @@ class IdentityContext:
     def basic_fields(self):
         """(X, D, nabla) of ``sub.basic_field_derivatives``: the lifts X_a
         of the base coordinate fields and every nabla_{X_a} X_b."""
-        return sub.basic_field_derivatives(*self.cores.partials.lift[:2],
+        return sub.basic_field_derivatives(*self.partials.lift[:2],
                                            self.gamma)
 
     def vector_field(self, xi):
@@ -509,7 +513,7 @@ class IdentityContext:
         ``xi`` is a ``VectorFieldSpec`` or a component function."""
         if xi not in self._fields:
             v, dv = geo.point_partials(geo.field_fn(self.setup.total, xi),
-                                       self.cores.coords, order=1)
+                                       self.coords, order=1)
             self._fields[xi] = (v, dv, geo.lie_derivative_matrix(
                 self.g, self.gamma, v, dv))
         return self._fields[xi]
@@ -518,7 +522,7 @@ class IdentityContext:
     def base_curvature(self):
         """(Gamma^N, Riem^N, Ric^N) of the base metric at F(p), indexed
         like ``gamma``, ``riem`` and ``ric_matrix``."""
-        return self.cores.partials.base_curvature
+        return self.partials.base_curvature
 
     @functools.cached_property
     def base_scalar_curvature(self):
@@ -547,7 +551,7 @@ class IdentityContext:
         missing = np.array([c is None for c in coords])
         idx = np.array([c or list(range(self.m - self.n)) for c in coords])
         blocks = []
-        for x in self.cores.partials.metric:
+        for x in self.partials.metric:
             for axis in range(1, x.ndim):
                 shape = [len(idx)] + [1] * (x.ndim - 1)
                 shape[axis] = -1
@@ -636,15 +640,14 @@ class IdentityContext:
 
     @functools.cached_property
     def base_riem_e(self):
-        push = self.cores.push  # F_*X_a, one row per horizontal frame vector
+        push = self.push  # F_*X_a, one row per horizontal frame vector
         return _on_frame(self.base_curvature[1].transpose(0, 3, 4, 2, 1),
                          push, push, push, push @ self.h_base)
 
     @functools.cached_property
     def base_ric_e(self):
-        push = self.cores.push
-        return push @ self.base_curvature[2].swapaxes(1, 2) @ push.swapaxes(
-            1, 2)
+        return (self.push @ self.base_curvature[2].swapaxes(1, 2)
+                @ self.push.swapaxes(1, 2))
 
     @functools.cached_property
     def fiber_riem_e(self):
@@ -674,8 +677,7 @@ class IdentityContext:
 
     @functools.cached_property
     def hyp_conformal(self):
-        aniso = self.cores.anisotropy
-        return Hypothesis("conformal", aniso <= sub.PROPERTY_TOL, aniso)
+        return self._hypothesis("conformal", self.anisotropy)
 
     @functools.cached_property
     def hyp_fiber_chart(self):

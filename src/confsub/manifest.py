@@ -33,7 +33,8 @@ import math
 import numpy as np
 
 from .expr import ExprError, eval_expr
-from .geometry import ChartManifold, Point, batch_coordinates, stack_points
+from .geometry import (ChartManifold, Point, batch_coordinates, each_point,
+                       stack_points)
 from .identities import ALL_CHECK_IDS
 from .submersion import SubmersionSetup
 
@@ -128,24 +129,20 @@ def _holds(chart, xs):
 def domain_mask(setup):
     """The predicate of ``sample_box`` for a submersion: a row holds in the
     total domain where its image there is finite (else ValueError) and in
-    the base domain.  After an error, the first row raising alone raises."""
-    def in_domains(xs):
-        try:
-            with np.errstate(all="ignore"):
-                mask = _holds(setup.total, xs)
-                rows = np.flatnonzero(mask)
-                if len(rows):
-                    ys = stack_points(setup.map_point_at(
-                        batch_coordinates(xs[rows])), len(rows))
-                    if not np.isfinite(ys).all():
-                        raise ValueError("point coordinates must be finite")
-                    mask[rows] = _holds(setup.base, ys)
-            return mask
-        except ValueError:
-            for row in xs[:-1]:
-                in_domains(row[None])
-            raise
-    return in_domains
+    the base domain; under ``each_point``, the first row failing raises."""
+    def mask(xs):
+        held = _holds(setup.total, xs)
+        rows = np.flatnonzero(held)
+        if len(rows):
+            ys = stack_points(setup.map_point_at(
+                batch_coordinates(xs[rows])), len(rows))
+            if not np.isfinite(ys).all():
+                raise ValueError("point coordinates must be finite")
+            held[rows] = _holds(setup.base, ys)
+        return held
+
+    return lambda xs: each_point(lambda: mask(xs),
+                                 lambda i: mask(xs[i:i + 1]), len(xs))
 
 
 # ---------------------------------------------------------------------

@@ -19,6 +19,8 @@ from collections import Counter
 from itertools import chain, compress, repeat
 from operator import itemgetter
 
+import numpy as np
+
 from . import __version__
 from . import soliton as sol
 from . import submersion as sub
@@ -72,7 +74,7 @@ def _run_soliton_checks(job, checks, records, ctx):
                terms={"fitted_mu": fit.mu,
                       "equation_residual": fit.max_residual},
                note=f"soliton constant fit: {fit.classification}",
-               residual=max(fit.max_residual, abs(fit.mu - mu)),
+               residual=np.maximum(fit.max_residual, abs(fit.mu - mu)),
                scale=1.0 + max(abs(fit.mu), abs(mu)), absolute=True)
     if "conformal-fit" in checks:
         conf = sol.conformal_field_fit(setup.total, xi, points, ctx=ctx)

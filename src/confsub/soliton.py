@@ -89,11 +89,10 @@ def fit_mu(chart, xi, points, ctx=None):
     forms = _soliton_form(g, lie, ric)
     # minimizing sum (l_ab + mu*delta_ab)^2 gives mu = -mean of traces
     mu = -sum(_traces(forms).tolist()) / (chart.dim * len(points))
-    residuals = np.abs(forms + mu * np.eye(chart.dim)).max(
-        axis=(1, 2)).tolist()
-    return MuFit(mu=float(mu), max_residual=max([0.0] + residuals),
+    residuals = np.abs(forms + mu * np.eye(chart.dim)).max(axis=(1, 2))
+    return MuFit(mu=float(mu), max_residual=float(residuals.max(initial=0.0)),
                  classification=_classify(mu),
-                 per_point=list(zip(points, residuals)))
+                 per_point=list(zip(points, residuals.tolist())))
 
 
 def conformal_field_fit(chart, xi, points, ctx=None):
@@ -107,8 +106,8 @@ def conformal_field_fit(chart, xi, points, ctx=None):
     lie = frame @ lie @ frame.swapaxes(1, 2)
     k = chart.dim
     f = _traces(lie) / (2.0 * k)
-    worst = max([0.0] + np.abs(lie - (2.0 * f)[:, None, None] * np.eye(k)).max(
-        axis=(1, 2)).tolist())
+    worst = float(np.abs(lie - (2.0 * f)[:, None, None] * np.eye(k)).max(
+        initial=0.0))
     f_values = list(zip(points, f.tolist()))
     is_killing = worst <= FIT_TOL and all(abs(f) <= FIT_TOL
                                           for _, f in f_values)
@@ -146,7 +145,7 @@ def fiber_soliton_report(records, ctx, xi, mu=0.0, tol=1e-6):
     vframe = ctx.vframe
     # xi_v = P_v xi with d_l xi_v = d_l P_v xi + P_v d_l xi
     xi_vals, dxi, _ = ctx.vector_field(xi)
-    pv, dpv, _ = ctx.cores.partials.pv
+    pv, dpv, _ = ctx.partials.pv
     lie = geo.lie_derivative_matrix(
         ctx.g, ctx.gamma, mat_vec(pv, xi_vals),
         mat_vec(dpv, xi_vals) + dxi @ pv.swapaxes(1, 2))
@@ -176,7 +175,7 @@ def base_soliton_report(records, ctx, xi, mu, xi_base=None, tol=1e-6):
         xi_base = geo.VectorFieldSpec.constant([0.0] * n)
     base_gamma, _, base_ric = ctx.base_curvature
     declared, dxi_base = geo.point_partials(geo.field_fn(setup.base, xi_base),
-                                            ctx.cores.base_coords, order=1)
+                                            ctx.base_coords, order=1)
     lform = _soliton_form(ctx.h_base, geo.lie_derivative_matrix(
         ctx.h_base, base_gamma, declared, dxi_base), base_ric)
     fitted = -_traces(lform) / n

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -28,27 +27,6 @@ class NotASubmersionError(ValueError):
 # the largest violation with which a structural property, or a hypothesis
 # of an identity, still holds
 PROPERTY_TOL = 1e-8
-
-
-class FloatCore(NamedTuple):
-    """Float values of a submersion over a stack of points, each with a
-    leading point axis (see ``SubmersionSetup.float_cores``)."""
-
-    g: np.ndarray           # total metric
-    ginv: np.ndarray        # its inverse
-    jac: np.ndarray         # Jacobian of F
-    frame: np.ndarray       # orthonormal frame: m - n vertical rows, then
-                            # n horizontal ones
-    pv: np.ndarray          # vertical projector
-    ph: np.ndarray          # horizontal projector
-    lam_sq: np.ndarray      # squared dilation
-    coords: np.ndarray      # coordinates of the points, (P, m)
-    base_coords: np.ndarray  # coordinates of F(p)
-    h_base: np.ndarray      # base metric at F(p)
-    push: np.ndarray        # F_* X_a, one row per horizontal frame vector
-    anisotropy: np.ndarray  # sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab|
-    # the same points' partials, built on first read
-    partials: CorePartials
 
 
 class PropertyCheck(NamedTuple):
@@ -89,42 +67,30 @@ class SubmersionSetup:
 
     # -- numeric values at a point ---------------------------------------
 
-    def float_cores(self, points):
-        """The frames, projectors and dilation at every point as floats,
-        one ``FloatCore`` over a leading point axis, from one pass over one
-        (P, m) array of the points' coordinates: the total metric, the map
-        with its Jacobian (one seeding) and the base metric at F(p) are
-        each evaluated once for all points, and the linear algebra runs
-        stacked: K = J g^{-1} J^T, the lift g^{-1} J^T K^{-1},
-        P_h = lift J, P_v = I - P_h, lambda^2 = tr(h K^T) / n, the pushed
-        horizontal frame F_* X_a and the conformal anisotropy
-        sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab| over it; the vertical
-        frame is the reduced-row-echelon kernel basis of the Jacobian,
-        orthonormalized.
+    def float_cores(self, xs):
+        """The frames, projectors and dilation as floats at the points
+        ``xs``, (P, m): the tuple (g, g^{-1}, J, frame, P_v, P_h, lambda^2,
+        F(p), h at F(p), F_* X_a, anisotropy), each with the point axis
+        first.  The total metric, the map with its Jacobian (one seeding)
+        and the base metric at F(p) are each evaluated once for all points,
+        and the linear algebra runs stacked: K = J g^{-1} J^T, the lift
+        g^{-1} J^T K^{-1}, P_h = lift J, P_v = I - P_h, lambda^2 =
+        tr(h K^T) / n, the pushed horizontal frame F_* X_a (a row per
+        horizontal frame vector) and the conformal anisotropy
+        sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab|.  The frame's m - n
+        vertical rows orthonormalize the reduced-row-echelon kernel basis
+        of J; its n horizontal rows follow.
 
         Raises where a point is outside either chart's domain, either
         metric is not positive definite there, the map is rank deficient,
-        or g, J, h, K or lambda^2 is not finite.  Each point's values are
-        those of the point alone.  A batch in which any point fails is
-        evaluated again one point at a time, so the error raised is that
-        of the first failing point, as that point alone raises it."""
-        xs = np.fromiter(chain.from_iterable(p.coords for p in points),
-                         float).reshape(len(points), -1)
-        with np.errstate(all="ignore"):
-            try:
-                arrays = self._float_cores(xs)
-            except (ArithmeticError, ValueError):
-                if len(xs) == 1:
-                    raise
-                cores = [self._float_cores(x[None]) for x in xs]
-                arrays = {key: np.concatenate([c[key] for c in cores])
-                          for key in cores[0]}
-        return FloatCore(**arrays, coords=xs, partials=CorePartials(
-            self, xs, arrays["base_coords"]))
+        or g, J, h, K or lambda^2 is not finite, as the first failing
+        point alone raises (``geometry.each_point``)."""
+        return geo.each_point(lambda: self._float_cores(xs),
+                              lambda i: self._float_cores(xs[i:i + 1]),
+                              len(xs))
 
     def _float_cores(self, xs):
-        """The arrays of ``float_cores`` by field name at the points ``xs``,
-        (P, m), without the rerun."""
+        """The tuple of ``float_cores`` at the points ``xs`` at once."""
         count, m, n = len(xs), self.m, self.n
         where = (tuple(xs[0].tolist()) if count == 1
                  else f"one of {count} points")
@@ -158,32 +124,24 @@ class SubmersionSetup:
         push = hframe @ jt  # F_* X_a, one row per horizontal frame vector
         gram = push @ h_base @ push.transpose(0, 2, 1)
         aniso = np.abs(gram - lam_sq[:, None, None] * np.eye(n))
-        return dict(g=g, ginv=ginv, jac=jac,
-                    frame=np.concatenate((vframe, hframe), axis=1),
-                    pv=np.eye(m) - ph, ph=ph, lam_sq=lam_sq,
-                    base_coords=fvals, h_base=h_base, push=push,
-                    anisotropy=aniso.max(axis=(1, 2)))
+        return (g, ginv, jac, np.concatenate((vframe, hframe), axis=1),
+                np.eye(m) - ph, ph, lam_sq, fvals, h_base, push,
+                aniso.max(axis=(1, 2)))
 
 
 def _stacked(method):
-    """A cached property of ``CorePartials`` over all its points at once;
-    where that raises, the points are evaluated again one at a time, as in
-    ``SubmersionSetup.float_cores``, so the first failing point raises."""
+    """A cached property of ``CorePartials`` over all its points at once,
+    under ``geometry.each_point``: where that raises, the first failing
+    point raises as it alone does."""
     name = method.__name__
 
     @functools.wraps(method)
     def stacked(self):
-        if len(self.coords) == 1:
-            return method(self)
-        with np.errstate(all="ignore"):
-            try:
-                return method(self)
-            except (ArithmeticError, ValueError):
-                pass
-            parts = [getattr(CorePartials(self.setup, self.coords[i:i + 1],
-                                          self.base_coords[i:i + 1]), name)
-                     for i in range(len(self.coords))]
-        return tuple(np.concatenate(slot) for slot in zip(*parts))
+        return geo.each_point(
+            lambda: method(self),
+            lambda i: getattr(CorePartials(self.setup, self.coords[i:i + 1],
+                                           self.base_coords[i:i + 1]), name),
+            len(self.coords))
     return functools.cached_property(stacked)
 
 
@@ -191,7 +149,8 @@ class CorePartials:
     """The submersion's core matrices at a run's points with their first
     and second coordinate partials, as float triples (X, dX, ddX) of
     ``linalg.taylor_mul`` over a leading point axis, each built on first
-    read for every point at once (one point is a stack of one).  Three
+    read for every point at once under ``geometry.each_point`` (one point
+    is a stack of one, with NumPy's warnings off as in any stack).  Three
     shallow ``geometry.point_partials`` seedings at order 2 over all the
     points are the leaves: the total metric g (``metric``, which also gives
     Gamma and dGamma, and whose blocks on the fiber coordinates give the

@@ -52,7 +52,7 @@ def test_criterion_1_example_51_transcription():
 
         alone = IdentityContext(setup, [p])
         assert alone.lam_sq[0] == pytest.approx(math.exp(2 * x2), abs=1e-9)
-        assert alone.cores.anisotropy[0] <= 1e-10
+        assert alone.anisotropy[0] <= 1e-10
 
         axx = oneill(ctx.a_tensor[i], e1, e1)
         assert axx == pytest.approx((0.0, math.exp(-2 * x2)), abs=1e-9)
@@ -82,7 +82,7 @@ def test_criterion_2_examples_53_54_structure():
     for p in points54:
         alone = IdentityContext(job54.setup, [p])
         assert math.sqrt(alone.lam_sq[0]) == pytest.approx(0.5, abs=1e-9)
-        assert alone.cores.anisotropy[0] <= 1e-10
+        assert alone.anisotropy[0] <= 1e-10
     flags54 = sub.structure_flags(ctx54)
     assert flags54["map_totally_geodesic"].holds
 

@@ -363,6 +363,30 @@ def test_rotation_soliton_passes_every_check(tmp_path, capsys):
     assert payload["counts"]["pass"] == len(payload["records"])
 
 
+# a field that overflows at the point: L_xi g, the fitted mu and both fits'
+# residuals are NaN there
+NAN_FIT = OVERFLOW.replace("checks = G2.12", "checks = fit-mu, conformal-fit"
+                           ).format(map="x2", points="(1.01, 0.1)") + """
+fields.xi  = total : exp(700*x1), 0
+soliton.xi = xi
+soliton.mu = 0
+"""
+
+
+# the contractions over the NaN field warn (a FOUND line of CHANGES.md)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_fit_fails(tmp_path, capsys):
+    # a NaN residual fails its fit, wherever it falls among the maxima
+    code, payload = _verify_json(tmp_path, capsys, NAN_FIT)
+    assert code == EXIT_FAIL
+    recs = {r["id"]: r for r in payload["records"]}
+    assert list(recs) == ["fit-mu", "conformal-fit"]
+    for rec in recs.values():
+        assert rec["verdict"] == "fail"
+        assert math.isnan(rec["lhs"]) and math.isnan(rec["abs_residual"])
+    assert math.isnan(recs["fit-mu"]["terms"]["equation_residual"])
+
+
 def test_verify_does_not_import_the_catalog():
     # only `example` reads the catalog, so importing the command line
     # leaves it (and importlib.resources with it) unloaded

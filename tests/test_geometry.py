@@ -338,3 +338,69 @@ def test_coordinate_partials_inside_an_enclosing_seeding():
     assert d[0].val == pytest.approx(2 * 1.5 * 3.0)
     assert d[0].grad[0] == pytest.approx(8 * 1.5)
     assert d[1].grad[0] == pytest.approx(2 * 1.5)
+
+
+# -- the rule for a stack that fails at a point ------------------------
+
+def _first_negative(xs):
+    """A stack's values (2x, 1/0), raising where a coordinate is negative:
+    a lone point names itself (a ZeroDivisionError at -2, else a
+    ValueError), a larger stack does not."""
+    xs = np.asarray(xs, float)
+    if (xs < 0).any():
+        where = xs[0] if len(xs) == 1 else f"one of {len(xs)} points"
+        raise (ValueError if where != -2.0 else ZeroDivisionError)(
+            f"negative at {where}")
+    return 2.0 * xs, np.ones(len(xs)) / 0.0
+
+
+def _each(xs, whole=_first_negative):
+    calls = []
+
+    def alone(i):
+        calls.append(i)
+        return _first_negative(xs[i:i + 1])
+    return geo.each_point(lambda: whole(xs), alone, len(xs)), calls
+
+
+def test_each_point_returns_the_stack_with_warnings_off():
+    # 1 / 0 over the stack warns nothing, and no point is evaluated alone
+    (doubled, inf), calls = _each(np.array([1.0, 2.5]))
+    assert doubled.tolist() == [2.0, 5.0] and np.isinf(inf).all()
+    assert calls == []
+
+
+@pytest.mark.parametrize("xs,error,message,calls", [
+    ([-1.0, 2.0, -3.0], ValueError, "negative at -1.0", [0]),
+    ([1.0, 2.0, -2.0, -4.0], ZeroDivisionError, "negative at -2.0",
+     [0, 1, 2]),
+    ([-5.0], ValueError, "negative at -5.0", [])],
+    ids=["first", "later", "one-point"])
+def test_each_point_raises_the_first_failing_point_alone(xs, error, message,
+                                                          calls):
+    # an ArithmeticError or ValueError of the stack reruns the points in
+    # order up to the first that fails, whose own error is raised; a stack
+    # of one raises its error without a rerun
+    seen = []
+
+    def alone(i):
+        seen.append(i)
+        return _first_negative(np.array(xs[i:i + 1]))
+    with pytest.raises(error) as exc:
+        geo.each_point(lambda: _first_negative(np.array(xs)), alone, len(xs))
+    assert str(exc.value) == message
+    assert seen == calls
+
+
+def test_each_point_stacks_the_points_when_none_fails_alone():
+    # the stack fails, each point alone evaluates: a tuple is stacked slot
+    # by slot, an array along the point axis
+    def stack_fails(xs):
+        raise ValueError("the stack fails")
+    xs = np.array([1.0, 2.0, 3.0])
+    (doubled, inf), calls = _each(xs, stack_fails)
+    assert doubled.tolist() == [2.0, 4.0, 6.0] and np.isinf(inf).all()
+    assert calls == [0, 1, 2]
+    mask = geo.each_point(lambda: stack_fails(xs),
+                          lambda i: xs[i:i + 1] > 1.5, len(xs))
+    assert mask.tolist() == [False, True, True]

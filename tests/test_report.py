@@ -220,7 +220,7 @@ def test_flat_sweep_builds_no_curvature(monkeypatch):
     ctx, = contexts
     assert not set(lazy) & set(vars(ctx))
     # nor any entry of the run's CorePartials
-    assert set(vars(ctx.cores.partials)) == {"setup", "coords", "base_coords"}
+    assert set(vars(ctx.partials)) == {"setup", "coords", "base_coords"}
 
 
 # Gamma of this metric is not finite on x2 = 0, where d/dx2 x2^(1/3) is
@@ -578,7 +578,7 @@ def test_float_cores_raise_for_the_first_failing_point(points, message):
     job = parse_manifest(CORE_FAILS.format(
         metric="1, 0 ; 0, x2", map="x1^3", checks="G2.12", points=points))
     with pytest.raises(ValueError) as exc:
-        job.setup.float_cores(job.points)
+        IdentityContext(job.setup, job.points)
     assert str(exc.value) == message
 
 

@@ -44,8 +44,8 @@ def test_projectors_idempotent_orthogonal(riemannian_setups,
             points = box_or_points
         else:
             points = sample(box_or_points, 3, seed=11)
-        cores = setup.float_cores(points[:3])
-        for pv, ph in zip(cores.pv, cores.ph):
+        ctx = IdentityContext(setup, points[:3])
+        for pv, ph in zip(ctx.pv, ctx.ph):
             assert np.max(np.abs(ph @ ph - ph)) <= 1e-10, name
             assert np.max(np.abs(pv @ pv - pv)) <= 1e-10, name
             assert np.max(np.abs(ph + pv - np.eye(setup.m))) <= 1e-12, name
@@ -62,10 +62,10 @@ def test_projectors_g_symmetric(ex53):
 def test_dilation_and_anisotropy(ex51, ex53):
     ctx = IdentityContext(ex51, [Point((0.4, 0.9))])
     assert ctx.lam_sq[0] == pytest.approx(np.exp(2 * 0.9), rel=1e-12)
-    assert ctx.cores.anisotropy[0] <= 1e-10
+    assert ctx.anisotropy[0] <= 1e-10
     ctx3 = IdentityContext(ex53, [Point((0.1, 1.7, 2.5))])
     assert ctx3.lam_sq[0] == pytest.approx(2.5 ** 2, rel=1e-12)
-    assert ctx3.cores.anisotropy[0] <= 1e-10
+    assert ctx3.anisotropy[0] <= 1e-10
 
 
 def test_oneill_values_example_53(ex53):
@@ -405,7 +405,7 @@ def test_context_scalar_curvatures_match_reference(riemannian_setups):
                           jr.scalar_curvature(setup.total, p), (name, "s"))
             _assert_close(ctx.base_scalar_curvature[i],
                           jr.scalar_curvature(setup.base,
-                                              Point(ctx.cores.base_coords[i])),
+                                              Point(ctx.base_coords[i])),
                           (name, "s^N"))
             _assert_close(ctx.fiber_scalar_intrinsic[i],
                           jr.intrinsic_fiber_scalar_curvature(setup, p),
@@ -518,6 +518,11 @@ FLOAT_CORE_CASES = conformal_corpus() + [
                          (-0.7, 0.0, 0.9), (0.0, -1.5, 0.0))])]
 
 
+# the arrays a context holds from ``SubmersionSetup.float_cores``
+FLOAT_CORE_ARRAYS = ("g", "ginv", "jac", "frame", "pv", "ph", "lam_sq",
+                     "base_coords", "h_base", "push", "anisotropy")
+
+
 @pytest.mark.parametrize("name,setup,points", FLOAT_CORE_CASES,
                          ids=[case[0] for case in FLOAT_CORE_CASES])
 def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
@@ -533,10 +538,9 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
         return real_seed(self, *args)
 
     monkeypatch.setattr(JetSpace, "seed", counting_seed)
-    cores = setup.float_cores(points)
-    assert counts["seed"] == 1
-    assert len(cores.g) == len(points)
     run = IdentityContext(setup, points)
+    assert counts["seed"] == 1
+    assert len(run.g) == len(points)
     for i, p in enumerate(points):
         xs = list(p.coords)
         g = jr.metric_matrix(setup.total, p)
@@ -555,7 +559,7 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
             for key, value in ref.items():
                 _assert_close(getattr(got, key)[k], value,
                               (name, p.coords, key))
-            _assert_close(got.cores.base_coords[k], base_point.coords,
+            _assert_close(got.base_coords[k], base_point.coords,
                           (name, p.coords, "base_coords"))
             _assert_close(got.hyp_conformal.violation[k],
                           loops.Loops(got, k).hyp_conformal().violation,
@@ -566,19 +570,18 @@ def test_float_cores_rerun_stacks_the_points_alone(monkeypatch, ex53):
     # a batch that fails while every point alone evaluates gives the stack
     # of the one-point cores
     points = catalog.load_job("5.3").points[:4]
-    batch = ex53.float_cores(points)
+    batch = IdentityContext(ex53, points)
     real = sub.SubmersionSetup._float_cores
 
-    def batch_fails(self, pts):
-        if len(pts) > 1:
+    def batch_fails(self, xs):
+        if len(xs) > 1:
             raise ValueError("non-finite value in the float core")
-        return real(self, pts)
+        return real(self, xs)
 
     monkeypatch.setattr(sub.SubmersionSetup, "_float_cores", batch_fails)
-    rerun = ex53.float_cores(points)
-    for key, value in batch._asdict().items():
-        if key != "partials":
-            _assert_close(getattr(rerun, key), value, key)
+    rerun = IdentityContext(ex53, points)
+    for key in FLOAT_CORE_ARRAYS:
+        _assert_close(getattr(rerun, key), getattr(batch, key), key)
     # the rerun's partials cover the same points
     for got, ref in zip(rerun.partials.pv, batch.partials.pv):
         _assert_close(got, ref, "partials.pv")
@@ -598,7 +601,7 @@ def _check_core_partials(setup, points):
     christoffel_partials_at, against the jet layer: P_v and 1/lambda^2
     seeded at order 2, the lift matrix at order 1 and Gamma seeded over
     the nested christoffels_at."""
-    partials = setup.float_cores(points).partials
+    partials = IdentityContext(setup, points).partials
     for i, p in enumerate(points):
         xs = list(p.coords)
 
@@ -646,9 +649,9 @@ def test_stacked_core_partials_equal_each_point_alone(name, setup, points):
     # every entry of the run's CorePartials (Gamma and dGamma, the P_v,
     # lift, lambda^2 and 1/lambda^2 triples, T, A and the base curvature
     # among them) is bit for bit that of the point's one-point stack
-    stack = setup.float_cores(points).partials
+    stack = IdentityContext(setup, points).partials
     for i, p in enumerate(points):
-        alone = setup.float_cores([p]).partials
+        alone = IdentityContext(setup, [p]).partials
         for entry in STACKED_ENTRIES:
             got, ref = getattr(stack, entry), getattr(alone, entry)
             assert len(got) == len(ref)
@@ -681,7 +684,7 @@ def test_stacked_partials_rerun_raises_the_first_failing_point(ex53):
     # a stacked entry that raises is evaluated again one point at a time,
     # so the error is that of the first failing point, as it alone raises
     points = catalog.load_job("5.3").points[:3]
-    base_coords = ex53.float_cores(points).base_coords
+    base_coords = IdentityContext(ex53, points).base_coords
     # x3^-2 has no value on x3 = 0
     xs = np.array([p.coords for p in points])
     xs[1:, 2] = 0.0
@@ -691,6 +694,24 @@ def test_stacked_partials_rerun_raises_the_first_failing_point(ex53):
         sub.CorePartials(ex53, xs[1:2], base_coords[1:2]).christoffels
     assert str(exc.value) == str(ref.value)
     assert "zero raised to a negative power" in str(exc.value)
+
+
+def test_one_point_partials_warn_as_inside_a_stack():
+    # lambda^2 ~ 2e-300 at (2.3, 0.5), so the powers of 1/lambda^2 underflow
+    # and its partials divide by zero: a stack of one reads every entry
+    # with NumPy's warnings off, as a larger stack does, and equals the
+    # point's rows in a stack of two
+    total = geo.ChartManifold.from_strings(
+        ["x1", "x2"], [["exp(300*x1)", "0"], ["0", "1"]])
+    setup = make_setup(total, flat_chart(1, "y"), ["x1"])
+    point = Point((2.3, 0.5))
+    alone = IdentityContext(setup, [point]).partials
+    stack = IdentityContext(setup, [point, Point((0.1, 0.5))]).partials
+    for entry in STACKED_ENTRIES:
+        got = getattr(alone, entry)  # a warning is an error here
+        for slot, (x, y) in enumerate(zip(got, getattr(stack, entry))):
+            assert np.array_equal(x[0], y[0], equal_nan=True), (entry, slot)
+    assert not np.isfinite(alone.inv_lambda_sq[1]).all()
 
 
 _COEF = st.floats(-0.5, 0.5)
