@@ -71,7 +71,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .linalg import mat_inverse, mat_vec, quad_form
+from .linalg import mat_vec, quad_form
 
 CURVATURE_CHECKS = ("G2.12", "G2.13", "G2.14", "G2.15", "G2.16")
 LEMMA31_CHECKS = tuple(f"L3.1.{k}"
@@ -527,9 +527,7 @@ class IdentityContext:
     @functools.cached_property
     def base_scalar_curvature(self):
         """s^N = tr(h^{-1} Ric^N) at F(p)."""
-        return _traces(np.array([mat_inverse(h)
-                                 for h in self.h_base.tolist()]),
-                       self.base_curvature[2])
+        return _traces(np.linalg.inv(self.h_base), self.base_curvature[2])
 
     @functools.cached_property
     def fiber_coordinates(self):
@@ -569,7 +567,7 @@ class IdentityContext:
         if self.m - self.n == 1:
             return np.zeros(len(self.points))
         _, gf, _, ric = self._fiber_curvature
-        return _traces(np.array([mat_inverse(g) for g in gf.tolist()]), ric)
+        return _traces(np.linalg.inv(gf), ric)
 
     # -- frame-basis arrays -----------------------------------------------
 

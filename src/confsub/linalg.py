@@ -1,14 +1,11 @@
-"""Small dense linear algebra over generic scalars (floats or jets).
-
-Pivots are chosen on the primal (float) part so the elimination order is
-deterministic and identical whether or not derivatives are being carried.
+"""Small dense linear algebra: the transpose of a nested list, order-2
+Taylor arithmetic on stacks of float matrices, reduced-row-echelon
+kernel bases and per-point products of vectors and matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .jets import primal
 
 
 class SingularMatrixError(ValueError):
@@ -17,40 +14,6 @@ class SingularMatrixError(ValueError):
 
 def transpose(mat):
     return [list(col) for col in zip(*mat)]
-
-
-def identity(n):
-    return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(mat):
-    """Gauss-Jordan inverse with partial pivoting on primal magnitude."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    inv = identity(n)
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(primal(a[r][col])))
-        if abs(primal(a[pivot][col])) < 1e-300:
-            raise SingularMatrixError("matrix is numerically singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = a[row][col]
-            if primal(factor) == 0.0 and not _carries_derivatives(factor):
-                continue
-            a[row] = [x - factor * y for x, y in zip(a[row], a[col])]
-            inv[row] = [x - factor * y for x, y in zip(inv[row], inv[col])]
-    return inv
-
-
-def _carries_derivatives(x):
-    return not isinstance(x, (int, float))
 
 
 # -- order-2 Taylor arithmetic on float matrices -------------------------

@@ -111,10 +111,13 @@ def run_job(job):
     identity_ids = [c for c in job.checks if c in ALL_CHECK_IDS]
     soliton_ids = [c for c in job.checks if c in SOLITON_CHECKS]
     ctx = IdentityContext(setup, job.points)
-    records = RecordTable.point_major(ctx.point_lists, [
-        run_check(check_id, setup, job.points, tol=job.tolerance, ctx=ctx)
-        for check_id in identity_ids])
-    _run_soliton_checks(job, soliton_ids, records, ctx)
+    # a non-finite value at a point is NaN in its records, not a warning
+    with np.errstate(all="ignore"):
+        records = RecordTable.point_major(ctx.point_lists, [
+            run_check(check_id, setup, job.points, tol=job.tolerance,
+                      ctx=ctx)
+            for check_id in identity_ids])
+        _run_soliton_checks(job, soliton_ids, records, ctx)
     counts = count_verdicts(records)
     columns = records.columns
     flagged = sum(compress(map("fail".__eq__, columns["verdict"]),

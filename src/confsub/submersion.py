@@ -7,7 +7,6 @@ fiber coordinates and structural-property detection.
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +16,7 @@ from .expr import eval_expr, parse_expression
 from .geometry import jacobian_at
 from .jets import EvaluationError
 from .linalg import (SingularMatrixError, mat_vec, null_space_bases,
-                     quad_form, taylor_inverse, taylor_mul)
+                     taylor_inverse, taylor_mul)
 
 
 class NotASubmersionError(ValueError):
@@ -328,54 +327,24 @@ def pair_norms(g, vecs):
                                              vecs, g, vecs)))
 
 
-def _basic_field_violations(ctx):
-    """(integrability, second fundamental form) violations at each point
-    of ``ctx`` (an ``identities.IdentityContext``) over the lifts X_a of
-    its basic fields: sup |v[X_a, X_b]| normalized to unit vectors, and
-    sup |Gamma^N_ab - F_*(nabla_{X_a} X_b)|, as (P,) arrays."""
-    lift, d, nabla = ctx.basic_fields
-    g = ctx.g
-    norms = np.sqrt(np.maximum(0.0, np.einsum("...ia,...ij,...ja->...a",
-                                              lift, g, lift)))
-    vert = np.einsum("...ki,...iab->...kab", ctx.pv, d - d.swapaxes(-1, -2))
-    brackets = pair_norms(g, vert) / np.maximum(
-        norms[:, :, None] * norms[:, None, :], 1e-30)
-    sff = ctx.base_curvature[0] - np.einsum("...ik,...kab->...iab", ctx.jac,
-                                            nabla)
-    # the bracket norms are exactly symmetric with a zero diagonal, so
-    # their largest entry is the largest over pairs a < b
-    return (brackets.max(axis=(1, 2)),
-            pair_norms(ctx.h_base, sff).max(axis=(1, 2)))
-
-
-def _g_norms(g, v):
-    """|v| in the metric g at every point, v (P, m)."""
-    return np.sqrt(np.maximum(0.0, quad_form(v, g, v)))
-
-
 def structure_flags(ctx):
     """Which structural properties hold at every point of ``ctx`` (an
     ``identities.IdentityContext``), each a ``PropertyCheck`` with its
-    largest violation over the points, by name."""
-    integrable, sff = _basic_field_violations(ctx)
-    # grad(lambda) = -(lambda^3 / 2) grad(1/lambda^2), with lambda^3 a
-    # float power per point, as one point alone raises it
-    grad_lam = np.array([-0.5 * math.sqrt(s) ** 3
-                         for s in ctx.lam_sq.tolist()])[:, None] * ctx.grad_f
-    sup_t, sup_umb, sup_a, sup_integrable, sup_sff, sup_hgrad, sup_vgrad = (
-        max(0.0, float(v.max())) for v in (
-            ctx.hyp_fibers_tg.violation, ctx.hyp_umbilical.violation,
-            ctx.hyp_horizontal_tg.violation, integrable, sff,
-            _g_norms(ctx.g, mat_vec(ctx.ph, grad_lam)),
-            _g_norms(ctx.g, mat_vec(ctx.pv, grad_lam))))
-
-    return {name: PropertyCheck(holds=v <= PROPERTY_TOL, max_violation=v)
-            for name, v in (
-                ("fibers_totally_geodesic", sup_t),
-                ("fibers_totally_umbilical", sup_umb),
-                ("horizontal_integrable", sup_integrable),
-                ("horizontal_totally_geodesic", sup_a),
-                ("homothetic", sup_hgrad),
-                ("lambda_vertical_constant", sup_vgrad),
-                ("map_totally_geodesic",
-                 max(sup_t, sup_a, sup_hgrad, sup_sff)))}
+    largest violation over the points, by name: the supremum of the
+    context's hypothesis of the same name, and for
+    ``lambda_vertical_constant`` that of |grad_v f|, f = 1 / lambda^2.  A
+    NaN violation at any point makes the supremum NaN, which fails."""
+    violations = {
+        "fibers_totally_geodesic": ctx.hyp_fibers_tg.violation,
+        "fibers_totally_umbilical": ctx.hyp_umbilical.violation,
+        "horizontal_integrable": ctx.hyp_horizontal_integrable.violation,
+        "horizontal_totally_geodesic": ctx.hyp_horizontal_tg.violation,
+        "homothetic": ctx.hyp_homothetic.violation,
+        "lambda_vertical_constant": np.sqrt(np.maximum(0.0, ctx.vgrad_f_sq)),
+        "map_totally_geodesic": ctx.hyp_map_tg.violation}
+    flags = {}
+    for name, v in violations.items():
+        sup = float(np.max(v, initial=0.0))  # NaN where any point is
+        flags[name] = PropertyCheck(holds=sup <= PROPERTY_TOL,
+                                    max_violation=sup)
+    return flags

@@ -20,7 +20,7 @@ import numpy as np
 from confsub import geometry as geo
 from confsub.expr import eval_expr
 from confsub.jets import primal
-from confsub.linalg import SingularMatrixError, mat_inverse, transpose
+from confsub.linalg import SingularMatrixError, transpose
 from confsub.submersion import (NotASubmersionError, fiber_coordinates,
                                 oneill_contraction)
 
@@ -32,6 +32,34 @@ def mat_vec(mat, vec):
 def mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def mat_inverse(mat):
+    """Gauss-Jordan inverse of a matrix of scalars (floats or jets) with
+    partial pivoting on the primal magnitude, so the elimination order is
+    the same whether or not derivatives are carried."""
+    n = len(mat)
+    a = [list(row) for row in mat]
+    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(primal(a[r][col])))
+        if abs(primal(a[pivot][col])) < 1e-300:
+            raise SingularMatrixError("matrix is numerically singular")
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = a[col][col]
+        a[col] = [x / scale for x in a[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for row in range(n):
+            if row == col:
+                continue
+            factor = a[row][col]
+            if primal(factor) == 0.0 and isinstance(factor, (int, float)):
+                continue
+            a[row] = [x - factor * y for x, y in zip(a[row], a[col])]
+            inv[row] = [x - factor * y for x, y in zip(inv[row], inv[col])]
+    return inv
 
 
 def primal_array(values):

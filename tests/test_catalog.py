@@ -81,9 +81,9 @@ def test_run_example_evaluates_each_ingredient_once(monkeypatch):
     # T, A, H, Ricci) shared by every row and by the structure flags,
     # reading the run's one CorePartials; the per-field T/A path is never
     # taken.  The run seeds the float cores' Jacobian, the CorePartials
-    # leaves (the metric, the Jacobian with its inner seeding, h o F) and
-    # the base curvature once each, for all its points: 6 seedings; Ricci
-    # reads the metric seeding Gamma came from
+    # leaves (the metric, the Jacobian with its inner seeding, h o F) once
+    # each, for all its points: 5 seedings; Ricci reads the metric seeding
+    # Gamma came from, and the structure flags read no base curvature
     counts = Counter()
 
     def counting(owner, name):
@@ -103,9 +103,9 @@ def test_run_example_evaluates_each_ingredient_once(monkeypatch):
     assert counts["__init__"] == 1
     # T and A are contracted once for all the points
     assert counts["oneill_contraction"] == 1
-    assert counts["seed"] == 6
+    assert counts["seed"] == 5
     counts.clear()
     catalog.run_example("5.1")
     assert counts["__init__"] == 1
     assert counts["oneill_contraction"] == 1
-    assert counts["seed"] == 6
+    assert counts["seed"] == 5

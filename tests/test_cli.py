@@ -373,8 +373,6 @@ soliton.mu = 0
 """
 
 
-# the contractions over the NaN field warn (a FOUND line of CHANGES.md)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_fit_fails(tmp_path, capsys):
     # a NaN residual fails its fit, wherever it falls among the maxima
     code, payload = _verify_json(tmp_path, capsys, NAN_FIT)
@@ -385,6 +383,87 @@ def test_nan_fit_fails(tmp_path, capsys):
         assert rec["verdict"] == "fail"
         assert math.isnan(rec["lhs"]) and math.isnan(rec["abs_residual"])
     assert math.isnan(recs["fit-mu"]["terms"]["equation_residual"])
+
+
+# the plane onto the line by exp(x1): lambda = exp(x1), so |grad_h lambda|
+# is about 6e4, yet |grad_h(1 / lambda^2)|, which the homothetic hypothesis
+# reads, is below its threshold at both points
+EXP_MAP = OVERFLOW.replace("checks = G2.12", "checks = all").format(
+    map="exp(x1)", points="(10, 0.5) ; (11, 0.2)")
+# 1 / lambda^2 = exp(300 x1) overflows in its second partials at the
+# point, so the homothetic violation is NaN there
+EXP_METRIC = OVERFLOW.replace("checks = G2.12", "checks = all").replace(
+    "total.metric = 1, 0 ; 0, 1", "total.metric = exp(300*x1), 0 ; 0, 1"
+).format(map="x1", points="(2.3, 0.5)")
+# the hypothesis of each structure flag, by the flag's name
+FLAG_HYPOTHESES = {
+    "fibers_totally_geodesic": "fibers-totally-geodesic",
+    "fibers_totally_umbilical": "umbilical-fibers",
+    "horizontal_integrable": "horizontal-integrable",
+    "horizontal_totally_geodesic": "horizontal-totally-geodesic",
+    "homothetic": "homothetic",
+    "map_totally_geodesic": "map-totally-geodesic"}
+
+
+def _flags(payload):
+    """(holds, max_violation) of each structure-flags record, by name."""
+    flags = {}
+    for rec in payload["records"]:
+        if rec["id"] == "structure-flags":
+            name, verdict = rec["note"].split(": ")
+            flags[name] = (verdict == "holds", rec["terms"]["max_violation"])
+    return flags
+
+
+def test_structure_flags_agree_with_their_hypotheses(tmp_path, capsys):
+    # a flag is the supremum over the run's points of the hypothesis of
+    # its name, so it holds exactly where that hypothesis is met at every
+    # point
+    code, payload = _verify_json(tmp_path, capsys, EXP_MAP)
+    assert code == EXIT_OK
+    violations = {}
+    for rec in payload["records"]:
+        for h in rec["hypotheses"]:
+            violations.setdefault(h["name"], {})[tuple(rec["point"])] = (
+                h["satisfied"], h["violation"])
+    flags = _flags(payload)
+    assert len(flags) == 7
+    read = [f for f, h in FLAG_HYPOTHESES.items() if h in violations]
+    assert {"homothetic", "map_totally_geodesic"} <= set(read)
+    for flag in read:
+        at_points = violations[FLAG_HYPOTHESES[flag]].values()
+        assert len(at_points) == 2, flag
+        assert flags[flag] == (all(met for met, _ in at_points),
+                               max(v for _, v in at_points)), flag
+
+
+def test_nan_violation_fails_its_flag(tmp_path, capsys):
+    # a NaN violation at a point is the flag's supremum, and fails it
+    code, payload = _verify_json(tmp_path, capsys, EXP_METRIC)
+    assert code == EXIT_FAIL
+    flags = _flags(payload)
+    for flag in ("homothetic", "map_totally_geodesic"):
+        holds, violation = flags[flag]
+        assert not holds and math.isnan(violation), flag
+    homothetic = {h["satisfied"]: h["violation"] for rec in payload["records"]
+                  for h in rec["hypotheses"] if h["name"] == "homothetic"}
+    assert list(homothetic) == [False] and math.isnan(homothetic[False])
+
+
+def test_non_finite_dilation_reports_under_warnings_as_errors(tmp_path):
+    # a NaN in the context's contractions is a failing record, not a
+    # warning: under -W error the run still prints its report
+    path = tmp_path / "job.cfsm"
+    path.write_text(EXP_METRIC)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "confsub.cli",
+         "verify", str(path)], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    assert out.stderr == ""
+    assert out.returncode == EXIT_FAIL
+    assert ("  totals: pass=12 fail=16 hypothesis-not-met=11 "
+            "paper-divergent=0") in out.stdout.splitlines()
 
 
 def test_verify_does_not_import_the_catalog():

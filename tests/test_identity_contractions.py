@@ -138,14 +138,24 @@ def test_frame_suprema_match_loop_forms(name, setup, points):
         for (got,), loop in zip(lists, loops):
             _assert_hypotheses([got], [getattr(loop, hyp)()._asdict()],
                                (name, hyp))
-    # the flags are the suprema over the points
+    # each flag is the supremum over the points of the hypothesis of its
+    # name, and lambda_vertical_constant that of |grad_v f|
     flags = sub.structure_flags(ctx)
-    for flag, hyp in (("fibers_totally_geodesic", "hyp_fibers_tg"),
-                      ("horizontal_totally_geodesic", "hyp_horizontal_tg"),
-                      ("fibers_totally_umbilical", "hyp_umbilical")):
-        _close(flags[flag].max_violation,
-               max(getattr(loop, hyp)().violation for loop in loops),
-               (name, flag))
+    at_points = {flag: [getattr(loop, hyp)().violation for loop in loops]
+                 for flag, hyp in (
+                     ("fibers_totally_geodesic", "hyp_fibers_tg"),
+                     ("fibers_totally_umbilical", "hyp_umbilical"),
+                     ("horizontal_integrable", "hyp_horizontal_integrable"),
+                     ("horizontal_totally_geodesic", "hyp_horizontal_tg"),
+                     ("homothetic", "hyp_homothetic"),
+                     ("map_totally_geodesic", "hyp_map_tg"))}
+    at_points["lambda_vertical_constant"] = [
+        loop.norm(loop.pv @ loop.grad_f) for loop in loops]
+    assert sorted(flags) == sorted(at_points), name
+    for flag, values in at_points.items():
+        _close(flags[flag].max_violation, max(values), (name, flag))
+        assert flags[flag].holds == (max(values) <= sub.PROPERTY_TOL), (
+            name, flag)
 
 
 @pytest.mark.parametrize("name,setup,points", CASES,

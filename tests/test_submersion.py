@@ -13,7 +13,7 @@ from confsub import submersion as sub
 from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext
 from confsub.jets import EvaluationError, JetSpace, primal
-from confsub.linalg import mat_inverse, taylor_inverse, taylor_mul
+from confsub.linalg import taylor_inverse, taylor_mul
 from conftest import (conformal_corpus, context, flat_chart, make_setup,
                       oneill, riemannian_corpus, sample, warped_4to2)
 import identity_loops as loops
@@ -329,43 +329,7 @@ def test_context_seeds_at_most_two_levels_deep(monkeypatch, name, setup,
         assert depth["seeds"] <= 5
 
 
-# -- structure flags' basic-field violations against the per-pair path ---
-
-def _gnorm(g, v):
-    return float(np.sqrt(max(0.0, v @ g @ v)))
-
-
-def _per_pair_violations(setup, p):
-    """sup |v[X_a, X_b]| / (|X_a| |X_b|) and sup |(nabla F_*)(X_a, X_b)|
-    over the lifted base coordinate fields, one seeding per bracket and
-    per nabla_{X_a} X_b."""
-    xs = list(p.coords)
-    q = Point(setup.map_point_at(p.coords))
-    ys = list(q.coords)
-    g = jr.metric_matrix(setup.total, p)
-    h_base = jr.metric_matrix(setup.base, q)
-    pv = np.asarray(jr.projectors_at(setup, xs)[0], float)
-    jac = jr.jacobian(setup, p)
-    e = basis(setup.n)
-    lifts = [jr.basic_field_fn(setup, VectorFieldSpec.constant(ea))
-             for ea in e]
-    worst_bracket = worst_sff = 0.0
-    for a in range(setup.n):
-        xa = primal_array(lifts[a](xs))
-        for b in range(setup.n):
-            xb = primal_array(lifts[b](xs))
-            if b > a:
-                vert = pv @ primal_array(
-                    jr.lie_bracket_at(lifts[a], lifts[b], xs))
-                worst_bracket = max(worst_bracket, _gnorm(g, vert) / (
-                    _gnorm(g, xa) * _gnorm(g, xb)))
-            nabla_n = primal_array(jr.cov_deriv_along_at(
-                setup.base, ys, e[a], lambda zs, eb=e[b]: list(eb)))
-            nabla_m = primal_array(jr.cov_deriv_along_at(
-                setup.total, xs, list(xa), lifts[b]))
-            worst_sff = max(worst_sff, _gnorm(h_base, nabla_n - jac @ nabla_m))
-    return worst_bracket, worst_sff
-
+# -- basic fields and scalar curvatures against the per-pair path -------
 
 def test_basic_field_derivatives_match_per_pair_path(riemannian_setups):
     # L2.1 reads every nabla_{X_a} X_b of the lifted base coordinate
@@ -410,28 +374,6 @@ def test_context_scalar_curvatures_match_reference(riemannian_setups):
             _assert_close(ctx.fiber_scalar_intrinsic[i],
                           jr.intrinsic_fiber_scalar_curvature(setup, p),
                           (name, "s^fiber"))
-
-
-_TWISTED = next(case for case in riemannian_corpus()
-                if case[0] == "twisted-3to2")
-FLAG_CASES = ONEILL_CASES + [
-    (_TWISTED[0], _TWISTED[1], sample(_TWISTED[2], 2, seed=21))]
-
-
-@pytest.mark.parametrize("name,setup,points", FLAG_CASES,
-                         ids=[case[0] for case in FLAG_CASES])
-def test_structure_flags_match_per_pair_path(name, setup, points):
-    # one seeding of the lift matrix gives every bracket and every
-    # nabla_{X_a} X_b; the per-pair path seeds each pair on its own
-    ctx = IdentityContext(setup, points)
-    got = np.array(sub._basic_field_violations(ctx)).T
-    ref = np.array([_per_pair_violations(setup, p) for p in points])
-    _assert_close(got, ref, (name, "integrability, sff"))
-    # the flags hold the suprema over the points
-    flags = sub.structure_flags(ctx)
-    _assert_close(flags["horizontal_integrable"].max_violation,
-                  ref[:, 0].max(), (name, "integrable flag"))
-    assert flags["map_totally_geodesic"].max_violation >= got[:, 1].max()
 
 
 # ---------------------------------------------------------------------
@@ -548,7 +490,7 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
         pv, ph = (primal_array(a) for a in jr.projectors_at(setup, xs))
         lift = primal_array(jr.core_matrices_at(setup, xs)[4])
         base_point = Point(setup.map_point_at(p.coords))
-        ref = {"g": g, "ginv": np.array(mat_inverse(g.tolist())),
+        ref = {"g": g, "ginv": np.array(jr.mat_inverse(g.tolist())),
                "jac": jac, "pv": pv, "ph": ph,
                "lam_sq": primal(jr.lambda_sq_at(setup, xs)),
                "h_base": jr.metric_matrix(setup.base, base_point),
@@ -622,6 +564,8 @@ def _check_core_partials(setup, points):
                               gamma, (p, "christoffel_partials_at"))
 
 
+_TWISTED = next(case for case in riemannian_corpus()
+                if case[0] == "twisted-3to2")
 CORE_PARTIAL_CASES = ONEILL_CASES[:5] + [
     (_TWISTED[0], _TWISTED[1], sample(_TWISTED[2], 2, seed=25)),
     ("fiber-2d", _fiber_2d_setup(), sample(_BOX4, 2, seed=26)),
