@@ -19,6 +19,7 @@ comparison operators <, <=, >, >= combined with ``and`` / ``or``.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from . import jets
@@ -80,58 +81,29 @@ class BoolOp(NamedTuple):
     right: object
 
 
-class _Tokenizer:
-    _PUNCT = ("<=", ">=", "+", "-", "*", "/", "^", "(", ")", "<", ">")
+# one token after optional whitespace: a punctuator, a number (decimal
+# digits and dots with an optional exponent), a name (a letter or "_"
+# followed by letters, digits and "_"), or any other character, which is
+# an error
+_TOKEN = re.compile(r"\s*(?:(?P<punct><=|>=|[-+*/^()<>])"
+                    r"|(?P<number>[\d.]+(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>\w+)|(?P<bad>\S))")
 
+
+class _Tokenizer:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.tokens = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            matched = False
-            for p in self._PUNCT:
-                if text.startswith(p, i):
-                    self.tokens.append(("punct", p, i))
-                    i += len(p)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if c.isdigit() or c == ".":
-                j = i
-                while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                # exponent part of a float literal, e.g. 1.5e-3
-                if j < len(text) and text[j] in "eE":
-                    k = j + 1
-                    if k < len(text) and text[k] in "+-":
-                        k += 1
-                    if k < len(text) and text[k].isdigit():
-                        while k < len(text) and text[k].isdigit():
-                            k += 1
-                        j = k
-                self.tokens.append(("number", text[i:j], i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            raise ExprError(f"unexpected character {c!r}", text, i)
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            val, pos = m.group(kind), m.start(kind)
+            # \w also takes a numeric character that is no letter ("½")
+            if kind == "bad" or (kind == "name" and not val[0].isalpha()
+                                 and val[0] != "_"):
+                raise ExprError(f"unexpected character {val[0]!r}", text, pos)
+            self.tokens.append((kind, val, pos))
         self.tokens.append(("end", "", len(text)))
+        self.idx = 0
 
     def peek(self):
         return self.tokens[self.idx]

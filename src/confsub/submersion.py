@@ -327,24 +327,31 @@ def pair_norms(g, vecs):
                                              vecs, g, vecs)))
 
 
-def structure_flags(ctx):
+_FLAG_VIOLATIONS = {
+    "fibers_totally_geodesic": lambda ctx: ctx.hyp_fibers_tg.violation,
+    "fibers_totally_umbilical": lambda ctx: ctx.hyp_umbilical.violation,
+    "horizontal_integrable":
+        lambda ctx: ctx.hyp_horizontal_integrable.violation,
+    "horizontal_totally_geodesic":
+        lambda ctx: ctx.hyp_horizontal_tg.violation,
+    "homothetic": lambda ctx: ctx.hyp_homothetic.violation,
+    "lambda_vertical_constant":
+        lambda ctx: np.sqrt(np.maximum(0.0, ctx.vgrad_f_sq)),
+    "map_totally_geodesic": lambda ctx: ctx.hyp_map_tg.violation}
+
+
+def structure_flags(ctx, names=tuple(_FLAG_VIOLATIONS)):
     """Which structural properties hold at every point of ``ctx`` (an
     ``identities.IdentityContext``), each a ``PropertyCheck`` with its
-    largest violation over the points, by name: the supremum of the
-    context's hypothesis of the same name, and for
+    largest violation over the points, by name, for each of ``names``
+    (by default all seven, in a fixed order) and computing no other: the
+    supremum of the context's hypothesis of the same name, and for
     ``lambda_vertical_constant`` that of |grad_v f|, f = 1 / lambda^2.  A
     NaN violation at any point makes the supremum NaN, which fails."""
-    violations = {
-        "fibers_totally_geodesic": ctx.hyp_fibers_tg.violation,
-        "fibers_totally_umbilical": ctx.hyp_umbilical.violation,
-        "horizontal_integrable": ctx.hyp_horizontal_integrable.violation,
-        "horizontal_totally_geodesic": ctx.hyp_horizontal_tg.violation,
-        "homothetic": ctx.hyp_homothetic.violation,
-        "lambda_vertical_constant": np.sqrt(np.maximum(0.0, ctx.vgrad_f_sq)),
-        "map_totally_geodesic": ctx.hyp_map_tg.violation}
     flags = {}
-    for name, v in violations.items():
-        sup = float(np.max(v, initial=0.0))  # NaN where any point is
+    for name in names:
+        # NaN where any point is
+        sup = float(np.max(_FLAG_VIOLATIONS[name](ctx), initial=0.0))
         flags[name] = PropertyCheck(holds=sup <= PROPERTY_TOL,
                                     max_violation=sup)
     return flags

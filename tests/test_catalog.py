@@ -1,11 +1,14 @@
 """Example catalog: published values versus the computation."""
 
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from confsub import catalog
 from confsub import submersion as sub
+from confsub.geometry import Point
 from confsub.identities import IdentityContext
 from confsub.jets import JetSpace
 
@@ -80,32 +83,109 @@ def test_run_example_evaluates_each_ingredient_once(monkeypatch):
     # loops: one identity context for all the points (Gamma, lambda^2,
     # T, A, H, Ricci) shared by every row and by the structure flags,
     # reading the run's one CorePartials; the per-field T/A path is never
-    # taken.  The run seeds the float cores' Jacobian, the CorePartials
-    # leaves (the metric, the Jacobian with its inner seeding, h o F) once
-    # each, for all its points: 5 seedings; Ricci reads the metric seeding
-    # Gamma came from, and the structure flags read no base curvature
+    # taken.  The run seeds the float cores' Jacobian and the CorePartials
+    # leaves (the metric, the Jacobian with its inner seeding) once each,
+    # for all its points, and h o F only for a homothetic claim, which 5.3
+    # does not state: 5 seedings, 4 for 5.3; Ricci reads the metric
+    # seeding Gamma came from, and the structure flags read no base
+    # curvature.  Each distinct expected text is parsed once.
     counts = Counter()
+    parsed = Counter()
 
     def counting(owner, name):
         real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "parse_expression":
+                parsed[args[0]] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((IdentityContext, "__init__"),
                         (sub, "oneill_contraction"),
-                        (JetSpace, "seed")):
+                        (JetSpace, "seed"),
+                        (catalog, "parse_expression")):
         counting(owner, name)
-    rep = catalog.run_example("5.3")
-    assert rep.counts["fail"] == 0
-    assert counts["__init__"] == 1
-    # T and A are contracted once for all the points
-    assert counts["oneill_contraction"] == 1
-    assert counts["seed"] == 5
-    counts.clear()
-    catalog.run_example("5.1")
-    assert counts["__init__"] == 1
-    assert counts["oneill_contraction"] == 1
-    assert counts["seed"] == 5
+    for eid, seeds in (("5.1", 5), ("5.2", 5), ("5.3", 4), ("5.4", 5)):
+        counts.clear()
+        parsed.clear()
+        rep = catalog.run_example(eid)
+        assert rep.counts["fail"] == 0
+        assert counts["__init__"] == 1
+        # T and A are contracted once for all the points
+        assert counts["oneill_contraction"] == 1
+        assert counts["seed"] == seeds, eid
+        assert set(parsed.values()) == {1}
+
+
+def _python_max_pick(points, expected, computed):
+    """The point and residual of the largest |expected - computed| by
+    Python's max over per-point float samples: the rule the catalog
+    rows used before they compared arrays."""
+    samples = [(p, float(e), float(c))
+               for p, e, c in zip(points, expected, computed)]
+    point, e, c = max(samples, key=lambda s: abs(s[1] - s[2]))
+    return list(point.coords), abs(e - c)
+
+
+@pytest.mark.parametrize("eid", catalog.EXAMPLE_IDS)
+def test_rows_pick_what_python_max_picks(monkeypatch, eid):
+    # on the catalog's finite residuals one argmax per row picks the point
+    # and residual that Python's max over the samples picked
+    real, seen = catalog._compare, []
+
+    def checking(name, provenance, points, expected, computed, tol):
+        row = real(name, provenance, points, expected, computed, tol)
+        seen.append(name)
+        point, residual = _python_max_pick(points, expected, computed)
+        assert (row["point"], row["residual"]) == (point, residual), name
+        return row
+    monkeypatch.setattr(catalog, "_compare", checking)
+    rep = catalog.run_example(eid)
+    assert len(seen) == sum(not r["name"].startswith("flag ")
+                            for r in rep.rows) > 0
+
+
+def _points(n):
+    return [Point((float(i), 0.5)) for i in range(n)]
+
+
+def test_row_tie_picks_the_first_point():
+    row = catalog._compare("tie", "derived-oracle", _points(3),
+                           np.array([1.0, 2.0, 3.0]),
+                           np.array([0.0, 3.0, 3.0]), 1e-6)
+    assert row["point"] == [0.0, 0.5] and row["residual"] == 1.0
+    assert row["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("provenance,verdict", [
+    ("paper-printed", "paper-divergent"), ("derived-oracle", "fail")])
+def test_row_nan_after_a_number_does_not_pass(provenance, verdict):
+    points = _points(3)
+    expected = np.array([1.0, math.nan, 1.0])
+    computed = np.array([1.5, 1.0, 1.0])
+    row = catalog._compare("nan", provenance, points, expected, computed,
+                           0.5)
+    assert math.isnan(row["residual"]) and row["point"] == [1.0, 0.5]
+    assert row["verdict"] == verdict
+    # Python's max dropped the NaN that follows a number, and the row
+    # passed on the residual 0.5 at the first point
+    point, residual = _python_max_pick(points, expected, computed)
+    assert (point, residual) == ([0.0, 0.5], 0.5)
+    assert residual / (1.0 + 1.5) <= 0.5
+
+
+@pytest.mark.parametrize("eid", catalog.EXAMPLE_IDS)
+def test_structure_flags_compute_only_the_names_asked(eid):
+    # each example's stated flags, and each single flag, on the points of
+    # each shipped manifest read as the full dict restricted to them
+    job = catalog.load_job(eid)
+    full = sub.structure_flags(IdentityContext(job.setup, job.points))
+    assert len(full) == 7
+    stated = list(catalog._EXPECTED[eid].structure)
+    for names in [stated, stated[::-1]] + [[name] for name in full]:
+        flags = sub.structure_flags(IdentityContext(job.setup, job.points),
+                                    names)
+        assert list(flags) == names
+        assert flags == {name: full[name] for name in names}

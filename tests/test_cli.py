@@ -9,10 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from confsub import catalog, report
 from confsub.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from confsub.identities import ALL_CHECK_IDS
-from confsub.manifest import KNOWN_CHECKS, parse_manifest
+from confsub.manifest import KNOWN_CHECKS
 from conftest import GAUSSIAN_SOLITON, ROTATION_SOLITON
 
 SMALL = """

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsub.expr import (Coord, ExprError, Pow, eval_expr,
+from confsub.expr import (Coord, ExprError, Pow, _Tokenizer, eval_expr,
                           parse_expression, parse_predicate, to_text)
 from confsub.jets import primal
 
@@ -116,3 +116,86 @@ def test_integer_exponents_are_ints_equal_to_their_fractions(text, exponent):
     as_fraction = Pow(Coord("x1"), Fraction(exponent))
     assert node == as_fraction and hash(node) == hash(as_fraction)
     assert parse_expression(to_text(node), COORDS) == node
+
+
+_PUNCT = ("<=", ">=", "+", "-", "*", "/", "^", "(", ")", "<", ">")
+
+
+def reference_tokens(text):
+    """The tokens of ``text`` by a scan of one character at a time, with
+    str's own character classes: the tokenizer's reference."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        p = next((p for p in _PUNCT if text.startswith(p, i)), None)
+        if p is not None:
+            tokens.append(("punct", p, i))
+            i += len(p)
+            continue
+        if c.isdigit() or c == ".":
+            j = i
+            while j < len(text) and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            # exponent part of a float literal, e.g. 1.5e-3
+            if j < len(text) and text[j] in "eE":
+                k = j + 1
+                if k < len(text) and text[k] in "+-":
+                    k += 1
+                if k < len(text) and text[k].isdigit():
+                    while k < len(text) and text[k].isdigit():
+                        k += 1
+                    j = k
+            tokens.append(("number", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        raise ExprError(f"unexpected character {c!r}", text, i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _tokens_or_error(scan, text):
+    try:
+        return scan(text)
+    except ExprError as err:
+        return str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="<>=+-*/^()0123456789.eE_abxyzXé"
+               " \t\n\r\f\v\x1c\xa0\u2003\u3000$;!", max_size=16))
+def test_tokenizer_matches_the_character_scan(text):
+    # the one-pattern tokenizer gives the reference's tokens, or its error
+    assert (_tokens_or_error(lambda t: _Tokenizer(t).tokens, text)
+            == _tokens_or_error(reference_tokens, text))
+
+
+@pytest.mark.parametrize("text,message", [
+    # a numeric character that is no letter is no name
+    ("x1 + \u00bd", "unexpected character '\u00bd' (column 6 in 'x1 + \u00bd')"),
+    # a digit that is not decimal is no number either: the character scan
+    # took it as one, which then failed as "malformed number"
+    ("x1 + \u00b2", "unexpected character '\u00b2' (column 6 in 'x1 + \u00b2')"),
+    ("x1 $ x2", "unexpected character '$' (column 4 in 'x1 $ x2')"),
+    ("x1 + 1.2.3", "malformed number '1.2.3' (column 6 in 'x1 + 1.2.3')"),
+])
+def test_tokenizer_errors(text, message):
+    with pytest.raises(ExprError) as err:
+        parse_expression(text, COORDS)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["x\u00b2", "x\u00bd_2", "\u00e9\u00b2 + 1"])
+def test_numeric_characters_continue_a_name(text):
+    # inside a name every alphanumeric character counts, as in the scan
+    assert _Tokenizer(text).tokens == reference_tokens(text)
