@@ -141,10 +141,11 @@ HYPOTHESIS_SCHEMA = {"name": str, "satisfied": bool, "violation": float}
 class RecordTable:
     """Records as one list per ``RECORD_SCHEMA`` key, ``columns`` in its
     order; the ``point`` column holds indices into ``points``, the
-    coordinate lists.  ``build_records`` adds a check's records as one of
-    ``parts``; a read of ``columns`` builds the parts added since in one
-    pass, point by point across them (``_build``).  Records share lists:
-    no reader may mutate them."""
+    coordinate lists, where one list may recur (``_records``).
+    ``build_records`` adds a check's records as one of ``parts``; a read
+    of ``columns`` builds the parts added since in one pass, point by
+    point across them (``_build``).  Records share lists: no reader may
+    mutate them."""
 
     def __init__(self, points=(), parts=()):
         self.points, self.parts = list(points), list(parts)
@@ -178,9 +179,10 @@ def build_records(table, check_id, points, lhs, rhs, hypotheses, tol, *,
     ``points`` (indices into ``table.points``; a point without coordinates
     is never flagged), ``lhs``, ``rhs``, ``hypotheses`` (lists of
     ``HYPOTHESIS_SCHEMA`` dicts, held as given), ``labels``, each array of
-    the map ``terms``, and ``residual`` and ``scale``, by default
-    |lhs - rhs| and 1 + max(|lhs|, |rhs|, |each term|) (Python's ``max``: a
-    NaN counts only in first place).  The verdict is
+    the map ``terms``, ``note`` (or one text for all), and ``residual``
+    and ``scale``, by default |lhs - rhs| and
+    1 + max(|lhs|, |rhs|, |each term|) (Python's ``max``: a NaN counts
+    only in first place).  The verdict is
     ``hypothesis-not-met`` when a hypothesis is unmet, else ``pass`` when
     residual / scale, or the residual when ``absolute``, is at most
     ``tol``, else ``fail``.  They are built on the table's next read."""
@@ -204,8 +206,9 @@ def _build(columns, points, parts):
         return np.concatenate([default[a:b] if v is None else v
                                for a, b, v in zip(cuts, cuts[1:], values)])
 
-    def each(values):  # a part's value once per record
-        return chain.from_iterable([v] * n for v, n in zip(values, sizes))
+    def each(values):  # a part's text once per record, or its list of them
+        return chain.from_iterable([v] * n if isinstance(v, str) else v
+                                   for v, n in zip(values, sizes))
 
     lhs, rhs = np.concatenate([f[:2] for f in floats], axis=1)
     residual = own(abs(lhs - rhs), residuals)
@@ -754,12 +757,14 @@ def _layout(label, index):
 
 
 def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
-             residual=None, scale=None, note=""):
-    """A ``RecordTable`` over the run's points, point by point, one record
-    per index tuple of ``index`` (its 1-based numbers formatted by
-    ``label``), of the arrays read at the tuples after the point axis (an
+             residual=None, scale=None, note="", table=None):
+    """``table``, by default a new ``RecordTable``, with the run's points
+    appended to its ``points`` and a record per point and index tuple of
+    ``index`` (its 1-based numbers formatted by ``label``), point by
+    point, of the arrays read at the tuples after the point axis (an
     empty tuple reads (P,) arrays): ``lhs``, ``rhs``, each of the (name,
-    array) ``terms``, ``residual`` and ``scale``."""
+    array) ``terms``, ``residual`` and ``scale``; ``note`` is one text,
+    or one per record."""
     at, labels = _layout(label, tuple(map(tuple, index)))
     count, size = len(labels), len(ctx.points)
 
@@ -769,10 +774,12 @@ def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
     names = tuple(h.name for h in hyps)
     if names not in ctx.hypothesis_lists:
         ctx.hypothesis_lists[names] = _hypothesis_lists(hyps, size)
-    table = RecordTable(ctx.point_lists)
+    table = RecordTable() if table is None else table
+    start = len(table.points)
+    table.points.extend(ctx.point_lists)
     build_records(
-        table, identity_id, np.arange(size).repeat(count), flat(lhs),
-        flat(rhs),
+        table, identity_id, np.arange(start, start + size).repeat(count),
+        flat(lhs), flat(rhs),
         list(chain.from_iterable(zip(*[ctx.hypothesis_lists[names]] * count))),
         tol, labels=labels * size, terms={name: flat(v) for name, v in terms},
         note=note, residual=flat(residual), scale=flat(scale))

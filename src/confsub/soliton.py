@@ -4,7 +4,9 @@ and harmonicity checks for charts and conformal submersions.
 The soliton equation is (1/2)(L_xi g) + Ric + mu*g = 0 with mu constant;
 mu < 0 shrinking, mu = 0 steady, mu > 0 expanding.  Almost-soliton
 variants replace mu by a function, which is fitted per point and
-compared against its closed-form expression.
+compared against its closed-form expression.  The fits read all the
+points at once; each report on a run's IdentityContext writes a record
+per point, as the identities do, with the hypotheses at that point.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import submersion as sub
-from .identities import Hypothesis, record, worst_of
+from .identities import _records
 from .linalg import mat_vec, quad_form, vec_dot
 
 
@@ -139,8 +141,8 @@ def _fiber_formula_value(ctx, xi_h, mu):
 def fiber_soliton_report(records, ctx, xi, mu=0.0, tol=1e-6):
     """Fibers as (almost) Ricci solitons: residual of
     (1/2){g(nabla_U xi_v, V) + g(nabla_V xi_v, U)} + Ric^v(U,V) + f g(U,V)
-    with f evaluated from its closed form at each point of ``ctx``, the
-    run's IdentityContext, as the record at its worst point in ``records``."""
+    with f evaluated from its closed form, a record in ``records`` at
+    each point of ``ctx``, the run's IdentityContext."""
     k = ctx.m - ctx.n
     vframe = ctx.vframe
     # xi_v = P_v xi with d_l xi_v = d_l P_v xi + P_v d_l xi
@@ -153,29 +155,28 @@ def fiber_soliton_report(records, ctx, xi, mu=0.0, tol=1e-6):
     fitted = -_traces(lform) / k
     formula = _fiber_formula_value(ctx, mat_vec(ctx.ph, xi_vals), mu)
     res = np.abs(lform + formula[:, None, None] * np.eye(k)).max(axis=(1, 2))
-    _worst_point_record(
-        records, "fiber-soliton", "fibers", ctx, tol,
-        [ctx.hyp_conformal, ctx.hyp_umbilical, ctx.hyp_horizontal_tg],
-        {"fitted": fitted, "formula": formula, "residual": res,
-         "fit_vs_formula": np.abs(fitted - formula)})
+    _soliton_records(records, "fiber-soliton", "fibers", ctx, tol,
+                     [ctx.hyp_conformal, ctx.hyp_umbilical,
+                      ctx.hyp_horizontal_tg], fitted, formula, res)
 
 
 def base_soliton_report(records, ctx, xi, mu, xi_base=None, tol=1e-6):
     """Base as an (almost) Ricci soliton: residual of
-    (1/2)(L h)(Xt,Yt) + Ric^N(Xt,Yt) + f h(Xt,Yt) with f from f3/f4, at
-    each point of ``ctx``, the run's IdentityContext, as the record at its
-    worst point in ``records``.
+    (1/2)(L h)(Xt,Yt) + Ric^N(Xt,Yt) + f h(Xt,Yt) with f from f3/f4, a
+    record in ``records`` at each point of ``ctx``, the run's
+    IdentityContext.
 
     ``xi_base`` is the pushforward field expressed on the base chart; it
     defaults to zero.  A per-point projection residual compares it with
     the actual pushforward of the horizontal part of ``xi``.
     """
-    setup, n = ctx.setup, ctx.n
-    if xi_base is None:
-        xi_base = geo.VectorFieldSpec.constant([0.0] * n)
+    setup, n, count = ctx.setup, ctx.n, len(ctx.points)
     base_gamma, _, base_ric = ctx.base_curvature
-    declared, dxi_base = geo.point_partials(geo.field_fn(setup.base, xi_base),
-                                            ctx.base_coords, order=1)
+    if xi_base is None:  # zero, with zero partials, seeded by no one
+        declared, dxi_base = np.zeros((count, n)), np.zeros((count, n, n))
+    else:
+        declared, dxi_base = geo.point_partials(
+            geo.field_fn(setup.base, xi_base), ctx.base_coords, order=1)
     lform = _soliton_form(ctx.h_base, geo.lie_derivative_matrix(
         ctx.h_base, base_gamma, declared, dxi_base), base_ric)
     fitted = -_traces(lform) / n
@@ -185,15 +186,23 @@ def base_soliton_report(records, ctx, xi, mu, xi_base=None, tol=1e-6):
     # projection residual: pushforward of the horizontal part of xi
     # against the declared base field
     dproj = mat_vec(ctx.jac, mat_vec(ctx.ph, xi_vals)) - declared
-    _worst_point_record(
-        records, "base-soliton", "base", ctx, tol,
-        [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_fibers_tg,
-         ctx.hyp_horizontal_integrable],
-        {"fitted": fitted, "formula": formula, "residual": res,
-         "mu": np.full(len(ctx.points), mu),
-         "projection_residual": np.sqrt(np.maximum(
-             0.0, quad_form(dproj, ctx.h_base, dproj))),
-         "fit_vs_formula": np.abs(fitted - formula)})
+    _soliton_records(records, "base-soliton", "base", ctx, tol,
+                     [ctx.hyp_conformal, ctx.hyp_homothetic,
+                      ctx.hyp_fibers_tg, ctx.hyp_horizontal_integrable],
+                     fitted, formula, res, ("mu", np.full(count, mu)),
+                     ("projection_residual", np.sqrt(np.maximum(
+                         0.0, quad_form(dproj, ctx.h_base, dproj)))))
+
+
+def _soliton_records(records, check_id, label, ctx, tol, hyps, fitted,
+                     formula, res, *terms):
+    """A soliton criterion's record per point in ``records``: ``fitted``
+    against ``formula``, with the largest entry ``res`` of the fitted form
+    as the residual over scale 1, and ``terms`` beside them."""
+    _records(check_id, ctx, tol, hyps, label, [()], fitted, formula,
+             [("fitted", fitted), ("formula", formula), ("residual", res),
+              *terms, ("fit_vs_formula", np.abs(fitted - formula))],
+             residual=res, scale=np.ones(len(res)), table=records)
 
 
 def _base_formula_value(ctx, xi_vals, mu):
@@ -209,94 +218,49 @@ def _base_formula_value(ctx, xi_vals, mu):
 
 
 def scalar_mu_consistency(records, ctx, mu, tol=1e-6):
-    """s(p) = -mu*m for a totally geodesic map, as a ``record`` in
-    ``records`` at the worst point of ``ctx``, the run's IdentityContext;
-    also reports the spread of s over the points (constancy check)."""
-    values = ctx.scalar_curvature.tolist()
-    m = ctx.m
-    worst_idx = worst_of(range(len(values)),
-                         lambda i: abs(values[i] + mu * m))
-    lhs = values[worst_idx]
-    rhs = -mu * m
-    terms = {f"s@{i}": v for i, v in enumerate(values)}
-    terms["spread"] = max(values) - min(values)
-    hyps = [Hypothesis(h.name, bool(h.satisfied[worst_idx]),
-                       float(h.violation[worst_idx]))
-            for h in (ctx.hyp_conformal, ctx.hyp_map_tg)]
-    record(records, "T4.7", ctx.points[worst_idx].coords, lhs, rhs, hyps,
-           tol, terms=terms,
-           note="worst point shown; per-point s values itemized",
-           scale=1.0 + max(abs(lhs), abs(rhs)))
+    """s(p) = -mu*m for a totally geodesic map, a ``T4.7`` record in
+    ``records`` at each point of ``ctx``, the run's IdentityContext: s
+    holding that value at every point is also its constancy."""
+    s = ctx.scalar_curvature
+    _records("T4.7", ctx, tol, [ctx.hyp_conformal, ctx.hyp_map_tg], "", [()],
+             s, np.full(len(s), -mu * ctx.m), table=records,
+             note="scalar curvature s against -m*mu")
 
 
 def harmonicity_report(records, ctx, mu, tol=1e-6):
     """F harmonic iff s^{KerF*} = -mu(m-n): both sides evaluated
-    independently at each point of ``ctx``, the run's IdentityContext,
-    with the trace identity
-    s^{Ker} + (m-n)mu - (m-n)^2 |H|^2 + (m-n) div(H) = 0 itemized, as the
-    record at its worst point in ``records``."""
+    independently, and the equivalence judged, at each point of ``ctx``,
+    the run's IdentityContext, a record per point in ``records`` with the
+    trace identity
+    s^{Ker} + (m-n)mu - (m-n)^2 |H|^2 + (m-n) div(H) = 0 itemized."""
     m, n = ctx.m, ctx.n
     tau = sub.tension_field(ctx.setup, ctx.h_vec, ctx.hgrad_f, ctx.jac,
                             ctx.lam_sq)
     tension = np.sqrt(np.maximum(0.0, quad_form(tau, ctx.h_base, tau)))
     s_fiber = ctx.fiber_scalar_intrinsic
     scalar_gap = np.abs(s_fiber + mu * (m - n))
-    trace_terms = {
-        "s_fiber": s_fiber,
-        "(m-n)mu": np.full(len(ctx.points), (m - n) * mu),
-        "-(m-n)^2|H|^2": -(m - n) ** 2 * _norm_sq_h(ctx),
-        "(m-n)div(H)": (m - n) * _horizontal_div_h(ctx)}
-    worst_tension = float(tension.max(initial=0.0))
-    worst_scalar = float(scalar_gap.max(initial=0.0))
-    harmonic = worst_tension <= tol
-    scalar_matches = worst_scalar <= tol
-    # one side's worst value counts only when the other holds, so the residual
+    trace_terms = [
+        ("s_fiber", s_fiber),
+        ("(m-n)mu", np.full(len(ctx.points), (m - n) * mu)),
+        ("-(m-n)^2|H|^2", -(m - n) ** 2 * _norm_sq_h(ctx)),
+        ("(m-n)div(H)", (m - n) * _horizontal_div_h(ctx))]
+    harmonic, scalar_matches = tension <= tol, scalar_gap <= tol
+    undecided = np.isnan(tension + scalar_gap)
+    zero = np.zeros(len(ctx.points))
+    # one side's value counts only where the other holds, so the residual
     # is within tol exactly when harmonic == scalar_matches, NaN on a NaN side
-    equivalence = ("undecided" if np.isnan(worst_tension + worst_scalar)
-                   else "holds" if harmonic == scalar_matches else "VIOLATED")
-    _worst_point_record(
-        records, "harmonicity", "total", ctx, tol,
-        [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_umbilical,
-         ctx.hyp_horizontal_tg],
-        {"tension_norm": tension, "scalar_gap": scalar_gap,
-         "trace_identity_residual": np.abs(sum(trace_terms.values())),
-         **trace_terms},
-        worst=("scalar_gap" if harmonic and not scalar_matches
-               else "tension_norm"),
-        residual=np.nan if equivalence == "undecided" else max(
-            worst_tension if scalar_matches else 0.0,
-            worst_scalar if harmonic else 0.0),
-        note=(f"harmonic={harmonic} scalar-side={scalar_matches}; "
-              f"equivalence {equivalence}"))
-
-
-# ---------------------------------------------------------------------
-# shared plumbing
-# ---------------------------------------------------------------------
-
-def _worst_point_record(records, check_id, label, ctx, tol, hyps, columns,
-                        worst="residual", residual=None, note=""):
-    """A report's record in ``records`` at the point of ``ctx`` whose
-    ``worst`` column is largest (``worst_of``): each (P,) array of
-    ``columns`` there is a term, ``fitted`` and ``formula`` (0.0 without
-    them) are lhs and rhs, and ``residual`` defaults to max(0.0, the
-    ``worst`` column), NaN if any."""
-    values = {key: v.tolist() for key, v in columns.items()}
-    i = worst_of(range(len(ctx.points)), values[worst].__getitem__)
-    terms = {key: v[i] for key, v in values.items()}
-    record(records, check_id, ctx.points[i].coords, terms.get("fitted", 0.0),
-           terms.get("formula", 0.0), _merge_hypotheses(hyps), tol,
-           terms=terms, label=label, note=note, scale=1.0,
-           residual=float(columns[worst].max(initial=0.0))
-           if residual is None else residual)
-
-
-def _merge_hypotheses(hyps):
-    """Each run-level hypothesis of ``hyps`` at the first point of its
-    worst violation."""
-    merged = []
-    for h in hyps:
-        violation = h.violation.tolist()
-        i = max(range(len(violation)), key=violation.__getitem__)
-        merged.append(Hypothesis(h.name, bool(h.satisfied[i]), violation[i]))
-    return merged
+    residual = np.where(undecided, np.nan, np.maximum(
+        np.where(scalar_matches, tension, 0.0),
+        np.where(harmonic, scalar_gap, 0.0)))
+    notes = [f"harmonic={h} scalar-side={s}; equivalence "
+             + ("undecided" if u else "holds" if h == s else "VIOLATED")
+             for h, s, u in zip(harmonic.tolist(), scalar_matches.tolist(),
+                                undecided.tolist())]
+    _records("harmonicity", ctx, tol,
+             [ctx.hyp_conformal, ctx.hyp_homothetic, ctx.hyp_umbilical,
+              ctx.hyp_horizontal_tg], "total", [()], zero, zero,
+             [("tension_norm", tension), ("scalar_gap", scalar_gap),
+              ("trace_identity_residual",
+               np.abs(sum(v for _, v in trace_terms))), *trace_terms],
+             residual=residual, scale=np.ones_like(zero), note=notes,
+             table=records)

@@ -70,12 +70,19 @@ def rows_by_point(table):
     return groups
 
 
-def one_row(fn, *args, **kwargs):
-    """The one record ``fn`` (``identities.record`` or a soliton report)
-    appends to a fresh table, as a row dict."""
+def all_rows(fn, *args, **kwargs):
+    """The records ``fn`` (``identities.record`` or a soliton report)
+    appends to a fresh table, as row dicts: a soliton report's one per
+    point of its context, in their order."""
     table = RecordTable()
     fn(table, *args, **kwargs)
-    row, = table.rows()
+    return table.rows()
+
+
+def one_row(fn, *args, **kwargs):
+    """The one record of ``all_rows``: ``identities.record``'s, or a
+    soliton report's over a one-point context."""
+    row, = all_rows(fn, *args, **kwargs)
     return row
 
 

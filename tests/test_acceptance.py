@@ -24,7 +24,7 @@ from confsub.geometry import Point, VectorFieldSpec
 from confsub.identities import IdentityContext, run_check
 from confsub.jets import JetSpace, primal
 from confsub.manifest import parse_manifest
-from conftest import chart, context, flat_chart, one_row, oneill, sample
+from conftest import all_rows, chart, context, flat_chart, oneill, sample
 from test_geometry import fd_ricci
 import jet_reference as jr
 
@@ -220,18 +220,22 @@ def test_criterion_7_theorem_instances(conformal_setups):
     fit = sol.fit_mu(job.setup.total, job.xi, pts)
     assert abs(fit.mu) <= 1e-9
     ctx = context(job.setup, pts)
-    scal = one_row(sol.scalar_mu_consistency, ctx, 0.0)
-    assert scal["verdict"] == "pass"
-    # s = 0 = -mu * (m - n) with m - n offset 3 total dims and mu = 0
-    assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
-    assert scal["rhs"] == pytest.approx(-fit.mu * 3, abs=1e-9)
+    scals = all_rows(sol.scalar_mu_consistency, ctx, 0.0)
+    assert len(scals) == len(pts)
+    for scal in scals:
+        assert scal["verdict"] == "pass"
+        # s = 0 = -mu * (m - n) with m - n offset 3 total dims and mu = 0
+        assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
+        assert scal["rhs"] == pytest.approx(-fit.mu * 3, abs=1e-9)
 
-    harm = one_row(sol.harmonicity_report, ctx, 0.0)
-    assert harm["verdict"] == "pass"
-    assert "harmonic=True" in harm["note"]
-    # with both sides holding, the residual is the largest tension and
-    # scalar gap over the points
-    assert harm["abs_residual"] <= 1e-9
+    harms = all_rows(sol.harmonicity_report, ctx, 0.0)
+    assert len(harms) == len(pts)
+    for harm in harms:
+        assert harm["verdict"] == "pass"
+        assert "harmonic=True" in harm["note"]
+        # with both sides holding, the residual is the larger of the
+        # tension and the scalar gap at the point
+        assert harm["abs_residual"] <= 1e-9
 
     # mixed-derivative symmetry across every catalog setup's scalar data
     for name, setup, points in conformal_setups:

@@ -192,6 +192,7 @@ def test_missing_fiber_chart_skips_the_checks_that_read_it(tmp_path, capsys,
     # fiber curvature lists fiber-chart-available, unmet, the point with a
     # chart keeps finite values, and the soliton reports that read the
     # fiber curvature but list no such hypothesis show NaN and do not pass
+    # at each point without a chart
     path = tmp_path / "no_slice_chart.cfsm"
     path.write_text(NO_SLICE_CHART.format(map=map_text, points=points))
     assert main(["verify", str(path)]) in (EXIT_OK, EXIT_FAIL)
@@ -214,10 +215,15 @@ def test_missing_fiber_chart_skips_the_checks_that_read_it(tmp_path, capsys,
             else:
                 assert math.isfinite(rec["abs_residual"]), rec
     assert {"G2.12", "R3.11", "T3.4"} <= chart_ids
-    for rec in records:
-        if rec["id"] in ("fiber-soliton", "harmonicity"):
+    soliton = [rec for rec in records
+               if rec["id"] in ("fiber-soliton", "harmonicity")]
+    assert len(soliton) == 2 * len(points.split(" ; "))
+    for rec in soliton:
+        if rec["point"] != [0.1, 0.0, 0.3]:
             assert rec["verdict"] != "pass", rec
             assert math.isnan(rec["abs_residual"]), rec
+        else:
+            assert math.isfinite(rec["abs_residual"]), rec
     # a check's line shows its NaN record whatever the order of the points
     path.write_text(NO_SLICE_CHART.format(
         map=map_text, points=" ; ".join(reversed(points.split(" ; ")))))
@@ -325,30 +331,37 @@ SOLITON_IDS = ["structure-flags", "fit-mu", "conformal-fit", "fiber-soliton",
 def test_gaussian_soliton_fails_scalar_mu_and_harmonicity(tmp_path, capsys):
     # pins today's verdicts on the Gaussian soliton of flat R^3 (the FOUND
     # line 56 of CHANGES.md): every hypothesis T4.7 and harmonicity list is
-    # met, yet both fail, since the trace of the soliton equation gives
-    # div xi + s + m mu = 0 and div xi = -6 here, not 0.  Once those
-    # criteria are settled for a field with divergence, this test changes
-    # with them
+    # met, yet both fail at every point, since the trace of the soliton
+    # equation gives div xi + s + m mu = 0 and div xi = -6 here, not 0.
+    # Once those criteria are settled for a field with divergence, this
+    # test changes with them
     code, payload = _verify_json(tmp_path, capsys, GAUSSIAN_SOLITON)
     assert code == EXIT_FAIL
     verdicts = _verdicts_by_id(payload)
     assert list(verdicts) == list(ALL_CHECK_IDS) + SOLITON_IDS
     assert {cid: v for cid, v in verdicts.items() if v != {"pass"}} == {
         "T4.7": {"fail"}, "harmonicity": {"fail"}}
-    assert payload["counts"]["fail"] == 2 and payload["flagged_fails"] == 0
-    recs = {r["id"]: r for r in payload["records"]
-            if r["id"] in ("T4.7", "harmonicity", "fit-mu")}
-    assert recs["fit-mu"]["terms"]["fitted_mu"] == pytest.approx(2.0)
-    # s = 0 against -m mu = -6
-    assert recs["T4.7"]["lhs"] == pytest.approx(0.0, abs=1e-12)
-    assert recs["T4.7"]["rhs"] == -6.0
-    # F is harmonic, but s^fiber = 0 against -mu (m - n) = -2
-    terms = recs["harmonicity"]["terms"]
-    assert terms["tension_norm"] == pytest.approx(0.0, abs=1e-12)
-    assert terms["scalar_gap"] == pytest.approx(2.0)
-    for check_id in ("T4.7", "harmonicity"):
-        hyps = recs[check_id]["hypotheses"]
-        assert hyps and all(h["satisfied"] for h in hyps), check_id
+    points = payload["job"]["n_points"]
+    assert points == 5
+    assert payload["counts"]["fail"] == 2 * points
+    assert payload["flagged_fails"] == 0
+    recs = {}
+    for r in payload["records"]:
+        recs.setdefault(r["id"], []).append(r)
+    fit, = recs["fit-mu"]
+    assert fit["terms"]["fitted_mu"] == pytest.approx(2.0)
+    assert len(recs["T4.7"]) == len(recs["harmonicity"]) == points
+    for rec in recs["T4.7"]:
+        # s = 0 against -m mu = -6
+        assert rec["lhs"] == pytest.approx(0.0, abs=1e-12)
+        assert rec["rhs"] == -6.0
+    for rec in recs["harmonicity"]:
+        # F is harmonic, but s^fiber = 0 against -mu (m - n) = -2
+        assert rec["terms"]["tension_norm"] == pytest.approx(0.0, abs=1e-12)
+        assert rec["terms"]["scalar_gap"] == pytest.approx(2.0)
+    for rec in recs["T4.7"] + recs["harmonicity"]:
+        hyps = rec["hypotheses"]
+        assert hyps and all(h["satisfied"] for h in hyps), rec["id"]
 
 
 def test_rotation_soliton_passes_every_check(tmp_path, capsys):

@@ -24,8 +24,8 @@ from confsub.identities import (ALL_CHECK_IDS, Hypothesis,
 from confsub.jets import EvaluationError, JetSpace
 from confsub.manifest import (KNOWN_CHECKS, SOLITON_CHECKS,
                               parse_manifest)
-from conftest import (GAUSSIAN_SOLITON, ROTATION_SOLITON, context, one_row,
-                      rows_by_point)
+from conftest import (GAUSSIAN_SOLITON, ROTATION_SOLITON, all_rows, context,
+                      one_row, rows_by_point)
 
 BASE = """
 total.dim    = 2
@@ -136,9 +136,10 @@ def test_one_context_and_one_oneill_bundle_per_run(monkeypatch, count):
     assert counts["oneill_contraction"] == 1
     # one seeding of each ingredient for all the points, whatever their
     # count: the float cores' Jacobian, the three CorePartials leaves (the
-    # Jacobian's with its inner seeding), the base curvature, xi and the
-    # base-soliton report's base field
-    assert counts["seed"] == 8
+    # Jacobian's with its inner seeding), the base curvature and xi; the
+    # manifest declares no base field, which the base-soliton report reads
+    # as zero without a seeding
+    assert counts["seed"] == 7
     assert counts["metric_at"] == 5
 
 
@@ -266,26 +267,88 @@ def test_seedings_per_point_with_every_check(monkeypatch):
     # the O'Neill values from the run's context, so no point seeds
     # anything of its own; the run seeds the float cores' Jacobian, the
     # CorePartials leaves (the metric, the Jacobian with its inner
-    # seeding, h o F), which the tension field reads too, the base metric,
-    # xi and the base field once each, for all its points: 8 seedings
+    # seeding, h o F), which the tension field reads too, the base metric
+    # and xi once each, for all its points: 7 seedings (the manifest
+    # declares no base field, which the base-soliton report reads as zero
+    # without a seeding)
     counts = Counter()
     _count_calls(monkeypatch, counts, ((JetSpace, "seed"),))
     job = catalog.load_job("5.3")
     assert "harmonicity" in job.checks and "L2.1" in job.checks
     assert len(job.points) > 1
     report.run_job(job)
-    assert counts["seed"] == 8
+    assert counts["seed"] == 7
 
 
-def test_harmonicity_record_shows_worst_point():
-    # neither side of the equivalence holds on 5.3, so the record shows
-    # the point of the largest tension, here the second one
+def test_harmonicity_records_each_point():
+    # neither side of the equivalence holds on 5.3: each point has its
+    # record, with its own tension, and the equivalence judged there
     job = catalog.load_job("5.3")
     job.points = [geo.Point((0.0, 1.5, 1.5)), geo.Point((0.0, 1.5, 3.0))]
     job.checks = ["harmonicity"]
-    rec, = report.run_job(job).records.rows()
-    assert rec["point"] == [0.0, 1.5, 3.0]
-    assert rec["terms"]["tension_norm"] == pytest.approx(3.0, rel=1e-12)
+    recs = report.run_job(job).records.rows()
+    assert [r["point"] for r in recs] == [[0.0, 1.5, 1.5], [0.0, 1.5, 3.0]]
+    assert [r["terms"]["tension_norm"] for r in recs] == pytest.approx(
+        [1.5, 3.0], rel=1e-12)
+    for rec in recs:
+        assert rec["note"] == ("harmonic=False scalar-side=False; "
+                               "equivalence holds")
+
+
+# the plane onto the line by x1 + x1^3: its dilation is stationary in
+# x1 at x1 = 0, so the map is homothetic at the first point and not at
+# the second
+CUBIC = """
+total.dim    = 2
+total.coords = x1 x2
+total.metric = 1, 0 ; 0, 1
+base.dim     = 1
+base.coords  = y1
+base.metric  = 1
+map.components = x1 + x1^3
+fields.xi  = total : 0, 0
+soliton.xi = xi
+soliton.mu = 0
+checks = all
+points.list = (0, 0.3) ; (0.5, 0.1)
+"""
+
+
+def test_soliton_records_hold_their_own_points_hypotheses():
+    # each soliton record holds the hypotheses of its own point, not each
+    # hypothesis at the point of its largest violation: base-soliton holds
+    # where the map is homothetic and is gated where it is not
+    job = parse_manifest(CUBIC)
+    rows = report.run_job(job).records.rows()
+    recs = {cid: [r for r in rows if r["id"] == cid]
+            for cid in ("fiber-soliton", "base-soliton")}
+    for cid, pair in recs.items():
+        assert [r["point"] for r in pair] == [[0.0, 0.3], [0.5, 0.1]], cid
+    base = [{h["name"]: h for h in r["hypotheses"]}
+            for r in recs["base-soliton"]]
+    assert recs["base-soliton"][0]["verdict"] == "pass"
+    assert base[0]["homothetic"] == {"name": "homothetic", "satisfied": True,
+                                     "violation": 0.0}
+    assert recs["base-soliton"][1]["verdict"] == "hypothesis-not-met"
+    assert not base[1]["homothetic"]["satisfied"]
+    assert base[1]["homothetic"]["violation"] > 1.0
+    # at (0, 0.3) the fiber-soliton record lists the violations of a run
+    # over that point alone
+    job.points = job.points[:1]
+    alone, = [r for r in report.run_job(job).records.rows()
+              if r["id"] == "fiber-soliton"]
+    assert recs["fiber-soliton"][0]["hypotheses"] == alone["hypotheses"]
+
+
+def test_no_record_grows_with_the_points():
+    # every record holds the values of one point, so the most terms any
+    # record of a curved-all run holds does not depend on its points
+    def most_terms(points):
+        job = parse_manifest(_workloads().manifest_text("curved-all", 1,
+                                                        points=points))
+        return max(map(len, report.run_job(job).records.columns["terms"]))
+
+    assert most_terms(2) == most_terms(50)
 
 
 # a fiber-2d-style job: 2-D curved fibers, no soliton field, so every
@@ -335,9 +398,11 @@ def test_every_record_has_one_schema():
     assert [r["note"] for r in skipped if r["kind"] == "soliton"
             and r["id"] != "structure-flags"] == [
         "manifest declares no soliton.xi field"] * (len(SOLITON_CHECKS) - 1)
-    # a skipped report evaluated nothing to flag
+    # each point's record is flagged; a skipped report evaluated nothing
+    # to flag
     assert [r["convention_sensitive"] for r in records + skipped
-            if r["id"] == "base-soliton"] == [True, False]
+            if r["id"] == "base-soliton"] == [True] * len(job.points) + [
+                False]
     types = {"kind": str, "id": str, "label": str, "lhs": float,
              "rhs": float, "abs_residual": float, "rel_residual": float,
              "verdict": str, "convention_sensitive": bool, "note": str}
@@ -430,22 +495,34 @@ def test_text_worst_line_comes_from_failing_records():
     ("conformal-fit, scalar-mu", "", 1)])
 def test_fit_mu_runs_only_when_needed(monkeypatch, checks, mu, fits):
     # mu is fitted for the fit-mu record, or when the manifest declares
-    # none and a check reads it
+    # none and a check reads it; each fit writes one record, each other
+    # check one per point
     counts = Counter()
     _count_calls(monkeypatch, counts, ((report.sol, "fit_mu"),))
     extra = "fields.xi  = total : 0, 0\nsoliton.xi = xi\n" + mu
-    rep = report.run_job(make_job(checks, extra=extra))
-    assert len(rep.records.columns["id"]) == len(checks.split(","))
+    job = make_job(checks, extra=extra)
+    rep = report.run_job(job)
+    assert Counter(rep.records.columns["id"]) == {
+        "T4.7" if c == "scalar-mu" else c:
+        1 if c in ("fit-mu", "conformal-fit") else len(job.points)
+        for c in job.checks}
     assert counts["fit_mu"] == fits
 
 
-SOLITON_ORDER = ["structure-flags"] * 7 + [
-    "fit-mu", "conformal-fit", "fiber-soliton", "base-soliton", "T4.7",
-    "harmonicity"]
+# the per-point soliton reports, by the ids of their records
+PER_POINT_IDS = ["fiber-soliton", "base-soliton", "T4.7", "harmonicity"]
+
+
+def soliton_order(count):
+    """The ids of the soliton section of ``checks = all`` over ``count``
+    points: the structure flags, the fits, then each per-point report's
+    records point by point."""
+    return ["structure-flags"] * 7 + ["fit-mu", "conformal-fit"] + [
+        cid for cid in PER_POINT_IDS for _ in range(count)]
 
 
 @pytest.mark.parametrize("xi_name,want", [
-    ("xi", SOLITON_ORDER),
+    ("xi", soliton_order(2)),
     (None, ["structure-flags"] * 7 + [c for c in SOLITON_CHECKS
                                       if c != "structure-flags"])],
     ids=["with-xi", "without-xi"])
@@ -468,8 +545,9 @@ def test_run_records_point_by_point_then_soliton_rows():
     # checks = all on 3 points of 5.3: the run's table lists each point's
     # identity records, check by check in the order of the job's checks,
     # each check's as run_check gives them at that point; the structure
-    # flags and soliton reports follow.  run_check's own table runs point
-    # by point, C3.x's three blocks included
+    # flags, the fits and each per-point soliton report's records, point
+    # by point, follow.  run_check's own table runs point by point, C3.x's
+    # three blocks included
     job = catalog.load_job("5.3")
     job.points = job.points[:3]
     rows = report.run_job(job).records.rows()
@@ -483,7 +561,10 @@ def test_run_records_point_by_point_then_soliton_rows():
     want = [rec for i in range(len(job.points)) for recs in per_point
             for rec in recs[i]]
     assert json.dumps(rows[:len(want)]) == json.dumps(want)
-    assert [r["id"] for r in rows[len(want):]] == SOLITON_ORDER
+    assert [r["id"] for r in rows[len(want):]] == soliton_order(3)
+    for cid in PER_POINT_IDS:
+        assert [r["point"] for r in rows if r["id"] == cid] == [
+            list(p.coords) for p in job.points]
 
 
 @pytest.mark.parametrize("name", ["5.1", "gaussian-soliton"])
@@ -503,7 +584,9 @@ def test_counts_read_off_columns_equal_counts_over_rows(name):
                   for r in rows)
     assert rep.flagged_fails == flagged
     assert (flagged > 0) is (name == "5.1")
-    assert rep.counts["fail"] - flagged == (0 if name == "5.1" else 2)
+    # the Gaussian soliton fails T4.7 and harmonicity at every point
+    assert rep.counts["fail"] - flagged == (
+        0 if name == "5.1" else 2 * len(job.points))
 
 
 @pytest.mark.parametrize("owner,name", [
@@ -783,9 +866,22 @@ def test_records_of_a_point_share_lists_no_reader_mutates():
                 by_check.setdefault(check_id, set()).add(
                     id(rec["hypotheses"]))
         assert all(len(ids) == 1 for ids in by_check.values()), by_check
-    # the run's table holds the context's point lists, each once
-    assert rep.records.points[:3] == ctx.point_lists
-    assert len(set(map(id, rep.records.points))) == len(rep.records.points)
+    # the run's table holds the context's point lists, for the identities
+    # and again for each soliton report that writes a record per point, a
+    # list of its own for each fit and an empty one for each structure flag
+    points, columns = rep.records.points, rep.records.columns
+    assert points[:3] == ctx.point_lists
+    own = set(map(id, points[:3]))
+    assert len(own) == 3
+    check_of = dict(zip(columns["point"], columns["id"]))
+    assert sorted(check_of) == list(range(len(points)))
+    for index, point in enumerate(points):
+        if check_of[index] == "structure-flags":
+            assert point == []
+        elif check_of[index] in ("fit-mu", "conformal-fit"):
+            assert id(point) not in own and point in ctx.point_lists
+        else:
+            assert id(point) in own, check_of[index]
     before = json.dumps([rep.records.points, rep.records.columns])
     text = report.to_json(rep)
     report.to_text(rep)
@@ -839,69 +935,66 @@ def _same(got, ref):
     return got == ref or (math.isnan(got) and math.isnan(ref))
 
 
+def _assert_same_record(got, ref):
+    """``got`` holds, bit for bit, the values of ``ref``."""
+    for key in ("id", "label", "point", "verdict", "note",
+                "convention_sensitive"):
+        assert got[key] == ref[key], (got["id"], key)
+    for key in ("lhs", "rhs", "abs_residual", "rel_residual"):
+        assert _same(got[key], ref[key]), (got["id"], key)
+    assert got["terms"].keys() == ref["terms"].keys()
+    assert all(_same(got["terms"][k], v)
+               for k, v in ref["terms"].items()), got["id"]
+    assert [(h["name"], h["satisfied"]) for h in got["hypotheses"]] == [
+        (h["name"], h["satisfied"]) for h in ref["hypotheses"]]
+    assert all(_same(g["violation"], r["violation"]) for g, r in zip(
+        got["hypotheses"], ref["hypotheses"])), got["id"]
+
+
 def _soliton_records(job):
-    """The records of the soliton reports that keep per-point values, and
-    the structure flags, from one context over the job's points, with the
-    job's base field when it declares one."""
+    """The records of the soliton reports that write one per point, by
+    report, and the structure flags, from one context over the job's
+    points, with the job's base field when it declares one."""
     ctx = IdentityContext(job.setup, job.points)
     xi_base = next((spec for target, spec in job.fields.values()
                     if target == "base"), None)
-    return ({"fiber": one_row(sol.fiber_soliton_report, ctx, job.xi,
-                              mu=job.mu),
-             "base": one_row(sol.base_soliton_report, ctx, job.xi, job.mu,
-                             xi_base=xi_base),
-             "harmonicity": one_row(sol.harmonicity_report, ctx, job.mu)},
+    return ({"fiber": all_rows(sol.fiber_soliton_report, ctx, job.xi,
+                               mu=job.mu),
+             "base": all_rows(sol.base_soliton_report, ctx, job.xi, job.mu,
+                              xi_base=xi_base),
+             "scalar": all_rows(sol.scalar_mu_consistency, ctx, job.mu),
+             "harmonicity": all_rows(sol.harmonicity_report, ctx, job.mu)},
             sub.structure_flags(ctx))
 
 
-def _assert_solitons_match_points_alone(monkeypatch, job, points):
-    """Each report's record, its worst point pinned to each point in turn,
-    holds that point's lhs, rhs and terms from the point alone; its merged
-    hypotheses are the worst over the points alone, and each structure
-    flag's violation the largest over them.  Returns the records of the
-    points alone."""
+def _assert_solitons_match_points_alone(job, points):
+    """Each report's record at each point is, bit for bit, its one record
+    over the point alone, hypotheses included, and each structure flag's
+    violation the largest over the points alone.  Returns the records of
+    the points alone."""
     alone = []
     for p in points:
         job.points = [p]
         alone.append(_soliton_records(job))
     job.points = points
-    for i, (refs, _) in enumerate(alone):
-        with monkeypatch.context() as pin:
-            pin.setattr(sol, "worst_of", lambda items, key: list(items)[i])
-            stacked, flags = _soliton_records(job)
-        for name, rec in stacked.items():
-            ref = refs[name]
-            assert rec["point"] == ref["point"], (name, i)
-            assert _same(rec["lhs"], ref["lhs"]), (name, i)
-            assert _same(rec["rhs"], ref["rhs"]), (name, i)
-            assert rec["terms"].keys() == ref["terms"].keys()
-            assert all(_same(rec["terms"][k], v)
-                       for k, v in ref["terms"].items()), (name, i)
-    for name, rec in stacked.items():
-        refs = [reps[name] for reps, _ in alone]
-        for k, hyp in enumerate(rec["hypotheses"]):
-            hyps = [r["hypotheses"][k] for r in refs]
-            assert {h["name"] for h in hyps} == {hyp["name"]}
-            assert hyp["satisfied"] == all(h["satisfied"] for h in hyps)
-            assert _same(hyp["violation"],
-                          max(h["violation"] for h in hyps)), name
-        # harmonicity counts one side's worst value only where the other
-        # side holds at every point, so its residual is not the points'
-        if name != "harmonicity":
-            assert _same(rec["abs_residual"],
-                          max(r["abs_residual"] for r in refs)), name
+    stacked, flags = _soliton_records(job)
+    for name, recs in stacked.items():
+        assert len(recs) == len(points), name
+        for got, (refs, _) in zip(recs, alone):
+            ref, = refs[name]
+            _assert_same_record(got, ref)
     for key, check in flags.items():
         assert _same(check.max_violation,
                       max(f[key].max_violation for _, f in alone)), key
-    return [reps for reps, _ in alone]
+    return [{name: ref for name, (ref,) in reps.items()} for reps, _ in alone]
 
 
 @pytest.mark.parametrize("name", ["curved-all", "fiber-2d", "flat-sweep"])
-def test_stacked_run_matches_runs_of_each_point_alone(monkeypatch, name):
+def test_stacked_run_matches_runs_of_each_point_alone(name):
     # the run's one context reads every point's values off the stacked
-    # arrays: the identity records of a run over 8 points are, bit for
-    # bit, those of 8 runs over one point each, and on curved-all so is
-    # each soliton record with its worst point pinned to that point
+    # arrays: the identity records of a run over 8 points, and on
+    # curved-all each per-point soliton record, are, bit for bit, those
+    # of 8 runs over one point each
     job = parse_manifest(_workloads().manifest_text(name, 1, points=8))
     points = list(job.points)
     assert len(points) == 8
@@ -911,29 +1004,26 @@ def test_stacked_run_matches_runs_of_each_point_alone(monkeypatch, name):
         job.points = [p]
         alone += report.run_job(job).records.rows()
     if name == "curved-all":
-        _assert_solitons_match_points_alone(monkeypatch, job, points)
-    stacked, alone = ([r for r in recs if r["kind"] == "identity"]
-                      for recs in (stacked, alone))
+        _assert_solitons_match_points_alone(job, points)
+
+    def per_point(recs):  # identity records, then each report's by point
+        return [r for r in recs if r["kind"] == "identity"] + sorted(
+            # a report skipped for want of a soliton field has no point
+            (r for r in recs if r["id"] in PER_POINT_IDS and r["point"]),
+            key=lambda r: PER_POINT_IDS.index(r["id"]))
+
+    stacked, alone = per_point(stacked), per_point(alone)
     assert stacked and len(stacked) == len(alone)
+    assert sum(r["kind"] == "soliton" for r in stacked) == (
+        4 * 8 if name == "curved-all" else 0)
     assert len({tuple(r["point"]) for r in stacked}) == 8
     for got, ref in zip(stacked, alone):
-        for key in ("id", "label", "point", "verdict", "note",
-                    "convention_sensitive"):
-            assert got[key] == ref[key], (got["id"], key)
-        for key in ("lhs", "rhs", "abs_residual", "rel_residual"):
-            assert _same(got[key], ref[key]), (got["id"], key)
-        assert got["terms"].keys() == ref["terms"].keys()
-        assert all(_same(got["terms"][k], v)
-                   for k, v in ref["terms"].items()), got["id"]
-        assert [(h["name"], h["satisfied"]) for h in got["hypotheses"]] == [
-            (h["name"], h["satisfied"]) for h in ref["hypotheses"]]
-        assert all(_same(g["violation"], r["violation"]) for g, r in zip(
-            got["hypotheses"], ref["hypotheses"])), got["id"]
+        _assert_same_record(got, ref)
 
 
 def test_run_memory_grows_linearly_with_its_points():
-    # the scalar-mu record itemizes s at every point, so records padded
-    # to the largest record's terms would cost memory quadratic in the
+    # records padded to the largest record's terms, or a record whose
+    # terms grow with the points, would cost memory quadratic in the
     # points: twice the points may at most about double run_job's peak
     def peak(points):
         job = parse_manifest(_workloads().manifest_text("curved-all", 2,
@@ -948,17 +1038,16 @@ def test_run_memory_grows_linearly_with_its_points():
     assert peak(200) / peak(100) <= 2.5
 
 
-def test_stacked_fields_match_runs_of_each_point_alone(monkeypatch):
+def test_stacked_fields_match_runs_of_each_point_alone():
     # on the 5.3 metric with a nonconstant xi and a declared base field
     # xi_N, each seeded once over all 12 points: every point's soliton
-    # values are those of the point alone
+    # records are those of the point alone
     job = catalog.load_job("5.3")
     job.fields = {
         "xi": ("total", job.setup.total.field("x3^-2", "x1*x2^3",
                                               "sin(x1)*x3^-1")),
         "xi_n": ("base", job.setup.base.field("y2^-2", "exp(y1)*y2^3"))}
-    alone = _assert_solitons_match_points_alone(monkeypatch, job,
-                                                list(job.points))
+    alone = _assert_solitons_match_points_alone(job, list(job.points))
     assert np.ptp([reps["base"]["terms"]["projection_residual"]
                    for reps in alone]) > 0.1
 

@@ -6,7 +6,7 @@ import pytest
 from confsub import catalog
 from confsub import soliton as sol
 from confsub.geometry import ChartManifold, Point, VectorFieldSpec
-from conftest import chart, context, flat_chart, one_row, sample
+from conftest import all_rows, chart, context, flat_chart, one_row, sample
 
 HYPERBOLIC = chart("x1 x2", ["x2^-2, 0", "0, x2^-2"], "x2 > 0")
 H3 = chart("x1 x2 x3",
@@ -70,39 +70,52 @@ def test_killing_and_conformal_fields():
 def test_fiber_soliton_on_53():
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    rec = one_row(sol.fiber_soliton_report, context(job.setup, points),
-                  job.xi, mu=2.0)
-    assert rec["id"] == "fiber-soliton" and rec["label"] == "fibers"
-    assert rec["verdict"] == "pass"
-    # one-dimensional fibers carry no intrinsic curvature, so the fitted
-    # constant comes entirely from the mean-curvature terms; on them the
-    # residual is |fitted - formula|, here the largest over the points
-    assert rec["abs_residual"] <= 1e-9
-    assert rec["terms"]["fit_vs_formula"] == rec["abs_residual"]
+    recs = all_rows(sol.fiber_soliton_report, context(job.setup, points),
+                    job.xi, mu=2.0)
+    assert [r["point"] for r in recs] == [list(p.coords) for p in points]
+    for rec in recs:
+        assert rec["id"] == "fiber-soliton" and rec["label"] == "fibers"
+        assert rec["verdict"] == "pass"
+        # one-dimensional fibers carry no intrinsic curvature, so the
+        # fitted constant comes entirely from the mean-curvature terms; on
+        # them the residual is |fitted - formula| at the point
+        assert rec["abs_residual"] <= 1e-9
+        assert rec["terms"]["fit_vs_formula"] == rec["abs_residual"]
 
 
 def test_base_and_scalar_on_54():
     job = catalog.load_job("5.4")
     points = job.points[:4]
     ctx = context(job.setup, points)
-    base = one_row(sol.base_soliton_report, ctx, job.xi, 0.0)
-    assert base["verdict"] == "pass"
-    scal = one_row(sol.scalar_mu_consistency, ctx, 0.0)
-    assert scal["verdict"] == "pass"
-    assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
-    harm = one_row(sol.harmonicity_report, ctx, 0.0)
-    assert harm["verdict"] == "pass"
-    assert "harmonic=True" in harm["note"]
+    bases = all_rows(sol.base_soliton_report, ctx, job.xi, 0.0)
+    assert len(bases) == len(points)
+    for base in bases:
+        assert base["verdict"] == "pass"
+    scal = all_rows(sol.scalar_mu_consistency, ctx, 0.0)
+    assert len(scal) == len(points)
+    for rec in scal:
+        assert rec["id"] == "T4.7" and rec["verdict"] == "pass"
+        assert rec["lhs"] == pytest.approx(0.0, abs=1e-12)
+    harm = all_rows(sol.harmonicity_report, ctx, 0.0)
+    assert len(harm) == len(points)
+    for rec in harm:
+        assert rec["verdict"] == "pass"
+        assert "harmonic=True" in rec["note"]
 
 
 def test_scalar_mu_gated_when_map_not_tg():
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    rep = one_row(sol.scalar_mu_consistency, context(job.setup, points), 2.0)
-    assert rep["verdict"] == "hypothesis-not-met"
-    # the scalar curvature itself is still reported per point
-    svals = [v for k, v in rep["terms"].items() if k.startswith("s@")]
-    assert all(v == pytest.approx(-6.0, abs=1e-9) for v in svals)
+    recs = all_rows(sol.scalar_mu_consistency, context(job.setup, points),
+                    2.0)
+    assert len(recs) == len(points)
+    for rep in recs:
+        assert rep["verdict"] == "hypothesis-not-met"
+        # the scalar curvature itself is still reported at each point
+        assert rep["lhs"] == pytest.approx(-6.0, abs=1e-9)
+        assert rep["rhs"] == -6.0
+        # its record holds s and -m mu, whatever the number of points
+        assert rep["terms"] == {}
 
 
 @pytest.mark.parametrize("tension,mu", [(0.0, 0.0), (0.0, 1.0),
@@ -110,16 +123,19 @@ def test_scalar_mu_gated_when_map_not_tg():
 def test_harmonicity_verdict_is_the_equivalence(monkeypatch, tension, mu):
     # 5.4 meets the hypotheses, is harmonic and has s^Ker = 0: a tension
     # offset breaks harmonicity and mu != 0 the scalar side, and the
-    # verdict passes exactly when both hold or both fail
+    # verdict at each point passes exactly when both hold or both fail
     real = sol.sub.tension_field
     monkeypatch.setattr(sol.sub, "tension_field",
                         lambda *args: real(*args) + tension)
     job = catalog.load_job("5.4")
     points = job.points[:2]
-    rec = one_row(sol.harmonicity_report, context(job.setup, points), mu)
+    recs = all_rows(sol.harmonicity_report, context(job.setup, points), mu)
+    assert len(recs) == len(points)
     harmonic, scalar_side = tension == 0.0, mu == 0.0
-    assert f"harmonic={harmonic} scalar-side={scalar_side}" in rec["note"]
-    assert rec["verdict"] == ("pass" if harmonic == scalar_side else "fail")
+    for rec in recs:
+        assert f"harmonic={harmonic} scalar-side={scalar_side}" in rec["note"]
+        assert rec["verdict"] == ("pass" if harmonic == scalar_side
+                                  else "fail")
 
 
 def test_harmonicity_equivalence_detected_off_hypotheses():
@@ -127,9 +143,11 @@ def test_harmonicity_equivalence_detected_off_hypotheses():
     # verdict, but the itemized trace identity still closes
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    rec = one_row(sol.harmonicity_report, context(job.setup, points), 2.0)
-    assert rec["verdict"] == "hypothesis-not-met"
-    for p in points:
+    recs = all_rows(sol.harmonicity_report, context(job.setup, points), 2.0)
+    assert len(recs) == len(points)
+    for rec, p in zip(recs, points):
+        assert rec["verdict"] == "hypothesis-not-met"
+        assert rec["terms"]["trace_identity_residual"] <= 1e-9
         alone = one_row(sol.harmonicity_report, context(job.setup, [p]), 2.0)
         assert alone["terms"]["trace_identity_residual"] <= 1e-9
 
