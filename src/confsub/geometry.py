@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import expr as expr_mod
 from .expr import eval_expr, parse_expression, parse_predicate
 from .jets import EvaluationError, Jet, JetSpace
 from .linalg import transpose
@@ -71,10 +70,6 @@ class VectorFieldSpec(NamedTuple):
     @classmethod
     def parse(cls, texts, coords=None):
         return cls(tuple(parse_expression(t, coords) for t in texts))
-
-    @classmethod
-    def constant(cls, values):
-        return cls(tuple(expr_mod.Const(float(v)) for v in values))
 
 
 class ChartManifold:
@@ -318,6 +313,13 @@ def orthonormal_frames(g, vectors, tol=1e-10):
             raise DependentVectorsError("input vectors are linearly dependent")
         out[:, a] = w / np.sqrt(norm_sq)[:, None]
     return out
+
+
+def coordinate_frames(g):
+    """Orthonormal frames from the coordinate basis at every point of the
+    (P, m, m) metrics ``g``, one vector per row."""
+    return orthonormal_frames(g, np.broadcast_to(np.eye(g.shape[-1]),
+                                                 g.shape))
 
 
 def _inner(u, g, w):

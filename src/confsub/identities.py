@@ -394,6 +394,12 @@ class IdentityContext:
         return np.einsum("...ikij->...jk", self.riem)
 
     @functools.cached_property
+    def coordinate_frame(self):
+        """The orthonormal frames of ``g`` from the coordinate basis, the
+        one frame the soliton fits read."""
+        return geo.coordinate_frames(self.g)
+
+    @functools.cached_property
     def grad_f(self):
         """grad f = g^{-1} df of the dilation function f = 1 / lambda^2."""
         df = self.partials.inv_lambda_sq[1]

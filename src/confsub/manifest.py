@@ -78,14 +78,6 @@ class VerificationJob:
 _MASK = (1 << 64) - 1
 
 
-def splitmix64(state):
-    """One splitmix64 output for the given 64-bit state."""
-    z = (state + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E9B5) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
-
-
 def _units(seed, start, count):
     """splitmix64((seed + c G) mod 2**64) / 2**64, G = 0x9E3779B97F4A7C15,
     for c in [start, start + count): its steps on ``np.uint64`` operands

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from array import array
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -163,11 +164,23 @@ def _block(opening, items, newline, closing):
     return "".join(parts)
 
 
+def _pieces(opening, heads, newline, closing):
+    """The template of a container whose entries are each of ``heads``
+    and a value, one to a line under ``newline`` between the brackets, as
+    ``json.dumps`` writes them: the texts between which the values go,
+    one a slot."""
+    if not heads:
+        return [opening + closing]
+    inner = newline + "  "
+    return ([opening + inner + heads[0]]
+            + ["," + inner + head for head in heads[1:]] + [newline + closing])
+
+
 def _template(keys, newline):
-    """The text of a dict with ``keys`` nested at ``newline``, a ``%s``
-    slot for each value, in the order of ``keys``."""
-    return _block("{", [_encode_str(key).replace("%", "%%") + ": %s"
-                        for key in keys], newline, "}")
+    """The pieces of a dict with ``keys`` nested at ``newline``, a slot for
+    each value, in the order of ``keys``."""
+    return _pieces("{", [_encode_str(key) + ": " for key in keys], newline,
+                   "}")
 
 
 # the indents of a row of the payload (a record or a catalog row), of its
@@ -186,18 +199,62 @@ _EXAMPLE_ROW_TEMPLATE = _template(sorted(EXAMPLE_ROW_SCHEMA), _ROW_NL)
 # ``memo`` holds the texts of the strings written in one rendering.
 
 
+def _fill(template, columns, size):
+    """The ``size`` rows of a template, each its pieces with the texts of
+    the row in ``columns``, one a slot, between them, in one join a row.
+    A column of one text in every row is joined into the pieces around it
+    once, so a row joins only the texts that vary.  ValueError unless
+    there is a column of ``size`` texts for each slot."""
+    if len(columns) != len(template) - 1 or any(
+            map(size.__ne__, map(len, columns))):
+        raise ValueError("a row's texts do not fill its template")
+    parts, text = [], template[0]
+    for texts, piece in zip(columns, template[1:]):
+        if size and texts.count(texts[0]) == size:
+            text += texts[0] + piece
+        else:
+            parts += [repeat(text), texts]
+            text = piece
+    if not parts:
+        return [text] * size
+    return list(map("".join, zip(*parts, repeat(text))))
+
+
 def _floats_text(values, memo=None):
-    """Floats (NumPy's included); TypeError for any other value."""
-    texts = list(map(_float_repr, values))
-    if not all(map(math.isfinite, values)):
+    """Floats (NumPy's included), ``float.__repr__`` run once per distinct
+    bit pattern (-0.0, each NaN and each infinity apart), on the last value
+    of each; TypeError for a value that is no number, or is the last of
+    its bit pattern and no float."""
+    bits = array("Q", array("d", values).tobytes()).tolist()
+    text_of = dict(zip(bits, values))
+    texts = list(map(_float_repr, text_of.values()))
+    if not all(map(math.isfinite, text_of.values())):
         texts = list(map(_NONFINITE.get, texts, texts))
-    return texts
+    if len(texts) == len(bits):  # every value distinct, in order
+        return texts
+    text_of.update(zip(text_of, texts))  # each key's value its text
+    return list(map(text_of.__getitem__, bits))
 
 
 def _strings_text(values, memo):
     missing = dict.fromkeys(values).keys() - memo.keys()
     memo.update(zip(missing, map(_encode_str, missing)))
     return list(map(memo.__getitem__, values))
+
+
+def _lists_text(lists, memo=None):
+    """Lists of floats, those of one length written in one pass: their
+    items as one column of ``_floats_text``, each list filling the
+    length's template."""
+    lengths = list(map(len, lists))
+    text_of = {}
+    for length in dict.fromkeys(lengths):
+        at = list(compress(range(len(lists)), map(length.__eq__, lengths)))
+        texts = _floats_text(list(chain.from_iterable(
+            map(lists.__getitem__, at))))
+        text_of.update(zip(at, _fill(_slots(length)[0], [
+            texts[i::length] for i in range(length)], len(at))))
+    return list(map(text_of.__getitem__, range(len(lists))))
 
 
 def _containers_text(values, memo, write, shape, items):
@@ -214,20 +271,18 @@ def _containers_text(values, memo, write, shape, items):
     for key, group in groups.items():
         template, order = _slots(key)
         stop = start + len(order) * len(group)
-        filled = (map(template.__mod__, zip(*[
-            texts[start + i:stop:len(order)] for i in order])) if order
-            else repeat(template))
-        text_of.update(zip(map(id, group), filled))
+        text_of.update(zip(map(id, group), _fill(template, [
+            texts[start + i:stop:len(order)] for i in order], len(group))))
         start = stop
     return list(map(text_of.__getitem__, ids))
 
 
 def _slots(shape):
-    """The ``%`` template of a list of ``shape`` items, or of a dict of the
-    keys ``shape``, and the places of the items that fill its slots in
-    turn: entries sorted."""
+    """The template of a list of ``shape`` items, or of a dict of the keys
+    ``shape``, and the places of the items that fill its slots in turn:
+    entries sorted."""
     if isinstance(shape, int):
-        return _block("[", ["%s"] * shape, _ENTRY_NL, "]"), range(shape)
+        return _pieces("[", [""] * shape, _ENTRY_NL, "]"), range(shape)
     order = sorted(range(len(shape)), key=shape.__getitem__)
     return _template([shape[i] for i in order], _ENTRY_NL), order
 
@@ -236,16 +291,15 @@ def _rows_text(rows, memo, schema, template):
     """The dicts ``rows`` filling ``template`` over the sorted keys of
     ``schema``, each key's values written as one column of its type;
     KeyError or TypeError for a row not laid out or typed as ``schema``."""
-    texts = [_COLUMN_TEXT[schema[key]](list(map(itemgetter(key), rows)), memo)
-             for key in sorted(schema)]
-    return list(map(template.__mod__, zip(*texts)))
+    return _fill(template, [
+        _COLUMN_TEXT[schema[key]](list(map(itemgetter(key), rows)), memo)
+        for key in sorted(schema)], len(rows))
 
 
 _COLUMN_TEXT = {
     float: _floats_text, str: _strings_text,
     bool: lambda values, memo: list(map(_BOOL_TEXT.__getitem__, values)),
-    list[float]: lambda lists, memo: _containers_text(
-        lists, memo, _floats_text, len, iter),
+    list[float]: _lists_text,
     list[dict]: lambda lists, memo: _containers_text(
         lists, memo, lambda hyps, memo: _rows_text(
             hyps, memo, HYPOTHESIS_SCHEMA, _HYPOTHESIS_TEMPLATE), len, iter),
@@ -257,11 +311,12 @@ def _table_text(table, memo):
     """The records of a ``RecordTable``, each column written at once as
     ``_rows_text`` writes it, and each coordinate list of ``table.points``
     once, picked by the point column."""
-    points = _COLUMN_TEXT[list[float]](table.points, memo)
-    texts = [list(map(points.__getitem__, column)) if key == "point"
-             else _COLUMN_TEXT[RECORD_SCHEMA[key]](column, memo)
-             for key, column in sorted(table.columns.items())]
-    return list(map(_RECORD_TEMPLATE.__mod__, zip(*texts, strict=True)))
+    points = _lists_text(table.points)
+    columns = table.columns
+    return _fill(_RECORD_TEMPLATE, [
+        list(map(points.__getitem__, column)) if key == "point"
+        else _COLUMN_TEXT[RECORD_SCHEMA[key]](column, memo)
+        for key, column in sorted(columns.items())], len(columns["id"]))
 
 
 def _with_rows(head, key, texts):
@@ -287,7 +342,9 @@ _VERDICT_TAG = {"pass": "PASS", "fail": "FAIL",
 
 def _record_lines(records):
     """A line per check id of a ``RecordTable``, and two more for a
-    failing check, read off its columns at the check's worst record."""
+    failing check, read off its columns at the check's worst record; a
+    check whose records hold more than one verdict ends its line with
+    the count of each."""
     col, lines, by_id = records.columns, [], {}
     for i, check_id in enumerate(col["id"]):
         by_id.setdefault(check_id, []).append(i)
@@ -302,6 +359,11 @@ def _record_lines(records):
             unmet = [h["name"] for h in col["hypotheses"][i]
                      if not h["satisfied"]]
             extra = f"  (unmet: {', '.join(unmet)})"
+        tally = Counter(map(col["verdict"].__getitem__, rows))
+        if len(tally) > 1:
+            extra += "  " + " ".join(f"{verdict}={tally[verdict]}"
+                                     for verdict in _VERDICT_TAG
+                                     if verdict in tally)
         lines.append(
             f"  [{_VERDICT_TAG[col['verdict'][i]]}] {check_id:<16} "
             f"records={len(rows):<4} worst |res|={col['abs_residual'][i]:.3e} "

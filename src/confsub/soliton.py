@@ -46,13 +46,6 @@ def _classify(mu):
     return "steady"
 
 
-def _frames(g):
-    """Orthonormal frames from the coordinate basis at every point of the
-    (P, m, m) metrics ``g``, one vector per row."""
-    return geo.orthonormal_frames(g, np.broadcast_to(np.eye(g.shape[-1]),
-                                                     g.shape))
-
-
 def _chart_fields(chart, xi, points):
     """(g, Ric, L_xi g) of a bare chart at the points, each (P, m, m):
     Gamma and Ric from one order-2 seeding of the metric over all the
@@ -66,10 +59,9 @@ def _chart_fields(chart, xi, points):
     return g, ric, geo.lie_derivative_matrix(g, gamma, xi_vals, dxi)
 
 
-def _soliton_form(g, lie, ric):
-    """Matrix of (1/2)(L_xi g) + Ric over the orthonormal frame of g
-    (whose Gram matrix is the identity, for the fit) at every point."""
-    frame = _frames(g)
+def _soliton_form(frame, lie, ric):
+    """Matrix of (1/2)(L_xi g) + Ric over ``frame``, orthonormal (its Gram
+    matrix is the identity, for the fit), at every point."""
     return frame @ (0.5 * lie + ric.swapaxes(1, 2)) @ frame.swapaxes(1, 2)
 
 
@@ -80,15 +72,17 @@ def _traces(a):
 def fit_mu(chart, xi, points, ctx=None):
     """Least-squares mu over all orthonormal frame pairs and points.
     ``ctx`` is the points' IdentityContext of a submersion whose total
-    chart is ``chart``, when the caller holds it; g, Ric and L_xi g are
-    then read from it."""
+    chart is ``chart``, when the caller holds it; the frame of g, Ric and
+    L_xi g are then read from it."""
     if not points:
         raise ValueError("fit_mu needs at least one point")
     if ctx is None:
         g, ric, lie = _chart_fields(chart, xi, points)
+        frame = geo.coordinate_frames(g)
     else:
-        g, ric, lie = ctx.g, ctx.ric_matrix, ctx.vector_field(xi)[2]
-    forms = _soliton_form(g, lie, ric)
+        frame, ric, lie = (ctx.coordinate_frame, ctx.ric_matrix,
+                           ctx.vector_field(xi)[2])
+    forms = _soliton_form(frame, lie, ric)
     # minimizing sum (l_ab + mu*delta_ab)^2 gives mu = -mean of traces
     mu = -sum(_traces(forms).tolist()) / (chart.dim * len(points))
     residuals = np.abs(forms + mu * np.eye(chart.dim)).max(axis=(1, 2))
@@ -99,12 +93,12 @@ def fit_mu(chart, xi, points, ctx=None):
 
 def conformal_field_fit(chart, xi, points, ctx=None):
     """Fit (L_xi g) = 2 f g pointwise; f from the trace.  ``ctx`` as for
-    ``fit_mu``: g and L_xi g are then read from it."""
+    ``fit_mu``: the frame of g and L_xi g are then read from it."""
     if ctx is None:
         g, _, lie = _chart_fields(chart, xi, points)
+        frame = geo.coordinate_frames(g)
     else:
-        g, lie = ctx.g, ctx.vector_field(xi)[2]
-    frame = _frames(g)
+        frame, lie = ctx.coordinate_frame, ctx.vector_field(xi)[2]
     lie = frame @ lie @ frame.swapaxes(1, 2)
     k = chart.dim
     f = _traces(lie) / (2.0 * k)

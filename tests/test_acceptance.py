@@ -20,11 +20,12 @@ from confsub import report
 from confsub import soliton as sol
 from confsub import submersion as sub
 from confsub.expr import eval_expr, parse_expression, to_text
-from confsub.geometry import Point, VectorFieldSpec
+from confsub.geometry import Point
 from confsub.identities import IdentityContext, run_check
 from confsub.jets import JetSpace, primal
 from confsub.manifest import parse_manifest
 from conftest import all_rows, chart, context, flat_chart, oneill, sample
+from support import constant_field
 from test_geometry import fd_ricci
 import jet_reference as jr
 
@@ -184,8 +185,8 @@ def test_criterion_5_discrepancy_detection(example_reports):
 # -- criterion 6: soliton constant fitting and classification ------------
 
 def test_criterion_6_soliton_machinery():
-    zero2 = VectorFieldSpec.constant((0.0, 0.0))
-    zero3 = VectorFieldSpec.constant((0.0, 0.0, 0.0))
+    zero2 = constant_field((0.0, 0.0))
+    zero3 = constant_field((0.0, 0.0, 0.0))
     hyp_pts = sample([(-1.0, 1.0), (0.3, 2.5)], 8, seed=106)
     fit = sol.fit_mu(HYPERBOLIC, zero2, hyp_pts)
     assert abs(fit.mu - 1.0) <= 1e-6 and fit.max_residual <= 1e-6

@@ -6,7 +6,8 @@ import pytest
 from confsub.expr import eval_expr
 from confsub.jets import EvaluationError
 from confsub.manifest import (KNOWN_CHECKS, ManifestError, _units,
-                              parse_manifest, sample_box, splitmix64)
+                              parse_manifest, sample_box)
+from support import MASK, splitmix64
 
 GOOD = """
 # minimal valid manifest
@@ -184,7 +185,6 @@ def test_box_bounds_must_be_finite_with_a_finite_width(box):
 # ---------------------------------------------------------------------
 
 GOLDEN = 0x9E3779B97F4A7C15
-MASK = (1 << 64) - 1
 
 
 def _reference_unit(seed, counter):

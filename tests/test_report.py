@@ -116,7 +116,8 @@ def test_one_context_and_one_oneill_bundle_per_run(monkeypatch, count):
     counts = Counter()
     _count_calls(monkeypatch, counts, (
         (IdentityContext, "__init__"), (sub, "oneill_contraction"),
-        (JetSpace, "seed"), (ChartManifold, "metric_at")))
+        (JetSpace, "seed"), (ChartManifold, "metric_at"),
+        (geo, "coordinate_frames")))
     real_partials = sub.CorePartials.__init__
 
     def counting_partials(self, *args, **kwargs):
@@ -134,6 +135,9 @@ def test_one_context_and_one_oneill_bundle_per_run(monkeypatch, count):
     # its H and grad f: no second CorePartials or T/A contraction
     assert counts["partials"] == 1
     assert counts["oneill_contraction"] == 1
+    # fit-mu and conformal-fit read the context's one orthonormal frame of g
+    assert {"fit-mu", "conformal-fit"} <= set(job.checks)
+    assert counts["coordinate_frames"] == 1
     # one seeding of each ingredient for all the points, whatever their
     # count: the float cores' Jacobian, the three CorePartials leaves (the
     # Jacobian's with its inner seeding), the base curvature and xi; the
@@ -319,7 +323,8 @@ def test_soliton_records_hold_their_own_points_hypotheses():
     # hypothesis at the point of its largest violation: base-soliton holds
     # where the map is homothetic and is gated where it is not
     job = parse_manifest(CUBIC)
-    rows = report.run_job(job).records.rows()
+    rep = report.run_job(job)
+    rows = rep.records.rows()
     recs = {cid: [r for r in rows if r["id"] == cid]
             for cid in ("fiber-soliton", "base-soliton")}
     for cid, pair in recs.items():
@@ -332,6 +337,16 @@ def test_soliton_records_hold_their_own_points_hypotheses():
     assert recs["base-soliton"][1]["verdict"] == "hypothesis-not-met"
     assert not base[1]["homothetic"]["satisfied"]
     assert base[1]["homothetic"]["violation"] > 1.0
+    # the text line of a check with a gated record counts its verdicts, so
+    # the gated point shows behind the [PASS]; a line of one verdict ends
+    # as before
+    lines = {line.split()[1]: line for line in report.to_text(rep)
+             .splitlines() if line.startswith("  [")}
+    for cid in ("base-soliton", "T4.7"):
+        assert lines[cid].startswith(f"  [PASS] {cid}"), cid
+        assert lines[cid].endswith(
+            "rel=0.000e+00  pass=1 hypothesis-not-met=1"), cid
+    assert lines["fiber-soliton"].endswith("rel=0.000e+00")
     # at (0, 0.3) the fiber-soliton record lists the violations of a run
     # over that point alone
     job.points = job.points[:1]
@@ -485,6 +500,9 @@ def test_text_worst_line_comes_from_failing_records():
     assert "[FAIL] R3.11" in text
     assert "worst failing point (1.0, 2.0): lhs=1.25 rhs=0.75" in text
     assert "(9.0, 9.0)" not in text and "[SKIP]" not in text
+    # the line counts each verdict its records hold, in the tags' order
+    line, = [line for line in text.splitlines() if "[FAIL] R3.11" in line]
+    assert line.endswith("rel=5.000e-01  pass=1 fail=1 hypothesis-not-met=1")
 
 
 @pytest.mark.parametrize("checks,mu,fits", [
@@ -689,15 +707,19 @@ SOLITON_MANIFESTS = {"gaussian-soliton": GAUSSIAN_SOLITON,
 
 
 @pytest.mark.parametrize("name", catalog.EXAMPLE_IDS
-                         + ("curved-all", "flat-sweep", "fiber-2d")
+                         + ("curved-all", "flat-sweep", "fiber-2d",
+                            "curved-all-20")
                          + tuple(SOLITON_MANIFESTS))
 def test_verify_json_equals_json_dumps(name):
     # the soliton manifests' records carry terms dicts of differing keys,
-    # with nonzero values
+    # with nonzero values; the 20-point curved-all run repeats floats
+    # across checks and points, and its point lists recur
     if name in catalog.EXAMPLE_IDS:
         job = catalog.load_job(name)
     elif name in SOLITON_MANIFESTS:
         job = parse_manifest(SOLITON_MANIFESTS[name])
+    elif name == "curved-all-20":
+        job = parse_manifest(_workloads().manifest_text("curved-all", 2, 20))
     else:
         job = parse_manifest(_workloads().manifest_text(name, 1))
     rep = report.run_job(job)
@@ -737,6 +759,19 @@ _RECORD_CALLS = st.builds(
                 -math.inf, [Hypothesis("\u00e9\"\\", True, np.float64(0.5))],
                 0.0, terms={"\u03bb^2 \u2028": 1e300, "\x00": -0.0},
                 label="X\u2081 \t", note="\ud83d\ude00")])
+# a note and label of one text in every record, holding % signs; lhs
+# -0.0 in every record beside rhs of 0.0 and -0.0; NaN, both infinities
+# and 5e-324 each repeated within a column; point lists of mixed lengths
+@example([_call(check_id, point, lhs, rhs, [], 1e-6, label="%(a)s %%",
+                note="100% %s", terms={"t": lhs}, residual=rhs, absolute=True)
+          for check_id, point, lhs, rhs in (
+              ("L2.1", (math.nan, math.inf), math.nan, 0.0),
+              ("L2.1", (), -math.inf, -0.0),
+              ("L2.2", (5e-324, -math.inf, math.nan), math.inf, 5e-324),
+              ("L2.2", (5e-324,), math.inf, 5e-324))])
+@example([_call("G2.13", (-0.0, -0.0), -0.0, rhs,
+                [Hypothesis("%", True, -0.0)], 1e-6, label="%")
+          for rhs in (0.0, -0.0, 0.0)])
 def test_records_json_equals_json_dumps(calls):
     # every record identities.record can append is written from the
     # record template, as json.dumps writes its row
@@ -837,6 +872,22 @@ def _shared_apart():
 @example([_one_record(value) for value in _EXAMPLE_FLOATS])
 @example([_one_record(1.5)] * 2 + [dict(_one_record(0.5), terms={})])
 @example(_shared_apart())
+# one record: every column is one text over the table
+@example([dict(_one_record(math.nan), note="%", label="%%")])
+# constant columns whose texts hold %, %% and %(a)s, beside varying ones
+@example([dict(_one_record(value), note="%(a)s", label="100%% %",
+               verdict="%s") for value in (0.5, 2.5, 0.5)])
+# an all -0.0 float column beside one mixing 0.0 and -0.0
+@example([dict(_one_record(-0.0), rhs=value, rel_residual=value)
+          for value in (0.0, -0.0, -0.0, 0.0)])
+# NaN, both infinities and 5e-324 each repeated within one column
+@example([dict(_one_record(value), lhs=value, point=[value] * 3)
+          for value in [math.nan, math.inf, -math.inf, 5e-324] * 2])
+# coordinate lists of mixed lengths, empty ones and non-finite values in
+# them
+@example([dict(_one_record(1.0), point=point) for point in (
+    [], [math.nan], [1.0, -math.inf], [], [math.inf, 0.0, -0.0], [-0.0],
+    [1.0, 2.0])])
 def test_columnar_writer_equals_json_dumps(records):
     # each column is written at once and each shared object once, however
     # far apart its records, yet every record reads as json.dumps writes

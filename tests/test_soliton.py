@@ -5,8 +5,9 @@ import pytest
 
 from confsub import catalog
 from confsub import soliton as sol
-from confsub.geometry import ChartManifold, Point, VectorFieldSpec
+from confsub.geometry import ChartManifold, Point
 from conftest import all_rows, chart, context, flat_chart, one_row, sample
+from support import constant_field
 
 HYPERBOLIC = chart("x1 x2", ["x2^-2, 0", "0, x2^-2"], "x2 > 0")
 H3 = chart("x1 x2 x3",
@@ -17,8 +18,8 @@ HYP_POINTS = sample([(-1.0, 1.0), (0.3, 2.5)], 6, seed=31)
 H3_POINTS = sample([(-1.0, 1.0), (-1.0, 1.0), (0.5, 2.5)], 6, seed=32)
 FLAT_POINTS = sample([(-2.0, 2.0), (-2.0, 2.0)], 6, seed=33)
 
-ZERO2 = VectorFieldSpec.constant((0.0, 0.0))
-ZERO3 = VectorFieldSpec.constant((0.0, 0.0, 0.0))
+ZERO2 = constant_field((0.0, 0.0))
+ZERO3 = constant_field((0.0, 0.0, 0.0))
 
 
 def test_fit_mu_einstein_cases():

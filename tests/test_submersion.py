@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from confsub import catalog
 from confsub import geometry as geo
 from confsub import submersion as sub
-from confsub.geometry import Point, VectorFieldSpec
+from confsub.geometry import Point
 from confsub.identities import IdentityContext
 from confsub.jets import EvaluationError, JetSpace, primal
 from confsub.linalg import taylor_inverse, taylor_mul
@@ -19,6 +19,7 @@ from conftest import (conformal_corpus, context, flat_chart, make_setup,
 import identity_loops as loops
 import jet_reference as jr
 from jet_reference import primal_array
+from support import constant_field
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +127,9 @@ def test_riemannian_A_is_half_vertical_bracket(riemannian_setups):
         y = ph @ np.asarray(e_y)
         # the bracket of the basic lifts, on the jet reference path
         x_lift = jr.basic_field_fn(
-            setup, VectorFieldSpec.constant(ctx.jac[0] @ x))
+            setup, constant_field(ctx.jac[0] @ x))
         y_lift = jr.basic_field_fn(
-            setup, VectorFieldSpec.constant(ctx.jac[0] @ y))
+            setup, constant_field(ctx.jac[0] @ y))
         bracket = jr.lie_bracket_at(x_lift, y_lift, list(p.coords))
         vb = pv @ primal_array(bracket)
         a = oneill(ctx.a_tensor[0], x, y)
@@ -337,7 +338,7 @@ def test_basic_field_derivatives_match_per_pair_path(riemannian_setups):
     # the per-pair path seeds each lifted field on its own
     for name, setup, box in riemannian_setups:
         e = basis(setup.n)
-        lifts = [jr.basic_field_fn(setup, VectorFieldSpec.constant(ea))
+        lifts = [jr.basic_field_fn(setup, constant_field(ea))
                  for ea in e]
         for p in sample(box, 2, seed=23):
             xs = list(p.coords)
