@@ -10,9 +10,9 @@ coordinate basis, as it is built, and over E, as a frame-basis array
 slices the blocks it needs (``[:, :m-n]`` vertical, ``[:, m-n:]``
 horizontal) and computes its left side, right side and each named term
 once for all the points, one einsum, product or slice per term;
-``_records`` reads the arrays at the check's index tuples into a part of
-a ``RecordTable``, a record per point and tuple, and the table builds the
-parts of a run's checks in one pass.
+``_records`` reads the arrays at the check's index tuples in one gather
+into a part of a ``RecordTable``, a record per point and tuple, and the
+table builds the parts of a run's checks in one pass.
 
 Structural rule: the left-hand side of every identity comes from the
 ambient chart geometry alone (curvature of the total metric), while the
@@ -63,8 +63,8 @@ point's values do not depend on the points that share its run.
 from __future__ import annotations
 
 import functools
-from itertools import (chain, combinations, combinations_with_replacement,
-                       repeat)
+from itertools import (accumulate, chain, combinations,
+                       combinations_with_replacement, product, repeat)
 from typing import NamedTuple
 
 import numpy as np
@@ -101,26 +101,32 @@ class Hypothesis(NamedTuple):
     violation: float
 
 
-def _hypothesis_lists(hyps, count):
+def _hypothesis_lists(hyps, count, memo=None):
     """The list of the ``HYPOTHESIS_SCHEMA`` dicts of ``hyps``, run-level
     ``Hypothesis`` objects, at each of ``count`` points: one list per
     distinct row of (violation bits, satisfied) over them all, -0.0 not
-    0.0, found by one dict over the rows' bytes, and one dict per (name,
-    satisfied, bits)."""
-    keys = np.array([k for h in hyps for k in (
-        h.violation.view(np.uint64), h.satisfied)] or [[0] * count],
-                    dtype=np.uint64)
-    rows = keys.T.copy().view(f"V{8 * len(keys)}").ravel().tolist()
-    at = dict(zip(rows, range(count)))  # each distinct row, at a point
-    picked = keys[:, list(at.values())]
-    ints, shared = picked.tolist(), {}
-    lists = [[] for _ in at]
-    for h, values, bits, flags in zip(hyps, picked[::2].view(
-            np.float64).tolist(), ints[::2], ints[1::2]):
-        for row, value, key, met in zip(lists, values, bits, map(bool, flags)):
-            row.append(shared.setdefault((h.name, met, key), dict(zip(
-                HYPOTHESIS_SCHEMA, (h.name, met, value)))))
-    return list(map(dict(zip(at, lists)).__getitem__, rows))
+    0.0, found by one dict over the rows' bytes.  ``memo``, a run's,
+    holds by name each hypothesis's bits and flags, one dict by (name,
+    bits, satisfied), and by the names of a set of hypotheses its lists."""
+    memo = {} if memo is None else memo
+    names = tuple([h.name for h in hyps])
+    if names not in memo:
+        for h in hyps:
+            if h.name not in memo:
+                memo[h.name] = np.array([h.violation.view(np.uint64),
+                                         h.satisfied], dtype=np.uint64)
+        keys = np.concatenate([memo[h.name] for h in hyps]
+                              or [np.zeros((1, count), np.uint64)])
+        rows = keys.T.copy().view(f"V{8 * len(keys)}").ravel().tolist()
+        lists = {}
+        for row, i in dict(zip(rows, range(count))).items():
+            ints = keys[:, i].tolist()
+            lists[row] = [memo.get(key) or memo.setdefault(key, dict(zip(
+                HYPOTHESIS_SCHEMA, (key[0], key[2], h.violation[i].item()))))
+                for h, key in zip(hyps, zip(names, ints[::2], map(
+                    bool, ints[1::2])))]
+        memo[names] = list(map(lists.__getitem__, rows))
+    return memo[names]
 
 
 # by verdict code: 0 fail, 1 pass, 2 a hypothesis not met
@@ -141,28 +147,42 @@ HYPOTHESIS_SCHEMA = {"name": str, "satisfied": bool, "violation": float}
 class RecordTable:
     """Records as one list per ``RECORD_SCHEMA`` key, ``columns`` in its
     order; the ``point`` column holds indices into ``points``, the
-    coordinate lists, where one list may recur (``_records``).
-    ``build_records`` adds a check's records as one of ``parts``; a read
-    of ``columns`` builds the parts added since in one pass, point by
-    point across them (``_build``).  Records share lists: no reader may
-    mutate them."""
+    coordinate lists.  ``build_records`` adds a check's records as one of
+    ``parts``, built with those added since on a read of a column
+    (``_build``); their terms stay rows (``term_rows``) until the terms
+    column is read.  Records share lists: no reader may mutate them."""
 
     def __init__(self, points=(), parts=()):
         self.points, self.parts = list(points), list(parts)
-        self._columns, self._built = {key: [] for key in RECORD_SCHEMA}, 0
+        self._columns = None  # made on the first read
+        self._built, self._terms = 0, []  # (names, rows, order) a build
+
+    def column(self, key):
+        """The column ``key``; a read of the terms makes their dicts."""
+        if self._columns is None:
+            self._columns = {key: [] for key in RECORD_SCHEMA}
+        if self._built < len(self.parts):
+            self._terms.append(_build(self._columns, self.points,
+                                      self.parts[self._built:]))
+            self._built = len(self.parts)
+        if key == "terms":
+            for names, rows, order in self._terms:
+                dicts = [dict(zip(n, v)) for n, r in zip(names, rows)
+                         for v in r.T.tolist()]
+                self._columns[key] += (map(dicts.__getitem__, order)
+                                       if order else dicts)
+            self._terms = []
+        return self._columns[key]
 
     @property
     def columns(self):
-        if self._built < len(self.parts):
-            _build(self._columns, self.points, self.parts[self._built:])
-            self._built = len(self.parts)
+        self.column("terms")
         return self._columns
 
-    @classmethod
-    def point_major(cls, points, tables):
-        """The records of ``tables``, each over ``points``, in one table
-        point by point, each point's in their order."""
-        return cls(points, [part for t in tables for part in t.parts])
+    def term_rows(self):
+        """The terms as ``_build`` returns them, or None once made dicts."""
+        self.column("id")
+        return None if self._columns["terms"] else self._terms
 
     def rows(self):
         """Each record as a dict laid out as ``RECORD_SCHEMA``, holding its
@@ -174,7 +194,7 @@ class RecordTable:
 
 def build_records(table, check_id, points, lhs, rhs, hypotheses, tol, *,
                   labels, terms={}, note="", residual=None, scale=None,
-                  absolute=False):
+                  absolute=False, block=False):
     """Add every record of one check to ``table``, one entry each of
     ``points`` (indices into ``table.points``; a point without coordinates
     is never flagged), ``lhs``, ``rhs``, ``hypotheses`` (lists of
@@ -185,36 +205,43 @@ def build_records(table, check_id, points, lhs, rhs, hypotheses, tol, *,
     only in first place).  The verdict is
     ``hypothesis-not-met`` when a hypothesis is unmet, else ``pass`` when
     residual / scale, or the residual when ``absolute``, is at most
-    ``tol``, else ``fail``.  They are built on the table's next read."""
+    ``tol``, else ``fail``.  They are built on the table's next read, in
+    the order of their rank and then point by point: rank 0, or as a
+    ``block`` the part's place in ``table.parts``."""
     table.parts.append((
         check_id, np.asarray(points, dtype=np.intp),
         np.array([lhs, rhs, *terms.values()], dtype=float), tuple(terms),
-        hypotheses, tol, labels, note, residual, scale, absolute))
+        hypotheses, tol, labels, note, residual, scale, absolute,
+        len(table.parts) if block else 0))
 
 
 @np.errstate(all="ignore")  # as Python's float arithmetic, which it replaces
 def _build(columns, points, parts):
     """Append the records of ``parts`` (``build_records``) over ``points``
-    to ``columns``, each column computed over all of them at once, made a
-    list once and put point by point across the parts in one permutation."""
+    to ``columns`` but the terms, each column computed over all of them at
+    once, made a list once and put in one permutation, by rank and then
+    point by point; returns (the names, the term rows, the permutation)."""
     (ids, indices, floats, names, hyps, tols, labels, notes, residuals,
-     scales, absolute) = zip(*parts)
-    sizes = [len(i) for i in indices]
-    cuts = np.cumsum([0] + sizes).tolist()
+     scales, absolute, ranks) = zip(*parts)
+    sizes = list(map(len, indices))
+    cuts = list(accumulate(sizes, initial=0))
+    spans = list(zip(cuts, cuts[1:]))
 
-    def own(default, values):  # a part's given values, else the default
-        return np.concatenate([default[a:b] if v is None else v
-                               for a, b, v in zip(cuts, cuts[1:], values)])
+    def each(values, dtype=object):  # a part's value once per record
+        return np.array(values, dtype=dtype).repeat(sizes)
 
-    def each(values):  # a part's text once per record, or its list of them
-        return chain.from_iterable([v] * n if isinstance(v, str) else v
-                                   for v, n in zip(values, sizes))
-
-    lhs, rhs = np.concatenate([f[:2] for f in floats], axis=1)
-    residual = own(abs(lhs - rhs), residuals)
+    # every part's rows side by side, a NaN where a part has fewer
+    rows = np.full((max(map(len, floats)), cuts[-1]), np.nan)
+    for f, (a, b) in zip(floats, spans):
+        rows[:len(f), a:b] = f
+    lhs, rhs = rows[:2]
+    residual = abs(lhs - rhs)
     # Python's max: a NaN in |lhs| propagates, one in |rhs| or a term not
-    mags = np.concatenate([np.fmax.reduce(abs(f)) for f in floats])
-    scale = own(np.maximum(abs(lhs), mags) + 1.0, scales)
+    scale = np.maximum(abs(lhs), np.fmax.reduce(abs(rows))) + 1.0
+    for given, default in ((residuals, residual), (scales, scale)):
+        for v, (a, b) in zip(given, spans):
+            if v is not None:
+                default[a:b] = v
     rel = residual / scale
     # whether each hypotheses list is met, once per list object
     hyps = list(chain.from_iterable(hyps))
@@ -222,43 +249,47 @@ def _build(columns, points, parts):
     met = {key: all(h["satisfied"] for h in hs)
            for key, hs in dict(zip(keys, hyps)).items()}
     met = np.fromiter(map(met.__getitem__, keys), bool, len(keys))
-    passed = np.where(np.repeat(absolute, sizes), residual, rel) <= np.repeat(
-        tols, sizes)
+    passed = np.where(each(absolute, bool), residual, rel) <= each(tols, float)
     index = np.concatenate(indices)
-    rows = index.tolist()
-    # in the order of RECORD_SCHEMA, as ``columns``
-    new = [each("identity" if i in ALL_CHECK_IDS else "soliton" for i in ids),
-           each(ids), chain.from_iterable(labels), rows, lhs.tolist(),
-           rhs.tolist(), residual.tolist(), rel.tolist(), hyps,
-           _VERDICTS[np.where(met, passed, 2)].tolist(),
-           chain.from_iterable(
-               map(bool, map(points.__getitem__, rows[a:b]))
-               if cid in CONVENTION_SENSITIVE_IDS else [False] * (b - a)
-               for cid, a, b in zip(ids, cuts, cuts[1:])),
-           chain.from_iterable(
-               map(dict, map(zip, repeat(n), zip(*f[2:].tolist()))) if n
-               else [{}] * f.shape[1] for n, f in zip(names, floats)),
-           each(notes)]
-    order = (np.argsort(index, kind="stable").tolist()
-             if len(parts) > 1 and (index[1:] < index[:-1]).any() else None)
-    for column, values in zip(columns.values(), new):
+    point = index.tolist()
+    place = index + each(ranks, np.intp) * len(points)
+    order = (np.argsort(place, kind="stable").tolist()
+             if (place[1:] < place[:-1]).any() else None)
+    # a convention-sensitive check's records at points with coordinates
+    flagged = each([cid in CONVENTION_SENSITIVE_IDS for cid in ids], bool)
+    flagged[flagged] = list(map(bool, map(points.__getitem__,
+                                          index[flagged].tolist())))
+    # in the order of RECORD_SCHEMA, as ``columns``, the terms apart
+    new = [each(["identity" if i in ALL_CHECK_IDS else "soliton"
+                 for i in ids]).tolist(), each(ids).tolist(),
+           chain.from_iterable(labels), point, lhs.tolist(), rhs.tolist(),
+           residual.tolist(), rel.tolist(), hyps,
+           _VERDICTS[np.where(met, passed, 2)].tolist(), flagged.tolist(),
+           chain.from_iterable([v] * n if isinstance(v, str) else v
+                               for v, n in zip(notes, sizes))]
+    for column, values in zip(
+            (c for k, c in columns.items() if k != "terms"), new):
         values = list(values)
         column.extend(map(values.__getitem__, order) if order else values)
+    return names, [f[2:] for f in floats], order
 
 
 def record(table, check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
            label="", note="", residual=None, scale=None, absolute=False):
-    """The one-row call of ``build_records``, of a point's coordinates,
-    ``Hypothesis`` objects and a name-to-value map ``terms``: appends the
-    record, and its coordinate list to ``table.points``."""
-    table.points.append([float(c) for c in point])
+    """The one-row call of ``build_records``, of ``Hypothesis`` objects and
+    a name-to-value map ``terms``, a block at ``point``: an index into
+    ``table.points``, or coordinates, then appended there."""
+    if not isinstance(point, int):
+        table.points.append([float(c) for c in point])
+        point = len(table.points) - 1
     build_records(
-        table, check_id, [len(table.points) - 1], [float(lhs)], [float(rhs)],
+        table, check_id, [point], [float(lhs)], [float(rhs)],
         [[{"name": h.name, "satisfied": bool(h.satisfied),
            "violation": float(h.violation)} for h in hypotheses]], tol,
         labels=[label], terms={k: [float(v)] for k, v in dict(terms).items()},
         note=note, residual=None if residual is None else [float(residual)],
-        scale=None if scale is None else [float(scale)], absolute=absolute)
+        scale=None if scale is None else [float(scale)], absolute=absolute,
+        block=True)
 
 
 # values within WORST_BAND * (1 + |max|) of the largest tie for the worst
@@ -374,10 +405,9 @@ class IdentityContext:
         self.vframe = self.frame[:, :self.m - self.n]
         self.hframe = self.frame[:, self.m - self.n:]
         self._fields = {}  # of ``vector_field``
-        # each point's coordinates, the one list its records share, and by
-        # the names of hypotheses, one list of their dicts per equal points
-        self.point_lists = self.coords.tolist()
-        self.hypothesis_lists = {}
+        # each point's coordinates, the one list its records share, and
+        # the memo of ``_hypothesis_lists``
+        self.point_lists, self.hypotheses = self.coords.tolist(), {}
 
     # -- ingredients built on first read ----------------------------------
 
@@ -753,47 +783,51 @@ def _upper(k):
 
 @functools.lru_cache(maxsize=None)
 def _layout(label, index):
-    """(indexer, labels) of ``_records`` for a tuple of index tuples: the
-    point axis followed by one integer array per slot, and the 1-based
-    labels; every run of the same dimensions reuses them."""
-    slots = tuple(np.array(index, dtype=int).reshape(len(index), -1).T)
-    # one empty tuple reads a (P,) array as (P, 1)
-    return ((slice(None),) + (slots or (None,)),
-            [label.format(*(i + 1 for i in idx)) for idx in index])
+    """(indexer, labels) of ``_records`` over a check's arrays stacked on
+    their point axis, for a tuple of index tuples, or a shape for all of
+    its tuples in C order (``()`` one record), which the indexer reads
+    without a gather; the labels are ``label``'s format of the 1-based
+    numbers, or ``label`` if a tuple of them.  Every run of the same
+    dimensions reuses them."""
+    grid = all(isinstance(i, int) for i in index)
+    tuples = tuple(product(*map(range, index))) if grid else index
+    slots = () if grid else tuple(
+        np.array(index, dtype=int).reshape(len(index), -1).T)
+    return ((slice(None), slice(None)) + slots,
+            list(label) if isinstance(label, tuple) else
+            [label.format(*(i + 1 for i in idx)) for idx in tuples])
 
 
 def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
              residual=None, scale=None, note="", table=None):
-    """``table``, by default a new ``RecordTable``, with the run's points
-    appended to its ``points`` and a record per point and index tuple of
-    ``index`` (its 1-based numbers formatted by ``label``), point by
-    point, of the arrays read at the tuples after the point axis (an
-    empty tuple reads (P,) arrays): ``lhs``, ``rhs``, each of the (name,
-    array) ``terms``, ``residual`` and ``scale``; ``note`` is one text,
-    or one per record."""
-    at, labels = _layout(label, tuple(map(tuple, index)))
+    """``table``, by default a new ``RecordTable`` of the run's points,
+    with a record per point and index tuple (``_layout``), point by point,
+    of the arrays read in one gather at the tuples after the point axis:
+    ``lhs``, ``rhs``, each of the (name, array) ``terms``, and
+    ``residual`` and ``scale``, given together or not at all; ``note`` is
+    one text, or one per record.  A given table, holding the run's
+    coordinate lists first or getting them, gets the records as a block."""
+    at, labels = _layout(label, tuple(index))
     count, size = len(labels), len(ctx.points)
-
-    def flat(x):  # point by point, each point's tuples in order
-        return None if x is None else x[at].reshape(-1)
-
-    names = tuple(h.name for h in hyps)
-    if names not in ctx.hypothesis_lists:
-        ctx.hypothesis_lists[names] = _hypothesis_lists(hyps, size)
+    hyps = _hypothesis_lists(hyps, size, ctx.hypotheses)
+    names, values = tuple(zip(*terms)) or ((), ())
+    given = () if residual is None else (residual, scale)
+    rows = np.array([lhs, rhs, *values, *given], dtype=float)[at].reshape(
+        2 + len(names) + len(given), -1)
+    residual, scale = rows[-2:] if given else (None, None)
+    rank = 0 if table is None else len(table.parts)
     table = RecordTable() if table is None else table
-    start = len(table.points)
-    table.points.extend(ctx.point_lists)
-    build_records(
-        table, identity_id, np.arange(start, start + size).repeat(count),
-        flat(lhs), flat(rhs),
-        list(chain.from_iterable(zip(*[ctx.hypothesis_lists[names]] * count))),
-        tol, labels=labels * size, terms={name: flat(v) for name, v in terms},
-        note=note, residual=flat(residual), scale=flat(scale))
+    if not table.points:  # the run's coordinate lists, once a table
+        table.points += ctx.point_lists
+    table.parts.append((  # laid out as by ``build_records``
+        identity_id, np.arange(size).repeat(count), rows[:2 + len(names)],
+        names, list(chain.from_iterable(zip(*[hyps] * count))), tol,
+        labels * size, note, residual, scale, False, rank))
     return table
 
 
 def _trivial(identity_id, ctx, hyps, tol, note):
-    return _records(identity_id, ctx, tol, hyps, "", [()],
+    return _records(identity_id, ctx, tol, hyps, "", (),
                     *[np.zeros(len(ctx.points))] * 2, note=note)
 
 
@@ -861,7 +895,7 @@ def _g214(ctx, tol):
     t5 = ctx.lam_sq[:, None, None, None, None] * np.einsum(
         "...abi,...j->...iabj", ctx.a_e[:, h, h, v], ctx.vdf_e[:, v])
     return _records(
-        "G2.14", ctx, tol, hyps, "U{} X{} Y{} V{}", np.ndindex(t1.shape[1:]),
+        "G2.14", ctx, tol, hyps, "U{} X{} Y{} V{}", t1.shape[1:],
         ctx.riem_e[:, v, h, h, v], t1 + t2 - t3 - t4 + t5,
         (("(nabla_U A)_X Y", t1), ("g(A_XU,A_YV)", t2),
          ("-(nabla_X T)_U Y", -t3), ("-g(T_VY,T_UX)", -t4),
@@ -930,7 +964,7 @@ def verify_A_formula(identity_id, ctx, tol=1e-6):
         res = _norms(axy.swapaxes(1, 2) + axy + grad_term)
         lhs, rhs = res, np.zeros_like(res)
     return _records(identity_id, ctx, tol, [ctx.hyp_conformal], "X{} Y{}",
-                    np.ndindex(res.shape[1:]), lhs, rhs, residual=res,
+                    res.shape[1:], lhs, rhs, residual=res,
                     scale=1.0 + _norms(axy))
 
 
@@ -964,7 +998,7 @@ def verify_lemma_3_1(item, ctx, tol=1e-6):
                * ctx.vgrad_f_sq[:, None, None])
         label = "X{} Y{}"
     return _records(f"L3.1.{item}", ctx, tol, hyps, label,
-                    np.ndindex(lhs.shape[1:]), lhs, rhs)
+                    lhs.shape[1:], lhs, rhs)
 
 
 # ---------------------------------------------------------------------
@@ -1051,7 +1085,7 @@ def verify_ricci_decomposition(identity_id, ctx, tol=1e-6):
     lhs, terms = _ricci_terms(identity_id, ctx)
     nv = ctx.m - ctx.n
     label, index = {"R3.11": ("U{} V{}", _upper(nv)),
-                    "R3.12": ("U{} X{}", np.ndindex(lhs.shape[1:])),
+                    "R3.12": ("U{} X{}", lhs.shape[1:]),
                     "R3.13": ("X{} Y{}", _upper(ctx.n))}[identity_id]
     return _records(identity_id, ctx, tol, hyps, label, index, lhs,
                     sum(terms.values()), list(terms.items()))
@@ -1093,14 +1127,18 @@ def verify_corollary(identity_id, ctx, tol=1e-6):
         hyps = [ctx.hyp_conformal, ctx.hyp_map_tg, ctx.hyp_fiber_chart]
         blocks = [ctx.fiber_ric_e, np.zeros((len(ctx.points), nv, n)),
                   ctx.base_ric_e / lam_sq[:, None, None]]
-    return RecordTable.point_major(ctx.point_lists, [
-        _records(identity_id, ctx, tol, hyps, label, index,
-                 ric[(slice(None),) + block], rhs)
-        for (block, label, index), rhs in zip(
-            (((v, v), "(U{},V{})", _upper(nv)),
-             ((v, h), "(U{},X{})", np.ndindex(nv, n)),
-             ((h, h), "(X{},Y{})", _upper(n))), blocks)
-        if rhs is not None])
+    # one record per pair each block states, read off the whole frame
+    rhs, labels, index = np.zeros_like(ric), [], []
+    for (first, second), label, pairs, block in zip(
+            ((v, v), (v, h), (h, h)), ("(U{},V{})", "(U{},X{})", "(X{},Y{})"),
+            (_upper(nv), product(range(nv), range(n)), _upper(n)), blocks):
+        if block is not None:
+            rhs[:, first, second] = block
+            for i, j in pairs:
+                index.append((i + (first.start or 0), j + (second.start or 0)))
+                labels.append(label.format(i + 1, j + 1))
+    return _records(identity_id, ctx, tol, hyps, tuple(labels), index, ric,
+                    rhs)
 
 
 def verify_scalar_split(ctx, tol=1e-6):
@@ -1108,7 +1146,7 @@ def verify_scalar_split(ctx, tol=1e-6):
     hyps = [ctx.hyp_conformal, ctx.hyp_map_tg, ctx.hyp_fiber_chart]
     s_fiber = ctx.fiber_scalar_intrinsic
     s_base = ctx.base_scalar_curvature / ctx.lam_sq
-    return _records("T3.4", ctx, tol, hyps, "", [()], ctx.scalar_curvature,
+    return _records("T3.4", ctx, tol, hyps, "", (), ctx.scalar_curvature,
                     s_fiber + s_base,
                     (("s_fiber", s_fiber), ("s_base/lam^2", s_base)))
 
@@ -1137,7 +1175,7 @@ def verify_lemma_2_1(ctx, tol=1e-6):
     lhs_n, rhs_n, res = (sub.pair_norms(ctx.h_base, w)
                          for w in (lhs, rhs, lhs - rhs))
     return _records("L2.1", ctx, tol, [ctx.hyp_conformal], "",
-                    np.ndindex(res.shape[1:]), lhs_n, rhs_n, residual=res,
+                    res.shape[1:], lhs_n, rhs_n, residual=res,
                     scale=1.0 + np.maximum(lhs_n, rhs_n))
 
 
@@ -1145,7 +1183,7 @@ def verify_hessian_symmetry(ctx, tol=1e-9):
     """L2.2: the Hessian of f = 1/lambda^2 is symmetric, to within
     max(tol, 1e-9)."""
     worst = np.abs(ctx.hess_f - ctx.hess_f.swapaxes(1, 2)).max(axis=(1, 2))
-    return _records("L2.2", ctx, max(tol, 1e-9), [], "", [()], worst,
+    return _records("L2.2", ctx, max(tol, 1e-9), [], "", (), worst,
                     np.zeros_like(worst), residual=worst,
                     scale=np.ones_like(worst))
 

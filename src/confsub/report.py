@@ -17,7 +17,7 @@ import math
 import time
 from array import array
 from collections import Counter
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat, starmap
 from operator import itemgetter
 
 import numpy as np
@@ -69,9 +69,9 @@ def _run_soliton_checks(job, checks, records, ctx):
             mu is None and any(c != "conformal-fit" for c in needs_xi)):
         fit = sol.fit_mu(setup.total, xi, points, ctx=ctx)
         mu = fit.mu if mu is None else mu
-    if "fit-mu" in checks:
-        worst = worst_of(fit.per_point, lambda pr: pr[1])
-        record(records, "fit-mu", worst[0].coords, fit.mu, mu, [], tol,
+    if "fit-mu" in checks:  # a fit's record is at its worst point
+        worst = worst_of(range(len(points)), lambda i: fit.per_point[i][1])
+        record(records, "fit-mu", worst, fit.mu, mu, [], tol,
                terms={"fitted_mu": fit.mu,
                       "equation_residual": fit.max_residual},
                note=f"soliton constant fit: {fit.classification}",
@@ -79,8 +79,10 @@ def _run_soliton_checks(job, checks, records, ctx):
                scale=1.0 + max(abs(fit.mu), abs(mu)), absolute=True)
     if "conformal-fit" in checks:
         conf = sol.conformal_field_fit(setup.total, xi, points, ctx=ctx)
-        worst_p, worst_f = worst_of(conf.f_values, lambda pf: abs(pf[1]))
-        record(records, "conformal-fit", worst_p.coords, worst_f, 0.0, [],
+        worst = worst_of(range(len(points)),
+                         lambda i: abs(conf.f_values[i][1]))
+        worst_f = conf.f_values[worst][1]
+        record(records, "conformal-fit", worst, worst_f, 0.0, [],
                tol, terms={"max_abs_f": abs(worst_f)},
                note="killing field" if conf.is_killing
                else "conformal factor shown at its largest point",
@@ -100,7 +102,7 @@ def _run_soliton_checks(job, checks, records, ctx):
 
 def count_verdicts(records):
     """The records of a ``RecordTable`` by verdict."""
-    counts = Counter(records.columns["verdict"])
+    counts = Counter(records.column("verdict"))
     return {key: counts[key.replace("_", "-")] for key in (
         "pass", "fail", "hypothesis_not_met", "paper_divergent")}
 
@@ -114,15 +116,14 @@ def run_job(job):
     ctx = IdentityContext(setup, job.points)
     # a non-finite value at a point is NaN in its records, not a warning
     with np.errstate(all="ignore"):
-        records = RecordTable.point_major(ctx.point_lists, [
-            run_check(check_id, setup, job.points, tol=job.tolerance,
-                      ctx=ctx)
-            for check_id in identity_ids])
+        records = RecordTable(ctx.point_lists, [
+            part for check_id in identity_ids for part in run_check(
+                check_id, setup, job.points, tol=job.tolerance,
+                ctx=ctx).parts])
         _run_soliton_checks(job, soliton_ids, records, ctx)
     counts = count_verdicts(records)
-    columns = records.columns
-    flagged = sum(compress(map("fail".__eq__, columns["verdict"]),
-                           columns["convention_sensitive"]))
+    flagged = sum(compress(map("fail".__eq__, records.column("verdict")),
+                           records.column("convention_sensitive")))
     job_info = {
         "total_dim": setup.m,
         "base_dim": setup.n,
@@ -307,16 +308,40 @@ _COLUMN_TEXT = {
         dicts, memo, _floats_text, tuple, dict.values)}
 
 
+def _terms_text(names, rows, order):
+    """The terms of a build (``RecordTable.term_rows``): each part's
+    records hold the names ``names[j]`` with the values ``rows[j]``, a row
+    a name, and go in ``order``.  The parts of one names tuple fill its
+    template at once, every value written as one ``_floats_text`` column."""
+    groups, filled = {}, {}
+    for key, r in zip(names, rows):
+        groups.setdefault(key, []).append(r)
+    blocks = [np.concatenate(group, axis=1) for group in groups.values()]
+    floats = iter(_floats_text(np.concatenate(
+        [block.ravel() for block in blocks]).tolist()))
+    for key, block in zip(groups, blocks):
+        template, places = _slots(key)
+        values = [list(islice(floats, block.shape[1])) for _ in key]
+        filled[key] = iter(_fill(template, [values[i] for i in places],
+                                 block.shape[1]))
+    texts = [text for key, r in zip(names, rows)
+             for text in islice(filled[key], r.shape[1])]
+    return map(texts.__getitem__, order) if order else texts
+
+
 def _table_text(table, memo):
     """The records of a ``RecordTable``, each column written at once as
-    ``_rows_text`` writes it, and each coordinate list of ``table.points``
-    once, picked by the point column."""
+    ``_rows_text`` writes it, each coordinate list of ``table.points``
+    once, picked by the point column, and the terms from the parts' rows
+    while the table holds no dicts of them (``RecordTable.term_rows``)."""
     points = _lists_text(table.points)
-    columns = table.columns
+    built = table.term_rows()
+    terms = built and list(chain.from_iterable(starmap(_terms_text, built)))
     return _fill(_RECORD_TEMPLATE, [
-        list(map(points.__getitem__, column)) if key == "point"
-        else _COLUMN_TEXT[RECORD_SCHEMA[key]](column, memo)
-        for key, column in sorted(columns.items())], len(columns["id"]))
+        list(map(points.__getitem__, table.column(key))) if key == "point"
+        else terms if key == "terms" and built is not None
+        else _COLUMN_TEXT[RECORD_SCHEMA[key]](table.column(key), memo)
+        for key in sorted(RECORD_SCHEMA)], len(table.column("id")))
 
 
 def _with_rows(head, key, texts):

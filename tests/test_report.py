@@ -585,6 +585,51 @@ def test_run_records_point_by_point_then_soliton_rows():
             list(p.coords) for p in job.points]
 
 
+# the records of one point of curved-all (3-D onto 2-D, 1-D fibers) for
+# each identity id, in the order of ALL_CHECK_IDS
+CURVED_ALL_IDENTITY_COUNTS = {
+    "G2.12": 1, "G2.13": 1, "G2.14": 4, "G2.15": 2, "G2.16": 4, "P3.1": 4,
+    "E3.3": 4, "L3.1.i": 1, "L3.1.ii": 1, "L3.1.iii": 2, "L3.1.iv": 2,
+    "L3.1.v": 4, "L3.1.vi": 4, "R3.11": 1, "R3.12": 2, "R3.13": 3,
+    "C3.1": 6, "C3.2": 3, "C3.3": 6, "T3.4": 1, "L2.1": 4, "L2.2": 1}
+
+
+def test_curved_all_records_in_order_over_one_list_per_point():
+    # a 3-point curved-all run with checks = all: the identities point by
+    # point, then the structure flags and the fits, then fiber, base, T4.7
+    # and harmonicity, each a block over the points; the table holds each
+    # point's coordinate list once, and each record but a flag points at
+    # one of them
+    job = parse_manifest(_workloads().manifest_text("curved-all", 1, 3))
+    assert len(job.points) == 3 and set(job.checks) == set(KNOWN_CHECKS)
+    table = report.run_job(job).records
+    identity = [cid for cid, n in CURVED_ALL_IDENTITY_COUNTS.items()
+                for _ in range(n)]
+    assert list(CURVED_ALL_IDENTITY_COUNTS) == list(ALL_CHECK_IDS)
+    assert table.column("id") == identity * 3 + soliton_order(3)
+    lists = [list(p.coords) for p in job.points]
+    assert table.points == lists + [[]] * 7
+    points = table.column("point")
+    assert points[:len(identity) * 3] == [
+        i for i in range(3) for _ in identity]
+    tail = points[len(identity) * 3:]
+    assert tail[:7] == list(range(3, 10))
+    assert all(index < 3 for index in tail[7:9])
+    assert tail[9:] == [0, 1, 2] * len(PER_POINT_IDS)
+
+
+def test_terms_written_from_rows_equal_those_from_dicts():
+    # a run's terms are written from its parts' rows until the terms
+    # column is read, and from the dicts made then: the bytes are one
+    job = parse_manifest(_workloads().manifest_text("curved-all", 1, 3))
+    rep = report.run_job(job)
+    assert rep.records.term_rows()
+    text = report.to_json(rep)
+    assert len(rep.records.columns["terms"]) == len(rep.records.column("id"))
+    assert rep.records.term_rows() is None
+    assert report.to_json(rep) == text
+
+
 @pytest.mark.parametrize("name", ["5.1", "gaussian-soliton"])
 def test_counts_read_off_columns_equal_counts_over_rows(name):
     # 5.1 has flagged fails and the Gaussian soliton two that are not
@@ -917,22 +962,13 @@ def test_records_of_a_point_share_lists_no_reader_mutates():
                 by_check.setdefault(check_id, set()).add(
                     id(rec["hypotheses"]))
         assert all(len(ids) == 1 for ids in by_check.values()), by_check
-    # the run's table holds the context's point lists, for the identities
-    # and again for each soliton report that writes a record per point, a
-    # list of its own for each fit and an empty one for each structure flag
+    # the run's table holds the context's point lists once, which every
+    # identity record, each fit and each soliton report's records point
+    # at, then an empty one for each structure flag
     points, columns = rep.records.points, rep.records.columns
-    assert points[:3] == ctx.point_lists
-    own = set(map(id, points[:3]))
-    assert len(own) == 3
-    check_of = dict(zip(columns["point"], columns["id"]))
-    assert sorted(check_of) == list(range(len(points)))
-    for index, point in enumerate(points):
-        if check_of[index] == "structure-flags":
-            assert point == []
-        elif check_of[index] in ("fit-mu", "conformal-fit"):
-            assert id(point) not in own and point in ctx.point_lists
-        else:
-            assert id(point) in own, check_of[index]
+    assert points == ctx.point_lists + [[]] * 7
+    for index, check_id in zip(columns["point"], columns["id"]):
+        assert (index >= 3) == (check_id == "structure-flags"), check_id
     before = json.dumps([rep.records.points, rep.records.columns])
     text = report.to_json(rep)
     report.to_text(rep)
@@ -962,6 +998,50 @@ def test_hypothesis_dicts_share_one_dict_per_bit_pattern():
     assert report.to_json(rep) == _oracle({
         "job": {}, "records": records.rows(), "counts": rep.counts,
         "flagged_fails": 0, "meta": {}})
+
+
+@pytest.mark.parametrize("count", [1, 1000])
+def test_hypothesis_lists_share_as_the_writer_relies_on(count):
+    # at 1 and at 1,000 points, by one code path: points whose rows of
+    # (satisfied, violation bits) are equal share one list object, each
+    # (name, satisfied, bits) one dict over the run's lists, and a -0.0
+    # violation stays apart from a 0.0 one
+    rng = np.random.default_rng(count)
+    pool = np.array([0.0, -0.0, math.nan, 2e-9, 1.0])
+    hyps = []
+    for name in ("a", "b", "c"):
+        violation = pool[rng.integers(len(pool), size=count)]
+        violation[0] = -0.0 if name == "b" else violation[0]
+        hyps.append(Hypothesis(name, violation <= 1e-8, violation))
+    memo = {}
+    runs = [identities._hypothesis_lists(hyps[:2], count, memo),
+            identities._hypothesis_lists(hyps[1:], count, memo)]
+    for lists, names in zip(runs, (hyps[:2], hyps[1:])):
+        assert len(lists) == count
+        by_row = {}
+        for i, row in enumerate(lists):
+            key = tuple((h.name, bool(h.satisfied[i]),
+                         h.violation[i:i + 1].view(np.uint64)[0].item())
+                        for h in names)
+            assert [(d["name"], d["satisfied"]) for d in row] == [
+                k[:2] for k in key]
+            assert [np.float64(d["violation"]).view(np.uint64) for d in
+                    row] == [k[2] for k in key]
+            by_row.setdefault(key, set()).add(id(row))
+        assert all(len(ids) == 1 for ids in by_row.values())
+        assert len(set.union(*by_row.values())) == len(by_row)
+    dicts = {}
+    for lists in runs:
+        for row in lists:
+            for d in row:
+                key = (d["name"], d["satisfied"],
+                       np.float64(d["violation"]).view(np.uint64).item())
+                dicts.setdefault(key, set()).add(id(d))
+    assert all(len(ids) == 1 for ids in dicts.values())
+    assert len(set.union(*dicts.values())) == len(dicts)
+    signs = {d["name"]: math.copysign(1.0, d["violation"])
+             for d in runs[1][0]}
+    assert signs["b"] == -1.0
 
 
 def test_points_with_equal_hypotheses_share_one_list():
