@@ -101,32 +101,28 @@ class Hypothesis(NamedTuple):
     violation: float
 
 
-def _hypothesis_lists(hyps, count, memo=None):
+def _hypothesis_lists(hyps, count, shared=None):
     """The list of the ``HYPOTHESIS_SCHEMA`` dicts of ``hyps``, run-level
     ``Hypothesis`` objects, at each of ``count`` points: one list per
     distinct row of (violation bits, satisfied) over them all, -0.0 not
-    0.0, found by one dict over the rows' bytes.  ``memo``, a run's,
-    holds by name each hypothesis's bits and flags, one dict by (name,
-    bits, satisfied), and by the names of a set of hypotheses its lists."""
-    memo = {} if memo is None else memo
-    names = tuple([h.name for h in hyps])
-    if names not in memo:
-        for h in hyps:
-            if h.name not in memo:
-                memo[h.name] = np.array([h.violation.view(np.uint64),
-                                         h.satisfied], dtype=np.uint64)
-        keys = np.concatenate([memo[h.name] for h in hyps]
-                              or [np.zeros((1, count), np.uint64)])
-        rows = keys.T.copy().view(f"V{8 * len(keys)}").ravel().tolist()
-        lists = {}
-        for row, i in dict(zip(rows, range(count))).items():
-            ints = keys[:, i].tolist()
-            lists[row] = [memo.get(key) or memo.setdefault(key, dict(zip(
-                HYPOTHESIS_SCHEMA, (key[0], key[2], h.violation[i].item()))))
-                for h, key in zip(hyps, zip(names, ints[::2], map(
-                    bool, ints[1::2])))]
-        memo[names] = list(map(lists.__getitem__, rows))
-    return memo[names]
+    0.0, found by one dict over the rows' bytes, and one dict per (name,
+    satisfied, bits), kept in ``shared`` for the run's other sets."""
+    shared = {} if shared is None else shared
+    keys = np.array([k for h in hyps for k in (
+        h.violation.view(np.uint64), h.satisfied)] or [[0] * count],
+                    dtype=np.uint64)
+    rows = keys.T.copy().view(f"V{8 * len(keys)}").ravel().tolist()
+    at = dict(zip(rows, range(count)))  # each distinct row, at a point
+    picked = keys.take(list(at.values()), axis=1)
+    ints = picked.tolist()
+    lists = [[] for _ in at]
+    for h, values, bits, flags in zip(hyps, picked[::2].view(
+            np.float64).tolist(), ints[::2], ints[1::2]):
+        for row, value, key in zip(lists, values, zip(
+                repeat(h.name), map(bool, flags), bits)):
+            row.append(shared.get(key) or shared.setdefault(key, dict(zip(
+                HYPOTHESIS_SCHEMA, (h.name, key[1], value)))))
+    return list(map(dict(zip(at, lists)).__getitem__, rows))
 
 
 # by verdict code: 0 fail, 1 pass, 2 a hypothesis not met
@@ -148,41 +144,21 @@ class RecordTable:
     """Records as one list per ``RECORD_SCHEMA`` key, ``columns`` in its
     order; the ``point`` column holds indices into ``points``, the
     coordinate lists.  ``build_records`` adds a check's records as one of
-    ``parts``, built with those added since on a read of a column
-    (``_build``); their terms stay rows (``term_rows``) until the terms
-    column is read.  Records share lists: no reader may mutate them."""
+    ``parts``; a read of ``columns`` builds the parts added since in one
+    pass (``_build``).  Records share lists: no reader may mutate them."""
 
     def __init__(self, points=(), parts=()):
         self.points, self.parts = list(points), list(parts)
-        self._columns = None  # made on the first read
-        self._built, self._terms = 0, []  # (names, rows, order) a build
-
-    def column(self, key):
-        """The column ``key``; a read of the terms makes their dicts."""
-        if self._columns is None:
-            self._columns = {key: [] for key in RECORD_SCHEMA}
-        if self._built < len(self.parts):
-            self._terms.append(_build(self._columns, self.points,
-                                      self.parts[self._built:]))
-            self._built = len(self.parts)
-        if key == "terms":
-            for names, rows, order in self._terms:
-                dicts = [dict(zip(n, v)) for n, r in zip(names, rows)
-                         for v in r.T.tolist()]
-                self._columns[key] += (map(dicts.__getitem__, order)
-                                       if order else dicts)
-            self._terms = []
-        return self._columns[key]
+        self._columns, self._built = None, 0  # made on the first read
 
     @property
     def columns(self):
-        self.column("terms")
+        if self._columns is None:
+            self._columns = {key: [] for key in RECORD_SCHEMA}
+        if self._built < len(self.parts):
+            _build(self._columns, self.points, self.parts[self._built:])
+            self._built = len(self.parts)
         return self._columns
-
-    def term_rows(self):
-        """The terms as ``_build`` returns them, or None once made dicts."""
-        self.column("id")
-        return None if self._columns["terms"] else self._terms
 
     def rows(self):
         """Each record as a dict laid out as ``RECORD_SCHEMA``, holding its
@@ -192,17 +168,17 @@ class RecordTable:
         return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def build_records(table, check_id, points, lhs, rhs, hypotheses, tol, *,
-                  labels, terms={}, note="", residual=None, scale=None,
+def build_records(table, check_id, points, floats, hypotheses, tol, *,
+                  labels, names=(), note="", residual=None, scale=None,
                   absolute=False, block=False):
     """Add every record of one check to ``table``, one entry each of
     ``points`` (indices into ``table.points``; a point without coordinates
-    is never flagged), ``lhs``, ``rhs``, ``hypotheses`` (lists of
-    ``HYPOTHESIS_SCHEMA`` dicts, held as given), ``labels``, each array of
-    the map ``terms``, ``note`` (or one text for all), and ``residual``
-    and ``scale``, by default |lhs - rhs| and
-    1 + max(|lhs|, |rhs|, |each term|) (Python's ``max``: a NaN counts
-    only in first place).  The verdict is
+    is never flagged), ``hypotheses`` (lists of ``HYPOTHESIS_SCHEMA``
+    dicts, held as given), ``labels``, ``note`` (or one text for all),
+    ``residual`` and ``scale``, and each row of ``floats``: lhs, rhs and
+    the terms ``names``.  The residual and scale are by default
+    |lhs - rhs| and 1 + max(|lhs|, |rhs|, |each term|) (Python's ``max``:
+    a NaN counts only in first place).  The verdict is
     ``hypothesis-not-met`` when a hypothesis is unmet, else ``pass`` when
     residual / scale, or the residual when ``absolute``, is at most
     ``tol``, else ``fail``.  They are built on the table's next read, in
@@ -210,17 +186,17 @@ def build_records(table, check_id, points, lhs, rhs, hypotheses, tol, *,
     ``block`` the part's place in ``table.parts``."""
     table.parts.append((
         check_id, np.asarray(points, dtype=np.intp),
-        np.array([lhs, rhs, *terms.values()], dtype=float), tuple(terms),
-        hypotheses, tol, labels, note, residual, scale, absolute,
+        np.asarray(floats, dtype=float), tuple(names), hypotheses, tol,
+        labels, note, residual, scale, absolute,
         len(table.parts) if block else 0))
 
 
 @np.errstate(all="ignore")  # as Python's float arithmetic, which it replaces
 def _build(columns, points, parts):
     """Append the records of ``parts`` (``build_records``) over ``points``
-    to ``columns`` but the terms, each column computed over all of them at
-    once, made a list once and put in one permutation, by rank and then
-    point by point; returns (the names, the term rows, the permutation)."""
+    to ``columns``, each column computed over all of them at once, made a
+    list once and put in one permutation, by rank and then point by
+    point."""
     (ids, indices, floats, names, hyps, tols, labels, notes, residuals,
      scales, absolute, ranks) = zip(*parts)
     sizes = list(map(len, indices))
@@ -259,19 +235,20 @@ def _build(columns, points, parts):
     flagged = each([cid in CONVENTION_SENSITIVE_IDS for cid in ids], bool)
     flagged[flagged] = list(map(bool, map(points.__getitem__,
                                           index[flagged].tolist())))
-    # in the order of RECORD_SCHEMA, as ``columns``, the terms apart
+    # in the order of RECORD_SCHEMA, as ``columns``
     new = [each(["identity" if i in ALL_CHECK_IDS else "soliton"
                  for i in ids]).tolist(), each(ids).tolist(),
            chain.from_iterable(labels), point, lhs.tolist(), rhs.tolist(),
            residual.tolist(), rel.tolist(), hyps,
            _VERDICTS[np.where(met, passed, 2)].tolist(), flagged.tolist(),
+           chain.from_iterable(
+               map(dict, map(zip, repeat(n), zip(*f[2:].tolist()))) if n
+               else [{}] * f.shape[1] for n, f in zip(names, floats)),
            chain.from_iterable([v] * n if isinstance(v, str) else v
                                for v, n in zip(notes, sizes))]
-    for column, values in zip(
-            (c for k, c in columns.items() if k != "terms"), new):
+    for column, values in zip(columns.values(), new):
         values = list(values)
         column.extend(map(values.__getitem__, order) if order else values)
-    return names, [f[2:] for f in floats], order
 
 
 def record(table, check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
@@ -282,12 +259,14 @@ def record(table, check_id, point, lhs, rhs, hypotheses, tol, *, terms=(),
     if not isinstance(point, int):
         table.points.append([float(c) for c in point])
         point = len(table.points) - 1
+    terms = dict(terms)
     build_records(
-        table, check_id, [point], [float(lhs)], [float(rhs)],
+        table, check_id, [point],
+        [[float(v)] for v in (lhs, rhs, *terms.values())],
         [[{"name": h.name, "satisfied": bool(h.satisfied),
            "violation": float(h.violation)} for h in hypotheses]], tol,
-        labels=[label], terms={k: [float(v)] for k, v in dict(terms).items()},
-        note=note, residual=None if residual is None else [float(residual)],
+        labels=[label], names=terms, note=note,
+        residual=None if residual is None else [float(residual)],
         scale=None if scale is None else [float(scale)], absolute=absolute,
         block=True)
 
@@ -405,9 +384,11 @@ class IdentityContext:
         self.vframe = self.frame[:, :self.m - self.n]
         self.hframe = self.frame[:, self.m - self.n:]
         self._fields = {}  # of ``vector_field``
-        # each point's coordinates, the one list its records share, and
-        # the memo of ``_hypothesis_lists``
-        self.point_lists, self.hypotheses = self.coords.tolist(), {}
+        # each point's coordinates, the one list its records share, by
+        # the names of hypotheses one list of their dicts per equal points,
+        # and each of those dicts by its (name, satisfied, bits)
+        self.point_lists = self.coords.tolist()
+        self.hypothesis_lists, self.hypothesis_dicts = {}, {}
 
     # -- ingredients built on first read ----------------------------------
 
@@ -805,24 +786,31 @@ def _records(identity_id, ctx, tol, hyps, label, index, lhs, rhs, terms=(),
     of the arrays read in one gather at the tuples after the point axis:
     ``lhs``, ``rhs``, each of the (name, array) ``terms``, and
     ``residual`` and ``scale``, given together or not at all; ``note`` is
-    one text, or one per record.  A given table, holding the run's
-    coordinate lists first or getting them, gets the records as a block."""
+    one text, or one per record.  A given table gets the records as a
+    block, and the run's coordinate lists unless they are its first."""
     at, labels = _layout(label, tuple(index))
     count, size = len(labels), len(ctx.points)
-    hyps = _hypothesis_lists(hyps, size, ctx.hypotheses)
+    key = tuple([h.name for h in hyps])
+    if key not in ctx.hypothesis_lists:
+        ctx.hypothesis_lists[key] = _hypothesis_lists(
+            hyps, size, ctx.hypothesis_dicts)
+    hyps = ctx.hypothesis_lists[key]
     names, values = tuple(zip(*terms)) or ((), ())
     given = () if residual is None else (residual, scale)
     rows = np.array([lhs, rhs, *values, *given], dtype=float)[at].reshape(
         2 + len(names) + len(given), -1)
-    residual, scale = rows[-2:] if given else (None, None)
-    rank = 0 if table is None else len(table.parts)
-    table = RecordTable() if table is None else table
-    if not table.points:  # the run's coordinate lists, once a table
+    block, start = table is not None, 0
+    table = table if block else RecordTable()
+    if table.points[:size] != ctx.point_lists:  # the run's lists, once
+        start = len(table.points)
         table.points += ctx.point_lists
-    table.parts.append((  # laid out as by ``build_records``
-        identity_id, np.arange(size).repeat(count), rows[:2 + len(names)],
-        names, list(chain.from_iterable(zip(*[hyps] * count))), tol,
-        labels * size, note, residual, scale, False, rank))
+    build_records(
+        table, identity_id, np.arange(start, start + size).repeat(count),
+        rows[:2 + len(names)],
+        list(chain.from_iterable(zip(*[hyps] * count))), tol,
+        labels=labels * size, names=names, note=note,
+        residual=rows[-2] if given else None,
+        scale=rows[-1] if given else None, block=block)
     return table
 
 

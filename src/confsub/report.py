@@ -17,7 +17,7 @@ import math
 import time
 from array import array
 from collections import Counter
-from itertools import chain, compress, islice, repeat, starmap
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -102,7 +102,7 @@ def _run_soliton_checks(job, checks, records, ctx):
 
 def count_verdicts(records):
     """The records of a ``RecordTable`` by verdict."""
-    counts = Counter(records.column("verdict"))
+    counts = Counter(records.columns["verdict"])
     return {key: counts[key.replace("_", "-")] for key in (
         "pass", "fail", "hypothesis_not_met", "paper_divergent")}
 
@@ -122,8 +122,9 @@ def run_job(job):
                 ctx=ctx).parts])
         _run_soliton_checks(job, soliton_ids, records, ctx)
     counts = count_verdicts(records)
-    flagged = sum(compress(map("fail".__eq__, records.column("verdict")),
-                           records.column("convention_sensitive")))
+    columns = records.columns
+    flagged = sum(compress(map("fail".__eq__, columns["verdict"]),
+                           columns["convention_sensitive"]))
     job_info = {
         "total_dim": setup.m,
         "base_dim": setup.n,
@@ -308,40 +309,16 @@ _COLUMN_TEXT = {
         dicts, memo, _floats_text, tuple, dict.values)}
 
 
-def _terms_text(names, rows, order):
-    """The terms of a build (``RecordTable.term_rows``): each part's
-    records hold the names ``names[j]`` with the values ``rows[j]``, a row
-    a name, and go in ``order``.  The parts of one names tuple fill its
-    template at once, every value written as one ``_floats_text`` column."""
-    groups, filled = {}, {}
-    for key, r in zip(names, rows):
-        groups.setdefault(key, []).append(r)
-    blocks = [np.concatenate(group, axis=1) for group in groups.values()]
-    floats = iter(_floats_text(np.concatenate(
-        [block.ravel() for block in blocks]).tolist()))
-    for key, block in zip(groups, blocks):
-        template, places = _slots(key)
-        values = [list(islice(floats, block.shape[1])) for _ in key]
-        filled[key] = iter(_fill(template, [values[i] for i in places],
-                                 block.shape[1]))
-    texts = [text for key, r in zip(names, rows)
-             for text in islice(filled[key], r.shape[1])]
-    return map(texts.__getitem__, order) if order else texts
-
-
 def _table_text(table, memo):
     """The records of a ``RecordTable``, each column written at once as
-    ``_rows_text`` writes it, each coordinate list of ``table.points``
-    once, picked by the point column, and the terms from the parts' rows
-    while the table holds no dicts of them (``RecordTable.term_rows``)."""
+    ``_rows_text`` writes it, and each coordinate list of ``table.points``
+    once, picked by the point column."""
     points = _lists_text(table.points)
-    built = table.term_rows()
-    terms = built and list(chain.from_iterable(starmap(_terms_text, built)))
+    columns = table.columns
     return _fill(_RECORD_TEMPLATE, [
-        list(map(points.__getitem__, table.column(key))) if key == "point"
-        else terms if key == "terms" and built is not None
-        else _COLUMN_TEXT[RECORD_SCHEMA[key]](table.column(key), memo)
-        for key in sorted(RECORD_SCHEMA)], len(table.column("id")))
+        list(map(points.__getitem__, column)) if key == "point"
+        else _COLUMN_TEXT[RECORD_SCHEMA[key]](column, memo)
+        for key, column in sorted(columns.items())], len(columns["id"]))
 
 
 def _with_rows(head, key, texts):

@@ -130,6 +130,14 @@ def _rows(check_id, points, lhs, rhs, hypotheses, tol, *, labels, terms={},
             scale=None if scale is None else scale[i], absolute=absolute)
 
 
+def _build_records(table, check_id, points, lhs, rhs, *args, terms={},
+                   **kwargs):
+    """``build_records`` of the columns ``lhs``, ``rhs`` and the map
+    ``terms``, stacked as its float rows."""
+    build_records(table, check_id, points, [lhs, rhs, *terms.values()],
+                  *args, names=tuple(terms), **kwargs)
+
+
 def _assert_builder_matches_record(check_id, points, *args, **kwargs):
     # row by row, the columnar builder gives what its one-row call
     # record() and scalar arithmetic give; json.dumps tells NaN, -0.0 and
@@ -137,8 +145,8 @@ def _assert_builder_matches_record(check_id, points, *args, **kwargs):
     # once, and its records their point's index
     table = RecordTable({id(p): p for p in points}.values())
     slot = {id(p): i for i, p in enumerate(table.points)}
-    build_records(table, check_id, [slot[id(p)] for p in points], *args,
-                  **kwargs)
+    _build_records(table, check_id, [slot[id(p)] for p in points], *args,
+                   **kwargs)
     got = table.rows()
     rows = list(_rows(check_id, points, *args, **kwargs))
     assert len(got) == len(rows)
@@ -272,8 +280,8 @@ def test_array_columns_match_a_row_by_row_reference():
                                     hyps, **args))
         alone = RecordTable(points)
         for table in (alone, tables):
-            build_records(table, check_id, indices, lhs, rhs, hyps, 1e-6,
-                          **args)
+            _build_records(table, check_id, indices, lhs, rhs, hyps, 1e-6,
+                           **args)
         assert json.dumps(alone.rows()) == json.dumps(rows)
         expected += zip(indices, rows)
         for row in rows:

@@ -606,10 +606,10 @@ def test_curved_all_records_in_order_over_one_list_per_point():
     identity = [cid for cid, n in CURVED_ALL_IDENTITY_COUNTS.items()
                 for _ in range(n)]
     assert list(CURVED_ALL_IDENTITY_COUNTS) == list(ALL_CHECK_IDS)
-    assert table.column("id") == identity * 3 + soliton_order(3)
+    assert table.columns["id"] == identity * 3 + soliton_order(3)
     lists = [list(p.coords) for p in job.points]
     assert table.points == lists + [[]] * 7
-    points = table.column("point")
+    points = table.columns["point"]
     assert points[:len(identity) * 3] == [
         i for i in range(3) for _ in identity]
     tail = points[len(identity) * 3:]
@@ -618,16 +618,26 @@ def test_curved_all_records_in_order_over_one_list_per_point():
     assert tail[9:] == [0, 1, 2] * len(PER_POINT_IDS)
 
 
-def test_terms_written_from_rows_equal_those_from_dicts():
-    # a run's terms are written from its parts' rows until the terms
-    # column is read, and from the dicts made then: the bytes are one
-    job = parse_manifest(_workloads().manifest_text("curved-all", 1, 3))
-    rep = report.run_job(job)
-    assert rep.records.term_rows()
-    text = report.to_json(rep)
-    assert len(rep.records.columns["terms"]) == len(rep.records.column("id"))
-    assert rep.records.term_rows() is None
-    assert report.to_json(rep) == text
+def test_soliton_report_on_a_table_holding_other_lists_points_at_its_own():
+    # a soliton report given a table that holds a structure-flag record,
+    # as run_job adds them, or another run's point first appends the
+    # run's coordinate lists and points its records at them, after the
+    # table's own records
+    job = parse_manifest(GAUSSIAN_SOLITON)
+    ctx = context(job.setup, job.points)
+    alone = RecordTable(ctx.point_lists)
+    sol.scalar_mu_consistency(alone, ctx, 2.0)
+    assert alone.points == ctx.point_lists
+    for first in ((), (9.0, 9.0, 9.0)):
+        table = RecordTable()
+        record(table, "structure-flags", first, 1.0, 1.0, [], 0.5,
+               label="homothetic")
+        sol.scalar_mu_consistency(table, ctx, 2.0)
+        assert table.points == [list(first)] + ctx.point_lists
+        assert table.columns["point"] == list(range(len(table.points)))
+        rows = table.rows()
+        assert rows[0]["id"] == "structure-flags"
+        assert json.dumps(rows[1:]) == json.dumps(alone.rows())
 
 
 @pytest.mark.parametrize("name", ["5.1", "gaussian-soliton"])
@@ -991,7 +1001,7 @@ def test_hypothesis_dicts_share_one_dict_per_bit_pattern():
     assert [d["satisfied"] for d in dicts] == [True, True, False, True]
     records = RecordTable([[float(i)] for i in range(4)])
     identities.build_records(
-        records, "G2.12", list(range(4)), [0.0] * 4, [-0.0] * 4,
+        records, "G2.12", list(range(4)), [[0.0] * 4, [-0.0] * 4],
         [[d] for d in dicts], 1e-6, labels=[""] * 4)
     rep = report.Report(job={}, records=records,
                         counts=report.count_verdicts(records), meta={})
