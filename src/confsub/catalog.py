@@ -23,14 +23,6 @@ from .identities import IdentityContext
 from .linalg import quad_form
 from .manifest import EXAMPLE_IDS, parse_manifest
 
-_MANIFEST_FILES = {
-    "5.1": "example_5_1.cfsm",
-    "5.2": "example_5_2.cfsm",
-    "5.3": "example_5_3.cfsm",
-    "5.4": "example_5_4.cfsm",
-}
-
-
 class ExpectedValues(NamedTuple):
     christoffels: dict  # (k, i, j) -> expression text; absent means 0
     dilation: str  # expression for lambda^2, paper-printed
@@ -53,10 +45,11 @@ class UnknownExampleError(ValueError):
 
 
 def _manifest_text(example_id):
-    if example_id not in _MANIFEST_FILES:
+    if example_id not in EXAMPLE_IDS:
         raise UnknownExampleError(f"unknown example id {example_id!r}")
-    ref = importlib.resources.files("confsub") / "manifests" / _MANIFEST_FILES[example_id]
-    return ref.read_text(encoding="utf-8")
+    name = f"example_{example_id.replace('.', '_')}.cfsm"
+    return (importlib.resources.files("confsub") / "manifests" / name
+            ).read_text(encoding="utf-8")
 
 
 def load_job(example_id):

@@ -18,8 +18,9 @@ import argparse
 import sys
 
 from . import report
-from .manifest import (EXAMPLE_IDS, KNOWN_CHECKS, ManifestError,
-                       load_manifest, parse_tolerance)
+from .identities import CHECKS
+from .manifest import (EXAMPLE_IDS, ManifestError, load_manifest,
+                       parse_tolerance)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -65,15 +66,10 @@ def _build_parser():
 
 
 def _verify(args):
-    overrides = {}
-    if args.tol is not None:
-        overrides["tolerance"] = repr(args.tol)
-    if args.checks is not None:
-        overrides["checks"] = args.checks
-    if args.points is not None:
-        overrides["points.count"] = str(args.points)
-    if args.seed is not None:
-        overrides["points.seed"] = str(args.seed)
+    overrides = {key: text(value) for key, value, text in (
+        ("tolerance", args.tol, repr), ("checks", args.checks, str),
+        ("points.count", args.points, str), ("points.seed", args.seed, str))
+        if value is not None}
     job = load_manifest(args.manifest, overrides=overrides)
     rep = report.run_job(job)
     if args.format == "json":
@@ -102,8 +98,7 @@ def main(argv=None):
             return _verify(args)
         if args.command == "example":
             return _example(args)
-        for check_id in KNOWN_CHECKS:
-            print(check_id)
+        print("\n".join(CHECKS))
         return EXIT_OK
     except (FileNotFoundError, ValueError) as exc:
         # ValueError covers ManifestError, ExprError, DegenerateMetricError

@@ -15,7 +15,7 @@ comment and blank lines are ignored.  Keys (case-sensitive)::
     fields.xi       = total : 0, 0, 0         # target 'total' or 'base'
     soliton.xi      = xi                      # optional, names a field
     soliton.mu      = 2                       # optional
-    checks          = G2.12, P3.1, all ...
+    checks          = G2.12, P3.1, all ...     # at least one id
     points.list     = (0, 1.5, 2) ; (1, 2, 3)  # or points.box
     points.box      = -1 1 ; 1.2 3 ; 1.5 4     # per-coordinate lo hi
     points.count    = 20                       # with points.box
@@ -29,19 +29,16 @@ Box points are drawn by the splitmix64 counter-based generator so a
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
 from .expr import ExprError, eval_expr
 from .geometry import (ChartManifold, Point, batch_coordinates, each_point,
                        stack_points)
-from .identities import ALL_CHECK_IDS
+from .identities import CHECKS
 from .submersion import SubmersionSetup
 
-SOLITON_CHECKS = ("fit-mu", "fiber-soliton", "base-soliton",
-                  "conformal-fit", "scalar-mu", "harmonicity",
-                  "structure-flags")
-KNOWN_CHECKS = ALL_CHECK_IDS + SOLITON_CHECKS
 # ids of the catalog examples (``confsub.catalog``), whose manifests ship
 # in confsub/manifests; here so the command line can offer them without
 # importing the catalog
@@ -66,9 +63,7 @@ class VerificationJob:
 
     @property
     def xi(self):
-        if self.xi_name is None:
-            return None
-        return self.fields[self.xi_name][1]
+        return None if self.xi_name is None else self.fields[self.xi_name][1]
 
 
 # ---------------------------------------------------------------------
@@ -293,19 +288,15 @@ def parse_manifest(document, overrides=None):
     mu = (_number(keys["soliton.mu"], "soliton.mu", float)
           if "soliton.mu" in keys else None)
 
-    checks = []
-    for token in keys.get("checks", "all").split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "all":
-            checks.extend(KNOWN_CHECKS)
-        elif token in KNOWN_CHECKS:
-            checks.append(token)
-        else:
-            raise ManifestError(f"unknown check id {token!r}")
-    seen = set()
-    checks = tuple(c for c in checks if not (c in seen or seen.add(c)))
+    tokens = [t.strip() for t in keys.get("checks", "all").split(",")]
+    unknown = [t for t in tokens if t and t != "all" and t not in CHECKS]
+    if unknown:
+        raise ManifestError(f"unknown check id {unknown[0]!r}")
+    # each id once, where it is first named; ``all`` names them in order
+    checks = tuple(dict.fromkeys(chain.from_iterable(
+        CHECKS if t == "all" else [t] for t in tokens if t)))
+    if not checks:
+        raise ManifestError("checks names no check id")
 
     tolerance = parse_tolerance(keys.get("tolerance", "1e-6"))
     seed = _number(keys.get("points.seed", "42"), "points.seed")

@@ -1,13 +1,11 @@
 """Run a verification job and render the results.
 
 A run produces its records as one ``identities.RecordTable``, a
-four-bucket count summary, and job metadata.  Records whose identity is
-convention-sensitive may carry ``verdict == "fail"`` while still being
-excluded from the process exit status: their general-dilation forms
-depend on sign conventions the source statements leave implicit, so a
-run flags them loudly instead of hard-failing.  The JSON rendering is
-byte-identical across repeated runs of the same job (wall time appears
-only in the text rendering).
+four-bucket count summary, and job metadata.  Records of a
+convention-sensitive check (``identities.Check``) may carry
+``verdict == "fail"`` while still being excluded from the process exit
+status.  The JSON rendering is byte-identical across repeated runs of
+the same job (wall time appears only in the text rendering).
 """
 
 from __future__ import annotations
@@ -23,12 +21,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from . import soliton as sol
-from . import submersion as sub
-from .identities import (ALL_CHECK_IDS, HYPOTHESIS_SCHEMA, RECORD_SCHEMA,
-                         Hypothesis, IdentityContext, RecordTable, record,
-                         run_check, worst_of)
-from .manifest import SOLITON_CHECKS
+from .identities import (CHECKS, HYPOTHESIS_SCHEMA, RECORD_SCHEMA,
+                         IdentityContext, RecordTable, run_check, worst_of)
 
 
 class Report:
@@ -46,60 +40,6 @@ class Report:
         return 0 if self.counts.get("fail", 0) - self.flagged_fails == 0 else 1
 
 
-def _run_soliton_checks(job, checks, records, ctx):
-    setup, points, tol = job.setup, job.points, job.tolerance
-    needs_xi = [c for c in checks if c != "structure-flags"]
-    if "structure-flags" in checks:
-        for name, check in sub.structure_flags(ctx).items():
-            record(records, "structure-flags", (), check.holds, check.holds,
-                   [], tol, terms={"max_violation": check.max_violation},
-                   note=f"{name}: {'holds' if check.holds else 'fails'}")
-    if not needs_xi:
-        return
-    xi = job.xi
-    if xi is None:
-        unmet = [Hypothesis("soliton field declared", False, 1.0)]
-        for check_id in needs_xi:
-            record(records, check_id, (), 0.0, 0.0, unmet, tol,
-                   note="manifest declares no soliton.xi field")
-        return
-    mu = job.mu
-    # every check but conformal-fit reads mu, fitted when none is declared
-    if "fit-mu" in checks or (
-            mu is None and any(c != "conformal-fit" for c in needs_xi)):
-        fit = sol.fit_mu(setup.total, xi, points, ctx=ctx)
-        mu = fit.mu if mu is None else mu
-    if "fit-mu" in checks:  # a fit's record is at its worst point
-        worst = worst_of(range(len(points)), lambda i: fit.per_point[i][1])
-        record(records, "fit-mu", worst, fit.mu, mu, [], tol,
-               terms={"fitted_mu": fit.mu,
-                      "equation_residual": fit.max_residual},
-               note=f"soliton constant fit: {fit.classification}",
-               residual=np.maximum(fit.max_residual, abs(fit.mu - mu)),
-               scale=1.0 + max(abs(fit.mu), abs(mu)), absolute=True)
-    if "conformal-fit" in checks:
-        conf = sol.conformal_field_fit(setup.total, xi, points, ctx=ctx)
-        worst = worst_of(range(len(points)),
-                         lambda i: abs(conf.f_values[i][1]))
-        worst_f = conf.f_values[worst][1]
-        record(records, "conformal-fit", worst, worst_f, 0.0, [],
-               tol, terms={"max_abs_f": abs(worst_f)},
-               note="killing field" if conf.is_killing
-               else "conformal factor shown at its largest point",
-               residual=conf.max_residual, absolute=True)
-    if "fiber-soliton" in checks:
-        sol.fiber_soliton_report(records, ctx, xi, mu=mu, tol=tol)
-    if "base-soliton" in checks:
-        xi_base = next((spec for target, spec in job.fields.values()
-                        if target == "base"), None)
-        sol.base_soliton_report(records, ctx, xi, mu, xi_base=xi_base,
-                                tol=tol)
-    if "scalar-mu" in checks:
-        sol.scalar_mu_consistency(records, ctx, mu, tol=tol)
-    if "harmonicity" in checks:
-        sol.harmonicity_report(records, ctx, mu, tol=tol)
-
-
 def count_verdicts(records):
     """The records of a ``RecordTable`` by verdict."""
     counts = Counter(records.columns["verdict"])
@@ -110,31 +50,35 @@ def count_verdicts(records):
 def run_job(job):
     """Execute every requested check of a job over its point list."""
     start = time.perf_counter()
-    setup = job.setup
-    identity_ids = [c for c in job.checks if c in ALL_CHECK_IDS]
-    soliton_ids = [c for c in job.checks if c in SOLITON_CHECKS]
-    ctx = IdentityContext(setup, job.points)
+    setup, position = job.setup, list(CHECKS).index
+    ctx = IdentityContext(setup, job.points, job.xi, job.mu, next(
+        (spec for target, spec in job.fields.values() if target == "base"),
+        None))
+
+    def order(check_id):
+        """The identities as listed, their records put point by point, then
+        the other checks by stage and in table order, and last, as listed,
+        those that skip for want of a soliton field."""
+        check = CHECKS[check_id]
+        return (True,) if check.skips(ctx) else (
+            False, check.stage, check.stage and position(check_id))
+
+    records = RecordTable(ctx.point_lists)
     # a non-finite value at a point is NaN in its records, not a warning
     with np.errstate(all="ignore"):
-        records = RecordTable(ctx.point_lists, [
-            part for check_id in identity_ids for part in run_check(
-                check_id, setup, job.points, tol=job.tolerance,
-                ctx=ctx).parts])
-        _run_soliton_checks(job, soliton_ids, records, ctx)
+        for check_id in sorted(job.checks, key=order):
+            run_check(check_id, setup, job.points, job.tolerance, ctx,
+                      records)
     counts = count_verdicts(records)
     columns = records.columns
     flagged = sum(compress(map("fail".__eq__, columns["verdict"]),
                            columns["convention_sensitive"]))
     job_info = {
-        "total_dim": setup.m,
-        "base_dim": setup.n,
+        "total_dim": setup.m, "base_dim": setup.n,
         "total_coords": list(setup.total.coord_names),
         "base_coords": list(setup.base.coord_names),
-        "lambda_sq_range": [float(ctx.lam_sq.min()),
-                            float(ctx.lam_sq.max())],
-        "n_points": len(job.points),
-        "checks": list(job.checks),
-    }
+        "lambda_sq_range": [float(ctx.lam_sq.min()), float(ctx.lam_sq.max())],
+        "n_points": len(job.points), "checks": list(job.checks)}
     meta = {"tolerance": job.tolerance, "seed": job.seed,
             "version": __version__}
     return Report(job=job_info, records=records, counts=counts,

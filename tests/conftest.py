@@ -6,7 +6,7 @@ import pytest
 
 from confsub import catalog
 from confsub.geometry import ChartManifold, Point
-from confsub.identities import IdentityContext, RecordTable
+from confsub.identities import CHECKS, IdentityContext, RecordTable
 from confsub.manifest import sample_box
 from confsub.submersion import SubmersionSetup
 
@@ -15,6 +15,10 @@ from confsub.submersion import SubmersionSetup
 _RNG = np.random.default_rng(20240817)
 _COEFF = {name: float(v) for name, v in zip(
     "abcdef", 0.3 + 0.9 * _RNG.random(6))}
+
+# the ids of the check table by the kind of their records, in its order
+ALL_CHECK_IDS = tuple(c for c in CHECKS if CHECKS[c].kind == "identity")
+SOLITON_CHECKS = tuple(c for c in CHECKS if CHECKS[c].kind == "soliton")
 
 
 # Ricci solitons with a nonzero field xi on flat R^3 over flat R^2, with
@@ -55,10 +59,10 @@ def make_setup(total, base, map_texts):
     return SubmersionSetup.from_strings(total, base, map_texts)
 
 
-def context(setup, points):
+def context(setup, points, **soliton):
     """The points' run-level IdentityContext, as ``report.run_job`` builds
-    it."""
-    return IdentityContext(setup, points)
+    it, with the soliton declaration ``soliton`` (xi, mu, xi_base)."""
+    return IdentityContext(setup, points, **soliton)
 
 
 def rows_by_point(table):

@@ -220,8 +220,8 @@ def test_criterion_7_theorem_instances(conformal_setups):
     pts = job.points[:6]
     fit = sol.fit_mu(job.setup.total, job.xi, pts)
     assert abs(fit.mu) <= 1e-9
-    ctx = context(job.setup, pts)
-    scals = all_rows(sol.scalar_mu_consistency, ctx, 0.0)
+    ctx = context(job.setup, pts, mu=0.0)
+    scals = all_rows(sol.scalar_mu_consistency, ctx)
     assert len(scals) == len(pts)
     for scal in scals:
         assert scal["verdict"] == "pass"
@@ -229,7 +229,7 @@ def test_criterion_7_theorem_instances(conformal_setups):
         assert scal["lhs"] == pytest.approx(0.0, abs=1e-12)
         assert scal["rhs"] == pytest.approx(-fit.mu * 3, abs=1e-9)
 
-    harms = all_rows(sol.harmonicity_report, ctx, 0.0)
+    harms = all_rows(sol.harmonicity_report, ctx)
     assert len(harms) == len(pts)
     for harm in harms:
         assert harm["verdict"] == "pass"

@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 from confsub.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from confsub.identities import ALL_CHECK_IDS
-from confsub.manifest import KNOWN_CHECKS
-from conftest import GAUSSIAN_SOLITON, ROTATION_SOLITON
+from confsub.identities import CHECKS
+from conftest import ALL_CHECK_IDS, GAUSSIAN_SOLITON, ROTATION_SOLITON
 
 SMALL = """
 total.dim    = 2
@@ -81,6 +80,21 @@ def test_verify_json_byte_deterministic(small_manifest, capsys):
     assert payload["counts"]["fail"] == 0
     for rec in payload["records"]:
         assert rec["verdict"] in ("pass", "fail", "hypothesis-not-met")
+
+
+@pytest.mark.parametrize("args,text", [
+    (["--checks", ""], SMALL), (["--checks", ",,"], SMALL),
+    ([], SMALL.replace("checks = G2.12, R3.11, fit-mu, structure-flags",
+                       "checks ="))], ids=["option", "commas", "manifest"])
+def test_a_check_list_naming_no_id_is_a_usage_error(tmp_path, capsys, args,
+                                                     text):
+    # no check to run exits 2 with one error line, not 0 with pass=0
+    path = tmp_path / "empty.cfsm"
+    path.write_text(text)
+    assert main(["verify", str(path), *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: checks names no check id\n"
+    assert captured.out == ""
 
 
 OVERFLOW = """
@@ -295,7 +309,7 @@ def test_example_json(capsys):
 def test_list_checks(capsys):
     assert main(["list-checks"]) == EXIT_OK
     out = capsys.readouterr().out.split()
-    assert list(KNOWN_CHECKS) == out
+    assert list(CHECKS) == out
 
 
 def test_shipped_manifest_54_verifies_clean(capsys):

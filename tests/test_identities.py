@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from confsub import catalog
 from confsub.geometry import Point
-from confsub.identities import (ALL_CHECK_IDS, CHECKS,
-                                CONVENTION_SENSITIVE_IDS, Hypothesis,
-                                IdentityContext, RecordTable, build_records,
-                                record, run_check)
-from confsub.manifest import SOLITON_CHECKS
-from conftest import (chart, conformal_corpus, make_setup, one_row, sample,
-                      warped_4to2)
+from confsub.identities import (CHECKS, FITS, FLAGS, IDENTITY, REPORTS,
+                                Hypothesis, IdentityContext, RecordTable,
+                                build_records, record, run_check)
+from conftest import (ALL_CHECK_IDS, SOLITON_CHECKS, chart, conformal_corpus,
+                      make_setup, one_row, sample, warped_4to2)
 
 FUNDAMENTAL = ("G2.12", "G2.13", "G2.14", "G2.15")
 
@@ -43,11 +41,26 @@ def test_every_check_runs_everywhere(riemannian_setups):
             assert rep["verdict"] in ("pass", "fail", "hypothesis-not-met")
             assert rep["id"] == check_id
             assert rep["convention_sensitive"] is (
-                check_id in CONVENTION_SENSITIVE_IDS)
+                CHECKS[check_id].convention_sensitive)
 
 
 def test_check_table_covers_every_id_in_order(riemannian_setups):
-    assert tuple(CHECKS) == ALL_CHECK_IDS
+    # the one table lists every id once, the identities first, and holds
+    # each id's kind, convention flag and stage
+    assert list(CHECKS) == [
+        "G2.12", "G2.13", "G2.14", "G2.15", "G2.16", "P3.1", "E3.3",
+        "L3.1.i", "L3.1.ii", "L3.1.iii", "L3.1.iv", "L3.1.v", "L3.1.vi",
+        "R3.11", "R3.12", "R3.13", "C3.1", "C3.2", "C3.3", "T3.4", "L2.1",
+        "L2.2", "fit-mu", "fiber-soliton", "base-soliton", "conformal-fit",
+        "scalar-mu", "harmonicity", "structure-flags"]
+    assert ALL_CHECK_IDS == tuple(CHECKS)[:22]
+    assert [c for c in CHECKS if CHECKS[c].convention_sensitive] == [
+        "G2.16", "L3.1.i", "L3.1.v", "R3.13", "C3.1", "C3.2", "base-soliton"]
+    assert {c: CHECKS[c].stage for c in SOLITON_CHECKS} == {
+        "fit-mu": FITS, "fiber-soliton": REPORTS, "base-soliton": REPORTS,
+        "conformal-fit": FITS, "scalar-mu": REPORTS, "harmonicity": REPORTS,
+        "structure-flags": FLAGS}
+    assert all(CHECKS[c].stage == IDENTITY for c in ALL_CHECK_IDS)
     name, setup, box = riemannian_setups[0]
     with pytest.raises(ValueError, match="unknown check id 'G9.99'"):
         run_check("G9.99", setup, sample(box, 1, seed=22))
@@ -107,14 +120,14 @@ def _scalar_record(check_id, point, lhs, rhs, hypotheses, tol, *, terms,
         scale = 1.0 + max([abs(lhs), abs(rhs)]
                           + [abs(v) for v in terms.values()])
     rel = abs_res / scale
-    return {"kind": "identity" if check_id in ALL_CHECK_IDS else "soliton",
+    return {"kind": CHECKS[check_id].kind,
             "id": check_id, "label": label, "point": list(point),
             "lhs": lhs, "rhs": rhs, "abs_residual": abs_res,
             "rel_residual": rel, "hypotheses": hypotheses,
             "verdict": _verdict(hypotheses, abs_res if absolute else rel,
                                 tol),
             "convention_sensitive": bool(point)
-            and check_id in CONVENTION_SENSITIVE_IDS,
+            and CHECKS[check_id].convention_sensitive,
             "terms": terms, "note": note}
 
 

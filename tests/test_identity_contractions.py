@@ -12,11 +12,13 @@ from confsub import catalog
 from confsub import soliton as sol
 from confsub import submersion as sub
 from confsub.geometry import Point
-from confsub.identities import (ALL_CHECK_IDS, IdentityContext,
-                                _hypothesis_lists, run_check)
-from conftest import (chart, conformal_corpus, make_setup, riemannian_corpus,
-                      rows_by_point, sample, warped_4to2)
+from confsub.identities import (IdentityContext, _hypothesis_lists,
+                                run_check)
+from conftest import (ALL_CHECK_IDS, all_rows, chart, conformal_corpus,
+                      make_setup, riemannian_corpus, rows_by_point, sample,
+                      warped_4to2)
 from identity_loops import Loops, reference_check
+from support import constant_field
 
 
 def _close(got, ref, what, scale=None):
@@ -161,11 +163,12 @@ def test_frame_suprema_match_loop_forms(name, setup, points):
 @pytest.mark.parametrize("name,setup,points", CASES,
                          ids=[case[0] for case in CASES])
 def test_soliton_helpers_match_loop_forms(name, setup, points):
-    ctx = IdentityContext(setup, points)
-    loops_ctx = IdentityContext(setup, points)
+    # the base-soliton formula f3 + f4, the "formula" term of its records
     xi_v = np.arange(1.0, setup.m + 1.0)
-    f34 = sol._base_formula_value(
-        ctx, np.broadcast_to(xi_v, (len(points), setup.m)), 0.7)
+    ctx = IdentityContext(setup, points, xi=constant_field(xi_v), mu=0.7)
+    loops_ctx = IdentityContext(setup, points)
+    f34 = [rec["terms"]["formula"]
+           for rec in all_rows(sol.base_soliton_report, ctx)]
     for k in range(len(points)):
         loops = Loops(loops_ctx, k)
         _close(sol._horizontal_div_h(ctx)[k],

@@ -5,8 +5,9 @@ import pytest
 
 from confsub.expr import eval_expr
 from confsub.jets import EvaluationError
-from confsub.manifest import (KNOWN_CHECKS, ManifestError, _units,
-                              parse_manifest, sample_box)
+from confsub.identities import CHECKS
+from confsub.manifest import (ManifestError, _units, parse_manifest,
+                              sample_box)
 from support import MASK, splitmix64
 
 GOOD = """
@@ -67,6 +68,17 @@ def test_schema_violations(bad, match):
         parse_manifest(bad)
 
 
+@pytest.mark.parametrize("checks", ["", ",,", " , "])
+def test_a_check_list_naming_no_id_is_rejected(checks):
+    # an empty list is a usage error, not a run of no check
+    with pytest.raises(ManifestError, match="^checks names no check id$"):
+        parse_manifest(replace("checks", checks))
+    with pytest.raises(ManifestError, match="^checks names no check id$"):
+        parse_manifest(GOOD, overrides={"checks": checks})
+    # without the key, every check runs
+    assert parse_manifest(replace("checks", None)).checks == tuple(CHECKS)
+
+
 def test_missing_key_reported():
     text = "\n".join(l for l in GOOD.splitlines()
                      if not l.startswith("base.metric"))
@@ -87,7 +99,7 @@ def test_overrides():
     job = parse_manifest(GOOD, overrides={"tolerance": "1e-3",
                                           "checks": "all"})
     assert job.tolerance == 1e-3
-    assert set(job.checks) == set(KNOWN_CHECKS)
+    assert set(job.checks) == set(CHECKS)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "tight"])

@@ -18,14 +18,13 @@ from confsub import soliton as sol
 from confsub import submersion as sub
 from confsub.cli import EXIT_USAGE, main
 from confsub.geometry import ChartManifold
-from confsub.identities import (ALL_CHECK_IDS, Hypothesis,
-                                IdentityContext, RecordTable, record,
-                                run_check, worst_of)
+from confsub.identities import (CHECKS, Hypothesis, IdentityContext,
+                                RecordTable, record, run_check, worst_of)
 from confsub.jets import EvaluationError, JetSpace
-from confsub.manifest import (KNOWN_CHECKS, SOLITON_CHECKS,
-                              parse_manifest)
-from conftest import (GAUSSIAN_SOLITON, ROTATION_SOLITON, all_rows, context,
-                      one_row, rows_by_point)
+from confsub.manifest import parse_manifest
+from conftest import (ALL_CHECK_IDS, GAUSSIAN_SOLITON, ROTATION_SOLITON,
+                      SOLITON_CHECKS, all_rows, context, one_row,
+                      rows_by_point)
 
 BASE = """
 total.dim    = 2
@@ -318,6 +317,33 @@ points.list = (0, 0.3) ; (0.5, 0.1)
 """
 
 
+@pytest.mark.parametrize("checks,xi,want", [
+    ("harmonicity, G2.13, structure-flags, fit-mu, G2.12", True,
+     ["G2.13", "G2.12"] * 2 + ["structure-flags"] * 7 + ["fit-mu"]
+     + ["harmonicity"] * 2),
+    ("harmonicity, conformal-fit, L2.2, fit-mu", False,
+     ["L2.2"] * 2 + ["harmonicity", "conformal-fit", "fit-mu"])],
+    ids=["with-xi", "without-xi"])
+def test_record_order_of_checks_listed_out_of_table_order(checks, xi, want):
+    # the identities come point by point, in the order the manifest lists
+    # them, then the soliton-side checks in stage order (structure flags,
+    # fits, per-point reports); without a soliton field the skip records
+    # come after the checks that ran, in the order the manifest lists them
+    text = CUBIC.replace("checks = all", f"checks = {checks}")
+    if not xi:
+        text = text.replace("fields.xi  = total : 0, 0\nsoliton.xi = xi\n", "")
+    rep = report.run_job(parse_manifest(text))
+    columns = rep.records.columns
+    assert columns["id"] == want
+    assert rep.job["checks"] == [c.strip() for c in checks.split(",")]
+    identities_run = 2 if xi else 1
+    assert columns["point"][:2 * identities_run] == [
+        i for i in range(2) for _ in range(identities_run)]
+    skipped = [note for cid, note in zip(columns["id"], columns["note"])
+               if note == "manifest declares no soliton.xi field"]
+    assert len(skipped) == (0 if xi else 3)
+
+
 def test_soliton_records_hold_their_own_points_hypotheses():
     # each soliton record holds the hypotheses of its own point, not each
     # hypothesis at the point of its largest violation: base-soliton holds
@@ -404,11 +430,11 @@ def test_every_record_has_one_schema():
     # carry the same 13 keys, each a plain float, str, bool or list
     job = catalog.load_job("5.3")
     job.points = job.points[:2]
-    job.checks = list(KNOWN_CHECKS)
+    job.checks = list(CHECKS)
     records = report.run_job(job).records.rows()
     skipped = report.run_job(parse_manifest(FIBER_2D_NO_XI)).records.rows()
     # the scalar-mu record is named after its theorem
-    assert {r["id"] for r in records} == (set(KNOWN_CHECKS) - {"scalar-mu"}
+    assert {r["id"] for r in records} == (set(CHECKS) - {"scalar-mu"}
                                           | {"T4.7"})
     assert [r["note"] for r in skipped if r["kind"] == "soliton"
             and r["id"] != "structure-flags"] == [
@@ -516,7 +542,7 @@ def test_fit_mu_runs_only_when_needed(monkeypatch, checks, mu, fits):
     # none and a check reads it; each fit writes one record, each other
     # check one per point
     counts = Counter()
-    _count_calls(monkeypatch, counts, ((report.sol, "fit_mu"),))
+    _count_calls(monkeypatch, counts, ((sol, "fit_mu"),))
     extra = "fields.xi  = total : 0, 0\nsoliton.xi = xi\n" + mu
     job = make_job(checks, extra=extra)
     rep = report.run_job(job)
@@ -550,7 +576,7 @@ def test_soliton_section_order(xi_name, want):
     # come in the job's order of checks
     job = catalog.load_job("5.3")
     job.points = job.points[:2]
-    job.checks = list(KNOWN_CHECKS)
+    job.checks = list(CHECKS)
     job.xi_name = xi_name
     records = report.run_job(job).records.rows()
     soliton = [r["id"] for r in records if r["kind"] == "soliton"]
@@ -599,23 +625,79 @@ def test_curved_all_records_in_order_over_one_list_per_point():
     # point, then the structure flags and the fits, then fiber, base, T4.7
     # and harmonicity, each a block over the points; the table holds each
     # point's coordinate list once, and each record but a flag points at
-    # one of them
+    # one of them; the flags share one empty list
     job = parse_manifest(_workloads().manifest_text("curved-all", 1, 3))
-    assert len(job.points) == 3 and set(job.checks) == set(KNOWN_CHECKS)
+    assert len(job.points) == 3 and set(job.checks) == set(CHECKS)
     table = report.run_job(job).records
     identity = [cid for cid, n in CURVED_ALL_IDENTITY_COUNTS.items()
                 for _ in range(n)]
     assert list(CURVED_ALL_IDENTITY_COUNTS) == list(ALL_CHECK_IDS)
     assert table.columns["id"] == identity * 3 + soliton_order(3)
     lists = [list(p.coords) for p in job.points]
-    assert table.points == lists + [[]] * 7
+    assert table.points == lists + [[]]
     points = table.columns["point"]
     assert points[:len(identity) * 3] == [
         i for i in range(3) for _ in identity]
     tail = points[len(identity) * 3:]
-    assert tail[:7] == list(range(3, 10))
+    assert tail[:7] == [3] * 7
     assert all(index < 3 for index in tail[7:9])
     assert tail[9:] == [0, 1, 2] * len(PER_POINT_IDS)
+
+
+def test_records_without_a_point_share_one_empty_list():
+    # one-point fiber-2d at seed 1 declares no soliton field: its seven
+    # structure flags and six skip records all point at one empty list
+    # beside the point's own coordinate list
+    job = parse_manifest(_workloads().manifest_text("fiber-2d", 1))
+    table = report.run_job(job).records
+    assert table.points == [list(job.points[0].coords), []]
+    assert Counter(cid for cid, index in zip(table.columns["id"],
+                                             table.columns["point"])
+                   if index == 1) == Counter(
+        {"structure-flags": 7, **{c: 1 for c in SOLITON_CHECKS
+                                  if c != "structure-flags"}})
+
+
+def _extra_check(records, ctx, tol):
+    """A check outside the program: a failing record at each point."""
+    for i in range(len(ctx.points)):
+        record(records, "extra-check", i, 1.0, 2.0, [], tol)
+
+
+def test_a_table_entry_is_all_a_new_check_needs(monkeypatch, capsys):
+    # an entry put into the table is listed, named by a manifest alone or
+    # under all, run, and its records carry the entry's kind and flag
+    monkeypatch.setitem(identities.CHECKS, "extra-check", identities.Check(
+        _extra_check, "identity", True, identities.REPORTS))
+    assert main(["list-checks"]) == 0
+    assert capsys.readouterr().out.split() == list(CHECKS)
+    assert list(CHECKS)[-1] == "extra-check"
+    assert make_job("all").checks == tuple(CHECKS)
+    job = make_job("extra-check")
+    assert job.checks == ("extra-check",)
+    rep = report.run_job(job)
+    assert rep.records.columns["id"] == ["extra-check"] * 2
+    assert rep.records.columns["kind"] == ["identity"] * 2
+    assert rep.records.columns["convention_sensitive"] == [True] * 2
+    assert rep.flagged_fails == 2 and rep.exit_code == 0
+
+
+@pytest.mark.parametrize("xi_name", ["xi", None],
+                         ids=["with-xi", "without-xi"])
+def test_every_record_carries_its_entrys_kind_and_flag(xi_name):
+    # checks = all on 5.3: each record's kind is its entry's, and so is its
+    # flag where it has a point; the T4.7 records are the scalar-mu check's
+    job = catalog.load_job("5.3")
+    job.points = job.points[:2]
+    job.checks, job.xi_name = tuple(CHECKS), xi_name
+    rows = report.run_job(job).records.rows()
+    assert {r["id"] for r in rows} == (
+        set(CHECKS) - {"scalar-mu"} | {"T4.7"} if xi_name else set(CHECKS))
+    for row in rows:
+        check = CHECKS["scalar-mu" if row["id"] == "T4.7" else row["id"]]
+        assert row["kind"] == check.kind, row["id"]
+        assert row["convention_sensitive"] == (
+            check.convention_sensitive and bool(row["point"])), row["id"]
 
 
 def test_soliton_report_on_a_table_holding_other_lists_points_at_its_own():
@@ -624,15 +706,15 @@ def test_soliton_report_on_a_table_holding_other_lists_points_at_its_own():
     # run's coordinate lists and points its records at them, after the
     # table's own records
     job = parse_manifest(GAUSSIAN_SOLITON)
-    ctx = context(job.setup, job.points)
+    ctx = context(job.setup, job.points, mu=2.0)
     alone = RecordTable(ctx.point_lists)
-    sol.scalar_mu_consistency(alone, ctx, 2.0)
+    sol.scalar_mu_consistency(alone, ctx)
     assert alone.points == ctx.point_lists
     for first in ((), (9.0, 9.0, 9.0)):
         table = RecordTable()
         record(table, "structure-flags", first, 1.0, 1.0, [], 0.5,
                label="homothetic")
-        sol.scalar_mu_consistency(table, ctx, 2.0)
+        sol.scalar_mu_consistency(table, ctx)
         assert table.points == [list(first)] + ctx.point_lists
         assert table.columns["point"] == list(range(len(table.points)))
         rows = table.rows()
@@ -974,9 +1056,9 @@ def test_records_of_a_point_share_lists_no_reader_mutates():
         assert all(len(ids) == 1 for ids in by_check.values()), by_check
     # the run's table holds the context's point lists once, which every
     # identity record, each fit and each soliton report's records point
-    # at, then an empty one for each structure flag
+    # at, then one empty list that the structure flags share
     points, columns = rep.records.points, rep.records.columns
-    assert points == ctx.point_lists + [[]] * 7
+    assert points == ctx.point_lists + [[]]
     for index, check_id in zip(columns["point"], columns["id"]):
         assert (index >= 3) == (check_id == "structure-flags"), check_id
     before = json.dumps([rep.records.points, rep.records.columns])
@@ -1096,15 +1178,13 @@ def _soliton_records(job):
     """The records of the soliton reports that write one per point, by
     report, and the structure flags, from one context over the job's
     points, with the job's base field when it declares one."""
-    ctx = IdentityContext(job.setup, job.points)
-    xi_base = next((spec for target, spec in job.fields.values()
-                    if target == "base"), None)
-    return ({"fiber": all_rows(sol.fiber_soliton_report, ctx, job.xi,
-                               mu=job.mu),
-             "base": all_rows(sol.base_soliton_report, ctx, job.xi, job.mu,
-                              xi_base=xi_base),
-             "scalar": all_rows(sol.scalar_mu_consistency, ctx, job.mu),
-             "harmonicity": all_rows(sol.harmonicity_report, ctx, job.mu)},
+    ctx = IdentityContext(job.setup, job.points, job.xi, job.mu, next(
+        (spec for target, spec in job.fields.values() if target == "base"),
+        None))
+    return ({"fiber": all_rows(sol.fiber_soliton_report, ctx),
+             "base": all_rows(sol.base_soliton_report, ctx),
+             "scalar": all_rows(sol.scalar_mu_consistency, ctx),
+             "harmonicity": all_rows(sol.harmonicity_report, ctx)},
             sub.structure_flags(ctx))
 
 

@@ -71,8 +71,8 @@ def test_killing_and_conformal_fields():
 def test_fiber_soliton_on_53():
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    recs = all_rows(sol.fiber_soliton_report, context(job.setup, points),
-                    job.xi, mu=2.0)
+    recs = all_rows(sol.fiber_soliton_report,
+                    context(job.setup, points, xi=job.xi, mu=2.0))
     assert [r["point"] for r in recs] == [list(p.coords) for p in points]
     for rec in recs:
         assert rec["id"] == "fiber-soliton" and rec["label"] == "fibers"
@@ -87,17 +87,17 @@ def test_fiber_soliton_on_53():
 def test_base_and_scalar_on_54():
     job = catalog.load_job("5.4")
     points = job.points[:4]
-    ctx = context(job.setup, points)
-    bases = all_rows(sol.base_soliton_report, ctx, job.xi, 0.0)
+    ctx = context(job.setup, points, xi=job.xi, mu=0.0)
+    bases = all_rows(sol.base_soliton_report, ctx)
     assert len(bases) == len(points)
     for base in bases:
         assert base["verdict"] == "pass"
-    scal = all_rows(sol.scalar_mu_consistency, ctx, 0.0)
+    scal = all_rows(sol.scalar_mu_consistency, ctx)
     assert len(scal) == len(points)
     for rec in scal:
         assert rec["id"] == "T4.7" and rec["verdict"] == "pass"
         assert rec["lhs"] == pytest.approx(0.0, abs=1e-12)
-    harm = all_rows(sol.harmonicity_report, ctx, 0.0)
+    harm = all_rows(sol.harmonicity_report, ctx)
     assert len(harm) == len(points)
     for rec in harm:
         assert rec["verdict"] == "pass"
@@ -107,8 +107,8 @@ def test_base_and_scalar_on_54():
 def test_scalar_mu_gated_when_map_not_tg():
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    recs = all_rows(sol.scalar_mu_consistency, context(job.setup, points),
-                    2.0)
+    recs = all_rows(sol.scalar_mu_consistency,
+                    context(job.setup, points, mu=2.0))
     assert len(recs) == len(points)
     for rep in recs:
         assert rep["verdict"] == "hypothesis-not-met"
@@ -130,7 +130,8 @@ def test_harmonicity_verdict_is_the_equivalence(monkeypatch, tension, mu):
                         lambda *args: real(*args) + tension)
     job = catalog.load_job("5.4")
     points = job.points[:2]
-    recs = all_rows(sol.harmonicity_report, context(job.setup, points), mu)
+    recs = all_rows(sol.harmonicity_report,
+                    context(job.setup, points, mu=mu))
     assert len(recs) == len(points)
     harmonic, scalar_side = tension == 0.0, mu == 0.0
     for rec in recs:
@@ -144,12 +145,14 @@ def test_harmonicity_equivalence_detected_off_hypotheses():
     # verdict, but the itemized trace identity still closes
     job = catalog.load_job("5.3")
     points = job.points[:4]
-    recs = all_rows(sol.harmonicity_report, context(job.setup, points), 2.0)
+    recs = all_rows(sol.harmonicity_report,
+                    context(job.setup, points, mu=2.0))
     assert len(recs) == len(points)
     for rec, p in zip(recs, points):
         assert rec["verdict"] == "hypothesis-not-met"
         assert rec["terms"]["trace_identity_residual"] <= 1e-9
-        alone = one_row(sol.harmonicity_report, context(job.setup, [p]), 2.0)
+        alone = one_row(sol.harmonicity_report,
+                        context(job.setup, [p], mu=2.0))
         assert alone["terms"]["trace_identity_residual"] <= 1e-9
 
 
@@ -173,7 +176,7 @@ def test_fits_read_the_context_like_the_chart(eid):
     # agree with the (chart, xi, points) form to rounding
     job = catalog.load_job(eid)
     points = job.points[:4]
-    ctx = context(job.setup, points)
+    ctx = context(job.setup, points, xi=job.xi)
     total = job.setup.total
     fit = sol.fit_mu(total, job.xi, points)
     fit_ctx = sol.fit_mu(total, job.xi, points, ctx=ctx)
