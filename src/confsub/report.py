@@ -170,8 +170,13 @@ def _floats_text(values, memo=None):
     """Floats (NumPy's included), ``float.__repr__`` run once per distinct
     bit pattern (-0.0, each NaN and each infinity apart), on the last value
     of each; TypeError for a value that is no number, or is the last of
-    its bit pattern and no float."""
-    bits = array("Q", array("d", values).tobytes()).tolist()
+    its bit pattern and no float.  A column of one bit pattern, found with
+    one bytes comparison, is that one text repeated."""
+    raw = array("d", values).tobytes()
+    if len(values) > 1 and raw == raw[:8] * len(values):
+        text = _float_repr(values[-1])
+        return [_NONFINITE.get(text, text)] * len(values)
+    bits = array("Q", raw).tolist()
     text_of = dict(zip(bits, values))
     texts = list(map(_float_repr, text_of.values()))
     if not all(map(math.isfinite, text_of.values())):

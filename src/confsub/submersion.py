@@ -67,32 +67,29 @@ class SubmersionSetup:
     # -- numeric values at a point ---------------------------------------
 
     def float_cores(self, xs):
-        """The frames, projectors and dilation as floats at the points
-        ``xs``, (P, m): the tuple (g, g^{-1}, J, frame, P_v, P_h, lambda^2,
-        F(p), h at F(p), F_* X_a, anisotropy), each with the point axis
-        first.  The total metric, the map with its Jacobian (one seeding)
-        and the base metric at F(p) are each evaluated once for all points,
-        and the linear algebra runs stacked: K = J g^{-1} J^T, the lift
-        g^{-1} J^T K^{-1}, P_h = lift J, P_v = I - P_h, lambda^2 =
-        tr(h K^T) / n, the pushed horizontal frame F_* X_a (a row per
+        """The metrics, Jacobian, lift, horizontal frame and dilation as
+        floats at the points ``xs``, (P, m): the tuple (g, g^{-1}, J, lift,
+        horizontal frame, lambda^2, F(p), h at F(p), F_* X_a, anisotropy),
+        each with the point axis first.  The total metric, the map with its
+        Jacobian (one seeding) and the base metric at F(p) are each
+        evaluated once for all points, and the linear algebra runs
+        stacked: K = J g^{-1} J^T, the lift g^{-1} J^T K^{-1}, lambda^2 =
+        tr(h K^T) / n, the n horizontal frame rows orthonormalizing the
+        lift's columns, the pushed horizontal frame F_* X_a (a row per
         horizontal frame vector) and the conformal anisotropy
-        sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab|.  The frame's m - n
-        vertical rows orthonormalize the reduced-row-echelon kernel basis
-        of J; its n horizontal rows follow.
+        sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab|.  The vertical half,
+        which not every run reads, is ``vertical_cores``.
 
         Raises where a point is outside either chart's domain, either
-        metric is not positive definite there, the map is rank deficient,
-        or g, J, h, K or lambda^2 is not finite, as the first failing
-        point alone raises (``geometry.each_point``)."""
-        return geo.each_point(lambda: self._float_cores(xs),
-                              lambda i: self._float_cores(xs[i:i + 1]),
-                              len(xs))
+        metric is not positive definite there, K is singular, or g, J, h,
+        K or lambda^2 is not finite, as the first failing point alone
+        raises (``geometry.each_point``)."""
+        return _each_point(self._float_cores, xs)
 
     def _float_cores(self, xs):
         """The tuple of ``float_cores`` at the points ``xs`` at once."""
-        count, m, n = len(xs), self.m, self.n
-        where = (tuple(xs[0].tolist()) if count == 1
-                 else f"one of {count} points")
+        count, n = len(xs), self.n
+        where = _where(xs)
 
         def finite(name, a):
             if not np.isfinite(a).all():
@@ -107,25 +104,54 @@ class SubmersionSetup:
         k = finite("K = J g^-1 J^T", jac @ (ginv @ jt))
         try:
             k_inv = np.linalg.inv(k)
-            vbasis = null_space_bases(jac, m - n)
-        except (np.linalg.LinAlgError, SingularMatrixError):
+        except np.linalg.LinAlgError:
             raise NotASubmersionError(
                 f"map is rank deficient at {where}") from None
         lift = ginv @ (jt @ k_inv)  # m x n at each point
-        ph = lift @ jac
         if not np.isfinite(fvals).all():
             raise ValueError("point coordinates must be finite")
         h_base = geo.metric_matrices(
             self.base, geo.batch_coordinates(fvals), count)
         lam_sq = finite("lambda^2", np.einsum("pab,pab->p", h_base, k) / n)
-        vframe = geo.orthonormal_frames(g, vbasis)
         hframe = geo.orthonormal_frames(g, lift.transpose(0, 2, 1))
         push = hframe @ jt  # F_* X_a, one row per horizontal frame vector
         gram = push @ h_base @ push.transpose(0, 2, 1)
         aniso = np.abs(gram - lam_sq[:, None, None] * np.eye(n))
-        return (g, ginv, jac, np.concatenate((vframe, hframe), axis=1),
-                np.eye(m) - ph, ph, lam_sq, fvals, h_base, push,
+        return (g, ginv, jac, lift, hframe, lam_sq, fvals, h_base, push,
                 aniso.max(axis=(1, 2)))
+
+    def vertical_cores(self, xs, g, jac, lift):
+        """The vertical frame, P_v and P_h at the points ``xs`` from their
+        ``float_cores``' g, J and lift, each with the point axis first:
+        the frame's m - n rows orthonormalize the reduced-row-echelon
+        kernel basis of J, P_h = lift J and P_v = I - P_h.  Raises
+        NotASubmersionError where a kernel's dimension is not m - n, as
+        the first failing point alone raises."""
+        return _each_point(self._vertical_cores, xs, g, jac, lift)
+
+    def _vertical_cores(self, xs, g, jac, lift):
+        """The tuple of ``vertical_cores`` at the points ``xs`` at once."""
+        try:
+            vbasis = null_space_bases(jac, self.m - self.n)
+        except SingularMatrixError:
+            raise NotASubmersionError(
+                f"map is rank deficient at {_where(xs)}") from None
+        ph = lift @ jac
+        return geo.orthonormal_frames(g, vbasis), np.eye(self.m) - ph, ph
+
+
+def _where(xs):
+    """The point ``xs`` holds alone, or how many it holds, for a message."""
+    return (tuple(xs[0].tolist()) if len(xs) == 1
+            else f"one of {len(xs)} points")
+
+
+def _each_point(build, xs, *arrays):
+    """``build(xs, *arrays)`` over the points ``xs`` under
+    ``geometry.each_point``, a point alone on its slices of each."""
+    return geo.each_point(
+        lambda: build(xs, *arrays),
+        lambda i: build(*(a[i:i + 1] for a in (xs, *arrays))), len(xs))
 
 
 def _stacked(method):
@@ -157,8 +183,9 @@ class CorePartials:
     ``jacobian_at``) and h o F.  The rest is the matrix product rule on
     them: K = J g^{-1} J^T, lift = g^{-1} J^T K^{-1}, P_h = lift J,
     P_v = I - P_h, lambda^2 = tr(h K^T) / n and f = 1 / lambda^2, the
-    formulas of ``SubmersionSetup.float_cores``.  A fourth seeding, of the
-    base metric at F(p), gives the base curvature."""
+    formulas of ``SubmersionSetup.float_cores`` and ``vertical_cores``.
+    A fourth seeding, of the base metric at F(p), gives the base
+    curvature."""
 
     def __init__(self, setup, coords, base_coords):
         self.setup = setup

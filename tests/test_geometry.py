@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from confsub import geometry as geo
-from confsub.geometry import ChartManifold, Point
+from confsub.geometry import Point
 from confsub.jets import Jet, JetSpace, sexp
 from conftest import chart, flat_chart, sample
 from jet_reference import (christoffel_partials_at, christoffel_symbols,

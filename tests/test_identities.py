@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

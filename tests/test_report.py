@@ -227,6 +227,19 @@ def test_flat_sweep_builds_no_curvature(monkeypatch):
     assert set(vars(ctx.partials)) == {"setup", "coords", "base_coords"}
 
 
+@pytest.mark.parametrize("job,calls", [
+    (lambda: parse_manifest(FLAT_SWEEP_1000), 0),
+    (lambda: catalog.load_job("5.3"), 1)], ids=["flat-sweep", "5.3-all"])
+def test_vertical_frame_is_built_on_first_read(monkeypatch, job, calls):
+    # G2.12 on one-dimensional fibers reads no frame or projector, so its
+    # run finds no kernel basis; a run of every check finds them once,
+    # for all its points at once
+    counts = Counter()
+    _count_calls(monkeypatch, counts, ((sub, "null_space_bases"),))
+    report.to_json(report.run_job(job()))
+    assert counts["null_space_bases"] == calls
+
+
 # Gamma of this metric is not finite on x2 = 0, where d/dx2 x2^(1/3) is
 # not; the metric itself is finite and positive definite there
 CUSP = """
@@ -890,8 +903,30 @@ _RECORD_CALLS = st.builds(
     absolute=st.booleans())
 
 
+def _one_value_calls(*values):
+    """A record per value, each of its point's coordinates, lhs, rhs,
+    term and hypothesis violation that value."""
+    return [_call("L2.1", (value, value), value, value,
+                  [Hypothesis("h", True, value)], 1e-6, terms={"t": value})
+            for value in values]
+
+
 @given(st.lists(_RECORD_CALLS, max_size=3))
 @example([_call("G2.12", (), math.nan, -0.0, [], 1e-6)])
+# long columns of one bit pattern, each written as one text repeated
+@example(_one_value_calls(*[0.0] * 12))
+@example(_one_value_calls(*[-0.0] * 12))
+@example(_one_value_calls(*[math.nan] * 12))
+@example(_one_value_calls(*[math.inf] * 12))
+@example(_one_value_calls(*[-math.inf] * 12))
+@example(_one_value_calls(*[5e-324] * 12))
+@example(_one_value_calls(*[0.1] * 12))
+@example(_one_value_calls(*[0.7, np.float64(0.7)] * 6))
+# columns of 0.0 beside -0.0, or of two NaN bit patterns, are no one
+# pattern
+@example(_one_value_calls(0.0, -0.0))
+@example(_one_value_calls(0.0, 0.0, -0.0))
+@example(_one_value_calls(*[math.nan] * 5 + [-math.nan]))
 @example([_call("R3.13", (-0.0, 5e-324, 1e300), np.float64(math.inf),
                 -math.inf, [Hypothesis("\u00e9\"\\", True, np.float64(0.5))],
                 0.0, terms={"\u03bb^2 \u2028": 1e300, "\x00": -0.0},

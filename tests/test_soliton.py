@@ -1,11 +1,9 @@
 """Soliton fitting, classification, and the structural reports."""
 
-import numpy as np
 import pytest
 
 from confsub import catalog
 from confsub import soliton as sol
-from confsub.geometry import ChartManifold, Point
 from conftest import all_rows, chart, context, flat_chart, one_row, sample
 from support import constant_field
 

@@ -511,23 +511,39 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
 
 def test_float_cores_rerun_stacks_the_points_alone(monkeypatch, ex53):
     # a batch that fails while every point alone evaluates gives the stack
-    # of the one-point cores
+    # of the one-point cores, for the core and for its vertical half
     points = catalog.load_job("5.3").points[:4]
     batch = IdentityContext(ex53, points)
-    real = sub.SubmersionSetup._float_cores
+    for name in ("_float_cores", "_vertical_cores"):
+        real = getattr(sub.SubmersionSetup, name)
 
-    def batch_fails(self, xs):
-        if len(xs) > 1:
-            raise ValueError("non-finite value in the float core")
-        return real(self, xs)
+        def batch_fails(self, xs, *arrays, real=real):
+            if len(xs) > 1:
+                raise ValueError("non-finite value in the float core")
+            return real(self, xs, *arrays)
 
-    monkeypatch.setattr(sub.SubmersionSetup, "_float_cores", batch_fails)
+        monkeypatch.setattr(sub.SubmersionSetup, name, batch_fails)
     rerun = IdentityContext(ex53, points)
     for key in FLOAT_CORE_ARRAYS:
         _assert_close(getattr(rerun, key), getattr(batch, key), key)
     # the rerun's partials cover the same points
     for got, ref in zip(rerun.partials.pv, batch.partials.pv):
         _assert_close(got, ref, "partials.pv")
+
+
+def test_vertical_frame_raises_for_its_first_failing_point():
+    # K = diag(1, x2^2 + x3^2) inverts at the second and third points,
+    # so the context builds, but the rows of J there are dependent within
+    # the kernel test's tolerance: the vertical frame, on first read,
+    # raises the error the second point alone raises
+    setup = make_setup(flat_chart(3), flat_chart(2, "y"), ["x1", "x2*x3"])
+    points = [Point(c) for c in ((0.1, 0.5, 0.7), (0.5, 1e-11, 1e-11),
+                                 (0.3, 2e-11, 1e-11), (0.2, 1.0, 2.0))]
+    ctx = IdentityContext(setup, points)
+    for key in ("vframe", "frame", "pv", "ph"):
+        with pytest.raises(sub.NotASubmersionError) as exc:
+            getattr(ctx, key)
+        assert str(exc.value) == "map is rank deficient at (0.5, 1e-11, 1e-11)"
 
 
 # ---------------------------------------------------------------------
