@@ -303,12 +303,14 @@ def orthonormal_frames(g, vectors, tol=1e-10):
     out = np.empty(vectors.shape)
     for a in range(vectors.shape[1]):
         w = vectors[:, a]
-        limit = tol * _inner(w, g, w)
-        for _ in range(2):  # re-orthogonalization pass for stability
-            for b in range(a):
-                u = out[:, b]
-                w = w - _inner(u, g, w)[:, None] * u
         norm_sq = _inner(w, g, w)
+        limit = tol * norm_sq
+        if a:  # the first vector has no residual but itself
+            for _ in range(2):  # re-orthogonalization pass for stability
+                for b in range(a):
+                    u = out[:, b]
+                    w = w - _inner(u, g, w)[:, None] * u
+            norm_sq = _inner(w, g, w)
         if (norm_sq <= limit).any():
             raise DependentVectorsError("input vectors are linearly dependent")
         out[:, a] = w / np.sqrt(norm_sq)[:, None]

@@ -24,11 +24,10 @@ partials derived from it, which the right side's covariant derivatives
 also read and contract in different ways, and the right side also
 inverts the metric for its projectors, so a closed residual is
 evidence, not bookkeeping.  Both sides read the float core (g and the
-frame).  The context is built with the core's g, g^{-1}, J, horizontal
-frame, lambda^2, h at F(p), F_* X_a and anisotropy; the vertical frame,
-P_v and P_h (``SubmersionSetup.vertical_cores``), and so the frame, are
-built on first read, as is every other array.  In terms of the
-context's arrays:
+frame).  The context is built with every core array whose evaluation
+can fail; ``frame`` (the vertical and horizontal frames joined), P_v
+and P_h, which cannot fail, are built on first read, as is every other
+array.  In terms of the context's arrays:
 
 - left side: ``riem`` (Riemann tensor of the total metric), its
   contraction ``ric_matrix`` and, for T3.4, ``scalar_curvature``; over
@@ -350,20 +349,20 @@ class IdentityContext:
 
     The constructor builds the points' coordinates, ``coords`` (P, m),
     once, and holds the arrays of ``setup.float_cores(coords)`` by name:
-    ``g``, ``ginv``, ``jac``, ``hframe``, ``lam_sq``, ``base_coords``
-    (F(p)), ``h_base``, ``push`` (F_* X_a over the horizontal frame) and
-    ``anisotropy``, with ``partials``, the points' ``sub.CorePartials``.
-    The vertical half of the float core, ``vframe``, ``pv`` and ``ph``,
-    and ``frame`` (``vframe``, then ``hframe``) are built on first read
-    by one ``setup.vertical_cores`` over the core's g, J and lift, which
-    the constructor keeps apart from the attributes a reader may replace.
-    A hypothesis holds where its violation is at most
-    ``submersion.PROPERTY_TOL``.  Everything else is a cached property,
-    built on first read for every point at once from only the arrays it
-    needs, so a check pays only for what it reads, and an ingredient that
-    cannot be evaluated fails only the checks that read it.  ``partials`` and the vertical half build each
-    entry on first read, raising, where one point fails, the error of the
-    first failing point (``geometry.each_point``).  The soliton declaration: the field ``xi``
+    ``g``, ``ginv``, ``jac``, ``vframe``, ``hframe``, ``lam_sq``,
+    ``base_coords`` (F(p)), ``h_base``, ``push`` (F_* X_a over the
+    horizontal frame) and ``anisotropy``, with ``partials``, the points'
+    ``sub.CorePartials``, so every test of the core runs whatever the
+    checks read.  ``frame`` (``vframe``, then ``hframe``), ``ph`` (lift J,
+    from a private copy of the core's lift and J) and ``pv`` (I - P_h)
+    are built on first read.  A hypothesis holds where its violation is
+    at most ``submersion.PROPERTY_TOL``.  Everything else is a cached
+    property, built on first read for every point at once from only the
+    arrays it needs, so a check pays only for what it reads, and an
+    ingredient that cannot be evaluated fails only the checks that read
+    it.  ``partials`` build each entry on first read, raising, where one
+    point fails, the error of the first failing point
+    (``geometry.each_point``).  The soliton declaration: the field ``xi``
     (None: none), ``declared_mu`` (None: ``mu`` is fitted) and the base
     field ``xi_base`` (None: zero)."""
 
@@ -375,10 +374,10 @@ class IdentityContext:
         self.n = setup.n
         self.coords = np.fromiter(chain.from_iterable(
             p.coords for p in self.points), float).reshape(len(self.points), -1)
-        (self.g, self.ginv, self.jac, lift, self.hframe, self.lam_sq,
-         self.base_coords, self.h_base, self.push,
+        (self.g, self.ginv, self.jac, lift, self.vframe, self.hframe,
+         self.lam_sq, self.base_coords, self.h_base, self.push,
          self.anisotropy) = setup.float_cores(self.coords)
-        self._core = (self.g, self.jac, lift)  # what ``_vertical`` reads
+        self._lift_jac = (lift, self.jac)  # what ``ph`` reads
         self.partials = sub.CorePartials(setup, self.coords, self.base_coords)
         # each point's coordinates, the one list its records share, by
         # the names of hypotheses one list of their dicts per equal points,
@@ -389,17 +388,17 @@ class IdentityContext:
     # -- ingredients built on first read ----------------------------------
 
     @functools.cached_property
-    def _vertical(self):
-        """(vframe, pv, ph) of ``setup.vertical_cores``."""
-        return self.setup.vertical_cores(self.coords, *self._core)
-
-    vframe = functools.cached_property(lambda ctx: ctx._vertical[0])
-    pv = functools.cached_property(lambda ctx: ctx._vertical[1])
-    ph = functools.cached_property(lambda ctx: ctx._vertical[2])
-
-    @functools.cached_property
     def frame(self):
         return np.concatenate((self.vframe, self.hframe), axis=1)
+
+    @functools.cached_property
+    def ph(self):
+        lift, jac = self._lift_jac
+        return lift @ jac
+
+    @functools.cached_property
+    def pv(self):
+        return np.eye(self.m) - self.ph
 
     @functools.cached_property
     def gamma(self):

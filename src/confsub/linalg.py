@@ -52,40 +52,57 @@ def null_space_bases(mats, nullity, tol=1e-10):
 
     Deterministic, and at each point the arithmetic of that matrix alone:
     columns are processed left to right, pivot rows by largest magnitude,
-    and the basis vectors follow the free columns in order.  Raises
-    SingularMatrixError when a kernel does not have dimension
+    and the basis vectors follow the free columns in order.  A step that
+    changes no point (a swap of no rows, an elimination in a matrix of
+    one row, the columns after every row holds a pivot) is skipped, and
+    a stack whose points share one pivot pattern fills its bases by
+    slices.  Raises SingularMatrixError when a kernel does not have dimension
     ``nullity``."""
     rows = np.array(mats, dtype=float)
     count, nrows, ncols = rows.shape
-    scale = np.abs(rows).max(axis=(1, 2), initial=0.0)
+    # each matrix's largest entry, from its entries as rows of one
+    # contiguous copy: the reduction then runs along the point axis
+    scale = np.abs(rows.reshape(count, nrows * ncols).T.copy()).max(
+        axis=0, initial=0.0)
     scale[scale == 0.0] = 1.0
     at = np.arange(count)
     r = np.zeros(count, dtype=int)  # next pivot row of each point
     is_pivot = np.zeros((count, ncols), dtype=bool)
     for c in range(ncols):
+        if (r == nrows).all():
+            break
         col = np.abs(rows[:, :, c])
         col[np.arange(nrows) < r[:, None]] = -1.0  # rows already pivoted
         pivot = col.argmax(axis=1)
         ok = col[at, pivot] > tol * scale
-        idx, top, pivot = at[ok], r[ok], pivot[ok]
+        idx, top, pivot = ((at, r, pivot) if ok.all()
+                           else (at[ok], r[ok], pivot[ok]))
         swapped = rows[idx, pivot]
-        rows[idx, pivot] = rows[idx, top]
+        if (pivot != top).any():
+            rows[idx, pivot] = rows[idx, top]
         rows[idx, top] = swapped / swapped[:, c, None]
-        factor = rows[idx, :, c]
-        factor[np.arange(len(idx)), top] = 0.0
-        lead = rows[idx, top][:, None, :]
-        rows[idx] = np.where(factor[:, :, None] != 0.0,
-                             rows[idx] - factor[:, :, None] * lead, rows[idx])
+        if nrows > 1:
+            factor = rows[idx, :, c]
+            factor[np.arange(len(idx)), top] = 0.0
+            lead = rows[idx, top][:, None, :]
+            rows[idx] = np.where(factor[:, :, None] != 0.0,
+                                 rows[idx] - factor[:, :, None] * lead,
+                                 rows[idx])
         is_pivot[idx, c] = True
         r[idx] += 1
     if (ncols - r != nullity).any():
         raise SingularMatrixError("kernel dimension differs from nullity")
+    basis = np.zeros((count, nullity, ncols))
+    # pivot i sits in row i: v[pivots[i]] = -rows[i][free column]
+    if count and (is_pivot == is_pivot[0]).all():  # one pivot pattern
+        free, pivots = np.nonzero(~is_pivot[0])[0], np.nonzero(is_pivot[0])[0]
+        basis[:, np.arange(nullity), free] = 1.0
+        basis[:, :, pivots] = -rows[:, :len(pivots), free].transpose(0, 2, 1)
+        return basis
     free = np.nonzero(~is_pivot)[1].reshape(count, nullity)
     pivots = np.nonzero(is_pivot)[1].reshape(count, ncols - nullity)
-    basis = np.zeros((count, nullity, ncols))
     point, slot = at[:, None, None], np.arange(nullity)[None, :, None]
     basis[point, slot, free[:, :, None]] = 1.0
-    # pivot i sits in row i: v[pivots[i]] = -rows[i][free column]
     row = np.arange(ncols - nullity)[None, None, :]
     basis[point, slot, pivots[:, None, :]] = -rows[point, row,
                                                    free[:, :, None]]

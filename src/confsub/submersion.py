@@ -67,29 +67,35 @@ class SubmersionSetup:
     # -- numeric values at a point ---------------------------------------
 
     def float_cores(self, xs):
-        """The metrics, Jacobian, lift, horizontal frame and dilation as
-        floats at the points ``xs``, (P, m): the tuple (g, g^{-1}, J, lift,
-        horizontal frame, lambda^2, F(p), h at F(p), F_* X_a, anisotropy),
-        each with the point axis first.  The total metric, the map with its
-        Jacobian (one seeding) and the base metric at F(p) are each
-        evaluated once for all points, and the linear algebra runs
-        stacked: K = J g^{-1} J^T, the lift g^{-1} J^T K^{-1}, lambda^2 =
-        tr(h K^T) / n, the n horizontal frame rows orthonormalizing the
-        lift's columns, the pushed horizontal frame F_* X_a (a row per
-        horizontal frame vector) and the conformal anisotropy
-        sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab|.  The vertical half,
-        which not every run reads, is ``vertical_cores``.
+        """The metrics, Jacobian, lift, frames and dilation as floats at
+        the points ``xs``, (P, m): the tuple (g, g^{-1}, J, lift, vertical
+        frame, horizontal frame, lambda^2, F(p), h at F(p), F_* X_a,
+        anisotropy), each with the point axis first.  The total metric,
+        the map with its Jacobian (one seeding) and the base metric at
+        F(p) are each evaluated once for all points, and the linear
+        algebra runs stacked: K = J g^{-1} J^T, the lift g^{-1} J^T K^{-1},
+        lambda^2 = tr(h K^T) / n, the pushed horizontal frame F_* X_a (a
+        row per horizontal frame vector) and the conformal anisotropy
+        sup |h(F_* X_a, F_* X_b) - lambda^2 delta_ab|.  The m - n vertical
+        frame rows orthonormalize the reduced-row-echelon kernel basis of
+        J, the n horizontal ones the lift's columns.  P_h = lift J and
+        P_v = I - P_h, which raise nowhere, ``IdentityContext`` builds on
+        first read.
 
         Raises where a point is outside either chart's domain, either
-        metric is not positive definite there, K is singular, or g, J, h,
-        K or lambda^2 is not finite, as the first failing point alone
-        raises (``geometry.each_point``)."""
-        return _each_point(self._float_cores, xs)
+        metric is not positive definite there, the map is rank deficient
+        (K singular, or a kernel of J not of dimension m - n), a frame's
+        vectors are dependent, or g, J, h, K or lambda^2 is not finite, as
+        the first failing point alone raises (``geometry.each_point``)."""
+        return geo.each_point(lambda: self._float_cores(xs),
+                              lambda i: self._float_cores(xs[i:i + 1]),
+                              len(xs))
 
     def _float_cores(self, xs):
         """The tuple of ``float_cores`` at the points ``xs`` at once."""
-        count, n = len(xs), self.n
-        where = _where(xs)
+        count, m, n = len(xs), self.m, self.n
+        where = (tuple(xs[0].tolist()) if count == 1
+                 else f"one of {count} points")
 
         def finite(name, a):
             if not np.isfinite(a).all():
@@ -104,7 +110,8 @@ class SubmersionSetup:
         k = finite("K = J g^-1 J^T", jac @ (ginv @ jt))
         try:
             k_inv = np.linalg.inv(k)
-        except np.linalg.LinAlgError:
+            vbasis = null_space_bases(jac, m - n)
+        except (np.linalg.LinAlgError, SingularMatrixError):
             raise NotASubmersionError(
                 f"map is rank deficient at {where}") from None
         lift = ginv @ (jt @ k_inv)  # m x n at each point
@@ -113,45 +120,13 @@ class SubmersionSetup:
         h_base = geo.metric_matrices(
             self.base, geo.batch_coordinates(fvals), count)
         lam_sq = finite("lambda^2", np.einsum("pab,pab->p", h_base, k) / n)
+        vframe = geo.orthonormal_frames(g, vbasis)
         hframe = geo.orthonormal_frames(g, lift.transpose(0, 2, 1))
         push = hframe @ jt  # F_* X_a, one row per horizontal frame vector
         gram = push @ h_base @ push.transpose(0, 2, 1)
         aniso = np.abs(gram - lam_sq[:, None, None] * np.eye(n))
-        return (g, ginv, jac, lift, hframe, lam_sq, fvals, h_base, push,
-                aniso.max(axis=(1, 2)))
-
-    def vertical_cores(self, xs, g, jac, lift):
-        """The vertical frame, P_v and P_h at the points ``xs`` from their
-        ``float_cores``' g, J and lift, each with the point axis first:
-        the frame's m - n rows orthonormalize the reduced-row-echelon
-        kernel basis of J, P_h = lift J and P_v = I - P_h.  Raises
-        NotASubmersionError where a kernel's dimension is not m - n, as
-        the first failing point alone raises."""
-        return _each_point(self._vertical_cores, xs, g, jac, lift)
-
-    def _vertical_cores(self, xs, g, jac, lift):
-        """The tuple of ``vertical_cores`` at the points ``xs`` at once."""
-        try:
-            vbasis = null_space_bases(jac, self.m - self.n)
-        except SingularMatrixError:
-            raise NotASubmersionError(
-                f"map is rank deficient at {_where(xs)}") from None
-        ph = lift @ jac
-        return geo.orthonormal_frames(g, vbasis), np.eye(self.m) - ph, ph
-
-
-def _where(xs):
-    """The point ``xs`` holds alone, or how many it holds, for a message."""
-    return (tuple(xs[0].tolist()) if len(xs) == 1
-            else f"one of {len(xs)} points")
-
-
-def _each_point(build, xs, *arrays):
-    """``build(xs, *arrays)`` over the points ``xs`` under
-    ``geometry.each_point``, a point alone on its slices of each."""
-    return geo.each_point(
-        lambda: build(xs, *arrays),
-        lambda i: build(*(a[i:i + 1] for a in (xs, *arrays))), len(xs))
+        return (g, ginv, jac, lift, vframe, hframe, lam_sq, fvals, h_base,
+                push, aniso.max(axis=(1, 2)))
 
 
 def _stacked(method):
@@ -183,9 +158,8 @@ class CorePartials:
     ``jacobian_at``) and h o F.  The rest is the matrix product rule on
     them: K = J g^{-1} J^T, lift = g^{-1} J^T K^{-1}, P_h = lift J,
     P_v = I - P_h, lambda^2 = tr(h K^T) / n and f = 1 / lambda^2, the
-    formulas of ``SubmersionSetup.float_cores`` and ``vertical_cores``.
-    A fourth seeding, of the base metric at F(p), gives the base
-    curvature."""
+    formulas of ``SubmersionSetup.float_cores``.  A fourth seeding, of the
+    base metric at F(p), gives the base curvature."""
 
     def __init__(self, setup, coords, base_coords):
         self.setup = setup

@@ -167,6 +167,53 @@ def test_non_finite_float_core_names_value_and_point(tmp_path, capsys, metric,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+FLAT_3_TO_N = """
+total.dim    = 3
+total.coords = x1 x2 x3
+total.metric = 1, 0, 0 ; 0, 1, 0 ; 0, 0, 1
+base.dim     = {n}
+base.coords  = {coords}
+base.metric  = {base_metric}
+map.components = {map}
+checks = {checks}
+points.list = {points}
+"""
+
+
+@pytest.mark.parametrize("checks", ["all", "L2.2", "G2.12"])
+@pytest.mark.parametrize("n,map_text,points,message", [
+    # K = diag(1, x2^2 + x3^2) inverts at (0.5, 1e-11, 1e-11) and
+    # (0.3, 2e-11, 1e-11), but J's rows there are dependent within the
+    # kernel test's tolerance; K is singular at (0.5, 0, 0)
+    (2, "x1, x2*x3",
+     "(0.1, 0.5, 0.7) ; (0.5, 1e-11, 1e-11) ; (0.3, 2e-11, 1e-11) ; "
+     "(0.5, 0, 0)", "map is rank deficient at (0.5, 1e-11, 1e-11)"),
+    (2, "x1, x2*x3", "(0.5, 1e-11, 1e-11) ; (0.5, 0, 0)",
+     "map is rank deficient at (0.5, 1e-11, 1e-11)"),
+    (2, "x1, 0.3*x1 + 0.00000000001*x2", "(0.5, 0.5, 0.5) ; (1, 2, 3)",
+     "map is rank deficient at (0.5, 0.5, 0.5)"),
+    # the kernel basis (-1e9, 1, 0), (-1e9, 0, 1) is dependent within the
+    # vertical Gram-Schmidt's tolerance
+    (1, "0.000000001*x1 + x2 + x3", "(0.5, 0.5, 0.5)",
+     "input vectors are linearly dependent")],
+    ids=["kernel-test", "kernel-test-first", "near-dependent", "vertical-gs"])
+def test_a_degenerate_core_stops_every_check_list(tmp_path, capsys, n,
+                                                  map_text, points, message,
+                                                  checks):
+    # every test of the float core that can fail runs when the context is
+    # built, so whether a point stops the run, and which point it names,
+    # does not depend on which arrays the listed checks read
+    path = tmp_path / "degenerate.cfsm"
+    path.write_text(FLAT_3_TO_N.format(
+        n=n, coords=" ".join(f"y{i + 1}" for i in range(n)),
+        base_metric=" ; ".join(", ".join("1" if i == j else "0"
+                                         for j in range(n))
+                               for i in range(n)),
+        map=map_text, checks=checks, points=points))
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_large_dilation_is_verified(tmp_path, capsys):
     # |J| ~ 1e11 and lambda^2 ~ 1e22 are finite: the horizontal lift's
     # squared norm, about 1e-22, is compared with its own input vector's

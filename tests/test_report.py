@@ -227,17 +227,30 @@ def test_flat_sweep_builds_no_curvature(monkeypatch):
     assert set(vars(ctx.partials)) == {"setup", "coords", "base_coords"}
 
 
-@pytest.mark.parametrize("job,calls", [
-    (lambda: parse_manifest(FLAT_SWEEP_1000), 0),
-    (lambda: catalog.load_job("5.3"), 1)], ids=["flat-sweep", "5.3-all"])
-def test_vertical_frame_is_built_on_first_read(monkeypatch, job, calls):
-    # G2.12 on one-dimensional fibers reads no frame or projector, so its
-    # run finds no kernel basis; a run of every check finds them once,
-    # for all its points at once
+@pytest.mark.parametrize("job,built", [
+    (lambda: parse_manifest(FLAT_SWEEP_1000), False),
+    (lambda: catalog.load_job("5.3"), True)], ids=["flat-sweep", "5.3-all"])
+def test_projectors_and_frame_are_built_on_first_read(monkeypatch, job,
+                                                      built):
+    # the kernel basis, a test the core must pass, is found once for all
+    # points whatever the checks read; G2.12 on one-dimensional fibers
+    # reads no projector or whole frame, so its run builds none, and a
+    # run of every check builds each
     counts = Counter()
     _count_calls(monkeypatch, counts, ((sub, "null_space_bases"),))
+    contexts = []
+    real_init = IdentityContext.__init__
+
+    def keeping_init(self, *args, **kwargs):
+        contexts.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IdentityContext, "__init__", keeping_init)
     report.to_json(report.run_job(job()))
-    assert counts["null_space_bases"] == calls
+    assert counts["null_space_bases"] == 1
+    ctx, = contexts
+    for name in ("frame", "pv", "ph"):
+        assert (name in vars(ctx)) == built, name
 
 
 # Gamma of this metric is not finite on x2 = 0, where d/dx2 x2^(1/3) is

@@ -13,7 +13,8 @@ from confsub import submersion as sub
 from confsub.geometry import Point
 from confsub.identities import IdentityContext
 from confsub.jets import EvaluationError, JetSpace, primal
-from confsub.linalg import taylor_inverse, taylor_mul
+from confsub.linalg import (SingularMatrixError, null_space_bases,
+                            taylor_inverse, taylor_mul)
 from conftest import (conformal_corpus, context, flat_chart, make_setup,
                       oneill, riemannian_corpus, sample, warped_4to2)
 import identity_loops as loops
@@ -416,6 +417,34 @@ def _rref_kernel(mat, tol=1e-10):
     return basis
 
 
+@pytest.mark.parametrize("nrows,ncols", [(1, 2), (1, 4), (2, 3), (2, 5),
+                                         (3, 4)])
+def test_null_space_bases_is_the_loop_at_each_point(nrows, ncols):
+    # a stack whose matrices take different pivot rows, skip different
+    # columns (a zero column, one below the tolerance) and fill their
+    # rows at different columns gives, bit for bit, the loop's basis of
+    # each matrix alone, as does each matrix as a stack of one
+    rng = np.random.default_rng(nrows * 10 + ncols)
+    mats = rng.normal(size=(40, nrows, ncols))
+    mats[rng.random(mats.shape) < 0.25] = 0.0
+    mats[::3, :, 0] *= 1e-11
+    mats[1::4] = np.round(mats[1::4])
+    full_rank = [i for i, a in enumerate(mats)
+                 if len(_rref_kernel(a)) == ncols - nrows]
+    mats = mats[full_rank]
+    assert len(mats) > 20
+    stacked = null_space_bases(mats, ncols - nrows)
+    for a, got in zip(mats, stacked):
+        want = np.array(_rref_kernel(a))
+        assert got.tobytes() == want.tobytes(), a
+        assert null_space_bases(a[None], ncols - nrows)[0].tobytes() \
+            == want.tobytes(), a
+    # one matrix of lower rank fails the stack
+    with pytest.raises(SingularMatrixError):
+        null_space_bases(np.concatenate((mats, np.zeros((1, nrows, ncols)))),
+                         ncols - nrows)
+
+
 def _gram_schmidt(g, vectors):
     """Loop reference for ``geo.orthonormal_frames`` at one point."""
     out = []
@@ -511,39 +540,23 @@ def test_float_cores_match_generic_layer(monkeypatch, name, setup, points):
 
 def test_float_cores_rerun_stacks_the_points_alone(monkeypatch, ex53):
     # a batch that fails while every point alone evaluates gives the stack
-    # of the one-point cores, for the core and for its vertical half
+    # of the one-point cores
     points = catalog.load_job("5.3").points[:4]
     batch = IdentityContext(ex53, points)
-    for name in ("_float_cores", "_vertical_cores"):
-        real = getattr(sub.SubmersionSetup, name)
+    real = sub.SubmersionSetup._float_cores
 
-        def batch_fails(self, xs, *arrays, real=real):
-            if len(xs) > 1:
-                raise ValueError("non-finite value in the float core")
-            return real(self, xs, *arrays)
+    def batch_fails(self, xs):
+        if len(xs) > 1:
+            raise ValueError("non-finite value in the float core")
+        return real(self, xs)
 
-        monkeypatch.setattr(sub.SubmersionSetup, name, batch_fails)
+    monkeypatch.setattr(sub.SubmersionSetup, "_float_cores", batch_fails)
     rerun = IdentityContext(ex53, points)
     for key in FLOAT_CORE_ARRAYS:
         _assert_close(getattr(rerun, key), getattr(batch, key), key)
     # the rerun's partials cover the same points
     for got, ref in zip(rerun.partials.pv, batch.partials.pv):
         _assert_close(got, ref, "partials.pv")
-
-
-def test_vertical_frame_raises_for_its_first_failing_point():
-    # K = diag(1, x2^2 + x3^2) inverts at the second and third points,
-    # so the context builds, but the rows of J there are dependent within
-    # the kernel test's tolerance: the vertical frame, on first read,
-    # raises the error the second point alone raises
-    setup = make_setup(flat_chart(3), flat_chart(2, "y"), ["x1", "x2*x3"])
-    points = [Point(c) for c in ((0.1, 0.5, 0.7), (0.5, 1e-11, 1e-11),
-                                 (0.3, 2e-11, 1e-11), (0.2, 1.0, 2.0))]
-    ctx = IdentityContext(setup, points)
-    for key in ("vframe", "frame", "pv", "ph"):
-        with pytest.raises(sub.NotASubmersionError) as exc:
-            getattr(ctx, key)
-        assert str(exc.value) == "map is rank deficient at (0.5, 1e-11, 1e-11)"
 
 
 # ---------------------------------------------------------------------
